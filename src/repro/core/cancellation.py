@@ -20,7 +20,7 @@ A token combines two triggers:
 Tokens are duck-typed at the check sites — anything with a ``cancelled()
 -> bool`` method works.  The cross-process backend
 (:mod:`repro.core.workers`) exploits this: it rebuilds a worker-side
-token from the remaining budget plus a shared cancellation flag, so the
+token from the remaining budget plus the link's cancel watermark, so the
 same engine code cancels identically on both sides of a process
 boundary.
 """

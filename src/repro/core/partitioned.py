@@ -17,15 +17,15 @@ single machine with three interchangeable fan-out backends:
   the GIL, so this tops out near one core;
 - ``"processes"`` — each shard's engine lives in a long-lived worker
   process (:class:`~repro.core.workers.ShardWorkerPool`), fed pickled
-  query descriptors over pipes.  CPU-bound verification then genuinely
-  parallelizes: a single query uses up to one core per shard;
+  query descriptors over a framed socketpair.  CPU-bound verification
+  then genuinely parallelizes: a single query uses up to one core per
+  shard;
 - ``"remote"`` — each shard's engine lives in a standalone worker node
-  (``repro worker --listen``; :mod:`repro.core.remote`), reached over a
-  length-prefixed socket transport and addressed by a JSON shard map.
-  Same protocol, supervision, journal-replay and retry semantics as
-  ``processes`` — plus reconnect-with-backoff, heartbeats, per-call
-  deadlines, and injectable network faults, because links fail in ways
-  pipes cannot.
+  (``repro worker --listen``; :mod:`repro.core.remote`) addressed by a
+  JSON shard map.  The same handle, protocol, supervision (heartbeats,
+  per-call deadlines, reopen-with-backoff), journal replay, retry and
+  injectable link faults as ``processes`` — only the link is opened
+  over TCP instead of to a child.
 
 Whatever the backend, the merge is deterministic (shard order, then
 sorted by global ``(id, start, end)``) and answers are element-for-
@@ -141,7 +141,7 @@ class PartitionedSubtrajectorySearch:
     the merge collects shard results in shard order regardless of
     completion order.
 
-    The processes backend holds OS resources (worker processes, pipes);
+    The processes backend holds OS resources (worker processes, sockets);
     call :meth:`close` when done.  Unclosed engines are cleaned up at
     interpreter exit, and the class works as a context manager.
     """
@@ -483,7 +483,7 @@ class PartitionedSubtrajectorySearch:
 
         ``/healthz`` and ``/stats`` consume this instead of calling the
         per-cache methods back to back: on the processes backend that
-        would cross every worker's pipe twice and could report the two
+        would cross every worker's link twice and could report the two
         caches from different snapshots (a worker turning busy between
         the polls would count toward one and not the other).
         """
@@ -898,7 +898,7 @@ class PartitionedSubtrajectorySearch:
         :func:`repro.core.topk.topk_search` run with this engine as the
         probe target.  The tau-doubling loop sits *above* the shard
         fan-out: every probe round is one ordinary :meth:`query` (worker
-        pipes / remote RPC, supervision, retry-once, journal replay all
+        worker-link RPC, supervision, retry-once, journal replay all
         unchanged), and ``allow_partial`` degrades probe rounds exactly
         like range queries (the result is then ``complete=False``)."""
         from repro.core.topk import topk_search  # circular at import time

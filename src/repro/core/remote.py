@@ -7,21 +7,20 @@ and serves whatever shard each connecting pool ships it:
 - every accepted connection starts with a ``hello`` frame carrying the
   shard index, the shard's dataset snapshot, the cost model, engine
   kwargs, the worker-side fault table, and the request-ordinal offsets
-  consumed by the shard's previous incarnations;
-- the node builds a **fresh engine per connection** and answers with the
-  same req-0 readiness handshake the pipe workers use (engine length =
-  the client's journal-replay watermark, plus the node pid).  Connection
-  = incarnation is what makes reconnection sound: an engine surviving a
-  dropped connection could hold an insert whose ack was lost in flight,
-  leaving it permanently ahead of the client's expected ids — rebuilding
-  from the shipped snapshot and letting the client replay its journal
-  past the watermark restores bit-identical state instead;
-- after the handshake the connection speaks the exact pipe protocol of
-  :func:`repro.core.workers._worker_main` — that function *is* the serve
-  loop, run over a small adapter that frames replies and splits
-  out-of-band ``("cancel", req_id)`` frames into the engine's shared
-  cancellation flag (a reader thread consumes them, so cancellation
-  works mid-verification without breaking one-reply-per-request);
+  consumed by the shard's previous incarnations — exactly the arguments
+  a ``backend="processes"`` child receives as ``Process`` args;
+- from there the connection is served by
+  :func:`repro.core.workers.serve_link`, the one serve path every worker
+  link runs: a **fresh engine per connection**, the req-0 readiness
+  handshake (engine length = the client's journal-replay watermark, plus
+  the node pid), one reply per request, out-of-band ``("cancel",
+  req_id)`` frames folded into the engine's cancel watermark by the
+  link's reader thread.  Connection = incarnation is what makes
+  reconnection sound: an engine surviving a dropped connection could
+  hold an insert whose ack was lost in flight, leaving it permanently
+  ahead of the client's expected ids — rebuilding from the shipped
+  snapshot and letting the client replay its journal past the watermark
+  restores bit-identical state instead;
 - injected worker faults ride along in the hello: a ``kill_before`` rule
   ``os._exit``\\ s the node process itself, which is precisely the
   node-kill chaos drill — :func:`run_worker_node` optionally wraps the
@@ -39,14 +38,13 @@ from __future__ import annotations
 import json
 import logging
 import multiprocessing as mp
-import queue
 import signal
 import socket
 import threading
 from typing import Any, Dict, List, Optional
 
 from repro.core import transport
-from repro.core.workers import _worker_main, default_start_method
+from repro.core.workers import default_start_method, serve_link
 from repro.exceptions import TransportError
 
 __all__ = [
@@ -61,67 +59,6 @@ logger = logging.getLogger(__name__)
 #: how long an accepted connection may take to produce its hello frame
 #: before the node drops it (port scanners, half-connected clients).
 _HELLO_TIMEOUT = 30.0
-
-_EOF = object()
-
-
-class _Flag:
-    """Duck-types the ``multiprocessing.Value`` cancellation flag the
-    worker loop's tokens poll: a plain attribute is enough in-process
-    (single writer — the reader thread; GIL-atomic reads)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
-class _NodeConn:
-    """Adapts one framed socket to the ``Connection`` surface
-    :func:`~repro.core.workers._worker_main` consumes.
-
-    A reader thread drains the socket continuously: ``("cancel",
-    req_id)`` frames fold into the shared flag (so a cancel lands while
-    the serve loop is deep in verification), everything else queues for
-    :meth:`recv`.  Transport failures surface as :class:`EOFError` /
-    :class:`BrokenPipeError` — the exceptions the worker loop already
-    treats as "client gone"."""
-
-    def __init__(self, framed: transport.FramedSocket, flag: _Flag) -> None:
-        self._framed = framed
-        self._flag = flag
-        self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._reader = threading.Thread(
-            target=self._read_loop, name="repro-node-reader", daemon=True
-        )
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                msg = self._framed.recv()
-            except Exception:  # noqa: BLE001 — any transport failure = EOF
-                self._queue.put(_EOF)
-                return
-            if isinstance(msg, tuple) and msg and msg[0] == "cancel":
-                self._flag.value = max(self._flag.value, int(msg[1]))
-                continue
-            self._queue.put(msg)
-
-    def recv(self) -> Any:
-        msg = self._queue.get()
-        if msg is _EOF:
-            raise EOFError("client disconnected")
-        return msg
-
-    def send(self, message: Any) -> None:
-        try:
-            self._framed.send(message)
-        except TransportError as exc:
-            raise BrokenPipeError(str(exc)) from exc
-
-    def close(self) -> None:
-        self._framed.close()
 
 
 class WorkerNodeServer:
@@ -181,23 +118,15 @@ class WorkerNodeServer:
             logger.warning("dropping connection with bad hello", exc_info=True)
             framed.close()
             return
-        flag = _Flag()
-        conn = _NodeConn(framed, flag)
-        try:
-            # The pipe worker loop IS the serve loop: same engine build,
-            # same handshake, same protocol, same fault hooks.
-            _worker_main(
-                conn,
-                flag,
-                int(spec.get("shard", 0)),
-                spec.get("dataset"),
-                spec.get("costs"),
-                dict(spec.get("engine_kwargs") or {}),
-                spec.get("faults"),
-                dict(spec.get("request_offsets") or {}),
-            )
-        finally:
-            conn.close()
+        serve_link(
+            framed,
+            int(spec.get("shard", 0)),
+            spec.get("dataset"),
+            spec.get("costs"),
+            dict(spec.get("engine_kwargs") or {}),
+            spec.get("faults"),
+            dict(spec.get("request_offsets") or {}),
+        )
 
     def close(self) -> None:
         self._closed = True

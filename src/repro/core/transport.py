@@ -1,10 +1,11 @@
-"""Length-prefixed socket transport for the multi-node serving tier.
+"""Length-prefixed framed sockets: the one parent↔worker transport.
 
-:mod:`repro.core.workers` speaks a transport-agnostic protocol: small
-pickled request tuples, exactly one reply per request.  Over a
-:func:`multiprocessing.Pipe` the OS frames messages for free; over a TCP
-socket nothing does — so this module supplies the framing seam the
-remote backend (ROADMAP §1) runs on:
+:mod:`repro.core.workers` speaks a small protocol — pickled request
+tuples, exactly one reply per request, out-of-band cancel frames — over
+a byte stream that frames nothing for free.  Every worker link runs on
+this module, whether the stream is a :func:`socket.socketpair` to a child
+process (``backend="processes"``) or a TCP connection to a worker node
+(``backend="remote"``):
 
 - every message is one **frame**: a 4-byte big-endian unsigned length
   prefix followed by exactly that many payload bytes (the pickle);
@@ -19,14 +20,11 @@ remote backend (ROADMAP §1) runs on:
   identical frame sequence) and EOF inside a frame raises
   :class:`~repro.exceptions.FrameTruncatedError` instead of silently
   yielding garbage;
-- :class:`FramedSocket` wraps a connected TCP socket with the same
-  ``send`` / ``recv`` / ``poll`` / ``close`` surface as a
-  ``multiprocessing.Connection``, so the worker-pool request loop runs
-  unchanged over either transport.  Per-call deadlines derive from the
-  remaining query budget the pool already ships with each request
-  (``recv(deadline=...)``), so a half-open connection costs at most the
-  caller's own budget, never an unbounded hang;
-- deterministic network chaos hooks: the client-side proxy applies a
+- :class:`FramedSocket` wraps a connected stream socket with ``send`` /
+  ``recv`` / ``poll`` / ``close``.  Every failure is a
+  :class:`~repro.exceptions.TransportError` (never a bare ``OSError``),
+  so the pool treats a broken link exactly like a dead worker;
+- deterministic network chaos hooks: the parent-side handle applies a
   :class:`~repro.faultinject.NetworkFaults` table around its sends
   (``slow_link_ms`` sleeps, ``short_write`` forces one-byte-sized
   ``sendall`` slices so the peer's reassembly is exercised for real,
@@ -42,7 +40,7 @@ Wire format (all integers big-endian)::
 
 The payload is a pickle (protocol :data:`pickle.HIGHEST_PROTOCOL`);
 both ends of this transport are trusted repro processes — the shard map
-is operator configuration, exactly like the worker pipe endpoints.
+is operator configuration.
 """
 
 from __future__ import annotations
@@ -178,25 +176,22 @@ class FrameDecoder:
 
 
 class FramedSocket:
-    """A connected TCP socket speaking length-prefixed pickled frames.
+    """A connected stream socket (TCP, or one end of a socketpair)
+    speaking length-prefixed pickled frames: ``send(obj)`` / ``recv()``
+    / ``poll(timeout)`` / ``close()``, plus
 
-    Duck-types the ``multiprocessing.Connection`` surface the worker
-    pool's request loop uses — ``send(obj)`` / ``recv()`` /
-    ``poll(timeout)`` / ``close()`` — so pipe and socket shards share one
-    code path.  Additions the pipe never needed:
-
-    - ``recv(deadline=...)`` bounds a read by an absolute remaining
-      budget (seconds); expiry raises :class:`TransportError` — the hook
-      that makes a half-open connection (``conn_hang``) detectable;
+    - ``recv(deadline=...)`` bounds a read by a relative budget
+      (seconds); expiry raises :class:`TransportError`;
     - ``send(obj, chunk=n)`` slices the frame into ``n``-byte ``sendall``
       calls (the ``short_write`` fault: the peer must reassemble);
     - ``hang()`` / ``drop()`` — deterministic chaos: a hung socket
       swallows sends and never becomes readable, a dropped one is torn
       down mid-conversation.
 
-    Not thread-safe for concurrent ``recv``; one out-of-band ``send``
-    (the cancel frame) racing a blocked ``recv`` is fine — TCP sockets
-    are full-duplex.
+    Not thread-safe for concurrent ``recv``; one ``send`` racing a
+    blocked ``recv`` is fine (the cancel frame on the parent side, the
+    reply on the worker side, whose reader thread owns ``recv``) — the
+    socket is full-duplex.
     """
 
     def __init__(
@@ -212,26 +207,13 @@ class FramedSocket:
             # Request/reply over small frames: never wait on Nagle.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
-            pass  # non-TCP socket (e.g. a unix socketpair in tests)
+            pass  # not TCP: the unix socketpair of a child-process link
 
     # -- lifecycle ----------------------------------------------------------
 
     @property
     def closed(self) -> bool:
         return self._sock is None
-
-    def fileno(self) -> int:
-        if self._sock is None:
-            raise TransportError("socket is closed")
-        return self._sock.fileno()
-
-    def peer(self) -> str:
-        """``host:port`` of the remote end (diagnostics), best-effort."""
-        try:
-            host, port = self._sock.getpeername()[:2]  # type: ignore[union-attr]
-            return f"{host}:{port}"
-        except (OSError, AttributeError, TypeError):
-            return "<disconnected>"
 
     def close(self) -> None:
         sock, self._sock = self._sock, None
@@ -274,17 +256,18 @@ class FramedSocket:
         """
         if self._hung:
             return  # half-open: bytes vanish, no error — that's the point
-        if self._sock is None:
+        sock = self._sock  # one read: close() may race us from another thread
+        if sock is None:
             raise TransportError("socket is closed")
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         frame = encode_frame(payload, max_frame=self.max_frame)
         try:
             if chunk is None or chunk >= len(frame):
-                self._sock.sendall(frame)
+                sock.sendall(frame)
             else:
                 step = max(1, int(chunk))
                 for start in range(0, len(frame), step):
-                    self._sock.sendall(frame[start : start + step])
+                    sock.sendall(frame[start : start + step])
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
@@ -298,11 +281,12 @@ class FramedSocket:
             return True
         if self._eof or self._hung:
             return False
-        if self._sock is None:
+        sock = self._sock  # one read: close() may race us from another thread
+        if sock is None:
             raise TransportError("socket is closed")
         try:
-            self._sock.settimeout(timeout)
-            data = self._sock.recv(_RECV_CHUNK)
+            sock.settimeout(timeout)
+            data = sock.recv(_RECV_CHUNK)
         except socket.timeout:
             return False
         except OSError as exc:
@@ -337,21 +321,16 @@ class FramedSocket:
         expires = None if deadline is None else monotonic() + max(0.0, deadline)
         while not self._ready:
             if expires is None:
-                step: Optional[float] = None
-            else:
-                step = expires - monotonic()
-                if step <= 0:
-                    raise TransportError(
-                        f"no reply within the {deadline:.3f}s call deadline"
-                    )
-            # Hung links never become readable: poll in slices so the
-            # deadline is honored even though recv() would block forever.
-            if self._hung:
-                if expires is None:
+                if self._hung:
                     raise TransportError("connection is hung with no deadline")
-                sleep(min(0.01, max(0.0, step if step is not None else 0.01)))
+                self._pump(None)
                 continue
-            self._pump(step)
+            step = expires - monotonic()
+            if step <= 0:
+                raise TransportError(
+                    f"no reply within the {deadline:.3f}s call deadline"
+                )
+            self.poll(step)  # a hung link sleeps the wait out: no busy-spin
         return pickle.loads(self._ready.pop(0))
 
 

@@ -1,72 +1,89 @@
-"""Cross-process shard workers: CPU-bound verification past the GIL.
+"""Out-of-process shard workers: CPU-bound verification past the GIL.
 
 The thread-pool fan-out of :class:`~repro.core.partitioned.
 PartitionedSubtrajectorySearch` parallelizes I/O-ish work but not the
 Smith–Waterman-style verification that dominates query cost (§6) — pure-
 Python DP holds the GIL, so N shard threads share one core.  This module
-moves each shard's engine into a long-lived **worker process**:
+moves each shard's engine behind a **framed link**
+(:class:`~repro.core.transport.FramedSocket`) and keeps exactly one
+parent-side handle (:class:`_ShardWorker`) and one worker-side serve path
+(:func:`serve_link`) for every way a link can be obtained:
 
-- workers are spawned once, at index build: each receives its shard's
-  :class:`~repro.trajectory.dataset.TrajectoryDataset` + cost model +
-  engine options and builds its :class:`~repro.core.engine.
-  SubtrajectorySearch` locally (inheriting the engine's defaults,
-  including the adaptive ``dp_backend="auto"`` verification path and the
-  per-engine SubstitutionMatrix LRU), so the (expensive) index
-  construction and the (large) index memory live only in the worker;
-- queries travel as small pickled descriptors over a per-worker
-  :func:`multiprocessing.Pipe`; results come back as pickled
-  :class:`~repro.core.engine.QueryResult` objects (the merge-irrelevant
-  ``subsequence`` field is stripped to keep replies small);
-- deadlines survive the process boundary: the parent sends the *remaining*
-  budget with each query and the worker rebuilds a local token from it, so
-  clock-skew between processes cannot extend a deadline; the parent can
-  additionally trip a per-worker shared cancellation flag
-  (:class:`multiprocessing.Value`) that the worker's token polls between
-  verification-loop iterations — abandoning a query stops shard CPU work
-  within one iteration;
+- ``backend="processes"``: the parent hands one end of a
+  :func:`socket.socketpair` to a child process (:func:`_open_process`).
+  Dataset, cost model and engine options travel as ``Process`` arguments,
+  so ``fork`` inherits the shard without a pickle;
+- ``backend="remote"`` (``shard_map=``): the parent connects to a
+  standalone ``repro worker --listen`` node (:mod:`repro.core.remote`)
+  and ships the same arguments in a ``hello`` frame (:func:`_open_node`).
+
+How the connection is obtained is the *only* per-backend code.  Either
+way the worker builds its :class:`~repro.core.engine.SubtrajectorySearch`
+locally (index construction and index memory live only in the worker)
+and answers with a req-0 readiness handshake, so every (re)opened link
+is a fresh engine incarnation — a *reconnect is a respawn*.
+
+- queries travel as small pickled descriptors; results come back as
+  pickled :class:`~repro.core.engine.QueryResult` objects (the merge-
+  irrelevant ``subsequence`` field is stripped to keep replies small);
+- deadlines survive the link: the parent sends the *remaining* budget
+  with each query and the worker rebuilds a local token from it, so
+  clock skew cannot extend a deadline.  The parent bounds its own wait
+  by that budget plus a grace window; a reply later than that **poisons
+  the link** (a late reply would desynchronize the next request), which
+  is also the only way a half-open link is ever unmasked;
+- cancellation is always an out-of-band ``("cancel", req_id)`` frame: the
+  worker's reader thread folds it into a watermark the engine's token
+  polls between verification-loop iterations, so abandoning a query stops
+  shard CPU work within one iteration — and the worker still sends its
+  one reply, keeping the stream in sync;
 - online inserts replicate through a **versioned** ``add`` message: the
   parent sends the shard-local id it expects the insert to receive, and
   the worker acknowledges only if its replica agrees — any divergence
   (a lost or reordered update) surfaces as :class:`~repro.exceptions.
   WorkerError` instead of silently wrong answers, which is what the
   serving layer's cache-generation guarantees rest on;
-- lifecycle is leak-proof: workers are daemon processes, pools shut down
-  idempotently (a wedged worker is escalated SIGTERM → SIGKILL so it can
-  never outlive ``close()``), and a module-level ``atexit`` hook
-  terminates every pool still alive at interpreter exit (so ``repro
-  serve --self-test`` cannot strand children).
+- lifecycle is leak-proof: child processes are daemonic *and* watch their
+  parent (a worker whose parent was SIGKILLed exits instead of blocking
+  on a socket some forked sibling still holds open), pools shut down
+  idempotently (a wedged child is escalated SIGTERM → SIGKILL so it can
+  never outlive ``close()``; a node is an external process and is only
+  ever disconnected), and a module-level ``atexit`` hook closes every
+  pool still alive at interpreter exit.
 
-**Fault tolerance** (the supervision layer; policy objects live in
-:mod:`repro.core.supervision`):
+**Fault tolerance** (policy objects live in :mod:`repro.core.supervision`):
 
-- a pool-level *supervisor thread* polls worker liveness and respawns
-  dead workers with bounded exponential backoff + per-shard jitter; the
-  query path additionally respawns eagerly when it trips over a corpse,
-  so recovery latency is bounded by one engine rebuild, not a poll tick;
-- a respawned worker rebuilds its engine from the parent's shard dataset
-  mirror, then the parent *replays its insert journal* — the write-ahead
-  record of every acknowledged online insert — through the same
+- a pool-level *supervisor thread* polls link liveness (link open ∧
+  process alive, when there is one), heartbeats idle links with ``ping``
+  so a silently dead peer is detected without traffic, and reopens dead
+  links with bounded exponential backoff + per-shard jitter; the query
+  path additionally respawns eagerly when it trips over a corpse, so
+  recovery latency is bounded by one engine rebuild, not a poll tick;
+- a reopened worker rebuilds its engine from the parent's shard dataset
+  mirror, then the parent *replays its insert journal* — the record of
+  acknowledged inserts the mirror may not hold yet — through the same
   versioned ``add`` protocol, so the replica is bit-identical to the
-  crashed one (the handshake reports the rebuilt engine's length; only
-  the entries past it replay, and any id disagreement fails loudly);
+  lost one (the handshake reports the rebuilt engine's length; only the
+  entries past it replay, and any id disagreement fails loudly);
 - a per-shard :class:`~repro.core.supervision.CircuitBreaker` (closed →
   open after N consecutive shard failures → half-open probe) keeps a
   flapping shard from eating every query's deadline: with the breaker
   open, queries either fail fast (:class:`~repro.exceptions.
   ShardUnavailableError`) or — with ``allow_partial`` — degrade to the
   live shards;
-- :meth:`ShardWorkerPool.query_all` retries a dead shard's query exactly
-  once on the respawned worker, within the caller's remaining deadline
-  budget, re-shipping the *updated* remaining time;
+- a shard whose link failed is reopened and its query retried exactly
+  once, within the caller's remaining deadline budget, re-shipping the
+  *updated* remaining time;
 - deterministic chaos: a :class:`~repro.faultinject.FaultPlan` ships
-  per-shard worker-side fault tables into the children (kill before /
-  after request K, delay or drop a reply, ignore stop) and parent-side
-  respawn failures into the supervisor, all keyed to request ordinals
-  that survive respawns — see :mod:`repro.faultinject`.
+  per-shard worker-side fault tables to the workers (kill before / after
+  request K, delay or drop a reply, ignore stop), network faults into
+  the handle's single send choke point (drop / hang / slow / fragment
+  the link), and respawn failures into the supervisor, all keyed to
+  request ordinals that survive respawns — see :mod:`repro.faultinject`.
 
 Protocol (one request in flight per worker, enforced by a parent-side
-lock; every request gets exactly one reply, keeping the pipe in sync even
-when the caller stops waiting):
+lock; every request gets exactly one reply, keeping the stream in sync
+even when the caller stops waiting):
 
     ("query", req_id, symbols, kwargs, remaining_seconds | None,
               trace_ctx | None)
@@ -74,6 +91,7 @@ when the caller stops waiting):
     ("stats", req_id)                 -> {"substitution": ..., "trie": ...}
     ("ping",  req_id)                 -> {"pid": ...}   (liveness heartbeat)
     ("stop",  req_id)
+    ("cancel", req_id)                (out of band: no reply)
     reply: (req_id, "ok", payload) | (req_id, "error", exception)
 
 ``trace_ctx`` is a ``(trace_id, parent_span_id)`` pair (see
@@ -84,29 +102,12 @@ the worker root, re-anchored by the parent via ``Span.graft`` — so one
 request's trace crosses the pickle boundary intact.  Untraced queries
 keep the bare-``QueryResult`` payload.
 
-plus a readiness handshake: the worker's first message (req 0) reports
-whether its engine built — and, on success, the engine's dataset length
-and pid (the journal-replay watermark) — so constructor errors (bad
-engine options, mismatched representation) raise in the parent at pool
+The readiness handshake is the worker's first message (req 0): whether
+its engine built — and, on success, the engine's dataset length (the
+journal-replay watermark) and pid — so constructor errors (bad engine
+options, mismatched representation) raise in the parent at pool
 construction with their real cause, exactly as the in-process backends
 do.
-
-**Remote nodes** (``shard_map=``): the same protocol runs over the
-length-prefixed socket transport of :mod:`repro.core.transport` against
-standalone ``repro worker --listen`` node processes
-(:mod:`repro.core.remote`).  Each (re)connection ships a ``hello``
-carrying the shard dataset + engine config, and the node answers with
-the same req-0 readiness handshake — so a *reconnect is a respawn*: the
-node builds a fresh engine from the shipped snapshot and the parent
-replays its insert journal past the handshake watermark before the
-connection takes traffic.  Cancellation travels as an out-of-band
-``("cancel", req_id)`` frame instead of a shared flag, per-call
-deadlines derive from the shipped remaining budget (a half-open link
-costs at most the caller's own budget), and the supervisor heartbeats
-idle connections with ``ping`` so silent node death is detected without
-traffic.  Network chaos (``conn_drop`` / ``conn_hang`` /
-``slow_link_ms`` / ``short_write``) is injected client-side around the
-sends, keyed to the same across-reconnect ordinals as worker faults.
 """
 
 from __future__ import annotations
@@ -115,9 +116,13 @@ import atexit
 import logging
 import multiprocessing as mp
 import os
+import queue
+import socket
 import threading
 import weakref
 from collections import deque
+from functools import partial
+from multiprocessing.connection import wait as wait_readable
 from time import monotonic, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -125,12 +130,12 @@ from repro.core import transport
 from repro.core.supervision import CircuitBreaker, RespawnBackoff, WorkerState
 from repro.exceptions import ShardUnavailableError, TransportError, WorkerError
 
-__all__ = ["ShardWorkerPool", "default_start_method"]
+__all__ = ["ShardWorkerPool", "default_start_method", "serve_link"]
 
 logger = logging.getLogger(__name__)
 
 #: parent-side poll slice while waiting on a worker reply; bounds how fast
-#: a tripped token propagates to the worker's shared flag.
+#: a tripped token turns into a cancel frame.
 _POLL_SECONDS = 0.02
 #: grace given to a worker to exit after a "stop" before SIGTERM (and, a
 #: join later, SIGKILL).
@@ -138,15 +143,15 @@ _STOP_TIMEOUT = 5.0
 #: supervisor liveness-poll period.
 _SUPERVISOR_POLL = 0.1
 #: how long after the shipped remaining budget expires the parent keeps
-#: waiting for a remote reply before declaring the link dead — covers
-#: transport latency plus the worker's own cancellation reply.
-_REMOTE_DEADLINE_GRACE = 5.0
-#: bound on a remote readiness handshake (connection + engine build).
-_REMOTE_HANDSHAKE_TIMEOUT = 120.0
-#: bound on remote liveness/stats probes when no call timeout is set.
-_REMOTE_PROBE_TIMEOUT = 5.0
-#: period of the supervisor's remote heartbeat (idle connections get a
-#: "ping" this often, so silent node death is detected without traffic).
+#: waiting for a reply before declaring the link dead — covers transport
+#: latency plus the worker's own cancellation reply.
+_DEADLINE_GRACE = 5.0
+#: bound on a readiness handshake (engine build included).
+_HANDSHAKE_TIMEOUT = 120.0
+#: bound on liveness/stats probes when no call timeout is set.
+_PROBE_TIMEOUT = 5.0
+#: period of the supervisor's heartbeat (idle links get a "ping" this
+#: often, so silent peer death is detected without traffic).
 _HEARTBEAT_INTERVAL = 1.0
 
 
@@ -171,38 +176,126 @@ def default_start_method() -> str:
     return "spawn"
 
 
+# ---------------------------------------------------------------------------
+# Worker side: one serve path for every link
+# ---------------------------------------------------------------------------
+
+_EOF = object()
+
+
+class _ServedLink:
+    """Worker-side end of one framed link.
+
+    A reader thread drains the socket continuously: ``("cancel",
+    req_id)`` frames fold into :attr:`cancelled_through` (so a cancel
+    lands while the serve loop is deep in verification), everything else
+    queues for :meth:`recv`.  The watermark cancels every request id at
+    or below it — one plain store (single writer: the reader thread;
+    GIL-atomic reads), no locks.  A link that fails cancels everything:
+    nobody is left to read the answer."""
+
+    def __init__(self, framed: transport.FramedSocket) -> None:
+        self._framed = framed
+        self.cancelled_through: float = 0
+        self._inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        threading.Thread(
+            target=self._read_loop, name="repro-link-reader", daemon=True
+        ).start()
+
+    def _read_loop(self) -> None:
+        while True:
+            try:
+                msg = self._framed.recv()
+            except Exception:  # noqa: BLE001 — any transport failure = EOF
+                self.cancelled_through = float("inf")
+                self._inbox.put(_EOF)
+                return
+            if isinstance(msg, tuple) and msg and msg[0] == "cancel":
+                self.cancelled_through = max(self.cancelled_through, int(msg[1]))
+                continue
+            self._inbox.put(msg)
+
+    def recv(self) -> Any:
+        msg = self._inbox.get()
+        if msg is _EOF:
+            raise TransportError("peer disconnected")
+        return msg
+
+    def send(self, message: Any) -> None:
+        self._framed.send(message)
+
+    def close(self) -> None:
+        self._framed.close()
+
+
 class _WorkerCancelToken:
     """Worker-side cancellation token for one request.
 
     Duck-types :class:`~repro.core.cancellation.CancelToken`: combines the
     deadline the parent shipped (as a *remaining* budget, re-anchored on
-    the worker's own monotonic clock) with the pool's shared cancellation
-    flag.  The flag holds a request-id watermark — every request id at or
-    below it is cancelled — so one plain 64-bit store cancels the in-flight
-    request without locks.
+    the worker's own monotonic clock) with the link's cancel watermark.
     """
 
-    __slots__ = ("_req_id", "_flag", "_expires")
+    __slots__ = ("_req_id", "_link", "_expires")
 
-    def __init__(self, req_id: int, flag, remaining: Optional[float]) -> None:
+    def __init__(self, req_id: int, link: _ServedLink, remaining: Optional[float]) -> None:
         self._req_id = req_id
-        self._flag = flag
+        self._link = link
         self._expires = None if remaining is None else monotonic() + remaining
 
     def cancelled(self) -> bool:
         if self._expires is not None and monotonic() >= self._expires:
             return True
-        return self._flag.value >= self._req_id
+        return self._link.cancelled_through >= self._req_id
+
+
+def serve_link(
+    framed: transport.FramedSocket, shard_index, dataset, costs, engine_kwargs,
+    faults=None, request_offsets=None,
+) -> None:
+    """Serve one shard engine incarnation over ``framed`` until the peer
+    stops it or the link ends — the single entry into the serve loop for
+    child processes (:func:`_process_main`) and node connections
+    (:meth:`~repro.core.remote.WorkerNodeServer._serve_connection`)
+    alike."""
+    link = _ServedLink(framed)
+    try:
+        _worker_main(
+            link, shard_index, dataset, costs, engine_kwargs, faults,
+            request_offsets,
+        )
+    finally:
+        link.close()
+
+
+def _process_main(sock: socket.socket, *spec) -> None:
+    """Child-process entry point (top-level so ``spawn`` can pickle it).
+
+    Under ``fork`` this child inherits the parent's end of its own
+    socketpair and of every earlier shard's, so a SIGKILLed parent never
+    shows up as EOF on the link.  A watchdog on the parent sentinel ends
+    the worker instead (siblings exit latest-forked first, each releasing
+    the descriptors that kept the next one's sentinel open); it also
+    covers a worker deep in verification, which no EOF would reach."""
+    parent = mp.parent_process()
+
+    def die_with_parent() -> None:
+        wait_readable([parent.sentinel])
+        os._exit(0)
+
+    threading.Thread(
+        target=die_with_parent, name="repro-parent-watch", daemon=True
+    ).start()
+    serve_link(transport.FramedSocket(sock), *spec)
 
 
 def _worker_main(
-    conn, flag, shard_index, dataset, costs, engine_kwargs,
+    conn: _ServedLink, shard_index, dataset, costs, engine_kwargs,
     faults=None, request_offsets=None,
 ) -> None:
-    """Worker process entry point: build the shard engine, serve the pipe.
+    """The serve loop: build the shard engine, answer requests.
 
-    Top-level (not a closure) so ``spawn`` contexts can pickle it.  Every
-    received request is answered exactly once; failures — including
+    Every received request is answered exactly once; failures — including
     cancellations — travel back as pickled exceptions.  ``faults`` is an
     optional :class:`~repro.faultinject.WorkerFaults` table and
     ``request_offsets`` the per-kind ordinals already consumed by this
@@ -219,13 +312,13 @@ def _worker_main(
     counts: Dict[str, int] = dict(request_offsets or {})
 
     def _guarded_send(message) -> bool:
-        """Send a reply; a pipe torn down mid-send (parent died, or the
-        parent closed our conn racing this send) must end the loop
-        cleanly, not crash the worker with traceback noise."""
+        """Send a reply; a link torn down mid-send (peer died, or closed
+        the link racing this send) must end the loop cleanly, not crash
+        the worker with traceback noise."""
         try:
             conn.send(message)
             return True
-        except (OSError, ValueError, BrokenPipeError):
+        except TransportError:
             return False
 
     # Readiness handshake (req 0): a failed engine build must raise in the
@@ -239,16 +332,14 @@ def _worker_main(
             _guarded_send(
                 (0, "error", WorkerError(f"engine build failed: {exc!r}"))
             )
-        conn.close()
         return
     if not _guarded_send((0, "ok", {"len": len(dataset), "pid": os.getpid()})):
-        conn.close()
         return
     while True:
         try:
             msg = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            break  # parent gone (or interactive interrupt): nothing to reply to
+        except (TransportError, KeyboardInterrupt):
+            break  # peer gone (or interactive interrupt): nothing to reply to
         kind, req_id = msg[0], msg[1]
         if kind == "ping":
             # Liveness heartbeat: answered before fault accounting so a
@@ -273,7 +364,7 @@ def _worker_main(
             if kind == "query":
                 symbols, kwargs, remaining = msg[2], msg[3], msg[4]
                 trace_ctx = msg[5] if len(msg) > 5 else None
-                token = _WorkerCancelToken(req_id, flag, remaining)
+                token = _WorkerCancelToken(req_id, conn, remaining)
                 if trace_ctx is None:
                     result = engine.query(symbols, cancel=token, **kwargs)
                     # The merge ignores the tau-subsequence; stripping it
@@ -335,8 +426,8 @@ def _worker_main(
             if not _guarded_send((req_id, "error", exc)):
                 # Unpicklable exception: degrade to a description so the
                 # parent still gets its one reply.  If even the fallback
-                # cannot be sent the pipe is gone — exit the loop cleanly
-                # instead of dying with a BrokenPipeError traceback.
+                # cannot be sent the link is gone — exit the loop cleanly
+                # instead of dying with a traceback.
                 if not _guarded_send(
                     (req_id, "error", WorkerError(f"worker error: {exc!r}"))
                 ):
@@ -344,130 +435,267 @@ def _worker_main(
             continue
         if faults is not None and kind in ("query", "add"):
             faults.after(kind, ordinal)
+
+
+# ---------------------------------------------------------------------------
+# Parent side: two openers, one handle
+# ---------------------------------------------------------------------------
+
+#: what an opener returns: the parent's end of a fresh link whose peer
+#: will send the req-0 handshake, and the process behind it (None when
+#: the peer is an external node this pool does not own).
+_Opened = Tuple[transport.FramedSocket, Optional[Any]]
+
+
+def _open_process(
+    ctx, index, dataset, costs, engine_kwargs, faults, request_offsets
+) -> _Opened:
+    """Start a child process serving one end of a socketpair.  The shard
+    travels as ``Process`` arguments, so ``fork`` inherits it without a
+    pickle (and ``spawn`` pickles it exactly once)."""
+    parent_sock, child_sock = socket.socketpair()
+    process = ctx.Process(
+        target=_process_main,
+        args=(
+            child_sock, index, dataset, costs, engine_kwargs, faults,
+            request_offsets,
+        ),
+        name=f"repro-shard-{index}",
+        daemon=True,
+    )
     try:
+        process.start()
+    except BaseException:
+        parent_sock.close()
+        raise
+    finally:
+        child_sock.close()
+    return transport.FramedSocket(parent_sock), process
+
+
+def _open_node(
+    address, connect_timeout, index, dataset, costs, engine_kwargs, faults,
+    request_offsets,
+) -> _Opened:
+    """Connect to a worker node and ship the shard in a ``hello``.  A
+    surviving node-side engine across reconnects would be unsound — an
+    insert the node committed whose ack was lost in a connection drop
+    would leave the replica permanently ahead of the parent's expected
+    ids — so the node builds a *fresh* engine per connection, from this
+    snapshot."""
+    host, port = transport.parse_hostport(address)
+    conn = transport.connect(host, port, timeout=connect_timeout)
+    try:
+        conn.send(
+            (
+                "hello",
+                0,
+                {
+                    "shard": index,
+                    "dataset": dataset,
+                    "costs": costs,
+                    "engine_kwargs": engine_kwargs,
+                    "faults": faults,
+                    "request_offsets": request_offsets,
+                },
+            )
+        )
+    except BaseException:
         conn.close()
-    except OSError:
-        pass
+        raise
+    return conn, None
 
 
 class _ShardWorker:
-    """Parent-side proxy for one (respawnable) worker process.
+    """Parent-side handle for one (reopenable) shard worker: a framed
+    link, the process behind it when this pool owns one, and the state
+    that must survive reopening it.
 
     Serializes request/response round-trips with a lock (the worker is
-    single-threaded, so pipelining would only queue in the pipe) and
-    monitors process liveness while waiting, so a crashed worker surfaces
-    as :class:`WorkerError` instead of a hang.  The constructor arguments
-    are retained so the supervisor can respawn the process; ``restarts``
-    counts completed respawns.
+    single-threaded, so pipelining would only queue in the socket) and
+    bounds every wait, so a crashed, hung or half-open worker surfaces as
+    :class:`WorkerError` instead of a hang:
+
+    - **link = incarnation**: every (re)open yields a fresh engine built
+      from the dataset mirror, answered by the req-0 handshake; journal
+      replay past the handshake watermark makes reopening idempotent.
+      ``restarts`` counts completed reopens (for nodes, the
+      ``repro_node_reconnects_total`` metric);
+    - per-call deadlines: a query's reply must arrive within the shipped
+      remaining budget plus a grace window, other calls within
+      ``call_timeout`` (when set).  Expiry **poisons the link** — a late
+      reply would desynchronize the next request — so it is dropped and
+      the normal reopen path takes over;
+    - injected network chaos (:class:`~repro.faultinject.NetworkFaults`)
+      is consulted at the single send choke point (:meth:`_send`), keyed
+      to this handle's per-kind send ordinals, which persist across
+      reopens.
+
+    ``open_budget`` bounds the *whole* open attempt — connect, hello and
+    handshake are retried inside it.  A killed node's replacement takes a
+    moment to rebind its port, and the race has more than one losing
+    shape: connection-refused before the rebind, but also an RST or EOF
+    *mid-handshake* when the connect lands on a node that is still going
+    down.  Any transport failure before the handshake completes just
+    means "this attempt lost the race".  (A child process has no such
+    race: its budget is 0, one attempt.)
     """
 
     def __init__(
-        self, ctx, index: int, dataset, costs, engine_kwargs: Dict[str, Any],
+        self,
+        index: int,
+        opener: Callable[..., _Opened],
+        node: Optional[str],
+        dataset,
+        costs,
+        engine_kwargs: Dict[str, Any],
         faults=None,
+        net_faults=None,
+        *,
+        open_budget: float = 0.0,
+        call_timeout: Optional[float] = None,
     ) -> None:
         self.index = index
+        self.node = node
         self.restarts = 0
-        self._ctx = ctx
-        self._dataset = dataset
+        #: the parent's shard mirror: what a reopened worker rebuilds from.
+        self.dataset = dataset
+        self.open_budget = open_budget
+        self._opener = opener
         self._costs = costs
         self._engine_kwargs = dict(engine_kwargs)
         self._faults = faults
+        self._net_faults = net_faults
+        self._call_timeout = call_timeout
         self._lock = threading.Lock()
         self._req = 0
         #: requests sent per kind over ALL incarnations — shipped to a
-        #: respawned worker so fault-rule ordinals keep counting.
+        #: reopened worker so fault-rule ordinals keep counting.
         self._sent: Dict[str, int] = {"query": 0, "add": 0}
-        self._spawn()
+        self._conn: Optional[transport.FramedSocket] = None
+        self._process = None
+        self.pid: Optional[int] = None
+        #: absolute monotonic deadline of the in-flight call (one request
+        #: in flight per worker, so a scalar is enough).
+        self._call_expires: Optional[float] = None
+        self._open()
 
-    # -- process lifecycle --------------------------------------------------
+    # -- link lifecycle -----------------------------------------------------
 
-    def _spawn(self) -> Dict[str, Any]:
-        """Start (or restart) the worker process and run the readiness
-        handshake.  Returns the handshake payload (engine length, pid).
-        The caller must hold ``_lock`` on every call but the first."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # Raw (lockless) value is enough: single writer semantics per
-        # request, and a stale read only delays cancellation by one poll.
-        self._flag = self._ctx.Value("q", 0, lock=False)
-        self._process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self._flag,
-                self.index,
-                self._dataset,
-                self._costs,
-                dict(self._engine_kwargs),
-                self._faults,
-                dict(self._sent),
-            ),
-            name=f"repro-shard-{self.index}",
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-        self._conn = parent_conn
-        # Block until the worker reports its engine built (req 0); engine
-        # construction errors re-raise here with their original type.
-        return self._receive(0, None)
+    def _open(self) -> Dict[str, Any]:
+        """Open (or reopen) the link and run the readiness handshake.
+        Returns the handshake payload (engine length = replay watermark,
+        worker pid); engine construction errors re-raise here with their
+        original type.  The caller must hold ``_lock`` on every call but
+        the first."""
+        deadline = monotonic() + self.open_budget
+        while True:
+            try:
+                self._conn, self._process = self._opener(
+                    self.index,
+                    self.dataset,
+                    self._costs,
+                    dict(self._engine_kwargs),
+                    self._faults,
+                    dict(self._sent),
+                )
+                self._call_expires = monotonic() + _HANDSHAKE_TIMEOUT
+                handshake = self._receive(0, None)
+                self.pid = int(handshake.get("pid", 0)) or None
+                return handshake
+            except BaseException as exc:
+                self._teardown_incarnation()
+                if not isinstance(exc, TransportError) or monotonic() >= deadline:
+                    raise
+                sleep(0.05)
 
     def _teardown_incarnation(self) -> None:
         """Dispose of the current (dead or dying) incarnation before a
-        respawn.  Caller must hold ``_lock``."""
-        if self._process.is_alive():
-            # Pipe-level death (dropped conn) with the process lingering:
+        reopen.  Caller must hold ``_lock``."""
+        if self._conn is not None:
+            self._conn.close()
+        if self._process is not None and self._process.is_alive():
+            # Link-level death (dropped conn) with the process lingering:
             # the old incarnation must not keep burning CPU beside the new.
             self._process.kill()
             self._process.join(_STOP_TIMEOUT)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
 
     def _dead_reason(self) -> str:
-        return (
-            f"shard {self.index} worker process exited "
-            f"(exitcode {self._process.exitcode})"
-        )
+        where = "worker" if self.node is None else f"node {self.node}"
+        if self._process is not None and self._process.exitcode is not None:
+            return (
+                f"shard {self.index} {where} process exited "
+                f"(exitcode {self._process.exitcode})"
+            )
+        return f"shard {self.index} {where} link is down"
 
     def respawn(self, journal: Sequence[Tuple[int, Any, bool]]) -> None:
-        """Replace a dead worker with a fresh process and replay the
+        """Replace a dead worker with a fresh incarnation and replay the
         insert journal so the replica is bit-identical.
 
         Caller must hold ``_lock``.  The handshake reports the rebuilt
         engine's dataset length; only journal entries at or past that
-        watermark replay (the respawn dataset mirror normally already
-        contains every acknowledged insert — the journal closes the race
-        where an insert was acknowledged but not yet mirrored when the
-        respawn snapshot was taken).  Any id disagreement during replay
-        raises :class:`WorkerError` — divergence fails loudly.
+        watermark replay (the dataset mirror normally already contains
+        every acknowledged insert — the journal closes the race where an
+        insert was acknowledged but not yet mirrored when the snapshot
+        was taken).  Any id disagreement during replay raises
+        :class:`WorkerError` — divergence fails loudly.
         """
         self._teardown_incarnation()
-        handshake = self._spawn()
-        watermark = int(handshake.get("len", 0)) if handshake else 0
-        for expected, trajectory, validate in journal:
-            if expected < watermark:
+        handshake = self._open()
+        watermark = int(handshake.get("len", 0))
+        for entry in journal:
+            if entry[0] < watermark:
                 continue  # already inside the respawn dataset snapshot
-            self._req += 1
-            self._sent["add"] += 1  # replays consume fault ordinals too
-            req_id = self._req
-            self._conn.send(("add", req_id, expected, trajectory, validate))
-            self._receive(req_id, None)  # versioned: divergence raises
+            # Versioned: divergence raises.  Replays are sends like any
+            # other — they consume fault ordinals too.
+            self._receive(self._send("add", entry, self._call_timeout), None)
         self.restarts += 1
 
     @property
     def alive(self) -> bool:
-        return self._process.is_alive()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid
-
-    @property
-    def daemon(self) -> bool:
-        return self._process.daemon
+        """Link open ∧ (process alive, when this pool owns one)."""
+        conn = self._conn
+        return (
+            conn is not None
+            and not conn.closed
+            and (self._process is None or self._process.is_alive())
+        )
 
     # -- request/response ---------------------------------------------------
+
+    def _send(self, kind: str, payload: Tuple, budget: Optional[float]) -> int:
+        """The one place a request leaves the parent: assign the request
+        id and per-kind ordinal, arm the per-call deadline (``budget``
+        seconds; None = wait forever), apply injected network faults,
+        send.  Caller must hold ``_lock``."""
+        self._req += 1
+        req_id = self._req
+        ordinal = 0
+        if kind in self._sent:
+            self._sent[kind] += 1
+            ordinal = self._sent[kind]
+        self._call_expires = None if budget is None else monotonic() + budget
+        conn = self._conn
+        if conn is None or conn.closed:
+            raise WorkerError(self._dead_reason())
+        net = self._net_faults if ordinal else None
+        chunk = None
+        if net is not None:
+            latency = net.latency(kind, ordinal)
+            if latency > 0:
+                sleep(latency)
+            if net.hang(kind, ordinal):
+                conn.hang()
+            chunk = net.short_write(kind, ordinal)
+        try:
+            conn.send((kind, req_id, *payload), chunk=chunk)
+        except TransportError:
+            conn.close()
+            raise
+        if net is not None and net.drop_after(kind, ordinal):
+            conn.drop()
+        return req_id
 
     def call(self, kind: str, payload: Tuple, token=None):
         """One round-trip: send ``(kind, ...payload)``, await the reply."""
@@ -480,21 +708,19 @@ class _ShardWorker:
 
         Diagnostics path (``/healthz`` polling a worker's cache stats):
         a liveness probe must never queue behind a long-running
-        verification on the single-request-per-worker pipe.  A *dead*
+        verification on the single-request-per-worker link.  A *dead*
         worker raises :class:`WorkerError` (never hangs)."""
         if not self._lock.acquire(blocking=False):
             return None
         try:
             if not self.alive:
                 raise WorkerError(self._dead_reason())
-            self._req += 1
-            req_id = self._req
-            self._conn.send((kind, req_id, *payload))
-            return self._receive(req_id, None)
-        except (OSError, ValueError) as exc:
-            raise WorkerError(
-                f"shard {self.index} worker unreachable: {exc}"
-            ) from exc
+            budget = (
+                self._call_timeout
+                if self._call_timeout is not None
+                else _PROBE_TIMEOUT
+            )
+            return self._receive(self._send(kind, payload, budget), None)
         finally:
             self._lock.release()
 
@@ -506,26 +732,26 @@ class _ShardWorker:
         """
         self._lock.acquire()
         try:
-            self._req += 1
-            req_id = self._req
-            if kind in self._sent:
-                self._sent[kind] += 1
-            self._conn.send((kind, req_id, *payload))
-            return req_id
-        except BaseException as exc:
+            # Per-call deadline: the shipped remaining budget (queries
+            # carry it at payload[2]) plus grace, else the static call
+            # timeout.
+            remaining = payload[2] if kind == "query" else None
+            budget = (
+                remaining + _DEADLINE_GRACE
+                if remaining is not None
+                else self._call_timeout
+            )
+            return self._send(kind, payload, budget)
+        except BaseException:
             self._lock.release()
-            if isinstance(exc, (OSError, ValueError)):
-                raise WorkerError(
-                    f"shard {self.index} worker unreachable: {exc}"
-                ) from exc
             raise
 
     def finish(self, req_id: int, token=None):
         """Await the reply to ``req_id``, polling ``token`` while waiting.
 
-        When the token trips, the worker's shared flag is raised so the
-        worker abandons the request within one verification-loop iteration
-        — and still sends its (error) reply, keeping the pipe in sync.
+        When the token trips, a cancel frame makes the worker abandon the
+        request within one verification-loop iteration — and it still
+        sends its (error) reply, keeping the stream in sync.
         """
         try:
             return self._receive(req_id, token)
@@ -533,328 +759,32 @@ class _ShardWorker:
             self._lock.release()
 
     def signal_cancel(self, req_id: int) -> None:
-        """Cancel ``req_id`` (and everything before it) on the worker."""
-        self._flag.value = max(self._flag.value, req_id)
-
-    def _receive(self, req_id: int, token):
-        signalled = token is None
-        while True:
-            try:
-                ready = self._conn.poll(_POLL_SECONDS)
-                reply = self._conn.recv() if ready else None
-            except (EOFError, OSError) as exc:
-                raise WorkerError(
-                    f"shard {self.index} worker died mid-request"
-                ) from exc
-            if reply is not None:
-                rid, status, payload = reply
-                if rid != req_id:
-                    raise WorkerError(
-                        f"shard {self.index} pipe desynchronized: got reply for "
-                        f"request {rid}, expected {req_id}"
-                    )
-                if status == "ok":
-                    return payload
-                raise payload
-            if not signalled and token.cancelled():
-                self.signal_cancel(req_id)
-                signalled = True
-            if not self.alive and not self._conn.poll(0):
-                raise WorkerError(self._dead_reason())
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def stop(self, timeout: float = _STOP_TIMEOUT) -> None:
-        """Stop the worker: polite "stop", SIGTERM if it lingers, SIGKILL
-        if it is wedged — a worker can never outlive ``close()``."""
-        self.signal_cancel(self._req)  # unblock any abandoned in-flight work
-        if self._process.is_alive():
-            # Polite phase: send "stop" without waiting for the reply (the
-            # join below observes the orderly exit; the unread reply dies
-            # with the pipe).  A worker wedged mid-request may hold the
-            # lock indefinitely — bound the wait and escalate instead.
-            acquired = self._lock.acquire(timeout=timeout)
-            try:
-                if acquired:
-                    try:
-                        self._req += 1
-                        self._conn.send(("stop", self._req))
-                    except (OSError, ValueError):
-                        pass  # already dead or pipe broken — escalate below
-            finally:
-                if acquired:
-                    self._lock.release()
-            self._process.join(timeout)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout)
-            if self._process.is_alive():
-                # SIGTERM ignored (wedged in native code, or a chaos
-                # `wedge_stop` fault): SIGKILL cannot be ignored.
-                self._process.kill()
-                self._process.join(timeout)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-
-
-class _RemoteShardWorker(_ShardWorker):
-    """Parent-side proxy for one shard served by a remote worker node
-    over the framed socket transport.
-
-    Shares the request/response machinery of :class:`_ShardWorker` (lock,
-    req ids, begin/finish pairing, journal-replaying ``respawn``) but the
-    "process" is a TCP connection to a ``repro worker --listen`` node:
-
-    - **connection = incarnation**: every (re)connection ships a
-      ``hello`` carrying the shard dataset snapshot + engine config, and
-      the node builds a *fresh* engine for it, answering with the usual
-      req-0 readiness handshake.  A surviving node-side engine across
-      reconnects would be unsound: an insert the node committed whose ack
-      was lost in a connection drop would leave the replica permanently
-      ahead of the parent's expected ids.  Rebuild-from-snapshot plus
-      journal replay past the handshake watermark — exactly the pipe
-      backend's respawn semantics — makes reconnection idempotent;
-    - ``restarts`` therefore counts *reconnects* (the
-      ``repro_node_reconnects_total`` metric);
-    - cancellation is an out-of-band ``("cancel", req_id)`` frame on the
-      same full-duplex socket (the node's reader thread folds it into the
-      engine's shared flag); the node still sends its one reply, keeping
-      the stream in sync;
-    - per-call deadlines: a query's reply must arrive within the shipped
-      remaining budget plus a grace window, other calls within
-      ``call_timeout`` (when set).  Expiry **poisons the connection** —
-      a late reply would desynchronize the next request — so the link is
-      dropped and the normal reconnect path takes over.  This is the only
-      way a half-open connection (``conn_hang``, a silently dead peer)
-      is ever unmasked;
-    - injected network chaos (:class:`~repro.faultinject.NetworkFaults`)
-      is consulted around every request send, keyed to this proxy's
-      per-kind send ordinals, which persist across reconnects.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        address: str,
-        dataset,
-        costs,
-        engine_kwargs: Dict[str, Any],
-        faults=None,
-        net_faults=None,
-        *,
-        connect_timeout: float = 5.0,
-        call_timeout: Optional[float] = None,
-        max_frame: int = transport.DEFAULT_MAX_FRAME,
-    ) -> None:
-        self.index = index
-        self.restarts = 0
-        self.address = str(address)
-        self._host, self._port = transport.parse_hostport(address)
-        self._dataset = dataset
-        self._costs = costs
-        self._engine_kwargs = dict(engine_kwargs)
-        self._faults = faults
-        self._net_faults = net_faults
-        self._connect_timeout = connect_timeout
-        self._call_timeout = call_timeout
-        self._max_frame = max_frame
-        self._lock = threading.Lock()
-        self._req = 0
-        self._sent: Dict[str, int] = {"query": 0, "add": 0}
-        self._conn: Optional[transport.FramedSocket] = None
-        self._connected = False
-        self._pid: Optional[int] = None
-        #: absolute monotonic deadline of the in-flight call (one request
-        #: in flight per worker, so a scalar is enough).
-        self._call_expires: Optional[float] = None
-        self._spawn()
-
-    # -- connection lifecycle ----------------------------------------------
-
-    def _spawn(self) -> Dict[str, Any]:
-        """(Re)connect to the node, ship the hello, run the handshake.
-        Returns the handshake payload (engine length = replay watermark,
-        node pid).  Caller must hold ``_lock`` on every call but the
-        first.
-
-        ``connect_timeout`` is a *total* budget over the whole attempt —
-        connect, hello, and handshake are all retried inside it.  A
-        killed node's replacement takes a moment to rebind its port, and
-        the race has more than one losing shape: connection-refused
-        before the rebind, but also an RST or EOF *mid-handshake* when
-        the connect lands on a node that is still going down.  Any
-        transport failure before the handshake completes just means
-        "this incarnation attempt lost the race" — try again until the
-        budget runs out."""
-        deadline = monotonic() + self._connect_timeout
-        while True:
-            try:
-                return self._spawn_once()
-            except TransportError:
-                self._teardown_incarnation()
-                if monotonic() >= deadline:
-                    raise
-                sleep(0.05)
-
-    def _spawn_once(self) -> Dict[str, Any]:
-        conn = transport.connect(
-            self._host,
-            self._port,
-            timeout=self._connect_timeout,
-            max_frame=self._max_frame,
-        )
-        self._conn = conn
-        self._connected = True
-        self._call_expires = monotonic() + _REMOTE_HANDSHAKE_TIMEOUT
-        conn.send(
-            (
-                "hello",
-                0,
-                {
-                    "shard": self.index,
-                    "dataset": self._dataset,
-                    "costs": self._costs,
-                    "engine_kwargs": dict(self._engine_kwargs),
-                    "faults": self._faults,
-                    "request_offsets": dict(self._sent),
-                },
-            )
-        )
-        handshake = self._receive(0, None)
-        self._pid = int(handshake.get("pid", 0)) or None
-        return handshake
-
-    def _teardown_incarnation(self) -> None:
-        self._connected = False
-        if self._conn is not None:
-            self._conn.close()
-
-    def _dead_reason(self) -> str:
-        return f"shard {self.index} node {self.address} is disconnected"
-
-    @property
-    def alive(self) -> bool:
-        return (
-            self._connected and self._conn is not None and not self._conn.closed
-        )
-
-    @property
-    def pid(self) -> Optional[int]:
-        """The node process's pid as reported in the handshake."""
-        return self._pid
-
-    @property
-    def daemon(self) -> bool:
-        return True  # the node is external; nothing here outlives us
-
-    def heartbeat(self) -> None:
-        """Idle-connection liveness probe: a bounded ``ping`` that flips
-        :attr:`alive` off when the node is gone (the supervisor's
-        reconnect path takes it from there).  Skips silently when the
-        connection is busy with an in-flight request — traffic is its own
-        heartbeat."""
-        try:
-            self.try_call("ping", ())
-        except WorkerError:
-            pass  # _receive already marked the connection dead
-
-    # -- request/response ---------------------------------------------------
-
-    def begin(self, kind: str, payload: Tuple) -> int:
-        self._lock.acquire()
-        try:
-            self._req += 1
-            req_id = self._req
-            ordinal = 0
-            if kind in self._sent:
-                self._sent[kind] += 1
-                ordinal = self._sent[kind]
-            # Per-call deadline: the shipped remaining budget (queries
-            # carry it at payload[2]) plus grace, else the static call
-            # timeout.  None = wait forever, exactly like a pipe.
-            remaining = payload[2] if kind == "query" else None
-            budget = (
-                remaining + _REMOTE_DEADLINE_GRACE
-                if remaining is not None
-                else self._call_timeout
-            )
-            self._call_expires = (
-                None if budget is None else monotonic() + budget
-            )
-            conn = self._conn
-            if conn is None or conn.closed:
-                raise WorkerError(self._dead_reason())
-            net = self._net_faults
-            chunk = None
-            if net is not None and ordinal:
-                latency = net.latency(kind, ordinal)
-                if latency > 0:
-                    sleep(latency)
-                if net.hang(kind, ordinal):
-                    conn.hang()
-                chunk = net.short_write(kind, ordinal)
-            conn.send((kind, req_id, *payload), chunk=chunk)
-            if net is not None and ordinal and net.drop_after(kind, ordinal):
-                conn.drop()
-            return req_id
-        except BaseException as exc:
-            self._lock.release()
-            if isinstance(exc, TransportError):
-                self._connected = False
-            raise
-
-    def try_call(self, kind: str, payload: Tuple):
-        if not self._lock.acquire(blocking=False):
-            return None
-        try:
-            if not self.alive:
-                raise WorkerError(self._dead_reason())
-            self._req += 1
-            req_id = self._req
-            budget = (
-                self._call_timeout
-                if self._call_timeout is not None
-                else _REMOTE_PROBE_TIMEOUT
-            )
-            self._call_expires = monotonic() + budget
-            self._conn.send((kind, req_id, *payload))
-            return self._receive(req_id, None)
-        except TransportError:
-            self._connected = False
-            raise
-        finally:
-            self._lock.release()
-
-    def signal_cancel(self, req_id: int) -> None:
-        """Cancel ``req_id`` on the node via an out-of-band frame (the
-        socket is full-duplex; the node's reader thread consumes it
-        without a reply, so the stream stays one-reply-per-request)."""
+        """Cancel ``req_id`` (and everything before it) on the worker via
+        an out-of-band frame (the socket is full-duplex; the worker's
+        reader thread consumes it without a reply, so the stream stays
+        one-reply-per-request)."""
         conn = self._conn
         if conn is None or conn.closed:
             return
         try:
             conn.send(("cancel", req_id))
-        except (TransportError, OSError):
+        except TransportError:
             pass  # a torn link is already being handled by the caller
 
     def _receive(self, req_id: int, token):
         signalled = token is None
         expires = self._call_expires
+        conn = self._conn
+        dead = False
         while True:
-            conn = self._conn
-            if not self._connected or conn is None or conn.closed:
-                raise WorkerError(self._dead_reason())
             try:
                 reply = conn.recv() if conn.poll(_POLL_SECONDS) else None
             except TransportError:
-                self._connected = False
+                conn.close()  # EOF, reset or bad frame: this incarnation is over
                 raise
             if reply is not None:
                 rid, status, payload = reply
                 if rid != req_id:
-                    self._connected = False
                     conn.drop()
                     raise WorkerError(
                         f"shard {self.index} stream desynchronized: got reply "
@@ -863,52 +793,66 @@ class _RemoteShardWorker(_ShardWorker):
                 if status == "ok":
                     return payload
                 raise payload
+            if dead:
+                # Found dead a slice ago and still nothing to read: no
+                # reply beat the death.  (EOF normally gets here first;
+                # this covers a process whose socket end a forked sibling
+                # still holds open.)
+                conn.close()
+                raise WorkerError(self._dead_reason())
             if not signalled and token.cancelled():
                 self.signal_cancel(req_id)
                 signalled = True
             if expires is not None and monotonic() >= expires:
                 # A late reply would poison the next request's framing —
                 # a timed-out link must be torn down, never reused.
-                self._connected = False
                 conn.drop()
                 raise TransportError(
-                    f"shard {self.index} node {self.address}: no reply "
-                    "within the per-call deadline"
+                    f"shard {self.index}: no reply within the per-call deadline"
                 )
             if conn.hung and expires is None:
                 # Injected half-open link with nothing bounding the wait:
                 # fail deterministically instead of spinning forever.
-                self._connected = False
                 conn.drop()
                 raise TransportError(
-                    f"shard {self.index} node {self.address}: link went "
-                    "half-open with no call deadline"
+                    f"shard {self.index}: link went half-open with no call "
+                    "deadline"
                 )
+            dead = not self.alive
 
     # -- lifecycle ----------------------------------------------------------
 
     def stop(self, timeout: float = _STOP_TIMEOUT) -> None:
-        """End this connection's engine politely and disconnect.  The
-        node itself is an external process with its own lifecycle — pool
-        shutdown must never kill it."""
-        conn = self._conn
-        if conn is None:
-            return
+        """End this incarnation: polite "stop", then — for a link that
+        owns a process — SIGTERM if it lingers, SIGKILL if it is wedged,
+        so a child can never outlive ``close()``.  A node is an external
+        process with its own lifecycle and is only ever disconnected."""
+        self.signal_cancel(self._req)  # unblock any abandoned in-flight work
         if self.alive:
-            acquired = self._lock.acquire(timeout=timeout)
-            try:
-                if acquired:
-                    try:
-                        self._req += 1
-                        conn.send(("stop", self._req))
-                    except (TransportError, OSError):
-                        pass
-            finally:
-                if acquired:
+            # Polite phase: send "stop" without waiting for the reply (the
+            # join below observes the orderly exit; the unread reply dies
+            # with the link).  A worker wedged mid-request may hold the
+            # lock indefinitely — bound the wait and escalate instead.
+            if self._lock.acquire(timeout=timeout):
+                try:
+                    self._send("stop", (), None)
+                except WorkerError:
+                    pass  # already dead or link broken — escalate below
+                finally:
                     self._lock.release()
-        self._connected = False
-        conn.close()
-
+        process = self._process
+        if process is not None:
+            process.join(timeout)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout)
+            if process.is_alive():
+                # SIGTERM ignored (wedged in native code, or a chaos
+                # `wedge_stop` fault): SIGKILL cannot be ignored.
+                process.kill()
+                process.join(timeout)
+        if self._conn is not None:
+            self._conn.close()
 
 # Pools still open at interpreter exit get closed here.  Workers are
 # daemonic as a second line of defense, but an orderly close lets them
@@ -926,7 +870,7 @@ def _shutdown_live_pools() -> None:
 
 
 class ShardWorkerPool:
-    """One worker process per shard, queried over pipes, supervised.
+    """One worker per shard, each behind a framed link, supervised.
 
     Parameters
     ----------
@@ -945,7 +889,7 @@ class ShardWorkerPool:
         Optional list (one dict per shard) of engine kwargs merged *over*
         ``engine_kwargs`` for that shard's worker — how the partitioned
         engine ships each worker its own frozen ``index_path`` (the path
-        crosses the pipe, never the index: the worker mmaps the file —
+        crosses the link, never the index: the worker mmaps the file —
         including again on every respawn).
     supervise:
         Run the supervisor thread (liveness poll + respawn with backoff)
@@ -963,17 +907,16 @@ class ShardWorkerPool:
         Base and cap (seconds) of the supervisor's exponential respawn
         backoff (jittered per shard).
     shard_map:
-        One ``"host:port"`` node address per shard.  When given, shards
-        are served by standalone ``repro worker --listen`` node processes
-        over the framed socket transport instead of child processes —
-        respawns become reconnects (hello + handshake + journal replay),
-        the supervisor heartbeats idle connections, and injected network
-        faults from ``fault_plan`` apply around the sends.
+        One ``"host:port"`` node address per shard.  When given, links
+        are connections to standalone ``repro worker --listen`` node
+        processes instead of socketpairs to child processes — the only
+        thing it changes is how a link is (re)opened.
     connect_timeout / call_timeout:
-        Socket-transport bounds (remote only): TCP connect timeout, and
-        the per-call reply deadline used when a request ships no
-        remaining budget (None = wait forever, like a pipe; queries that
-        carry a budget are always bounded by it plus a grace window).
+        Node-link bounds (``shard_map`` only): the budget of one whole
+        connect + hello + handshake attempt, and the per-call reply
+        deadline used when a request ships no remaining budget (None =
+        wait forever; queries that carry a budget are always bounded by
+        it plus a grace window).
     """
 
     def __init__(
@@ -1008,19 +951,27 @@ class ShardWorkerPool:
                 f"shard map has {len(shard_map)} nodes but the pool has "
                 f"{len(shard_datasets)} shards"
             )
-        self._remote = shard_map is not None
-        ctx = (
-            None
-            if self._remote
-            else mp.get_context(start_method or default_start_method())
-        )
+        n = len(shard_datasets)
+        # The one place the backends differ: how a link is obtained (and
+        # the node-link bounds, which a child's socketpair does not take).
+        if shard_map is None:
+            ctx = mp.get_context(start_method or default_start_method())
+            openers = [partial(_open_process, ctx)] * n
+            self._nodes: List[Optional[str]] = [None] * n
+            open_budget, call_timeout = 0.0, None
+        else:
+            openers = [
+                partial(_open_node, address, connect_timeout)
+                for address in shard_map
+            ]
+            self._nodes = [str(address) for address in shard_map]
+            open_budget = connect_timeout
         self._closed = False
         self._workers: List[_ShardWorker] = []
         self._supervise = bool(supervise)
         self._heartbeat_interval = heartbeat_interval
         self._fault_plan = fault_plan
         seed = 0 if fault_plan is None else int(getattr(fault_plan, "seed", 0))
-        n = len(shard_datasets)
         self._journals: List[List[Tuple[int, Any, bool]]] = [[] for _ in range(n)]
         self._breakers = [
             CircuitBreaker(
@@ -1050,32 +1001,24 @@ class ShardWorkerPool:
                 kwargs = dict(engine_kwargs or {})
                 if per_shard_kwargs is not None and per_shard_kwargs[index]:
                     kwargs.update(per_shard_kwargs[index])
-                faults = (
-                    None if fault_plan is None else fault_plan.worker_faults(index)
+                faults = net = None
+                if fault_plan is not None:
+                    faults = fault_plan.worker_faults(index)
+                    net = fault_plan.network_faults(index)
+                self._workers.append(
+                    _ShardWorker(
+                        index,
+                        openers[index],
+                        self._nodes[index],
+                        dataset,
+                        costs,
+                        kwargs,
+                        faults,
+                        net,
+                        open_budget=open_budget,
+                        call_timeout=call_timeout,
+                    )
                 )
-                if shard_map is not None:
-                    net = (
-                        None
-                        if fault_plan is None
-                        else fault_plan.network_faults(index)
-                    )
-                    self._workers.append(
-                        _RemoteShardWorker(
-                            index,
-                            shard_map[index],
-                            dataset,
-                            costs,
-                            kwargs,
-                            faults,
-                            net,
-                            connect_timeout=connect_timeout,
-                            call_timeout=call_timeout,
-                        )
-                    )
-                else:
-                    self._workers.append(
-                        _ShardWorker(ctx, index, dataset, costs, kwargs, faults)
-                    )
         except BaseException:
             self.close()
             raise
@@ -1104,17 +1047,13 @@ class ShardWorkerPool:
         """Whether the supervisor thread and query-path retry are on."""
         return self._supervise
 
-    @property
-    def remote(self) -> bool:
-        """Whether shards are served by remote nodes over sockets."""
-        return self._remote
-
     def nodes(self) -> List[Optional[str]]:
-        """Per-shard node addresses (None entries on the pipe backend)."""
-        return [getattr(w, "address", None) for w in self._workers]
+        """Per-shard node addresses (None where the worker is a child
+        process)."""
+        return list(self._nodes)
 
     def workers_alive(self) -> List[bool]:
-        """Liveness of each worker process (diagnostics/tests)."""
+        """Liveness of each worker link (diagnostics/tests)."""
         return [w.alive for w in self._workers]
 
     # -- supervision --------------------------------------------------------
@@ -1123,24 +1062,27 @@ class ShardWorkerPool:
         """Liveness poll: respawn dead workers on the backoff schedule.
 
         Runs until ``close()``.  Never raises; a failed respawn is
-        recorded and retried after backoff.  On the remote transport the
-        loop doubles as the heartbeat: idle connections get a bounded
-        ``ping`` every ``heartbeat_interval`` seconds, so a silently dead
-        node flips to not-alive (and into this same respawn/reconnect
-        path) without waiting for query traffic to trip over it."""
+        recorded and retried after backoff.  The loop doubles as the
+        heartbeat: idle links get a bounded ``ping`` every
+        ``heartbeat_interval`` seconds, so a silently dead peer flips to
+        not-alive (and into this same respawn path) without waiting for
+        query traffic to trip over it."""
         next_beat = monotonic() + self._heartbeat_interval
         while not self._stop_event.wait(self._supervisor_poll):
             if self._closed:
                 break
-            beat = False
-            if self._remote and monotonic() >= next_beat:
-                beat = True
+            beat = monotonic() >= next_beat
+            if beat:
                 next_beat = monotonic() + self._heartbeat_interval
             for shard, worker in enumerate(self._workers):
                 if worker.alive:
                     if beat:
+                        # A bounded ping; skipped (None) while a request is
+                        # in flight — traffic is its own heartbeat.
                         try:
-                            worker.heartbeat()
+                            worker.try_call("ping", ())
+                        except WorkerError:
+                            pass  # the link is closed now: respawn next tick
                         except Exception:  # noqa: BLE001 — loop must survive
                             logger.exception(
                                 "heartbeat of shard %d failed", shard
@@ -1173,10 +1115,10 @@ class ShardWorkerPool:
         deadline budget.
 
         ``seen_restarts`` is the worker's restart generation the caller
-        observed *failing*.  A dying worker closes its pipe before
-        ``waitpid`` reports it dead, so ``is_alive()`` can stay True for
-        a worker whose requests already EOF — trusting it would retry on
-        a corpse's pipe.  When the generation hasn't changed since the
+        observed *failing*.  A dying worker closes its socket before
+        ``waitpid`` reports it dead, so ``alive`` can stay True for a
+        worker whose requests already fail — trusting it would retry on
+        a corpse's link.  When the generation hasn't changed since the
         failure, respawn over the stale-alive process (``respawn`` kills
         any lingering incarnation first); when it has, the supervisor
         beat us to it and the live worker really is fresh.
@@ -1184,37 +1126,30 @@ class ShardWorkerPool:
         if self._closed or not self._supervise:
             return False
         worker = self._workers[shard]
+
+        def fresh() -> bool:
+            return worker.alive and not (
+                seen_restarts is not None and worker.restarts == seen_restarts
+            )
+
         if blocking:
-            if not worker._lock.acquire(timeout=2.0):
-                # The lock is usually held by the supervisor mid-respawn
-                # (a remote reconnect can take up to connect_timeout).
-                # Giving up here would lose the caller's retry — instead
-                # wait, bounded, for the holder's outcome: a changed
-                # generation means the worker came back fresh and the
-                # caller can simply retry on it.
-                budget = getattr(worker, "_connect_timeout", 0.0) + 2.0
-                waited = 0.0
-                acquired = False
-                while waited < budget:
-                    if worker.alive and not (
-                        seen_restarts is not None
-                        and worker.restarts == seen_restarts
-                    ):
-                        return True
-                    if worker._lock.acquire(timeout=0.1):
-                        acquired = True
-                        break
-                    waited += 0.1
-                if not acquired:
+            # The lock is usually held by the supervisor mid-respawn
+            # (which can take up to the worker's open budget).  Giving up
+            # early would lose the caller's retry — instead wait, bounded,
+            # for the holder's outcome: a changed generation means the
+            # worker came back fresh and the caller can simply retry on it.
+            deadline = monotonic() + 4.0 + worker.open_budget
+            while not worker._lock.acquire(timeout=0.1):
+                if fresh():
+                    return True
+                if monotonic() >= deadline:
                     return False
         elif not worker._lock.acquire(blocking=False):
             return False
         try:
             if self._closed:
                 return False
-            if worker.alive and not (
-                seen_restarts is not None and worker.restarts == seen_restarts
-            ):
+            if fresh():
                 return True
             now = monotonic()
             if not force and now < self._respawn_not_before[shard]:
@@ -1228,6 +1163,7 @@ class ShardWorkerPool:
                 )
                 return False
             try:
+                self._trim_journal(shard)
                 worker.respawn(list(self._journals[shard]))
             except BaseException as exc:  # noqa: BLE001 — recorded, retried
                 self._note_respawn_failure(shard, repr(exc))
@@ -1278,16 +1214,16 @@ class ShardWorkerPool:
                     ),
                     last_error=self._last_errors[shard],
                     events=list(self._events[shard]),
-                    node=getattr(worker, "address", None),
+                    node=worker.node,
                     retry_after=breaker.cooldown_remaining(),
                 )
             )
         return states
 
     def restarts_total(self) -> int:
-        """Completed worker respawns across all shards (monotonic).  On
-        the remote transport a "respawn" is a completed reconnect —
-        this is also the ``repro_node_reconnects_total`` figure."""
+        """Completed worker respawns across all shards (monotonic).  For
+        a node a "respawn" is a completed reconnect — this is also the
+        ``repro_node_reconnects_total`` figure."""
         return sum(w.restarts for w in self._workers)
 
     def retry_after(self) -> float:
@@ -1324,30 +1260,35 @@ class ShardWorkerPool:
             payload = (list(query), kwargs, _remaining_of(cancel), trace_ctx)
             return worker.call("query", payload, cancel)
 
+        result = self._retrying(shard, cancel, attempt, attempt, on_event)
+        breaker.record_success()
+        return result
+
+    def _retrying(self, shard: int, cancel, first, retry, on_event):
+        """Run ``first()``; if the shard's worker fails under it
+        (:class:`WorkerError`), respawn the worker and run ``retry()`` —
+        exactly once, and only within the caller's remaining deadline
+        budget.  Every failure counts against the shard's breaker; the
+        error that stands (the original when no retry was possible, else
+        the retry's) propagates."""
         try:
-            result = attempt()
+            return first()
         except WorkerError as exc:
-            failed_gen = worker.restarts
+            failed_gen = self._workers[shard].restarts
             self._note_shard_failure(shard, exc)
-            if not self._retry_budget_left(cancel) or not self._try_respawn(
+            # No retry once the caller's deadline is spent, nor when the
+            # respawn fails (or the pool is unsupervised / closed).
+            if (cancel is not None and cancel.cancelled()) or not self._try_respawn(
                 shard, blocking=True, force=True, seen_restarts=failed_gen
             ):
                 raise
             if on_event is not None:
                 on_event(shard, "retried")
             try:
-                result = attempt()
+                return retry()
             except WorkerError as retry_exc:
                 self._note_shard_failure(shard, retry_exc)
                 raise
-        breaker.record_success()
-        return result
-
-    def _retry_budget_left(self, cancel) -> bool:
-        """Whether the caller's deadline still has room for a retry."""
-        if not self._supervise:
-            return False
-        return cancel is None or not cancel.cancelled()
 
     def query_all(
         self,
@@ -1399,6 +1340,12 @@ class ShardWorkerPool:
             # remaining deadline budget.
             return (list(query), kwargs, _remaining_of(cancel), ctx)
 
+        def send(shard: int) -> int:
+            return self._workers[shard].begin("query", payload_for(shard))
+
+        def resend(shard: int):
+            return self._workers[shard].finish(send(shard), cancel)
+
         def emit(shard: int, event: str) -> None:
             if on_event is not None:
                 on_event(shard, event)
@@ -1419,7 +1366,7 @@ class ShardWorkerPool:
 
         # -- send phase ----------------------------------------------------
         try:
-            for shard, worker in enumerate(self._workers):
+            for shard in range(n):
                 if first_error is not None:
                     break  # strict mode already doomed: don't start more work
                 if not self._breakers[shard].allow():
@@ -1433,23 +1380,11 @@ class ShardWorkerPool:
                     )
                     continue
                 try:
-                    pending[shard] = worker.begin("query", payload_for(shard))
+                    pending[shard] = self._retrying(
+                        shard, cancel, partial(send, shard), partial(send, shard),
+                        on_event,
+                    )
                 except WorkerError as exc:
-                    failed_gen = worker.restarts
-                    self._note_shard_failure(shard, exc)
-                    if self._retry_budget_left(cancel) and self._try_respawn(
-                        shard, blocking=True, force=True,
-                        seen_restarts=failed_gen,
-                    ):
-                        emit(shard, "retried")
-                        try:
-                            pending[shard] = worker.begin(
-                                "query", payload_for(shard)
-                            )
-                            continue
-                        except WorkerError as retry_exc:
-                            self._note_shard_failure(shard, retry_exc)
-                            exc = retry_exc
                     fail_shard(shard, exc)
         except BaseException:
             self._drain(pending, cancel)
@@ -1468,40 +1403,28 @@ class ShardWorkerPool:
             rid = pending[shard]
             if rid is None:
                 continue
+            # finish() releases the worker lock whatever happens, so the
+            # request is no longer pending once it was tried.
+            pending[shard] = None
             try:
-                results[shard] = worker.finish(rid, cancel)
+                results[shard] = self._retrying(
+                    shard,
+                    cancel,
+                    partial(worker.finish, rid, cancel),
+                    partial(resend, shard),
+                    on_event,
+                )
                 self._breakers[shard].record_success()
-                pending[shard] = None
                 if on_reply is not None:
                     on_reply(shard)
                 continue
             except WorkerError as exc:
-                pending[shard] = None
-                failed_gen = worker.restarts
-                self._note_shard_failure(shard, exc)
-                if first_error is None and self._retry_budget_left(
-                    cancel
-                ) and self._try_respawn(
-                    shard, blocking=True, force=True, seen_restarts=failed_gen
-                ):
-                    emit(shard, "retried")
-                    try:
-                        rid = worker.begin("query", payload_for(shard))
-                        results[shard] = worker.finish(rid, cancel)
-                        self._breakers[shard].record_success()
-                        if on_reply is not None:
-                            on_reply(shard)
-                        continue
-                    except WorkerError as retry_exc:
-                        self._note_shard_failure(shard, retry_exc)
-                        exc = retry_exc
                 fail_shard(shard, exc)
             except BaseException as exc:
                 # Non-worker failure (deadline, cancellation, engine
                 # error shipped back from a healthy worker): dooms the
                 # query on every mode — cancel the shards we have not
                 # collected yet, drain their replies, and raise.
-                pending[shard] = None
                 if first_error is None:
                     first_error = exc
             if first_error is not None:
@@ -1521,7 +1444,7 @@ class ShardWorkerPool:
 
     def _drain(self, pending: List[Optional[int]], cancel) -> None:
         """Cancel and drain every still-pending request so no reply is
-        left in a pipe (keeps request/reply framing in sync)."""
+        left on a link (keeps request/reply framing in sync)."""
         for shard, rid in enumerate(pending):
             if rid is None:
                 continue
@@ -1589,6 +1512,7 @@ class ShardWorkerPool:
         req_id = worker.begin("add", entry)
         try:
             tid = worker._receive(req_id, None)
+            self._trim_journal(shard)
             self._journals[shard].append(entry)
             self._breakers[shard].record_success()
             return tid
@@ -1597,6 +1521,15 @@ class ShardWorkerPool:
             raise
         finally:
             worker._lock.release()
+
+    def _trim_journal(self, shard: int) -> None:
+        """Drop journal entries the dataset mirror already holds (every
+        respawn rebuilds from the mirror, so they could never replay),
+        keeping the acknowledged-but-not-yet-mirrored tail the journal
+        exists for.  Caller must hold the worker lock."""
+        mirrored = len(self._workers[shard].dataset)
+        journal = self._journals[shard]
+        journal[:] = [entry for entry in journal if entry[0] >= mirrored]
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -60,8 +60,8 @@ class QueryCancelledError(ServiceError):
 
 
 class WorkerError(ServiceError):
-    """Raised when a shard worker process fails: it died mid-request, its
-    pipe desynchronized, or a replicated update diverged from the parent."""
+    """Raised when a shard worker fails: it died mid-request, its link
+    desynchronized, or a replicated update diverged from the parent."""
 
 
 class ShardUnavailableError(WorkerError):
@@ -72,8 +72,8 @@ class ShardUnavailableError(WorkerError):
 
 
 class TransportError(WorkerError):
-    """Raised by the socket transport (:mod:`repro.core.transport`) when a
-    connection fails mid-frame: the peer vanished, a send/recv hit an OS
+    """Raised by the framed transport (:mod:`repro.core.transport`) when a
+    worker link fails mid-frame: the peer vanished, a send/recv hit an OS
     error, or a per-call deadline expired.  A :class:`WorkerError`
     subclass so the pool's reconnect-and-retry-once path treats a broken
     link exactly like a dead worker process."""

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the processes serving backend.
+"""Deterministic fault injection for the out-of-process serving backends.
 
 Chaos testing a multiprocess system with ``kill -9`` from the outside is
 racy: whether the victim dies before, during, or after a request depends
@@ -10,7 +10,8 @@ replayable:
 - a :class:`FaultPlan` is a list of :class:`FaultRule` directives
   ("kill shard 1's worker before it answers its 2nd query", "fail shard
   0's next 3 respawns", "delay shard 2's 5th reply by 50 ms");
-- worker-side rules ship into each worker process as a picklable
+- worker-side rules ship to each worker (``Process`` arguments for a
+  child, the ``hello`` frame for a node) as a picklable
   :class:`WorkerFaults` table; the worker consults it around every
   request it serves.  Request ordinals are **global per shard across
   respawns** — the pool tells each (re)spawned worker how many requests
@@ -18,11 +19,11 @@ replayable:
   exactly once no matter how many times the worker is reborn;
 - parent-side rules (``fail_respawn``) are consumed by the supervisor in
   :mod:`repro.core.workers` when it tries to bring a dead worker back;
-- network rules ship into the client-side socket proxies of the
-  ``remote`` backend as a :class:`NetworkFaults` table, consulted around
-  every request *send* — ordinals count sends per shard across
-  reconnects, so a dropped connection's retry lands on the next ordinal
-  exactly like a killed worker's does;
+- network rules go to the parent-side worker handle as a
+  :class:`NetworkFaults` table, consulted at its single send choke
+  point — ordinals count sends per shard across reopens, so a dropped
+  link's retry lands on the next ordinal exactly like a killed worker's
+  does;
 - the plan's ``seed`` drives the optional randomized schedule builders
   (:meth:`FaultPlan.kill_loop`) so a "kill a random shard every K
   queries" chaos run is reproducible from one integer.
@@ -40,12 +41,12 @@ op              side       effect
 ``kill_after``  worker     process + reply, then ``os._exit`` (next request
                            finds a dead worker)
 ``delay_reply`` worker     sleep ``seconds`` before sending the matched reply
-``drop_pipe``   worker     close the parent pipe and exit without replying
+``drop_pipe``   worker     close the link and exit without replying
 ``wedge_stop``  worker     ignore SIGTERM and "stop" requests (only SIGKILL
                            works — exercises the stop() escalation chain)
 ``fail_respawn``parent     make the supervisor's next ``count`` respawn
                            attempts of the shard fail
-``conn_drop``   network    tear the shard's socket down right after the
+``conn_drop``   network    tear the shard's link down right after the
                            matched request is sent (reply lost in flight)
 ``conn_hang``   network    half-open link: the matched request is silently
                            swallowed and no reply ever arrives — only the
@@ -56,10 +57,10 @@ op              side       effect
                            exercising the peer's partial-read reassembly
 =============== ========== =====================================================
 
-Network ops apply only to the ``remote`` backend (pipes have no half-open
-failure mode); worker and parent ops apply to both — on ``remote`` the
-worker table ships to the node in the connection handshake, so an
-injected ``kill_before`` takes the whole node process down.
+Every op applies to both backends: a child process and a node sit behind
+the same framed link, handle and serve loop.  On ``remote`` the worker
+table runs inside the node, so an injected ``kill_before`` takes the
+whole node process down.
 """
 
 from __future__ import annotations
@@ -184,12 +185,12 @@ class WorkerFaults:
 
 
 class NetworkFaults:
-    """The client-side network-fault slice of a plan for one shard.
+    """The parent-side network-fault slice of a plan for one shard.
 
-    Consulted by the remote backend's socket proxy around every request
-    *send*; ordinals are the shard's per-kind send counts across
-    reconnects (the proxy's own bookkeeping), so a schedule replays
-    bit-identically no matter how often the link is re-established.
+    Consulted by the shard's worker handle around every request *send*;
+    ordinals are the shard's per-kind send counts across reopens (the
+    handle's own bookkeeping), so a schedule replays bit-identically no
+    matter how often the link is re-established.
     """
 
     def __init__(self, rules: Sequence[FaultRule]) -> None:
@@ -320,11 +321,11 @@ class FaultPlan:
         kills: int = 0,
         every: int = 3,
     ) -> "FaultPlan":
-        """A seeded mixed network+node chaos schedule for the remote
-        backend: ``drops`` connection drops, ``hangs`` half-open links,
-        ``slow`` injected-latency requests, ``short_writes`` fragmented
-        sends, and ``kills`` node deaths, spread over random shards one
-        roughly every ``every`` queries per victim.
+        """A seeded mixed network+worker chaos schedule: ``drops`` link
+        drops, ``hangs`` half-open links, ``slow`` injected-latency
+        requests, ``short_writes`` fragmented sends, and ``kills`` worker
+        deaths, spread over random shards one roughly every ``every``
+        queries per victim.
 
         Like :meth:`kill_loop`, the schedule is a pure function of the
         arguments.  Disruptive ops (drops, hangs, kills — anything whose
@@ -378,7 +379,7 @@ class FaultPlan:
         return WorkerFaults(mine) if mine else None
 
     def network_faults(self, shard: int) -> Optional["NetworkFaults"]:
-        """The client-side network rule table for ``shard`` (or None)."""
+        """The parent-side network rule table for ``shard`` (or None)."""
         mine = [
             rule
             for rule in self.rules

@@ -121,7 +121,7 @@ class Span:
         Remote starts are relative to the remote root (which carries
         this span's id as its parent); re-anchoring them at this span's
         start places them on the local clock.  Clock skew note: the
-        remote work really began one pipe hop after ``self.start``, so
+        remote work really began one link hop after ``self.start``, so
         grafted spans can lead their parent by that hop — good enough
         for operator forensics, and the only honest option without a
         shared clock."""

@@ -24,7 +24,8 @@ under overload:
   tasks are cancelled, and — via the token — already-running tasks stop
   cooperatively within one verification-loop iteration instead of
   running to completion (this works across the process boundary as well:
-  workers rebuild the deadline locally and poll a shared flag).
+  workers rebuild the deadline locally and poll their link's cancel
+  watermark).
 """
 
 from __future__ import annotations

@@ -297,7 +297,7 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404, {"error": f"unknown path {self.path!r}"})
         except WorkerError as exc:
-            # Stats polling crosses worker pipes on the processes backend;
+            # Stats polling crosses worker links on the out-of-process backends;
             # a dead shard is a (usually transient — the supervisor is
             # respawning it) availability failure: 503 so clients retry.
             logger.error("shard worker failure serving %s: %s", self.path, exc)

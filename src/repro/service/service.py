@@ -475,7 +475,7 @@ class QueryService:
             self.batcher.retried_followers if self.batcher is not None else 0
         )
         # One combined snapshot: on the processes backend the worker
-        # pipes are polled once, and both caches report the same moment.
+        # links are polled once, and both caches report the same moment.
         cache_stats = getattr(self._engine, "cache_stats", None)
         if cache_stats is not None:
             combined = cache_stats()

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import faulthandler
+import importlib.util
+import multiprocessing as mp
+import os
 import random
+import signal
+import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,6 +25,52 @@ from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.generator import TripGenerator
+
+
+if importlib.util.find_spec("pytest_timeout") is None:
+    # pytest-timeout is not installed: without it ``timeout = 120`` in
+    # pyproject.toml and the ``timeout`` marker are inert, and one wedged
+    # worker test hangs the whole run.  Stand in with a per-test
+    # faulthandler watchdog: past the limit it dumps every thread's stack
+    # to the real stderr and exits the run.  With the plugin present this
+    # block does nothing — the plugin owns the ini key and the marker.
+    _WATCHDOG_FD = pytest.StashKey[int]()
+
+    def pytest_addoption(parser):
+        parser.addini(
+            "timeout",
+            "per-test time limit in seconds (faulthandler watchdog; "
+            "pytest-timeout is not installed)",
+            default="0",
+        )
+
+    def pytest_configure(config):
+        # Capture is suspended while plugins configure, so fd 2 is still
+        # the terminal here; during a test it is a capture file.
+        config.stash[_WATCHDOG_FD] = os.dup(2)
+
+    def pytest_unconfigure(config):
+        if _WATCHDOG_FD in config.stash:
+            os.close(config.stash[_WATCHDOG_FD])
+            del config.stash[_WATCHDOG_FD]
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_protocol(item):
+        marker = item.get_closest_marker("timeout")
+        limit = float(
+            marker.args[0]
+            if marker is not None and marker.args
+            else item.config.getini("timeout") or 0
+        )
+        if limit <= 0:
+            return (yield)
+        faulthandler.dump_traceback_later(
+            limit, file=item.config.stash[_WATCHDOG_FD], exit=True
+        )
+        try:
+            return (yield)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
@@ -102,3 +155,97 @@ def sample_query(dataset: TrajectoryDataset, rng: random.Random, length: int):
     symbols = dataset.symbols(tid)
     s = rng.randrange(0, len(symbols) - length + 1)
     return list(symbols[s : s + length])
+
+
+@contextmanager
+def thread_nodes(count):
+    """``count`` in-thread worker nodes on ephemeral ports (the remote
+    backend's cheap arrangement — safe as long as no worker-side kill
+    rule ships to them: ``os._exit`` in-process would take pytest down)."""
+    from repro.core.remote import WorkerNodeServer
+
+    servers, threads = [], []
+    for _ in range(count):
+        server = WorkerNodeServer("127.0.0.1", 0)
+        thread = threading.Thread(
+            target=server.serve_forever, name="repro-test-node", daemon=True
+        )
+        thread.start()
+        servers.append(server)
+        threads.append(thread)
+    try:
+        yield [s.address for s in servers]
+    finally:
+        for server in servers:
+            server.close()
+        # Leaked acceptor threads would flip default_start_method() to
+        # "spawn" for every later test in the run.
+        for thread in threads:
+            thread.join(10)
+
+
+def worker_process(pid):
+    """The ``multiprocessing.Process`` behind a child-process shard
+    worker, found by the pid ``worker_states()`` reports (fetch it while
+    the worker lives: ``active_children`` forgets the dead)."""
+    return next(p for p in mp.active_children() if p.pid == pid)
+
+
+def kill_worker(pid):
+    """SIGKILL a child-process shard worker by pid and reap it; returns
+    its ``Process`` (for ``exitcode``)."""
+    process = worker_process(pid)
+    os.kill(pid, signal.SIGKILL)
+    process.join(5)
+    assert not process.is_alive()
+    return process
+
+
+#: name -> (gate, entered) events of the gated cost models alive right
+#: now.  Module-level so both peers find them: a forked child inherits
+#: the dict, an in-thread node shares it, and the cost model itself
+#: stays picklable for a node's hello.
+GATES = {}
+
+
+class GatedEDRCost(EDRCost):
+    """An EDRCost whose substitution rows block on a named gate — the
+    only reliable way to hold a request *inside* a worker's verification
+    phase while a test probes, cancels or kills around it."""
+
+    name = "gated-edr"
+    gate_name = "gated-edr"
+
+    def _block(self):
+        gate, entered = GATES[self.gate_name]
+        entered.set()
+        if not gate.wait(timeout=60.0):
+            raise RuntimeError("gate never released")
+
+    def sub(self, a, b):
+        self._block()
+        return super().sub(a, b)
+
+    def sub_row(self, p, seq):
+        self._block()
+        return super().sub_row(p, seq)
+
+    def sub_row_array(self, p, seq):
+        self._block()
+        return super().sub_row_array(p, seq)
+
+
+@contextmanager
+def gate_events():
+    """``(gate, entered)`` registered for :class:`GatedEDRCost`: workers
+    started inside the block (by fork, or in-thread) stop in verification
+    while ``gate`` is clear and set ``entered`` when they get there.  The
+    gate starts open, so engine builds sail through."""
+    ctx = mp.get_context("fork")
+    gate, entered = ctx.Event(), ctx.Event()
+    gate.set()
+    GATES[GatedEDRCost.gate_name] = (gate, entered)
+    try:
+        yield gate, entered
+    finally:
+        del GATES[GatedEDRCost.gate_name]

@@ -11,10 +11,15 @@ from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.temporal import TimeInterval
 from repro.core.workers import default_start_method
-from repro.distance.costs import EDRCost
-from repro.exceptions import QueryError, ServiceError, WorkerError
+from repro.exceptions import QueryError, WorkerError
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import sample_query
+from tests.conftest import (
+    GatedEDRCost,
+    gate_events,
+    kill_worker,
+    sample_query,
+    worker_process,
+)
 
 
 def keys(result):
@@ -141,26 +146,6 @@ class TestExactness:
 
 
 class TestReplication:
-    def test_add_trajectory_matches_rebuilt(self, small_graph, edr_cost, trips):
-        ds = TrajectoryDataset(small_graph)
-        for t in trips[:10]:
-            ds.add(t)
-        with PartitionedSubtrajectorySearch(
-            ds, edr_cost, num_shards=2, backend="processes"
-        ) as sharded:
-            for t in trips[10:16]:
-                sharded.add_trajectory(t)
-            assert len(sharded) == 16
-
-            full = TrajectoryDataset(small_graph)
-            for t in trips[:16]:
-                full.add(t)
-            rebuilt = SubtrajectorySearch(full, edr_cost)
-            query = list(trips[12].path[:6])
-            assert keys(sharded.query(query, tau_ratio=0.25)) == keys(
-                rebuilt.query(query, tau_ratio=0.25)
-            )
-
     def test_failed_insert_rolls_back_reservation(self, small_graph, edr_cost, trips):
         from repro.trajectory.model import Trajectory
 
@@ -181,31 +166,12 @@ class TestReplication:
 
 class TestLifecycle:
     def test_workers_are_daemon_processes(self, process_engine):
-        pool = process_engine._workers
-        assert pool is not None
-        assert all(w.daemon for w in pool._workers)
-        assert all(pool.workers_alive())
+        states = process_engine.worker_states()
+        assert all(s.alive for s in states)
+        assert all(worker_process(s.pid).daemon for s in states)
 
     def test_pool_registered_for_atexit_cleanup(self, process_engine):
         assert process_engine._workers in workers_module._LIVE_POOLS
-
-    def test_close_is_idempotent_and_query_after_close_raises(
-        self, vertex_dataset, edr_cost, rng
-    ):
-        engine = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=2, backend="processes"
-        )
-        pool = engine._workers
-        engine.close()
-        engine.close()  # second close is a no-op, not an error
-        assert pool.closed
-        assert not any(pool.workers_alive())
-        assert pool not in workers_module._LIVE_POOLS
-        with pytest.raises(QueryError):
-            engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
-        # The pool itself reports closure as a worker failure.
-        with pytest.raises(ServiceError):
-            pool.query_all([0], {})
 
     def test_crashed_worker_surfaces_as_worker_error(
         self, vertex_dataset, edr_cost, rng
@@ -217,8 +183,7 @@ class TestLifecycle:
             supervise=False,
         )
         try:
-            engine._workers._workers[0]._process.terminate()
-            engine._workers._workers[0]._process.join(5)
+            kill_worker(engine.worker_states()[0].pid)
             with pytest.raises(WorkerError):
                 engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
         finally:
@@ -235,42 +200,13 @@ class TestLifecycle:
         try:
             query = sample_query(vertex_dataset, rng, 6)
             before = engine.query(query, tau_ratio=0.25)
-            engine._workers._workers[0]._process.kill()
-            engine._workers._workers[0]._process.join(5)
+            kill_worker(engine.worker_states()[0].pid)
             after = engine.query(query, tau_ratio=0.25)
             assert keys(after) == keys(before)
             assert after.complete
             assert engine.restarts_total() == 1
         finally:
             engine.close()
-
-
-class GatedEDRCost(EDRCost):
-    """An EDRCost whose substitution rows block on a shared gate.
-
-    Fork-inherited :class:`multiprocessing.Event` objects let the test
-    freeze a query *inside* a worker's verification phase and release it
-    later — the only reliable way to have a probe race a genuinely
-    in-flight request."""
-
-    name = "gated-edr"
-
-    def _block(self):
-        self.entered.set()
-        if not self.gate.wait(timeout=60.0):
-            raise RuntimeError("gate never released")
-
-    def sub(self, a, b):
-        self._block()
-        return super().sub(a, b)
-
-    def sub_row(self, p, seq):
-        self._block()
-        return super().sub_row(p, seq)
-
-    def sub_row_array(self, p, seq):
-        self._block()
-        return super().sub_row_array(p, seq)
 
 
 @pytest.mark.skipif(
@@ -288,40 +224,36 @@ class TestProbesDoNotQueueBehindQueries:
     def test_stats_probes_return_while_query_is_in_flight(
         self, small_graph, vertex_dataset, edr_cost, rng
     ):
-        ctx = mp.get_context("fork")
-        cost = GatedEDRCost(small_graph, epsilon=60.0)
-        cost.gate = ctx.Event()
-        cost.entered = ctx.Event()
-        cost.gate.set()  # anything cost-touching at build time sails through
-        engine = PartitionedSubtrajectorySearch(
-            vertex_dataset, cost, num_shards=2, backend="processes",
-            start_method="fork",
-        )
         query = sample_query(vertex_dataset, rng, 6)
         results = []
-        worker = threading.Thread(
-            target=lambda: results.append(engine.query(query, tau_ratio=0.25)),
-            daemon=True,
-        )
-        try:
-            cost.gate.clear()
-            worker.start()
-            assert cost.entered.wait(timeout=30.0), "query never reached a worker"
+        with gate_events() as (gate, entered):
+            engine = PartitionedSubtrajectorySearch(
+                vertex_dataset, GatedEDRCost(small_graph, epsilon=60.0),
+                num_shards=2, backend="processes", start_method="fork",
+            )
+            worker = threading.Thread(
+                target=lambda: results.append(engine.query(query, tau_ratio=0.25)),
+                daemon=True,
+            )
+            try:
+                gate.clear()
+                worker.start()
+                assert entered.wait(timeout=30.0), "query never reached a worker"
 
-            t0 = time.perf_counter()
-            per_worker = engine._workers.cache_stats()
-            obs = engine.observability_cache_stats()
-            elapsed = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                per_worker = engine._workers.cache_stats()
+                obs = engine.observability_cache_stats()
+                elapsed = time.perf_counter() - t0
 
-            assert elapsed < 2.0, "probe queued behind the blocked query"
-            # Busy workers report None / drop out of coverage, not stall.
-            assert any(part is None for part in per_worker)
-            assert obs["shards"] == 2
-            assert obs["reporting"] < obs["shards"]
-        finally:
-            cost.gate.set()
-            worker.join(timeout=60.0)
-            engine.close()
+                assert elapsed < 2.0, "probe queued behind the blocked query"
+                # Busy workers report None / drop out of coverage, not stall.
+                assert any(part is None for part in per_worker)
+                assert obs["shards"] == 2
+                assert obs["reporting"] < obs["shards"]
+            finally:
+                gate.set()
+                worker.join(timeout=60.0)
+                engine.close()
         assert not worker.is_alive()
 
         # After release the answer is still exact.

@@ -5,6 +5,12 @@ injected latency, fragmented writes, and node kills come from a seeded
 :class:`repro.faultinject.FaultPlan` keyed to request ordinals, so a
 failing run replays bit-identically.
 
+What every link must do whatever it is made of — the handle contract,
+connection drops, half-open links, latency, fragmented writes, held-down
+shards, replication, lifecycle — is pinned once for both backends in
+``tests/test_worker_links.py``; this file keeps what only nodes have:
+addressing, the hello/parity path, call deadlines, node kills.
+
 Two node arrangements are used:
 
 - **in-thread nodes** (:class:`WorkerNodeServer` on an ephemeral port,
@@ -19,7 +25,6 @@ Two node arrangements are used:
 
 import multiprocessing as mp
 import socket
-import threading
 import time
 from contextlib import contextmanager
 
@@ -27,40 +32,17 @@ import pytest
 
 from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
-from repro.core.remote import WorkerNodeServer, load_shard_map, run_worker_node
+from repro.core.remote import load_shard_map, run_worker_node
 from repro.exceptions import QueryError, WorkerError
 from repro.faultinject import FaultPlan, FaultRule
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import sample_query
+from tests.conftest import sample_query, thread_nodes
 
 pytestmark = pytest.mark.timeout(300)
 
 
 def keys(result):
     return [(m.trajectory_id, m.start, m.end) for m in result.matches]
-
-
-@contextmanager
-def thread_nodes(count):
-    """``count`` in-thread worker nodes on ephemeral ports."""
-    servers, threads = [], []
-    for _ in range(count):
-        server = WorkerNodeServer("127.0.0.1", 0)
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-test-node", daemon=True
-        )
-        thread.start()
-        servers.append(server)
-        threads.append(thread)
-    try:
-        yield [s.address for s in servers]
-    finally:
-        for server in servers:
-            server.close()
-        # Leaked acceptor threads would flip default_start_method() to
-        # "spawn" for every later test in the run.
-        for thread in threads:
-            thread.join(10)
 
 
 def _free_port():
@@ -207,42 +189,6 @@ class TestParity:
                     assert b.num_candidates == c.num_candidates
                     assert b.complete and b.degraded_shards == ()
 
-    def test_online_inserts_are_replicated(self, small_graph, edr_cost, trips):
-        ds = TrajectoryDataset(small_graph)
-        for t in trips[:10]:
-            ds.add(t)
-        with thread_nodes(2) as addresses:
-            with remote_engine(ds, edr_cost, addresses) as remote:
-                assert remote.add_trajectory(trips[10]) == 10
-                assert remote.add_trajectory(trips[11]) == 11
-                assert len(remote) == 12
-                full = TrajectoryDataset(small_graph)
-                for t in trips[:12]:
-                    full.add(t)
-                rebuilt = SubtrajectorySearch(full, edr_cost)
-                query = list(trips[10].path[:6])
-                assert keys(remote.query(query, tau_ratio=0.25)) == keys(
-                    rebuilt.query(query, tau_ratio=0.25)
-                )
-
-    def test_close_is_idempotent_and_final(self, vertex_dataset, edr_cost, rng):
-        with thread_nodes(2) as addresses:
-            engine = remote_engine(vertex_dataset, edr_cost, addresses)
-            engine.close()
-            engine.close()
-            with pytest.raises(QueryError):
-                engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
-
-    def test_worker_states_carry_node_addresses(self, vertex_dataset, edr_cost):
-        with thread_nodes(2) as addresses:
-            with remote_engine(vertex_dataset, edr_cost, addresses) as engine:
-                states = engine.worker_states()
-                assert [s.node for s in states] == addresses
-                assert all(s.alive and s.breaker == "closed" for s in states)
-                assert all(s.pid for s in states)
-                d = states[0].to_dict()
-                assert d["node"] == addresses[0]
-
 
 class TestObservability:
     def test_node_metrics_render_with_addresses(
@@ -291,45 +237,11 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# Network faults: drops, half-open links, latency, fragmented writes
+# The per-call deadline (``remote_call_timeout`` is a node-link bound)
 # ---------------------------------------------------------------------------
 
 
-class TestNetworkFaults:
-    def test_conn_drop_reconnects_bit_identically(
-        self, vertex_dataset, edr_cost, rng
-    ):
-        query = sample_query(vertex_dataset, rng, 6)
-        single = SubtrajectorySearch(vertex_dataset, edr_cost)
-        expected = keys(single.query(query, tau_ratio=0.25))
-        plan = FaultPlan(rules=[FaultRule(shard=0, op="conn_drop", request=2)])
-        with thread_nodes(2) as addresses:
-            with remote_engine(
-                vertex_dataset, edr_cost, addresses, fault_plan=plan
-            ) as engine:
-                for _ in range(3):  # request 2 loses its reply in flight
-                    assert keys(engine.query(query, tau_ratio=0.25)) == expected
-                assert engine.restarts_total() == 1
-
-    def test_conn_hang_without_deadline_fails_fast_and_recovers(
-        self, vertex_dataset, edr_cost, rng
-    ):
-        # A half-open link with no per-call deadline is unmasked
-        # deterministically (the injected hang marks the socket), not by
-        # waiting forever.
-        query = sample_query(vertex_dataset, rng, 6)
-        single = SubtrajectorySearch(vertex_dataset, edr_cost)
-        expected = keys(single.query(query, tau_ratio=0.25))
-        plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_hang", request=1)])
-        with thread_nodes(2) as addresses:
-            with remote_engine(
-                vertex_dataset, edr_cost, addresses, fault_plan=plan
-            ) as engine:
-                t0 = time.monotonic()
-                assert keys(engine.query(query, tau_ratio=0.25)) == expected
-                assert time.monotonic() - t0 < 60.0
-                assert engine.restarts_total() == 1
-
+class TestCallDeadline:
     def test_conn_hang_unmasked_by_call_deadline(
         self, vertex_dataset, edr_cost, rng
     ):
@@ -366,30 +278,9 @@ class TestNetworkFaults:
                 assert keys(result) == expected
                 assert engine.restarts_total() >= 1
 
-    def test_slow_links_and_short_writes_are_benign(
-        self, vertex_dataset, edr_cost, rng
-    ):
-        query = sample_query(vertex_dataset, rng, 6)
-        single = SubtrajectorySearch(vertex_dataset, edr_cost)
-        expected = keys(single.query(query, tau_ratio=0.25))
-        plan = FaultPlan(
-            rules=[
-                FaultRule(shard=0, op="slow_link_ms", request=1, ms=30.0),
-                FaultRule(shard=1, op="short_write", request=2),
-            ]
-        )
-        with thread_nodes(2) as addresses:
-            with remote_engine(
-                vertex_dataset, edr_cost, addresses, fault_plan=plan
-            ) as engine:
-                for _ in range(3):
-                    assert keys(engine.query(query, tau_ratio=0.25)) == expected
-                # Latency and fragmentation never cost a connection.
-                assert engine.restarts_total() == 0
-
 
 # ---------------------------------------------------------------------------
-# Node loss: reconnect, journal replay, degradation
+# Node loss: reconnect, journal replay
 # ---------------------------------------------------------------------------
 
 
@@ -420,55 +311,6 @@ class TestNodeLoss:
                 states = engine.worker_states()
                 assert all(s.alive for s in states)
                 assert states[0].restarts == 1
-
-    def test_held_down_node_strict_fails_loudly(
-        self, vertex_dataset, edr_cost, rng
-    ):
-        # Every send to shard 1 tears the connection down: the shard
-        # never answers, reconnects notwithstanding.
-        plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_drop", request=0)])
-        with thread_nodes(3) as addresses:
-            with remote_engine(
-                vertex_dataset, edr_cost, addresses, fault_plan=plan
-            ) as engine:
-                with pytest.raises(WorkerError):
-                    engine.query(
-                        sample_query(vertex_dataset, rng, 6), tau_ratio=0.25
-                    )
-
-    def test_held_down_node_degrades_and_opens_breaker(
-        self, vertex_dataset, edr_cost, rng
-    ):
-        query = sample_query(vertex_dataset, rng, 6)
-        with PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=3, backend="serial"
-        ) as undisturbed:
-            full = undisturbed.query(query, tau_ratio=0.25)
-        plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_drop", request=0)])
-        with thread_nodes(3) as addresses:
-            with remote_engine(
-                vertex_dataset,
-                edr_cost,
-                addresses,
-                fault_plan=plan,
-                breaker_failures=2,
-                breaker_cooldown=30.0,
-            ) as engine:
-                partial = engine.query(query, tau_ratio=0.25, allow_partial=True)
-                assert not partial.complete
-                assert partial.degraded_shards == (1,)
-                # Round-robin layout: the live shards' answer is the full
-                # answer minus shard 1's trajectories.
-                expected = [m for m in full.matches if m.trajectory_id % 3 != 1]
-                assert keys(partial) == [
-                    (m.trajectory_id, m.start, m.end) for m in expected
-                ]
-                # The failed attempt and its retry opened the breaker
-                # (threshold 2); Retry-After now has a basis.
-                states = engine.worker_states()
-                assert states[1].breaker == "open"
-                assert engine.retry_after() > 0.0
-                assert states[1].to_dict()["retry_after"] > 0.0
 
 
 # ---------------------------------------------------------------------------

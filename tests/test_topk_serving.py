@@ -10,10 +10,8 @@ silently short.
 
 import json
 import random
-import threading
 import urllib.error
 import urllib.request
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,13 +19,12 @@ from hypothesis import strategies as st
 
 from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
-from repro.core.remote import WorkerNodeServer
 from repro.core.topk import topk_search
 from repro.distance.smith_waterman import best_match
 from repro.exceptions import QueryError, WorkerError
 from repro.faultinject import FaultPlan, FaultRule
 from repro.service import QueryService, ServiceServer
-from tests.conftest import sample_query
+from tests.conftest import sample_query, thread_nodes
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -61,26 +58,6 @@ def rank_keys(result):
 
 def distance_keys(result):
     return [(m.trajectory_id, m.distance) for m in result]
-
-
-@contextmanager
-def thread_nodes(count):
-    servers, threads = [], []
-    for _ in range(count):
-        server = WorkerNodeServer("127.0.0.1", 0)
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-test-node", daemon=True
-        )
-        thread.start()
-        servers.append(server)
-        threads.append(thread)
-    try:
-        yield [s.address for s in servers]
-    finally:
-        for server in servers:
-            server.close()
-        for thread in threads:
-            thread.join(10)
 
 
 def held_down(shard):

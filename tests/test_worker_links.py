@@ -1,0 +1,461 @@
+"""One handle, two links: the contract every shard-worker link honours.
+
+A shard worker is reached through a framed link that is either one end
+of a socketpair to a child process (``backend="processes"``) or a TCP
+connection to a worker node (``backend="remote"``).  How the link is
+*obtained* is the only per-backend code, so everything else is pinned
+here once and run over both: the handle's request/reply rules, the
+network-fault drills, replication, lifecycle, and the bounded insert
+journal.  What only one link can do stays with its suite (process
+kills and stop escalation in ``test_fault_tolerance.py``, node kills and
+call deadlines in ``test_remote_workers.py``).
+"""
+
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from contextlib import contextmanager
+from functools import partial
+
+import pytest
+
+from repro.core import workers
+from repro.core.engine import SubtrajectorySearch
+from repro.core.partitioned import PartitionedSubtrajectorySearch
+from repro.exceptions import (
+    QueryCancelledError,
+    QueryError,
+    ServiceError,
+    TransportError,
+    WorkerError,
+)
+from repro.faultinject import FaultPlan, FaultRule, WorkerFaults
+from repro.trajectory.dataset import TrajectoryDataset
+from tests.conftest import GatedEDRCost, gate_events, sample_query, thread_nodes
+
+pytestmark = pytest.mark.timeout(300)
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="gate events reach the worker by fork inheritance",
+)
+
+
+def keys(result):
+    return [(m.trajectory_id, m.start, m.end) for m in result.matches]
+
+
+@pytest.fixture(params=["processes", "remote"])
+def link(request):
+    return request.param
+
+
+@contextmanager
+def open_engine(link, dataset, costs, *, num_shards=2, **kwargs):
+    """A partitioned engine whose shards sit behind ``link``."""
+    if link == "processes":
+        with PartitionedSubtrajectorySearch(
+            dataset, costs, num_shards=num_shards, backend="processes", **kwargs
+        ) as engine:
+            yield engine
+    else:
+        with thread_nodes(num_shards) as addresses:
+            with PartitionedSubtrajectorySearch(
+                dataset,
+                costs,
+                backend="remote",
+                shard_map=addresses,
+                connect_timeout=15.0,
+                **kwargs,
+            ) as engine:
+                yield engine
+
+
+@contextmanager
+def open_handle(link, dataset, costs, *, faults=None, call_timeout=None):
+    """One bare parent-side handle over ``link`` (no pool, no supervisor)."""
+    with thread_nodes(1 if link == "remote" else 0) as addresses:
+        if link == "processes":
+            # fork, so gate_events() reach the child by inheritance
+            opener = partial(workers._open_process, mp.get_context("fork"))
+            node, budget = None, 0.0
+        else:
+            node, budget = addresses[0], 15.0
+            opener = partial(workers._open_node, node, budget)
+        handle = workers._ShardWorker(
+            0, opener, node, dataset, costs, {}, faults, None,
+            open_budget=budget, call_timeout=call_timeout,
+        )
+        try:
+            yield handle
+        finally:
+            handle.stop()
+
+
+def reopen(handle):
+    with handle._lock:
+        handle.respawn([])
+
+
+@pytest.fixture()
+def gated(link, small_graph, vertex_dataset):
+    """``(handle, gate, entered)``: a handle whose worker blocks in
+    verification while ``gate`` is clear."""
+    with gate_events() as (gate, entered):
+        try:
+            with open_handle(
+                link, vertex_dataset, GatedEDRCost(small_graph, epsilon=60.0)
+            ) as handle:
+                yield handle, gate, entered
+        finally:
+            gate.set()
+
+
+def query_payload(query):
+    return (list(query), {"tau_ratio": 0.25}, None, None)
+
+
+# ---------------------------------------------------------------------------
+# The handle's request/reply contract
+# ---------------------------------------------------------------------------
+
+
+class TestHandleContract:
+    def test_reply_id_desync_tears_the_link_down(
+        self, link, vertex_dataset, edr_cost
+    ):
+        with open_handle(link, vertex_dataset, edr_cost) as handle:
+            # A rogue frame: its reply answers no request the handle made.
+            handle._conn.send(("ping", 10_000))
+            with pytest.raises(WorkerError, match="desynchronized"):
+                handle.call("stats", ())
+            assert not handle.alive  # never reused: framing is lost
+            reopen(handle)
+            assert handle.alive and handle.restarts == 1
+            assert handle.call("ping", ())["pid"] == handle.pid
+
+    def test_late_reply_poisons_the_link_and_the_next_call_reopens(
+        self, link, vertex_dataset, edr_cost
+    ):
+        faults = WorkerFaults(
+            [FaultRule(shard=0, op="delay_reply", request=1, on="add", seconds=1.0)]
+        )
+        insert = (len(vertex_dataset), vertex_dataset[0], False)
+        with open_handle(
+            link, vertex_dataset, edr_cost, faults=faults, call_timeout=0.2
+        ) as handle:
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="deadline"):
+                handle.call("add", insert)
+            assert time.monotonic() - t0 < 0.9  # the budget, not the delay
+            assert not handle.alive  # a late reply must find no reader
+            reopen(handle)
+            # Fresh incarnation from the mirror: the same id is free again
+            # (and ordinal 2 carries no delay).
+            assert handle.call("add", insert) == len(vertex_dataset)
+
+    @needs_fork
+    def test_cancel_frame_stops_verification_and_the_reply_still_arrives(
+        self, gated, vertex_dataset, rng
+    ):
+        handle, gate, entered = gated
+        gate.clear()
+        req_id = handle.begin("query", query_payload(sample_query(vertex_dataset, rng, 6)))
+        assert entered.wait(timeout=30.0), "query never reached verification"
+        handle.signal_cancel(req_id)
+        time.sleep(0.1)  # let the reader thread fold the frame in
+        gate.set()
+        # The engine's next token poll sees the watermark: the query is
+        # abandoned, and its one reply is the cancellation.
+        with pytest.raises(QueryCancelledError):
+            handle.finish(req_id)
+        # One reply per request held: the stream is still in sync.
+        assert handle.alive and handle.restarts == 0
+        assert handle.call("ping", ())["pid"] == handle.pid
+
+    @needs_fork
+    def test_try_call_returns_none_while_a_request_is_in_flight(
+        self, gated, vertex_dataset, rng
+    ):
+        handle, gate, entered = gated
+        gate.clear()
+        req_id = handle.begin("query", query_payload(sample_query(vertex_dataset, rng, 6)))
+        assert entered.wait(timeout=30.0), "query never reached verification"
+        t0 = time.monotonic()
+        assert handle.try_call("stats", ()) is None
+        assert time.monotonic() - t0 < 1.0, "probe queued behind the query"
+        gate.set()
+        assert handle.finish(req_id).matches is not None
+        assert "trie" in handle.try_call("stats", ())
+
+
+@needs_fork
+def test_process_killed_mid_request_is_a_worker_error(
+    small_graph, vertex_dataset, rng
+):
+    with gate_events() as (gate, entered), open_handle(
+        "processes", vertex_dataset, GatedEDRCost(small_graph, epsilon=60.0)
+    ) as handle:
+        gate.clear()
+        req_id = handle.begin(
+            "query", query_payload(sample_query(vertex_dataset, rng, 6))
+        )
+        assert entered.wait(timeout=30.0)
+        # (The gate dies with the worker: a process killed inside
+        # Event.wait() leaves the event unusable, so it is never set
+        # again — the handle's stop() reaps whatever is left.)
+        os.kill(handle.pid, signal.SIGKILL)
+        t0 = time.monotonic()
+        with pytest.raises(WorkerError):
+            handle.finish(req_id)
+        assert time.monotonic() - t0 < 5.0
+        assert not handle.alive
+
+
+# ---------------------------------------------------------------------------
+# Link faults: the same drills, whatever the link
+# ---------------------------------------------------------------------------
+
+
+class TestLinkFaults:
+    def test_conn_drop_mid_request_is_retried_once_bit_identically(
+        self, link, vertex_dataset, edr_cost, rng
+    ):
+        query = sample_query(vertex_dataset, rng, 6)
+        expected = keys(
+            SubtrajectorySearch(vertex_dataset, edr_cost).query(query, tau_ratio=0.25)
+        )
+        plan = FaultPlan(rules=[FaultRule(shard=0, op="conn_drop", request=2)])
+        with open_engine(link, vertex_dataset, edr_cost, fault_plan=plan) as engine:
+            for _ in range(3):  # request 2 loses its reply in flight
+                result = engine.query(query, tau_ratio=0.25)
+                assert keys(result) == expected
+                assert result.complete
+            assert engine.restarts_total() == 1
+
+    def test_conn_hang_without_deadline_fails_fast_and_recovers(
+        self, link, vertex_dataset, edr_cost, rng
+    ):
+        # A half-open link with no per-call deadline is unmasked
+        # deterministically (the injected hang marks the socket), not by
+        # waiting forever.
+        query = sample_query(vertex_dataset, rng, 6)
+        expected = keys(
+            SubtrajectorySearch(vertex_dataset, edr_cost).query(query, tau_ratio=0.25)
+        )
+        plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_hang", request=1)])
+        with open_engine(link, vertex_dataset, edr_cost, fault_plan=plan) as engine:
+            t0 = time.monotonic()
+            assert keys(engine.query(query, tau_ratio=0.25)) == expected
+            assert time.monotonic() - t0 < 60.0
+            assert engine.restarts_total() == 1
+
+    def test_slow_links_and_short_writes_are_benign(
+        self, link, vertex_dataset, edr_cost, rng
+    ):
+        query = sample_query(vertex_dataset, rng, 6)
+        expected = keys(
+            SubtrajectorySearch(vertex_dataset, edr_cost).query(query, tau_ratio=0.25)
+        )
+        plan = FaultPlan(
+            rules=[
+                FaultRule(shard=0, op="slow_link_ms", request=1, ms=30.0),
+                FaultRule(shard=1, op="short_write", request=2),
+            ]
+        )
+        with open_engine(link, vertex_dataset, edr_cost, fault_plan=plan) as engine:
+            for _ in range(3):
+                assert keys(engine.query(query, tau_ratio=0.25)) == expected
+            # Latency and fragmentation never cost a link.
+            assert engine.restarts_total() == 0
+
+    def test_held_down_link_strict_fails_loudly(
+        self, link, vertex_dataset, edr_cost, rng
+    ):
+        # Every send to shard 1 tears the link down: the shard never
+        # answers, reopens notwithstanding.
+        plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_drop", request=0)])
+        with open_engine(
+            link, vertex_dataset, edr_cost, num_shards=3, fault_plan=plan
+        ) as engine:
+            with pytest.raises(WorkerError):
+                engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
+
+    def test_held_down_link_degrades_and_opens_breaker(
+        self, link, vertex_dataset, edr_cost, rng
+    ):
+        query = sample_query(vertex_dataset, rng, 6)
+        with PartitionedSubtrajectorySearch(
+            vertex_dataset, edr_cost, num_shards=3, backend="serial"
+        ) as undisturbed:
+            full = undisturbed.query(query, tau_ratio=0.25)
+        plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_drop", request=0)])
+        with open_engine(
+            link,
+            vertex_dataset,
+            edr_cost,
+            num_shards=3,
+            fault_plan=plan,
+            breaker_failures=2,
+            breaker_cooldown=30.0,
+        ) as engine:
+            partial_result = engine.query(query, tau_ratio=0.25, allow_partial=True)
+            assert not partial_result.complete
+            assert partial_result.degraded_shards == (1,)
+            # Round-robin layout: the live shards' answer is the full
+            # answer minus shard 1's trajectories.
+            expected = [m for m in full.matches if m.trajectory_id % 3 != 1]
+            assert keys(partial_result) == [
+                (m.trajectory_id, m.start, m.end) for m in expected
+            ]
+            # The failed attempt and its retry opened the breaker
+            # (threshold 2); Retry-After now has a basis.
+            states = engine.worker_states()
+            assert states[1].breaker == "open"
+            assert engine.retry_after() > 0.0
+            assert states[1].to_dict()["retry_after"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Replication, journal, lifecycle
+# ---------------------------------------------------------------------------
+
+
+class TestReplicationAndLifecycle:
+    def test_online_inserts_match_a_rebuilt_engine(
+        self, link, small_graph, edr_cost, trips
+    ):
+        ds = TrajectoryDataset(small_graph)
+        for t in trips[:10]:
+            ds.add(t)
+        with open_engine(link, ds, edr_cost) as sharded:
+            for offset, t in enumerate(trips[10:16]):
+                assert sharded.add_trajectory(t) == 10 + offset
+            assert len(sharded) == 16
+            full = TrajectoryDataset(small_graph)
+            for t in trips[:16]:
+                full.add(t)
+            rebuilt = SubtrajectorySearch(full, edr_cost)
+            query = list(trips[12].path[:6])
+            assert keys(sharded.query(query, tau_ratio=0.25)) == keys(
+                rebuilt.query(query, tau_ratio=0.25)
+            )
+
+    def test_insert_journal_stays_bounded(self, link, small_graph, edr_cost, trips):
+        # The journal only has to cover inserts the dataset mirror does
+        # not hold yet; everything older is rebuilt from the mirror on
+        # respawn and must not pile up.
+        ds = TrajectoryDataset(small_graph)
+        for t in trips[:4]:
+            ds.add(t)
+        with open_engine(link, ds, edr_cost) as engine:
+            for i in range(200):
+                engine.add_trajectory(trips[i % len(trips)])
+            assert len(engine) == 204
+            assert [len(j) for j in engine._workers._journals] == [1, 1]
+
+    def test_close_is_idempotent_and_final(self, link, vertex_dataset, edr_cost, rng):
+        with open_engine(link, vertex_dataset, edr_cost) as engine:
+            pool = engine._workers
+            assert pool in workers._LIVE_POOLS
+            engine.close()
+            engine.close()  # second close is a no-op, not an error
+            assert pool.closed
+            assert not any(pool.workers_alive())
+            assert pool not in workers._LIVE_POOLS
+            with pytest.raises(QueryError):
+                engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
+            # The pool itself reports closure as a worker failure.
+            with pytest.raises(ServiceError):
+                pool.query_all([0], {})
+
+    def test_worker_states_snapshot(self, link, vertex_dataset, edr_cost):
+        with open_engine(link, vertex_dataset, edr_cost) as engine:
+            states = engine.worker_states()
+            assert [s.shard for s in states] == [0, 1]
+            assert all(s.alive and s.breaker == "closed" for s in states)
+            assert all(s.pid for s in states)
+            assert [s.node for s in states] == engine.nodes()
+            assert all((n is None) == (link == "processes") for n in engine.nodes())
+            d = states[0].to_dict()
+            assert {"shard", "alive", "pid", "restarts", "breaker"} <= set(d)
+            assert d.get("node") == engine.nodes()[0]
+
+
+# ---------------------------------------------------------------------------
+# Orphans: a worker never outlives a SIGKILLed parent
+# ---------------------------------------------------------------------------
+
+_ORPHAN_PARENT = textwrap.dedent(
+    """
+    import sys, time
+    from repro.core.partitioned import PartitionedSubtrajectorySearch
+    from repro.distance.costs import LevenshteinCost
+    from repro.network.generators import grid_city
+    from repro.trajectory.dataset import TrajectoryDataset
+    from repro.trajectory.generator import TripGenerator
+
+    def main():
+        graph = grid_city(5, 5, seed=1)
+        dataset = TrajectoryDataset(graph, "vertex")
+        dataset.extend(TripGenerator(graph, seed=2).generate(8, min_length=5, max_length=10))
+        engine = PartitionedSubtrajectorySearch(
+            dataset, LevenshteinCost(), num_shards=2, backend="processes",
+            start_method=sys.argv[1],
+        )
+        print(*(s.pid for s in engine.worker_states()), flush=True)
+        time.sleep(120)
+
+    if __name__ == "__main__":
+        main()
+    """
+)
+
+
+def _gone(pid):
+    """No such process, or only its zombie (nothing here reaps orphans)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "start_method", [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
+)
+def test_workers_exit_when_their_parent_is_sigkilled(tmp_path, start_method):
+    # Under fork every shard child inherits the parent's end of its own
+    # link and of every earlier shard's, so the parent's death is no EOF;
+    # daemon=True and atexit only cover orderly exits.
+    script = tmp_path / "orphan_parent.py"
+    script.write_text(_ORPHAN_PARENT)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    parent = subprocess.Popen(
+        [sys.executable, str(script), start_method],
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+    )
+    pids = []
+    try:
+        pids = [int(p) for p in parent.stdout.readline().split()]
+        assert len(pids) == 2 and not any(_gone(p) for p in pids)
+        parent.kill()
+        parent.wait(10)
+        deadline = time.monotonic() + 5.0
+        while not all(_gone(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [p for p in pids if not _gone(p)] == [], "orphaned shard workers"
+    finally:
+        parent.kill()
+        parent.wait(10)
+        parent.stdout.close()
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
