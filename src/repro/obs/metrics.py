@@ -1,14 +1,16 @@
 """A hand-rolled Prometheus-text metrics registry (zero dependencies).
 
-The serving layer already keeps counters (:class:`repro.service.metrics.
-Metrics`) and the engine keeps cache stats; what a scraper needs is the
-`text exposition format`__ — ``# HELP`` / ``# TYPE`` headers, labeled
-samples, cumulative histogram buckets.  This module provides exactly
-that and nothing more: three instrument kinds (:class:`Counter`,
-:class:`Gauge`, :class:`Histogram`) for *push*-style observation on the
-request path, plus *collector callbacks* that derive samples from
-existing stats dicts at scrape time (so gauges like cache sizes cost
-nothing between scrapes).
+The instruments here are the serving layer's only counter store:
+:class:`repro.service.observability.ServiceObservability` pushes every
+finished request into them once, ``GET /stats`` reads them back as JSON
+(:meth:`Counter.value` / :meth:`Counter.samples`) and ``GET /metrics``
+renders them in the `text exposition format`__ — ``# HELP`` /
+``# TYPE`` headers, labeled samples, cumulative histogram buckets.
+Three instrument kinds (:class:`Counter`, :class:`Gauge`,
+:class:`Histogram`) take *push*-style observation on the request path;
+*collector callbacks* derive samples at scrape time from state that
+already lives somewhere (engine cache stats, queue depths), so gauges
+like cache sizes cost nothing between scrapes.
 
 __ https://prometheus.io/docs/instrumenting/exposition_formats/
 

@@ -11,12 +11,13 @@ service —
   invalidation hooks wired to the online-update path;
 - :class:`Batcher` — single-flight coalescing of concurrent duplicate
   requests;
-- :class:`Metrics` — QPS, latency percentiles, hit rates, per-stage
-  timing rollups;
-- :class:`ServiceObservability` — request tracing, the Prometheus-text
-  ``/metrics`` registry, and the slow-query flight recorder (built on
+- :class:`ServiceObservability` — the service's one set of instruments
+  (query/error counters, latency and per-stage rollups, rendered as
+  Prometheus text by ``/metrics`` and as JSON by ``/stats``), request
+  tracing, and the slow-query flight recorder (built on
   :mod:`repro.obs`);
-- :class:`QueryService` — the facade composing the above;
+- :class:`QueryService` — the facade composing the above: one request
+  path that range and top-k requests both enter;
 - :class:`ServiceServer` — a stdlib JSON-over-HTTP frontend
   (``python -m repro serve``).
 
@@ -29,14 +30,13 @@ from repro.service.batching import Batcher
 from repro.service.cache import ResultCache
 from repro.service.executor import Executor
 from repro.service.http import ServiceServer, response_payload, topk_payload
-from repro.service.metrics import Metrics, percentile
+from repro.service.metrics import percentile
 from repro.service.observability import ServiceObservability
 from repro.service.service import QueryService, ServiceResponse
 
 __all__ = [
     "Batcher",
     "Executor",
-    "Metrics",
     "QueryService",
     "ResultCache",
     "ServiceObservability",

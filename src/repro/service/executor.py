@@ -33,13 +33,15 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
+from contextlib import contextmanager
 from time import monotonic
-from typing import List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cancellation import CancelToken
 from repro.core.engine import QueryResult
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.temporal import TemporalMode, TimeInterval
+from repro.core.topk import topk_search
 from repro.exceptions import (
     AdmissionError,
     DeadlineExceededError,
@@ -172,74 +174,37 @@ class Executor:
         engines never degrade, so elsewhere it is inert — including the
         serial-backend fan-out this executor runs itself).
         """
-        if deadline is not None and deadline <= 0:
-            # A malformed request, not a missed deadline: report it as
-            # such instead of polluting the deadline-miss metric.
-            raise ValueError("deadline must be positive")
-        if trace is None:
-            self._admit()
-        else:
-            span = trace.child("admission", pending=self.pending)
-            try:
-                self._admit()
-            except BaseException as exc:
-                span.set("error", type(exc).__name__)
-                raise
-            finally:
-                span.finish()
-        try:
-            budget = deadline if deadline is not None else self._default_deadline
-            token = CancelToken(budget)
-            kwargs = dict(
-                tau=tau,
-                tau_ratio=tau_ratio,
-                time_interval=time_interval,
-                temporal_filter=temporal_filter,
-                temporal_mode=temporal_mode,
-            )
-            exec_span = (
-                None if trace is None
-                else trace.child("execute", fan_out=self._fan_out)
-            )
-            try:
-                if self._fan_out:
-                    calls = self._engine.shard_query_callables(
-                        query, cancel=token, trace=exec_span, **kwargs
-                    )
-                    futures = [self._pool.submit(call) for call in calls]
-                    results = self._gather(futures, token)
-                    merged = self._engine.merge_shard_results(results)
-                    if exec_span is not None:
-                        exec_span.set("shards", len(calls))
-                        exec_span.set("matches", len(merged.matches))
-                        exec_span.set("candidates", merged.num_candidates)
-                    return merged
-                if exec_span is not None:
-                    kwargs["trace"] = exec_span
-                if allow_partial and isinstance(
-                    self._engine, PartitionedSubtrajectorySearch
-                ):
-                    kwargs["allow_partial"] = True
-                future = self._pool.submit(
-                    self._engine.query, query, cancel=token, **kwargs
+        kwargs = dict(
+            tau=tau,
+            tau_ratio=tau_ratio,
+            time_interval=time_interval,
+            temporal_filter=temporal_filter,
+            temporal_mode=temporal_mode,
+        )
+        with self._admitted(deadline, trace, fan_out=self._fan_out) as (token, span):
+            if self._fan_out:
+                calls = self._engine.shard_query_callables(
+                    query, cancel=token, trace=span, **kwargs
                 )
-                return self._gather([future], token)[0]
-            except RuntimeError as exc:
-                # Admitted concurrently with close(): the pool refuses new
-                # futures.  Report it as the shed it is, not a 500.
-                if "shutdown" in str(exc):
-                    raise AdmissionError("service is shutting down") from None
-                raise
-            except BaseException as exc:
-                if exec_span is not None:
-                    exec_span.set("error", type(exc).__name__)
-                raise
-            finally:
-                if exec_span is not None:
-                    exec_span.finish()
-        finally:
-            with self._lock:
-                self._pending -= 1
+                futures = [self._pool.submit(call) for call in calls]
+                merged = self._engine.merge_shard_results(
+                    self._gather(futures, token)
+                )
+                if span is not None:
+                    span.set("shards", len(calls))
+                    span.set("matches", len(merged.matches))
+                    span.set("candidates", merged.num_candidates)
+                return merged
+            if span is not None:
+                kwargs["trace"] = span
+            if allow_partial and isinstance(
+                self._engine, PartitionedSubtrajectorySearch
+            ):
+                kwargs["allow_partial"] = True
+            future = self._pool.submit(
+                self._engine.query, query, cancel=token, **kwargs
+            )
+            return self._gather([future], token)[0]
 
     def topk(
         self,
@@ -264,70 +229,86 @@ class Executor:
         so an expired budget stops within one verification iteration or
         one swept trajectory.
         """
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if trace is None:
-            self._admit()
-        else:
-            span = trace.child("admission", pending=self.pending)
-            try:
-                self._admit()
-            except BaseException as exc:
-                span.set("error", type(exc).__name__)
-                raise
-            finally:
-                span.finish()
-        try:
-            budget = deadline if deadline is not None else self._default_deadline
-            token = CancelToken(budget)
-            exec_span = (
-                None if trace is None else trace.child("execute", mode="topk")
+        with self._admitted(deadline, trace, mode="topk") as (token, span):
+            future = self._pool.submit(
+                topk_search,
+                self._engine,
+                query,
+                k,
+                initial_tau_ratio=initial_tau_ratio,
+                growth=growth,
+                cancel=token,
+                allow_partial=allow_partial,
+                trace=span,
             )
-            try:
-                from repro.core.topk import topk_search
-
-                future = self._pool.submit(
-                    topk_search,
-                    self._engine,
-                    query,
-                    k,
-                    initial_tau_ratio=initial_tau_ratio,
-                    growth=growth,
-                    cancel=token,
-                    allow_partial=allow_partial,
-                    trace=exec_span,
-                )
-                result = self._gather([future], token)[0]
-                if exec_span is not None:
-                    exec_span.set("matches", len(result.matches))
-                    exec_span.set("tau_rounds", result.tau_rounds)
-                return result
-            except RuntimeError as exc:
-                if "shutdown" in str(exc):
-                    raise AdmissionError("service is shutting down") from None
-                raise
-            except BaseException as exc:
-                if exec_span is not None:
-                    exec_span.set("error", type(exc).__name__)
-                raise
-            finally:
-                if exec_span is not None:
-                    exec_span.finish()
-        finally:
-            with self._lock:
-                self._pending -= 1
+            result = self._gather([future], token)[0]
+            if span is not None:
+                span.set("matches", len(result.matches))
+                span.set("tau_rounds", result.tau_rounds)
+            return result
 
     # -- internals ----------------------------------------------------------
 
-    def _admit(self) -> None:
-        with self._lock:
-            if self._closed:
-                raise AdmissionError("service is shutting down")
-            if self._pending >= self._max_pending:
-                raise AdmissionError(
-                    f"too many in-flight queries (limit {self._max_pending})"
-                )
-            self._pending += 1
+    @contextmanager
+    def _admitted(
+        self, deadline: Optional[float], trace, **span_attributes
+    ) -> Iterator[Tuple[CancelToken, Any]]:
+        """The scope every query kind executes in: admit (or shed), start
+        the deadline token, open the ``execute`` span, and on the way out
+        map a pool shutdown to the shed it is, annotate the span with any
+        failure, and release the admission slot.  Yields ``(token,
+        execute_span)``; the body only decides what goes to the pool."""
+        if deadline is not None and deadline <= 0:
+            # A malformed request, not a missed deadline: report it as
+            # such instead of polluting the deadline-miss metric.
+            raise ValueError("deadline must be positive")
+        admission = (
+            None if trace is None
+            else trace.child("admission", pending=self.pending)
+        )
+        try:
+            with self._lock:
+                if self._closed:
+                    raise AdmissionError("service is shutting down")
+                if self._pending >= self._max_pending:
+                    raise AdmissionError(
+                        f"too many in-flight queries (limit {self._max_pending})"
+                    )
+                self._pending += 1
+        except AdmissionError as exc:
+            if admission is not None:
+                admission.set("error", type(exc).__name__)
+            raise
+        finally:
+            if admission is not None:
+                admission.finish()
+        try:
+            token = CancelToken(
+                deadline if deadline is not None else self._default_deadline
+            )
+            span = (
+                None if trace is None
+                else trace.child("execute", **span_attributes)
+            )
+            try:
+                yield token, span
+            except BaseException as exc:
+                shed = isinstance(exc, RuntimeError) and "shutdown" in str(exc)
+                if span is not None:
+                    span.set(
+                        "error", "AdmissionError" if shed else type(exc).__name__
+                    )
+                if shed:
+                    # Admitted concurrently with close(): the pool refuses
+                    # new futures.  Report it as the shed it is, not a 500.
+                    raise AdmissionError("service is shutting down") from None
+                raise
+            finally:
+                if span is not None:
+                    span.finish()
+        finally:
+            with self._lock:
+                self._pending -= 1
 
     @staticmethod
     def _gather(futures: List[Future], token: CancelToken) -> List[QueryResult]:

@@ -8,9 +8,10 @@ does the actual work (so slow queries don't serialize behind each other).
 API surface (all bodies JSON):
 
 - ``GET /healthz`` — liveness: ``{"status": "ok", ...}``;
-- ``GET /stats`` — the metrics snapshot of :meth:`QueryService.stats`;
-- ``GET /metrics`` — Prometheus text exposition (version 0.0.4) of the
-  service's :class:`~repro.obs.MetricsRegistry`;
+- ``GET /stats`` — :meth:`QueryService.stats`: the service's
+  instruments as JSON (plus exact latency percentiles);
+- ``GET /metrics`` — the same instruments as Prometheus text exposition
+  (version 0.0.4) of the service's :class:`~repro.obs.MetricsRegistry`;
 - ``GET /debug/traces?order=recent|slowest&limit=n`` — flight-recorder
   dump: completed trace records, JSON;
 - ``POST /query`` — ``{"path": [symbols...], "tau": x | "tau_ratio": r,
@@ -30,6 +31,11 @@ API surface (all bodies JSON):
 - ``POST /trajectories`` — ``{"path": [symbols...], "timestamps":
   [...]?}`` → online insert; invalidates the result cache.  Paths are
   validated as graph walks by default (``"validate": false`` opts out).
+
+Input is checked, not coerced: ``path`` must be a list of JSON integers,
+``limit`` / ``k`` non-boolean integers, and every numeric field finite —
+``json.loads`` admits ``NaN`` / ``Infinity``, and a NaN slips through
+every ``<=`` guard downstream.
 
 Error mapping: malformed requests → 400, admission shed → 429, missed
 deadline → 504, shard worker down/unavailable (and the client did not
@@ -365,14 +371,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_query(self, service: QueryService) -> None:
         body = self._read_body()
-        path = body.get("path")
-        if not isinstance(path, list) or not path:
-            raise ValueError("'path' must be a non-empty list of symbols")
-        tau = body.get("tau")
-        tau_ratio = body.get("tau_ratio")
+        path = self._symbols_of(body)
+        tau = self._finite(body, "tau")
+        tau_ratio = self._finite(body, "tau_ratio")
+        deadline = self._finite(body, "deadline")
         interval, mode = self._interval_of(body)
         limit = body.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 0):
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int) or limit < 0
+        ):
             raise ValueError("'limit' must be a nonnegative integer")
         allow_partial = body.get("allow_partial", False)
         if not isinstance(allow_partial, bool):
@@ -391,44 +398,32 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError(
                     "top-k does not support temporal constraints"
                 )
-            kwargs: Dict[str, Any] = {}
-            for knob in ("initial_tau_ratio", "growth"):
-                if body.get(knob) is not None:
-                    kwargs[knob] = float(body[knob])
+            knobs = {
+                knob: self._finite(body, knob)
+                for knob in ("initial_tau_ratio", "growth")
+                if body.get(knob) is not None
+            }
             response = service.topk(
-                [int(s) for s in path],
-                k,
-                deadline=(
-                    None
-                    if body.get("deadline") is None
-                    else float(body["deadline"])
-                ),
-                allow_partial=allow_partial,
-                **kwargs,
+                path, k, deadline=deadline, allow_partial=allow_partial, **knobs
             )
             self._send_json(200, topk_payload(response, limit=limit))
             return
         response = service.query(
-            [int(s) for s in path],
-            tau=None if tau is None else float(tau),
-            tau_ratio=None if tau_ratio is None else float(tau_ratio),
+            path,
+            tau=tau,
+            tau_ratio=tau_ratio,
             time_interval=interval,
             temporal_mode=mode,
-            deadline=(
-                None if body.get("deadline") is None else float(body["deadline"])
-            ),
+            deadline=deadline,
             allow_partial=allow_partial,
         )
         self._send_json(200, response_payload(response, limit=limit))
 
     def _handle_insert(self, service: QueryService) -> None:
         body = self._read_body()
-        path = body.get("path")
-        if not isinstance(path, list) or not path:
-            raise ValueError("'path' must be a non-empty list of vertex ids")
         timestamps = body.get("timestamps")
         trajectory = Trajectory(
-            [int(s) for s in path],
+            self._symbols_of(body),
             timestamps=None if timestamps is None else [float(t) for t in timestamps],
         )
         # Untrusted write endpoint: reject non-walks unless the client
@@ -440,8 +435,40 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"trajectory": tid, "invalidated_cache": True})
 
     @staticmethod
-    def _interval_of(body: Dict[str, Any]) -> Tuple[Optional[TimeInterval], str]:
-        t0, t1 = body.get("time_from"), body.get("time_to")
+    def _symbols_of(body: Dict[str, Any]) -> list:
+        """The request's ``path``: a non-empty list of JSON integers.
+        Anything else is refused rather than coerced — ``[1.5, 2.7]``
+        truncated to ``[1, 2]`` would answer a question nobody asked."""
+        path = body.get("path")
+        if (
+            not isinstance(path, list)
+            or not path
+            or not all(isinstance(s, int) and not isinstance(s, bool) for s in path)
+        ):
+            raise ValueError("'path' must be a non-empty list of integer symbols")
+        return path
+
+    @staticmethod
+    def _finite(body: Dict[str, Any], name: str) -> Optional[float]:
+        """The numeric field ``name`` as a float, ``None`` when absent.
+        ``json.loads`` admits ``NaN`` / ``Infinity``, and a NaN slips
+        through every ``<=`` guard downstream (a NaN ``growth`` never
+        terminates tau-doubling), so non-finite numbers stop here."""
+        value = body.get(name)
+        if value is None:
+            return None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer literal beyond float range
+                number = math.inf
+            if math.isfinite(number):
+                return number
+        raise ValueError(f"'{name}' must be a finite number")
+
+    @classmethod
+    def _interval_of(cls, body: Dict[str, Any]) -> Tuple[Optional[TimeInterval], str]:
+        t0, t1 = cls._finite(body, "time_from"), cls._finite(body, "time_to")
         if (t0 is None) != (t1 is None):
             raise ValueError("'time_from' and 'time_to' must be given together")
         mode = body.get("temporal_mode", "overlap")
@@ -449,7 +476,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError("'temporal_mode' must be 'overlap' or 'within'")
         if t0 is None:
             return None, mode
-        return TimeInterval(float(t0), float(t1)), mode
+        return TimeInterval(t0, t1), mode
 
 
 class ServiceServer:

@@ -1,24 +1,18 @@
-"""Serving metrics: QPS, latency percentiles, cache/coalescing rates, and
-per-stage timing rollups.
+"""The exact percentile behind ``/stats``' latency figures.
 
-The engine already instruments every query (Table 4 timings, Fig. 11
-candidate counts); :class:`Metrics` aggregates those per-query numbers
-into the service-level view an operator watches: throughput, tail
-latency, hit rates, error counts.  Latency percentiles are computed over
-a bounded window of recent observations so snapshots stay O(window) and
-memory stays flat under sustained load.
+The serving counters themselves live in one place — the registry
+instruments of :class:`repro.service.observability.ServiceObservability`,
+which ``GET /metrics`` renders as Prometheus text and ``GET /stats`` as
+JSON.  Percentiles are the one figure a bucketed histogram cannot give
+exactly, so they are computed here over a bounded window of raw
+latencies.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Sequence
 
-from repro.core.engine import QueryResult
-
-__all__ = ["Metrics", "percentile"]
+__all__ = ["percentile"]
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -36,117 +30,3 @@ def percentile(values: Sequence[float], fraction: float) -> float:
     lo = int(rank)
     hi = min(lo + 1, len(ordered) - 1)
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
-
-
-class Metrics:
-    """Thread-safe aggregate counters for one service instance.
-
-    ``window`` caps how many recent latencies feed the percentile
-    estimates; counters (queries, errors, hits, ...) are exact over the
-    service lifetime.
-    """
-
-    def __init__(self, *, window: int = 4096) -> None:
-        if window < 1:
-            raise ValueError("metrics window must be >= 1")
-        self._lock = threading.Lock()
-        self._started = time.monotonic()
-        self._latencies: deque = deque(maxlen=window)
-        self.queries = 0
-        self.errors = 0
-        #: exact per-exception-type error counts (``errors`` stays the
-        #: backward-compatible aggregate the ``/stats`` clients expect).
-        self.errors_by_type: Dict[str, int] = {}
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.rejected = 0
-        self.deadline_exceeded = 0
-        self.invalidations = 0
-        self.matches = 0
-        self.candidates = 0
-        # Per-stage rollups from QueryResult (engine-computed queries only).
-        self.mincand_seconds = 0.0
-        self.lookup_seconds = 0.0
-        self.verify_seconds = 0.0
-
-    def observe(
-        self,
-        seconds: float,
-        *,
-        cached: bool = False,
-        coalesced: bool = False,
-        result: Optional[QueryResult] = None,
-    ) -> None:
-        """Record one completed query and its end-to-end latency."""
-        with self._lock:
-            self.queries += 1
-            self._latencies.append(seconds)
-            if cached:
-                self.cache_hits += 1
-            if coalesced:
-                self.coalesced += 1
-            if result is not None:
-                self.matches += len(result.matches)
-                self.candidates += result.num_candidates
-                if not (cached or coalesced):
-                    self.mincand_seconds += result.mincand_seconds
-                    self.lookup_seconds += result.lookup_seconds
-                    self.verify_seconds += result.verify_seconds
-
-    def observe_error(
-        self, kind: str = "error", *, exc: Optional[BaseException] = None
-    ) -> None:
-        """Record one failed query (``kind``: ``"rejected"``,
-        ``"deadline"``, or anything else for a generic error).
-
-        ``exc`` additionally labels the failure by exception type in
-        :attr:`errors_by_type` — ``"which error"`` is the first question
-        when the aggregate counter moves; without it the label falls back
-        to ``kind``."""
-        with self._lock:
-            self.errors += 1
-            if kind == "rejected":
-                self.rejected += 1
-            elif kind == "deadline":
-                self.deadline_exceeded += 1
-            label = kind if exc is None else type(exc).__name__
-            self.errors_by_type[label] = self.errors_by_type.get(label, 0) + 1
-
-    def observe_invalidation(self, count: int = 1) -> None:
-        """Record cache entries dropped by an online update."""
-        with self._lock:
-            self.invalidations += count
-
-    def snapshot(self) -> Dict[str, Any]:
-        """A JSON-ready dict of every aggregate (the ``/stats`` payload)."""
-        with self._lock:
-            elapsed = time.monotonic() - self._started
-            window: List[float] = list(self._latencies)
-            queries = self.queries
-            computed = queries - self.cache_hits - self.coalesced
-            return {
-                "uptime_seconds": elapsed,
-                "queries": queries,
-                "errors": self.errors,
-                "errors_by_type": dict(self.errors_by_type),
-                "rejected": self.rejected,
-                "deadline_exceeded": self.deadline_exceeded,
-                "qps": queries / elapsed if elapsed > 0 else 0.0,
-                "latency_p50": percentile(window, 0.50),
-                "latency_p95": percentile(window, 0.95),
-                "latency_p99": percentile(window, 0.99),
-                "latency_mean": sum(window) / len(window) if window else 0.0,
-                "cache_hits": self.cache_hits,
-                "cache_hit_rate": self.cache_hits / queries if queries else 0.0,
-                "coalesced": self.coalesced,
-                "coalesce_rate": self.coalesced / queries if queries else 0.0,
-                "invalidations": self.invalidations,
-                "matches": self.matches,
-                "candidates": self.candidates,
-                "stage_seconds": {
-                    "mincand": self.mincand_seconds,
-                    "lookup": self.lookup_seconds,
-                    "verify": self.verify_seconds,
-                },
-                "computed_queries": computed,
-            }

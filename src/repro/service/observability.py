@@ -10,7 +10,10 @@ bounded trace history); this module binds them to one
   push instruments (query/error counters, latency / candidate /
   DP-column histograms) plus pull collectors (engine cache counters per
   shard, executor/cache/batcher gauges, flight-recorder depth) that the
-  ``/metrics`` endpoint renders;
+  ``/metrics`` endpoint renders.  These instruments are the service's
+  only counters: ``GET /stats`` is :meth:`ServiceObservability.snapshot`,
+  a JSON view over the same numbers (plus one bounded window of raw
+  latencies, because exact percentiles cannot be read off buckets);
 - every query over ``slow_query_seconds`` emits a one-line JSON record
   on the ``repro.slowlog`` logger and is *always* preserved in the
   flight recorder — sampled queries keep their real span tree, unsampled
@@ -23,9 +26,11 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
+import time
+from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.engine import QueryResult
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
@@ -34,6 +39,7 @@ from repro.obs import (
     slow_query_record,
     synthesize_trace,
 )
+from repro.service.metrics import percentile
 
 __all__ = ["ServiceObservability"]
 
@@ -49,6 +55,11 @@ _DP_COLUMN_BUCKETS = (
     10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000, 300000,
 )
 _K_BUCKETS = (1, 3, 10, 30, 100, 300, 1000)
+
+#: raw latencies kept for the exact ``/stats`` percentiles (histogram
+#: buckets can only interpolate them); bounded, so snapshots stay
+#: O(window) and memory stays flat under sustained load.
+LATENCY_WINDOW = 4096
 
 
 class ServiceObservability:
@@ -136,6 +147,16 @@ class ServiceObservability:
             "repro_degraded_queries_total",
             "Queries answered partially (allow_partial with shards down).",
         )
+        self._matches = reg.counter(
+            "repro_matches_served_total",
+            "Matches returned across all answered requests (cached and "
+            "coalesced answers included).",
+        )
+        self._candidates_served = reg.counter(
+            "repro_candidates_served_total",
+            "Candidates behind all answered requests (a cached or "
+            "coalesced answer counts its original candidates again).",
+        )
         self._topk_queries = reg.counter(
             "repro_topk_queries_total",
             "Completed top-k queries by serving outcome.",
@@ -165,6 +186,9 @@ class ServiceObservability:
             buckets=_K_BUCKETS,
         )
         reg.register_collector(self._collect_recorder)
+        self._started = time.monotonic()
+        self._window_lock = threading.Lock()
+        self._window: deque = deque(maxlen=LATENCY_WINDOW)
         self._service = None
 
     # -- wiring ---------------------------------------------------------------
@@ -188,76 +212,67 @@ class ServiceObservability:
             self._sampled.inc()
         return trace
 
-    def observe_response(
+    def observe(
         self,
+        kind: str,
         seconds: float,
         *,
-        cached: bool = False,
-        coalesced: bool = False,
-        result: Optional[QueryResult] = None,
-    ) -> None:
-        """Record one successful response in the export registry."""
-        outcome = "cached" if cached else ("coalesced" if coalesced else "computed")
-        self._queries.inc(outcome=outcome)
-        self._latency.observe(seconds, outcome=outcome)
-        if result is not None and not result.complete:
-            self._degraded.inc()
-        if result is None or cached or coalesced:
-            return
-        self._candidates.observe(result.num_candidates)
-        self._dp_columns.observe(result.verification.computed_columns)
-        self._by_backend.inc(dp_backend=result.dp_backend_used or "unknown")
-        self._stage_seconds.inc(result.mincand_seconds, stage="mincand")
-        self._stage_seconds.inc(result.lookup_seconds, stage="lookup")
-        self._stage_seconds.inc(result.verify_seconds, stage="verify")
-        self._dp_rounds.inc(result.dp_rounds)
-
-    def observe_topk(
-        self,
-        seconds: float,
-        *,
-        k: int,
-        cached: bool = False,
-        coalesced: bool = False,
         result=None,
+        cached: bool = False,
+        coalesced: bool = False,
+        error: Optional[BaseException] = None,
     ) -> None:
-        """Record one successful top-k response (``result`` is a
-        :class:`~repro.core.topk.TopKResult` or ``None``).
+        """Record one finished request — the only place the request path
+        touches the instruments.
 
-        Top-k traffic gets its own query counter but shares the latency
-        histogram's outcome labels with range queries — one latency SLO
-        covers both modalities."""
-        outcome = "cached" if cached else ("coalesced" if coalesced else "computed")
-        self._topk_queries.inc(outcome=outcome)
-        self._latency.observe(seconds, outcome=outcome)
-        self._topk_k.observe(k)
-        if result is None:
+        ``kind`` is ``"range"`` (``result`` a
+        :class:`~repro.core.engine.QueryResult`) or ``"topk"`` (a
+        :class:`~repro.core.topk.TopKResult`); a failed request carries
+        ``error`` instead and counts once, by exception type.  Top-k has
+        its own query counter but shares the latency histogram with range
+        — one latency SLO covers both.  Stage clocks and per-query
+        histograms move only for engine-computed answers: a cached or
+        coalesced response did no engine work of its own."""
+        if error is not None:
+            self._errors.inc(type=type(error).__name__)
             return
+        topk = kind == "topk"
+        outcome = "cached" if cached else ("coalesced" if coalesced else "computed")
+        (self._topk_queries if topk else self._queries).inc(outcome=outcome)
+        self._latency.observe(seconds, outcome=outcome)
+        with self._window_lock:
+            self._window.append(seconds)
+        self._matches.inc(len(result.matches))
+        self._candidates_served.inc(result.num_candidates)
         if not result.complete:
             self._degraded.inc()
-        self._topk_ties.inc(result.ties_at_k)
-        if cached:
-            self._topk_reuse.inc()
+        if topk:
+            self._topk_k.observe(result.k)
+            self._topk_ties.inc(result.ties_at_k)
+            if cached:
+                self._topk_reuse.inc()
         if cached or coalesced:
             return
-        self._topk_rounds.inc(result.tau_rounds)
-        if result.swept:
-            self._topk_sweeps.inc()
         self._candidates.observe(result.num_candidates)
         self._stage_seconds.inc(result.mincand_seconds, stage="mincand")
         self._stage_seconds.inc(result.lookup_seconds, stage="lookup")
         self._stage_seconds.inc(result.verify_seconds, stage="verify")
-
-    def observe_error(self, exc: BaseException) -> None:
-        """Record one failed request, labelled by exception type."""
-        self._errors.inc(type=type(exc).__name__)
+        if topk:
+            self._topk_rounds.inc(result.tau_rounds)
+            if result.swept:
+                self._topk_sweeps.inc()
+        else:
+            self._dp_columns.observe(result.verification.computed_columns)
+            self._by_backend.inc(dp_backend=result.dp_backend_used or "unknown")
+            self._dp_rounds.inc(result.dp_rounds)
 
     def finish_trace(
         self,
         trace: Optional[Trace],
+        kind: str,
         *,
         seconds: float,
-        result: Optional[QueryResult] = None,
+        result=None,
         cached: bool = False,
         coalesced: bool = False,
         error: Optional[BaseException] = None,
@@ -267,133 +282,19 @@ class ServiceObservability:
         Sampled traces are finished and filed in the flight recorder
         (errors annotated, never dropped).  Queries over the slow
         threshold additionally log a one-line JSON record; when unsampled
-        they get a synthesized stage-breakdown trace so the recorder's
-        ``slowest`` view never misses a slow query merely because
-        sampling skipped it.
+        they get a synthesized stage-breakdown trace, so the recorder's
+        ``slowest`` view never misses one merely because sampling skipped
+        it.  ``kind`` only picks which result fields are reported: a range
+        result's DP provenance, or a top-k result's tau rounds, ties and
+        sweep size.
         """
         slow = (
             self.slow_query_seconds is not None
             and seconds >= self.slow_query_seconds
         )
-        record: Optional[Dict[str, Any]] = None
-        if trace is not None:
-            root = trace.root
-            root.set("seconds", round(seconds, 6))
-            if cached:
-                root.set("outcome", "cached")
-            elif coalesced:
-                root.set("outcome", "coalesced")
-            if error is not None:
-                root.set("error", type(error).__name__)
-            trace.finish()
-            record = trace.to_dict()
-        elif slow:
-            record = self._synthesize(
-                seconds, result=result, cached=cached,
-                coalesced=coalesced, error=error,
-            )
-        if record is None:
+        if trace is None and not slow:
             return
-        if slow:
-            record["slow"] = True
-            self._slow.inc()
-            payload = slow_query_record(
-                record,
-                seconds=seconds,
-                threshold=self.slow_query_seconds,
-                cached=cached,
-                coalesced=coalesced,
-                error="" if error is None else type(error).__name__,
-                matches=0 if result is None else len(result.matches),
-                candidates=0 if result is None else result.num_candidates,
-                dp_backend="" if result is None else result.dp_backend_used,
-            )
-            slow_query_logger.warning(json.dumps(payload, sort_keys=True))
-        self.recorder.record(record)
-
-    def finish_topk_trace(
-        self,
-        trace: Optional[Trace],
-        *,
-        seconds: float,
-        result=None,
-        cached: bool = False,
-        coalesced: bool = False,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        """:meth:`finish_trace` for top-k requests: same slow-query and
-        flight-recorder handling, but the synthesized stage breakdown
-        speaks :class:`~repro.core.topk.TopKResult` (summed probe-round
-        stage clocks, tau rounds, sweep size) instead of the range
-        result's DP provenance."""
-        slow = (
-            self.slow_query_seconds is not None
-            and seconds >= self.slow_query_seconds
-        )
-        record: Optional[Dict[str, Any]] = None
-        if trace is not None:
-            root = trace.root
-            root.set("seconds", round(seconds, 6))
-            if cached:
-                root.set("outcome", "cached")
-            elif coalesced:
-                root.set("outcome", "coalesced")
-            if error is not None:
-                root.set("error", type(error).__name__)
-            trace.finish()
-            record = trace.to_dict()
-        elif slow:
-            stages: List[Tuple[str, float, Dict[str, Any]]] = []
-            attrs: Dict[str, Any] = {"mode": "topk"}
-            if cached:
-                attrs["outcome"] = "cached"
-            elif coalesced:
-                attrs["outcome"] = "coalesced"
-            if error is not None:
-                attrs["error"] = type(error).__name__
-            if result is not None and not (cached or coalesced):
-                stages = [
-                    ("mincand", result.mincand_seconds, {}),
-                    ("lookup", result.lookup_seconds,
-                     {"candidates": result.num_candidates}),
-                    ("verify", result.verify_seconds,
-                     {"tau_rounds": result.tau_rounds,
-                      "swept": result.swept}),
-                ]
-                attrs["k"] = result.k
-                attrs["matches"] = len(result.matches)
-            record = synthesize_trace(
-                "topk", seconds=seconds, stages=stages, **attrs
-            )
-        if record is None:
-            return
-        if slow:
-            record["slow"] = True
-            self._slow.inc()
-            payload = slow_query_record(
-                record,
-                seconds=seconds,
-                threshold=self.slow_query_seconds,
-                cached=cached,
-                coalesced=coalesced,
-                error="" if error is None else type(error).__name__,
-                matches=0 if result is None else len(result.matches),
-                candidates=0 if result is None else result.num_candidates,
-                dp_backend="topk",
-            )
-            slow_query_logger.warning(json.dumps(payload, sort_keys=True))
-        self.recorder.record(record)
-
-    @staticmethod
-    def _synthesize(
-        seconds: float,
-        *,
-        result: Optional[QueryResult],
-        cached: bool,
-        coalesced: bool,
-        error: Optional[BaseException],
-    ) -> Dict[str, Any]:
-        stages: List[Tuple[str, float, Dict[str, Any]]] = []
+        topk = kind == "topk"
         attrs: Dict[str, Any] = {}
         if cached:
             attrs["outcome"] = "cached"
@@ -401,19 +302,104 @@ class ServiceObservability:
             attrs["outcome"] = "coalesced"
         if error is not None:
             attrs["error"] = type(error).__name__
-        if result is not None and not (cached or coalesced):
-            stages = [
-                ("mincand", result.mincand_seconds, {}),
-                ("lookup", result.lookup_seconds,
-                 {"candidates": result.num_candidates}),
-                ("verify", result.verify_seconds,
-                 {"dp_backend": result.dp_backend_used,
-                  "dp_rounds": result.dp_rounds,
-                  "trie_cache": result.trie_cache_status or "n/a",
-                  "computed_columns": result.verification.computed_columns}),
-            ]
-            attrs["matches"] = len(result.matches)
-        return synthesize_trace("query", seconds=seconds, stages=stages, **attrs)
+        if trace is not None:
+            root = trace.root
+            root.set("seconds", round(seconds, 6))
+            if topk and result is not None:
+                attrs.update(
+                    tau_rounds=result.tau_rounds, ties_at_k=result.ties_at_k
+                )
+            for name, value in attrs.items():
+                root.set(name, value)
+            trace.finish()
+            record = trace.to_dict()
+        else:
+            stages: List[Tuple[str, float, Dict[str, Any]]] = []
+            if topk:
+                attrs = {"mode": "topk", **attrs}
+            if result is not None and not (cached or coalesced):
+                if topk:
+                    attrs["k"] = result.k
+                    verify = {"tau_rounds": result.tau_rounds, "swept": result.swept}
+                else:
+                    verify = {
+                        "dp_backend": result.dp_backend_used,
+                        "dp_rounds": result.dp_rounds,
+                        "trie_cache": result.trie_cache_status or "n/a",
+                        "computed_columns": result.verification.computed_columns,
+                    }
+                stages = [
+                    ("mincand", result.mincand_seconds, {}),
+                    ("lookup", result.lookup_seconds,
+                     {"candidates": result.num_candidates}),
+                    ("verify", result.verify_seconds, verify),
+                ]
+                attrs["matches"] = len(result.matches)
+            record = synthesize_trace(
+                "topk" if topk else "query",
+                seconds=seconds, stages=stages, **attrs,
+            )
+        if slow:
+            record["slow"] = True
+            self._slow.inc()
+            payload = slow_query_record(
+                record,
+                seconds=seconds,
+                threshold=self.slow_query_seconds,
+                cached=cached,
+                coalesced=coalesced,
+                error="" if error is None else type(error).__name__,
+                matches=0 if result is None else len(result.matches),
+                candidates=0 if result is None else result.num_candidates,
+                dp_backend="topk" if topk else getattr(result, "dp_backend_used", ""),
+            )
+            slow_query_logger.warning(json.dumps(payload, sort_keys=True))
+        self.recorder.record(record)
+
+    # -- the /stats view ------------------------------------------------------
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The serving half of ``GET /stats`` (the bound service adds
+        engine facts): a JSON view over the instruments ``GET /metrics``
+        renders, so every count equals the corresponding ``repro_*``
+        sample.  Counters are exact over the service lifetime, latency
+        percentiles over the last :data:`LATENCY_WINDOW` answers."""
+        elapsed = time.monotonic() - self._started
+        with self._window_lock:
+            window = list(self._window)
+        by_outcome = {"computed": 0, "cached": 0, "coalesced": 0}
+        for counter in (self._queries, self._topk_queries):
+            for labels, value in counter.samples():
+                by_outcome[labels["outcome"]] += int(value)
+        queries = sum(by_outcome.values())
+        errors = {
+            labels["type"]: int(value) for labels, value in self._errors.samples()
+        }
+        return {
+            "uptime_seconds": elapsed,
+            "queries": queries,
+            "errors": sum(errors.values()),
+            "errors_by_type": errors,
+            "rejected": errors.get("AdmissionError", 0),
+            "deadline_exceeded": errors.get("DeadlineExceededError", 0),
+            "qps": queries / elapsed if elapsed > 0 else 0.0,
+            "latency_p50": percentile(window, 0.50),
+            "latency_p95": percentile(window, 0.95),
+            "latency_p99": percentile(window, 0.99),
+            "latency_mean": sum(window) / len(window) if window else 0.0,
+            "cache_hits": by_outcome["cached"],
+            "cache_hit_rate": by_outcome["cached"] / queries if queries else 0.0,
+            "coalesced": by_outcome["coalesced"],
+            "coalesce_rate": by_outcome["coalesced"] / queries if queries else 0.0,
+            "matches": int(self._matches.value()),
+            "candidates": int(self._candidates_served.value()),
+            "stage_seconds": {
+                stage: self._stage_seconds.value(stage=stage)
+                for stage in ("mincand", "lookup", "verify")
+            },
+            "computed_queries": by_outcome["computed"],
+            **{key: value for key, _, _, _, value in self._service_gauges()},
+        }
 
     # -- pull collectors ------------------------------------------------------
 
@@ -437,27 +423,27 @@ class ServiceObservability:
             ),
         ]
 
+    def _service_gauges(self):
+        """Serving state read in place at scrape time, as ``(/stats key,
+        family, type, help, value)`` — both renderings come from here."""
+        service = self._service
+        return (
+            ("pending", "repro_inflight_queries", "gauge",
+             "Queries admitted and not yet finished.", service.executor.pending),
+            ("cache_size", "repro_result_cache_entries", "gauge",
+             "Cached query results.", len(service.cache)),
+            ("cache_capacity", "repro_result_cache_capacity", "gauge",
+             "Result cache capacity.", service.cache.capacity),
+            ("invalidations", "repro_result_cache_invalidations_total", "counter",
+             "Cached results dropped by online updates.",
+             service.cache.invalidations),
+        )
+
     def _collect_service(self):
         service = self._service
         families = [
-            (
-                "repro_inflight_queries",
-                "gauge",
-                "Queries admitted and not yet finished.",
-                [({}, service.executor.pending)],
-            ),
-            (
-                "repro_result_cache_entries",
-                "gauge",
-                "Cached query results.",
-                [({}, len(service.cache))],
-            ),
-            (
-                "repro_result_cache_capacity",
-                "gauge",
-                "Result cache capacity.",
-                [({}, service.cache.capacity)],
-            ),
+            (family, kind, help_text, [({}, value)])
+            for _, family, kind, help_text, value in self._service_gauges()
         ]
         if service.batcher is not None:
             families.append(

@@ -1,17 +1,23 @@
-"""The serving facade: cache → coalesce → execute, with metrics throughout.
+"""The serving facade: cache → coalesce → execute, every request recorded once.
 
 :class:`QueryService` is the one object a frontend (HTTP handler, CLI,
-benchmark driver) talks to.  Per request it:
+benchmark driver) talks to.  Range requests (:meth:`QueryService.query`)
+and top-k requests (:meth:`QueryService.topk`) are thin front doors onto
+one request path, which per request:
 
-1. normalizes the request into a query signature
-   (:func:`repro.core.engine.query_signature`);
+1. normalizes the request into a signature
+   (:func:`repro.core.engine.query_signature` /
+   :func:`~repro.core.engine.topk_signature`);
 2. consults the LRU :class:`~repro.service.cache.ResultCache`;
 3. on a miss, coalesces with any identical in-flight request
    (:class:`~repro.service.batching.Batcher`);
 4. as the flight leader, runs the query through the
    :class:`~repro.service.executor.Executor` (thread-pool shard fan-out,
    deadline, admission control) and caches the answer;
-5. records the outcome in :class:`~repro.service.metrics.Metrics`.
+5. records the outcome — hit, computed, coalesced or failed — once, in
+   the instruments of
+   :class:`~repro.service.observability.ServiceObservability`, which
+   ``GET /metrics`` and ``GET /stats`` both render.
 
 Every layer is exact: a cached or coalesced answer is element-for-element
 the answer the engine would compute.  Online updates keep it that way —
@@ -24,25 +30,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core.engine import QueryResult, query_signature, topk_signature
 from repro.core.temporal import TemporalMode, TimeInterval
-from repro.exceptions import AdmissionError, DeadlineExceededError, QueryError
+from repro.exceptions import DeadlineExceededError, QueryError
 from repro.service.batching import Batcher
 from repro.service.cache import ResultCache
 from repro.service.executor import Executor
-from repro.service.metrics import Metrics
 from repro.service.observability import ServiceObservability
 
 __all__ = ["QueryService", "ServiceResponse"]
-
-
-def _deadline_is_retryable(exc: BaseException) -> bool:
-    """Coalescing fairness predicate: a leader's deadline miss (or the
-    cancellation it decays to) is the leader's budget running out, not the
-    follower's — the follower retries while its own budget holds."""
-    return isinstance(exc, DeadlineExceededError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +96,6 @@ class QueryService:
         default_deadline: Optional[float] = None,
         cache_size: int = 1024,
         batching: bool = True,
-        metrics_window: int = 4096,
         observability: Optional[ServiceObservability] = None,
         trace_sample_rate: float = 0.0,
         slow_query_seconds: Optional[float] = None,
@@ -113,7 +110,6 @@ class QueryService:
         )
         self.cache = ResultCache(cache_size)
         self.batcher = Batcher() if batching else None
-        self.metrics = Metrics(window=metrics_window)
         if observability is None:
             observability = ServiceObservability(
                 trace_sample_rate=trace_sample_rate,
@@ -188,114 +184,25 @@ class QueryService:
         shared with a coalesced follower that did not opt in — the flight
         key includes the flag.
         """
-        sig = self.signature(
-            query,
+        request = dict(
             tau=tau,
             tau_ratio=tau_ratio,
             time_interval=time_interval,
             temporal_mode=temporal_mode,
         )
-        obs = self.observability
-        trace = obs.start_trace(query_length=len(query))
-        root = None if trace is None else trace.root
-        if root is not None:
-            if tau is not None:
-                root.set("tau", float(tau))
-            if tau_ratio is not None:
-                root.set("tau_ratio", float(tau_ratio))
-            if deadline is not None:
-                root.set("deadline_seconds", float(deadline))
-        t0 = time.perf_counter()
-        # Captured before the cache lookup: this generation also keys the
-        # coalescing flight, so a request arriving after an invalidation
-        # never joins a pre-invalidation flight (read-your-writes for the
-        # inserter) and a computed result is never re-cached across one.
-        generation = self.cache.generation
-        lookup_span = None if root is None else root.child("cache_lookup")
-        hit = self.cache.get(sig)
-        if lookup_span is not None:
-            lookup_span.set("hit", hit is not None)
-            lookup_span.finish()
-        if hit is not None:
-            seconds = time.perf_counter() - t0
-            self.metrics.observe(seconds, cached=True, result=hit)
-            obs.observe_response(seconds, cached=True, result=hit)
-            obs.finish_trace(trace, seconds=seconds, result=hit, cached=True)
-            return ServiceResponse(hit, sig, True, False, seconds)
-
-        def compute() -> QueryResult:
-            result = self.executor.query(
-                query,
-                tau=tau,
-                tau_ratio=tau_ratio,
-                time_interval=time_interval,
-                temporal_mode=temporal_mode,
-                deadline=deadline,
-                trace=root,
-                allow_partial=allow_partial,
-            )
-            # generation guard: if an online update invalidated the cache
-            # while this was computing, the result is stale — don't re-cache.
-            # Partial answers are never cached at all: a later request must
-            # not be served yesterday's degradation as if it were complete.
-            if result.complete:
-                self.cache.put(sig, result, generation=generation)
-            return result
-
-        budget = (
-            deadline if deadline is not None else self.executor.default_deadline
+        return self._serve(
+            "range",
+            query,
+            signature=lambda: self.signature(query, **request),
+            lookup=self.cache.get,
+            store=self.cache.put,
+            execute=lambda **serving: self.executor.query(
+                query, **request, **serving
+            ),
+            attributes={"tau": tau, "tau_ratio": tau_ratio},
+            deadline=deadline,
+            allow_partial=allow_partial,
         )
-        result, coalesced = None, False
-        try:
-            if self.batcher is not None:
-                # The flight key includes the deadline (a tightly-budgeted
-                # leader's DeadlineExceededError must not propagate to a
-                # follower that asked for more time) and the cache
-                # generation (a post-insert request must not share a
-                # pre-insert computation).  wait_timeout enforces the
-                # budget for followers that joined a leader's flight late;
-                # follower_retry is the fairness half of the same rule — a
-                # follower that joined late has budget left when the
-                # leader's deadline fires, so it goes around as a new
-                # leader instead of inheriting a miss it did not earn.
-                flight_span = None if root is None else root.child("coalesce")
-                try:
-                    result, coalesced = self.batcher.run(
-                        (sig, deadline, generation, allow_partial),
-                        compute,
-                        wait_timeout=budget,
-                        follower_retry=_deadline_is_retryable,
-                    )
-                finally:
-                    if flight_span is not None:
-                        flight_span.set("coalesced", coalesced)
-                        flight_span.finish()
-            else:
-                result, coalesced = compute(), False
-        except AdmissionError as exc:
-            self.metrics.observe_error("rejected", exc=exc)
-            self._trace_error(trace, t0, exc)
-            raise
-        except DeadlineExceededError as exc:
-            self.metrics.observe_error("deadline", exc=exc)
-            self._trace_error(trace, t0, exc)
-            raise
-        except TimeoutError as exc:
-            converted = DeadlineExceededError(str(exc))
-            self.metrics.observe_error("deadline", exc=converted)
-            self._trace_error(trace, t0, converted)
-            raise converted from None
-        except Exception as exc:
-            self.metrics.observe_error(exc=exc)
-            self._trace_error(trace, t0, exc)
-            raise
-        seconds = time.perf_counter() - t0
-        self.metrics.observe(seconds, coalesced=coalesced, result=result)
-        obs.observe_response(seconds, coalesced=coalesced, result=result)
-        obs.finish_trace(
-            trace, seconds=seconds, result=result, coalesced=coalesced
-        )
-        return ServiceResponse(result, sig, False, coalesced, seconds)
 
     def topk_signature(self, query: Sequence[int]) -> tuple:
         """The cache/coalescing key this service uses for a top-k
@@ -320,124 +227,146 @@ class QueryService:
         computed at ``k' >= k`` (same query, same cost model — the
         k-independent :meth:`topk_signature`) serves this request without
         touching the engine, re-cut to ``k`` with its tie count
-        recomputed.  Generation guards match range queries, so an online
-        insert invalidates top-k answers identically.  Partial answers
-        (``allow_partial`` with shards down) are never cached and never
-        shared with followers that did not opt in — the flight key
-        includes the flag.  Raises the same admission/deadline errors as
-        :meth:`query`.
+        recomputed; a computed answer never replaces a deeper cached one.
+        Two concurrent requests coalesce only when the leader's answer is
+        exactly the follower's (depth included — truncation reuse happens
+        in the cache, not mid-flight).  Generation guards, partial
+        answers and admission/deadline errors behave as in :meth:`query`.
         """
-        if k <= 0:
-            raise QueryError("k must be positive")
-        sig = self.topk_signature(query)
-        obs = self.observability
-        trace = obs.start_trace(query_length=len(query), mode="topk", k=int(k))
-        root = None if trace is None else trace.root
-        if root is not None and deadline is not None:
-            root.set("deadline_seconds", float(deadline))
-        t0 = time.perf_counter()
-        # Same capture-before-lookup discipline as query(): the generation
-        # keys the flight too, so post-insert requests never share a
-        # pre-insert computation.
-        generation = self.cache.generation
-        lookup_span = None if root is None else root.child("cache_lookup")
-        hit = self.cache.get_topk(sig, k)
-        if lookup_span is not None:
-            lookup_span.set("hit", hit is not None)
-            lookup_span.finish()
-        if hit is not None:
-            seconds = time.perf_counter() - t0
-            self.metrics.observe(seconds, cached=True, result=hit)
-            obs.observe_topk(seconds, k=k, cached=True, result=hit)
-            if root is not None:
-                root.set("tau_rounds", hit.tau_rounds)
-                root.set("ties_at_k", hit.ties_at_k)
-            obs.finish_topk_trace(trace, seconds=seconds, result=hit, cached=True)
-            return ServiceResponse(hit, sig, True, False, seconds)
 
-        def compute():
-            result = self.executor.topk(
+        def signature() -> tuple:
+            if k <= 0:
+                raise QueryError("k must be positive")
+            return self.topk_signature(query)
+
+        return self._serve(
+            "topk",
+            query,
+            signature=signature,
+            lookup=lambda sig: self.cache.get_topk(sig, k),
+            store=self.cache.put_topk,
+            execute=lambda **serving: self.executor.topk(
                 query,
                 k,
                 initial_tau_ratio=initial_tau_ratio,
                 growth=growth,
-                deadline=deadline,
-                trace=root,
-                allow_partial=allow_partial,
-            )
-            # Cache only complete answers (a degraded ranking could be
-            # missing a shard's better match); put_topk additionally
-            # refuses to replace a deeper cached answer with this one.
-            if result.complete:
-                self.cache.put_topk(sig, result, generation=generation)
-            return result
-
-        budget = (
-            deadline if deadline is not None else self.executor.default_deadline
+                **serving,
+            ),
+            attributes={"mode": "topk"},
+            k=k,
+            deadline=deadline,
+            allow_partial=allow_partial,
         )
-        result, coalesced = None, False
+
+    def _serve(
+        self,
+        kind: str,
+        query: Sequence[int],
+        *,
+        signature: Callable[[], tuple],
+        lookup: Callable[[tuple], Any],
+        store: Callable[..., None],
+        execute: Callable[..., Any],
+        attributes: Dict[str, Any],
+        k: Optional[int] = None,
+        deadline: Optional[float],
+        allow_partial: bool,
+    ) -> ServiceResponse:
+        """The one request path: cache → coalesce → execute → account.
+
+        A request kind is what its front door names: how the
+        ``signature`` is built, the depth ``k`` in its flight key
+        (``None`` for range), the cache cover rule (``lookup`` /
+        ``store``), what ``execute`` submits to the pool (given the
+        serving arguments every kind shares: ``deadline``, ``trace``,
+        ``allow_partial``), and — via ``kind`` and the root-span
+        ``attributes`` — which fields are reported.  Everything after
+        the trace starts is inside the guarded region, so a request
+        refused while its signature is built is counted like any other
+        failure, and every request — hit, computed, coalesced or failed
+        — is recorded exactly once on the way out.
+        """
+        obs = self.observability
+        trace = obs.start_trace(query_length=len(query))
+        root = None if trace is None else trace.root
+        t0 = time.perf_counter()
+        result, cached, coalesced, error = None, False, False, None
         try:
-            if self.batcher is not None:
-                # Same flight-key discipline as query(), plus k: two
-                # concurrent requests coalesce only when the leader's
-                # answer is exactly the follower's (depth included —
-                # truncation reuse happens in the cache, not mid-flight).
-                flight_span = None if root is None else root.child("coalesce")
-                try:
-                    result, coalesced = self.batcher.run(
-                        (sig, k, deadline, generation, allow_partial),
-                        compute,
-                        wait_timeout=budget,
-                        follower_retry=_deadline_is_retryable,
+            sig = signature()
+            if root is not None:
+                described = {**attributes, "k": k, "deadline_seconds": deadline}
+                for name, value in described.items():
+                    if value is not None:  # plain scalars: traces end up as JSON
+                        root.set(name, value if isinstance(value, (str, int)) else float(value))
+            # Captured before the cache lookup: this generation also keys
+            # the coalescing flight, so a request arriving after an
+            # invalidation never joins a pre-invalidation flight
+            # (read-your-writes for the inserter) and a computed result is
+            # never re-cached across one.
+            generation = self.cache.generation
+            lookup_span = None if root is None else root.child("cache_lookup")
+            result = lookup(sig)
+            cached = result is not None
+            if lookup_span is not None:
+                lookup_span.set("hit", cached)
+                lookup_span.finish()
+            if not cached:
+
+                def compute():
+                    answer = execute(
+                        deadline=deadline, trace=root, allow_partial=allow_partial
                     )
-                finally:
-                    if flight_span is not None:
-                        flight_span.set("coalesced", coalesced)
-                        flight_span.finish()
-            else:
-                result, coalesced = compute(), False
-        except AdmissionError as exc:
-            self.metrics.observe_error("rejected", exc=exc)
-            self._trace_topk_error(trace, t0, exc)
-            raise
-        except DeadlineExceededError as exc:
-            self.metrics.observe_error("deadline", exc=exc)
-            self._trace_topk_error(trace, t0, exc)
-            raise
+                    # Generation guard: ``store`` drops an answer computed
+                    # across an online update (it is stale).  Partial
+                    # answers are never cached at all: a later request
+                    # must not be served yesterday's degradation as if it
+                    # were complete.
+                    if answer.complete:
+                        store(sig, answer, generation=generation)
+                    return answer
+
+                if self.batcher is None:
+                    result = compute()
+                else:
+                    # The flight key includes the deadline (a
+                    # tightly-budgeted leader's DeadlineExceededError must
+                    # not propagate to a follower that asked for more
+                    # time), the cache generation (a post-insert request
+                    # must not share a pre-insert computation) and the
+                    # depth (a follower gets exactly the leader's answer).
+                    # wait_timeout enforces the budget for followers that
+                    # joined a leader's flight late; follower_retry is the
+                    # fairness half of the same rule — a follower that
+                    # joined late has budget left when the leader's
+                    # deadline fires, so it goes around as a new leader
+                    # instead of inheriting a miss it did not earn.
+                    budget = deadline if deadline is not None else self.executor.default_deadline
+                    flight_span = None if root is None else root.child("coalesce")
+                    try:
+                        result, coalesced = self.batcher.run(
+                            (sig, k, deadline, generation, allow_partial),
+                            compute,
+                            wait_timeout=budget,
+                            follower_retry=lambda exc: isinstance(
+                                exc, DeadlineExceededError
+                            ),
+                        )
+                    finally:
+                        if flight_span is not None:
+                            flight_span.set("coalesced", coalesced)
+                            flight_span.finish()
         except TimeoutError as exc:
-            converted = DeadlineExceededError(str(exc))
-            self.metrics.observe_error("deadline", exc=converted)
-            self._trace_topk_error(trace, t0, converted)
-            raise converted from None
-        except Exception as exc:
-            self.metrics.observe_error(exc=exc)
-            self._trace_topk_error(trace, t0, exc)
-            raise
+            # A follower's own budget ran out inside a leader's flight.
+            error = DeadlineExceededError(str(exc))
+        except Exception as exc:  # noqa: BLE001 - recorded below, then raised
+            error = exc
         seconds = time.perf_counter() - t0
-        self.metrics.observe(seconds, coalesced=coalesced, result=result)
-        obs.observe_topk(seconds, k=k, coalesced=coalesced, result=result)
-        if root is not None:
-            root.set("tau_rounds", result.tau_rounds)
-            root.set("ties_at_k", result.ties_at_k)
-        obs.finish_topk_trace(
-            trace, seconds=seconds, result=result, coalesced=coalesced
-        )
-        return ServiceResponse(result, sig, False, coalesced, seconds)
-
-    def _trace_error(self, trace, t0: float, exc: BaseException) -> None:
-        """Close out a failed request's trace and error instruments."""
-        obs = self.observability
-        obs.observe_error(exc)
-        obs.finish_trace(trace, seconds=time.perf_counter() - t0, error=exc)
-
-    def _trace_topk_error(self, trace, t0: float, exc: BaseException) -> None:
-        """Close out a failed top-k request's trace and error
-        instruments."""
-        obs = self.observability
-        obs.observe_error(exc)
-        obs.finish_topk_trace(
-            trace, seconds=time.perf_counter() - t0, error=exc
-        )
+        outcome = dict(result=result, cached=cached, coalesced=coalesced, error=error)
+        obs.observe(kind, seconds, **outcome)
+        obs.finish_trace(trace, kind, seconds=seconds, **outcome)
+        if error is not None:
+            raise error
+        return ServiceResponse(result, sig, cached, coalesced, seconds)
 
     # -- online updates -----------------------------------------------------
 
@@ -448,27 +377,24 @@ class QueryService:
         Returns the new global trajectory id.
         """
         tid = self._engine.add_trajectory(trajectory, validate=validate)
-        self.metrics.observe_invalidation(self.cache.clear())
+        self.cache.clear()
         return tid
 
     def invalidate(self) -> int:
         """Explicit invalidation hook: drop every cached answer (for
         callers that mutate the engine directly).  Returns entries
         dropped."""
-        dropped = self.cache.clear()
-        self.metrics.observe_invalidation(dropped)
-        return dropped
+        return self.cache.clear()
 
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> dict:
-        """Metrics snapshot enriched with cache and engine facts."""
-        snap = self.metrics.snapshot()
-        snap["cache_size"] = len(self.cache)
-        snap["cache_capacity"] = self.cache.capacity
-        snap["pending"] = self.executor.pending
-        num_shards = getattr(self._engine, "num_shards", 1)
-        snap["num_shards"] = num_shards
+        """The ``GET /stats`` payload: the instruments' request-path
+        numbers (:meth:`ServiceObservability.snapshot
+        <repro.service.observability.ServiceObservability.snapshot>`)
+        enriched with cache and engine facts."""
+        snap = self.observability.snapshot()
+        snap["num_shards"] = getattr(self._engine, "num_shards", 1)
         snap["backend"] = getattr(self._engine, "backend", "single")
         snap["dp_backend"] = getattr(self._engine, "dp_backend", "")
         snap["coalesced_retries"] = (

@@ -7,6 +7,7 @@ import importlib.util
 import multiprocessing as mp
 import os
 import random
+import re
 import signal
 import threading
 from contextlib import contextmanager
@@ -155,6 +156,38 @@ def sample_query(dataset: TrajectoryDataset, rng: random.Random, length: int):
     symbols = dataset.symbols(tid)
     s = rng.randrange(0, len(symbols) - length + 1)
     return list(symbols[s : s + length])
+
+
+#: the two request kinds the service tier serves through one path; the
+#: request-path contract is pinned once, parametrized over these.
+KINDS = ("range", "topk")
+
+
+def ask(target, kind, query, **kwargs):
+    """One request of ``kind`` through ``target`` — a ``QueryService`` or
+    an ``Executor`` (same method names): a tau_ratio-0.25 range query or
+    a top-3 query."""
+    if kind == "topk":
+        return target.topk(query, 3, **kwargs)
+    return target.query(query, tau_ratio=0.25, **kwargs)
+
+
+def samples_of(rendered: str, family: str) -> dict:
+    """``{label-string: value}`` of one family in a ``/metrics`` page
+    (``""`` keys an unlabelled sample)."""
+    pattern = rf"^{re.escape(family)}(\{{[^}}]*\}})? (\S+)$"
+    return {
+        labels: float(value)
+        for labels, value in re.findall(pattern, rendered, re.M)
+    }
+
+
+@pytest.fixture()
+def private_dataset(small_graph, vertex_dataset) -> TrajectoryDataset:
+    """A per-test copy of the shared dataset, for tests that insert."""
+    ds = TrajectoryDataset(small_graph, "vertex")
+    ds.extend(list(vertex_dataset))
+    return ds
 
 
 @contextmanager

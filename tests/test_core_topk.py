@@ -29,6 +29,14 @@ class TestTopK:
             topk_search(engine, [1, 2], 0)
         with pytest.raises(QueryError):
             topk_search(engine, [1, 2], 3, growth=1.0)
+        with pytest.raises(QueryError):
+            topk_search(engine, [1, 2], 3, initial_tau_ratio=0.0)
+        # NaN passes a `<= 1.0` / `<= 0` guard and then never widens tau:
+        # the doubling loop would spin forever.  Must be refused up front.
+        with pytest.raises(QueryError):
+            topk_search(engine, [1, 2], 3, growth=float("nan"))
+        with pytest.raises(QueryError):
+            topk_search(engine, [1, 2], 3, initial_tau_ratio=float("nan"))
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_distances_match_brute_force(self, vertex_dataset, edr_cost, rng, k):

@@ -9,6 +9,9 @@ what can be enforced:
   file that exists;
 - every repo path a doc names in backticks (``src/repro/...``,
   ``docs/...``, ``tests/...``, ``benchmarks/...``) exists;
+- every ``/stats`` field a doc sends an operator to (`` `name` in
+  `/stats` ``, and each row of the field reference in
+  ``docs/OPERATIONS.md``) is a key of a live ``QueryService.stats()``;
 - the fenced examples in the index-format specification actually run
   (``doctest`` over the file — the same check CI runs);
 - the README links all three docs, so they are discoverable.
@@ -29,6 +32,12 @@ DOC_FILES = sorted(
 _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _BACKTICK_PATH = re.compile(
     r"`((?:src/repro|docs|tests|benchmarks)/[A-Za-z0-9_./-]+)`"
+)
+#: "`rejected` in `/stats`", "`coalesced_retries` in `GET /stats`",
+#: "`GET /stats` under `trie_cache`" — prose may wrap between words.
+_STATS_FIELD = re.compile(
+    r"`(\w+)`\s+in\s+`(?:GET\s+)?/stats`"
+    r"|/stats`\s+under\s+`(\w+)`"
 )
 
 
@@ -58,6 +67,44 @@ def test_backticked_repo_paths_exist(doc):
         if not (REPO / path).exists()
     ]
     assert not missing, f"{doc.name}: names nonexistent repo paths {missing}"
+
+
+@pytest.fixture(scope="module")
+def live_stats_keys(line_graph):
+    from repro.core.engine import SubtrajectorySearch
+    from repro.distance.costs import LevenshteinCost
+    from repro.service import QueryService
+    from repro.trajectory.dataset import TrajectoryDataset
+    from repro.trajectory.model import Trajectory
+
+    dataset = TrajectoryDataset(line_graph)
+    dataset.add(Trajectory([0, 1, 2, 3], timestamps=[0, 1, 2, 3]))
+    with QueryService(SubtrajectorySearch(dataset, LevenshteinCost())) as service:
+        service.query([1, 2], tau=1.0)
+        return set(service.stats())
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_ids())
+def test_stats_fields_named_in_docs_exist(doc, live_stats_keys):
+    text = doc.read_text(encoding="utf-8")
+    named = {a or b for a, b in _STATS_FIELD.findall(text)}
+    unknown = sorted(named - live_stats_keys)
+    assert not unknown, (
+        f"{doc.name} sends operators to /stats fields that do not exist: "
+        f"{unknown}"
+    )
+
+
+def test_stats_field_reference_is_complete_and_true(live_stats_keys):
+    text = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    section = text.split("## `/stats` field reference", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        line.split("|")[1]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    documented = {key for cell in rows for key in re.findall(r"`(\w+)`", cell)}
+    assert documented == live_stats_keys
 
 
 def test_readme_links_all_three_docs():

@@ -31,7 +31,7 @@ from repro.faultinject import (
     FaultRule,
     load_fault_plan,
 )
-from tests.conftest import kill_worker, sample_query, worker_process
+from tests.conftest import KINDS, ask, kill_worker, sample_query, worker_process
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -508,18 +508,21 @@ def degraded_service(vertex_dataset, edr_cost):
 
 
 class TestServiceDegradation:
+    @pytest.mark.parametrize("kind", KINDS)
     def test_partial_answers_are_never_cached_as_complete(
-        self, degraded_service, vertex_dataset, rng
+        self, degraded_service, vertex_dataset, rng, kind
     ):
         query = sample_query(vertex_dataset, rng, 6)
-        response = degraded_service.query(query, tau_ratio=0.25, allow_partial=True)
+        response = ask(degraded_service, kind, query, allow_partial=True)
         assert not response.result.complete
         assert not response.cached
         assert len(degraded_service.cache) == 0
+        # Nor does a repeat of the opted-in request find it cached.
+        assert not ask(degraded_service, kind, query, allow_partial=True).cached
         # A strict follow-up of the same request must NOT be served the
         # partial answer: it recomputes and fails loudly.
         with pytest.raises(WorkerError):
-            degraded_service.query(query, tau_ratio=0.25)
+            ask(degraded_service, kind, query)
 
     def test_degraded_query_counter_increments(
         self, degraded_service, vertex_dataset, rng

@@ -34,6 +34,7 @@ from repro.obs import (
     synthesize_trace,
 )
 from repro.service import QueryService, ServiceServer
+from tests.conftest import KINDS, ask
 
 
 class TestTracer:
@@ -280,8 +281,9 @@ class TestStitchedProcessTraces:
 
 
 class TestSlowQueryPath:
+    @pytest.mark.parametrize("kind", KINDS)
     def test_unsampled_slow_query_is_synthesized_and_logged(
-        self, vertex_dataset, netedr_cost, caplog
+        self, vertex_dataset, netedr_cost, caplog, kind
     ):
         engine = PartitionedSubtrajectorySearch(
             vertex_dataset, netedr_cost, num_shards=2, dp_backend="numpy"
@@ -292,7 +294,7 @@ class TestSlowQueryPath:
         try:
             query = list(vertex_dataset.symbols(0))[:8]
             with caplog.at_level(logging.WARNING, logger="repro.slowlog"):
-                service.query(query, tau_ratio=0.3)
+                response = ask(service, kind, query)
             records = [
                 json.loads(r.message)
                 for r in caplog.records
@@ -301,19 +303,73 @@ class TestSlowQueryPath:
             assert len(records) == 1
             assert records[0]["event"] == "slow_query"
             assert records[0]["seconds"] >= 0.0
-            assert records[0]["dp_backend"] == "numpy"
+            assert records[0]["dp_backend"] == (
+                "topk" if kind == "topk" else "numpy"
+            )
+            assert records[0]["matches"] == len(response.result.matches)
             slowest = service.observability.recorder.slowest()
             assert len(slowest) == 1
             record = slowest[0]
             assert record["synthesized"] is True
             assert record["slow"] is True
-            stage_names = {s["name"] for s in record["spans"]}
-            assert {"mincand", "lookup", "verify"} <= stage_names
+            assert record["root"] == ("topk" if kind == "topk" else "query")
+            stages = {s["name"]: s["attributes"] for s in record["spans"]}
+            assert {"mincand", "lookup", "verify"} <= set(stages)
+            # The verify stage reports the fields its kind has.
+            assert set(stages["verify"]) == (
+                {"tau_rounds", "swept"}
+                if kind == "topk"
+                else {"dp_backend", "dp_rounds", "trie_cache", "computed_columns"}
+            )
+            # A cached repeat did no engine work: root only, marked so.
+            ask(service, kind, query)
+            repeat = service.observability.recorder.recent(1)[0]
+            assert [s["name"] for s in repeat["spans"]] == [record["root"]]
+            assert repeat["spans"][0]["attributes"]["outcome"] == "cached"
+            assert 'repro_slow_queries_total 2' in (
+                service.observability.registry.render()
+            )
         finally:
             service.close(close_engine=True)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sampled_root_span_describes_the_request(
+        self, vertex_dataset, netedr_cost, kind
+    ):
+        engine = PartitionedSubtrajectorySearch(
+            vertex_dataset, netedr_cost, num_shards=2
+        )
+        service = QueryService(engine, trace_sample_rate=1.0)
+        try:
+            query = list(vertex_dataset.symbols(0))[:8]
+            first = ask(service, kind, query, deadline=30.0)
+            ask(service, kind, query, deadline=30.0)
+            cached, computed = service.observability.recorder.recent(2)
+            for record in (computed, cached):
+                root = record["spans"][0]
+                assert root["name"] == "query" and root["parent_id"] == ""
+                attrs = root["attributes"]
+                assert attrs["query_length"] == 8
+                assert attrs["deadline_seconds"] == 30.0
+                assert attrs["seconds"] >= 0.0
+                if kind == "topk":
+                    assert attrs["mode"] == "topk" and attrs["k"] == 3
+                    assert attrs["tau_rounds"] == first.result.tau_rounds
+                    assert attrs["ties_at_k"] == first.result.ties_at_k
+                else:
+                    assert attrs["tau_ratio"] == 0.25 and "mode" not in attrs
+            names = [s["name"] for s in computed["spans"]]
+            for expected in ("cache_lookup", "coalesce", "admission", "execute"):
+                assert expected in names
+            assert "outcome" not in computed["spans"][0]["attributes"]
+            assert cached["spans"][0]["attributes"]["outcome"] == "cached"
+            assert [s["name"] for s in cached["spans"]] == ["query", "cache_lookup"]
+        finally:
+            service.close(close_engine=True)
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_sampled_error_is_annotated_not_dropped(
-        self, vertex_dataset, netedr_cost
+        self, vertex_dataset, netedr_cost, kind
     ):
         engine = PartitionedSubtrajectorySearch(
             vertex_dataset, netedr_cost, num_shards=2
@@ -321,7 +377,7 @@ class TestSlowQueryPath:
         service = QueryService(engine, trace_sample_rate=1.0)
         try:
             with pytest.raises(Exception):
-                service.query([], tau_ratio=0.3)  # empty query → QueryError
+                ask(service, kind, [])  # empty query → QueryError
             recent = service.observability.recorder.recent()
             assert len(recent) == 1
             root = recent[0]["spans"][0]

@@ -25,7 +25,7 @@ from repro.core.workers import default_start_method
 from repro.exceptions import DeadlineExceededError, QueryCancelledError
 from repro.service import Executor, QueryService
 from repro.service.batching import Batcher
-from tests.conftest import sample_query
+from tests.conftest import KINDS, ask, sample_query
 
 
 class CountdownToken:
@@ -440,8 +440,9 @@ class TestCoalescingFairness:
         assert batcher.retried_followers == 0
         assert len(computes) == 1
 
+    @pytest.mark.parametrize("kind", KINDS)
     def test_service_follower_survives_leader_deadline(
-        self, vertex_dataset, edr_cost, rng, monkeypatch
+        self, vertex_dataset, edr_cost, rng, monkeypatch, kind
     ):
         """End to end through QueryService: the leader misses its deadline,
         the coalesced follower recomputes and answers."""
@@ -450,11 +451,12 @@ class TestCoalescingFairness:
         query = sample_query(vertex_dataset, rng, 6)
         leader_started = threading.Event()
         release_leader = threading.Event()
-        original = type(service.executor).query
+        method = "topk" if kind == "topk" else "query"
+        original = getattr(Executor, method)
         calls = []
         lock = threading.Lock()
 
-        def flaky_executor_query(self, *args, **kwargs):
+        def flaky_executor_call(self, *args, **kwargs):
             with lock:
                 calls.append(1)
                 first = len(calls) == 1
@@ -464,12 +466,12 @@ class TestCoalescingFairness:
                 raise DeadlineExceededError("leader ran out of budget")
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(type(service.executor), "query", flaky_executor_query)
+        monkeypatch.setattr(Executor, method, flaky_executor_call)
         outcomes = {}
 
         def submit(name):
             try:
-                outcomes[name] = service.query(query, tau_ratio=0.25)
+                outcomes[name] = ask(service, kind, query)
             except BaseException as exc:  # noqa: BLE001
                 outcomes[name] = exc
 
@@ -489,14 +491,17 @@ class TestCoalescingFairness:
             assert isinstance(outcomes["leader"], DeadlineExceededError)
             follower = outcomes["follower"]
             assert not isinstance(follower, BaseException), follower
-            expected = SubtrajectorySearch(vertex_dataset, edr_cost).query(
-                query, tau_ratio=0.25
-            )
+            # It paid for its own computation: not a coalesced answer.
+            assert not follower.coalesced
+            with Executor(SubtrajectorySearch(vertex_dataset, edr_cost)) as direct:
+                expected = ask(direct, kind, query)
             assert [
                 (m.trajectory_id, m.start, m.end) for m in follower.result.matches
             ] == [(m.trajectory_id, m.start, m.end) for m in expected.matches]
             assert service.batcher.retried_followers == 1
-            assert service.stats()["coalesced_retries"] == 1
+            stats = service.stats()
+            assert stats["coalesced_retries"] == 1
+            assert stats["deadline_exceeded"] == 1 and stats["queries"] == 1
         finally:
             service.close()
 

@@ -10,7 +10,7 @@ from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.exceptions import AdmissionError, DeadlineExceededError, ServiceError
 from repro.service import Batcher, Executor, QueryService
-from tests.conftest import sample_query
+from tests.conftest import KINDS, ask, sample_query
 
 
 def keys(matches):
@@ -52,13 +52,17 @@ class TestExecutor:
         assert issubclass(DeadlineExceededError, ServiceError)
         assert issubclass(AdmissionError, ServiceError)
 
-    def test_admission_rejects_beyond_max_pending(self, vertex_dataset, edr_cost, rng):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_admission_rejects_beyond_max_pending(
+        self, vertex_dataset, edr_cost, rng, kind
+    ):
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         release = threading.Event()
         entered = threading.Event()
 
         class SlowEngine:
             costs = edr_cost
+            dataset = vertex_dataset
 
             def query(self, q, **kwargs):
                 entered.set()
@@ -68,25 +72,42 @@ class TestExecutor:
         q = sample_query(vertex_dataset, rng, 6)
         executor = Executor(SlowEngine(), max_workers=1, max_pending=1)
         try:
-            blocker = threading.Thread(
-                target=lambda: executor.query(q, tau_ratio=0.25)
-            )
+            blocker = threading.Thread(target=lambda: ask(executor, kind, q))
             blocker.start()
             assert entered.wait(timeout=10)
             with pytest.raises(AdmissionError):
-                executor.query(q, tau_ratio=0.25)
+                ask(executor, kind, q)
             release.set()
             blocker.join(timeout=10)
+            assert executor.pending == 0  # the shed request held no slot
         finally:
             release.set()
             executor.close()
 
-    def test_closed_executor_rejects(self, vertex_dataset, edr_cost, rng):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_closed_executor_rejects(self, vertex_dataset, edr_cost, rng, kind):
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         executor = Executor(engine, max_workers=1)
         executor.close()
         with pytest.raises(AdmissionError):
-            executor.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
+            ask(executor, kind, sample_query(vertex_dataset, rng, 6))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pool_shutdown_after_admission_is_a_shed(
+        self, vertex_dataset, edr_cost, rng, kind
+    ):
+        """Admitted concurrently with close(): the pool refuses the
+        future with a RuntimeError, which must surface as the shed it is
+        (HTTP 429), not a 500 — and must give its admission slot back."""
+        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
+        executor = Executor(engine, max_workers=1)
+        executor._pool.shutdown(wait=True)  # the race, frozen
+        try:
+            with pytest.raises(AdmissionError, match="shutting down"):
+                ask(executor, kind, sample_query(vertex_dataset, rng, 6))
+            assert executor.pending == 0
+        finally:
+            executor.close()
 
     def test_invalid_configuration(self, vertex_dataset, edr_cost):
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
@@ -196,8 +217,9 @@ class TestQueryService:
                 for response in (first, second):
                     assert keys(response.result.matches) == keys(expected.matches)
 
+    @pytest.mark.parametrize("kind", KINDS)
     def test_concurrent_identical_requests_coalesce_or_hit(
-        self, vertex_dataset, edr_cost, rng
+        self, vertex_dataset, edr_cost, rng, kind
     ):
         sharded = PartitionedSubtrajectorySearch(
             vertex_dataset, edr_cost, num_shards=2
@@ -207,9 +229,7 @@ class TestQueryService:
             responses = []
             threads = [
                 threading.Thread(
-                    target=lambda: responses.append(
-                        service.query(q, tau_ratio=0.25)
-                    )
+                    target=lambda: responses.append(ask(service, kind, q))
                 )
                 for _ in range(6)
             ]
@@ -224,7 +244,9 @@ class TestQueryService:
             assert len(computed) >= 1
             stats = service.stats()
             assert stats["queries"] == 6
-            assert stats["cache_hits"] + stats["coalesced"] == 6 - len(computed)
+            assert stats["computed_queries"] == len(computed)
+            assert stats["cache_hits"] == sum(r.cached for r in responses)
+            assert stats["coalesced"] == sum(r.coalesced for r in responses)
 
     def test_batching_disabled_still_correct(self, vertex_dataset, edr_cost, rng):
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
@@ -235,11 +257,12 @@ class TestQueryService:
             assert not a.cached and not b.cached
             assert keys(a.result.matches) == keys(b.result.matches)
 
-    def test_rejections_are_counted(self, vertex_dataset, edr_cost, rng):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejections_are_counted(self, vertex_dataset, edr_cost, rng, kind):
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         service = QueryService(engine, max_workers=1)
         service.executor.close()
         with pytest.raises(AdmissionError):
-            service.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
+            ask(service, kind, sample_query(vertex_dataset, rng, 6))
         assert service.stats()["rejected"] == 1
         assert service.stats()["errors"] == 1

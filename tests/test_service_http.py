@@ -2,6 +2,8 @@
 self-test smoke path."""
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -106,21 +108,84 @@ class TestRoutes:
 
 class TestErrors:
     @pytest.mark.parametrize(
-        "payload",
+        "route, payload",
         [
-            {},  # no path
-            {"path": []},  # empty path
-            {"path": [1, 2]},  # no threshold
-            {"path": [1, 2], "tau": 1.0, "tau_ratio": 0.1},  # both thresholds
-            {"path": [1, 2], "tau": 1.0, "time_from": 0},  # unpaired interval
-            {"path": [1, 2], "tau": 1.0, "temporal_mode": "sideways"},
-            {"path": [1, 2], "tau": 1.0, "limit": -1},
+            ("/query", {}),  # no path
+            ("/query", {"path": []}),  # empty path
+            ("/query", {"path": [1, 2]}),  # no threshold
+            ("/query", {"path": [1, 2], "tau": 1.0, "tau_ratio": 0.1}),  # both
+            ("/query", {"path": [1, 2], "tau": 1.0, "time_from": 0}),  # unpaired
+            ("/query", {"path": [1, 2], "tau": 1.0, "temporal_mode": "sideways"}),
+            ("/query", {"path": [1, 2], "tau": 1.0, "limit": -1}),
+            # Lossy coercions that used to answer 200: symbols truncated
+            # to [1, 2], true counted as 1.
+            ("/query", {"path": [1.5, 2.7], "tau": 1.0}),
+            ("/query", {"path": [1, True], "tau": 1.0}),
+            ("/query", {"path": [1, "2"], "tau": 1.0}),
+            ("/query", {"path": [1, 2], "tau": 1.0, "limit": True}),
+            ("/query", {"path": [1, 2], "tau": 1.0, "limit": 1.0}),
+            ("/trajectories", {"path": [1.5, 2.7]}),
+            ("/trajectories", {"path": [1, True]}),
         ],
     )
-    def test_bad_requests_are_400(self, server, payload):
+    def test_bad_requests_are_400(self, server, route, payload):
         with pytest.raises(urllib.error.HTTPError) as err:
-            _post(server.url + "/query", payload)
+            _post(server.url + route, payload)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field, base",
+        [
+            ("tau", {}),
+            ("tau_ratio", {}),
+            ("deadline", {"tau": 1.0}),
+            ("time_from", {"tau": 1.0, "time_to": 3}),
+            ("time_to", {"tau": 1.0, "time_from": 0}),
+            ("initial_tau_ratio", {"k": 2}),
+            ("growth", {"k": 2}),
+        ],
+    )
+    def test_non_finite_numbers_are_400_naming_the_field(
+        self, server, field, base, value
+    ):
+        """``json.loads`` admits NaN / Infinity.  Downstream every guard
+        is a ``<=`` a NaN slips through: a NaN ``growth`` never widens
+        tau (the top-k loop spun forever, taking a pool thread with it),
+        a NaN ``tau`` answered 200 with a body that is not JSON."""
+        service = server._service
+        started = time.monotonic()
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server.url + "/query", {"path": [1, 2, 3], **base, field: value})
+        assert time.monotonic() - started < 5.0
+        assert err.value.code == 400
+        assert f"'{field}'" in json.loads(err.value.read())["error"]
+        # Refused at the door: nothing admitted, nothing cached, and the
+        # pool still has every thread — it can run max_workers at once.
+        assert service.executor.pending == 0 and len(service.cache) == 0
+        barrier = threading.Barrier(2, timeout=10)
+        original = service.engine.query
+
+        def rendezvous(*args, **kwargs):
+            barrier.wait()
+            return original(*args, **kwargs)
+
+        service.engine.query = rendezvous
+        try:
+            threads = [
+                threading.Thread(
+                    target=_post,
+                    args=(server.url + "/query", {"path": [1, 2 + i], "tau": 1.0}),
+                )
+                for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(15)
+            assert not barrier.broken and service.stats()["queries"] == 2
+        finally:
+            del service.engine.query
 
     def test_nonpositive_deadline_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

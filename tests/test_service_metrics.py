@@ -1,27 +1,29 @@
-"""Metrics registry: percentiles, counters, and snapshot shape."""
+"""``GET /stats``: the JSON view over the service's one set of instruments.
+
+The service keeps its counters in the registry instruments of
+:class:`~repro.service.observability.ServiceObservability`; ``/stats``
+and ``/metrics`` are two renderings of those same numbers.  This suite
+drives a real :class:`QueryService` and reads ``stats()``: exact
+lifetime counters, latency percentiles exact over a bounded window,
+per-type error counts, stage rollups only for engine-computed queries —
+and, for one fixed request history, the full key set plus the equality
+of every count with its ``repro_*`` sample.
+"""
 
 import json
+import re
+import threading
+import time
+import types
 
 import pytest
 
-from repro.core.engine import QueryResult
-from repro.core.verification import VerificationStats
-from repro.service import Metrics, percentile
-
-
-def result_with(matches=0, candidates=0, mincand=0.0, lookup=0.0, verify=0.0):
-    from repro.core.results import Match
-
-    return QueryResult(
-        matches=[Match(0, i, i, 0.0) for i in range(matches)],
-        tau=1.0,
-        subsequence=[],
-        num_candidates=candidates,
-        mincand_seconds=mincand,
-        lookup_seconds=lookup,
-        verify_seconds=verify,
-        verification=VerificationStats(),
-    )
+from repro.core.engine import SubtrajectorySearch
+from repro.exceptions import AdmissionError, DeadlineExceededError, QueryError
+from repro.service import QueryService, percentile
+from repro.service import observability as observability_module
+from repro.service import service as service_module
+from tests.conftest import samples_of
 
 
 class TestPercentile:
@@ -46,78 +48,215 @@ class TestPercentile:
             percentile([1.0], 1.5)
 
 
-class TestMetrics:
-    def test_counters_accumulate(self):
-        metrics = Metrics()
-        metrics.observe(0.010, result=result_with(matches=3, candidates=5))
-        metrics.observe(0.020, cached=True, result=result_with(matches=3))
-        metrics.observe(0.030, coalesced=True, result=result_with(matches=3))
-        metrics.observe_error("rejected")
-        metrics.observe_error("deadline")
-        metrics.observe_invalidation(4)
+#: the ``/stats`` keys at the commit before the two metrics systems were
+#: folded into one — clients (and ``perf/layers.py``) read these names.
+STATS_KEYS = {
+    "uptime_seconds", "queries", "errors", "errors_by_type", "rejected",
+    "deadline_exceeded", "qps", "latency_p50", "latency_p95", "latency_p99",
+    "latency_mean", "cache_hits", "cache_hit_rate", "coalesced",
+    "coalesce_rate", "invalidations", "matches", "candidates",
+    "stage_seconds", "computed_queries", "cache_size", "cache_capacity",
+    "pending", "num_shards", "backend", "dp_backend", "coalesced_retries",
+    "substitution_cache", "trie_cache", "observability",
+}
 
-        snap = metrics.snapshot()
-        assert snap["queries"] == 3
-        assert snap["cache_hits"] == 1
-        assert snap["coalesced"] == 1
-        assert snap["computed_queries"] == 1
-        assert snap["errors"] == 2
-        assert snap["rejected"] == 1
-        assert snap["deadline_exceeded"] == 1
-        assert snap["invalidations"] == 4
-        assert snap["matches"] == 9
-        assert snap["cache_hit_rate"] == pytest.approx(1 / 3)
-        assert snap["qps"] > 0
 
-    def test_stage_rollups_exclude_cached_and_coalesced(self):
-        metrics = Metrics()
-        metrics.observe(
-            0.1, result=result_with(mincand=0.01, lookup=0.02, verify=0.03)
-        )
-        metrics.observe(
-            0.1,
-            cached=True,
-            result=result_with(mincand=0.01, lookup=0.02, verify=0.03),
-        )
-        snap = metrics.snapshot()
-        assert snap["stage_seconds"]["mincand"] == pytest.approx(0.01)
-        assert snap["stage_seconds"]["lookup"] == pytest.approx(0.02)
-        assert snap["stage_seconds"]["verify"] == pytest.approx(0.03)
+@pytest.fixture()
+def service(private_dataset, edr_cost):
+    engine = SubtrajectorySearch(private_dataset, edr_cost)
+    with QueryService(engine, max_workers=2, max_pending=1, cache_size=16) as svc:
+        yield svc
 
-    def test_latency_percentiles_over_window(self):
-        metrics = Metrics(window=8)
-        for ms in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):  # first two fall out
-            metrics.observe(ms / 1000.0)
-        snap = metrics.snapshot()
-        assert snap["latency_p50"] == pytest.approx(0.0065)
-        assert snap["latency_p99"] <= 0.010 + 1e-12
-        assert snap["latency_mean"] == pytest.approx(0.0065)
 
-    def test_errors_labelled_by_exception_type(self):
-        """ISSUE 6 satellite 2: per-type error counts alongside the
-        aggregate (``errors`` stays for /stats compatibility)."""
-        metrics = Metrics()
-        metrics.observe_error("error", exc=ValueError("bad tau"))
-        metrics.observe_error("error", exc=ValueError("bad query"))
-        metrics.observe_error("deadline", exc=TimeoutError("too slow"))
-        metrics.observe_error("rejected")  # no exception: kind is the label
+def prefix(dataset, tid, length=6):
+    return list(dataset.symbols(tid))[:length]
 
-        snap = metrics.snapshot()
-        assert snap["errors"] == 4
-        assert snap["deadline_exceeded"] == 1
-        assert snap["rejected"] == 1
-        assert snap["errors_by_type"] == {
-            "ValueError": 2,
-            "TimeoutError": 1,
-            "rejected": 1,
+
+class TestStats:
+    def test_fixed_history_counts_and_keys(self, service, private_dataset, monkeypatch):
+        """Range miss, range hit, top-k miss, top-k truncation hit, a
+        coalesced pair, a shed, a deadline miss, an engine error, an
+        insert — then every count, in both renderings."""
+        dataset = private_dataset
+        a, b, c = (prefix(dataset, tid) for tid in (0, 1, 2))
+        answers = [
+            service.query(a, tau_ratio=0.25),  # range miss
+            service.query(a, tau_ratio=0.25),  # range hit
+            service.topk(a, 5),  # top-k miss
+            service.topk(a, 2),  # top-k hit by truncating the top-5
+        ]
+        assert [r.cached for r in answers] == [False, True, False, True]
+
+        # A coalesced pair, and — while their flight holds the one
+        # admission slot (max_pending=1) — a third, different request
+        # that is shed.
+        original = service.engine.query
+        entered, release = threading.Event(), threading.Event()
+
+        def held(*args, **kwargs):
+            entered.set()
+            assert release.wait(10)
+            return original(*args, **kwargs)
+
+        pair = []
+        threads = [
+            threading.Thread(
+                target=lambda: pair.append(service.query(b, tau_ratio=0.25))
+            )
+            for _ in range(2)
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(service.engine, "query", held)
+            threads[0].start()
+            assert entered.wait(10)
+        threads[1].start()
+        give_up = time.monotonic() + 10
+        while service.batcher.coalesced == 0 and time.monotonic() < give_up:
+            time.sleep(0.001)
+        # The leader sits inside the engine, on a pool thread, holding the
+        # slot; its follower waits in the coalescer and needs none.
+        with pytest.raises(AdmissionError):
+            service.query(c, tau_ratio=0.25)
+        release.set()
+        for thread in threads:
+            thread.join(10)
+        assert sorted(r.coalesced for r in pair) == [False, True]
+        answers += pair
+
+        with pytest.raises(DeadlineExceededError):
+            service.query(c, tau_ratio=0.25, deadline=1e-9)
+        with pytest.raises(QueryError):
+            service.query([], tau_ratio=0.25)  # engine-side refusal
+        service.add_trajectory(dataset[0])  # drops the 3 cached answers
+
+        stats = service.stats()
+        assert set(stats) == STATS_KEYS
+        json.dumps(stats)
+        assert stats["queries"] == 6
+        assert stats["computed_queries"] == 3
+        assert stats["cache_hits"] == 2
+        assert stats["coalesced"] == 1
+        assert stats["cache_hit_rate"] == pytest.approx(2 / 6)
+        assert stats["coalesce_rate"] == pytest.approx(1 / 6)
+        assert stats["errors"] == 3
+        assert stats["errors_by_type"] == {
+            "AdmissionError": 1, "DeadlineExceededError": 1, "QueryError": 1,
         }
-        json.dumps(snap)
+        assert stats["rejected"] == 1
+        assert stats["deadline_exceeded"] == 1
+        assert stats["invalidations"] == 3
+        assert stats["matches"] == sum(len(r.result.matches) for r in answers)
+        assert stats["candidates"] == sum(r.result.num_candidates for r in answers)
+        computed = [r.result for r in answers if not (r.cached or r.coalesced)]
+        for stage in ("mincand", "lookup", "verify"):
+            assert stats["stage_seconds"][stage] == pytest.approx(
+                sum(getattr(r, f"{stage}_seconds") for r in computed)
+            )
+        assert stats["qps"] > 0 and stats["uptime_seconds"] > 0
+        assert 0 < stats["latency_p50"] <= stats["latency_p95"] <= stats["latency_p99"]
+        assert stats["latency_mean"] == pytest.approx(
+            sum(r.seconds for r in answers) / 6
+        )
+        assert (stats["cache_size"], stats["cache_capacity"]) == (0, 16)
+        assert stats["pending"] == 0 and stats["coalesced_retries"] == 0
 
-    def test_window_must_be_positive(self):
+        # The other rendering of the same numbers.
+        page = service.observability.registry.render()
+        by_outcome = {"computed": 0, "cached": 0, "coalesced": 0}
+        for family in ("repro_queries_total", "repro_topk_queries_total"):
+            for labels, value in samples_of(page, family).items():
+                by_outcome[re.search(r'outcome="(\w+)"', labels).group(1)] += value
+        assert by_outcome == {
+            "computed": stats["computed_queries"],
+            "cached": stats["cache_hits"],
+            "coalesced": stats["coalesced"],
+        }
+        assert sum(by_outcome.values()) == stats["queries"]
+        assert sum(
+            samples_of(page, "repro_query_latency_seconds_count").values()
+        ) == stats["queries"]
+        errors = samples_of(page, "repro_errors_total")
+        assert errors == {
+            f'{{type="{name}"}}': count
+            for name, count in stats["errors_by_type"].items()
+        }
+        assert sum(errors.values()) == stats["errors"]
+        assert errors['{type="AdmissionError"}'] == stats["rejected"]
+        assert errors['{type="DeadlineExceededError"}'] == stats["deadline_exceeded"]
+        for family, key in (
+            ("repro_result_cache_invalidations_total", "invalidations"),
+            ("repro_matches_served_total", "matches"),
+            ("repro_candidates_served_total", "candidates"),
+            ("repro_inflight_queries", "pending"),
+            ("repro_result_cache_entries", "cache_size"),
+            ("repro_result_cache_capacity", "cache_capacity"),
+        ):
+            assert samples_of(page, family) == {"": stats[key]}, family
+        assert samples_of(page, "repro_stage_seconds_total") == {
+            f'{{stage="{stage}"}}': seconds
+            for stage, seconds in stats["stage_seconds"].items()
+        }
+
+    def test_stage_rollups_only_for_engine_computed_queries(self, service, private_dataset):
+        query = prefix(private_dataset, 0)
+        computed = service.query(query, tau_ratio=0.25).result
+        assert service.query(query, tau_ratio=0.25).cached
+        stages = service.stats()["stage_seconds"]
+        # The hit carries the same QueryResult (same stage clocks) — they
+        # are not added a second time.
+        assert stages == {
+            "mincand": computed.mincand_seconds,
+            "lookup": computed.lookup_seconds,
+            "verify": computed.verify_seconds,
+        }
+
+    def test_latency_percentiles_are_exact_over_a_bounded_window(
+        self, private_dataset, edr_cost, monkeypatch
+    ):
+        monkeypatch.setattr(observability_module, "LATENCY_WINDOW", 8)
+        # Ten requests taking exactly 1..10 ms on the service's clock.
+        ticks = iter(
+            t for ms in range(1, 11) for t in (100.0, 100.0 + ms / 1000.0)
+        )
+        monkeypatch.setattr(
+            service_module,
+            "time",
+            types.SimpleNamespace(perf_counter=lambda: next(ticks)),
+        )
+        engine = SubtrajectorySearch(private_dataset, edr_cost)
+        with QueryService(engine) as service:
+            for _ in range(10):  # the first two fall out of the window
+                service.query(prefix(private_dataset, 0), tau_ratio=0.25)
+            stats = service.stats()
+        assert stats["queries"] == 10  # counters stay exact past the window
+        assert stats["latency_p50"] == pytest.approx(0.0065)
+        assert stats["latency_p95"] == pytest.approx(0.00965)
+        assert stats["latency_p99"] <= 0.010 + 1e-12
+        assert stats["latency_mean"] == pytest.approx(0.0065)
+
+    def test_default_window_is_4096_samples(self):
+        # perf/layers.py derives http.overhead_ms from latency_p50 over
+        # this window; a bucket-interpolated or resized one would move it.
+        assert observability_module.LATENCY_WINDOW == 4096
+
+    def test_errors_labelled_by_exception_type(self, service, private_dataset):
+        """Per-type error counts alongside the aggregate (``errors``
+        stays for /stats compatibility)."""
+        query = prefix(private_dataset, 0)
+        for bad in ([], []):
+            with pytest.raises(QueryError):
+                service.query(bad, tau_ratio=0.25)
         with pytest.raises(ValueError):
-            Metrics(window=0)
-
-    def test_snapshot_is_json_serializable(self):
-        metrics = Metrics()
-        metrics.observe(0.001, result=result_with(matches=1))
-        json.dumps(metrics.snapshot())
+            service.query(query, tau_ratio=0.25, deadline=-1.0)
+        with pytest.raises(DeadlineExceededError):
+            service.topk(query, 3, deadline=1e-9)
+        stats = service.stats()
+        assert stats["errors"] == 4
+        assert stats["deadline_exceeded"] == 1
+        assert stats["rejected"] == 0
+        assert stats["errors_by_type"] == {
+            "QueryError": 2,
+            "ValueError": 1,
+            "DeadlineExceededError": 1,
+        }
+        json.dumps(stats)

@@ -303,15 +303,6 @@ class TestDegradation:
             vertex_dataset, query, edr_cost, 5, tids=live
         )
 
-    def test_partial_topk_never_cached(
-        self, degraded_service, vertex_dataset, rng
-    ):
-        query = sample_query(vertex_dataset, rng, 6)
-        degraded_service.topk(query, 5, allow_partial=True)
-        assert len(degraded_service.cache) == 0
-        follow_up = degraded_service.topk(query, 5, allow_partial=True)
-        assert not follow_up.cached
-
     def test_degraded_topk_metrics(self, degraded_service, vertex_dataset, rng):
         query = sample_query(vertex_dataset, rng, 6)
         degraded_service.topk(query, 5, allow_partial=True)
