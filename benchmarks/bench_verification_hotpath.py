@@ -9,9 +9,9 @@ latency, and (since the PR 4 arena rework) *allocator pressure*:
 garbage-collector activity and ndarray materializations per query, the
 ~25%-of-runtime overhead the arena-backed trie columns exist to remove.
 
-Backends compared: ``dp_backend="python"`` (the historical pure-Python
-loop, kept for ablation) against ``dp_backend="numpy"`` (anchor-grouped
-batch verification whose ``step_dp_batch`` calls write straight into
+Backends compared: ``dp_backend="python"`` (the per-cell Python walker)
+against ``dp_backend="numpy"`` (the arena walker: anchor-grouped batch
+verification whose ``step_dp_batch`` calls write straight into
 arena rows, substitution rows served from the engine's LRU-cached
 ``SubstitutionMatrix``), across dataset scales on the paper-style
 workload: the long-trajectory ``singapore`` profile with |Q| = 50 under
@@ -26,11 +26,12 @@ Since PR 5 the numpy backend is measured in two serving regimes:
   scratch — the historical numbers, comparable across baselines;
 - **warm-repeat** (the default TrieCache enabled, warmed by the
   measurement loop's own repeats): the engine serves the repeated query
-  from cached trie columns, so verification is the level-synchronous
-  warm walk plus combine — the serving layer's zipf-repeat regime.  The
-  ``warm_speedup`` column (cold/warm verification time) is floor-gated
-  in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware cells, and warm
-  answers are asserted bit-identical to both cold backends.
+  from cached trie columns, so verification is the arena walker's
+  cached-column walk plus combine — the serving layer's zipf-repeat
+  regime.  The ``warm_speedup`` column (cold/warm verification time) is
+  floor-gated in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware
+  cells, and warm answers are asserted bit-identical to both cold
+  backends.
 
 The record lands in ``results/BENCH_verification.json`` — the repo's
 committed perf baseline (a copy lives at the repo root) — and the inline

@@ -117,7 +117,7 @@ class QueryResult:
     dp_backend_used: str = ""
     #: ndarrays materialized on the verification hot path (see
     #: :attr:`repro.core.verification.Verifier.dp_array_allocations`);
-    #: deliberately outside VerificationStats, which is backend-identical.
+    #: deliberately outside VerificationStats, which is walker-identical.
     dp_array_allocations: int = 0
     #: what the cross-query TrieCache did for this query: ``"hit"`` (warm
     #: columns reused), ``"miss"`` (verified cold, warmed the cache),
@@ -125,9 +125,9 @@ class QueryResult:
     #: not taken at all (sw mode, python backend, scan fallback).  Merged
     #: shard results join the distinct per-shard statuses with ``+``.
     trie_cache_status: str = ""
-    #: DP kernel launches during verification (batched rounds plus
-    #: single-column steps; 0 for the python backend and a fully-warm
-    #: rewalk) — like dp_array_allocations, outside VerificationStats.
+    #: DP kernel launches during verification (one per resolve round; 0
+    #: for the python backend and a fully-warm rewalk) — like
+    #: dp_array_allocations, outside VerificationStats.
     dp_rounds: int = 0
     #: False when this is a *partial* answer: one or more shards were
     #: unavailable and the caller opted into graceful degradation
@@ -274,9 +274,9 @@ class SubtrajectorySearch:
         :class:`~repro.core.trie.TrieCache` of per-query verification
         tries, keyed on the same query-and-model signature prefix as the
         substitution LRU.  Repeated queries start verification with
-        every previously computed DP column *warm* — the walker advances
-        through cached trie levels with vectorized gathers and launches
-        a DP kernel only at the cold frontier — again across tau and
+        every previously computed DP column *warm* — the walker runs
+        through cached columns in a scalar loop and launches a DP kernel
+        only at the cold frontier — again across tau and
         time-window variations, and again needing no invalidation on
         online inserts (columns are keyed by data-symbol path, not by
         trajectory, so they are dataset-independent).  Arena bytes are

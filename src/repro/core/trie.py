@@ -1,4 +1,4 @@
-"""DP-column tries for verification caching (§5.2), arena-backed.
+"""DP-column tries for verification caching (§5.2).
 
 Each trie caches the dynamic-programming columns produced while verifying
 candidates in one direction (forward or backward) for one anchor position
@@ -9,35 +9,33 @@ a road network share prefixes (out-degree is tiny), later candidates walk
 cached columns instead of recomputing them — the cache-miss rate is the
 CMR metric of §6.4.
 
-Memory layout (the PR 5 slot-native rework): on the array-native backend
-the trie is **fully slot-native** — no node objects at all.  Every level
-of the old layout had the same column width (``|Q^d| + 1``), so all
-columns live as rows of **one** growable ``(capacity, width)`` float64
-matrix, with slot 0 holding the root column.  Structure lives in one
-``edges`` dict mapping ``(parent_slot, symbol) -> child_slot``, and the
-two scalars the hot walk reads per visit (``min(column)`` — the Eq. 11
-early-termination bound — and ``column[-1]`` — the emitted E value) live
-twice: in parallel ``mins`` / ``lasts`` float64 vectors so a warm
-level-synchronous walker can gather a whole frontier with ``np.take``,
-and in plain-float ``mins_list`` / ``lasts_list`` mirrors so scalar hot
-loops never touch numpy scalars.  This is what makes the trie *portable
-across queries*: a :class:`TrieCache` entry is just the trie objects, and
-a repeated query walks them warm with no per-node object graph to rebuild
-or traverse.
+Two layouts, one per verification walker
+(:mod:`repro.core.verification`):
+
+- :class:`VerificationTrie` — the arena walker's **slot-native** trie, no
+  node objects at all.  Every level has the same column width
+  (``|Q^d| + 1``), so all columns live as rows of **one** growable
+  ``(capacity, width)`` float64 matrix, with slot 0 holding the root
+  column.  Structure lives in one ``edges`` dict mapping
+  ``(parent_slot, symbol) -> child_slot``, and the two scalars the walk
+  reads per visit (``min(column)`` — the Eq. 11 early-termination bound —
+  and ``column[-1]`` — the emitted E value) live once, as plain floats in
+  the slot-indexed ``mins_list`` / ``lasts_list``, so the walk loop never
+  touches a numpy scalar.  This is what makes the trie *portable across
+  queries*: a :class:`TrieCache` entry is just the trie objects, and a
+  repeated query walks them warm with no per-node object graph to rebuild
+  or traverse.
+- :class:`TrieNode` — the per-cell Python walker's one-column-per-node
+  graph, private to one verifier (the walker holds its root directly).
 
 Concurrency contract (shared tries are walked by concurrent server
 threads): readers are lock-free; writers serialize on :attr:`
-VerificationTrie.lock` and must publish in the order *grow arrays → write
-column/mins/lasts → publish edge*.  A reader that observes an edge is
-therefore guaranteed fully-written backing entries in whatever array
-references it fetches afterwards (CPython's GIL orders the stores), and
-grown arrays always contain every previously published slot — no torn
+VerificationTrie.lock` and must publish in the order *grow matrix → write
+column → append min/last → publish edge*.  A reader that observes an edge
+is therefore guaranteed fully-written backing entries in whatever matrix
+reference it fetches afterwards (CPython's GIL orders the stores), and a
+grown matrix always contains every previously published slot — no torn
 columns.  Rows are never mutated after their edge is published.
-
-The pure-Python backend (the ablation baseline) and the
-``use_trie=False`` ablation keep the historical one-column-per-node
-:class:`TrieNode` storage: nothing is shared there, so an arena would
-only pin memory.
 """
 
 from __future__ import annotations
@@ -54,16 +52,16 @@ __all__ = ["TrieCache", "TrieCacheEntry", "TrieNode", "VerificationTrie"]
 #: rows a fresh arena starts with; growth doubles.
 _INITIAL_ROWS = 32
 
-# Per-column python-object bytes beyond the float arrays, *measured* on
-# this interpreter instead of the old hard-coded 150-byte guess (which
-# drifted on wide alphabets, where the edges dict dominates).  Each
-# published column costs one edges entry — a 2-tuple key plus two boxed
-# ints (slots and symbols exceed the small-int intern range on real
-# graphs, so the boxes are real) and the boxed child-slot value — and two
-# boxed floats appended to the scalar mirrors.  The containers' own
-# tables (dict hash table, list cells) are NOT folded in here: ``nbytes``
-# reads them exactly via ``sys.getsizeof`` at accounting time, which is
-# O(1) per container and tracks hash-table growth for free.
+# Per-column python-object bytes beyond the column matrix, *measured* on
+# this interpreter (a fixed guess drifts on wide alphabets, where the
+# edges dict dominates).  Each published column costs one edges entry — a
+# 2-tuple key plus two boxed ints (slots and symbols exceed the small-int
+# intern range on real graphs, so the boxes are real) and the boxed
+# child-slot value — and two boxed floats appended to the scalar lists.
+# The containers' own tables (dict hash table, list cells) are NOT folded
+# in here: ``nbytes`` reads them exactly via ``sys.getsizeof`` at
+# accounting time, which is O(1) per container and tracks hash-table
+# growth for free.
 _EDGE_OBJECT_BYTES = (
     sys.getsizeof((1 << 20, 1 << 20)) + 3 * sys.getsizeof(1 << 20)
 )
@@ -71,34 +69,21 @@ _FLOAT_OBJECT_BYTES = sys.getsizeof(0.5)
 
 
 class TrieNode:
-    """One cached DP column of the *per-node* (non-arena) layout.
+    """One cached DP column of the per-cell Python walker's trie.
 
     ``column_min`` caches ``min(column)``, the early-termination lower
     bound ``LB`` of Eq. 11, and ``column_last`` caches ``column[-1]`` (the
-    E value read once per visit); both are plain floats so hot-loop
-    comparisons and emitted distances never carry numpy scalars.
-
-    Used by the pure-Python backend's tries and by the ``use_trie=False``
-    ablation's detached columns; the array-native trie stores no nodes
-    (see the module docstring).
+    E value read once per visit), so the walk reads two attributes per
+    visit instead of scanning the column.
     """
 
     __slots__ = ("children", "column", "column_min", "column_last")
 
-    def __init__(
-        self,
-        column: Sequence[float],
-        column_min: Optional[float] = None,
-        column_last: Optional[float] = None,
-    ) -> None:
+    def __init__(self, column: Sequence[float]) -> None:
         self.children: dict = {}
         self.column: Sequence[float] = column
-        if column_min is None:
-            column_min = float(min(column))
-        if column_last is None:
-            column_last = float(column[-1])
-        self.column_min: float = column_min
-        self.column_last: float = column_last
+        self.column_min: float = float(min(column))
+        self.column_last: float = float(column[-1])
 
     def find_child(self, symbol: int) -> Optional["TrieNode"]:
         """The cached child for ``symbol``, or None (a cache miss)."""
@@ -110,30 +95,32 @@ class TrieNode:
         self.children[symbol] = child
         return child
 
+    def node_count(self) -> int:
+        """Cached columns in the subtree rooted here (this node included)."""
+        count = 0
+        stack: List[TrieNode] = [self]
+        while stack:
+            node = stack.pop()
+            count += 1
+            stack.extend(node.children.values())
+        return count
+
 
 class VerificationTrie:
-    """A trie rooted at the empty data prefix.
+    """A slot-native trie rooted at the empty data prefix.
 
     The root column is ``wed(eps, Q^d_{1:j})`` for all ``j`` — the
-    cumulative insertion costs of the query part.
-
-    With ``arena=True`` the trie is slot-native: one growable
+    cumulative insertion costs of the query part.  One growable
     ``(capacity, width)`` matrix holds every column (slot 0 = root), the
-    ``edges`` dict holds the structure, and ``mins``/``lasts`` (ndarray)
-    plus ``mins_list``/``lasts_list`` (plain floats) hold the per-column
-    scalars.  Writers must hold :attr:`lock` and follow the publication
-    order in the module docstring.  With ``arena=False`` the trie is the
-    historical :class:`TrieNode` graph under :attr:`root` (the
-    pure-Python backend's layout).
+    ``edges`` dict holds the structure, and ``mins_list``/``lasts_list``
+    hold the per-column scalars as plain floats.  Writers must hold
+    :attr:`lock` and follow the publication order in the module
+    docstring.
     """
 
     __slots__ = (
-        "arena",
         "width",
-        "root",
         "matrix",
-        "mins",
-        "lasts",
         "mins_list",
         "lasts_list",
         "edges",
@@ -143,40 +130,19 @@ class VerificationTrie:
         "__weakref__",
     )
 
-    def __init__(self, root_column: Sequence[float], *, arena: bool = False) -> None:
-        self.arena = arena
+    def __init__(self, root_column: Sequence[float]) -> None:
         self.width = len(root_column)
-        if not arena:
-            self.root: Optional[TrieNode] = TrieNode(root_column)
-            self.matrix: Optional[np.ndarray] = None
-            self.mins: Optional[np.ndarray] = None
-            self.lasts: Optional[np.ndarray] = None
-            self.mins_list: List[float] = []
-            self.lasts_list: List[float] = []
-            self.edges: Dict[Tuple[int, int], int] = {}
-            self.used = 0
-            self.allocations = 0
-            self.lock = threading.Lock()
-            return
-        self.root = None
-        capacity = max(_INITIAL_ROWS, 1)
-        self.matrix = np.empty((capacity, self.width), dtype=np.float64)
-        self.mins = np.empty(capacity, dtype=np.float64)
-        self.lasts = np.empty(capacity, dtype=np.float64)
+        self.matrix = np.empty((_INITIAL_ROWS, self.width), dtype=np.float64)
         self.matrix[0] = root_column
-        root_min = float(min(root_column))
-        root_last = float(root_column[-1])
-        self.mins[0] = root_min
-        self.lasts[0] = root_last
-        self.mins_list = [root_min]
-        self.lasts_list = [root_last]
+        self.mins_list: List[float] = [float(min(root_column))]
+        self.lasts_list: List[float] = [float(root_column[-1])]
         #: (parent_slot, symbol) -> child_slot; slot 0 is the root.
-        self.edges = {}
+        self.edges: Dict[Tuple[int, int], int] = {}
         self.used = 1
         #: ndarray (re)allocations so far — the materialization cost of
         #: every column this trie stores (feeds the benchmark's
         #: allocation-reduction metric).
-        self.allocations = 3
+        self.allocations = 1
         #: serializes writer rounds (reserve + column write + edge
         #: publication); readers stay lock-free.
         self.lock = threading.Lock()
@@ -185,9 +151,9 @@ class VerificationTrie:
         """Reserve ``count`` contiguous rows; returns the first slot.
 
         Caller must hold :attr:`lock`.  Growth publishes the grown
-        ``matrix``/``mins``/``lasts`` (old rows copied) *before*
-        returning, so lock-free readers holding either generation see
-        every previously published slot.
+        ``matrix`` (old rows copied) *before* returning, so lock-free
+        readers holding either generation see every previously published
+        slot.
         """
         start = self.used
         needed = start + count
@@ -198,54 +164,36 @@ class VerificationTrie:
                 capacity *= 2
             grown = np.empty((capacity, self.width), dtype=np.float64)
             grown[:start] = matrix[:start]
-            grown_mins = np.empty(capacity, dtype=np.float64)
-            grown_mins[:start] = self.mins[:start]
-            grown_lasts = np.empty(capacity, dtype=np.float64)
-            grown_lasts[:start] = self.lasts[:start]
-            # Publish the grown arrays before any new row is written: a
+            # Publish the grown matrix before any new row is written: a
             # reader can only learn of a new slot through an edge, which
-            # is published after the row — so any array reference it
+            # is published after the row — so any matrix reference it
             # fetches after seeing the edge contains the slot.
             self.matrix = grown
-            self.mins = grown_mins
-            self.lasts = grown_lasts
-            self.allocations += 3
+            self.allocations += 1
         self.used = needed
         return start
 
     def row(self, slot: int) -> np.ndarray:
-        """The column stored at ``slot`` (arena layout)."""
+        """The column stored at ``slot``."""
         return self.matrix[slot]
 
     def node_count(self) -> int:
         """Number of cached columns (root included) — a cache-size metric."""
-        if self.arena:
-            return self.used
-        count = 0
-        stack: List[TrieNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
+        return self.used
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes, measured: the float arrays exactly
+        """Resident bytes, measured: the column matrix exactly
         (``ndarray.nbytes``), the bookkeeping containers exactly
-        (``sys.getsizeof`` on the edges dict and scalar-mirror lists —
+        (``sys.getsizeof`` on the edges dict and the two scalar lists —
         O(1) each, capturing hash-table/list growth as it happens), plus
         the measured per-object cost of the boxed keys, slots, and
-        mirror floats each published column pins (see
+        scalar floats each published column pins (see
         ``_EDGE_OBJECT_BYTES`` / ``_FLOAT_OBJECT_BYTES``)."""
-        if not self.arena:
-            return 0
         # used - 1 edges: every column except the root was published
         # through exactly one edges entry.
         return (
             self.matrix.nbytes
-            + self.mins.nbytes
-            + self.lasts.nbytes
             + sys.getsizeof(self.edges)
             + sys.getsizeof(self.mins_list)
             + sys.getsizeof(self.lasts_list)
@@ -257,7 +205,7 @@ class VerificationTrie:
 class TrieCacheEntry:
     """All direction tries of one ``(query, cost model)`` pair.
 
-    ``tries`` maps ``(iq, direction)`` to the shared arena-backed
+    ``tries`` maps ``(iq, direction)`` to the shared
     :class:`VerificationTrie` — one pair of tries per anchor position the
     query's verifications have touched.  Entries are handed to concurrent
     verifiers; :meth:`trie` makes first-touch creation converge on one

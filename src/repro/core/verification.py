@@ -28,46 +28,52 @@ Three optimizations, individually switchable for ablation:
   across candidates sharing data prefixes (§5.2);
 - the anchor tightens the budget to ``tau' = tau - sub(Q[iq], P[j])``.
 
-Two DP backends compute the columns, both evaluating the repo-wide
-prefix-min insert chain (see :mod:`repro.distance.wed`) so their floats
-are bit-identical:
+One seam — :class:`Verifier` — with exactly two AllPrefixWED
+implementations behind it, both evaluating the repo-wide prefix-min
+insert chain (see :mod:`repro.distance.wed`) so their floats are
+bit-identical:
 
-- ``dp_backend="numpy"`` is *array-native end to end* with
-  **anchor-grouped batch verification** over *slot-native* tries
-  (:class:`~repro.core.trie.VerificationTrie` with ``arena=True``):
-  columns live as rows of one growable per-trie matrix, structure lives
-  in one ``(parent_slot, symbol) -> child_slot`` dict, and the two
-  scalars every visit reads (column min / column last) live in parallel
-  vectors plus plain-float mirrors.  Candidates are deduped, grouped by
-  anchor position ``iq``, and each group's states advance through cached
-  columns **level-synchronously** — one trie level per round, the whole
-  frontier's mins/lasts gathered with vectorized ``np.take`` — which is
-  what makes *warm* tries (served across queries by the engine's
-  :class:`~repro.core.trie.TrieCache`) nearly free to rewalk: a fully
-  cached query never launches a DP kernel at all.  At the cold frontier,
-  states park per-``(slot, symbol)`` miss (rendezvous-deduplicated) and
-  each round's distinct misses become one :func:`step_dp_batch` call
-  writing straight into freshly reserved arena rows; a state that was the
-  *sole* waiter on its miss has provably diverged from every other state
-  and advances as a slot-indexed **virgin chain** — no rendezvous, no
-  walker round-trip — batched into the same kernel calls.
-- ``dp_backend="python"`` is the historical pure-Python per-cell loop,
-  kept as the ablation baseline
-  (``benchmarks/bench_verification_hotpath.py`` tracks the gap).
+- ``dp_backend="numpy"`` is the **arena walker**: candidates are deduped
+  and grouped by anchor position ``iq``, and each group's states advance
+  together over one *slot-native* trie per direction
+  (:class:`~repro.core.trie.VerificationTrie`: columns as rows of one
+  growable matrix, structure in one ``(parent_slot, symbol) ->
+  child_slot`` dict, the per-column min / last as plain floats).  Rounds
+  alternate a *walk* — every live state runs through cached columns to
+  its first miss in a scalar loop; on a *warm* trie (served across
+  queries by the engine's :class:`~repro.core.trie.TrieCache`) that is
+  the entire verification, a fully cached query never launches a DP
+  kernel — and a *resolve*: states park per ``(slot, symbol)`` miss
+  (rendezvous-deduplicated) and the round's distinct misses become one
+  :func:`step_dp_batch` call writing straight into freshly reserved
+  arena rows.  A state that was the *sole* waiter on its miss has
+  provably diverged from every other state and advances as a
+  slot-indexed **virgin chain** — no rendezvous, no walker round-trip —
+  batched into the same kernel calls.  Everything else is a
+  configuration of this walker: :meth:`Verifier.verify_candidate` is a
+  group of one, and ``use_trie=False`` runs it on a private per-call
+  arena that seeds every state as a virgin chain and publishes no edges,
+  so every visit recomputes its column and the arena dies with the call.
+- ``dp_backend="python"`` is the **per-cell Python walker**: one
+  candidate at a time over a :class:`~repro.core.trie.TrieNode` graph,
+  one pure-Python loop iteration per DP cell.  It is the reference the
+  parity suites hold the arena walker to *and* the faster path for short
+  queries over cheap substitution rows
+  (``benchmarks/bench_verification_hotpath.py`` tracks the gap both
+  ways).
 
 ``dp_backend="auto"`` (the engine default) resolves per query via
-:func:`choose_dp_backend`: the pure-Python loop for short queries over
+:func:`choose_dp_backend`: the Python walker for short queries over
 models with vectorizable (hence cheap) substitution rows — the one regime
-where kernel-launch overhead loses to plain Python — and the array-native
-backend everywhere else.  Safe precisely because the backends are
-bit-identical.
+where kernel-launch overhead loses to plain Python — and the arena walker
+everywhere else.  Safe precisely because the two are bit-identical.
 
-Batching, level-synchrony, and cross-query trie warmth all preserve the
+Batching, virgin routing, and cross-query trie warmth all preserve the
 sequential semantics exactly: which columns get computed *by this query*,
 every column's floats, each candidate's early-termination point, and the
-UPR/CMR counters are order- and schedule-independent — the two backends,
-the batched vs. single-candidate numpy paths, and cold vs. warm caches
-agree on results bit for bit (warm caches lower ``computed_columns`` and
+UPR/CMR counters are order- and schedule-independent — the two walkers,
+groups of many vs. groups of one, and cold vs. warm caches agree on
+results bit for bit (warm caches lower ``computed_columns`` and
 nothing else: a cached column has the same floats it would be recomputed
 with).
 
@@ -82,8 +88,8 @@ thread computed as the other thread's cache hit.
 The :class:`VerificationStats` counters implement the §6.4 metrics: UPR
 (columns surviving early termination vs. a full Smith–Waterman pass) and
 CMR (columns actually computed vs. columns visited).  They are
-backend-identical by design; the ndarray-materialization count, which is
-*not* (the python backend allocates none), is reported separately via
+walker-identical by design; the ndarray-materialization count, which is
+*not* (the Python walker allocates none), is reported separately via
 :attr:`Verifier.dp_array_allocations`.
 """
 
@@ -94,10 +100,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.cancellation import raise_if_cancelled
 from repro.core.results import MatchSet
 from repro.core.trie import TrieCacheEntry, TrieNode, VerificationTrie
 from repro.distance.costs import CostModel, SubstitutionMatrix
-from repro.exceptions import QueryCancelledError, QueryError
+from repro.exceptions import QueryError
 
 __all__ = [
     "AUTO_PYTHON_MAX_QUERY",
@@ -106,62 +113,31 @@ __all__ = [
     "Verifier",
     "choose_dp_backend",
     "step_dp_batch",
-    "step_dp_numpy",
 ]
 
-#: longest query the auto backend still routes to the pure-Python DP
-#: (only on cost models with vectorizable rows); above this the
-#: array-native kernels win even on unit-cost models (ROADMAP: per-column
-#: numpy kernels cannot win at |Q| <~ 15 on unit-cost models).
+#: longest query the auto backend still routes to the Python walker (only
+#: on cost models with vectorizable rows).  The committed evidence is
+#: ``BENCH_verification.json``: its EDR |Q|=10 cells have ``verify_speedup``
+#: below 1 (Python wins cold), its |Q|=50 cells well above.
 AUTO_PYTHON_MAX_QUERY = 15
 
 
 def choose_dp_backend(query_length: int, costs: CostModel) -> str:
     """Resolve ``dp_backend="auto"`` for one query.
 
-    Picks ``"python"`` only where it measurably wins (see
-    ``BENCH_verification.json``): short queries (``<=
-    AUTO_PYTHON_MAX_QUERY``) over models whose substitution rows are
-    vectorizable — i.e. cheap — so the per-column numpy launch overhead
-    cannot amortize.  Everything else (long queries, or expensive rows
-    that the array-native path computes once per symbol instead of once
-    per column) goes to ``"numpy"``.  Both backends are bit-identical,
+    Picks ``"python"`` for short queries (``<= AUTO_PYTHON_MAX_QUERY``)
+    over models whose substitution rows are vectorizable — i.e. cheap —
+    so the arena walker's per-round kernel launches cannot amortize; the
+    EDR |Q|=10 cells of ``BENCH_verification.json`` (``verify_speedup`` <
+    1, ``auto_backend`` "python") are the committed measurement.
+    Everything else (long queries, or expensive rows that the arena
+    walker computes once per symbol instead of once per column — the
+    NetEDR cells) goes to ``"numpy"``.  Both walkers are bit-identical,
     so the choice changes throughput, never answers.
     """
     if query_length <= AUTO_PYTHON_MAX_QUERY and costs.vectorized_rows():
         return "python"
     return "numpy"
-
-
-def step_dp_numpy(
-    sub_row: np.ndarray,
-    delete_cost: float,
-    ins_prefix: np.ndarray,
-    prev: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Vectorized StepDP (Algorithm 6) in the prefix-min convention.
-
-    ``C[j] = min(prev[j-1] + sub[j-1], prev[j] + del)`` (``C[0] = prev[0] +
-    del``) vectorizes directly; the insert chain is evaluated as ``B[j] =
-    min(C[j], P[j] + min over i < j of (C[i] - P[i]))`` with one
-    ``minimum.accumulate`` pass — the exact evaluation order every DP step
-    in this repo uses (see :mod:`repro.distance.wed`), so the result is
-    *bit-identical* to the pure-Python backend, not merely close: the
-    strict ``< tau`` match semantics see the same floats everywhere.
-
-    ``sub_row`` and ``prev`` may be non-contiguous views; the inputs are
-    never mutated.  ``out``, when given, receives the column (the arena
-    path passes a reserved trie row, so no per-column array is created);
-    it must not alias any input.  The operation sequence is identical
-    either way — ``out`` changes the destination, never the floats.
-    """
-    c = prev + delete_cost if out is None else np.add(prev, delete_cost, out=out)
-    np.minimum(c[1:], prev[:-1] + sub_row, out=c[1:])
-    d = c - ins_prefix
-    np.minimum.accumulate(d, out=d)
-    np.minimum(c[1:], ins_prefix[1:] + d[:-1], out=c[1:])
-    return c
 
 
 def step_dp_batch(
@@ -172,20 +148,29 @@ def step_dp_batch(
     out: Optional[np.ndarray] = None,
     work: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """:func:`step_dp_numpy` over ``L`` independent columns at once.
+    """Vectorized StepDP (Algorithm 6) over ``L`` independent columns, in
+    the prefix-min convention.
 
     ``prev_columns`` is ``(L, n+1)``, ``sub_rows`` ``(L, n)``,
-    ``delete_costs`` ``(L,)``; returns the ``(L, n+1)`` next columns.  Each
-    row runs the identical operation sequence as the single-column kernel,
-    so batching changes throughput, never values.  ``out``, when given,
-    receives the columns — the arena path passes a contiguous range of
-    freshly reserved trie rows, so a whole round of cache misses is
-    computed without allocating a single column array — and ``work`` (an
-    ``(L, n)`` and an ``(L, n+1)`` scratch buffer, contiguous, aliasing
-    nothing) absorbs the kernel's intermediate results, making the whole
-    call buffer-allocation-free.  This is what makes anchor-grouped
-    verification fast: one launch sequence per round of misses instead of
-    per column, writing straight into the cache with the allocator idle.
+    ``delete_costs`` ``(L,)``; returns the ``(L, n+1)`` next columns.  Per
+    row, ``C[j] = min(prev[j-1] + sub[j-1], prev[j] + del)`` (``C[0] =
+    prev[0] + del``) vectorizes directly; the insert chain is evaluated
+    as ``B[j] = min(C[j], P[j] + min over i < j of (C[i] - P[i]))`` with
+    one ``minimum.accumulate`` pass — the exact evaluation order every DP
+    step in this repo uses (see :mod:`repro.distance.wed`), so the result
+    is *bit-identical* to the Python walker's ``_step_dp``, not merely
+    close: the strict ``< tau`` match semantics see the same floats
+    everywhere, and batching (``L = 1`` included) changes throughput,
+    never values.
+
+    Inputs may be non-contiguous views and are never mutated.  ``out``,
+    when given, receives the columns — the arena walker passes a
+    contiguous range of freshly reserved trie rows, so a whole round of
+    cache misses is computed without allocating a single column array —
+    and ``work`` (an ``(L, n)`` and an ``(L, n+1)`` scratch buffer,
+    contiguous, aliasing nothing) absorbs the kernel's intermediate
+    results, making the whole call buffer-allocation-free.  Neither
+    changes the operation sequence, hence no float.
     """
     if out is None:
         c = prev_columns + delete_costs[:, None]
@@ -212,30 +197,17 @@ def step_dp_batch(
 
 Candidate = Tuple[int, int, int]  # (trajectory id, position j, query position iq)
 
-#: symbols materialized per tolist() chunk by the batched walker — small
+#: symbols materialized per tolist() chunk by the arena walker — small
 #: enough that an immediately-terminated candidate on a long trajectory
 #: wastes almost nothing, large enough to amortize the slice machinery.
 _SYMBOL_CHUNK = 64
 
-#: ndarray buffers one batched StepDP resolution still materializes per
-#: round after the scratch rework: the index arrays behind the parent-row
-#: and substitution-row/delete gathers (np.take converts the slot lists).
-#: Counted (not avoided) because they are per *round*, not per column;
-#: the kernel itself runs buffer-allocation-free via the context's
-#: work/mins scratch.
+#: ndarray buffers one batched StepDP resolution materializes per round:
+#: the index arrays behind the parent-row and substitution-row/delete
+#: gathers (np.take converts the slot lists).  Counted (not avoided)
+#: because they are per *round*, not per column; the kernel itself runs
+#: buffer-allocation-free via the context's work/mins scratch.
 _GROUP_TEMP_ARRAYS = 3
-
-#: same accounting for a single-column StepDP call (kernel temps only).
-_SINGLE_TEMP_ARRAYS = 3
-
-#: ndarray temporaries one level-synchronous gather materializes: the two
-#: index arrays behind the min/last np.take calls plus their two results.
-_GATHER_TEMP_ARRAYS = 4
-
-#: frontier size below which the level-synchronous walker reads the
-#: plain-float min/last mirrors instead of launching np.take gathers
-#: (kernel dispatch overhead loses to list indexing on tiny frontiers).
-_GATHER_MIN = 16
 
 
 @dataclass(slots=True)
@@ -275,41 +247,39 @@ class VerificationStats:
 
 
 class _DirectionContext:
-    """Precomputed per-direction query data shared by all candidates with
-    the same anchor position ``iq``.
+    """The arena walker's per-direction query data, shared by all
+    candidates with the same anchor position ``iq``.
 
     ``ins_prefix`` is the cumulative insertion-cost prefix of the query
     part — the trie's root column and the ``P`` of the prefix-min DP
-    convention (an ndarray on the numpy backend, a list on the python
-    one, summed left-to-right either way so both hold the same floats; a
-    *warm* trie served by the engine's TrieCache holds the bit-identical
-    root column because the computation is deterministic).  ``rows``
-    (numpy only) is the matrix-owned
+    convention (summed left-to-right like the Python walker's list, so
+    both hold the same floats; a *warm* trie served by the engine's
+    TrieCache holds the bit-identical root column because the
+    computation is deterministic).  ``rows`` is the matrix-owned
     :class:`~repro.distance.costs.DirectionRows` cache mapping a data
     symbol to this direction's contiguous substitution-row slice and its
     deletion cost; because it lives inside the (engine-LRU-cached)
     SubstitutionMatrix, repeated queries reuse the copies across verifier
     instances.  ``row_slice`` maps a *full-query* row to this direction's
     part: ``slice(iq+1, None)`` forward, ``slice(iq-1, None, -1)``
-    backward (the reversed prefix).
+    backward (the reversed prefix — WED is invariant under simultaneous
+    reversal because costs are position-independent).
 
-    The context is per-verifier (it owns the batched walker's scratch
-    buffers — parent columns, substitution rows, deletion costs — grown
+    The context is per-verifier (it owns the walker's scratch buffers —
+    parent columns, substitution rows, deletion costs — grown
     geometrically and reused round after round); only the *trie* may be
     shared: with a :class:`~repro.core.trie.TrieCacheEntry` the
-    direction's arena-backed trie comes warm from the engine's
-    cross-query cache, otherwise a fresh one is built.  ``use_trie=False``
-    (the ablation) builds no arena at all — just a detached root
-    :class:`~repro.core.trie.TrieNode`, since nothing is cached.
+    direction's trie comes warm from the engine's cross-query cache,
+    otherwise a fresh one is built.  ``use_trie=False`` (the ablation)
+    keeps no trie here at all — the walker builds a private arena per
+    call, since nothing is cached.
     """
 
     __slots__ = (
-        "query_part",
         "ins_prefix",
         "row_slice",
         "rows",
         "trie",
-        "root",
         "width",
         "scratch_allocations",
         "trie_growth",
@@ -323,30 +293,26 @@ class _DirectionContext:
 
     def __init__(
         self,
-        query: Sequence[int],
         iq: int,
         direction: str,
-        costs: CostModel,
+        ins_vec: np.ndarray,
+        matrix: SubstitutionMatrix,
         *,
-        numpy_backend: bool,
-        use_trie: bool = True,
-        ins_vec: Optional[np.ndarray] = None,
-        matrix: Optional[SubstitutionMatrix] = None,
-        entry: Optional[TrieCacheEntry] = None,
+        use_trie: bool,
+        entry: Optional[TrieCacheEntry],
     ) -> None:
         if direction == "b":
-            # Backward part: both strings reversed (WED is invariant under
-            # simultaneous reversal because costs are position-independent).
-            self.query_part: Tuple[int, ...] = tuple(reversed(query[:iq]))
             self.row_slice = slice(iq - 1, None, -1) if iq > 0 else slice(0, 0)
         else:
-            self.query_part = tuple(query[iq + 1 :])
             self.row_slice = slice(iq + 1, None)
-        self.width = len(self.query_part) + 1
-        self.rows = None
-        self.root: Optional[TrieNode] = None
-        self.trie: Optional[VerificationTrie] = None
-        self.scratch_allocations = 0
+        ins_part = ins_vec[self.row_slice]
+        self.width = len(ins_part) + 1
+        prefix = np.empty(self.width, dtype=np.float64)
+        prefix[0] = 0.0
+        np.cumsum(ins_part, out=prefix[1:])
+        self.ins_prefix = prefix
+        self.rows = matrix.direction_rows((iq, direction), self.row_slice)
+        self.scratch_allocations = 1  # the prefix itself
         #: arena ndarray (re)allocations THIS context performed — trie
         #: creation plus reserve-driven growth inside our own locked
         #: rounds.  Accumulated locally rather than read off the (maybe
@@ -359,39 +325,21 @@ class _DirectionContext:
         self._work_a: Optional[np.ndarray] = None
         self._work_b: Optional[np.ndarray] = None
         self._mins: Optional[np.ndarray] = None
-        if numpy_backend:
-            ins_part = ins_vec[self.row_slice]
-            prefix = np.empty(self.width, dtype=np.float64)
-            prefix[0] = 0.0
-            np.cumsum(ins_part, out=prefix[1:])
-            self.ins_prefix: Sequence[float] = prefix
-            self.rows = matrix.direction_rows((iq, direction), self.row_slice)
-            self.scratch_allocations += 1  # the prefix itself
-            if use_trie:
-                if entry is not None:
-                    # Cross-query warm trie: concurrent first-touchers
-                    # converge on one instance; all later queries of this
-                    # (query, model) start with these columns cached.
-                    # Creation is charged to the creating query only (the
-                    # factory runs at most once per entry).
-                    def _build() -> VerificationTrie:
-                        built = VerificationTrie(prefix, arena=True)
-                        self.trie_growth += built.allocations
-                        return built
+        self.trie: Optional[VerificationTrie] = None
+        if use_trie and entry is None:
+            self.trie = self.new_trie()
+        elif use_trie:
+            self.trie = entry.trie((iq, direction), self.new_trie)
 
-                    self.trie = entry.trie((iq, direction), _build)
-                else:
-                    self.trie = VerificationTrie(prefix, arena=True)
-                    self.trie_growth += self.trie.allocations
-            else:
-                self.root = TrieNode(prefix)
-        else:
-            prefix_list: List[float] = [0.0]
-            for q in self.query_part:
-                prefix_list.append(prefix_list[-1] + costs.ins(q))
-            self.ins_prefix = prefix_list
-            # The root column wed(eps, part prefix) IS the insertion prefix.
-            self.trie = VerificationTrie(prefix_list)
+    def new_trie(self) -> VerificationTrie:
+        """A fresh arena rooted at this direction's insertion prefix,
+        charged to this context.  As a :meth:`TrieCacheEntry.trie
+        <repro.core.trie.TrieCacheEntry.trie>` factory it runs at most
+        once per entry — concurrent first-touchers converge on one
+        instance — so creation is charged to the creating query only."""
+        trie = VerificationTrie(self.ins_prefix)
+        self.trie_growth += trie.allocations
+        return trie
 
     def scratch(
         self, count: int
@@ -449,13 +397,13 @@ class Verifier:
         budget (§5.1).  Disabling scans to the trajectory ends.
     dp_backend:
         ``"auto"`` (resolved per query via :func:`choose_dp_backend`),
-        ``"numpy"`` — anchor-grouped batch verification over the
-        array-native column kernels with slot-native arena tries; or
-        ``"python"`` — the pure-Python per-cell loop, kept for ablation.
-        Results are bit-identical.
+        ``"numpy"`` — the arena walker: anchor-grouped batch verification
+        over slot-native tries and the array-native column kernel; or
+        ``"python"`` — the per-cell Python walker.  Results are
+        bit-identical.
     symbols_array_of:
         Callable mapping a trajectory id to its ``np.int32`` symbol array
-        (the dataset's ``symbols_array``).  Used by the numpy backend only;
+        (the dataset's ``symbols_array``).  Used by the arena walker only;
         when omitted, arrays are converted from ``symbols_of`` and memoized
         per verifier.
     anchors:
@@ -473,16 +421,17 @@ class Verifier:
         A :class:`~repro.core.trie.TrieCacheEntry` holding this query's
         shared direction tries — the engine passes its TrieCache entry so
         repeated queries (tau and time-window variations included) start
-        verification with warm columns.  Numpy backend with
+        verification with warm columns.  Arena walker with
         ``use_trie=True`` only; the tries may be walked by concurrent
         verifiers (see the module docstring's concurrency notes).
     cancel:
         Optional cooperative cancellation token (anything with a
         ``cancelled() -> bool`` method, e.g.
-        :class:`~repro.core.cancellation.CancelToken`).  Polled once per
-        candidate (python backend) or per group/walk round (numpy
-        backend) in :meth:`verify_all`, so expired work stops within one
-        verification-loop iteration instead of running to completion.
+        :class:`~repro.core.cancellation.CancelToken`).  Polled between
+        anchor groups, and inside a group once per candidate (Python
+        walker) or per walk round (arena walker), so expired work stops
+        within one verification-loop iteration instead of running to
+        completion.
     """
 
     def __init__(
@@ -516,17 +465,16 @@ class Verifier:
         self.dp_backend = dp_backend
         self._matrix: Optional[SubstitutionMatrix] = None
         self._ins_vec: Optional[np.ndarray] = None
-        self._trie_entry = trie_entry if (self._numpy and use_trie) else None
+        self._trie_entry = trie_entry if use_trie else None
         #: ndarrays materialized on the verification path (arena/scratch
         #: growths plus per-round kernel temporaries) — deliberately NOT a
-        #: VerificationStats field, because the python backend allocates
-        #: none and the stats are pinned backend-identical.
+        #: VerificationStats field, because the Python walker allocates
+        #: none and the stats are pinned walker-identical.
         self._allocs = 0
-        #: DP kernel launches (batched rounds + single-column steps) —
-        #: the "how many times did we enter numpy" trace attribute.
-        #: Like ``_allocs``, kept out of VerificationStats: the python
-        #: backend launches no kernels and the stats are pinned
-        #: backend-identical.
+        #: DP kernel launches (one per resolve round) — the "how many
+        #: times did we enter numpy" trace attribute.  Like ``_allocs``,
+        #: kept out of VerificationStats: the Python walker launches no
+        #: kernels.
         self._dp_rounds = 0
         if self._numpy:
             if matrix is not None:
@@ -543,9 +491,12 @@ class Verifier:
             if symbols_array_of is None:
                 symbols_array_of = self._converting_array_accessor()
         self._symbols_array_of = symbols_array_of
-        # One context per (query position, direction); built lazily since
-        # only tau-subsequence positions are anchors (2|Q'| tries, §5.2).
+        # Per (query position, direction), built lazily since only
+        # tau-subsequence positions are anchors (2|Q'| tries, §5.2): the
+        # arena walker's contexts, and the Python walker's
+        # (query part, trie root) pairs.
         self._contexts: Dict[Tuple[int, str], _DirectionContext] = {}
+        self._roots: Dict[Tuple[int, str], Tuple[Tuple[int, ...], TrieNode]] = {}
         self.stats = VerificationStats()
 
     def _converting_array_accessor(self):
@@ -567,11 +518,11 @@ class Verifier:
         """ndarrays materialized verifying so far: per-query setup, arena
         and scratch (re)allocations, and per-round kernel temporaries.
 
-        The pre-arena layout allocated at least one ndarray per *computed
-        column* on top of the same per-round temporaries, so the
-        benchmark's allocation-reduction metric compares
-        ``computed_columns + dp_array_allocations`` (the old cost) against
-        ``dp_array_allocations`` (the new one).  With a warm shared trie
+        A one-ndarray-per-column layout would allocate at least one more
+        per *computed column* on top of the same per-round temporaries,
+        so the benchmark's allocation-reduction metric compares
+        ``computed_columns + dp_array_allocations`` (that cost) against
+        ``dp_array_allocations`` (this one).  With a warm shared trie
         only this query's growth is counted, not the cached history."""
         total = self._allocs
         for ctx in self._contexts.values():
@@ -580,11 +531,11 @@ class Verifier:
 
     @property
     def dp_rounds(self) -> int:
-        """DP kernel launches so far: batched rounds plus single-column
-        steps.  A fully-warm rewalk launches zero; the engine copies the
-        count into ``QueryResult.dp_rounds`` as a trace attribute.  Kept
-        out of :class:`VerificationStats` (backend-identical by
-        contract): the python backend launches no kernels."""
+        """DP kernel launches so far: one per resolve round.  A
+        fully-warm rewalk launches zero; the engine copies the count into
+        ``QueryResult.dp_rounds`` as a trace attribute.  Kept out of
+        :class:`VerificationStats` (walker-identical by contract): the
+        Python walker launches no kernels."""
         return self._dp_rounds
 
     # -- Algorithm 3: drive all candidates ---------------------------------
@@ -596,16 +547,15 @@ class Verifier:
         or an external caller supply overlapping candidate sets) are
         verified once and counted in ``stats.duplicate_candidates``; the
         survivors are ordered by anchor position ``iq``, then trajectory,
-        so consecutive candidates share direction contexts, trie roots, and
-        symbol arrays — and, on the numpy backend, each ``iq`` group is
-        verified as one level-synchronous batch over the shared tries.
-        Neither transformation changes the result set or the column
-        counters — trie cache contents and per-candidate visit counts are
+        and verified one ``iq`` group at a time, so the candidates of a
+        group share direction tries and symbol arrays.  Neither
+        transformation changes the result set or the column counters —
+        trie cache contents and per-candidate visit counts are
         order-independent.
 
-        Polls the cancellation token between candidates (python backend)
-        or between anchor groups and walk rounds (numpy backend), so a
-        cancelled or deadline-expired query raises
+        Polls the cancellation token between groups (and
+        :meth:`_verify_group` polls inside them), so a cancelled or
+        deadline-expired query raises
         :class:`~repro.exceptions.QueryCancelledError` within one loop
         iteration instead of verifying the remaining candidates.
         """
@@ -618,65 +568,75 @@ class Verifier:
                 seen.add(cand)
                 unique.append(cand)
         unique.sort(key=lambda c: (c[2], c[0], c[1]))
-        cancel = self._cancel
-        if self._numpy:
-            total = len(unique)
-            start = 0
-            while start < total:
-                if cancel is not None and cancel.cancelled():
-                    raise QueryCancelledError(
-                        f"verification cancelled after {self.stats.candidates} "
-                        f"of {len(candidates)} candidates"
-                    )
-                iq = unique[start][2]
-                end = start
-                while end < total and unique[end][2] == iq:
-                    end += 1
-                self._verify_group(iq, unique[start:end], matches)
-                start = end
-            return
-        for cand in unique:
-            if cancel is not None and cancel.cancelled():
-                raise QueryCancelledError(
-                    f"verification cancelled after {self.stats.candidates} of "
-                    f"{len(candidates)} candidates"
-                )
-            self.verify_candidate(cand, matches)
+        total = len(unique)
+        start = 0
+        while start < total:
+            raise_if_cancelled(self._cancel, "verification")
+            iq = unique[start][2]
+            end = start
+            while end < total and unique[end][2] == iq:
+                end += 1
+            self._verify_group(iq, unique[start:end], matches)
+            start = end
 
     # -- Algorithm 4 --------------------------------------------------------
 
     def verify_candidate(self, candidate: Candidate, matches: MatchSet) -> None:
-        """Emit every match of Definition 3 anchored at this candidate.
+        """Emit every match of Definition 3 anchored at this candidate —
+        a group of one."""
+        self._verify_group(candidate[2], [candidate], matches)
 
-        Single-candidate entry point (the batched group path in
-        :meth:`verify_all` produces identical results and counters)."""
-        tid, j, iq = candidate
-        self.stats.candidates += 1
+    def _verify_group(
+        self, iq: int, group: Sequence[Candidate], matches: MatchSet
+    ) -> None:
+        """Algorithm 4 for the candidates sharing anchor position ``iq``
+        — and the one dispatch between the two walkers: the arena walker
+        advances the whole group together, once per direction; the Python
+        walker takes the candidates one at a time (polling the
+        cancellation token between them)."""
+        stats = self.stats
+        tau = self._tau
         if self._numpy:
-            data = self._symbols_array_of(tid)
-            self.stats.sw_columns += len(data)
-            # The anchor cost is the iq-th entry of the symbol's cached
-            # full-query substitution row (sub is symmetric — §2.2.1).
-            anchor_cost = float(self._matrix.row(data.item(j))[iq])
-            budget = self._tau - anchor_cost
-            if budget <= 0:
+            matrix = self._matrix
+            items: List[Tuple[int, int, float, float]] = []
+            views_b: List[np.ndarray] = []
+            views_f: List[np.ndarray] = []
+            budgets: List[float] = []
+            for tid, j, _ in group:
+                data = self._symbols_array_of(tid)
+                stats.candidates += 1
+                stats.sw_columns += len(data)
+                # The anchor cost is the iq-th entry of the symbol's cached
+                # full-query substitution row (sub is symmetric — §2.2.1).
+                anchor_cost = float(matrix.row(data.item(j))[iq])
+                budget = tau - anchor_cost
+                if budget <= 0:
+                    continue
+                items.append((tid, j, anchor_cost, budget))
+                views_b.append(data[:j][::-1])
+                views_f.append(data[j + 1 :])
+                budgets.append(budget)
+            if not items:
                 return
-            backward = self._context(iq, "b")
-            forward = self._context(iq, "f")
-            eb = self._all_prefix_wed_array(data[:j][::-1], backward, budget)
-            ef = self._all_prefix_wed_array(data[j + 1 :], forward, budget)
-        else:
+            ebs = self._arena_all_prefix_wed(views_b, budgets, self._context(iq, "b"))
+            efs = self._arena_all_prefix_wed(views_f, budgets, self._context(iq, "f"))
+            for (tid, j, anchor_cost, budget), eb, ef in zip(items, ebs, efs):
+                self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
+            return
+        query_symbol = self._query[iq]
+        for n, (tid, j, _) in enumerate(group):
+            if n:
+                raise_if_cancelled(self._cancel, "verification")
             data = self._symbols_of(tid)
-            self.stats.sw_columns += len(data)
-            anchor_cost = self._costs.sub(self._query[iq], data[j])
-            budget = self._tau - anchor_cost
+            stats.candidates += 1
+            stats.sw_columns += len(data)
+            anchor_cost = self._costs.sub(query_symbol, data[j])
+            budget = tau - anchor_cost
             if budget <= 0:
-                return
-            backward = self._context(iq, "b")
-            forward = self._context(iq, "f")
-            eb = self._all_prefix_wed(_Reversed(data, j), backward, budget)
-            ef = self._all_prefix_wed(_Suffix(data, j + 1), forward, budget)
-        self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
+                continue
+            eb = self._all_prefix_wed(_Reversed(data, j), self._root(iq, "b"), budget)
+            ef = self._all_prefix_wed(_Suffix(data, j + 1), self._root(iq, "f"), budget)
+            self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
 
     def _combine(
         self,
@@ -703,61 +663,25 @@ class Verifier:
                     emitted += 1
         self.stats.emitted += emitted
 
-    # -- anchor-grouped batch verification (numpy backend) ------------------
+    # -- Algorithm 5: AllPrefixWED, arena walker -----------------------------
 
-    def _verify_group(
-        self, iq: int, group: Sequence[Candidate], matches: MatchSet
-    ) -> None:
-        """Verify all candidates sharing anchor position ``iq`` as one
-        level-synchronous batch over the shared direction tries."""
-        stats = self.stats
-        matrix = self._matrix
-        tau = self._tau
-        items: List[Tuple[int, int, float, float]] = []
-        views_b: List[np.ndarray] = []
-        views_f: List[np.ndarray] = []
-        budgets: List[float] = []
-        for tid, j, _ in group:
-            data = self._symbols_array_of(tid)
-            stats.candidates += 1
-            stats.sw_columns += len(data)
-            anchor_cost = float(matrix.row(data.item(j))[iq])
-            budget = tau - anchor_cost
-            if budget <= 0:
-                continue
-            items.append((tid, j, anchor_cost, budget))
-            views_b.append(data[:j][::-1])
-            views_f.append(data[j + 1 :])
-            budgets.append(budget)
-        if not items:
-            return
-        backward = self._context(iq, "b")
-        forward = self._context(iq, "f")
-        ebs = self._batched_all_prefix_wed(views_b, budgets, backward)
-        efs = self._batched_all_prefix_wed(views_f, budgets, forward)
-        for (tid, j, anchor_cost, budget), eb, ef in zip(items, ebs, efs):
-            self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
-
-    def _batched_all_prefix_wed(
+    def _arena_all_prefix_wed(
         self,
         views: List[np.ndarray],
         budgets: List[float],
         ctx: _DirectionContext,
     ) -> List[List[float]]:
-        """AllPrefixWED for many candidates over one shared slot-native
-        trie, advanced level-synchronously.
+        """AllPrefixWED for many candidates over one slot-native trie:
+        ``E[k] = wed(view[:k], query part)`` for growing ``k``, per view.
 
         Rounds alternate two phases until every state terminates:
 
-        1. **walk** (:meth:`_walk_level_sync`): all live states advance
-           through cached columns in depth-lockstep — per round, each
-           state's one ``(slot, symbol)`` edge lookup, then the whole
-           frontier's column mins/lasts gathered with two vectorized
-           ``np.take`` calls over the trie's scalar vectors.  On a warm
-           (cross-query cached) trie this phase is the entire
-           verification: no kernel ever launches.  A state whose edge is
-           absent parks at the cold frontier, rendezvous-deduplicated per
-           distinct ``(slot, symbol)`` miss;
+        1. **walk** (:meth:`_walk_cached`): every live state runs through
+           cached columns to its first miss.  On a warm (cross-query
+           cached) trie this phase is the entire verification: no kernel
+           ever launches.  A state whose edge is absent parks at the cold
+           frontier, rendezvous-deduplicated per distinct
+           ``(slot, symbol)`` miss;
         2. **resolve** (:meth:`_resolve_round`): the round's distinct
            misses — walker entries and virgin-chain steps together —
            become one :func:`step_dp_batch` call writing into freshly
@@ -771,23 +695,23 @@ class Verifier:
         slot-indexed **virgin chain**, skipping the walker and rendezvous
         entirely, batched into the same kernel calls.  Emitted E values,
         termination points, and every counter are identical to walking
-        the candidates one at a time; batching, lockstep order, virgin
-        routing, and cache warmth only change where time (not arithmetic)
-        is spent — except that warm cache hits are, by definition, not
-        recounted in ``computed_columns``.
+        the candidates one at a time; batching, virgin routing, and cache
+        warmth only change where time (not arithmetic) is spent — except
+        that warm cache hits are, by definition, not recounted in
+        ``computed_columns``.
 
-        Without the trie (the ablation), every visit recomputes its
-        column into detached per-node storage — see
-        :meth:`_batched_detached`.
+        Without the trie (the ablation) the walk runs on a private arena
+        that lives for this call only: every state starts as a virgin
+        chain off the root and no edge is ever published, so every visit
+        recomputes its column — matching sequential local verification
+        column for column — and nothing outlives the call.
         """
-        if not self._use_trie:
-            return self._batched_detached(views, budgets, ctx)
-        trie = ctx.trie
+        shared = self._use_trie
+        trie = ctx.trie if shared else ctx.new_trie()
         root_last = trie.lasts_list[0]
         root_min = trie.mins_list[0]
         outs: List[List[float]] = [[root_last] for _ in views]
         early = self._early_termination
-        cancel = self._cancel
         # One walk state per candidate still extending:
         # [slot, symbol list, out list, budget, k, len(view), view array].
         # Symbols are materialized into plain int lists *chunk by chunk*
@@ -804,12 +728,6 @@ class Verifier:
                     [0, view[:_SYMBOL_CHUNK].tolist(), out, budget, 0, n, view]
                 )
         computed = 0
-        # Visited-column accounting is derived, not incremented: every
-        # visit appends exactly one E value to its state's out list (hits
-        # immediately, misses when their batch resolves), so the visit
-        # count is the total out-list growth — one subtraction per state
-        # instead of one counter bump per visited column.
-        #
         # Parked misses.  The rendezvous for duplicate (slot, symbol)
         # misses within a round is ``pend_index`` — a round-local dict, so
         # the shared trie never sees half-born entries: ``edges`` gains a
@@ -828,54 +746,62 @@ class Verifier:
         v_pslots: List[int] = []
         v_syms: List[int] = []
         v_rowslots: List[int] = []
-        while runnable or pend_pslots or v_states:
-            if cancel is not None and cancel.cancelled():
-                self.stats.visited_columns += sum(len(o) for o in outs) - len(outs)
-                self.stats.computed_columns += computed
-                raise QueryCancelledError(
-                    f"verification cancelled after {self.stats.candidates} "
-                    "candidates (mid-batch)"
-                )
-            if runnable:
-                self._walk_level_sync(
-                    ctx,
-                    runnable,
-                    pend_index,
-                    pend_pslots,
-                    pend_syms,
-                    pend_rowslots,
-                    pend_waiters,
-                )
-            if pend_pslots or v_states:
-                nxt_v: Tuple[list, list, list, list] = ([], [], [], [])
-                done, runnable = self._resolve_round(
-                    ctx,
-                    pend_pslots,
-                    pend_syms,
-                    pend_rowslots,
-                    pend_waiters,
-                    v_states,
-                    v_pslots,
-                    v_syms,
-                    v_rowslots,
-                    nxt_v,
-                )
-                computed += done
-                v_states, v_pslots, v_syms, v_rowslots = nxt_v
-                pend_index.clear()
-                pend_pslots = []
-                pend_syms = []
-                pend_rowslots = []
-                pend_waiters = []
-            else:
-                runnable = []
-        self.stats.visited_columns += sum(len(o) for o in outs) - len(outs)
-        self.stats.computed_columns += computed
+        if not shared:
+            v_states, runnable = runnable, []
+            v_pslots = [0] * len(v_states)
+            v_syms = [st[1][0] for st in v_states]
+            v_rowslots = [ctx.rows.slot(symbol) for symbol in v_syms]
+        try:
+            while runnable or v_states:
+                raise_if_cancelled(self._cancel, "verification")
+                if runnable:
+                    self._walk_cached(
+                        trie,
+                        ctx.rows,
+                        runnable,
+                        pend_index,
+                        pend_pslots,
+                        pend_syms,
+                        pend_rowslots,
+                        pend_waiters,
+                    )
+                    runnable = []
+                if pend_pslots or v_states:
+                    nxt_v: Tuple[list, list, list, list] = ([], [], [], [])
+                    done, runnable = self._resolve_round(
+                        ctx,
+                        trie,
+                        pend_pslots,
+                        pend_syms,
+                        pend_rowslots,
+                        pend_waiters,
+                        v_states,
+                        v_pslots,
+                        v_syms,
+                        v_rowslots,
+                        nxt_v,
+                    )
+                    computed += done
+                    v_states, v_pslots, v_syms, v_rowslots = nxt_v
+                    pend_index.clear()
+                    pend_pslots = []
+                    pend_syms = []
+                    pend_rowslots = []
+                    pend_waiters = []
+        finally:
+            # Visited-column accounting is derived, not incremented: every
+            # visit appends exactly one E value to its state's out list
+            # (hits immediately, misses when their batch resolves), so the
+            # visit count is the total out-list growth — one subtraction
+            # per state instead of one counter bump per visited column.
+            self.stats.visited_columns += sum(len(o) for o in outs) - len(outs)
+            self.stats.computed_columns += computed
         return outs
 
-    def _walk_level_sync(
+    def _walk_cached(
         self,
-        ctx: _DirectionContext,
+        trie: VerificationTrie,
+        rows,
         states: List[list],
         pend_index: Dict[Tuple[int, int], int],
         pend_pslots: List[int],
@@ -883,94 +809,27 @@ class Verifier:
         pend_rowslots: List[int],
         pend_waiters: List[List[list]],
     ) -> None:
-        """Advance ``states`` through cached columns until every one has
+        """Run each of ``states`` through cached columns until it has
         terminated or parked at a cache miss.
 
-        While the frontier is wide (>= ``_GATHER_MIN`` live states — the
-        warm-cache regime, where whole candidate groups walk cached
-        levels together), states advance in depth-lockstep: one round
-        per trie level, the round's edge lookups driven through
-        ``map``/``zip`` at C speed and the frontier's column mins/lasts
-        gathered with two vectorized ``np.take`` calls over the trie's
-        parallel scalar vectors.  Once the frontier thins out, each
-        remaining state runs to its miss in a tight scalar loop over the
-        plain-float mirrors, where per-round batching overhead would
-        dominate.  Both paths read the identical floats and park the
-        identical misses — the trie is frozen during a walk phase, so
-        the visit *interleaving* (lockstep vs run-to-miss) is the only
-        difference, and nothing observes it.  Misses rendezvous per
-        distinct ``(slot, symbol)`` in ``pend_index`` either way.
+        The trie is frozen during a walk phase (this thread publishes
+        only in :meth:`_resolve_round`), so the order states are walked
+        in is unobservable.  Misses rendezvous per distinct
+        ``(slot, symbol)`` in ``pend_index``.
         """
-        trie = ctx.trie
         edges_get = trie.edges.get
         mins_list = trie.mins_list
         lasts_list = trie.lasts_list
-        rows = ctx.rows
         rows_index_get = rows.index.get
         rows_slot = rows.slot
         early = self._early_termination
         inf = float("inf")
-
-        def park(st: list, slot: int, symbol: int) -> None:
-            rendezvous = (slot, symbol)
-            idx = pend_index.get(rendezvous)
-            if idx is None:
-                pend_index[rendezvous] = len(pend_pslots)
-                pend_pslots.append(slot)
-                pend_syms.append(symbol)
-                # Dense substitution-row slot, resolved here (one inline
-                # dict hit per distinct miss) so resolution can
-                # bulk-gather.
-                sslot = rows_index_get(symbol)
-                if sslot is None:
-                    sslot = rows_slot(symbol)
-                pend_rowslots.append(sslot)
-                pend_waiters.append([st])
-            else:
-                pend_waiters[idx].append(st)
-
-        live = states
-        while len(live) >= _GATHER_MIN:
-            for st in live:
-                view = st[1]
-                if st[4] == len(view):
-                    view.extend(st[6][len(view) : 2 * len(view) + 16].tolist())
-            keys = [(st[0], st[1][st[4]]) for st in live]
-            children = list(map(edges_get, keys))
-            if None in children:
-                hit_states: List[list] = []
-                hit_slots: List[int] = []
-                for st, key, child in zip(live, keys, children):
-                    if child is None:
-                        park(st, key[0], key[1])
-                    else:
-                        hit_states.append(st)
-                        hit_slots.append(child)
-                if not hit_states:
-                    return
-            else:
-                hit_states = live
-                hit_slots = children
-            mins_l = np.take(trie.mins, hit_slots).tolist()
-            lasts_l = np.take(trie.lasts, hit_slots).tolist()
-            self._allocs += _GATHER_TEMP_ARRAYS
-            nxt: List[list] = []
-            for st, child, cmin, last in zip(hit_states, hit_slots, mins_l, lasts_l):
-                st[2].append(last)
-                k = st[4] + 1
-                if (early and cmin >= st[3]) or k == st[5]:
-                    continue
-                st[0] = child
-                st[4] = k
-                nxt.append(st)
-            live = nxt
-        for st in live:
+        for st in states:
             slot = st[0]
             view = st[1]
-            out = st[2]
             k = st[4]
             n = st[5]
-            append = out.append
+            append = st[2].append
             filled = len(view)
             # ``limit`` folds the early-termination flag out of the
             # per-visit condition (inf never fires).
@@ -980,11 +839,26 @@ class Verifier:
                     view.extend(st[6][filled : 2 * filled + 16].tolist())
                     filled = len(view)
                 symbol = view[k]
-                child = edges_get((slot, symbol))
+                edge = (slot, symbol)
+                child = edges_get(edge)
                 if child is None:
                     st[0] = slot
                     st[4] = k
-                    park(st, slot, symbol)
+                    idx = pend_index.get(edge)
+                    if idx is None:
+                        pend_index[edge] = len(pend_pslots)
+                        pend_pslots.append(slot)
+                        pend_syms.append(symbol)
+                        # Dense substitution-row slot, resolved here (one
+                        # inline dict hit per distinct miss) so
+                        # resolution can bulk-gather.
+                        sslot = rows_index_get(symbol)
+                        if sslot is None:
+                            sslot = rows_slot(symbol)
+                        pend_rowslots.append(sslot)
+                        pend_waiters.append([st])
+                    else:
+                        pend_waiters[idx].append(st)
                     break
                 append(lasts_list[child])
                 k += 1
@@ -995,6 +869,7 @@ class Verifier:
     def _resolve_round(
         self,
         ctx: _DirectionContext,
+        trie: VerificationTrie,
         pend_pslots: List[int],
         pend_syms: List[int],
         pend_rowslots: List[int],
@@ -1021,16 +896,15 @@ class Verifier:
         since this walk parked (those waiters are served as hits, and the
         column is not re-counted as computed).  Single-threaded the
         re-check never fires — walks see a frozen trie between park and
-        resolve — so counters stay bit-identical to the python backend.
+        resolve — so counters stay bit-identical to the Python walker.
 
         Returns ``(columns computed, states returning to the walker)``;
         ``nxt_v`` receives the virgin chains still alive.  A surviving
         *sole-waiter* walker entry becomes a virgin chain (see
-        :meth:`_batched_all_prefix_wed` for the divergence proof);
+        :meth:`_arena_all_prefix_wed` for the divergence proof);
         multi-waiter survivors may still converge on shared symbols, so
         they return to the walker, whose rendezvous dict dedupes them.
         """
-        trie = ctx.trie
         rows = ctx.rows
         prefix = ctx.ins_prefix
         early = self._early_termination
@@ -1055,7 +929,7 @@ class Verifier:
             )
             if hit or v_hit:
                 wn, vn = self._absorb_published(
-                    ctx, hit, v_hit, pend_pslots, pend_syms, pend_rowslots,
+                    trie, hit, v_hit, pend_pslots, pend_syms, pend_rowslots,
                     pend_waiters, v_states, v_pslots, v_syms, v_rowslots,
                     runnable,
                 )
@@ -1084,21 +958,21 @@ class Verifier:
             # Direct ufunc reduce: same floats as out.min(axis=1), minus
             # the np.min wrapper dispatch paid once per round.
             np.minimum.reduce(out, axis=1, out=mins_buf)
-            trie.mins[start : start + count] = mins_buf
-            trie.lasts[start : start + count] = out[:, -1]
             mins = mins_buf.tolist()
             lasts = out[:, -1].tolist()
             mins_list.extend(mins)
             lasts_list.extend(lasts)
             # Publish the edges last: a lock-free reader that sees one is
-            # guaranteed a fully written column and scalars.
-            slot = start
-            for i in range(wn):
-                edges[(pend_pslots[i], pend_syms[i])] = slot
-                slot += 1
-            for i in range(vn):
-                edges[(v_pslots[i], v_syms[i])] = slot
-                slot += 1
+            # guaranteed a fully written column and scalars.  A private
+            # (tries-off) arena publishes none: nothing may be found again.
+            if self._use_trie:
+                slot = start
+                for i in range(wn):
+                    edges[(pend_pslots[i], pend_syms[i])] = slot
+                    slot += 1
+                for i in range(vn):
+                    edges[(v_pslots[i], v_syms[i])] = slot
+                    slot += 1
         self._allocs += _GROUP_TEMP_ARRAYS
         self._dp_rounds += 1
         nv_states, nv_pslots, nv_syms, nv_rowslots = nxt_v
@@ -1167,7 +1041,7 @@ class Verifier:
 
     def _absorb_published(
         self,
-        ctx: _DirectionContext,
+        trie: VerificationTrie,
         hit: List[int],
         v_hit: List[int],
         pend_pslots: List[int],
@@ -1187,7 +1061,6 @@ class Verifier:
         since a cross-thread publication breaks the chain's sole-owner
         guarantee — return to the walker.  Caller holds the trie lock.
         Returns the compacted ``(walker, virgin)`` pending counts."""
-        trie = ctx.trie
         edges = trie.edges
         mins_list = trie.mins_list
         lasts_list = trie.lasts_list
@@ -1231,233 +1104,58 @@ class Verifier:
             v_rowslots[:] = [v_rowslots[i] for i in keep]
         return len(pend_pslots), len(v_states)
 
-    def _batched_detached(
-        self,
-        views: List[np.ndarray],
-        budgets: List[float],
-        ctx: _DirectionContext,
-    ) -> List[List[float]]:
-        """The ``use_trie=False`` ablation: every visit recomputes its
-        column (nothing is shared), still batched per round so the kernel
-        amortizes — matching the sequential local-verification mode
-        column for column."""
-        root = ctx.root
-        outs: List[List[float]] = [[root.column_last] for _ in views]
-        early = self._early_termination
-        cancel = self._cancel
-        runnable: List[list] = []
-        root_min = root.column_min
-        for view, budget, out in zip(views, budgets, outs):
-            if early and root_min >= budget:
-                continue
-            n = len(view)
-            if n:
-                runnable.append(
-                    [root, view[:_SYMBOL_CHUNK].tolist(), out, budget, 0, n, view]
-                )
-        computed = 0
-        pend_nodes: List[TrieNode] = []
-        pend_syms: List[int] = []
-        pend_waiters: List[List[list]] = []
-        while runnable or pend_nodes:
-            if cancel is not None and cancel.cancelled():
-                self.stats.visited_columns += sum(len(o) for o in outs) - len(outs)
-                self.stats.computed_columns += computed
-                raise QueryCancelledError(
-                    f"verification cancelled after {self.stats.candidates} "
-                    "candidates (mid-batch)"
-                )
-            for st in runnable:
-                view = st[1]
-                k = st[4]
-                if k == len(view):
-                    view.extend(st[6][len(view) : 2 * len(view) + 16].tolist())
-                pend_nodes.append(st[0])
-                pend_syms.append(view[k])
-                pend_waiters.append([st])
-            if pend_nodes:
-                computed += len(pend_nodes)
-                runnable = self._resolve_detached(
-                    ctx, pend_nodes, pend_syms, pend_waiters
-                )
-                pend_nodes = []
-                pend_syms = []
-                pend_waiters = []
-            else:
-                runnable = []
-        self.stats.visited_columns += sum(len(o) for o in outs) - len(outs)
-        self.stats.computed_columns += computed
-        return outs
-
-    def _resolve_detached(
-        self,
-        ctx: _DirectionContext,
-        nodes: List[TrieNode],
-        syms: List[int],
-        waiters: List[List[list]],
-    ) -> List[list]:
-        """Resolve one round without the trie: per-state detached columns.
-
-        Nothing is shared or cached in this ablation mode, so columns stay
-        per-node ndarray views (they die with their walk state — an arena
-        would pin every column for the query's lifetime)."""
-        rows = ctx.rows
-        prefix = ctx.ins_prefix
-        early = self._early_termination
-        rows_get = rows.get
-        count = len(nodes)
-        parents, subs, dels, work_a, work_b, mins_buf = ctx.scratch(count)
-        for i in range(count):
-            parents[i] = nodes[i].column
-            pair = rows_get(syms[i])
-            subs[i] = pair[0]
-            dels[i] = pair[1]
-        columns = step_dp_batch(subs, dels, prefix, parents, work=(work_a, work_b))
-        mins = np.min(columns, axis=1, out=mins_buf).tolist()
-        lasts = columns[:, -1].tolist()
-        # The columns matrix plus one view per detached node — this is the
-        # pre-arena allocation behaviour, kept only for use_trie=False.
-        self._allocs += count + _GROUP_TEMP_ARRAYS
-        self._dp_rounds += 1
-        runnable: List[list] = []
-        for i in range(count):
-            cmin = mins[i]
-            last = lasts[i]
-            child = TrieNode(columns[i], cmin, last)
-            for st in waiters[i]:
-                st[2].append(last)
-                k = st[4] + 1
-                if (early and cmin >= st[3]) or k == st[5]:
-                    continue
-                st[0] = child
-                st[4] = k
-                runnable.append(st)
-        return runnable
-
     def _context(self, iq: int, direction: str) -> _DirectionContext:
         key = (iq, direction)
         ctx = self._contexts.get(key)
         if ctx is None:
-            ctx = _DirectionContext(
-                self._query,
+            ctx = self._contexts[key] = _DirectionContext(
                 iq,
                 direction,
-                self._costs,
-                numpy_backend=self._numpy,
+                self._ins_vec,
+                self._matrix,
                 use_trie=self._use_trie,
-                ins_vec=self._ins_vec,
-                matrix=self._matrix,
                 entry=self._trie_entry,
             )
-            self._contexts[key] = ctx
         return ctx
 
-    # -- Algorithm 5: AllPrefixWED ------------------------------------------
+    # -- Algorithm 5: AllPrefixWED, Python walker ----------------------------
 
-    def _all_prefix_wed_array(
-        self,
-        data_part: np.ndarray,
-        ctx: _DirectionContext,
-        budget: float,
-    ) -> List[float]:
-        """Array-native AllPrefixWED over a zero-copy trajectory view
-        (single-candidate path; the batched walker produces identical
-        columns and counters — including where the columns live: cache
-        misses are computed straight into reserved arena rows)."""
-        early = self._early_termination
-        visited = computed = 0
-        if not self._use_trie:
-            # Detached: recompute every column, cache nothing.
-            node = ctx.root
-            out: List[float] = [node.column_last]
-            if early and node.column_min >= budget:
-                return out
-            rows_get = ctx.rows.get
-            prefix = ctx.ins_prefix
-            item = data_part.item
-            for k in range(len(data_part)):
-                symbol = item(k)
-                visited += 1
-                sub_row, delete_cost = rows_get(symbol)
-                column = step_dp_numpy(sub_row, delete_cost, prefix, node.column)
-                node = TrieNode(column, column.min().item(), column.item(-1))
-                self._allocs += 1 + _SINGLE_TEMP_ARRAYS
-                self._dp_rounds += 1
-                computed += 1
-                out.append(node.column_last)
-                if early and node.column_min >= budget:
-                    break
-            self.stats.visited_columns += visited
-            self.stats.computed_columns += computed
-            return out
-        trie = ctx.trie
-        mins_list = trie.mins_list
-        lasts_list = trie.lasts_list
-        out = [lasts_list[0]]
-        if early and mins_list[0] >= budget:
-            return out
-        edges_get = trie.edges.get
-        rows_get = ctx.rows.get
-        prefix = ctx.ins_prefix
-        item = data_part.item
-        slot = 0
-        for k in range(len(data_part)):
-            symbol = item(k)
-            visited += 1
-            child = edges_get((slot, symbol))
-            if child is None:
-                with trie.lock:
-                    child = edges_get((slot, symbol))  # cross-thread re-check
-                    if child is None:
-                        sub_row, delete_cost = rows_get(symbol)
-                        before_growth = trie.allocations
-                        child = trie.reserve(1)
-                        ctx.trie_growth += trie.allocations - before_growth
-                        # prev is fetched post-reserve so both views come
-                        # from the (possibly grown) current matrix.
-                        column = step_dp_numpy(
-                            sub_row,
-                            delete_cost,
-                            prefix,
-                            trie.matrix[slot],
-                            out=trie.matrix[child],
-                        )
-                        cmin = column.min().item()
-                        clast = column.item(-1)
-                        trie.mins[child] = cmin
-                        trie.lasts[child] = clast
-                        mins_list.append(cmin)
-                        lasts_list.append(clast)
-                        trie.edges[(slot, symbol)] = child
-                        computed += 1
-                        self._allocs += _SINGLE_TEMP_ARRAYS
-                        self._dp_rounds += 1
-            slot = child
-            out.append(lasts_list[slot])
-            if early and mins_list[slot] >= budget:
-                break
-        self.stats.visited_columns += visited
-        self.stats.computed_columns += computed
-        return out
+    def _root(self, iq: int, direction: str) -> Tuple[Tuple[int, ...], TrieNode]:
+        """One direction's ``(query part, trie root)`` for the Python
+        walker.  The backward part is the reversed prefix (WED is
+        invariant under simultaneous reversal because costs are
+        position-independent); the root column ``wed(eps, part prefix)``
+        is the cumulative insertion cost of the part."""
+        key = (iq, direction)
+        pair = self._roots.get(key)
+        if pair is None:
+            if direction == "b":
+                part = tuple(reversed(self._query[:iq]))
+            else:
+                part = self._query[iq + 1 :]
+            prefix: List[float] = [0.0]
+            for q in part:
+                prefix.append(prefix[-1] + self._costs.ins(q))
+            pair = self._roots[key] = (part, TrieNode(prefix))
+        return pair
 
     def _all_prefix_wed(
         self,
         data_part: Sequence[int],
-        ctx: _DirectionContext,
+        root: Tuple[Tuple[int, ...], TrieNode],
         budget: float,
     ) -> List[float]:
-        """``E[k] = wed(data_part[:k], ctx.query_part)`` for growing ``k``.
+        """``E[k] = wed(data_part[:k], query part)`` for growing ``k``.
 
         Stops early once the column minimum reaches ``budget`` (the stopped
         column's E value could only be >= budget, so nothing is lost).
         ``E[0]`` is the cost of inserting the whole query part.
         """
-        node: TrieNode = ctx.trie.root
-        query_part = ctx.query_part
+        query_part, node = root
         out: List[float] = [node.column_last]
         if self._early_termination and node.column_min >= budget:
             return out
-        ins_prefix = ctx.ins_prefix
+        ins_prefix = node.column
         nq = len(query_part)
         for k in range(len(data_part)):
             symbol = data_part[k]
@@ -1487,8 +1185,8 @@ class Verifier:
         nq: int,
     ) -> List[float]:
         # Prefix-min insert chain — the same evaluation order as
-        # step_dp_numpy / step_dp_batch, cell for cell (see
-        # repro.distance.wed), so the backends return identical floats.
+        # step_dp_batch, cell for cell (see repro.distance.wed), so the
+        # two walkers return identical floats.
         costs = self._costs
         sub_row = costs.sub_row(symbol, query_part)
         dele = costs.delete(symbol)
@@ -1508,9 +1206,10 @@ class Verifier:
         return column
 
     def trie_node_count(self) -> int:
-        """Total cached columns across all live tries (detached contexts
-        count their root alone — nothing else survives the walk there)."""
-        total = 0
+        """Total cached columns across all live tries (a tries-off arena
+        context counts its root alone — nothing else survives a walk
+        there)."""
+        total = sum(root.node_count() for _, root in self._roots.values())
         for ctx in self._contexts.values():
             total += 1 if ctx.trie is None else ctx.trie.node_count()
         return total

@@ -8,8 +8,8 @@ used by the whole-matching baselines.
 Floating-point convention
 -------------------------
 Every DP step in this repo — :func:`wed_step`, the verifier's pure-Python
-``_step_dp``, and the vectorized ``step_dp_numpy`` / ``step_dp_batch``
-kernels — evaluates the insertion chain in the *prefix-min* form
+``_step_dp``, and the vectorized ``step_dp_batch`` kernel — evaluates
+the insertion chain in the *prefix-min* form
 
     B[j] = min(C[j], P[j] + min over i < j of (C[i] - P[i]))
 

@@ -133,8 +133,7 @@ class ServiceObservability:
         )
         self._dp_rounds = reg.counter(
             "repro_dp_rounds_total",
-            "Verification DP kernel launches (batched rounds and "
-            "single-column steps).",
+            "Verification DP kernel launches (one per batched resolve round).",
         )
         self._sampled = reg.counter(
             "repro_traces_sampled_total", "Requests that recorded a trace."

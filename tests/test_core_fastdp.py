@@ -1,4 +1,4 @@
-"""Numpy StepDP backend: exact equivalence with the Python DP."""
+"""The batched StepDP kernel: exact equivalence with the Python DP."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SubtrajectorySearch
-from repro.core.verification import step_dp_batch, step_dp_numpy
+from repro.core.verification import Verifier, step_dp_batch
 from repro.distance.costs import LevenshteinCost
 from repro.distance.wed import wed_step
 from repro.exceptions import QueryError
@@ -17,7 +17,17 @@ lev = LevenshteinCost()
 floats = st.floats(min_value=0.0, max_value=50.0)
 
 
-class TestStepDPNumpy:
+def step_one(sub_row, dele, ins_prefix, prev):
+    """One column through the batched kernel (``L = 1``)."""
+    return step_dp_batch(
+        np.asarray(sub_row, dtype=np.float64)[None, :],
+        np.asarray([dele]),
+        np.asarray(ins_prefix),
+        np.asarray(prev, dtype=np.float64)[None, :],
+    )[0]
+
+
+class TestStepDPBatch:
     @staticmethod
     def _reference(prev, sub_row, ins_prefix, dele):
         """The repo-wide prefix-min evaluation (see repro.distance.wed),
@@ -52,14 +62,9 @@ class TestStepDPNumpy:
         for c in ins_seed[:n]:
             ins_prefix.append(ins_prefix[-1] + c)
         want = self._reference(prev, sub_row, ins_prefix, dele)
-        got = step_dp_numpy(
-            np.asarray(sub_row),
-            dele,
-            np.asarray(ins_prefix),
-            np.asarray(prev, dtype=np.float64),
-        )
+        got = step_one(sub_row, dele, ins_prefix, prev)
         # Bit-identical, not merely close: the strict < tau match semantics
-        # must see the same numbers on both backends (see step_dp_numpy).
+        # must see the same numbers on both walkers (see step_dp_batch).
         assert got.tolist() == want
         # Equals the textbook recurrence wherever the arithmetic is exact;
         # in general within rounding of it.
@@ -81,10 +86,12 @@ class TestStepDPNumpy:
         dele_seed=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=4),
     )
     @settings(max_examples=80, deadline=None)
-    def test_batch_rows_match_single_kernel(
+    def test_rows_are_independent_of_batch_and_buffers(
         self, prev_seed, sub_seed, ins_seed, dele_seed
     ):
-        """step_dp_batch row i == step_dp_numpy on row i, bit for bit."""
+        """Row i of a batch == row i alone (``L = 1``) == the cell-by-cell
+        reference, bit for bit; ``out=``/``work=`` buffers (the arena
+        walker's call shape) change the destination, never a float."""
         n = len(ins_seed)
         rows = len(dele_seed)
         prev = np.asarray((prev_seed * 4)[: rows * (n + 1)]).reshape(rows, n + 1)
@@ -93,33 +100,60 @@ class TestStepDPNumpy:
         dels = np.asarray(dele_seed)
         batched = step_dp_batch(subs, dels, ins_prefix, prev)
         for i in range(rows):
-            single = step_dp_numpy(subs[i], dels[i], ins_prefix, prev[i])
-            assert batched[i].tolist() == single.tolist()
+            alone = step_one(subs[i], dels[i], ins_prefix, prev[i])
+            assert batched[i].tolist() == alone.tolist()
+            assert alone.tolist() == self._reference(
+                prev[i].tolist(), subs[i].tolist(), ins_prefix.tolist(), dels[i]
+            )
+        out = np.empty_like(prev)
+        work = (np.empty_like(subs), np.empty_like(prev))
+        buffered = step_dp_batch(subs, dels, ins_prefix, prev, out=out, work=work)
+        assert buffered is out
+        assert buffered.tolist() == batched.tolist()
 
     def test_empty_query_part(self):
-        got = step_dp_numpy(np.asarray([]), 2.0, np.asarray([0.0]), np.asarray([5.0]))
+        got = step_one([], 2.0, [0.0], [5.0])
         assert got.tolist() == [7.0]
 
-    def test_matches_wed_step(self):
+    def test_matches_wed_step_and_python_walker(self):
         query = [1, 2, 3, 4]
         prev = [0.0, 1.0, 2.0, 3.0, 4.0]
+        ins_prefix = [0.0, 1.0, 2.0, 3.0, 4.0]
         want = wed_step(lev, query, 2, prev)
-        got = step_dp_numpy(
-            np.asarray(lev.sub_row(2, query)),
-            1.0,
-            np.arange(5, dtype=np.float64),
-            np.asarray(prev),
-        )
+        got = step_one(lev.sub_row(2, query), 1.0, ins_prefix, prev)
         assert got.tolist() == want
+        walker = Verifier(lambda tid: [], query, lev, 1.0, dp_backend="python")
+        assert walker._step_dp(2, query, ins_prefix, prev, len(query)) == want
+
+    def test_non_contiguous_inputs_are_read_not_mutated(self):
+        """Strided and reversed views (the backward direction's row
+        slices) give the floats of their contiguous copies, untouched."""
+        prev_wide = np.arange(10, dtype=np.float64).reshape(1, 10) * 0.3
+        subs_wide = np.arange(8, dtype=np.float64).reshape(1, 8) * 0.7
+        prev = prev_wide[:, ::2]  # (1, 5), stride 2
+        subs = subs_wide[:, ::-2]  # (1, 4), negative stride
+        assert not prev.flags.c_contiguous or not subs.flags.c_contiguous
+        ins_prefix = np.asarray([0.0, 0.9, 1.8, 2.7, 3.6])
+        dels = np.asarray([0.9])
+        keep = (prev_wide.copy(), subs_wide.copy())
+        got = step_dp_batch(subs, dels, ins_prefix, prev)
+        want = step_dp_batch(
+            np.ascontiguousarray(subs), dels, ins_prefix, np.ascontiguousarray(prev)
+        )
+        assert got.tolist() == want.tolist()
+        assert got.tolist()[0] == self._reference(
+            prev[0].tolist(), subs[0].tolist(), ins_prefix.tolist(), 0.9
+        )
+        assert prev_wide.tolist() == keep[0].tolist()
+        assert subs_wide.tolist() == keep[1].tolist()
 
     def test_exact_at_threshold_nonrepresentable_costs(self):
         """The regression that motivated the shared prefix-min convention:
         with non-representable costs (0.3/0.9), a naively regrouped kernel
         returned 0.29999999999999993 for a cell whose substitution branch
         is exactly 0.3, flipping the strict < tau comparison against the
-        pure-Python backend."""
-        prev = np.asarray([0.0, 0.9])
-        got = step_dp_numpy(np.asarray([0.3]), 0.9, np.asarray([0.0, 0.9]), prev)
+        Python walker."""
+        got = step_one([0.3], 0.9, [0.0, 0.9], [0.0, 0.9])
         assert got.tolist() == [0.9, 0.3]
 
 

@@ -1,4 +1,5 @@
-"""Verification trie data structure (per-node and slot-native layouts)."""
+"""Verification trie data structures: the Python walker's node graph and
+the arena walker's slot-native trie."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ class TestTrieNode:
     def test_column_min_cached(self):
         node = TrieNode([3.0, 1.0, 2.0])
         assert node.column_min == 1.0
+        assert node.column_last == 2.0
 
     def test_find_and_create_child(self):
         node = TrieNode([0.0])
@@ -25,36 +27,29 @@ class TestTrieNode:
         assert node.find_child(1) is a
         assert node.find_child(2) is b
 
+    def test_node_count(self):
+        root = TrieNode([0.0])
+        assert root.node_count() == 1
+        a = root.create_child(1, [1.0])
+        a.create_child(2, [2.0])
+        root.create_child(3, [3.0])
+        assert root.node_count() == 4
+        assert a.node_count() == 2
+
 
 class TestVerificationTrie:
-    def test_root_column(self):
-        trie = VerificationTrie([0.0, 1.0, 2.0])
-        assert trie.root.column == [0.0, 1.0, 2.0]
-
-    def test_node_count(self):
-        trie = VerificationTrie([0.0])
-        assert trie.node_count() == 1
-        a = trie.root.create_child(1, [1.0])
-        a.create_child(2, [2.0])
-        trie.root.create_child(3, [3.0])
-        assert trie.node_count() == 4
-
-
-class TestArenaTrie:
-    """The slot-native layout: one matrix, one edges dict, scalar vectors."""
+    """The slot-native layout: one matrix, one edges dict, scalar lists."""
 
     def test_root_lives_at_slot_zero(self):
-        trie = VerificationTrie(np.asarray([0.0, 1.0, 2.0]), arena=True)
-        assert trie.root is None
+        trie = VerificationTrie(np.asarray([0.0, 1.0, 2.0]))
         assert trie.used == 1
         assert trie.row(0).tolist() == [0.0, 1.0, 2.0]
         assert trie.mins_list == [0.0]
         assert trie.lasts_list == [2.0]
-        assert trie.mins[0] == 0.0 and trie.lasts[0] == 2.0
         assert trie.node_count() == 1
 
     def test_reserve_contiguous_and_growth_preserves_rows(self):
-        trie = VerificationTrie(np.asarray([1.0, 2.0, 3.0]), arena=True)
+        trie = VerificationTrie(np.asarray([1.0, 2.0, 3.0]))
         with trie.lock:
             first = trie.reserve(2)
         assert first == 1  # root occupies slot 0
@@ -67,23 +62,22 @@ class TestArenaTrie:
         assert trie.allocations > before
         assert trie.matrix[first].tolist() == [4.0, 5.0, 6.0]
         assert trie.row(0).tolist() == [1.0, 2.0, 3.0]
-        assert trie.mins.shape == trie.lasts.shape == (trie.matrix.shape[0],)
+        assert trie.matrix.shape[0] >= trie.used
 
     def test_growth_is_geometric(self):
-        trie = VerificationTrie(np.zeros(2), arena=True)
+        trie = VerificationTrie(np.zeros(2))
         for _ in range(300):
             with trie.lock:
                 trie.reserve(1)
-        # 300 rows, doubling from 32: ~4 reallocation rounds, not ~300.
-        assert trie.allocations <= 3 + 4 * 3
+        # 300 rows, doubling from 32: 4 reallocations of the one matrix,
+        # not ~300.
+        assert trie.allocations == 1 + 4
 
     def test_edges_address_columns(self):
-        trie = VerificationTrie(np.asarray([0.0, 1.0]), arena=True)
+        trie = VerificationTrie(np.asarray([0.0, 1.0]))
         with trie.lock:
             slot = trie.reserve(1)
             trie.matrix[slot] = [0.5, 1.5]
-            trie.mins[slot] = 0.5
-            trie.lasts[slot] = 1.5
             trie.mins_list.append(0.5)
             trie.lasts_list.append(1.5)
             trie.edges[(0, 7)] = slot
@@ -92,14 +86,12 @@ class TestArenaTrie:
         assert trie.node_count() == 2
 
     def test_nbytes_tracks_growth(self):
-        trie = VerificationTrie(np.zeros(4), arena=True)
+        trie = VerificationTrie(np.zeros(4))
         before = trie.nbytes
-        assert before > 0
+        assert before > trie.matrix.nbytes
         with trie.lock:
             trie.reserve(500)
         assert trie.nbytes > before
-        # Non-arena tries pin nothing accountable.
-        assert VerificationTrie([0.0]).nbytes == 0
 
 
 class TestTrieCacheEntry:
@@ -108,7 +100,7 @@ class TestTrieCacheEntry:
         built = []
 
         def factory():
-            trie = VerificationTrie(np.zeros(3), arena=True)
+            trie = VerificationTrie(np.zeros(3))
             built.append(trie)
             return trie
 
@@ -125,7 +117,7 @@ class TestTrieCacheEntry:
 class TestTrieCache:
     def _entry_with_bytes(self, cache, key, rows):
         entry = cache.entry(key)
-        trie = entry.trie((0, "f"), lambda: VerificationTrie(np.zeros(8), arena=True))
+        trie = entry.trie((0, "f"), lambda: VerificationTrie(np.zeros(8)))
         with trie.lock:
             trie.reserve(rows)
         return entry

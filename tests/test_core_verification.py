@@ -99,14 +99,39 @@ class TestEquivalences:
             got = {(m.trajectory_id, m.start, m.end) for m in ms}
             assert got == oracle(data, query, tau)
 
-    def test_trie_off_same_results(self, workload):
+    @pytest.mark.parametrize("early", [True, False])
+    def test_trie_off_same_results(self, workload, early):
+        """Tries off (python: detached nodes; numpy: a private per-call
+        arena) matches tries on, on both walkers — matches exactly, and
+        every counter except the recomputation the trie exists to save."""
         data, queries = workload
         for query in queries:
-            a, b = MatchSet(), MatchSet()
             cands = candidates_for(data, query)
-            make_verifier(data, query, 2.0, use_trie=True).verify_all(cands, a)
-            make_verifier(data, query, 2.0, use_trie=False).verify_all(cands, b)
-            assert a.keys() == b.keys()
+            runs = {}
+            for backend in ("python", "numpy"):
+                for use_trie in (True, False):
+                    v = make_verifier(
+                        data,
+                        query,
+                        2.0,
+                        dp_backend=backend,
+                        use_trie=use_trie,
+                        early_termination=early,
+                    )
+                    ms = MatchSet()
+                    v.verify_all(cands, ms)
+                    runs[backend, use_trie] = (
+                        sorted((m.trajectory_id, m.start, m.end, m.distance) for m in ms),
+                        v.stats,
+                    )
+            reference = runs["python", True]
+            for backend in ("python", "numpy"):
+                on, off = runs[backend, True], runs[backend, False]
+                assert on == reference
+                assert off[0] == reference[0]
+                assert off[1] == runs["python", False][1]
+                assert off[1].visited_columns == on[1].visited_columns
+                assert off[1].computed_columns == off[1].visited_columns
 
     def test_early_termination_off_same_results(self, workload):
         data, queries = workload

@@ -251,13 +251,14 @@ def _verify_both_backends(costs, data, query, tau):
 
 
 class TestBackendBitParity:
-    """The python and numpy (array-native) DP backends are interchangeable:
-    identical match sets with *bit-identical* distances and identical
-    UPR/CMR counters on random cost models, queries, and taus.
+    """The two AllPrefixWED walkers (per-cell Python, array-native arena)
+    are interchangeable: identical match sets with *bit-identical*
+    distances and identical UPR/CMR counters on random cost models,
+    queries, and taus.
 
     This is stronger than approximate equality: Definition 3 compares
     ``wed < tau`` strictly, so a one-ulp kernel divergence at the boundary
-    would change answers (the relaxation form of ``step_dp_numpy`` exists
+    would change answers (the prefix-min form of ``step_dp_batch`` exists
     precisely to rule that out).
     """
 
@@ -284,16 +285,17 @@ class TestBackendBitParity:
         tau_steps=st.integers(min_value=1, max_value=20),
     )
     @settings(max_examples=120, deadline=None)
-    def test_arena_columns_bit_identical_to_per_node_layout(
+    def test_walkers_agree_in_every_configuration(
         self, costs, data, query, tau_steps
     ):
-        """The arena-backed column layout (batched verify_all writing into
-        per-level matrices) is a pure memory-layout change: the batched
-        walk, the single-candidate arena walk (verify_candidate), and the
-        per-node pure-Python layout must agree on every match key, every
+        """{python, numpy} x {trie, local} x {early termination on, off}
+        x {verify_all, verify_candidate}: every match key and every
         distance *bit for bit* (0.3-multiples are not exactly
-        representable, so any reassociation would show), and every
-        VerificationStats counter."""
+        representable, so any reassociation would show) is the same in
+        all sixteen runs, and within one (trie, early termination)
+        setting every VerificationStats counter is too — a group of one,
+        a group of many, a shared arena, a private tries-off arena, and
+        the per-node Python graph are one computation."""
         tau = tau_steps * 0.3
         datasets = [list(data)]
         candidates = [
@@ -302,41 +304,54 @@ class TestBackendBitParity:
             for iq, q in enumerate(query)
             if costs.sub(q, sym) <= costs._eta
         ]
-        outcomes = {}
-        for label, backend, batched in (
-            ("python-per-node", "python", True),
-            ("numpy-arena-batched", "numpy", True),
-            ("numpy-arena-single", "numpy", False),
-        ):
+
+        def run(backend, use_trie, early, batched):
             verifier = Verifier(
-                lambda tid: datasets[tid], query, costs, tau, dp_backend=backend
+                lambda tid: datasets[tid],
+                query,
+                costs,
+                tau,
+                dp_backend=backend,
+                use_trie=use_trie,
+                early_termination=early,
             )
             ms = MatchSet()
             if batched:
                 verifier.verify_all(candidates, ms)
             else:
-                # Single-candidate entry point: per-column arena writes
-                # instead of level-grouped batches (dedupe by hand — the
-                # batched path dedupes inside verify_all).
+                # Groups of one (dedupe by hand — verify_all dedupes
+                # itself and counts what it dropped).
                 for cand in dict.fromkeys(candidates):
                     verifier.verify_candidate(cand, ms)
-            outcomes[label] = (
+            return (
                 {(m.trajectory_id, m.start, m.end): m.distance for m in ms},
                 verifier.stats,
             )
-        reference_matches, reference_stats = outcomes["python-per-node"]
-        batched_matches, batched_stats = outcomes["numpy-arena-batched"]
-        single_matches, single_stats = outcomes["numpy-arena-single"]
-        assert batched_matches == reference_matches
-        assert single_matches == reference_matches
-        assert batched_stats == reference_stats
-        # The single path skips verify_all's dedupe accounting but must
-        # agree on every column/candidate/emit counter.
-        assert single_stats.candidates == reference_stats.candidates
-        assert single_stats.sw_columns == reference_stats.sw_columns
-        assert single_stats.visited_columns == reference_stats.visited_columns
-        assert single_stats.computed_columns == reference_stats.computed_columns
-        assert single_stats.emitted == reference_stats.emitted
+
+        reference_matches, _ = run("python", True, True, True)
+        visited = {}
+        for use_trie in (True, False):
+            for early in (True, False):
+                _, reference = run("python", use_trie, early, True)
+                visited[use_trie, early] = reference.visited_columns
+                if not use_trie:
+                    assert reference.computed_columns == reference.visited_columns
+                for backend in ("python", "numpy"):
+                    matches, stats = run(backend, use_trie, early, True)
+                    assert matches == reference_matches
+                    assert stats == reference
+                    matches, stats = run(backend, use_trie, early, False)
+                    assert matches == reference_matches
+                    assert stats.candidates == reference.candidates
+                    assert stats.sw_columns == reference.sw_columns
+                    assert stats.visited_columns == reference.visited_columns
+                    assert stats.computed_columns == reference.computed_columns
+                    assert stats.emitted == reference.emitted
+        # The trie changes what is recomputed, never what is visited;
+        # early termination only ever prunes visits.
+        for early in (True, False):
+            assert visited[True, early] == visited[False, early]
+        assert visited[True, True] <= visited[True, False]
 
     @given(
         costs=_table_costs(0.25),

@@ -143,18 +143,19 @@ def _slow_verifier(monkeypatch, counter, delay=0.02):
     """Make every candidate verification take ``delay`` seconds, counting
     candidates actually verified — the slow-verifier fixture of ISSUE 2.
 
-    The seam is ``verify_candidate``, the python backend's per-candidate
-    work unit, so engines under this fixture run ``dp_backend="python"``
-    (the numpy backend batches whole anchor groups and polls the token per
-    trie level instead — deadline plumbing is identical either way)."""
-    original = Verifier.verify_candidate
+    The seam is ``_combine``, which the Python walker reaches once per
+    candidate, so engines under this fixture run ``dp_backend="python"``
+    (the arena walker combines a whole anchor group after its walk and
+    polls the token per round instead — deadline plumbing is identical
+    either way)."""
+    original = Verifier._combine
 
-    def slow(self, candidate, matches):
+    def slow(self, *args):
         counter["verified"] += 1
         time.sleep(delay)
-        return original(self, candidate, matches)
+        return original(self, *args)
 
-    monkeypatch.setattr(Verifier, "verify_candidate", slow)
+    monkeypatch.setattr(Verifier, "_combine", slow)
 
 
 class TestExecutorDeadlineStopsShardWork:

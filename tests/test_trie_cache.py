@@ -2,11 +2,10 @@
 
 The engine-level :class:`~repro.core.trie.TrieCache` persists verification
 tries across queries sharing the query-and-cost-model signature prefix, so
-repeated queries walk warm columns level-synchronously instead of
-recomputing them.  Warmth is a pure scheduling change — a cached column
-holds the exact floats its recomputation would produce — so this suite
-pins, via hypothesis over synthetic workloads and non-representable
-(0.3-multiple) costs:
+repeated queries walk warm columns instead of recomputing them.  Warmth is
+a pure scheduling change — a cached column holds the exact floats its
+recomputation would produce — so this suite pins, via hypothesis over
+synthetic workloads and non-representable (0.3-multiple) costs:
 
 - results (match keys AND distances) bit-identical warm vs cold, across
   python/numpy/auto backends and tau variations sharing one cache entry;
@@ -17,7 +16,10 @@ pins, via hypothesis over synthetic workloads and non-representable
   query through the cache matches the cache-disabled run in results,
   stats, and ``dp_array_allocations`` exactly;
 - concurrency: shard engines sharing one TrieCache under simultaneous
-  queries and an online insert never tear a column;
+  queries and an online insert never tear a column, and a walk whose
+  parked misses another verifier published first absorbs them as hits;
+- tries off: the private per-call arena dies with its walk and the
+  engine's TrieCache is never touched;
 - eviction: LRU order under the byte budget, arena release, size-0
   disable, and stats summing across shards (processes backend included).
 """
@@ -40,6 +42,7 @@ from repro.core.engine import (
 )
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.results import MatchSet
+from repro.core import verification
 from repro.core.trie import TrieCache, TrieCacheEntry
 from repro.core.verification import Verifier
 from repro.distance.costs import CostModel, LevenshteinCost
@@ -129,7 +132,7 @@ class TestWarmColdBitIdentity:
             # Warmth can only save recomputation, never add it.
             assert ws.computed_columns <= cs.computed_columns
         # An exact repeat finds its whole frontier cached: the walk is
-        # pure level-synchronous gathers, zero kernel launches.
+        # nothing but cached-column visits, zero kernel launches.
         repeat = run_verifier(data, query, costs, taus[-1], "numpy", entry)
         assert repeat[0] == warm[0]
         assert repeat[1].computed_columns == 0
@@ -333,6 +336,176 @@ class TestSharedCacheConcurrency:
         assert stats["evictions"] == 0
         assert stats["shards"] == stats["shards_reporting"] == 2
         engine.close()
+
+
+class TestAbsorbPublishedMisses:
+    """The one branch only concurrency reaches — ``_absorb_published`` —
+    driven deterministically: verifier B runs to completion on the shared
+    entry from a hook between verifier A's walk and its resolve, so every
+    miss A parked is already published when A takes the trie lock."""
+
+    DATA = [
+        [1, 2, 3, 4, 5, 0, 1, 2, 3, 4],
+        [1, 2, 3, 4, 5, 0, 2, 2, 1, 0],
+        [5, 4, 3, 4, 5, 0, 1, 1],
+        [0, 1, 2, 3, 4, 5, 5, 5, 5],
+    ]
+    QUERY = [3, 4, 5]
+    TAU = 4.0
+
+    def _verifier(self, entry, early):
+        v = Verifier(
+            lambda tid: self.DATA[tid],
+            self.QUERY,
+            w03,
+            self.TAU,
+            dp_backend="numpy",
+            early_termination=early,
+            trie_entry=entry,
+        )
+        e_values = []
+        walk = v._arena_all_prefix_wed
+
+        def recording(views, budgets, ctx):
+            outs = walk(views, budgets, ctx)
+            e_values.append([list(out) for out in outs])
+            return outs
+
+        v._arena_all_prefix_wed = recording
+        return v, e_values
+
+    @staticmethod
+    def _run(v, candidates):
+        ms = MatchSet()
+        v.verify_all(candidates, ms)
+        return sorted((m.trajectory_id, m.start, m.end, m.distance) for m in ms)
+
+    @pytest.mark.parametrize("early", [True, False], ids=["et", "no-et"])
+    @pytest.mark.parametrize("round_kind", ["walker", "virgin"])
+    def test_misses_published_between_walk_and_resolve(self, round_kind, early):
+        candidates = candidates_for(self.DATA, self.QUERY)
+        alone, alone_e = self._verifier(TrieCacheEntry(), early)
+        want = self._run(alone, candidates)
+        assert want and alone.stats.computed_columns > 0
+
+        entry = TrieCacheEntry()
+        a, a_e = self._verifier(entry, early)
+        b, _ = self._verifier(entry, early)
+        fired = []
+        computed_before = [0]
+        walked_after = set()
+        absorbed = []
+        resolve, walk, absorb = a._resolve_round, a._walk_cached, a._absorb_published
+
+        def hooked_resolve(ctx, trie, pslots, syms, rowslots, waiters, v_states, *rest):
+            firing = not fired and (round_kind == "walker" or bool(v_states))
+            if firing:
+                fired.append({id(st) for st in v_states})
+                assert self._run(b, candidates) == want
+            done, runnable = resolve(
+                ctx, trie, pslots, syms, rowslots, waiters, v_states, *rest
+            )
+            if firing:
+                # Everything parked was published by B: nothing is
+                # computed and every live state — virgin chains included
+                # — goes back to the walker.
+                assert done == 0
+                assert not rest[-1][0], "an absorbed chain stayed virgin"
+            elif not fired:
+                computed_before[0] += done
+            return done, runnable
+
+        def spying_absorb(trie, hit, v_hit, *rest):
+            absorbed.append((len(hit), len(v_hit)))
+            return absorb(trie, hit, v_hit, *rest)
+
+        def hooked_walk(trie, rows, states, *rest):
+            if fired:
+                walked_after.update(id(st) for st in states)
+            return walk(trie, rows, states, *rest)
+
+        a._resolve_round = hooked_resolve
+        a._walk_cached = hooked_walk
+        a._absorb_published = spying_absorb
+        got = self._run(a, candidates)
+
+        assert fired, "the hook never found its round"
+        assert got == want
+        assert a_e == alone_e
+        assert a.stats.visited_columns == alone.stats.visited_columns
+        assert a.stats.emitted == alone.stats.emitted
+        # Absorbed columns are hits, not computations: A counts only what
+        # it computed before the hook, B the rest — no column twice.
+        assert a.stats.computed_columns == computed_before[0]
+        assert (
+            a.stats.computed_columns + b.stats.computed_columns
+            == alone.stats.computed_columns
+        )
+        if round_kind == "virgin":
+            assert absorbed[0][1] > 0 and computed_before[0] > 0
+            assert fired[0] & walked_after, "no absorbed virgin chain was rewalked"
+        else:
+            assert absorbed[0][0] > 0 and a.stats.computed_columns == 0
+
+
+class TestTriesOff:
+    """``use_trie=False`` on the arena walker: nothing pinned, nothing
+    shared."""
+
+    def test_private_arena_dies_with_each_walk(self, monkeypatch):
+        data = TestAbsorbPublishedMisses.DATA
+        query = TestAbsorbPublishedMisses.QUERY
+        arenas = []
+        build = verification.VerificationTrie
+
+        def recording(root_column):
+            trie = build(root_column)
+            arenas.append(weakref.ref(trie))
+            return trie
+
+        monkeypatch.setattr(verification, "VerificationTrie", recording)
+        v = Verifier(
+            lambda tid: data[tid], query, w03, 4.0, dp_backend="numpy", use_trie=False
+        )
+        walks = []
+        walk = v._arena_all_prefix_wed
+
+        def checked(views, budgets, ctx):
+            outs = walk(views, budgets, ctx)
+            walks.append([ref() is None for ref in arenas])
+            return outs
+
+        v._arena_all_prefix_wed = checked
+        v.verify_all(candidates_for(data, query), MatchSet())
+        assert v.stats.computed_columns == v.stats.visited_columns > 0
+        # One private arena per (group, direction) walk, dead on return.
+        assert len(walks) == len(arenas) > 2
+        assert all(all(dead) for dead in walks)
+        assert all(ctx.trie is None for ctx in v._contexts.values())
+
+    def test_local_verification_never_touches_the_trie_cache(
+        self, vertex_dataset, netedr_cost
+    ):
+        engine = SubtrajectorySearch(
+            vertex_dataset,
+            netedr_cost,
+            verification="local",
+            dp_backend="numpy",
+            trie_cache_size=8,
+        )
+        reference = SubtrajectorySearch(
+            vertex_dataset, netedr_cost, dp_backend="numpy", trie_cache_size=0
+        )
+        for tid in (0, 1, 0):
+            query = list(vertex_dataset.symbols(tid))[:8]
+            result = engine.query(query, tau_ratio=0.3)
+            assert _result_key(result) == _result_key(
+                reference.query(query, tau_ratio=0.3)
+            )
+            assert result.trie_cache_status == ""
+        assert len(engine._trie_cache) == 0
+        stats = engine.trie_cache_stats()
+        assert stats["hits"] == stats["misses"] == stats["bytes"] == 0
 
 
 class TestEvictionAndDisable:
@@ -544,10 +717,7 @@ class TestLookupStatusAndMeasuredBytes:
         (key,) = cache.keys()
         entry = cache.peek(key)
         assert entry.tries, "verification should have built tries"
-        array_bytes = sum(
-            trie.matrix.nbytes + trie.mins.nbytes + trie.lasts.nbytes
-            for trie in entry.tries.values()
-        )
+        array_bytes = sum(trie.matrix.nbytes for trie in entry.tries.values())
         assert array_bytes > 0
         assert entry.nbytes > array_bytes
         # What /metrics and /stats report is exactly the measured figure.
