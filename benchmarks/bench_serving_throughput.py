@@ -199,7 +199,7 @@ def test_backend_single_query_latency(recorder, bench_scale):
 
     backends = {
         "serial": {},
-        "threads": {"max_workers": NUM_SHARDS},
+        "threads": {},
         "processes": {},
     }
     latencies = {}

@@ -444,7 +444,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     finally:
         # The CLI owns the engine: terminate shard worker processes (and
-        # the fan-out thread pool) no matter how serving ended.  The
+        # the engine's shard threads) no matter how serving ended.  The
         # workers-module atexit hook is the backstop, not the plan.
         service.close(close_engine=True)
 
@@ -682,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="threads",
         choices=["threads", "processes", "remote"],
         help="shard fan-out backend: 'threads' runs shard queries on the "
-        "executor thread pool (GIL-bound verification); 'processes' runs "
+        "engine's shard threads (GIL-bound verification); 'processes' runs "
         "one worker process per shard; 'remote' connects to standalone "
         "'repro worker' nodes listed in --shard-map (default: threads)",
     )

@@ -576,6 +576,7 @@ class SubtrajectorySearch:
         temporal_mode: TemporalMode = "overlap",
         cancel=None,
         trace=None,
+        allow_partial: bool = False,
     ) -> QueryResult:
         """All subtrajectories within WED ``tau`` of ``query``
         (Definition 3: strict inequality).
@@ -594,6 +595,9 @@ class SubtrajectorySearch:
         verify), replayed from the stage clocks it measures anyway — zero
         extra timing calls — and annotated with the stage counters
         (candidates, DP columns/rounds/backend, trie-cache status).
+
+        ``allow_partial`` is accepted for signature parity with the
+        partitioned engine and is inert: one engine has no shard to lose.
         """
         tau = self._resolve_tau(query, tau, tau_ratio)
         if tau <= 0:

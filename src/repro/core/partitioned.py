@@ -8,18 +8,23 @@ inside one trajectory — so hash-partitioning trajectories over shards
 gives exact answers with no cross-shard coordination beyond a union.
 
 :class:`PartitionedSubtrajectorySearch` simulates such a deployment on a
-single machine with three interchangeable fan-out backends:
+single machine.  A query is the same three steps on every backend — one
+call per shard (:meth:`~PartitionedSubtrajectorySearch.
+shard_query_callables`), run them, merge (:meth:`~
+PartitionedSubtrajectorySearch.merge_shard_results`) — and the backend
+only decides where a shard's engine lives and who runs its call:
 
 - ``"serial"`` — shards queried one after another in the caller's thread
-  (the historical default; lowest overhead for tiny shards);
-- ``"threads"`` — shard queries run on a shared thread pool.  Overlaps
-  the non-GIL-bound parts only: pure-Python verification serializes on
-  the GIL, so this tops out near one core;
+  (the default; lowest overhead for tiny shards);
+- ``"threads"`` — shard calls run on the engine's shard threads (one per
+  shard).  Overlaps the non-GIL-bound parts only: pure-Python
+  verification serializes on the GIL, so this tops out near one core;
 - ``"processes"`` — each shard's engine lives in a long-lived worker
-  process (:class:`~repro.core.workers.ShardWorkerPool`), fed pickled
-  query descriptors over a framed socketpair.  CPU-bound verification
-  then genuinely parallelizes: a single query uses up to one core per
-  shard;
+  process (:class:`~repro.core.workers.ShardWorkerPool`) and a shard's
+  call is one blocking round trip to it (pickled query descriptor over a
+  framed socketpair), made from the same shard threads.  CPU-bound
+  verification then genuinely parallelizes: a single query uses up to
+  one core per shard while the parent's threads merely wait;
 - ``"remote"`` — each shard's engine lives in a standalone worker node
   (``repro worker --listen``; :mod:`repro.core.remote`) addressed by a
   JSON shard map.  The same handle, protocol, supervision (heartbeats,
@@ -29,18 +34,19 @@ single machine with three interchangeable fan-out backends:
 
 Whatever the backend, the merge is deterministic (shard order, then
 sorted by global ``(id, start, end)``) and answers are element-for-
-element identical to a single-node engine.  The per-shard work is also
-exposed as plain callables (:meth:`shard_query_callables` +
-:meth:`merge_shard_results`) so an external scheduler —
-:class:`repro.service.Executor` — can run the fan-out on its own pool
-and impose deadlines between shards.  Temporal constraints, cooperative
-cancellation tokens, and all engine options pass straight through.
+element identical to a single-node engine.  The first shard to fail
+cancels its siblings (within one verification iteration in-process, one
+cancel frame across a link) and every request sent still collects its
+one reply, so a failed query leaves the links in sync.  The per-shard
+calls are public so a harness can time them one by one.  Temporal
+constraints, cooperative cancellation tokens, and all engine options
+pass straight through.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -58,7 +64,12 @@ from repro.core.temporal import TemporalMode, TimeInterval
 from repro.core.verification import VerificationStats
 from repro.core.supervision import WorkerState
 from repro.core.workers import ShardWorkerPool
-from repro.exceptions import QueryError, ShardUnavailableError
+from repro.exceptions import (
+    QueryCancelledError,
+    QueryError,
+    ShardUnavailableError,
+    WorkerError,
+)
 from repro.trajectory.dataset import TrajectoryDataset
 
 __all__ = ["PartitionedSubtrajectorySearch"]
@@ -93,6 +104,32 @@ class _GlobalDatasetView:
     def symbols(self, tid: int):
         n = self._owner.num_shards
         return self._owner._shards[tid % n].symbols(tid // n)
+
+
+class _QueryToken:
+    """What the shards of one query poll: the caller's token (deadline,
+    client gone) or the engine's own trip — by the first shard to fail,
+    so its siblings stop, and by :meth:`~PartitionedSubtrajectorySearch.
+    close`.  The caller's token is read, never tripped."""
+
+    __slots__ = ("_caller", "_tripped")
+
+    def __init__(self, caller) -> None:
+        self._caller = caller
+        self._tripped = False
+
+    def cancel(self) -> None:
+        self._tripped = True
+
+    def cancelled(self) -> bool:
+        return self._tripped or (
+            self._caller is not None and self._caller.cancelled()
+        )
+
+    def remaining(self) -> Optional[float]:
+        """The caller's deadline budget — what a worker link ships."""
+        remaining = getattr(self._caller, "remaining", None)
+        return None if remaining is None else remaining()
 
 
 class PartitionedSubtrajectorySearch:
@@ -131,19 +168,17 @@ class PartitionedSubtrajectorySearch:
     mmaps its shard's file in O(1) instead of rebuilding (or unpickling)
     postings, and the OS page cache shares the bytes across workers.
 
-    ``backend`` selects the fan-out strategy (see the module docstring).
-    For backward compatibility it defaults to ``"threads"`` when
-    ``max_workers`` is given and ``"serial"`` otherwise; pass it
-    explicitly for ``"processes"``.  ``max_workers`` sizes the threads
-    backend's pool (capped at the shard count, default = shard count)
-    and is rejected on the other backends — the processes backend always
-    runs one worker per shard.  All backends produce identical results:
-    the merge collects shard results in shard order regardless of
-    completion order.
+    ``backend`` selects where shard engines live and who runs their
+    calls (see the module docstring); it defaults to ``"serial"``.  Every
+    other backend runs one shard thread per shard, and the worker
+    backends one worker per shard.  All backends produce identical
+    results: the merge collects shard results in shard order regardless
+    of completion order.
 
-    The processes backend holds OS resources (worker processes, sockets);
-    call :meth:`close` when done.  Unclosed engines are cleaned up at
-    interpreter exit, and the class works as a context manager.
+    Every backend but ``serial`` holds OS resources (shard threads,
+    worker processes, sockets); call :meth:`close` when done — it also
+    cancels the queries still in flight.  Unclosed engines are cleaned
+    up at interpreter exit, and the class works as a context manager.
     """
 
     def __init__(
@@ -152,8 +187,7 @@ class PartitionedSubtrajectorySearch:
         costs,
         *,
         num_shards: int = 4,
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         start_method: Optional[str] = None,
         supervise: bool = True,
         fault_plan=None,
@@ -170,19 +204,9 @@ class PartitionedSubtrajectorySearch:
             raise QueryError("num_shards must be >= 1")
         if len(dataset) == 0:
             raise QueryError("cannot shard an empty dataset")
-        if max_workers is not None and max_workers < 1:
-            raise QueryError("max_workers must be >= 1")
-        if backend is None:
-            backend = "threads" if max_workers is not None else "serial"
         if backend not in _BACKENDS:
             raise QueryError(
                 f"unknown backend {backend!r} (expected one of {_BACKENDS})"
-            )
-        if backend != "threads" and max_workers is not None:
-            raise QueryError(
-                f"backend={backend!r} does not take max_workers (the thread "
-                "pool is the threads backend's; processes always runs one "
-                "worker per shard)"
             )
         if backend not in _OUT_OF_PROCESS and fault_plan is not None:
             # In-process shards cannot die independently of the parent —
@@ -268,9 +292,20 @@ class PartitionedSubtrajectorySearch:
         self._costs = costs
         self._update_lock = threading.Lock()
         self._closed = False
+        #: tokens of the queries in flight, for close() to trip; the lock
+        #: also orders a query's submissions against close().
+        self._in_flight: set = set()
+        self._flight_lock = threading.Lock()
         self._engines: List[SubtrajectorySearch] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._workers: Optional[ShardWorkerPool] = None
+        # One thread per shard runs the shard calls of every query on
+        # every backend but serial (threads start on first use, so none
+        # exists yet when a processes pool forks its workers below).
+        self._pool: Optional[ThreadPoolExecutor] = None
+        if backend != "serial" and num_shards > 1:
+            self._pool = ThreadPoolExecutor(
+                max_workers=num_shards, thread_name_prefix="repro-shard"
+            )
         if backend in _OUT_OF_PROCESS:
             # Engines are built inside the workers — index memory and
             # build time live there, once, not in the parent too.  With a
@@ -307,12 +342,6 @@ class PartitionedSubtrajectorySearch:
                 )
                 for i, shard in enumerate(self._shards)
             ]
-            if backend == "threads" and num_shards > 1:
-                workers = num_shards if max_workers is None else max_workers
-                self._pool = ThreadPoolExecutor(
-                    max_workers=min(workers, num_shards),
-                    thread_name_prefix="repro-shard",
-                )
 
     @property
     def num_shards(self) -> int:
@@ -417,41 +446,6 @@ class PartitionedSubtrajectorySearch:
                 agg[field] += int(part.get(field, 0))
         return agg
 
-    def substitution_cache_stats(self) -> Dict[str, int]:
-        """Aggregated SubstitutionMatrix-LRU counters across shards.
-
-        Sums capacity/size/hits/misses over every shard engine.  On the
-        processes backend the workers are polled without blocking — a
-        worker busy with an in-flight query is skipped rather than
-        stalling a health probe behind a long verification —
-        ``shards_reporting`` says how many answered.
-        """
-        self._check_open()
-        if self._workers is not None:
-            parts = self._workers.substitution_cache_stats()
-        else:
-            parts = [engine.substitution_cache_stats() for engine in self._engines]
-        return self._aggregate(parts, self._SUB_FIELDS)
-
-    def trie_cache_stats(self) -> Dict[str, int]:
-        """TrieCache counters across shards.
-
-        On the in-process backends all shards share one cache, so its
-        counters are reported directly (``shards_reporting`` = every
-        shard, since every shard feeds the same cache).  On the processes
-        backend each worker keeps its own cache; the counters are summed
-        over the workers, polled without blocking — a worker busy with an
-        in-flight query is skipped rather than stalling a health probe —
-        and ``shards_reporting`` says how many answered.
-        """
-        self._check_open()
-        if self._workers is None:
-            stats: Dict[str, int] = dict(self._trie_cache.stats())
-            stats["shards"] = self.num_shards
-            stats["shards_reporting"] = self.num_shards
-            return stats
-        return self._aggregate(self._workers.trie_cache_stats(), self._TRIE_FIELDS)
-
     def _aggregate_index(
         self, parts: Sequence[Optional[Dict[str, Any]]]
     ) -> Dict[str, Any]:
@@ -464,50 +458,61 @@ class PartitionedSubtrajectorySearch:
         agg["mmap"] = bool(reporting) and all(p.get("mmap") for p in reporting)
         return agg
 
-    def index_stats(self) -> Dict[str, Any]:
-        """Aggregated inverted-index stats across shards (backend, summed
-        sizes/bytes, whether every shard serves from an mmap).  On the
-        processes backend the workers are polled without blocking — busy
-        workers are skipped, ``shards_reporting`` says how many answered.
+    def cache_stats(self) -> Dict[str, Dict[str, Any]]:
+        """Both engine-level caches' and the index's aggregates, from ONE
+        snapshot — what ``/healthz`` and ``/stats`` consume.
+
+        On the worker backends that is one poll of every worker, made
+        without blocking: a worker busy with an in-flight query is
+        skipped rather than stalling a health probe behind a long
+        verification, and ``shards_reporting`` says how many answered
+        (the same number in all three blocks, because they are one
+        poll).  In-process shards keep one SubstitutionMatrix LRU each
+        but share **one** trie cache, whose counters are reported as
+        they are (every shard feeds it, so every shard reports).
         """
         self._check_open()
         if self._workers is not None:
-            combined = self._workers.cache_stats()
-            parts = [None if p is None else p.get("index") for p in combined]
+            parts = self._workers.cache_stats()
         else:
-            parts = [engine.index_stats() for engine in self._engines]
-        return self._aggregate_index(parts)
+            parts = [
+                {
+                    "substitution": engine.substitution_cache_stats(),
+                    "index": engine.index_stats(),
+                }
+                for engine in self._engines
+            ]
 
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Both engine-level caches' aggregates from ONE worker poll.
+        def column(name: str) -> List[Optional[Dict[str, Any]]]:
+            return [None if part is None else part.get(name) for part in parts]
 
-        ``/healthz`` and ``/stats`` consume this instead of calling the
-        per-cache methods back to back: on the processes backend that
-        would cross every worker's link twice and could report the two
-        caches from different snapshots (a worker turning busy between
-        the polls would count toward one and not the other).
-        """
-        self._check_open()
-        if self._workers is None:
-            return {
-                "substitution": self.substitution_cache_stats(),
-                "trie": self.trie_cache_stats(),
-                "index": self.index_stats(),
-            }
-        combined = self._workers.cache_stats()
+        if self._trie_cache is not None:
+            trie: Dict[str, Any] = dict(self._trie_cache.stats())
+            trie["shards"] = trie["shards_reporting"] = self.num_shards
+        else:
+            trie = self._aggregate(column("trie"), self._TRIE_FIELDS)
         return {
             "substitution": self._aggregate(
-                [None if p is None else p.get("substitution") for p in combined],
-                self._SUB_FIELDS,
+                column("substitution"), self._SUB_FIELDS
             ),
-            "trie": self._aggregate(
-                [None if p is None else p.get("trie") for p in combined],
-                self._TRIE_FIELDS,
-            ),
-            "index": self._aggregate_index(
-                [None if p is None else p.get("index") for p in combined]
-            ),
+            "trie": trie,
+            "index": self._aggregate_index(column("index")),
         }
+
+    def substitution_cache_stats(self) -> Dict[str, int]:
+        """SubstitutionMatrix-LRU counters summed over the shards (the
+        ``"substitution"`` block of :meth:`cache_stats`)."""
+        return self.cache_stats()["substitution"]
+
+    def trie_cache_stats(self) -> Dict[str, int]:
+        """TrieCache counters across shards (the ``"trie"`` block of
+        :meth:`cache_stats`)."""
+        return self.cache_stats()["trie"]
+
+    def index_stats(self) -> Dict[str, Any]:
+        """Inverted-index stats summed over the shards (the ``"index"``
+        block of :meth:`cache_stats`)."""
+        return self.cache_stats()["index"]
 
     def observability_cache_stats(self) -> Dict[str, Any]:
         """Per-shard (unaggregated) cache counters for ``/metrics``.
@@ -556,20 +561,27 @@ class PartitionedSubtrajectorySearch:
         return sum(len(ids) for ids in self._global_ids)
 
     def close(self) -> None:
-        """Release fan-out resources (thread pool / worker processes).
+        """Release fan-out resources (shard threads / worker processes).
 
-        Idempotent, and safe on any backend.  Process workers still alive
-        at interpreter exit are terminated by an ``atexit`` hook, but an
-        explicit (or context-manager) close is the orderly path.
+        Idempotent, and safe on any backend.  Queries still in flight are
+        cancelled (they raise a typed error, never hang).  Process workers
+        still alive at interpreter exit are terminated by an ``atexit``
+        hook, but an explicit (or context-manager) close is the orderly
+        path.
         """
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._flight_lock:
+            if self._closed:
+                return
+            self._closed = True
+            in_flight = list(self._in_flight)
+        for token in in_flight:
+            token.cancel()
+        # Workers first: stopping them bounds the wait on a wedged one, so
+        # the shard threads below are never joined behind a hung link.
         if self._workers is not None:
             self._workers.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
 
     def _check_open(self) -> None:
         # Uniform across backends: a closed engine fails loudly instead of
@@ -639,20 +651,24 @@ class PartitionedSubtrajectorySearch:
         temporal_mode: TemporalMode = "overlap",
         cancel=None,
         trace=None,
-    ) -> List[Callable[[], QueryResult]]:
+        allow_partial: bool = False,
+    ) -> List[Callable[[], Optional[QueryResult]]]:
         """One zero-argument callable per shard, each returning that shard's
-        :class:`QueryResult` (shard-local trajectory ids).
+        :class:`QueryResult` (shard-local trajectory ids) — the shard
+        engine's own query in-process, one blocking round trip to the
+        shard's worker otherwise.
 
-        The callables are independent and thread-safe to run concurrently;
-        pass their results *in shard order* to :meth:`merge_shard_results`.
-        ``cancel`` (a cooperative cancellation token) is threaded into
-        every shard query — tripping it stops all shards' verification
-        loops within one iteration, on every backend.  ``trace`` (a
-        :class:`repro.obs.tracing.Span`, or None) makes each callable open
-        a per-shard child span covering its own execution window — spans
-        open inside the callable, so an external scheduler's queueing
-        delay is visible as the gap between the parent span and the shard
-        spans.
+        The callables are independent and thread-safe to run concurrently
+        (or one by one, from any thread); pass their results *in shard
+        order* to :meth:`merge_shard_results`.  ``cancel`` (a cooperative
+        cancellation token) is threaded into every shard query — tripping
+        it stops all shards' verification loops within one iteration, on
+        every backend.  ``trace`` (a :class:`repro.obs.tracing.Span`, or
+        None) makes each callable open a per-shard child span covering its
+        own execution window, annotated with how it ended (``error``, and
+        on worker backends the ``fault`` decision taken: ``retried`` /
+        ``breaker_open`` / ``degraded``).  With ``allow_partial`` a worker
+        shard that stays down returns ``None`` instead of raising.
         """
         self._check_open()
         kwargs = dict(
@@ -662,53 +678,93 @@ class PartitionedSubtrajectorySearch:
             temporal_filter=temporal_filter,
             temporal_mode=temporal_mode,
         )
-        if self._workers is not None:
-            return [
-                partial(
-                    self._worker_shard_query,
-                    shard, list(query), kwargs, cancel, trace,
-                )
-                for shard in range(self.num_shards)
-            ]
+        symbols = list(query)
         return [
             partial(
-                self._in_process_shard_query,
-                shard, engine, query, kwargs, cancel, trace,
+                self._shard_query,
+                shard, symbols, kwargs, cancel, trace, allow_partial,
             )
-            for shard, engine in enumerate(self._engines)
+            for shard in range(self.num_shards)
         ]
 
-    def _in_process_shard_query(
-        self, shard, engine, query, kwargs, cancel, trace
-    ) -> QueryResult:
-        if trace is None:
-            return engine.query(query, cancel=cancel, **kwargs)
-        span = trace.child("shard", shard=shard, backend=self._backend)
+    def _shard_query(
+        self, shard, query, kwargs, cancel, trace, allow_partial
+    ) -> Optional[QueryResult]:
+        span = (
+            None
+            if trace is None
+            else trace.child("shard", shard=shard, backend=self._backend)
+        )
         try:
-            return engine.query(query, cancel=cancel, trace=span, **kwargs)
-        except BaseException as exc:
-            span.set("error", type(exc).__name__)
-            raise
-        finally:
-            span.finish()
-
-    def _worker_shard_query(
-        self, shard, query, kwargs, cancel, trace
-    ) -> QueryResult:
-        if trace is None:
-            return self._workers.query_shard(shard, query, kwargs, cancel)
-        span = trace.child("shard", shard=shard, backend=self._backend)
-        try:
+            if self._workers is None:
+                return self._engines[shard].query(
+                    query, cancel=cancel, trace=span, **kwargs
+                )
+            if span is None:
+                return self._workers.query_shard(shard, query, kwargs, cancel)
             result, exported = self._workers.query_shard(
-                shard, query, kwargs, cancel, trace_ctx=span.context()
+                shard,
+                query,
+                kwargs,
+                cancel,
+                trace_ctx=span.context(),
+                on_event=partial(span.set, "fault"),
             )
             span.graft(exported)
             return result
         except BaseException as exc:
-            span.set("error", type(exc).__name__)
+            # A worker shard that stayed down — breaker open, or failed
+            # again after the pool's respawn-and-retry — is the one thing
+            # allow_partial degrades; deadlines, cancellations and engine
+            # errors doom the query on every mode.
+            if allow_partial and isinstance(exc, WorkerError):
+                if span is not None:
+                    span.set("fault", "degraded")
+                return None
+            if span is not None:
+                span.set("error", type(exc).__name__)
             raise
         finally:
-            span.finish()
+            if span is not None:
+                span.finish()
+
+    def _run(self, calls: Sequence[Callable], token: _QueryToken) -> List:
+        """Run one query's shard calls — inline on ``serial``, else on the
+        shard threads — and return their results in shard order.
+
+        The first shard to fail trips ``token`` so its siblings stop, and
+        every call is waited for (a request sent still collects its one
+        reply).  What propagates is the lowest-numbered shard's own
+        failure, not a cancellation that failure caused."""
+
+        def guarded(call):
+            try:
+                raise_if_cancelled(token, "shard query")
+                return call()
+            except BaseException:
+                token.cancel()
+                raise
+
+        futures: Optional[List[Future]] = None
+        with self._flight_lock:
+            self._check_open()
+            self._in_flight.add(token)
+            if self._pool is not None:
+                futures = [self._pool.submit(guarded, call) for call in calls]
+        try:
+            if futures is None:
+                return [call() for call in calls]
+            wait(futures)
+            failures = [
+                exc for exc in (f.exception() for f in futures) if exc is not None
+            ]
+            own = [e for e in failures if not isinstance(e, QueryCancelledError)]
+            if failures:
+                raise (own or failures)[0]
+            return [future.result() for future in futures]
+        finally:
+            with self._flight_lock:
+                self._in_flight.discard(token)
 
     def merge_shard_results(
         self, results: Sequence[Optional[QueryResult]]
@@ -801,82 +857,35 @@ class PartitionedSubtrajectorySearch:
         allow_partial: bool = False,
     ) -> QueryResult:
         """Fan out to every shard and merge (exact, same semantics as the
-        single-node engine).  ``cancel`` optionally carries a deadline /
-        cancellation token through to every shard's verification loop.
-        ``trace`` (a :class:`repro.obs.tracing.Span`, or None) collects
-        one child span per shard — on the processes backend the workers'
-        own engine-stage spans are stitched underneath them.
+        single-node engine): :meth:`shard_query_callables`, run, then
+        :meth:`merge_shard_results`, on every backend.  ``cancel``
+        optionally carries a deadline / cancellation token through to
+        every shard's verification loop.  ``trace`` (a
+        :class:`repro.obs.tracing.Span`, or None) collects one child span
+        per shard — on the worker backends the workers' own engine-stage
+        spans are stitched underneath them.
 
-        ``allow_partial`` opts into graceful degradation on the processes
-        backend: a shard whose worker stays down (even after the pool's
+        ``allow_partial`` opts into graceful degradation on the worker
+        backends: a shard whose worker stays down (even after the pool's
         respawn-and-retry) yields no matches instead of failing the whole
         query, and the merged result says so (``complete=False`` +
         ``degraded_shards``).  In-process shards share the parent's fate
         and cannot independently fail, so the flag is accepted but inert
         on the other backends."""
-        self._check_open()
         raise_if_cancelled(cancel, "query")
-        if self._workers is not None:
-            kwargs: Dict[str, Any] = dict(
-                tau=tau,
-                tau_ratio=tau_ratio,
-                time_interval=time_interval,
-                temporal_filter=temporal_filter,
-                temporal_mode=temporal_mode,
-            )
-            # Send to every worker before collecting any reply: all shard
-            # processes verify concurrently (no parent-side threads needed).
-            if trace is None:
-                results = self._workers.query_all(
-                    list(query), kwargs, cancel, allow_partial=allow_partial
-                )
-            else:
-                spans = [
-                    trace.child("shard", shard=i, backend=self._backend)
-                    for i in range(self.num_shards)
-                ]
-                try:
-                    # on_reply closes each shard's span the moment its
-                    # reply is collected, so span ends track per-shard
-                    # completion rather than the full fan-out; on_event
-                    # pins retry/degrade decisions onto the shard spans.
-                    payloads = self._workers.query_all(
-                        list(query),
-                        kwargs,
-                        cancel,
-                        trace_ctxs=[span.context() for span in spans],
-                        on_reply=lambda i: spans[i].finish(),
-                        allow_partial=allow_partial,
-                        on_event=lambda i, event: spans[i].set("fault", event),
-                    )
-                finally:
-                    for span in spans:  # no-op on already-finished spans
-                        span.finish()
-                results = []
-                for span, payload in zip(spans, payloads):
-                    if payload is None:
-                        results.append(None)
-                        continue
-                    result, exported = payload
-                    span.graft(exported)
-                    results.append(result)
-            merged = self.merge_shard_results(results)
-        else:
-            calls = self.shard_query_callables(
-                query,
-                tau=tau,
-                tau_ratio=tau_ratio,
-                time_interval=time_interval,
-                temporal_filter=temporal_filter,
-                temporal_mode=temporal_mode,
-                cancel=cancel,
-                trace=trace,
-            )
-            if self._pool is None:
-                results = [call() for call in calls]
-            else:
-                results = list(self._pool.map(lambda call: call(), calls))
-            merged = self.merge_shard_results(results)
+        token = _QueryToken(cancel)
+        calls = self.shard_query_callables(
+            query,
+            tau=tau,
+            tau_ratio=tau_ratio,
+            time_interval=time_interval,
+            temporal_filter=temporal_filter,
+            temporal_mode=temporal_mode,
+            cancel=token,
+            trace=trace,
+            allow_partial=allow_partial,
+        )
+        merged = self.merge_shard_results(self._run(calls, token))
         if trace is not None:
             trace.set("shards", self.num_shards)
             trace.set("matches", len(merged.matches))

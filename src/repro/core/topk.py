@@ -202,12 +202,6 @@ def topk_search(
     c_total = sum(costs.filter_cost(q) for q in query)
     tau = max(min(initial_tau_ratio * c_total, total_ins * 0.5), 1e-9)
 
-    probe_kwargs: Dict[str, object] = {}
-    if allow_partial and hasattr(engine, "merge_shard_results"):
-        # Only partitioned engines degrade; the single-node engine's
-        # query() does not take the flag.
-        probe_kwargs["allow_partial"] = True
-
     best: Dict[int, Match] = {}
     degraded: set = set()
     rounds = 0
@@ -223,7 +217,11 @@ def topk_search(
         )
         try:
             result = engine.query(
-                query, tau=tau, cancel=cancel, trace=span, **probe_kwargs
+                query,
+                tau=tau,
+                cancel=cancel,
+                trace=span,
+                allow_partial=allow_partial,
             )
         except BaseException as exc:
             if span is not None:

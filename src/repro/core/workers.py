@@ -1,6 +1,6 @@
 """Out-of-process shard workers: CPU-bound verification past the GIL.
 
-The thread-pool fan-out of :class:`~repro.core.partitioned.
+The ``threads`` backend of :class:`~repro.core.partitioned.
 PartitionedSubtrajectorySearch` parallelizes I/O-ish work but not the
 Smith–Waterman-style verification that dominates query cost (§6) — pure-
 Python DP holds the GIL, so N shard threads share one core.  This module
@@ -25,7 +25,11 @@ is a fresh engine incarnation — a *reconnect is a respawn*.
 
 - queries travel as small pickled descriptors; results come back as
   pickled :class:`~repro.core.engine.QueryResult` objects (the merge-
-  irrelevant ``subsequence`` field is stripped to keep replies small);
+  irrelevant ``subsequence`` field is stripped to keep replies small).
+  The pool has no fan-out of its own: one query is one blocking
+  :meth:`ShardWorkerPool.query_shard` round trip per shard, run
+  concurrently by the partitioned engine's shard threads — a thread
+  holds one link's lock at a time;
 - deadlines survive the link: the parent sends the *remaining* budget
   with each query and the worker rebuilds a local token from it, so
   clock skew cannot extend a deadline.  The parent bounds its own wait
@@ -88,7 +92,8 @@ even when the caller stops waiting):
     ("query", req_id, symbols, kwargs, remaining_seconds | None,
               trace_ctx | None)
     ("add",   req_id, expected_local_id, trajectory, validate)
-    ("stats", req_id)                 -> {"substitution": ..., "trie": ...}
+    ("stats", req_id)                 -> {"substitution": ..., "trie": ...,
+                                          "index": ...}
     ("ping",  req_id)                 -> {"pid": ...}   (liveness heartbeat)
     ("stop",  req_id)
     ("cancel", req_id)                (out of band: no reply)
@@ -1107,12 +1112,14 @@ class ShardWorkerPool:
         ``blocking`` waits (bounded) for the worker lock — the query-path
         retry; non-blocking skips the tick when the lock is busy — the
         supervisor, which must never queue behind an in-flight request.
-        The blocking wait is bounded rather than infinite because a
-        fan-out retry may still hold *later* shards' locks: an unbounded
-        wait here against another fan-out holding this lock while wanting
-        one of ours would deadlock.  ``force`` ignores the backoff window
-        — used by the query path, whose bound is the caller's own
-        deadline budget.
+        The blocking wait watches for the holder's outcome instead of
+        sleeping on the lock: the usual holder is the supervisor
+        mid-respawn, and once the generation changes there is nothing
+        left to do but retry on the fresh worker.  (A querying thread
+        holds one link's lock at a time, so the wait cannot deadlock; the
+        bound only keeps a wedged holder from hanging the caller.)
+        ``force`` ignores the backoff window — used by the query path,
+        whose bound is the caller's own deadline budget.
 
         ``seen_restarts`` is the worker's restart generation the caller
         observed *failing*.  A dying worker closes its socket before
@@ -1133,11 +1140,8 @@ class ShardWorkerPool:
             )
 
         if blocking:
-            # The lock is usually held by the supervisor mid-respawn
-            # (which can take up to the worker's open budget).  Giving up
-            # early would lose the caller's retry — instead wait, bounded,
-            # for the holder's outcome: a changed generation means the
-            # worker came back fresh and the caller can simply retry on it.
+            # A supervisor respawn can take up to the worker's open
+            # budget; giving up earlier would lose the caller's retry.
             deadline = monotonic() + 4.0 + worker.open_budget
             while not worker._lock.acquire(timeout=0.1):
                 if fresh():
@@ -1241,16 +1245,29 @@ class ShardWorkerPool:
 
     def query_shard(self, shard: int, query: Sequence[int], kwargs: Dict[str, Any],
                     cancel=None, trace_ctx=None, on_event=None):
-        """Run one query on one shard worker (blocking round-trip), with
-        the same breaker gate and respawn-and-retry-once the fan-out path
-        applies.
+        """Run one query on one shard worker: a blocking round trip, and
+        the one place a shard query meets the fault policy.
+
+        A shard whose circuit breaker is open is not even sent to
+        (:class:`ShardUnavailableError`).  A shard whose worker fails
+        under the request (:class:`WorkerError`) is respawned and the
+        query retried — exactly once, only within the caller's remaining
+        deadline budget, re-shipping the *updated* remaining time.  Every
+        failure counts against the shard's breaker; the error that stands
+        (the original when no retry was possible, else the retry's)
+        propagates.  While waiting, a tripped ``cancel`` token becomes a
+        cancel frame, and the worker still sends its one reply.
 
         With ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair) the
         worker traces its engine query and the return value is
-        ``(result, exported_spans)`` instead of the bare result."""
+        ``(result, exported_spans)`` instead of the bare result.
+        ``on_event(event)`` reports the fault decisions taken
+        (``"breaker_open"`` / ``"retried"``) for span annotation."""
         self._check_open()
         breaker = self._breakers[shard]
         if not breaker.allow():
+            if on_event is not None:
+                on_event("breaker_open")
             raise ShardUnavailableError(
                 f"shard {shard} circuit breaker is {breaker.state}"
             )
@@ -1260,21 +1277,10 @@ class ShardWorkerPool:
             payload = (list(query), kwargs, _remaining_of(cancel), trace_ctx)
             return worker.call("query", payload, cancel)
 
-        result = self._retrying(shard, cancel, attempt, attempt, on_event)
-        breaker.record_success()
-        return result
-
-    def _retrying(self, shard: int, cancel, first, retry, on_event):
-        """Run ``first()``; if the shard's worker fails under it
-        (:class:`WorkerError`), respawn the worker and run ``retry()`` —
-        exactly once, and only within the caller's remaining deadline
-        budget.  Every failure counts against the shard's breaker; the
-        error that stands (the original when no retry was possible, else
-        the retry's) propagates."""
         try:
-            return first()
+            result = attempt()
         except WorkerError as exc:
-            failed_gen = self._workers[shard].restarts
+            failed_gen = worker.restarts
             self._note_shard_failure(shard, exc)
             # No retry once the caller's deadline is spent, nor when the
             # respawn fails (or the pool is unsupervised / closed).
@@ -1283,187 +1289,23 @@ class ShardWorkerPool:
             ):
                 raise
             if on_event is not None:
-                on_event(shard, "retried")
+                on_event("retried")
             try:
-                return retry()
+                result = attempt()
             except WorkerError as retry_exc:
                 self._note_shard_failure(shard, retry_exc)
                 raise
-
-    def query_all(
-        self,
-        query: Sequence[int],
-        kwargs: Dict[str, Any],
-        cancel=None,
-        trace_ctxs: Optional[Sequence] = None,
-        on_reply=None,
-        *,
-        allow_partial: bool = False,
-        on_event: Optional[Callable[[int, str], None]] = None,
-    ) -> List:
-        """Fan one query out to every worker; results in shard order.
-
-        Requests are *all sent before any reply is awaited* — that is what
-        buys more than one core: every worker verifies concurrently while
-        the parent merely waits.  On the first non-retryable failure the
-        remaining workers are cancelled (not abandoned), so no reply is
-        ever left in a pipe.
-
-        Fault tolerance: a shard whose worker died (``WorkerError``) is
-        respawned and retried exactly once within the remaining deadline
-        budget; a shard whose circuit breaker is open is not even sent to.
-        With ``allow_partial=False`` (the default) any shard that stays
-        down fails the whole query loudly; with ``allow_partial=True``
-        such shards yield ``None`` in the result list (callers mark the
-        merged answer ``complete=False``) — unless *every* shard is down,
-        which always raises.
-
-        ``trace_ctxs`` (one span context per shard, or None) makes each
-        worker return ``(result, exported_spans)`` — see
-        :meth:`query_shard`.  ``on_reply(shard_index)`` is invoked right
-        after each shard's reply is successfully collected (the hook the
-        caller uses to close per-shard RPC spans at their true end).
-        ``on_event(shard_index, event)`` reports retry/degrade decisions
-        (``"retried"`` / ``"degraded"`` / ``"breaker_open"``) for span
-        annotation.
-        """
-        self._check_open()
-        n = len(self._workers)
-        if trace_ctxs is not None and len(trace_ctxs) != n:
-            raise WorkerError(
-                f"expected {n} trace contexts, got {len(trace_ctxs)}"
-            )
-
-        def payload_for(shard: int) -> Tuple:
-            ctx = None if trace_ctxs is None else trace_ctxs[shard]
-            # Rebuilt per (re)send so a retry ships the *updated*
-            # remaining deadline budget.
-            return (list(query), kwargs, _remaining_of(cancel), ctx)
-
-        def send(shard: int) -> int:
-            return self._workers[shard].begin("query", payload_for(shard))
-
-        def resend(shard: int):
-            return self._workers[shard].finish(send(shard), cancel)
-
-        def emit(shard: int, event: str) -> None:
-            if on_event is not None:
-                on_event(shard, event)
-
-        # req id per shard, or None for shards not sent to (breaker open /
-        # send failed and degraded).
-        pending: List[Optional[int]] = [None] * n
-        degraded: List[bool] = [False] * n
-        first_error: Optional[BaseException] = None
-
-        def fail_shard(shard: int, exc: BaseException) -> None:
-            nonlocal first_error
-            if allow_partial:
-                degraded[shard] = True
-                emit(shard, "degraded")
-            elif first_error is None:
-                first_error = exc
-
-        # -- send phase ----------------------------------------------------
-        try:
-            for shard in range(n):
-                if first_error is not None:
-                    break  # strict mode already doomed: don't start more work
-                if not self._breakers[shard].allow():
-                    emit(shard, "breaker_open")
-                    fail_shard(
-                        shard,
-                        ShardUnavailableError(
-                            f"shard {shard} circuit breaker is "
-                            f"{self._breakers[shard].state}"
-                        ),
-                    )
-                    continue
-                try:
-                    pending[shard] = self._retrying(
-                        shard, cancel, partial(send, shard), partial(send, shard),
-                        on_event,
-                    )
-                except WorkerError as exc:
-                    fail_shard(shard, exc)
-        except BaseException:
-            self._drain(pending, cancel)
-            raise
-
-        if first_error is not None:
-            # Strict mode already doomed during the send phase: cancel and
-            # drain whatever was sent, then raise without waiting for
-            # full results.
-            self._drain(pending, cancel)
-            raise first_error
-
-        # -- collect phase -------------------------------------------------
-        results: List = [None] * n
-        for shard, worker in enumerate(self._workers):
-            rid = pending[shard]
-            if rid is None:
-                continue
-            # finish() releases the worker lock whatever happens, so the
-            # request is no longer pending once it was tried.
-            pending[shard] = None
-            try:
-                results[shard] = self._retrying(
-                    shard,
-                    cancel,
-                    partial(worker.finish, rid, cancel),
-                    partial(resend, shard),
-                    on_event,
-                )
-                self._breakers[shard].record_success()
-                if on_reply is not None:
-                    on_reply(shard)
-                continue
-            except WorkerError as exc:
-                fail_shard(shard, exc)
-            except BaseException as exc:
-                # Non-worker failure (deadline, cancellation, engine
-                # error shipped back from a healthy worker): dooms the
-                # query on every mode — cancel the shards we have not
-                # collected yet, drain their replies, and raise.
-                if first_error is None:
-                    first_error = exc
-            if first_error is not None:
-                self._drain(pending, cancel)
-                raise first_error
-        if first_error is not None:
-            self._drain(pending, cancel)
-            raise first_error
-        if allow_partial and all(
-            degraded[i] or results[i] is None for i in range(n)
-        ):
-            raise ShardUnavailableError(
-                "every shard is unavailable (nothing to serve a partial "
-                "result from)"
-            )
-        return results
-
-    def _drain(self, pending: List[Optional[int]], cancel) -> None:
-        """Cancel and drain every still-pending request so no reply is
-        left on a link (keeps request/reply framing in sync)."""
-        for shard, rid in enumerate(pending):
-            if rid is None:
-                continue
-            worker = self._workers[shard]
-            worker.signal_cancel(rid)
-            try:
-                worker.finish(rid, cancel)
-            except Exception:
-                pass
-            pending[shard] = None
+        breaker.record_success()
+        return result
 
     # -- diagnostics --------------------------------------------------------
 
     def cache_stats(self) -> List[Optional[Dict[str, Dict[str, int]]]]:
-        """Per-worker engine-cache counters (``{"substitution": ...,
-        "trie": ...}``), polled without blocking: a worker busy with an
-        in-flight query — or dead and awaiting respawn — yields ``None``
-        (the caller reports partial coverage instead of stalling or
-        erroring a health probe)."""
+        """Per-worker engine-cache and index counters (``{"substitution":
+        ..., "trie": ..., "index": ...}``), polled without blocking: a
+        worker busy with an in-flight query — or dead and awaiting respawn
+        — yields ``None`` (the caller reports partial coverage instead of
+        stalling or erroring a health probe)."""
         self._check_open()
         stats: List[Optional[Dict[str, Dict[str, int]]]] = []
         for worker in self._workers:
@@ -1472,22 +1314,6 @@ class ShardWorkerPool:
             except WorkerError:
                 stats.append(None)
         return stats
-
-    def substitution_cache_stats(self) -> List[Optional[Dict[str, int]]]:
-        """Per-worker SubstitutionMatrix-LRU counters (see
-        :meth:`cache_stats` for the polling semantics)."""
-        return [
-            None if part is None else part.get("substitution")
-            for part in self.cache_stats()
-        ]
-
-    def trie_cache_stats(self) -> List[Optional[Dict[str, int]]]:
-        """Per-worker TrieCache counters (see :meth:`cache_stats` for the
-        polling semantics)."""
-        return [
-            None if part is None else part.get("trie")
-            for part in self.cache_stats()
-        ]
 
     # -- replication --------------------------------------------------------
 

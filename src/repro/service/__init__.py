@@ -4,9 +4,9 @@ The first subsystem *above* the engine: where the core answers one query
 at a time in-process, :mod:`repro.service` turns it into a multi-client
 service —
 
-- :class:`Executor` — thread-pool execution with per-shard fan-out for
-  :class:`~repro.core.partitioned.PartitionedSubtrajectorySearch`,
-  per-query deadlines, and admission control;
+- :class:`Executor` — thread-pool execution (one deadline-bound pool
+  task per query; shard fan-out is the engine's own), per-query
+  deadlines, and admission control;
 - :class:`ResultCache` — LRU over normalized query signatures, with
   invalidation hooks wired to the online-update path;
 - :class:`Batcher` — single-flight coalescing of concurrent duplicate

@@ -1,16 +1,13 @@
 """Query execution on a thread pool, with deadlines and admission control.
 
-:class:`Executor` owns the worker pool for one service instance.  A
-:class:`~repro.core.partitioned.PartitionedSubtrajectorySearch` engine on
-the ``serial`` backend is fanned out *per shard* (via the per-shard
-callables the engine exposes), so one query's shards run concurrently
-and a slow shard only delays its own query.  Engines that parallelize
-internally — the ``threads`` backend (its own shard thread pool) and the
-``processes`` backend (one worker process per shard) — run as a single
-pool task: the pool thread coordinates while the engine's own machinery
-burns the CPU.  A plain :class:`~repro.core.engine.SubtrajectorySearch`
-runs as a single pool task too.  Two protections keep the pool healthy
-under overload:
+:class:`Executor` owns the worker pool for one service instance.  Every
+query — range or top-k, on a plain
+:class:`~repro.core.engine.SubtrajectorySearch` or a
+:class:`~repro.core.partitioned.PartitionedSubtrajectorySearch` — is one
+deadline-bound pool task that calls the engine; the shard fan-out, on
+whatever backend, is the engine's own (the pool thread coordinates while
+the engine's shard threads or workers burn the CPU).  Two protections
+keep the pool healthy under overload:
 
 - *admission control*: at most ``max_pending`` queries may be in flight;
   beyond that, new arrivals are shed immediately with
@@ -20,8 +17,8 @@ under overload:
   execution, carried by a :class:`~repro.core.cancellation.CancelToken`
   that is threaded into every shard's verification loop.  When the budget
   expires the caller gets
-  :class:`~repro.exceptions.DeadlineExceededError`, not-yet-started shard
-  tasks are cancelled, and — via the token — already-running tasks stop
+  :class:`~repro.exceptions.DeadlineExceededError`, a task that has not
+  started is cancelled, and — via the token — a running one stops
   cooperatively within one verification-loop iteration instead of
   running to completion (this works across the process boundary as well:
   workers rebuild the deadline locally and poll their link's cancel
@@ -34,12 +31,10 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from contextlib import contextmanager
-from time import monotonic
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from repro.core.cancellation import CancelToken
 from repro.core.engine import QueryResult
-from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.temporal import TemporalMode, TimeInterval
 from repro.core.topk import topk_search
 from repro.exceptions import (
@@ -59,16 +54,11 @@ class Executor:
     engine:
         A :class:`SubtrajectorySearch` or
         :class:`PartitionedSubtrajectorySearch` (anything exposing
-        ``query``; shard fan-out additionally needs
-        ``shard_query_callables`` / ``merge_shard_results``).
+        ``query``, plus public ``costs`` / ``dataset`` for top-k).
     max_workers:
-        Pool size.  For a serial-backend partitioned engine, sizing this
-        at or above the shard count lets a single query use every shard
-        concurrently; threads/processes-backend engines need only one
-        pool thread per in-flight query.
+        Pool size: one pool thread per query executing at once.
     max_pending:
-        Admission limit on concurrently in-flight *queries* (not shard
-        tasks).
+        Admission limit on concurrently in-flight queries.
     default_deadline:
         Per-query budget in seconds applied when the caller passes none
         (``None`` = unbounded).
@@ -89,14 +79,6 @@ class Executor:
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive")
         self._engine = engine
-        # Per-shard fan-out on THIS pool only for engines with no fan-out
-        # machinery of their own (the serial backend).  The threads and
-        # processes backends parallelize inside engine.query(), so the
-        # whole query is one pool task there.
-        self._fan_out = (
-            isinstance(engine, PartitionedSubtrajectorySearch)
-            and engine.backend == "serial"
-        )
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -126,8 +108,8 @@ class Executor:
         """Stop admitting queries and drain the pool (idempotent).
 
         ``close_engine=True`` additionally closes the wrapped engine —
-        for partitioned engines that terminates the shard worker
-        processes / thread pool.  Off by default because the engine is
+        for partitioned engines that terminates the shard threads and
+        worker processes.  Off by default because the engine is
         caller-owned and may outlive this executor (e.g. one engine
         served by successive executors in benchmarks)."""
         with self._lock:
@@ -169,10 +151,9 @@ class Executor:
         per-shard and per-stage spans under ``execute``.
 
         ``allow_partial`` opts the query into graceful degradation and is
-        forwarded to partitioned engines (meaningful on the processes
-        backend, where a shard worker can die independently; in-process
-        engines never degrade, so elsewhere it is inert — including the
-        serial-backend fan-out this executor runs itself).
+        forwarded to the engine (meaningful on the worker backends, where
+        a shard can die independently; in-process engines never degrade,
+        so elsewhere it is inert).
         """
         kwargs = dict(
             tau=tau,
@@ -181,30 +162,15 @@ class Executor:
             temporal_filter=temporal_filter,
             temporal_mode=temporal_mode,
         )
-        with self._admitted(deadline, trace, fan_out=self._fan_out) as (token, span):
-            if self._fan_out:
-                calls = self._engine.shard_query_callables(
-                    query, cancel=token, trace=span, **kwargs
-                )
-                futures = [self._pool.submit(call) for call in calls]
-                merged = self._engine.merge_shard_results(
-                    self._gather(futures, token)
-                )
-                if span is not None:
-                    span.set("shards", len(calls))
-                    span.set("matches", len(merged.matches))
-                    span.set("candidates", merged.num_candidates)
-                return merged
+        with self._admitted(deadline, trace) as (token, span):
             if span is not None:
                 kwargs["trace"] = span
-            if allow_partial and isinstance(
-                self._engine, PartitionedSubtrajectorySearch
-            ):
+            if allow_partial:
                 kwargs["allow_partial"] = True
             future = self._pool.submit(
                 self._engine.query, query, cancel=token, **kwargs
             )
-            return self._gather([future], token)[0]
+            return self._gather(future, token)
 
     def topk(
         self,
@@ -220,14 +186,11 @@ class Executor:
         """Execute one top-k query on the pool; same admission control and
         deadline semantics as :meth:`query`.
 
-        The whole tau-doubling loop runs as one pool task — the loop owns
-        its probe fan-out (each round is one ``engine.query``, which the
-        threads/processes/remote backends parallelize internally, and the
-        serial backend runs inline: a probe is already a full-corpus pass,
-        so there is nothing for this pool to split).  The deadline token
-        is threaded through every probe round *and* the exhaustion sweep,
-        so an expired budget stops within one verification iteration or
-        one swept trajectory.
+        The whole tau-doubling loop runs as one pool task (each round is
+        one ``engine.query``).  The deadline token is threaded through
+        every probe round *and* the exhaustion sweep, so an expired
+        budget stops within one verification iteration or one swept
+        trajectory.
         """
         with self._admitted(deadline, trace, mode="topk") as (token, span):
             future = self._pool.submit(
@@ -241,7 +204,7 @@ class Executor:
                 allow_partial=allow_partial,
                 trace=span,
             )
-            result = self._gather([future], token)[0]
+            result = self._gather(future, token)
             if span is not None:
                 span.set("matches", len(result.matches))
                 span.set("tau_rounds", result.tau_rounds)
@@ -311,37 +274,21 @@ class Executor:
                 self._pending -= 1
 
     @staticmethod
-    def _gather(futures: List[Future], token: CancelToken) -> List[QueryResult]:
-        """Collect futures in submission order, honouring the deadline.
+    def _gather(future: Future, token: CancelToken):
+        """The pool task's result, honouring the deadline.
 
-        On expiry the shared token is tripped first — running shard tasks
-        observe it inside their verification loops and stop within one
-        iteration — then unstarted futures are cancelled and the caller
-        gets :class:`DeadlineExceededError`.  A shard that noticed its own
+        On expiry the token is tripped first — the running query observes
+        it inside its verification loops and stops within one iteration —
+        then an unstarted task is cancelled and the caller gets
+        :class:`DeadlineExceededError`.  A query that noticed its own
         deadline first (raising :class:`QueryCancelledError`) is folded
         into the same outcome."""
-        expires = token.expires
-        results: List[QueryResult] = []
+        remaining = token.remaining()
         try:
-            for future in futures:
-                remaining = None if expires is None else expires - monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise _FutureTimeout()
-                results.append(future.result(timeout=remaining))
+            if remaining is not None and remaining <= 0:
+                raise _FutureTimeout()
+            return future.result(timeout=remaining)
         except (_FutureTimeout, TimeoutError, QueryCancelledError):
-            token.cancel()  # stop in-flight shard work cooperatively
-            for future in futures:
-                future.cancel()
-            raise DeadlineExceededError(
-                f"query missed its deadline ({len(results)}/{len(futures)} "
-                "shard results arrived in time)"
-            ) from None
-        except BaseException:
-            # Any other shard failure dooms the whole query: stop the
-            # siblings too instead of letting them verify to completion on
-            # pool threads whose admission slot is already released.
-            token.cancel()
-            for future in futures:
-                future.cancel()
-            raise
-        return results
+            token.cancel()  # stop the in-flight work cooperatively
+            future.cancel()
+            raise DeadlineExceededError("query missed its deadline") from None

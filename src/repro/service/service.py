@@ -12,7 +12,7 @@ one request path, which per request:
 3. on a miss, coalesces with any identical in-flight request
    (:class:`~repro.service.batching.Batcher`);
 4. as the flight leader, runs the query through the
-   :class:`~repro.service.executor.Executor` (thread-pool shard fan-out,
+   :class:`~repro.service.executor.Executor` (one pool task per query,
    deadline, admission control) and caches the answer;
 5. records the outcome — hit, computed, coalesced or failed — once, in
    the instruments of
@@ -66,7 +66,7 @@ class QueryService:
     engine:
         :class:`~repro.core.engine.SubtrajectorySearch` or
         :class:`~repro.core.partitioned.PartitionedSubtrajectorySearch`
-        (the latter gets parallel per-shard fan-out).
+        (which fans each query out over its shards itself).
     max_workers / max_pending / default_deadline:
         Forwarded to the :class:`Executor`.
     cache_size:

@@ -217,6 +217,23 @@ def thread_nodes(count):
             thread.join(10)
 
 
+@contextmanager
+def open_engine(backend, dataset, costs, *, num_shards=2, **kwargs):
+    """A partitioned engine on ``backend`` — ``remote`` over
+    :func:`thread_nodes`, so every backend is one arrangement."""
+    from repro.core.partitioned import PartitionedSubtrajectorySearch
+
+    with thread_nodes(num_shards if backend == "remote" else 0) as addresses:
+        if backend == "remote":
+            kwargs.update(shard_map=addresses, connect_timeout=15.0)
+        else:
+            kwargs.update(num_shards=num_shards)
+        with PartitionedSubtrajectorySearch(
+            dataset, costs, backend=backend, **kwargs
+        ) as engine:
+            yield engine
+
+
 def worker_process(pid):
     """The ``multiprocessing.Process`` behind a child-process shard
     worker, found by the pid ``worker_states()`` reports (fetch it while
@@ -233,6 +250,12 @@ def kill_worker(pid):
     assert not process.is_alive()
     return process
 
+
+#: gate events reach a child-process worker by fork inheritance only.
+needs_fork = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="gate events reach the worker by fork inheritance",
+)
 
 #: name -> (gate, entered) events of the gated cost models alive right
 #: now.  Module-level so both peers find them: a forked child inherits

@@ -121,13 +121,14 @@ class TestExactness:
 
 
 class TestParallelFanOut:
-    @pytest.mark.parametrize("max_workers", [1, 2, 8])
-    def test_parallel_matches_serial(self, vertex_dataset, edr_cost, rng, max_workers):
+    @pytest.mark.parametrize("num_shards", [1, 2, 8])
+    def test_parallel_matches_serial(self, vertex_dataset, edr_cost, rng, num_shards):
+        # One shard runs inline; beyond that, one shard thread per shard.
         serial = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=4
+            vertex_dataset, edr_cost, num_shards=num_shards
         )
         parallel = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=4, max_workers=max_workers
+            vertex_dataset, edr_cost, num_shards=num_shards, backend="threads"
         )
         try:
             for _ in range(3):
@@ -140,12 +141,6 @@ class TestParallelFanOut:
                 )
         finally:
             parallel.close()
-
-    def test_invalid_max_workers(self, vertex_dataset, edr_cost):
-        with pytest.raises(QueryError):
-            PartitionedSubtrajectorySearch(
-                vertex_dataset, edr_cost, max_workers=0
-            )
 
     def test_shard_callables_merge_equals_query(self, vertex_dataset, edr_cost, rng):
         sharded = PartitionedSubtrajectorySearch(
@@ -176,7 +171,7 @@ class TestBackends:
         [
             ("serial", {}),
             ("threads", {}),
-            ("threads", {"max_workers": 2}),
+            ("threads", {"num_shards": 1}),  # no shard threads: inline
             ("processes", {}),
             ("remote", {}),
         ],
@@ -184,11 +179,12 @@ class TestBackends:
     def test_every_backend_matches_single_node(
         self, request, vertex_dataset, edr_cost, rng, backend, kwargs
     ):
+        kwargs = {"num_shards": 3, **kwargs}
         if backend == "remote":
             kwargs = dict(kwargs, shard_map=request.getfixturevalue("remote_nodes"))
         single = SubtrajectorySearch(vertex_dataset, edr_cost)
         with PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=3, backend=backend, **kwargs
+            vertex_dataset, edr_cost, backend=backend, **kwargs
         ) as sharded:
             assert sharded.backend == backend
             query = sample_query(vertex_dataset, rng, 6)

@@ -42,11 +42,14 @@ class TestConfiguration:
                 vertex_dataset, edr_cost, backend="fibers"
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_only_threads_backend_takes_max_workers(
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_max_workers_is_not_an_engine_option(
         self, vertex_dataset, edr_cost, backend
     ):
-        with pytest.raises(QueryError):
+        # One shard thread per shard, one worker per shard: nothing to
+        # size.  The name is forwarded like any unknown engine option and
+        # refused by the shard engine, at construction, on every backend.
+        with pytest.raises(TypeError):
             PartitionedSubtrajectorySearch(
                 vertex_dataset, edr_cost, backend=backend, max_workers=2
             )
@@ -54,7 +57,7 @@ class TestConfiguration:
     def test_backend_defaults_preserve_old_semantics(self, vertex_dataset, edr_cost):
         serial = PartitionedSubtrajectorySearch(vertex_dataset, edr_cost)
         threaded = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, max_workers=2
+            vertex_dataset, edr_cost, backend="threads"
         )
         try:
             assert serial.backend == "serial"
@@ -123,6 +126,21 @@ class TestExactness:
         query = sample_query(vertex_dataset, rng, 6)
         result = process_engine.query(query, tau_ratio=0.25)
         assert result.verification.sw_columns > 0
+
+    def test_each_cache_accessor_is_one_poll_of_the_workers(
+        self, process_engine, monkeypatch
+    ):
+        pool = process_engine._workers
+        poll, polls = pool.cache_stats, []
+        monkeypatch.setattr(
+            pool, "cache_stats", lambda: polls.append(1) or poll()
+        )
+        combined = process_engine.cache_stats()
+        assert len(polls) == 1
+        assert process_engine.substitution_cache_stats() == combined["substitution"]
+        assert process_engine.trie_cache_stats() == combined["trie"]
+        assert process_engine.index_stats() == combined["index"]
+        assert len(polls) == 4
 
     def test_spawn_start_method_ships_pickled_shards(
         self, vertex_dataset, edr_cost, rng

@@ -14,7 +14,10 @@ what can be enforced:
   ``docs/OPERATIONS.md``) is a key of a live ``QueryService.stats()``;
 - the fenced examples in the index-format specification actually run
   (``doctest`` over the file — the same check CI runs);
-- the README links all three docs, so they are discoverable.
+- the README links all three docs, so they are discoverable;
+- the shard fan-out backends the README describes, the ones ``repro
+  serve --backend`` offers and the ones the engine implements agree,
+  and no doc mentions a fan-out API that no longer exists.
 """
 
 import doctest
@@ -111,6 +114,42 @@ def test_readme_links_all_three_docs():
     text = (REPO / "README.md").read_text(encoding="utf-8")
     for name in ("ARCHITECTURE.md", "OPERATIONS.md", "INDEX_FORMAT.md"):
         assert f"docs/{name}" in text, f"README does not link docs/{name}"
+
+
+def test_fan_out_backends_agree_across_readme_cli_and_engine():
+    from repro.cli import build_parser
+    from repro.core.partitioned import _BACKENDS
+
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Choosing a shard fan-out backend", 1)[1]
+    section = re.split(r"^(?:#{1,3} |HTTP API)", section, maxsplit=1, flags=re.M)[0]
+    described = set(re.findall(r"^- \*\*`(\w+)`\*\*", section, flags=re.M))
+    assert described == set(_BACKENDS)
+    assert "max_workers" not in section  # the engine has no pool to size
+
+    commands = next(
+        action
+        for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    offered = next(
+        action for action in commands.choices["serve"]._actions
+        if action.dest == "backend"
+    ).choices
+    assert offered and set(offered) <= set(_BACKENDS)
+
+
+#: what the one fan-out replaced: the pool's own fan-out, the executor's
+#: span attribute for its private one, and the engine's pool-size knob.
+_GONE = re.compile(
+    r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
+)
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_ids())
+def test_docs_name_no_removed_fan_out_api(doc):
+    stale = _GONE.findall(doc.read_text(encoding="utf-8"))
+    assert not stale, f"{doc.name} still mentions {stale}"
 
 
 def test_index_format_examples_execute():

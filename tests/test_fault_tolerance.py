@@ -459,7 +459,7 @@ class TestPoolHardening:
         try:
             process = worker_process(pool.worker_states()[0].pid)
             with pytest.raises(WorkerError):
-                pool.query_all([0, 1, 2], {"tau": 2.0})
+                pool.query_shard(0, [0, 1, 2], {"tau": 2.0})
             process.join(5)
             assert process.exitcode == FAULT_EXIT_CODE
         finally:

@@ -14,7 +14,10 @@ The tentpole contract this suite pins:
   (``trie_cache=miss`` on first contact, ``hit`` on the repeat);
 - slow queries are preserved even at sample rate 0: a synthesized
   stage-breakdown trace lands in the recorder and a one-line JSON record
-  on the ``repro.slowlog`` logger.
+  on the ``repro.slowlog`` logger;
+- a shard span says how its call ended — ``fault=retried|degraded`` for
+  the fault decisions taken, ``error=<type>`` for a failure — on worker
+  backends too, where one span scope now serves every path.
 """
 
 import json
@@ -23,8 +26,11 @@ import urllib.request
 
 import pytest
 
+from repro import exceptions
 from repro.cli import main as cli_main
 from repro.core.partitioned import PartitionedSubtrajectorySearch
+from repro.exceptions import WorkerError
+from repro.faultinject import FaultPlan, FaultRule
 from repro.obs import (
     FlightRecorder,
     Trace,
@@ -278,6 +284,60 @@ class TestStitchedProcessTraces:
         block = service.stats()["observability"]
         assert block["trace_sample_rate"] == 1.0
         assert block["flight_recorder"]["recorded"] >= 1
+
+
+class TestShardSpansSayHowTheCallEnded:
+    @staticmethod
+    def _shard_attributes(dataset, costs, rule, **query_kwargs):
+        """``{shard: span attributes}`` of one traced 2-shard processes
+        query under ``rule`` (a query that raises still has its spans)."""
+        trace = Trace("test")
+        with PartitionedSubtrajectorySearch(
+            dataset,
+            costs,
+            num_shards=2,
+            backend="processes",
+            fault_plan=FaultPlan(rules=[rule]),
+        ) as engine:
+            try:
+                engine.query(
+                    list(dataset.symbols(0))[:6],
+                    tau_ratio=0.25,
+                    trace=trace.root,
+                    **query_kwargs,
+                )
+            except WorkerError:
+                pass
+        return {
+            s["attributes"]["shard"]: s["attributes"]
+            for s in trace.export()
+            if s["name"] == "shard"
+        }
+
+    def test_a_retried_shard_is_marked(self, vertex_dataset, edr_cost):
+        shards = self._shard_attributes(
+            vertex_dataset, edr_cost, FaultRule(shard=0, op="kill_before", request=1)
+        )
+        assert shards[0]["fault"] == "retried" and "error" not in shards[0]
+        assert "fault" not in shards[1] and "error" not in shards[1]
+
+    def test_a_degraded_shard_is_marked(self, vertex_dataset, edr_cost):
+        shards = self._shard_attributes(
+            vertex_dataset,
+            edr_cost,
+            FaultRule(shard=1, op="conn_drop", request=0),
+            allow_partial=True,
+        )
+        assert shards[1]["fault"] == "degraded" and "error" not in shards[1]
+        assert "fault" not in shards[0] and "error" not in shards[0]
+
+    def test_a_failed_shard_names_its_error(self, vertex_dataset, edr_cost):
+        shards = self._shard_attributes(
+            vertex_dataset, edr_cost, FaultRule(shard=1, op="conn_drop", request=0)
+        )
+        error = getattr(exceptions, shards[1]["error"])
+        assert issubclass(error, WorkerError)
+        assert shards[1]["fault"] == "retried"  # it was, and failed again
 
 
 class TestSlowQueryPath:

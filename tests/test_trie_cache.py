@@ -275,7 +275,6 @@ class TestSharedCacheConcurrency:
             netedr_cost,
             num_shards=2,
             backend="threads",
-            max_workers=2,
             trie_cache_size=8,
         )
         queries = [list(dataset.symbols(t))[:8] for t in (0, 1)]

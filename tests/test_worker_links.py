@@ -35,15 +35,16 @@ from repro.exceptions import (
 )
 from repro.faultinject import FaultPlan, FaultRule, WorkerFaults
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import GatedEDRCost, gate_events, sample_query, thread_nodes
-
-pytestmark = pytest.mark.timeout(300)
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(),
-    reason="gate events reach the worker by fork inheritance",
+from tests.conftest import (
+    GatedEDRCost,
+    gate_events,
+    needs_fork,
+    open_engine,
+    sample_query,
+    thread_nodes,
 )
 
+pytestmark = pytest.mark.timeout(300)
 
 def keys(result):
     return [(m.trajectory_id, m.start, m.end) for m in result.matches]
@@ -52,27 +53,6 @@ def keys(result):
 @pytest.fixture(params=["processes", "remote"])
 def link(request):
     return request.param
-
-
-@contextmanager
-def open_engine(link, dataset, costs, *, num_shards=2, **kwargs):
-    """A partitioned engine whose shards sit behind ``link``."""
-    if link == "processes":
-        with PartitionedSubtrajectorySearch(
-            dataset, costs, num_shards=num_shards, backend="processes", **kwargs
-        ) as engine:
-            yield engine
-    else:
-        with thread_nodes(num_shards) as addresses:
-            with PartitionedSubtrajectorySearch(
-                dataset,
-                costs,
-                backend="remote",
-                shard_map=addresses,
-                connect_timeout=15.0,
-                **kwargs,
-            ) as engine:
-                yield engine
 
 
 @contextmanager
@@ -371,7 +351,7 @@ class TestReplicationAndLifecycle:
                 engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
             # The pool itself reports closure as a worker failure.
             with pytest.raises(ServiceError):
-                pool.query_all([0], {})
+                pool.query_shard(0, [0], {})
 
     def test_worker_states_snapshot(self, link, vertex_dataset, edr_cost):
         with open_engine(link, vertex_dataset, edr_cost) as engine:
