@@ -868,7 +868,7 @@ class SubtrajectorySearch:
     ) -> List[Candidate]:
         out: List[Candidate] = []
         index = self.index
-        use_sorted = interval is not None and getattr(index, "_sorted", False)
+        use_sorted = interval is not None and index.sorted_by_departure
         for element in subsequence:
             iq = element.position
             for b in element.neighborhood:

@@ -57,7 +57,7 @@ from repro.core.engine import (
     QueryResult,
     SubtrajectorySearch,
 )
-from repro.core.frozen import shard_index_path
+from repro.core.frozen import round_robin_shards, shard_index_path
 from repro.core.results import Match
 from repro.core.trie import TrieCache
 from repro.core.temporal import TemporalMode, TimeInterval
@@ -280,15 +280,10 @@ class PartitionedSubtrajectorySearch:
                 shared = TrieCache(size, max_bytes)
             self._trie_cache = shared
             engine_kwargs = dict(engine_kwargs, trie_cache=shared)
-        self._global_ids: List[List[int]] = [[] for _ in range(num_shards)]
-        self._shards = [
-            TrajectoryDataset(dataset.graph, dataset.representation)
-            for _ in range(num_shards)
+        self._shards = round_robin_shards(dataset, num_shards)
+        self._global_ids: List[List[int]] = [
+            list(range(k, len(dataset), num_shards)) for k in range(num_shards)
         ]
-        for tid in range(len(dataset)):
-            shard = tid % num_shards
-            self._shards[shard].add(dataset[tid])
-            self._global_ids[shard].append(tid)
         self._costs = costs
         self._update_lock = threading.Lock()
         self._closed = False
@@ -354,14 +349,6 @@ class PartitionedSubtrajectorySearch:
         or ``remote``."""
         return self._backend
 
-    def nodes(self) -> List[Optional[str]]:
-        """Per-shard worker-node addresses (all ``None`` except on the
-        remote backend)."""
-        self._check_open()
-        if self._workers is not None:
-            return self._workers.nodes()
-        return [None] * self.num_shards
-
     @property
     def costs(self):
         """The cost model shared by every shard engine."""
@@ -385,10 +372,11 @@ class PartitionedSubtrajectorySearch:
     def worker_states(self) -> List[WorkerState]:
         """Per-shard supervision snapshots (``/healthz`` / ``/metrics``).
 
-        On the processes backend these come from the pool's supervisor
+        On the worker backends each supervised shard reports its own
         (liveness, pid, restart count, breaker state).  In-process shards
         share the parent's fate, so the other backends report synthetic
-        always-alive states — the endpoint shape is backend-uniform.
+        always-alive states — the endpoint shape is backend-uniform (the
+        figures below are projections of it).
         """
         self._check_open()
         if self._workers is not None:
@@ -405,17 +393,21 @@ class PartitionedSubtrajectorySearch:
             for shard in range(self.num_shards)
         ]
 
+    def nodes(self) -> List[Optional[str]]:
+        """Per-shard worker-node addresses (all ``None`` except on the
+        remote backend)."""
+        return [state.node for state in self.worker_states()]
+
     def restarts_total(self) -> int:
         """Completed shard-worker respawns — reconnects on the remote
         backend (0 on in-process backends)."""
-        self._check_open()
-        return 0 if self._workers is None else self._workers.restarts_total()
+        return sum(state.restarts for state in self.worker_states())
 
     def retry_after(self) -> float:
         """Seconds until the soonest open breaker admits a probe (0 when
         every shard is serving) — the HTTP 503 ``Retry-After`` basis."""
-        self._check_open()
-        return 0.0 if self._workers is None else self._workers.retry_after()
+        waits = [s.retry_after for s in self.worker_states() if s.breaker == "open"]
+        return min(waits, default=0.0)
 
     #: summed fields of each engine-level cache's counters.
     _SUB_FIELDS = ("capacity", "size", "hits", "misses")
@@ -458,30 +450,34 @@ class PartitionedSubtrajectorySearch:
         agg["mmap"] = bool(reporting) and all(p.get("mmap") for p in reporting)
         return agg
 
+    def _shard_cache_parts(self) -> List[Optional[Dict[str, Dict[str, Any]]]]:
+        """One counters dict per shard, from ONE snapshot.  On the worker
+        backends that is one poll of every worker, made without blocking:
+        a worker busy with an in-flight query is ``None`` rather than
+        stalling a health probe behind a long verification.  In-process
+        shards keep one SubstitutionMatrix LRU each but share **one**
+        trie cache, which is therefore not in their parts."""
+        self._check_open()
+        if self._workers is not None:
+            return self._workers.cache_stats()
+        return [
+            {
+                "substitution": engine.substitution_cache_stats(),
+                "index": engine.index_stats(),
+            }
+            for engine in self._engines
+        ]
+
     def cache_stats(self) -> Dict[str, Dict[str, Any]]:
         """Both engine-level caches' and the index's aggregates, from ONE
         snapshot — what ``/healthz`` and ``/stats`` consume.
 
-        On the worker backends that is one poll of every worker, made
-        without blocking: a worker busy with an in-flight query is
-        skipped rather than stalling a health probe behind a long
-        verification, and ``shards_reporting`` says how many answered
-        (the same number in all three blocks, because they are one
-        poll).  In-process shards keep one SubstitutionMatrix LRU each
-        but share **one** trie cache, whose counters are reported as
-        they are (every shard feeds it, so every shard reports).
+        ``shards_reporting`` says how many shards answered (the same
+        number in all three blocks, because they are one poll).  The
+        shared in-process trie cache's counters are reported as they are
+        (every shard feeds it, so every shard reports).
         """
-        self._check_open()
-        if self._workers is not None:
-            parts = self._workers.cache_stats()
-        else:
-            parts = [
-                {
-                    "substitution": engine.substitution_cache_stats(),
-                    "index": engine.index_stats(),
-                }
-                for engine in self._engines
-            ]
+        parts = self._shard_cache_parts()
 
         def column(name: str) -> List[Optional[Dict[str, Any]]]:
             return [None if part is None else part.get(name) for part in parts]
@@ -519,42 +515,20 @@ class PartitionedSubtrajectorySearch:
 
         Unlike :meth:`cache_stats` (which sums for ``/stats``), the
         metrics endpoint wants one labelled sample per cache instance:
-        in-process backends report one substitution cache per shard and
-        the single **shared** trie cache; the processes backend reports
-        both caches per worker from ONE non-blocking poll (busy workers
-        are skipped, ``reporting`` says how many answered).
+        one substitution cache and one index per shard, and the single
+        **shared** in-process trie cache or one per worker — from the
+        same one snapshot (``reporting`` says how many shards answered).
         """
-        self._check_open()
-        out: Dict[str, Any] = {"shards": self.num_shards}
-        if self._workers is None:
-            out["reporting"] = self.num_shards
-            out["substitution"] = [
-                (str(i), engine.substitution_cache_stats())
-                for i, engine in enumerate(self._engines)
-            ]
+        parts = [
+            (str(shard), part)
+            for shard, part in enumerate(self._shard_cache_parts())
+            if part is not None
+        ]
+        out: Dict[str, Any] = {"shards": self.num_shards, "reporting": len(parts)}
+        for name in ("substitution", "trie", "index"):
+            out[name] = [(shard, part[name]) for shard, part in parts if name in part]
+        if self._trie_cache is not None:
             out["trie"] = [("shared", dict(self._trie_cache.stats()))]
-            out["index"] = [
-                (str(i), engine.index_stats())
-                for i, engine in enumerate(self._engines)
-            ]
-            return out
-        combined = self._workers.cache_stats()
-        substitution = []
-        trie = []
-        index = []
-        reporting = 0
-        for i, part in enumerate(combined):
-            if part is None:
-                continue
-            reporting += 1
-            substitution.append((str(i), part["substitution"]))
-            trie.append((str(i), part["trie"]))
-            if "index" in part:
-                index.append((str(i), part["index"]))
-        out["reporting"] = reporting
-        out["substitution"] = substitution
-        out["trie"] = trie
-        out["index"] = index
         return out
 
     def __len__(self) -> int:

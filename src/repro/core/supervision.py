@@ -1,8 +1,9 @@
 """Supervision primitives for the shard-worker tier: breaker + backoff.
 
 :mod:`repro.core.workers` keeps each shard's engine in a child process;
-this module holds the policy objects its supervisor runs on.  They are
-deliberately transport-agnostic — the socket-backed multi-node tier
+this module holds the policy objects each supervised shard
+(``workers._ShardWorker``) owns one of.  They are deliberately
+transport-agnostic — the socket-backed multi-node tier
 (``backend="remote"``; ROADMAP §1) supervises remote shard nodes with
 exactly the same state machines, where a "respawn" is a reconnect:
 
@@ -11,7 +12,10 @@ exactly the same state machines, where a "respawn" is a reconnect:
   shard failures *open* it (queries fail fast / degrade instead of each
   eating a worker round-trip + respawn against a flapping shard); after
   ``cooldown`` seconds one *half-open* probe query is let through — its
-  outcome closes or re-opens the breaker.
+  outcome closes or re-opens the breaker.  A *probe* is an ordinary
+  query that won the single half-open slot; the slot is scoped to that
+  request (:meth:`CircuitBreaker.admission`), so a probe that ends
+  without a verdict hands it back instead of gating the shard forever.
 - :class:`RespawnBackoff` — bounded exponential backoff with seeded
   jitter between respawn attempts, so a worker that dies at birth (bad
   node, poisoned shard file) cannot hot-loop fork+engine-build, and a
@@ -27,10 +31,11 @@ the query path while the supervisor thread records respawn outcomes.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
 from time import monotonic
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = ["BREAKER_STATES", "CircuitBreaker", "RespawnBackoff", "WorkerState"]
 
@@ -42,10 +47,10 @@ BREAKER_STATES = ("closed", "half_open", "open")
 class CircuitBreaker:
     """Closed → open after N consecutive failures → half-open probe.
 
-    The breaker counts *shard-level* outcomes (a query answered vs. a
-    worker that died / stayed unreachable), not client-level ones — a
-    deadline miss is the client's budget, not the shard's health, and is
-    never recorded here.
+    The breaker counts *shard-level* outcomes (a request that collected
+    its reply vs. a worker that died / stayed unreachable), not
+    client-level ones — a deadline miss or a refused threshold is the
+    client's business, not the shard's health: the shard answered.
     """
 
     def __init__(
@@ -88,21 +93,37 @@ class CircuitBreaker:
             self._probe_in_flight = False
         return self._state
 
+    def _admit(self) -> Optional[bool]:
+        """None = refused; else whether the probe slot was taken."""
+        with self._lock:
+            state = self._effective_state()
+            if state == "closed":
+                return False
+            if state == "open" or self._probe_in_flight:
+                return None
+            self._probe_in_flight = True
+            return True
+
     def allow(self) -> bool:
         """Whether a query may be sent to the shard right now.
 
         In half-open state exactly one caller wins the probe slot; the
-        rest are rejected until the probe's outcome is recorded."""
-        with self._lock:
-            state = self._effective_state()
-            if state == "closed":
-                return True
-            if state == "open":
-                return False
-            if self._probe_in_flight:
-                return False
-            self._probe_in_flight = True
-            return True
+        rest are rejected until the probe's outcome is recorded (or, under
+        :meth:`admission`, its request ends)."""
+        return self._admit() is not None
+
+    @contextmanager
+    def admission(self) -> Iterator[bool]:
+        """Scope one request: yields whether it may be sent (as
+        :meth:`allow`), and hands a probe slot taken here back on exit
+        however the request ended — no path can leak it."""
+        probe = self._admit()
+        try:
+            yield probe is not None
+        finally:
+            if probe:
+                with self._lock:
+                    self._probe_in_flight = False
 
     def cooldown_remaining(self) -> float:
         """Seconds until an open breaker will admit its half-open probe

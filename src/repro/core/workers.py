@@ -6,8 +6,9 @@ Smith–Waterman-style verification that dominates query cost (§6) — pure-
 Python DP holds the GIL, so N shard threads share one core.  This module
 moves each shard's engine behind a **framed link**
 (:class:`~repro.core.transport.FramedSocket`) and keeps exactly one
-parent-side handle (:class:`_ShardWorker`) and one worker-side serve path
-(:func:`serve_link`) for every way a link can be obtained:
+parent-side object per shard (:class:`_ShardWorker`, the *supervised
+shard*) and one worker-side serve path (:func:`serve_link`) for every way
+a link can be obtained:
 
 - ``backend="processes"``: the parent hands one end of a
   :func:`socket.socketpair` to a child process (:func:`_open_process`).
@@ -26,10 +27,10 @@ is a fresh engine incarnation — a *reconnect is a respawn*.
 - queries travel as small pickled descriptors; results come back as
   pickled :class:`~repro.core.engine.QueryResult` objects (the merge-
   irrelevant ``subsequence`` field is stripped to keep replies small).
-  The pool has no fan-out of its own: one query is one blocking
-  :meth:`ShardWorkerPool.query_shard` round trip per shard, run
-  concurrently by the partitioned engine's shard threads — a thread
-  holds one link's lock at a time;
+  There is no fan-out here: one query is one blocking
+  :meth:`_ShardWorker.query` round trip per shard, run concurrently by
+  the partitioned engine's shard threads — a thread holds one shard's
+  lock at a time;
 - deadlines survive the link: the parent sends the *remaining* budget
   with each query and the worker rebuilds a local token from it, so
   clock skew cannot extend a deadline.  The parent bounds its own wait
@@ -55,16 +56,21 @@ is a fresh engine incarnation — a *reconnect is a respawn*.
   ever disconnected), and a module-level ``atexit`` hook closes every
   pool still alive at interpreter exit.
 
-**Fault tolerance** (policy objects live in :mod:`repro.core.supervision`):
+**Fault tolerance.**  Everything known about one shard lives on its
+:class:`_ShardWorker` — link, process, request lock, insert journal,
+breaker, backoff and respawn bookkeeping, last error, event ring — and
+the policy objects come from :mod:`repro.core.supervision`.
+:class:`ShardWorkerPool` keeps only what is pool-wide: the opener per
+backend, the shards, the supervisor thread, ``close()``.
 
-- a pool-level *supervisor thread* polls link liveness (link open ∧
-  process alive, when there is one), heartbeats idle links with ``ping``
-  so a silently dead peer is detected without traffic, and reopens dead
-  links with bounded exponential backoff + per-shard jitter; the query
-  path additionally respawns eagerly when it trips over a corpse, so
+- the *supervisor thread* polls shard liveness (link open ∧ process
+  alive, when there is one), heartbeats idle links with ``ping`` so a
+  silently dead peer is detected without traffic, and revives dead
+  shards with bounded exponential backoff + per-shard jitter; the query
+  path additionally revives eagerly when it trips over a corpse, so
   recovery latency is bounded by one engine rebuild, not a poll tick;
 - a reopened worker rebuilds its engine from the parent's shard dataset
-  mirror, then the parent *replays its insert journal* — the record of
+  mirror, then the shard *replays its insert journal* — the record of
   acknowledged inserts the mirror may not hold yet — through the same
   versioned ``add`` protocol, so the replica is bit-identical to the
   lost one (the handshake reports the rebuilt engine's length; only the
@@ -74,18 +80,23 @@ is a fresh engine incarnation — a *reconnect is a respawn*.
   flapping shard from eating every query's deadline: with the breaker
   open, queries either fail fast (:class:`~repro.exceptions.
   ShardUnavailableError`) or — with ``allow_partial`` — degrade to the
-  live shards;
-- a shard whose link failed is reopened and its query retried exactly
+  live shards.  *A request that collected its one reply is a healthy
+  shard*: a result and a relayed engine/client error (bad threshold,
+  expired deadline) both count as success, only :class:`~repro.
+  exceptions.WorkerError` counts against the breaker, and a half-open
+  probe slot is handed back however the probe ends;
+- a shard whose link failed is revived and its query retried exactly
   once, within the caller's remaining deadline budget, re-shipping the
   *updated* remaining time;
 - deterministic chaos: a :class:`~repro.faultinject.FaultPlan` ships
   per-shard worker-side fault tables to the workers (kill before / after
   request K, delay or drop a reply, ignore stop), network faults into
-  the handle's single send choke point (drop / hang / slow / fragment
-  the link), and respawn failures into the supervisor, all keyed to
-  request ordinals that survive respawns — see :mod:`repro.faultinject`.
+  the shard's single send choke point (drop / hang / slow / fragment
+  the link), and respawn failures into the shard's revive path, all
+  keyed to request ordinals that survive respawns — see
+  :mod:`repro.faultinject`.
 
-Protocol (one request in flight per worker, enforced by a parent-side
+Protocol (one request in flight per worker, enforced by the shard's
 lock; every request gets exactly one reply, keeping the stream in sync
 even when the caller stops waiting):
 
@@ -98,6 +109,13 @@ even when the caller stops waiting):
     ("stop",  req_id)
     ("cancel", req_id)                (out of band: no reply)
     reply: (req_id, "ok", payload) | (req_id, "error", exception)
+
+The serve loop computes a request's reply and sends it from one place
+(:meth:`_ServedLink.reply`).  A reply that cannot be *encoded* — an
+exception or result that does not pickle, a frame over the transport's
+bound — is replaced by an ``"error"`` reply carrying a :class:`~repro.
+exceptions.WorkerError` that names it, so the parent still collects its
+one reply and the worker keeps serving; only a torn link ends the loop.
 
 ``trace_ctx`` is a ``(trace_id, parent_span_id)`` pair (see
 :mod:`repro.obs.tracing`): when present, the worker wraps the engine
@@ -133,7 +151,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import transport
 from repro.core.supervision import CircuitBreaker, RespawnBackoff, WorkerState
-from repro.exceptions import ShardUnavailableError, TransportError, WorkerError
+from repro.exceptions import (
+    FrameTooLargeError,
+    ShardUnavailableError,
+    TransportError,
+    WorkerError,
+)
+from repro.faultinject import FaultPlan
 
 __all__ = ["ShardWorkerPool", "default_start_method", "serve_link"]
 
@@ -161,21 +185,17 @@ _HEARTBEAT_INTERVAL = 1.0
 
 
 def default_start_method() -> str:
-    """The multiprocessing start method used when none is requested.
-
-    ``REPRO_MP_START`` overrides; otherwise ``fork`` where available
-    (instant worker start, no re-import or re-pickle of the shard data)
-    — but only while the parent is single-threaded.  Forking a threaded
-    parent (e.g. rebuilding an engine while an HTTP server is live) can
-    deadlock the child on locks held mid-fork by other threads, so such
-    parents get ``spawn``, which always works: the worker entry point and
-    every shipped object are picklable.  (Supervised *respawns* reuse the
-    pool's original context: the replacement worker must build from the
-    same inheritance path as the one it replaces.)
+    """The multiprocessing start method used when none is requested:
+    ``fork`` where available (instant worker start, no re-import or
+    re-pickle of the shard data) — but only while the parent is
+    single-threaded.  Forking a threaded parent (e.g. rebuilding an
+    engine while an HTTP server is live) can deadlock the child on locks
+    held mid-fork by other threads, so such parents get ``spawn``, which
+    always works: the worker entry point and every shipped object are
+    picklable.  (Supervised *respawns* reuse the pool's original context:
+    the replacement worker must build from the same inheritance path as
+    the one it replaces.)
     """
-    env = os.environ.get("REPRO_MP_START")
-    if env:
-        return env
     if "fork" in mp.get_all_start_methods() and threading.active_count() == 1:
         return "fork"
     return "spawn"
@@ -226,8 +246,26 @@ class _ServedLink:
             raise TransportError("peer disconnected")
         return msg
 
-    def send(self, message: Any) -> None:
-        self._framed.send(message)
+    def reply(self, req_id: int, status: str, payload) -> bool:
+        """Send a request's one reply (see the module docstring); False
+        when the link is gone (peer died, or closed the link racing this
+        send — the serve loop must end cleanly, not with traceback
+        noise).  A reply that cannot be encoded has put no byte on the
+        wire, so the error reply naming it takes its place in the stream."""
+        try:
+            try:
+                self._framed.send((req_id, status, payload))
+            except Exception as exc:  # noqa: BLE001 — pickling raises anything
+                if isinstance(exc, TransportError) and not isinstance(
+                    exc, FrameTooLargeError
+                ):
+                    raise  # the link itself failed
+                what = repr(payload) if status == "error" else type(payload).__name__
+                error = WorkerError(f"reply could not be sent ({exc!r}): {what}")
+                self._framed.send((req_id, "error", error))
+        except TransportError:
+            return False
+        return True
 
     def close(self) -> None:
         self._framed.close()
@@ -294,18 +332,76 @@ def _process_main(sock: socket.socket, *spec) -> None:
     serve_link(transport.FramedSocket(sock), *spec)
 
 
+def _answer(engine, conn: _ServedLink, shard_index, msg):
+    """The "ok" payload of one request (anything raised here is its
+    "error" reply)."""
+    kind, req_id = msg[0], msg[1]
+    if kind == "query":
+        symbols, kwargs, remaining = msg[2], msg[3], msg[4]
+        trace_ctx = msg[5] if len(msg) > 5 else None
+        trace = None
+        if trace_ctx is not None:
+            from repro.obs.tracing import Trace
+
+            trace = Trace(
+                "shard_worker",
+                trace_id=trace_ctx[0],
+                parent_id=trace_ctx[1],
+                shard=shard_index,
+                pid=os.getpid(),
+            )
+        result = engine.query(
+            symbols,
+            cancel=_WorkerCancelToken(req_id, conn, remaining),
+            trace=None if trace is None else trace.root,
+            **kwargs,
+        )
+        # The merge ignores the tau-subsequence; stripping it keeps
+        # reply pickles small (neighborhoods are large).
+        result.subsequence = []
+        if trace is None:
+            return result
+        trace.finish()
+        return result, trace.export()
+    if kind == "add":
+        expected, trajectory, validate = msg[2], msg[3], msg[4]
+        tid = engine.add_trajectory(trajectory, validate=validate)
+        if tid != expected:
+            raise WorkerError(
+                f"shard {shard_index} replica diverged: insert got local "
+                f"id {tid}, parent expected {expected}"
+            )
+        return tid
+    if kind == "stats":
+        # One combined payload for every engine-level cache plus the
+        # index, so a single non-blocking poll serves all observability
+        # consumers (healthz, /stats, /metrics, aggregated shard stats).
+        return {
+            "substitution": engine.substitution_cache_stats(),
+            "trie": engine.trie_cache_stats(),
+            "index": engine.index_stats(),
+        }
+    if kind == "ping":
+        return {"pid": os.getpid()}
+    if kind == "stop":
+        return None
+    raise WorkerError(f"unknown message kind {kind!r}")
+
+
 def _worker_main(
     conn: _ServedLink, shard_index, dataset, costs, engine_kwargs,
     faults=None, request_offsets=None,
 ) -> None:
     """The serve loop: build the shard engine, answer requests.
 
-    Every received request is answered exactly once; failures — including
-    cancellations — travel back as pickled exceptions.  ``faults`` is an
-    optional :class:`~repro.faultinject.WorkerFaults` table and
+    Every received request is answered exactly once, from one place;
+    failures — including cancellations — travel back as pickled
+    exceptions.  ``faults`` is an optional
+    :class:`~repro.faultinject.WorkerFaults` table and
     ``request_offsets`` the per-kind ordinals already consumed by this
     shard's previous incarnations (so fault rules fire once across
-    respawns).
+    respawns); only queries and inserts are counted, so a ``ping`` can
+    never consume (or trip) a request-ordinal rule.
     """
     # Imported here, not at module top, so the worker builds its engine
     # against whatever is on *its* path under spawn (and to keep this
@@ -315,17 +411,6 @@ def _worker_main(
     if faults is not None:
         faults.install()
     counts: Dict[str, int] = dict(request_offsets or {})
-
-    def _guarded_send(message) -> bool:
-        """Send a reply; a link torn down mid-send (peer died, or closed
-        the link racing this send) must end the loop cleanly, not crash
-        the worker with traceback noise."""
-        try:
-            conn.send(message)
-            return True
-        except TransportError:
-            return False
-
     # Readiness handshake (req 0): a failed engine build must raise in the
     # parent's constructor with its real cause, not as an opaque dead
     # worker at first query.  On success the payload carries the dataset
@@ -333,12 +418,9 @@ def _worker_main(
     try:
         engine = SubtrajectorySearch(dataset, costs, **engine_kwargs)
     except BaseException as exc:  # noqa: BLE001 — ship the failure to the parent
-        if not _guarded_send((0, "error", exc)):
-            _guarded_send(
-                (0, "error", WorkerError(f"engine build failed: {exc!r}"))
-            )
+        conn.reply(0, "error", exc)
         return
-    if not _guarded_send((0, "ok", {"len": len(dataset), "pid": os.getpid()})):
+    if not conn.reply(0, "ok", {"len": len(dataset), "pid": os.getpid()}):
         return
     while True:
         try:
@@ -346,12 +428,6 @@ def _worker_main(
         except (TransportError, KeyboardInterrupt):
             break  # peer gone (or interactive interrupt): nothing to reply to
         kind, req_id = msg[0], msg[1]
-        if kind == "ping":
-            # Liveness heartbeat: answered before fault accounting so a
-            # probe can never consume (or trip) a request-ordinal rule.
-            if not _guarded_send((req_id, "ok", {"pid": os.getpid()})):
-                break
-            continue
         ordinal = 0
         if faults is not None and kind in ("query", "add"):
             ordinal = counts.get(kind, 0) + 1
@@ -360,85 +436,17 @@ def _worker_main(
             if faults.drop_pipe(kind, ordinal):
                 conn.close()
                 os._exit(70)
+        if kind == "stop" and faults is not None and faults.wedge_stop:
+            continue  # chaos: pretend not to hear — forces escalation
         try:
-            if kind == "stop":
-                if faults is not None and faults.wedge_stop:
-                    continue  # chaos: pretend not to hear — forces escalation
-                _guarded_send((req_id, "ok", None))
-                break
-            if kind == "query":
-                symbols, kwargs, remaining = msg[2], msg[3], msg[4]
-                trace_ctx = msg[5] if len(msg) > 5 else None
-                token = _WorkerCancelToken(req_id, conn, remaining)
-                if trace_ctx is None:
-                    result = engine.query(symbols, cancel=token, **kwargs)
-                    # The merge ignores the tau-subsequence; stripping it
-                    # keeps reply pickles small (neighborhoods are large).
-                    result.subsequence = []
-                    payload = result
-                else:
-                    from repro.obs.tracing import Trace
-
-                    trace = Trace(
-                        "shard_worker",
-                        trace_id=trace_ctx[0],
-                        parent_id=trace_ctx[1],
-                        shard=shard_index,
-                        pid=os.getpid(),
-                    )
-                    result = engine.query(
-                        symbols, cancel=token, trace=trace.root, **kwargs
-                    )
-                    result.subsequence = []
-                    trace.finish()
-                    payload = (result, trace.export())
-                if faults is not None:
-                    faults.delay(kind, ordinal)
-                if not _guarded_send((req_id, "ok", payload)):
-                    break
-            elif kind == "add":
-                expected, trajectory, validate = msg[2], msg[3], msg[4]
-                tid = engine.add_trajectory(trajectory, validate=validate)
-                if tid != expected:
-                    raise WorkerError(
-                        f"shard {shard_index} replica diverged: insert got local "
-                        f"id {tid}, parent expected {expected}"
-                    )
-                if faults is not None:
-                    faults.delay(kind, ordinal)
-                if not _guarded_send((req_id, "ok", tid)):
-                    break
-            elif kind == "stats":
-                # One combined payload for every engine-level cache plus
-                # the index, so a single non-blocking poll serves all
-                # observability consumers (healthz, /stats, /metrics,
-                # aggregated shard stats).
-                if not _guarded_send(
-                    (
-                        req_id,
-                        "ok",
-                        {
-                            "substitution": engine.substitution_cache_stats(),
-                            "trie": engine.trie_cache_stats(),
-                            "index": engine.index_stats(),
-                        },
-                    )
-                ):
-                    break
-            else:
-                raise WorkerError(f"unknown message kind {kind!r}")
+            status, payload = "ok", _answer(engine, conn, shard_index, msg)
+            if ordinal:
+                faults.delay(kind, ordinal)
         except BaseException as exc:  # noqa: BLE001 — ship failures to the parent
-            if not _guarded_send((req_id, "error", exc)):
-                # Unpicklable exception: degrade to a description so the
-                # parent still gets its one reply.  If even the fallback
-                # cannot be sent the link is gone — exit the loop cleanly
-                # instead of dying with a traceback.
-                if not _guarded_send(
-                    (req_id, "error", WorkerError(f"worker error: {exc!r}"))
-                ):
-                    break
-            continue
-        if faults is not None and kind in ("query", "add"):
+            status, payload = "error", exc
+        if not conn.reply(req_id, status, payload) or kind == "stop":
+            break
+        if ordinal and status == "ok":
             faults.after(kind, ordinal)
 
 
@@ -512,29 +520,25 @@ def _open_node(
 
 
 class _ShardWorker:
-    """Parent-side handle for one (reopenable) shard worker: a framed
-    link, the process behind it when this pool owns one, and the state
-    that must survive reopening it.
+    """The supervised shard: everything the parent knows about one shard
+    worker (the module docstring lists it), and the only code that
+    touches it.
 
-    Serializes request/response round-trips with a lock (the worker is
-    single-threaded, so pipelining would only queue in the socket) and
-    bounds every wait, so a crashed, hung or half-open worker surfaces as
-    :class:`WorkerError` instead of a hang:
-
-    - **link = incarnation**: every (re)open yields a fresh engine built
-      from the dataset mirror, answered by the req-0 handshake; journal
-      replay past the handshake watermark makes reopening idempotent.
-      ``restarts`` counts completed reopens (for nodes, the
-      ``repro_node_reconnects_total`` metric);
-    - per-call deadlines: a query's reply must arrive within the shipped
-      remaining budget plus a grace window, other calls within
-      ``call_timeout`` (when set).  Expiry **poisons the link** — a late
-      reply would desynchronize the next request — so it is dropped and
-      the normal reopen path takes over;
-    - injected network chaos (:class:`~repro.faultinject.NetworkFaults`)
-      is consulted at the single send choke point (:meth:`_send`), keyed
-      to this handle's per-kind send ordinals, which persist across
-      reopens.
+    It offers what a shard does — :meth:`query`, :meth:`add`, a
+    non-blocking :meth:`probe`, :meth:`revive`, :meth:`state`,
+    :meth:`stop` — over ONE lock-scoped round trip (:meth:`_send` +
+    :meth:`_receive`; the worker is single-threaded, so pipelining would
+    only queue in the socket) whose every wait is bounded
+    (:meth:`_budget`), so a crashed, hung or half-open worker surfaces as
+    :class:`WorkerError` instead of a hang.  Nothing outside this class
+    acquires or releases the lock.  Each rule of the module docstring is
+    written here once: :meth:`call` is the only place an outcome reaches
+    the breaker (queries and inserts alike), :meth:`query` the only gate
+    → attempt → revive → retry-once sequence, :meth:`_send` the only
+    place a request leaves (and network chaos is applied, keyed to
+    per-kind send ordinals that persist across reopens).  ``restarts``
+    counts completed reopens (for nodes, the
+    ``repro_node_reconnects_total`` metric).
 
     ``open_budget`` bounds the *whole* open attempt — connect, hello and
     handshake are retried inside it.  A killed node's replacement takes a
@@ -543,7 +547,10 @@ class _ShardWorker:
     *mid-handshake* when the connect lands on a node that is still going
     down.  Any transport failure before the handshake completes just
     means "this attempt lost the race".  (A child process has no such
-    race: its budget is 0, one attempt.)
+    race: its budget is 0, one attempt.)  With ``supervise`` off a dead
+    worker stays dead (:meth:`revive` refuses); ``breaker`` / ``backoff``
+    default to the pool's default policy; ``respawn_failures`` is the
+    fault plan's injected-failure budget.
     """
 
     def __init__(
@@ -559,6 +566,10 @@ class _ShardWorker:
         *,
         open_budget: float = 0.0,
         call_timeout: Optional[float] = None,
+        supervise: bool = True,
+        breaker: Optional[CircuitBreaker] = None,
+        backoff: Optional[RespawnBackoff] = None,
+        respawn_failures: int = 0,
     ) -> None:
         self.index = index
         self.node = node
@@ -566,6 +577,18 @@ class _ShardWorker:
         #: the parent's shard mirror: what a reopened worker rebuilds from.
         self.dataset = dataset
         self.open_budget = open_budget
+        #: acknowledged inserts the mirror may not hold yet, as
+        #: ``(expected_local_id, trajectory, validate)``.
+        self.journal: List[Tuple[int, Any, bool]] = []
+        self.breaker = breaker or CircuitBreaker()
+        self.last_error = ""
+        self.events: deque = deque(maxlen=16)
+        self._backoff = backoff or RespawnBackoff()
+        self._respawn_attempts = 0
+        self._respawn_not_before = 0.0
+        self._respawn_fail_budget = respawn_failures
+        #: whether :meth:`revive` may act; :meth:`stop` turns it off.
+        self._supervise = supervise
         self._opener = opener
         self._costs = costs
         self._engine_kwargs = dict(engine_kwargs)
@@ -580,9 +603,6 @@ class _ShardWorker:
         self._conn: Optional[transport.FramedSocket] = None
         self._process = None
         self.pid: Optional[int] = None
-        #: absolute monotonic deadline of the in-flight call (one request
-        #: in flight per worker, so a scalar is enough).
-        self._call_expires: Optional[float] = None
         self._open()
 
     # -- link lifecycle -----------------------------------------------------
@@ -604,8 +624,9 @@ class _ShardWorker:
                     self._faults,
                     dict(self._sent),
                 )
-                self._call_expires = monotonic() + _HANDSHAKE_TIMEOUT
-                handshake = self._receive(0, None)
+                handshake = self._receive(
+                    0, None, monotonic() + self._budget("handshake")
+                )
                 self.pid = int(handshake.get("pid", 0)) or None
                 return handshake
             except BaseException as exc:
@@ -634,29 +655,6 @@ class _ShardWorker:
             )
         return f"shard {self.index} {where} link is down"
 
-    def respawn(self, journal: Sequence[Tuple[int, Any, bool]]) -> None:
-        """Replace a dead worker with a fresh incarnation and replay the
-        insert journal so the replica is bit-identical.
-
-        Caller must hold ``_lock``.  The handshake reports the rebuilt
-        engine's dataset length; only journal entries at or past that
-        watermark replay (the dataset mirror normally already contains
-        every acknowledged insert — the journal closes the race where an
-        insert was acknowledged but not yet mirrored when the snapshot
-        was taken).  Any id disagreement during replay raises
-        :class:`WorkerError` — divergence fails loudly.
-        """
-        self._teardown_incarnation()
-        handshake = self._open()
-        watermark = int(handshake.get("len", 0))
-        for entry in journal:
-            if entry[0] < watermark:
-                continue  # already inside the respawn dataset snapshot
-            # Versioned: divergence raises.  Replays are sends like any
-            # other — they consume fault ordinals too.
-            self._receive(self._send("add", entry, self._call_timeout), None)
-        self.restarts += 1
-
     @property
     def alive(self) -> bool:
         """Link open ∧ (process alive, when this pool owns one)."""
@@ -667,23 +665,268 @@ class _ShardWorker:
             and (self._process is None or self._process.is_alive())
         )
 
-    # -- request/response ---------------------------------------------------
+    def revive(
+        self,
+        *,
+        blocking: bool,
+        force: bool = False,
+        seen_restarts: Optional[int] = None,
+    ) -> bool:
+        """Bring this shard's worker back up: replace a dead incarnation
+        with a fresh one and replay the insert journal so the replica is
+        bit-identical.  Returns True when the worker is alive afterwards
+        (already, or freshly respawned).
 
-    def _send(self, kind: str, payload: Tuple, budget: Optional[float]) -> int:
+        ``blocking`` waits (bounded) for the lock — the query-path retry;
+        non-blocking skips the tick when the lock is busy — the
+        supervisor, which must never queue behind an in-flight request.
+        The blocking wait watches for the holder's outcome instead of
+        sleeping on the lock: the usual holder is the supervisor
+        mid-respawn, and once the generation changes there is nothing
+        left to do but retry on the fresh worker.  (A querying thread
+        holds one shard's lock at a time, so the wait cannot deadlock; the
+        bound only keeps a wedged holder from hanging the caller.)
+        ``force`` ignores the backoff window — used by the query path,
+        whose bound is the caller's own deadline budget.
+
+        ``seen_restarts`` is the restart generation the caller observed
+        *failing*.  A dying worker closes its socket before ``waitpid``
+        reports it dead, so ``alive`` can stay True for a worker whose
+        requests already fail — trusting it would retry on a corpse's
+        link.  When the generation hasn't changed since the failure,
+        respawn over the stale-alive process (any lingering incarnation
+        is killed first); when it has, the supervisor beat us to it and
+        the live worker really is fresh.
+        """
+        if not self._supervise:
+            return False
+
+        def fresh() -> bool:
+            return self.alive and not (
+                seen_restarts is not None and self.restarts == seen_restarts
+            )
+
+        if blocking:
+            # A supervisor respawn can take up to the open budget; giving
+            # up earlier would lose the caller's retry.
+            deadline = monotonic() + 4.0 + self.open_budget
+            while not self._lock.acquire(timeout=0.1):
+                if fresh():
+                    return True
+                if monotonic() >= deadline:
+                    return False
+        elif not self._lock.acquire(blocking=False):
+            return False
+        try:
+            if not self._supervise:
+                return False  # stopped while this call waited for the lock
+            if fresh():
+                return True
+            if not force and monotonic() < self._respawn_not_before:
+                return False
+            if self._respawn_fail_budget > 0:
+                # Injected respawn failure (deterministic chaos): consume
+                # one budget unit and behave exactly like a real failure.
+                self._respawn_fail_budget -= 1
+                self._note_respawn_failure("fault-injected respawn failure")
+                return False
+            try:
+                self._trim_journal()
+                self._teardown_incarnation()
+                # The handshake reports the rebuilt engine's length; only
+                # journal entries at or past that watermark replay (the
+                # mirror normally already holds every acknowledged insert
+                # — the journal closes the race where one was acknowledged
+                # but not yet mirrored when the snapshot was taken).
+                # Replays are versioned (divergence raises) and are sends
+                # like any other: they consume fault ordinals too.
+                watermark = int(self._open().get("len", 0))
+                for entry in self.journal:
+                    if entry[0] >= watermark:
+                        self._round_trip("add", entry)
+            except Exception as exc:  # noqa: BLE001 — recorded, retried
+                self._note_respawn_failure(repr(exc))
+                return False
+            self.restarts += 1
+            self._respawn_attempts = 0
+            self._respawn_not_before = 0.0
+            self.last_error = ""
+            self.events.append(f"respawned pid={self.pid}")
+            logger.warning(
+                "shard %d worker respawned (pid %s, restart #%d)",
+                self.index, self.pid, self.restarts,
+            )
+            return True
+        finally:
+            self._lock.release()
+
+    def _note_respawn_failure(self, error: str) -> None:
+        attempt = self._respawn_attempts
+        delay = self._backoff.delay(attempt)
+        self._respawn_attempts = attempt + 1
+        self._respawn_not_before = monotonic() + delay
+        self.last_error = error
+        self.events.append(
+            f"respawn failed (attempt {attempt + 1}, backoff {delay:.3f}s): {error}"
+        )
+
+    def _trim_journal(self) -> None:
+        """Drop journal entries the dataset mirror already holds (every
+        respawn rebuilds from the mirror, so they could never replay),
+        keeping the acknowledged-but-not-yet-mirrored tail the journal
+        exists for.  Caller must hold ``_lock``."""
+        mirrored = len(self.dataset)
+        self.journal[:] = [e for e in self.journal if e[0] >= mirrored]
+
+    def state(self) -> WorkerState:
+        """This shard's supervision snapshot (the ``/healthz`` unit)."""
+        return WorkerState(
+            shard=self.index,
+            alive=self.alive,
+            pid=self.pid,
+            restarts=self.restarts,
+            breaker=self.breaker.state,
+            consecutive_failures=self.breaker.consecutive_failures,
+            respawn_wait=max(0.0, self._respawn_not_before - monotonic()),
+            last_error=self.last_error,
+            events=list(self.events),
+            node=self.node,
+            retry_after=self.breaker.cooldown_remaining(),
+        )
+
+    # -- what a shard does --------------------------------------------------
+
+    def query(self, query: Sequence[int], kwargs: Dict[str, Any],
+              cancel=None, trace_ctx=None, on_event=None):
+        """Run one query on this shard: a blocking round trip under the
+        fault policy.
+
+        A shard whose circuit breaker is open is not even sent to
+        (:class:`ShardUnavailableError`).  A shard whose worker fails
+        under the request (:class:`WorkerError`) is revived and the query
+        retried — exactly once, only within the caller's remaining
+        deadline budget, re-shipping the *updated* remaining time.  The
+        error that stands (the original when no retry was possible, else
+        the retry's) propagates.  While waiting, a tripped ``cancel``
+        token becomes a cancel frame, and the worker still sends its one
+        reply.
+
+        With ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair) the
+        worker traces its engine query and the return value is
+        ``(result, exported_spans)`` instead of the bare result.
+        ``on_event(event)`` reports the fault decisions taken
+        (``"breaker_open"`` / ``"retried"``) for span annotation."""
+
+        def attempt():
+            payload = (list(query), kwargs, _remaining_of(cancel), trace_ctx)
+            return self.call("query", payload, cancel)
+
+        with self.breaker.admission() as admitted:
+            if not admitted:
+                if on_event is not None:
+                    on_event("breaker_open")
+                raise ShardUnavailableError(
+                    f"shard {self.index} circuit breaker is {self.breaker.state}"
+                )
+            try:
+                return attempt()
+            except WorkerError:
+                # No retry once the caller's deadline is spent, nor when
+                # the revive fails (or the shard is unsupervised/stopped).
+                if (cancel is not None and cancel.cancelled()) or not self.revive(
+                    blocking=True, force=True, seen_restarts=self.restarts
+                ):
+                    raise
+            if on_event is not None:
+                on_event("retried")
+            return attempt()
+
+    def add(self, expected_local_id: int, trajectory, *, validate: bool = False) -> int:
+        """Apply one online insert on the worker, versioned (the worker
+        acknowledges only if its own insert got ``expected_local_id``) and
+        journaled.  Synchronous — when this returns, queries on this shard
+        see the new trajectory (read-your-writes for the inserter).  Not
+        retried (the caller rolls its id reservation back), but recorded
+        like any request."""
+        entry = (int(expected_local_id), trajectory, bool(validate))
+        return self.call("add", entry)
+
+    def probe(self, kind: str):
+        """A ``stats`` / ``ping`` round trip that returns ``None`` instead
+        of waiting when a request is in flight: a liveness or diagnostics
+        probe (``/healthz`` polling cache stats, the heartbeat) must never
+        queue behind a long-running verification.  A *dead* worker raises
+        :class:`WorkerError` (never hangs)."""
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            return self._round_trip(kind)
+        finally:
+            self._lock.release()
+
+    # -- the round trip -----------------------------------------------------
+
+    def call(self, kind: str, payload: Tuple = (), token=None):
+        """One request: the lock-scoped round trip (send ``(kind,
+        ...payload)``, await its one reply, polling ``token`` meanwhile)
+        plus its verdict on the shard's health — the only place an
+        outcome reaches the breaker.  *A request that collected its one
+        reply is a healthy shard*: a result and a relayed engine or client
+        error (bad threshold, spent deadline, cancellation) both record
+        success; only :class:`WorkerError` — the link or the worker
+        failed — records a failure.  An acknowledged insert is journaled
+        before the lock is released, so a revive can never snapshot a
+        state where the insert is committed on the worker but absent from
+        both the dataset mirror and the journal."""
+        try:
+            with self._lock:
+                reply = self._round_trip(kind, payload, token)
+                if kind == "add":
+                    self._trim_journal()
+                    self.journal.append(payload)
+        except WorkerError as exc:
+            self.breaker.record_failure()
+            self.last_error = repr(exc)
+            self.events.append(f"{kind} failed: {type(exc).__name__}")
+            raise
+        except Exception:
+            self.breaker.record_success()
+            raise
+        self.breaker.record_success()
+        return reply
+
+    def _round_trip(self, kind: str, payload: Tuple = (), token=None):
+        """Caller must hold ``_lock``."""
+        budget = self._budget(kind, payload)
+        expires = None if budget is None else monotonic() + budget
+        return self._receive(self._send(kind, payload), token, expires)
+
+    def _budget(self, kind: str, payload: Tuple = ()) -> Optional[float]:
+        """Seconds the reply to one call may take (None = wait forever):
+        the handshake's own bound; a query's shipped remaining budget
+        (``payload[2]``) plus grace; else the static call timeout, which
+        for probes falls back to the probe bound."""
+        if kind == "handshake":
+            return _HANDSHAKE_TIMEOUT
+        if kind == "query" and payload[2] is not None:
+            return payload[2] + _DEADLINE_GRACE
+        if self._call_timeout is None and kind in ("stats", "ping"):
+            return _PROBE_TIMEOUT
+        return self._call_timeout
+
+    def _send(self, kind: str, payload: Tuple = ()) -> int:
         """The one place a request leaves the parent: assign the request
-        id and per-kind ordinal, arm the per-call deadline (``budget``
-        seconds; None = wait forever), apply injected network faults,
-        send.  Caller must hold ``_lock``."""
+        id and per-kind ordinal, apply injected network faults, send.
+        Caller must hold ``_lock``."""
         self._req += 1
         req_id = self._req
         ordinal = 0
         if kind in self._sent:
             self._sent[kind] += 1
             ordinal = self._sent[kind]
-        self._call_expires = None if budget is None else monotonic() + budget
         conn = self._conn
-        if conn is None or conn.closed:
-            raise WorkerError(self._dead_reason())
+        if conn is None or not self.alive:
+            raise WorkerError(self._dead_reason())  # never send to a corpse
         net = self._net_faults if ordinal else None
         chunk = None
         if net is not None:
@@ -702,83 +945,20 @@ class _ShardWorker:
             conn.drop()
         return req_id
 
-    def call(self, kind: str, payload: Tuple, token=None):
-        """One round-trip: send ``(kind, ...payload)``, await the reply."""
-        req_id = self.begin(kind, payload)
-        return self.finish(req_id, token)
-
-    def try_call(self, kind: str, payload: Tuple):
-        """Like :meth:`call`, but returns ``None`` instead of waiting when
-        the worker is busy with an in-flight request.
-
-        Diagnostics path (``/healthz`` polling a worker's cache stats):
-        a liveness probe must never queue behind a long-running
-        verification on the single-request-per-worker link.  A *dead*
-        worker raises :class:`WorkerError` (never hangs)."""
-        if not self._lock.acquire(blocking=False):
-            return None
+    def _cancel(self, req_id: int) -> None:
+        """Cancel ``req_id`` (and everything before it) on the worker:
+        an out-of-band frame its reader thread consumes without a reply."""
         try:
-            if not self.alive:
-                raise WorkerError(self._dead_reason())
-            budget = (
-                self._call_timeout
-                if self._call_timeout is not None
-                else _PROBE_TIMEOUT
-            )
-            return self._receive(self._send(kind, payload, budget), None)
-        finally:
-            self._lock.release()
-
-    def begin(self, kind: str, payload: Tuple) -> int:
-        """Send a request and return its id *without* waiting.
-
-        Acquires this worker's lock; the caller MUST pair every successful
-        ``begin`` with exactly one ``finish`` (which releases it).
-        """
-        self._lock.acquire()
-        try:
-            # Per-call deadline: the shipped remaining budget (queries
-            # carry it at payload[2]) plus grace, else the static call
-            # timeout.
-            remaining = payload[2] if kind == "query" else None
-            budget = (
-                remaining + _DEADLINE_GRACE
-                if remaining is not None
-                else self._call_timeout
-            )
-            return self._send(kind, payload, budget)
-        except BaseException:
-            self._lock.release()
-            raise
-
-    def finish(self, req_id: int, token=None):
-        """Await the reply to ``req_id``, polling ``token`` while waiting.
-
-        When the token trips, a cancel frame makes the worker abandon the
-        request within one verification-loop iteration — and it still
-        sends its (error) reply, keeping the stream in sync.
-        """
-        try:
-            return self._receive(req_id, token)
-        finally:
-            self._lock.release()
-
-    def signal_cancel(self, req_id: int) -> None:
-        """Cancel ``req_id`` (and everything before it) on the worker via
-        an out-of-band frame (the socket is full-duplex; the worker's
-        reader thread consumes it without a reply, so the stream stays
-        one-reply-per-request)."""
-        conn = self._conn
-        if conn is None or conn.closed:
-            return
-        try:
-            conn.send(("cancel", req_id))
+            if self._conn is not None:
+                self._conn.send(("cancel", req_id))
         except TransportError:
-            pass  # a torn link is already being handled by the caller
+            pass  # a closed or torn link: the caller is already handling it
 
-    def _receive(self, req_id: int, token):
+    def _receive(self, req_id: int, token, expires: Optional[float]):
+        """Await the reply to ``req_id`` until ``expires`` (monotonic),
+        turning a tripped ``token`` into one cancel frame meanwhile (the
+        reply still arrives, keeping the stream in sync)."""
         signalled = token is None
-        expires = self._call_expires
         conn = self._conn
         dead = False
         while True:
@@ -806,7 +986,7 @@ class _ShardWorker:
                 conn.close()
                 raise WorkerError(self._dead_reason())
             if not signalled and token.cancelled():
-                self.signal_cancel(req_id)
+                self._cancel(req_id)
                 signalled = True
             if expires is not None and monotonic() >= expires:
                 # A late reply would poison the next request's framing —
@@ -828,11 +1008,12 @@ class _ShardWorker:
     # -- lifecycle ----------------------------------------------------------
 
     def stop(self, timeout: float = _STOP_TIMEOUT) -> None:
-        """End this incarnation: polite "stop", then — for a link that
+        """End this shard for good: polite "stop", then — for a link that
         owns a process — SIGTERM if it lingers, SIGKILL if it is wedged,
         so a child can never outlive ``close()``.  A node is an external
         process with its own lifecycle and is only ever disconnected."""
-        self.signal_cancel(self._req)  # unblock any abandoned in-flight work
+        self._supervise = False  # no revive from here on
+        self._cancel(self._req)  # unblock any abandoned in-flight work
         if self.alive:
             # Polite phase: send "stop" without waiting for the reply (the
             # join below observes the orderly exit; the unread reply dies
@@ -840,7 +1021,7 @@ class _ShardWorker:
             # lock indefinitely — bound the wait and escalate instead.
             if self._lock.acquire(timeout=timeout):
                 try:
-                    self._send("stop", (), None)
+                    self._send("stop")
                 except WorkerError:
                     pass  # already dead or link broken — escalate below
                 finally:
@@ -859,6 +1040,7 @@ class _ShardWorker:
         if self._conn is not None:
             self._conn.close()
 
+
 # Pools still open at interpreter exit get closed here.  Workers are
 # daemonic as a second line of defense, but an orderly close lets them
 # exit their loop instead of being killed mid-pickle.
@@ -875,13 +1057,15 @@ def _shutdown_live_pools() -> None:
 
 
 class ShardWorkerPool:
-    """One worker per shard, each behind a framed link, supervised.
+    """One supervised shard (:class:`_ShardWorker`) per shard dataset,
+    plus what is genuinely pool-wide: choosing how links are opened, the
+    supervisor thread, and shutdown.  Per-shard state lives on the shards.
 
     Parameters
     ----------
     shard_datasets:
         One :class:`~repro.trajectory.dataset.TrajectoryDataset` per
-        shard; each worker builds its engine from its dataset.  The pool
+        shard; each worker builds its engine from its dataset.  The shard
         keeps the reference: a respawned worker rebuilds from the same
         (possibly since-grown) dataset mirror, topped up by the insert
         journal.
@@ -909,8 +1093,8 @@ class ShardWorkerPool:
         Per-shard circuit breaker: consecutive shard failures that open
         it, and seconds before a half-open probe is allowed.
     respawn_backoff / respawn_backoff_cap:
-        Base and cap (seconds) of the supervisor's exponential respawn
-        backoff (jittered per shard).
+        Base and cap (seconds) of the exponential respawn backoff
+        (jittered per shard).
     shard_map:
         One ``"host:port"`` node address per shard.  When given, links
         are connections to standalone ``repro worker --listen`` node
@@ -938,90 +1122,66 @@ class ShardWorkerPool:
         breaker_cooldown: float = 1.0,
         respawn_backoff: float = 0.05,
         respawn_backoff_cap: float = 2.0,
-        supervisor_poll: float = _SUPERVISOR_POLL,
         shard_map: Optional[Sequence[str]] = None,
         connect_timeout: float = 5.0,
         call_timeout: Optional[float] = None,
-        heartbeat_interval: float = _HEARTBEAT_INTERVAL,
     ) -> None:
-        if per_shard_kwargs is not None and len(per_shard_kwargs) != len(
-            shard_datasets
-        ):
+        n = len(shard_datasets)
+        if per_shard_kwargs is not None and len(per_shard_kwargs) != n:
             raise WorkerError(
-                f"expected {len(shard_datasets)} per-shard kwarg dicts, "
-                f"got {len(per_shard_kwargs)}"
+                f"expected {n} per-shard kwarg dicts, got {len(per_shard_kwargs)}"
             )
-        if shard_map is not None and len(shard_map) != len(shard_datasets):
+        if shard_map is not None and len(shard_map) != n:
             raise WorkerError(
                 f"shard map has {len(shard_map)} nodes but the pool has "
-                f"{len(shard_datasets)} shards"
+                f"{n} shards"
             )
-        n = len(shard_datasets)
         # The one place the backends differ: how a link is obtained (and
         # the node-link bounds, which a child's socketpair does not take).
         if shard_map is None:
             ctx = mp.get_context(start_method or default_start_method())
-            openers = [partial(_open_process, ctx)] * n
-            self._nodes: List[Optional[str]] = [None] * n
+            links = [(partial(_open_process, ctx), None)] * n
             open_budget, call_timeout = 0.0, None
         else:
-            openers = [
-                partial(_open_node, address, connect_timeout)
+            links = [
+                (partial(_open_node, address, connect_timeout), str(address))
                 for address in shard_map
             ]
-            self._nodes = [str(address) for address in shard_map]
             open_budget = connect_timeout
-        self._closed = False
         self._workers: List[_ShardWorker] = []
-        self._supervise = bool(supervise)
-        self._heartbeat_interval = heartbeat_interval
-        self._fault_plan = fault_plan
-        seed = 0 if fault_plan is None else int(getattr(fault_plan, "seed", 0))
-        self._journals: List[List[Tuple[int, Any, bool]]] = [[] for _ in range(n)]
-        self._breakers = [
-            CircuitBreaker(
-                failure_threshold=breaker_failures, cooldown=breaker_cooldown
-            )
-            for _ in range(n)
-        ]
-        self._backoffs = [
-            RespawnBackoff(
-                base=respawn_backoff, cap=respawn_backoff_cap, seed=seed + i
-            )
-            for i in range(n)
-        ]
-        self._respawn_attempts = [0] * n
-        self._respawn_not_before = [0.0] * n
-        self._respawn_fail_budget = [
-            0 if fault_plan is None else fault_plan.respawn_failures(i)
-            for i in range(n)
-        ]
-        self._last_errors = [""] * n
-        self._events: List[deque] = [deque(maxlen=16) for _ in range(n)]
-        self._supervisor_poll = supervisor_poll
         self._supervisor: Optional[threading.Thread] = None
+        #: set by close(): the pool is closed and the supervisor must end.
         self._stop_event = threading.Event()
+        plan = fault_plan or FaultPlan()  # the empty plan: no faults, seed 0
         try:
             for index, dataset in enumerate(shard_datasets):
                 kwargs = dict(engine_kwargs or {})
                 if per_shard_kwargs is not None and per_shard_kwargs[index]:
                     kwargs.update(per_shard_kwargs[index])
-                faults = net = None
-                if fault_plan is not None:
-                    faults = fault_plan.worker_faults(index)
-                    net = fault_plan.network_faults(index)
+                opener, node = links[index]
                 self._workers.append(
                     _ShardWorker(
                         index,
-                        openers[index],
-                        self._nodes[index],
+                        opener,
+                        node,
                         dataset,
                         costs,
                         kwargs,
-                        faults,
-                        net,
+                        plan.worker_faults(index),
+                        plan.network_faults(index),
                         open_budget=open_budget,
                         call_timeout=call_timeout,
+                        supervise=bool(supervise),
+                        breaker=CircuitBreaker(
+                            failure_threshold=breaker_failures,
+                            cooldown=breaker_cooldown,
+                        ),
+                        backoff=RespawnBackoff(
+                            base=respawn_backoff,
+                            cap=respawn_backoff_cap,
+                            seed=plan.seed + index,
+                        ),
+                        respawn_failures=plan.respawn_failures(index),
                     )
                 )
         except BaseException:
@@ -1032,7 +1192,7 @@ class ShardWorkerPool:
         if not _ATEXIT_REGISTERED:
             atexit.register(_shutdown_live_pools)
             _ATEXIT_REGISTERED = True
-        if self._supervise:
+        if supervise:
             self._supervisor = threading.Thread(
                 target=self._supervise_loop,
                 name="repro-shard-supervisor",
@@ -1040,265 +1200,55 @@ class ShardWorkerPool:
             )
             self._supervisor.start()
 
-    def __len__(self) -> int:
-        return len(self._workers)
-
     @property
     def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def supervised(self) -> bool:
-        """Whether the supervisor thread and query-path retry are on."""
-        return self._supervise
-
-    def nodes(self) -> List[Optional[str]]:
-        """Per-shard node addresses (None where the worker is a child
-        process)."""
-        return list(self._nodes)
-
-    def workers_alive(self) -> List[bool]:
-        """Liveness of each worker link (diagnostics/tests)."""
-        return [w.alive for w in self._workers]
-
-    # -- supervision --------------------------------------------------------
+        return self._stop_event.is_set()
 
     def _supervise_loop(self) -> None:
-        """Liveness poll: respawn dead workers on the backoff schedule.
-
-        Runs until ``close()``.  Never raises; a failed respawn is
-        recorded and retried after backoff.  The loop doubles as the
-        heartbeat: idle links get a bounded ``ping`` every
-        ``heartbeat_interval`` seconds, so a silently dead peer flips to
-        not-alive (and into this same respawn path) without waiting for
-        query traffic to trip over it."""
-        next_beat = monotonic() + self._heartbeat_interval
-        while not self._stop_event.wait(self._supervisor_poll):
-            if self._closed:
-                break
+        """The supervisor thread: liveness poll (revive dead shards on
+        their backoff schedule) doubling as the heartbeat, whose ping
+        flips a silently dead peer to not-alive and so into the same
+        revive path.  Runs until ``close()`` and never raises; a failed
+        respawn is recorded on the shard and retried after backoff."""
+        next_beat = monotonic() + _HEARTBEAT_INTERVAL
+        while not self._stop_event.wait(_SUPERVISOR_POLL):
             beat = monotonic() >= next_beat
             if beat:
-                next_beat = monotonic() + self._heartbeat_interval
-            for shard, worker in enumerate(self._workers):
-                if worker.alive:
-                    if beat:
+                next_beat = monotonic() + _HEARTBEAT_INTERVAL
+            for worker in self._workers:
+                try:
+                    if not worker.alive:
+                        worker.revive(blocking=False)
+                    elif beat:
                         # A bounded ping; skipped (None) while a request is
                         # in flight — traffic is its own heartbeat.
-                        try:
-                            worker.try_call("ping", ())
-                        except WorkerError:
-                            pass  # the link is closed now: respawn next tick
-                        except Exception:  # noqa: BLE001 — loop must survive
-                            logger.exception(
-                                "heartbeat of shard %d failed", shard
-                            )
-                    continue
-                try:
-                    self._try_respawn(shard, blocking=False)
+                        worker.probe("ping")
+                except WorkerError:
+                    pass  # the link is closed now: revived next tick
                 except Exception:  # noqa: BLE001 — the loop must survive
-                    logger.exception("supervisor respawn of shard %d failed", shard)
-
-    def _try_respawn(
-        self,
-        shard: int,
-        *,
-        blocking: bool,
-        force: bool = False,
-        seen_restarts: Optional[int] = None,
-    ) -> bool:
-        """Attempt to bring ``shard``'s worker back up.  Returns True when
-        the worker is alive afterwards (already, or freshly respawned).
-
-        ``blocking`` waits (bounded) for the worker lock — the query-path
-        retry; non-blocking skips the tick when the lock is busy — the
-        supervisor, which must never queue behind an in-flight request.
-        The blocking wait watches for the holder's outcome instead of
-        sleeping on the lock: the usual holder is the supervisor
-        mid-respawn, and once the generation changes there is nothing
-        left to do but retry on the fresh worker.  (A querying thread
-        holds one link's lock at a time, so the wait cannot deadlock; the
-        bound only keeps a wedged holder from hanging the caller.)
-        ``force`` ignores the backoff window — used by the query path,
-        whose bound is the caller's own deadline budget.
-
-        ``seen_restarts`` is the worker's restart generation the caller
-        observed *failing*.  A dying worker closes its socket before
-        ``waitpid`` reports it dead, so ``alive`` can stay True for a
-        worker whose requests already fail — trusting it would retry on
-        a corpse's link.  When the generation hasn't changed since the
-        failure, respawn over the stale-alive process (``respawn`` kills
-        any lingering incarnation first); when it has, the supervisor
-        beat us to it and the live worker really is fresh.
-        """
-        if self._closed or not self._supervise:
-            return False
-        worker = self._workers[shard]
-
-        def fresh() -> bool:
-            return worker.alive and not (
-                seen_restarts is not None and worker.restarts == seen_restarts
-            )
-
-        if blocking:
-            # A supervisor respawn can take up to the worker's open
-            # budget; giving up earlier would lose the caller's retry.
-            deadline = monotonic() + 4.0 + worker.open_budget
-            while not worker._lock.acquire(timeout=0.1):
-                if fresh():
-                    return True
-                if monotonic() >= deadline:
-                    return False
-        elif not worker._lock.acquire(blocking=False):
-            return False
-        try:
-            if self._closed:
-                return False
-            if fresh():
-                return True
-            now = monotonic()
-            if not force and now < self._respawn_not_before[shard]:
-                return False
-            if self._respawn_fail_budget[shard] > 0:
-                # Injected respawn failure (deterministic chaos): consume
-                # one budget unit and behave exactly like a real failure.
-                self._respawn_fail_budget[shard] -= 1
-                self._note_respawn_failure(
-                    shard, "fault-injected respawn failure"
-                )
-                return False
-            try:
-                self._trim_journal(shard)
-                worker.respawn(list(self._journals[shard]))
-            except BaseException as exc:  # noqa: BLE001 — recorded, retried
-                self._note_respawn_failure(shard, repr(exc))
-                return False
-            self._respawn_attempts[shard] = 0
-            self._respawn_not_before[shard] = 0.0
-            self._last_errors[shard] = ""
-            self._events[shard].append(f"respawned pid={worker.pid}")
-            logger.warning(
-                "shard %d worker respawned (pid %s, restart #%d)",
-                shard, worker.pid, worker.restarts,
-            )
-            return True
-        finally:
-            worker._lock.release()
-
-    def _note_respawn_failure(self, shard: int, error: str) -> None:
-        attempt = self._respawn_attempts[shard]
-        delay = self._backoffs[shard].delay(attempt)
-        self._respawn_attempts[shard] = attempt + 1
-        self._respawn_not_before[shard] = monotonic() + delay
-        self._last_errors[shard] = error
-        self._events[shard].append(
-            f"respawn failed (attempt {attempt + 1}, backoff {delay:.3f}s): {error}"
-        )
-
-    def _note_shard_failure(self, shard: int, exc: BaseException) -> None:
-        self._breakers[shard].record_failure()
-        self._last_errors[shard] = repr(exc)
-        self._events[shard].append(f"query failed: {type(exc).__name__}")
+                    logger.exception(
+                        "supervision of shard %d failed", worker.index
+                    )
 
     def worker_states(self) -> List[WorkerState]:
         """Per-shard supervision snapshots (the ``/healthz`` payload)."""
-        now = monotonic()
-        states = []
-        for shard, worker in enumerate(self._workers):
-            breaker = self._breakers[shard]
-            states.append(
-                WorkerState(
-                    shard=shard,
-                    alive=worker.alive,
-                    pid=worker.pid,
-                    restarts=worker.restarts,
-                    breaker=breaker.state,
-                    consecutive_failures=breaker.consecutive_failures,
-                    respawn_wait=max(
-                        0.0, self._respawn_not_before[shard] - now
-                    ),
-                    last_error=self._last_errors[shard],
-                    events=list(self._events[shard]),
-                    node=worker.node,
-                    retry_after=breaker.cooldown_remaining(),
-                )
-            )
-        return states
-
-    def restarts_total(self) -> int:
-        """Completed worker respawns across all shards (monotonic).  For
-        a node a "respawn" is a completed reconnect — this is also the
-        ``repro_node_reconnects_total`` figure."""
-        return sum(w.restarts for w in self._workers)
-
-    def retry_after(self) -> float:
-        """Seconds a client should wait before retrying: the soonest any
-        currently-open breaker will admit a probe (0 when none is open).
-        The HTTP layer turns this into the 503 ``Retry-After`` header."""
-        waits = [
-            b.cooldown_remaining()
-            for b in self._breakers
-            if b.state == "open"
-        ]
-        return min(waits) if waits else 0.0
-
-    # -- queries ------------------------------------------------------------
+        return [worker.state() for worker in self._workers]
 
     def query_shard(self, shard: int, query: Sequence[int], kwargs: Dict[str, Any],
                     cancel=None, trace_ctx=None, on_event=None):
-        """Run one query on one shard worker: a blocking round trip, and
-        the one place a shard query meets the fault policy.
-
-        A shard whose circuit breaker is open is not even sent to
-        (:class:`ShardUnavailableError`).  A shard whose worker fails
-        under the request (:class:`WorkerError`) is respawned and the
-        query retried — exactly once, only within the caller's remaining
-        deadline budget, re-shipping the *updated* remaining time.  Every
-        failure counts against the shard's breaker; the error that stands
-        (the original when no retry was possible, else the retry's)
-        propagates.  While waiting, a tripped ``cancel`` token becomes a
-        cancel frame, and the worker still sends its one reply.
-
-        With ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair) the
-        worker traces its engine query and the return value is
-        ``(result, exported_spans)`` instead of the bare result.
-        ``on_event(event)`` reports the fault decisions taken
-        (``"breaker_open"`` / ``"retried"``) for span annotation."""
+        """Run one query on one shard (:meth:`_ShardWorker.query`: breaker
+        gate, one blocking round trip, revive-and-retry-once)."""
         self._check_open()
-        breaker = self._breakers[shard]
-        if not breaker.allow():
-            if on_event is not None:
-                on_event("breaker_open")
-            raise ShardUnavailableError(
-                f"shard {shard} circuit breaker is {breaker.state}"
-            )
-        worker = self._workers[shard]
+        return self._workers[shard].query(query, kwargs, cancel, trace_ctx, on_event)
 
-        def attempt():
-            payload = (list(query), kwargs, _remaining_of(cancel), trace_ctx)
-            return worker.call("query", payload, cancel)
-
-        try:
-            result = attempt()
-        except WorkerError as exc:
-            failed_gen = worker.restarts
-            self._note_shard_failure(shard, exc)
-            # No retry once the caller's deadline is spent, nor when the
-            # respawn fails (or the pool is unsupervised / closed).
-            if (cancel is not None and cancel.cancelled()) or not self._try_respawn(
-                shard, blocking=True, force=True, seen_restarts=failed_gen
-            ):
-                raise
-            if on_event is not None:
-                on_event("retried")
-            try:
-                result = attempt()
-            except WorkerError as retry_exc:
-                self._note_shard_failure(shard, retry_exc)
-                raise
-        breaker.record_success()
-        return result
-
-    # -- diagnostics --------------------------------------------------------
+    def replicate_add(self, shard: int, expected_local_id: int, trajectory,
+                      *, validate: bool = False) -> int:
+        """Apply one online insert on one shard, versioned and journaled
+        (:meth:`_ShardWorker.add`)."""
+        self._check_open()
+        return self._workers[shard].add(
+            expected_local_id, trajectory, validate=validate
+        )
 
     def cache_stats(self) -> List[Optional[Dict[str, Dict[str, int]]]]:
         """Per-worker engine-cache and index counters (``{"substitution":
@@ -1310,61 +1260,16 @@ class ShardWorkerPool:
         stats: List[Optional[Dict[str, Dict[str, int]]]] = []
         for worker in self._workers:
             try:
-                stats.append(worker.try_call("stats", ()))
+                stats.append(worker.probe("stats"))
             except WorkerError:
                 stats.append(None)
         return stats
 
-    # -- replication --------------------------------------------------------
-
-    def replicate_add(self, shard: int, expected_local_id: int, trajectory,
-                      *, validate: bool = False) -> int:
-        """Apply one online insert on a shard worker, versioned and
-        journaled.
-
-        ``expected_local_id`` is the shard-local id the parent's replica
-        assigns; the worker acknowledges only if its own insert agrees,
-        so parent and worker cannot silently diverge.  Synchronous — when
-        this returns, queries on that worker see the new trajectory
-        (read-your-writes for the inserter).  The acknowledged insert is
-        appended to the shard's journal *before* the worker lock is
-        released, so a respawn can never snapshot a state where the
-        insert is committed on the worker but absent from both the
-        dataset mirror and the journal.
-        """
-        self._check_open()
-        worker = self._workers[shard]
-        entry = (int(expected_local_id), trajectory, bool(validate))
-        req_id = worker.begin("add", entry)
-        try:
-            tid = worker._receive(req_id, None)
-            self._trim_journal(shard)
-            self._journals[shard].append(entry)
-            self._breakers[shard].record_success()
-            return tid
-        except WorkerError as exc:
-            self._note_shard_failure(shard, exc)
-            raise
-        finally:
-            worker._lock.release()
-
-    def _trim_journal(self, shard: int) -> None:
-        """Drop journal entries the dataset mirror already holds (every
-        respawn rebuilds from the mirror, so they could never replay),
-        keeping the acknowledged-but-not-yet-mirrored tail the journal
-        exists for.  Caller must hold the worker lock."""
-        mirrored = len(self._workers[shard].dataset)
-        journal = self._journals[shard]
-        journal[:] = [entry for entry in journal if entry[0] >= mirrored]
-
-    # -- lifecycle ----------------------------------------------------------
-
     def close(self) -> None:
         """Stop the supervisor, then every worker (idempotent; also runs
         via ``atexit``)."""
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
         _LIVE_POOLS.discard(self)
         # The supervisor must be down before workers stop, or it would
         # respawn what close() is killing.
@@ -1376,7 +1281,7 @@ class ShardWorkerPool:
             worker.stop()
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self.closed:
             raise WorkerError("worker pool is closed")
 
 

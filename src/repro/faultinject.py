@@ -17,8 +17,8 @@ replayable:
   respawns** — the pool tells each (re)spawned worker how many requests
   its shard has already been sent — so "kill before request 2" fires
   exactly once no matter how many times the worker is reborn;
-- parent-side rules (``fail_respawn``) are consumed by the supervisor in
-  :mod:`repro.core.workers` when it tries to bring a dead worker back;
+- parent-side rules (``fail_respawn``) are consumed by the supervised
+  shard in :mod:`repro.core.workers` when a dead worker is brought back;
 - network rules go to the parent-side worker handle as a
   :class:`NetworkFaults` table, consulted at its single send choke
   point — ordinals count sends per shard across reopens, so a dropped
@@ -238,7 +238,7 @@ class FaultPlan:
     """A reproducible fault schedule for one engine's worker pool.
 
     Immutable by convention once handed to an engine (the parent-side
-    ``fail_respawn`` budget is tracked in the supervisor, not here), so
+    ``fail_respawn`` budget is tracked on the supervised shard, not here), so
     one plan value can configure several runs identically.
     """
 

@@ -3,18 +3,16 @@
 The paper uses a kd-tree (or R-tree) to answer the range queries that
 compute substitution neighborhoods ``B(q)`` for coordinate-based cost
 functions (EDR, ERP), and the ERP-index baseline stores coordinate sums in
-a kd-tree.  Both structures are implemented from scratch here.
+a kd-tree.  The kd-tree is implemented from scratch here.
 """
 
 from repro.spatial.geometry import BoundingBox, Point, euclidean, squared_euclidean
 from repro.spatial.kdtree import KDTree
-from repro.spatial.rtree import RTree
 
 __all__ = [
     "BoundingBox",
     "KDTree",
     "Point",
-    "RTree",
     "euclidean",
     "squared_euclidean",
 ]

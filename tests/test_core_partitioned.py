@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.core.engine import SubtrajectorySearch
+from repro.core.frozen import round_robin_shards
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.remote import WorkerNodeServer
 from repro.core.temporal import TimeInterval
@@ -55,6 +56,25 @@ class TestConstruction:
         ds.add(trips[1])
         p = PartitionedSubtrajectorySearch(ds, edr_cost, num_shards=16)
         assert p.num_shards == 2
+
+    def test_shard_layout_is_the_round_robin_split(self, vertex_dataset, edr_cost):
+        # Frozen index files are built from round_robin_shards(); the engine
+        # must hold the same trajectories at the same local ids, and its id
+        # map must say where each one came from.
+        def contents(shards):
+            return [[list(s.symbols(i)) for i in range(len(s))] for s in shards]
+
+        with PartitionedSubtrajectorySearch(
+            vertex_dataset, edr_cost, num_shards=3
+        ) as p:
+            assert (
+                contents(p._shards)
+                == contents(round_robin_shards(vertex_dataset, 3))
+                == [
+                    [list(vertex_dataset.symbols(g)) for g in ids]
+                    for ids in p._global_ids
+                ]
+            )
 
 
 class TestExactness:

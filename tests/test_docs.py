@@ -17,10 +17,15 @@ what can be enforced:
 - the README links all three docs, so they are discoverable;
 - the shard fan-out backends the README describes, the ones ``repro
   serve --backend`` offers and the ones the engine implements agree,
-  and no doc mentions a fan-out API that no longer exists.
+  and no doc mentions a fan-out API that no longer exists;
+- the operations knob table is the CLI: every flag in it is a ``repro
+  serve`` option with the default the table states, and every
+  supervision keyword the paragraph under it names is an engine keyword
+  with the stated default.
 """
 
 import doctest
+import inspect
 import re
 from pathlib import Path
 
@@ -116,8 +121,20 @@ def test_readme_links_all_three_docs():
         assert f"docs/{name}" in text, f"README does not link docs/{name}"
 
 
-def test_fan_out_backends_agree_across_readme_cli_and_engine():
+def _serve_options():
     from repro.cli import build_parser
+
+    commands = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    )
+    return {
+        flag: action
+        for action in commands.choices["serve"]._actions
+        for flag in action.option_strings
+    }
+
+
+def test_fan_out_backends_agree_across_readme_cli_and_engine():
     from repro.core.partitioned import _BACKENDS
 
     text = (REPO / "README.md").read_text(encoding="utf-8")
@@ -127,15 +144,7 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
     assert described == set(_BACKENDS)
     assert "max_workers" not in section  # the engine has no pool to size
 
-    commands = next(
-        action
-        for action in build_parser()._actions
-        if action.dest == "command"
-    )
-    offered = next(
-        action for action in commands.choices["serve"]._actions
-        if action.dest == "backend"
-    ).choices
+    offered = _serve_options()["--backend"].choices
     assert offered and set(offered) <= set(_BACKENDS)
 
 
@@ -150,6 +159,63 @@ _GONE = re.compile(
 def test_docs_name_no_removed_fan_out_api(doc):
     stale = _GONE.findall(doc.read_text(encoding="utf-8"))
     assert not stale, f"{doc.name} still mentions {stale}"
+
+
+def _knob_section():
+    text = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    return text.split("## The knob table", 1)[1].split("\n#", 1)[0]
+
+
+def _agrees(cell, default):
+    """A Default cell of the knob table against a real default."""
+    if cell in ("off", "—"):
+        return default is None
+    if cell == "on":
+        return default is True
+    try:
+        return float(cell.split()[0]) == float(default)
+    except (TypeError, ValueError):
+        return cell == default
+
+
+def test_knob_table_flags_are_serve_options_with_the_stated_defaults():
+    rows = re.findall(r"^\| `(--[\w-]+)` \| `?([^|`]+)`? \|", _knob_section(), re.M)
+    assert len(rows) >= 15, "knob table not found or reshaped"
+    options = _serve_options()
+    wrong = []
+    for flag, cell in rows:
+        action = options.get(flag)
+        if action is None:
+            wrong.append(f"{flag}: not an option of `repro serve`")
+        elif cell == "batching on":
+            # a store-true switch documented by what it turns off
+            if action.default is not False or action.nargs != 0:
+                wrong.append(f"{flag}: not an off-by-default switch")
+        elif not _agrees(cell.strip(), action.default):
+            wrong.append(f"{flag}: table says {cell!r}, parser says {action.default!r}")
+    assert not wrong, wrong
+
+
+def test_supervision_knobs_are_engine_keywords_with_the_stated_defaults():
+    from repro.core.partitioned import PartitionedSubtrajectorySearch
+
+    paragraph = _knob_section().split("Engine-level supervision knobs", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    stated = dict(re.findall(r"`(\w+)` \(([^)]+)\)", paragraph))
+    assert set(stated) == {
+        "supervise",
+        "breaker_failures",
+        "breaker_cooldown",
+        "respawn_backoff",
+        "respawn_backoff_cap",
+    }
+    parameters = inspect.signature(PartitionedSubtrajectorySearch.__init__).parameters
+    wrong = [
+        f"{name}: doc says {cell!r}, engine says {parameters.get(name)}"
+        for name, cell in stated.items()
+        if name not in parameters or not _agrees(cell, parameters[name].default)
+    ]
+    assert not wrong, wrong
 
 
 def test_index_format_examples_execute():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.cancellation import CancelToken
+from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.supervision import (
     BREAKER_STATES,
@@ -21,6 +23,7 @@ from repro.core.supervision import (
 )
 from repro.core.workers import ShardWorkerPool
 from repro.exceptions import (
+    QueryCancelledError,
     QueryError,
     ShardUnavailableError,
     WorkerError,
@@ -161,6 +164,23 @@ class TestCircuitBreaker:
         assert b.allow()
         b.record_failure()
         assert b.state == "open"
+
+    def test_probe_abandoned_without_a_verdict_frees_the_slot(self):
+        clock = [0.0]
+        b = CircuitBreaker(failure_threshold=1, cooldown=5.0, clock=lambda: clock[0])
+        b.record_failure()
+        clock[0] = 6.0
+        with pytest.raises(KeyError):
+            with b.admission() as admitted:
+                assert admitted  # this request is the probe
+                assert not b.allow()  # ... and the only one
+                raise KeyError("ended with neither success nor failure")
+        assert b.state == "half_open"  # no verdict was invented
+        assert b.allow()  # the next request may probe
+        # A refused admission holds nothing, so it releases nothing.
+        with b.admission() as admitted:
+            assert not admitted
+        assert not b.allow()
 
     def test_breaker_states_tuple_matches_metric_contract(self):
         assert BREAKER_STATES == ("closed", "half_open", "open")
@@ -387,7 +407,7 @@ class TestGracefulDegradation:
             # Hammer until the breaker opens (each degraded pass may
             # record one more failure).
             deadline = time.monotonic() + 10.0
-            while engine._workers._breakers[1].state != "open":
+            while engine.worker_states()[1].breaker != "open":
                 engine.query(query, tau_ratio=0.25, allow_partial=True)
                 assert time.monotonic() < deadline, "breaker never opened"
             # Once the respawn-failure budget drains, the supervisor
@@ -399,7 +419,49 @@ class TestGracefulDegradation:
                     break
                 assert time.monotonic() < deadline, "shard never recovered"
                 time.sleep(0.05)
-            assert engine._workers._breakers[1].state == "closed"
+            assert engine.worker_states()[1].breaker == "closed"
+
+
+class TestProbeOutcomes:
+    """A half-open probe is an ordinary query; whatever its one reply is,
+    the shard that sent it is healthy and must keep serving."""
+
+    @pytest.fixture()
+    def half_open(self, vertex_dataset, edr_cost):
+        with make_engine(
+            vertex_dataset, edr_cost, breaker_failures=1, breaker_cooldown=0.05
+        ) as engine:
+            engine._workers._workers[0].breaker.record_failure()
+            assert engine.worker_states()[0].breaker == "open"
+            time.sleep(0.1)  # wait out the cooldown: the next query probes
+            assert engine.worker_states()[0].breaker == "half_open"
+            yield engine
+
+    def serves_like_a_single_engine(self, engine, dataset, costs, query):
+        expected = keys(SubtrajectorySearch(dataset, costs).query(query, tau_ratio=0.2))
+        for _ in range(2):
+            assert keys(engine.query(query, tau_ratio=0.2)) == expected
+        state = engine.worker_states()[0]
+        assert state.alive and state.breaker == "closed"
+        assert state.consecutive_failures == 0
+
+    def test_probe_refused_by_the_engine_leaves_the_shard_serving(
+        self, half_open, vertex_dataset, edr_cost, rng
+    ):
+        query = sample_query(vertex_dataset, rng, 6)
+        with pytest.raises(QueryError):  # tau above the total insertion cost
+            half_open.query(query, tau=1e9)
+        self.serves_like_a_single_engine(half_open, vertex_dataset, edr_cost, query)
+
+    def test_probe_whose_budget_ran_out_leaves_the_shard_serving(
+        self, half_open, vertex_dataset, edr_cost, rng
+    ):
+        query = sample_query(vertex_dataset, rng, 6)
+        spent = CancelToken(0.001)
+        time.sleep(0.01)
+        with pytest.raises(QueryCancelledError):  # relayed by the worker
+            half_open._workers.query_shard(0, query, {"tau_ratio": 0.2}, spent)
+        self.serves_like_a_single_engine(half_open, vertex_dataset, edr_cost, query)
 
 
 class TestPoolHardening:
@@ -414,7 +476,7 @@ class TestPoolHardening:
             kill_worker(pool.worker_states()[0].pid)
             t0 = time.monotonic()
             with pytest.raises(WorkerError):
-                pool._workers[0].try_call("stats", ())
+                pool._workers[0].probe("stats")
             assert time.monotonic() - t0 < 2.0
             # cache_stats degrades the dead worker to None instead of
             # failing the whole (healthz) probe.

@@ -18,14 +18,17 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 
 import pytest
 
 from repro.core import workers
+from repro.core.cancellation import CancelToken
 from repro.core.engine import SubtrajectorySearch
-from repro.core.partitioned import PartitionedSubtrajectorySearch
+from repro.core.partitioned import _BACKENDS, PartitionedSubtrajectorySearch
+from repro.distance.costs import EDRCost
 from repro.exceptions import (
     QueryCancelledError,
     QueryError,
@@ -77,8 +80,15 @@ def open_handle(link, dataset, costs, *, faults=None, call_timeout=None):
 
 
 def reopen(handle):
-    with handle._lock:
-        handle.respawn([])
+    assert handle.revive(blocking=True, force=True)
+
+
+@contextmanager
+def in_flight(handle, payload, token=None):
+    """A query sent from a helper thread (the handle's round trip is one
+    blocking call): yields its future, and never leaks the thread."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit(handle.call, "query", payload, token)
 
 
 @pytest.fixture()
@@ -97,6 +107,19 @@ def gated(link, small_graph, vertex_dataset):
 
 def query_payload(query):
     return (list(query), {"tau_ratio": 0.25}, None, None)
+
+
+class UnshippableFailureCost(EDRCost):
+    """An engine bug whose exception cannot cross the link: the class is
+    local to the call that raises it, so no pickle can name it."""
+
+    name = "unshippable-failure"
+
+    def neighbors(self, q):
+        class EngineBug(Exception):
+            pass
+
+        raise EngineBug("neighborhood lookup exploded")
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +161,46 @@ class TestHandleContract:
             # (and ordinal 2 carries no delay).
             assert handle.call("add", insert) == len(vertex_dataset)
 
+    def test_unencodable_error_is_one_worker_error_and_the_worker_stays_up(
+        self, link, small_graph, vertex_dataset, rng
+    ):
+        costs = UnshippableFailureCost(small_graph, epsilon=60.0)
+        with open_handle(link, vertex_dataset, costs) as handle:
+            pid = handle.pid
+            with pytest.raises(WorkerError, match="EngineBug.*exploded") as excinfo:
+                handle.call("query", query_payload(sample_query(vertex_dataset, rng, 6)))
+            assert not isinstance(excinfo.value, TransportError)  # relayed, not a torn link
+            # The fallback was the request's one reply: same worker, same
+            # incarnation, stream still in sync.
+            assert handle.alive and handle.restarts == 0
+            assert handle.call("ping", ())["pid"] == pid == handle.pid
+
+    def test_unknown_message_kind_is_one_relayed_worker_error(
+        self, link, vertex_dataset, edr_cost
+    ):
+        with open_handle(link, vertex_dataset, edr_cost) as handle:
+            with pytest.raises(WorkerError, match="unknown message kind 'frobnicate'"):
+                handle.call("frobnicate", ())
+            assert handle.alive and handle.restarts == 0
+            assert handle.call("ping", ())["pid"] == handle.pid
+
     @needs_fork
     def test_cancel_frame_stops_verification_and_the_reply_still_arrives(
         self, gated, vertex_dataset, rng
     ):
         handle, gate, entered = gated
         gate.clear()
-        req_id = handle.begin("query", query_payload(sample_query(vertex_dataset, rng, 6)))
-        assert entered.wait(timeout=30.0), "query never reached verification"
-        handle.signal_cancel(req_id)
-        time.sleep(0.1)  # let the reader thread fold the frame in
-        gate.set()
-        # The engine's next token poll sees the watermark: the query is
-        # abandoned, and its one reply is the cancellation.
-        with pytest.raises(QueryCancelledError):
-            handle.finish(req_id)
+        token = CancelToken()
+        payload = query_payload(sample_query(vertex_dataset, rng, 6))
+        with in_flight(handle, payload, token) as reply:
+            assert entered.wait(timeout=30.0), "query never reached verification"
+            token.cancel()  # the waiting round trip turns it into a cancel frame
+            time.sleep(0.2)  # let the worker's reader thread fold the frame in
+            gate.set()
+            # The engine's next token poll sees the watermark: the query is
+            # abandoned, and its one reply is the cancellation.
+            with pytest.raises(QueryCancelledError):
+                reply.result(timeout=30.0)
         # One reply per request held: the stream is still in sync.
         assert handle.alive and handle.restarts == 0
         assert handle.call("ping", ())["pid"] == handle.pid
@@ -163,14 +211,15 @@ class TestHandleContract:
     ):
         handle, gate, entered = gated
         gate.clear()
-        req_id = handle.begin("query", query_payload(sample_query(vertex_dataset, rng, 6)))
-        assert entered.wait(timeout=30.0), "query never reached verification"
-        t0 = time.monotonic()
-        assert handle.try_call("stats", ()) is None
-        assert time.monotonic() - t0 < 1.0, "probe queued behind the query"
-        gate.set()
-        assert handle.finish(req_id).matches is not None
-        assert "trie" in handle.try_call("stats", ())
+        payload = query_payload(sample_query(vertex_dataset, rng, 6))
+        with in_flight(handle, payload) as reply:
+            assert entered.wait(timeout=30.0), "query never reached verification"
+            t0 = time.monotonic()
+            assert handle.probe("stats") is None
+            assert time.monotonic() - t0 < 1.0, "probe queued behind the query"
+            gate.set()
+            assert reply.result(timeout=30.0).matches is not None
+        assert "trie" in handle.probe("stats")
 
 
 @needs_fork
@@ -181,18 +230,15 @@ def test_process_killed_mid_request_is_a_worker_error(
         "processes", vertex_dataset, GatedEDRCost(small_graph, epsilon=60.0)
     ) as handle:
         gate.clear()
-        req_id = handle.begin(
-            "query", query_payload(sample_query(vertex_dataset, rng, 6))
-        )
-        assert entered.wait(timeout=30.0)
-        # (The gate dies with the worker: a process killed inside
-        # Event.wait() leaves the event unusable, so it is never set
-        # again — the handle's stop() reaps whatever is left.)
-        os.kill(handle.pid, signal.SIGKILL)
-        t0 = time.monotonic()
-        with pytest.raises(WorkerError):
-            handle.finish(req_id)
-        assert time.monotonic() - t0 < 5.0
+        payload = query_payload(sample_query(vertex_dataset, rng, 6))
+        with in_flight(handle, payload) as reply:
+            assert entered.wait(timeout=30.0)
+            # (The gate dies with the worker: a process killed inside
+            # Event.wait() leaves the event unusable, so it is never set
+            # again — the handle's stop() reaps whatever is left.)
+            os.kill(handle.pid, signal.SIGKILL)
+            with pytest.raises(WorkerError):
+                reply.result(timeout=5.0)
         assert not handle.alive
 
 
@@ -336,7 +382,7 @@ class TestReplicationAndLifecycle:
             for i in range(200):
                 engine.add_trajectory(trips[i % len(trips)])
             assert len(engine) == 204
-            assert [len(j) for j in engine._workers._journals] == [1, 1]
+            assert [len(w.journal) for w in engine._workers._workers] == [1, 1]
 
     def test_close_is_idempotent_and_final(self, link, vertex_dataset, edr_cost, rng):
         with open_engine(link, vertex_dataset, edr_cost) as engine:
@@ -345,7 +391,7 @@ class TestReplicationAndLifecycle:
             engine.close()
             engine.close()  # second close is a no-op, not an error
             assert pool.closed
-            assert not any(pool.workers_alive())
+            assert not any(s.alive for s in pool.worker_states())
             assert pool not in workers._LIVE_POOLS
             with pytest.raises(QueryError):
                 engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
@@ -364,6 +410,105 @@ class TestReplicationAndLifecycle:
             d = states[0].to_dict()
             assert {"shard", "alive", "pid", "restarts", "breaker"} <= set(d)
             assert d.get("node") == engine.nodes()[0]
+
+
+# ---------------------------------------------------------------------------
+# The supervised shard: one home for per-shard state, one fault policy
+# ---------------------------------------------------------------------------
+
+
+def assert_figures_are_projections(engine):
+    """The engine-level figures are sums / minima over worker_states()."""
+    states = engine.worker_states()
+    assert engine.restarts_total() == sum(s.restarts for s in states)
+    assert engine.nodes() == [s.node for s in states]
+    open_waits = [s.retry_after for s in states if s.breaker == "open"]
+    if not open_waits:
+        assert engine.retry_after() == 0.0
+    else:
+        # Read a moment later than the snapshot: the cooldown only shrinks.
+        assert 0.0 < engine.retry_after() <= min(open_waits)
+        assert min(open_waits) - engine.retry_after() < 5.0
+    return states
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_engine_figures_are_projections_of_worker_states(
+    backend, vertex_dataset, edr_cost
+):
+    with open_engine(backend, vertex_dataset, edr_cost) as engine:
+        states = assert_figures_are_projections(engine)
+        assert engine.restarts_total() == 0 and engine.retry_after() == 0.0
+        assert all(s.breaker == "closed" for s in states)
+
+
+#: shard 1 held down: killed before every query and never respawned — or,
+#: where the worker is an in-thread node a kill would take pytest with it,
+#: its link torn down on every send.
+HELD_DOWN = {
+    "processes": [
+        FaultRule(shard=1, op="kill_before", request=0),
+        FaultRule(shard=1, op="fail_respawn", count=10_000),
+    ],
+    "remote": [FaultRule(shard=1, op="conn_drop", request=0)],
+}
+
+
+def test_figures_stay_projections_once_a_breaker_is_open(
+    link, vertex_dataset, edr_cost, rng
+):
+    plan = FaultPlan(rules=HELD_DOWN[link], seed=7)
+    with open_engine(
+        link,
+        vertex_dataset,
+        edr_cost,
+        fault_plan=plan,
+        breaker_failures=1,
+        breaker_cooldown=60.0,
+    ) as engine:
+        result = engine.query(
+            sample_query(vertex_dataset, rng, 6), tau_ratio=0.25, allow_partial=True
+        )
+        assert result.degraded_shards == (1,)
+        states = assert_figures_are_projections(engine)
+        assert [s.breaker for s in states] == ["closed", "open"]
+        assert 0.0 < engine.retry_after() <= 60.0
+
+
+def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
+    link, vertex_dataset, edr_cost, rng
+):
+    # One policy: whichever request trips over the dead link, the shard's
+    # breaker, last error and event ring tell the same story.  Unsupervised,
+    # so no respawn tidies the evidence away.
+    insert_shard = len(vertex_dataset) % 2
+    query_shard = 1 - insert_shard
+    plan = FaultPlan(
+        rules=[
+            FaultRule(shard=insert_shard, op="conn_drop", request=1, on="add"),
+            FaultRule(shard=query_shard, op="conn_drop", request=1, on="query"),
+        ]
+    )
+    with open_engine(
+        link, vertex_dataset, edr_cost, fault_plan=plan, supervise=False
+    ) as engine:
+        with pytest.raises(WorkerError):
+            engine.add_trajectory(vertex_dataset[0])
+        with pytest.raises(WorkerError):  # (a fan-out would hit the dead shard too)
+            engine._workers.query_shard(
+                query_shard, sample_query(vertex_dataset, rng, 6), {"tau_ratio": 0.25}
+            )
+        states = engine.worker_states()
+        by_insert, by_query = states[insert_shard], states[query_shard]
+        assert by_insert.consecutive_failures == by_query.consecutive_failures == 1
+        assert by_insert.breaker == by_query.breaker == "closed"  # 1 of 3
+        assert by_insert.last_error and by_insert.last_error == by_query.last_error
+        assert by_insert.events[-1].startswith("add failed: ")
+        assert by_query.events[-1].startswith("query failed: ")
+        assert (
+            by_insert.events[-1].split(": ")[1] == by_query.events[-1].split(": ")[1]
+        )
+        assert len(engine) == len(vertex_dataset)  # the reservation rolled back
 
 
 # ---------------------------------------------------------------------------
