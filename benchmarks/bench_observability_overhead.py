@@ -91,7 +91,7 @@ def test_observability_overhead(recorder, bench_scale):
     )
     engine = SubtrajectorySearch(dataset, costs, dp_backend="numpy")
 
-    # Warm-up: cost-model caches, substitution LRU, trie cache — every
+    # Warm-up: cost-model caches and the warm-query TrieCache — every
     # config then measures identical steady serving state.
     expected = []
     for q in queries:

@@ -12,7 +12,7 @@ garbage-collector activity and ndarray materializations per query, the
 Backends compared: ``dp_backend="python"`` (the per-cell Python walker)
 against ``dp_backend="numpy"`` (the arena walker: anchor-grouped batch
 verification whose ``step_dp_batch`` calls write straight into
-arena rows, substitution rows served from the engine's LRU-cached
+arena rows, substitution rows served from a per-query
 ``SubstitutionMatrix``), across dataset scales on the paper-style
 workload: the long-trajectory ``singapore`` profile with |Q| = 50 under
 NetEDR (§2.2.3, the paper's headline setting) and the coordinate-based
@@ -22,12 +22,18 @@ python loop can still win and the reason ``dp_backend="auto"`` exists
 
 Since PR 5 the numpy backend is measured in two serving regimes:
 
-- **cold** (``trie_cache_size=0``): every query builds its tries from
-  scratch — the historical numbers, comparable across baselines;
+- **cold** (``trie_cache_size=0``): no cross-query reuse of any kind —
+  every query builds its substitution matrix and its tries from
+  scratch.  Records from before the two engine caches became one
+  (ISSUE 21) timed "cold" with a *warm substitution LRU* (only the
+  tries were rebuilt), so their cold times are lower and their
+  ``verify_speedup`` / ``warm_speedup`` are not comparable with this
+  one's; cold now means what ``perf/``'s ``range_cold`` workload
+  measures end to end;
 - **warm-repeat** (the default TrieCache enabled, warmed by the
   measurement loop's own repeats): the engine serves the repeated query
-  from cached trie columns, so verification is the arena walker's
-  cached-column walk plus combine — the serving layer's zipf-repeat
+  from its cached matrix and trie columns, so verification is the arena
+  walker's cached-column walk plus combine — the serving layer's zipf-repeat
   regime.  The ``warm_speedup`` column (cold/warm verification time) is
   floor-gated in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware
   cells, and warm answers are asserted bit-identical to both cold
@@ -110,11 +116,10 @@ def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
     query run); tracemalloc peak and ndarray counts come from separate,
     untimed passes so the instrumentation never pollutes the timings.
 
-    ``trie_cache_size=0`` (the cold configurations) keeps the historical
-    per-query-tries semantics so speedup numbers stay comparable across
-    committed baselines; the warm configuration enables the TrieCache,
-    and the warm-up pass doubles as its warmer — the timed loop then
-    measures steady warm-repeat serving.
+    ``trie_cache_size=0`` (the cold configurations) rebuilds the
+    query's matrix and tries on every run; the warm configuration
+    enables the TrieCache, and the warm-up pass doubles as its warmer —
+    the timed loop then measures steady warm-repeat serving.
     """
     engine = SubtrajectorySearch(
         dataset, costs, dp_backend=backend, trie_cache_size=trie_cache_size
@@ -122,8 +127,8 @@ def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
     answers = []
     visited = computed = candidates = allocations = 0
     # Warm-up pass collects the answers for the exactness gate (and warms
-    # the cost model's distance caches plus the engine's substitution-
-    # matrix LRU, so both backends measure steady serving state).
+    # the cost model's distance caches, so both backends measure steady
+    # serving state).
     for q in queries:
         result = engine.query(q, tau_ratio=TAU_RATIO)
         answers.append(
@@ -132,8 +137,7 @@ def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
         visited += result.verification.visited_columns
         computed += result.verification.computed_columns
         candidates += result.verification.candidates
-    # Steady-state allocation accounting (post-warm-up: the LRU serves
-    # the SubstitutionMatrix, as it would under repeated traffic).
+    # Steady-state allocation accounting (post-warm-up).
     for q in queries:
         allocations += engine.query(q, tau_ratio=TAU_RATIO).dp_array_allocations
     best_verify = [float("inf")] * len(queries)
@@ -334,7 +338,12 @@ def test_verification_hotpath(recorder, bench_scale):
             "verification than cold numpy on the same cells; answers "
             "bit-identical across backends and cache temperatures "
             "everywhere; |Q|=10 EDR documents the short-query regime "
-            "dp_backend='auto' routes to python"
+            "dp_backend='auto' routes to python.  Cold cells "
+            "(trie_cache_size=0) rebuild the substitution matrix as well "
+            "as the tries on every run: records from before the two "
+            "engine caches became one timed cold with a warm substitution "
+            "LRU, so their cold times read lower and their speedups are "
+            "not comparable with this record's"
         ),
     )
 

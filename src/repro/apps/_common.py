@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.invindex import InvertedIndex
-from repro.core.results import Match
+from repro.core.results import best_match_per_trajectory  # re-exported
 from repro.trajectory.dataset import TrajectoryDataset
 
 __all__ = ["best_match_per_trajectory", "find_exact_occurrences", "match_travel_time"]
@@ -43,21 +43,6 @@ def find_exact_occurrences(
             if symbols[s : s + len(q)] == q:
                 out.append((tid, s, s + len(q) - 1))
     return out
-
-
-def best_match_per_trajectory(matches: Sequence[Match]) -> Dict[int, Match]:
-    """Pick one match per trajectory: smallest distance, then shortest
-    subtrajectory, then earliest start (§6.2.1 tie-breaking)."""
-    best: Dict[int, Match] = {}
-    for m in matches:
-        cur = best.get(m.trajectory_id)
-        if cur is None or (m.distance, m.length, m.start) < (
-            cur.distance,
-            cur.length,
-            cur.start,
-        ):
-            best[m.trajectory_id] = m
-    return best
 
 
 def match_travel_time(dataset: TrajectoryDataset, tid: int, start: int, end: int) -> float:

@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence
 
 from repro.apps.travel_time import TravelTimeEstimator
 from repro.core.engine import (
-    DEFAULT_SUBSTITUTION_CACHE,
     DEFAULT_TRIE_CACHE,
     DEFAULT_TRIE_CACHE_BYTES,
     SubtrajectorySearch,
@@ -108,32 +107,33 @@ def _add_dp_backend_option(parser: argparse.ArgumentParser) -> None:
         "(default: auto; identical results either way)",
     )
     parser.add_argument(
-        "--substitution-cache-size",
-        type=int,
-        default=DEFAULT_SUBSTITUTION_CACHE,
-        help="engine-level LRU of per-query substitution matrices; "
-        "repeated queries skip substitution-row computation on a hit "
-        f"(0 disables; default: {DEFAULT_SUBSTITUTION_CACHE} entries "
-        "per engine/shard)",
-    )
-    parser.add_argument(
         "--trie-cache-size",
         type=int,
         default=DEFAULT_TRIE_CACHE,
-        help="engine-level LRU of per-query verification tries; repeated "
-        "queries (tau/time-window variations included) start with warm "
-        "DP columns and only compute the cold frontier (0 disables; "
-        f"default: {DEFAULT_TRIE_CACHE} entries, shared across "
-        "in-process shards)",
+        help="engine-level LRU of per-query warm state (substitution "
+        "matrix + verification tries); repeated queries (tau/time-window "
+        "variations included) skip row computation, start with warm DP "
+        "columns and only compute the cold frontier (0 disables all "
+        f"cross-query reuse; default: {DEFAULT_TRIE_CACHE} entries, "
+        "shared across in-process shards)",
     )
     parser.add_argument(
         "--trie-cache-mb",
         type=float,
         default=DEFAULT_TRIE_CACHE_BYTES / (1024 * 1024),
-        help="byte budget (MiB) across all cached trie arenas; LRU "
-        "entries are shed past it after each verification (default: "
+        help="byte budget (MiB) across all cached matrices and trie "
+        "arenas; LRU entries are shed past it after each verification (default: "
         f"{DEFAULT_TRIE_CACHE_BYTES // (1024 * 1024)} MiB)",
     )
+
+
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The engine keywords set by :func:`_add_dp_backend_option`'s flags."""
+    return {
+        "dp_backend": args.dp_backend,
+        "trie_cache_size": args.trie_cache_size,
+        "trie_cache_bytes": int(args.trie_cache_mb * 1024 * 1024),
+    }
 
 
 def _cmd_generate_network(args: argparse.Namespace) -> int:
@@ -184,14 +184,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"{args.function} needs --representation {costs.representation}"
         )
-    engine = SubtrajectorySearch(
-        dataset,
-        costs,
-        dp_backend=args.dp_backend,
-        substitution_cache_size=args.substitution_cache_size,
-        trie_cache_size=args.trie_cache_size,
-        trie_cache_bytes=int(args.trie_cache_mb * 1024 * 1024),
-    )
+    engine = SubtrajectorySearch(dataset, costs, **_engine_options(args))
     query = _parse_symbols(args.query)
     interval = None
     if args.time_from is not None or args.time_to is not None:
@@ -351,11 +344,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"{args.function} needs --representation {costs.representation}"
         )
-    index_kwargs = (
-        {}
-        if args.index is None
-        else {"index_backend": "frozen", "index_path": args.index}
-    )
+    engine_kwargs = _engine_options(args)
+    if args.index is not None:
+        engine_kwargs.update(index_backend="frozen", index_path=args.index)
     if getattr(args, "fault_plan", None) is not None:
         from repro.faultinject import load_fault_plan
 
@@ -363,7 +354,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(
                 "--fault-plan requires --backend processes or remote"
             )
-        index_kwargs["fault_plan"] = load_fault_plan(args.fault_plan)
+        engine_kwargs["fault_plan"] = load_fault_plan(args.fault_plan)
     if args.backend == "remote":
         from repro.core.remote import load_shard_map
 
@@ -375,7 +366,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "nodes build their engines from the shipped shard snapshot)"
             )
         try:
-            index_kwargs["shard_map"] = load_shard_map(args.shard_map)
+            engine_kwargs["shard_map"] = load_shard_map(args.shard_map)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad --shard-map: {exc}") from exc
     elif args.shard_map is not None:
@@ -393,23 +384,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             costs,
             num_shards=args.shards,
             backend=args.backend,
-            dp_backend=args.dp_backend,
-            substitution_cache_size=args.substitution_cache_size,
-            trie_cache_size=args.trie_cache_size,
-            trie_cache_bytes=int(args.trie_cache_mb * 1024 * 1024),
             connect_timeout=args.connect_timeout,
-            **index_kwargs,
+            **engine_kwargs,
         )
     else:
-        engine = SubtrajectorySearch(
-            dataset,
-            costs,
-            dp_backend=args.dp_backend,
-            substitution_cache_size=args.substitution_cache_size,
-            trie_cache_size=args.trie_cache_size,
-            trie_cache_bytes=int(args.trie_cache_mb * 1024 * 1024),
-            **index_kwargs,
-        )
+        engine = SubtrajectorySearch(dataset, costs, **engine_kwargs)
     service = QueryService(
         engine,
         max_workers=args.workers,

@@ -48,7 +48,6 @@ from repro.core.verification import (
     Verifier,
     choose_dp_backend,
 )
-from repro.distance.costs import SubstitutionMatrixCache
 from repro.distance.smith_waterman import all_matches
 from repro.exceptions import QueryError
 from repro.trajectory.dataset import TrajectoryDataset
@@ -68,26 +67,17 @@ VerificationMode = Literal["trie", "local", "sw"]
 DP_BACKENDS = ("python", "numpy", "auto")
 INDEX_BACKENDS = ("dict", "frozen")
 
-#: default capacity of the engine-level SubstitutionMatrix LRU (entries).
-#: Sized for the serving layer's zipf repeat traffic (the hot head of the
-#: query distribution).  The bound is entry-count, not bytes: each entry
-#: pins its lazily-grown row tables (proportional to distinct symbols the
-#: query's verifications touched), which can reach tens of MB per entry
-#: on paper-scale workloads — deployments with very diverse traffic or
-#: tight memory should lower this or set it to 0 (per-query matrices,
-#: the pre-cache behaviour).
-DEFAULT_SUBSTITUTION_CACHE = 32
-
-#: default capacity (entries) of the engine-level TrieCache — warm DP
-#: columns across repeated queries.  Sized like the substitution LRU (the
-#: same zipf hot head), but additionally byte-budgeted: trie arenas keep
-#: growing while cached, so the binding limit under heavy traffic is
-#: usually DEFAULT_TRIE_CACHE_BYTES, not the entry count.
+#: default capacity (entries) of the engine-level TrieCache — a repeated
+#: query's substitution rows and DP columns, warm.  Sized for the serving
+#: layer's zipf repeat traffic (the hot head of the query distribution);
+#: row tables and trie arenas keep growing while cached, so the binding
+#: limit under heavy traffic is usually DEFAULT_TRIE_CACHE_BYTES, not
+#: the entry count.
 DEFAULT_TRIE_CACHE = 32
 
-#: default byte budget across all cached trie arenas (per engine/shard
-#: group).  Re-accounted after every cached verification; LRU entries are
-#: shed until the total fits (see TrieCache.reconcile).
+#: default byte budget across everything the cached entries pin (per
+#: engine/shard group).  Re-accounted after every cached verification;
+#: LRU entries are shed until the total fits (see TrieCache.reconcile).
 DEFAULT_TRIE_CACHE_BYTES = 256 * 1024 * 1024
 
 _SELECTORS: Dict[str, Callable] = {
@@ -120,10 +110,10 @@ class QueryResult:
     #: deliberately outside VerificationStats, which is walker-identical.
     dp_array_allocations: int = 0
     #: what the cross-query TrieCache did for this query: ``"hit"`` (warm
-    #: columns reused), ``"miss"`` (verified cold, warmed the cache),
-    #: ``"off"`` (cache disabled), or ``""`` when the trie-cache path was
-    #: not taken at all (sw mode, python backend, scan fallback).  Merged
-    #: shard results join the distinct per-shard statuses with ``+``.
+    #: rows and columns reused), ``"miss"`` (verified cold, warmed the
+    #: cache), ``"off"`` (cache disabled), or ``""`` when the cache was
+    #: not consulted at all (sw mode, python backend, scan fallback).
+    #: Merged shard results join the distinct per-shard statuses with ``+``.
     trie_cache_status: str = ""
     #: DP kernel launches during verification (one per resolve round; 0
     #: for the python backend and a fully-warm rewalk) — like
@@ -260,37 +250,33 @@ class SubtrajectorySearch:
         overhead loses).  ``"numpy"`` / ``"python"`` force one backend.
         All choices return identical results; ``QueryResult.
         dp_backend_used`` reports what actually ran.
-    substitution_cache_size:
-        Capacity of the engine-level LRU of per-query
-        :class:`~repro.distance.costs.SubstitutionMatrix` objects, keyed
-        on the query-and-model prefix of :func:`query_signature`.
-        Repeated queries (the serving layer's zipf traffic) skip
-        substitution-row computation entirely on a hit — across tau and
-        time-window variations too; matrices depend only on the query
-        and the cost model, never on the dataset, so online inserts need
-        no invalidation either.  ``0`` disables the cache.
     trie_cache_size / trie_cache_bytes:
         Capacity (entries) and byte budget of the engine-level
-        :class:`~repro.core.trie.TrieCache` of per-query verification
-        tries, keyed on the same query-and-model signature prefix as the
-        substitution LRU.  Repeated queries start verification with
-        every previously computed DP column *warm* — the walker runs
-        through cached columns in a scalar loop and launches a DP kernel
-        only at the cold frontier — again across tau and
-        time-window variations, and again needing no invalidation on
-        online inserts (columns are keyed by data-symbol path, not by
-        trajectory, so they are dataset-independent).  Arena bytes are
+        :class:`~repro.core.trie.TrieCache`, the one cross-query cache:
+        one entry per query, keyed on the query-and-model prefix of
+        :func:`query_signature`, holding the query's
+        :class:`~repro.distance.costs.SubstitutionMatrix` and its
+        verification tries.  Repeated queries (the serving layer's zipf
+        traffic) skip substitution-row computation and start
+        verification with every previously computed DP column *warm* —
+        the walker runs through cached columns in a scalar loop and
+        launches a DP kernel only at the cold frontier — across tau and
+        time-window variations, and needing no invalidation on online
+        inserts (rows depend on the query and the model, columns are
+        keyed by data-symbol path, not by trajectory, so both are
+        dataset-independent).  ``verification="local"`` keeps the matrix
+        half only.  Entry bytes (matrix rows and trie arenas) are
         re-accounted after each verification and LRU entries shed past
-        the budget.  ``trie_cache_size=0`` fully disables the path
-        (per-query tries, the pre-cache behaviour).  Warmth changes
-        which columns are *recomputed*, never any emitted float: warm
-        and cold answers are bit-identical.
+        the budget.  ``trie_cache_size=0`` disables cross-query reuse of
+        any kind (per-query matrix and tries, the pre-cache behaviour).
+        Warmth changes which rows and columns are *recomputed*, never
+        any emitted float: warm and cold answers are bit-identical.
     trie_cache:
         A prebuilt :class:`~repro.core.trie.TrieCache` to use instead of
         constructing one — how
         :class:`~repro.core.partitioned.PartitionedSubtrajectorySearch`
         shares a single cache across its in-process shard engines (safe
-        because trie columns are dataset-independent).  Overrides
+        because entries are dataset-independent).  Overrides
         ``trie_cache_size`` / ``trie_cache_bytes``.
     index_backend:
         ``"dict"`` (default) builds the mutable
@@ -329,7 +315,6 @@ class SubtrajectorySearch:
         sort_by_departure: bool = False,
         fallback_to_scan: bool = True,
         dp_backend: str = "auto",
-        substitution_cache_size: int = DEFAULT_SUBSTITUTION_CACHE,
         trie_cache_size: int = DEFAULT_TRIE_CACHE,
         trie_cache_bytes: Optional[int] = DEFAULT_TRIE_CACHE_BYTES,
         trie_cache: Optional[TrieCache] = None,
@@ -348,8 +333,6 @@ class SubtrajectorySearch:
             raise QueryError(f"unknown verification mode {verification!r}")
         if dp_backend not in DP_BACKENDS:
             raise QueryError(f"unknown dp_backend {dp_backend!r}")
-        if substitution_cache_size < 0:
-            raise QueryError("substitution_cache_size must be >= 0")
         if trie_cache_size < 0:
             raise QueryError("trie_cache_size must be >= 0")
         if trie_cache_bytes is not None and trie_cache_bytes < 0:
@@ -365,7 +348,6 @@ class SubtrajectorySearch:
         self._early_termination = early_termination
         self._fallback = fallback_to_scan
         self._dp_backend = dp_backend
-        self._sub_matrix_cache = SubstitutionMatrixCache(substitution_cache_size)
         self._trie_cache = (
             trie_cache
             if trie_cache is not None
@@ -488,39 +470,28 @@ class SubtrajectorySearch:
             "mmap": False,
         }
 
-    def substitution_cache_stats(self) -> Dict[str, int]:
-        """Counters of the engine-level SubstitutionMatrix LRU
-        (capacity / size / hits / misses) — surfaced via ``/healthz`` and
-        the service stats so repeat-traffic savings are observable."""
-        return self._sub_matrix_cache.stats()
-
     def trie_cache_stats(self) -> Dict[str, int]:
         """Counters of the engine-level TrieCache (capacity / size /
         bytes / hits / misses / evictions) — surfaced via ``/healthz``
-        and the service stats so warm-trie savings are observable."""
+        and the service stats so repeat-traffic savings are observable."""
         return self._trie_cache.stats()
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """Every engine-level cache's counters in one snapshot — what
-        ``/healthz`` and ``/stats`` consume, so one probe is one poll
-        (the partitioned engine's processes backend crosses worker pipes
-        here; see its override)."""
-        return {
-            "substitution": self.substitution_cache_stats(),
-            "trie": self.trie_cache_stats(),
-            "index": self.index_stats(),
-        }
+        """The engine-level cache's and the index's counters in one
+        snapshot — what ``/healthz`` and ``/stats`` consume, so one probe
+        is one poll (the partitioned engine's processes backend crosses
+        worker pipes here; see its override)."""
+        return {"trie": self.trie_cache_stats(), "index": self.index_stats()}
 
     def observability_cache_stats(self) -> Dict[str, Any]:
         """Cache stats shaped for the ``/metrics`` collectors: one
-        ``(shard_label, counters)`` pair per reporting shard for each
-        cache (and for the index).  A single-node engine is its own shard
+        ``(shard_label, counters)`` pair per reporting shard for the
+        cache and for the index.  A single-node engine is its own shard
         ``"0"``; see the partitioned engine's override for fan-out
         labeling."""
         return {
             "shards": 1,
             "reporting": 1,
-            "substitution": [("0", self.substitution_cache_stats())],
             "trie": [("0", self.trie_cache_stats())],
             "index": [("0", self.index_stats())],
         }
@@ -645,12 +616,11 @@ class SubtrajectorySearch:
             backend_used = self._dp_backend
             if backend_used == "auto":
                 backend_used = choose_dp_backend(len(query), self._costs)
-            matrix = None
-            trie_entry = None
+            matrix = trie_entry = None
             if backend_used == "numpy":
-                matrix = self._substitution_matrix(query, subsequence, candidates)
-                if self._verification == "trie":
-                    trie_entry, trie_status = self._trie_entry(query)
+                matrix, trie_entry, trie_status = self._warm_state(
+                    query, subsequence, candidates
+                )
             verifier = Verifier(
                 self._dataset.symbols,
                 query,
@@ -668,9 +638,9 @@ class SubtrajectorySearch:
                 verifier.verify_all(candidates, matches)
             finally:
                 if trie_entry is not None:
-                    # Arenas grew during verification (cancelled or not):
-                    # re-account trie_cache_bytes and shed LRU entries
-                    # past the byte budget.
+                    # Row tables and arenas grew during verification
+                    # (cancelled or not): re-account trie_cache_bytes and
+                    # shed LRU entries past the byte budget.
                     self._trie_cache.reconcile()
             stats = verifier.stats
             allocations = verifier.dp_array_allocations
@@ -777,64 +747,49 @@ class SubtrajectorySearch:
 
     # -- internals ------------------------------------------------------------
 
-    def _trie_entry(self, query: Sequence[int]):
-        """The cross-query TrieCache entry for this query plus its
-        lookup status (``(entry, "hit"/"miss")``, or ``(None, "off")``
-        when the cache is disabled).
+    def _warm_state(self, query: Sequence[int], subsequence, candidates):
+        """This query's ``(matrix, cache entry, lookup status)`` — one
+        lookup in the cross-query TrieCache.
 
-        Keyed on the query-and-cost-model *prefix* of
-        :func:`query_signature`, exactly like the substitution LRU: trie
-        columns depend on neither the threshold nor the temporal
-        constraint (only the early-termination *frontier* differs, i.e.
-        which columns exist so far — never their floats), so requests
-        varying tau or the time window share one entry — and they depend
-        on nothing in the dataset (columns are keyed by data-symbol
-        path), so entries stay valid across online inserts too.
-        """
-        cache = self._trie_cache
-        if not cache.capacity:
-            return None, "off"
-        return cache.lookup(("trie", tuple(int(s) for s in query), self._model_id))
-
-    def _substitution_matrix(self, query: Sequence[int], subsequence, candidates):
-        """The per-query SubstitutionMatrix, served from the engine LRU.
-
-        On a hit, both the substitution rows and the per-direction
-        contiguous copies hanging off the matrix are reused — the whole
-        row-computation stage of verification disappears for repeated
-        queries.  On a miss the matrix is built with dense rows for the
-        anchors that actually occur in the data (nonempty postings): every
-        candidate's anchor symbol lies in the chosen subsequence's
-        neighborhoods, and the matrix also fills lazily, so skipping
-        absent symbols only defers work, never recomputes it.
+        On a ``"hit"`` the substitution rows, the per-direction
+        contiguous copies hanging off the matrix and the entry's tries
+        are all reused — the row-computation stage of verification
+        disappears for repeated queries and the walk starts warm.  On a
+        ``"miss"`` (or with the cache ``"off"``, where the entry is
+        ``None`` and the matrix lives for this query only) the matrix is
+        built with dense rows for the anchors that actually occur in the
+        data (nonempty postings): every candidate's anchor symbol lies in
+        the chosen subsequence's neighborhoods, and the matrix also fills
+        lazily, so skipping absent symbols only defers work, never
+        recomputes it.  Concurrent missers of one key build one matrix
+        (:meth:`TrieCacheEntry.substitution_matrix`).
 
         The key is the query-and-cost-model *prefix* of
-        :func:`query_signature`: matrices depend on neither the threshold
-        nor the temporal constraint (only which rows end up dense, a
-        performance detail), so requests varying tau or the time window
-        share one entry — and they depend on nothing in the dataset, so
-        entries stay valid across online inserts too.
+        :func:`query_signature`: rows and columns depend on neither the
+        threshold nor the temporal constraint (only which rows end up
+        dense and where the early-termination *frontier* lies — never a
+        float), so requests varying tau or the time window share one
+        entry — and they depend on nothing in the dataset, so entries
+        stay valid across online inserts too.
         """
-        cache = self._sub_matrix_cache
-        key = None
-        if cache.capacity:
-            key = ("sub", tuple(int(s) for s in query), self._model_id)
-            matrix = cache.get(key)
-            if matrix is not None:
-                return matrix
-        anchors = None
-        if candidates:
-            index = self.index
-            anchors = [
-                b
-                for element in subsequence
-                for b in element.neighborhood
-                if index.frequency(b)
-            ]
-        matrix = self._costs.sub_matrix(query, anchors=anchors)
-        if key is not None:
-            cache.put(key, matrix)
-        return matrix
+
+        def build():
+            anchors = None
+            if candidates:
+                index = self.index
+                anchors = [
+                    b
+                    for element in subsequence
+                    for b in element.neighborhood
+                    if index.frequency(b)
+                ]
+            return self._costs.sub_matrix(query, anchors=anchors)
+
+        entry, status = self._trie_cache.lookup(
+            (tuple(int(s) for s in query), self._model_id)
+        )
+        matrix = build() if entry is None else entry.substitution_matrix(build)
+        return matrix, entry, status
 
     def _resolve_tau(
         self,

@@ -64,6 +64,16 @@ FORMAT_VERSION = 1
 #: every section starts at a multiple of this within the data region.
 SECTION_ALIGNMENT = 64
 
+#: the dtypes version 1 fixes for its sections (docs/INDEX_FORMAT.md
+#: §"Version-1 sections"); unknown sections may carry any dtype.
+_SECTION_DTYPES = {
+    "symbols": "<i4",
+    "offsets": "<i8",
+    "tids": "<i4",
+    "positions": "<i4",
+    "departures": "<f8",
+}
+
 _EMPTY: Tuple[Posting, ...] = ()
 _INT32_MAX = 2**31 - 1
 
@@ -107,8 +117,54 @@ def round_robin_shards(
     return shards
 
 
+def _check_sections(sections: Any, data_start: int, file_bytes: int) -> None:
+    """Reject a section table a reader cannot trust: every section must
+    be a ``{dtype, shape, offset, nbytes}`` record whose dtype parses (and
+    is the one version 1 fixes for that name), whose ``nbytes`` is shape
+    × itemsize, and whose byte range starts at ``offset >= 0``, overlaps
+    no other section and ends inside the file."""
+
+    def bad(message: str) -> IndexFormatError:
+        return IndexFormatError(f"corrupted frozen index header: {message}")
+
+    if not isinstance(sections, dict):
+        raise bad("section table is not an object")
+    spans = []
+    for name, sec in sections.items():
+        try:
+            if not isinstance(sec["dtype"], str):
+                raise TypeError("dtype is not a string")
+            dtype = np.dtype(sec["dtype"])
+            shape = [int(n) for n in sec["shape"]]
+            offset, nbytes = int(sec["offset"]), int(sec["nbytes"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise bad(f"section {name!r} is malformed ({exc!r})") from exc
+        want = _SECTION_DTYPES.get(name)
+        if want is not None and dtype != np.dtype(want):
+            raise bad(f"section {name!r} must be {want}, not {dtype.str}")
+        if offset < 0 or min(shape, default=0) < 0:
+            raise bad(f"section {name!r} has a negative offset or shape")
+        if int(np.prod(shape)) * dtype.itemsize != nbytes:
+            raise bad(
+                f"section {name!r} declares {nbytes} bytes for shape "
+                f"{shape} of {dtype}"
+            )
+        spans.append((offset, offset + nbytes, name))
+    spans.sort()
+    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+        if start < end:
+            raise bad(f"sections {name!r} and {other!r} overlap")
+    declared_end = data_start + max((end for _, end, _ in spans), default=0)
+    if file_bytes < declared_end:
+        raise IndexFormatError(
+            f"truncated frozen index: sections end at byte {declared_end}, "
+            f"file holds {file_bytes}"
+        )
+
+
 def _read_header(f) -> Tuple[Dict[str, Any], int, int]:
-    """Parse the fixed preamble + JSON header of an open file.
+    """Parse the fixed preamble + JSON header of an open file and check
+    its section table against the file's size.
 
     Returns ``(header, version, data_start)``; raises
     :class:`IndexFormatError` on any malformation.
@@ -139,7 +195,9 @@ def _read_header(f) -> Tuple[Dict[str, Any], int, int]:
         raise IndexFormatError(f"corrupted frozen index header: {exc}") from exc
     if not isinstance(header, dict) or "sections" not in header:
         raise IndexFormatError("corrupted frozen index header: no section table")
-    return header, version, _align_up(16 + header_len)
+    data_start = _align_up(16 + header_len)
+    _check_sections(header["sections"], data_start, os.fstat(f.fileno()).st_size)
+    return header, version, data_start
 
 
 def inspect_index(path: Union[str, Path]) -> Dict[str, Any]:
@@ -147,22 +205,12 @@ def inspect_index(path: Union[str, Path]) -> Dict[str, Any]:
     loading (or mapping) any array data — what ``repro index inspect``
     prints.  Raises :class:`IndexFormatError` on malformed files."""
     path = Path(path)
-    file_bytes = path.stat().st_size
     with path.open("rb") as f:
         header, version, data_start = _read_header(f)
-    declared_end = data_start + max(
-        (int(sec["offset"]) + int(sec["nbytes"]) for sec in header["sections"].values()),
-        default=0,
-    )
-    if file_bytes < declared_end:
-        raise IndexFormatError(
-            f"truncated frozen index: sections end at byte {declared_end}, "
-            f"file holds {file_bytes}"
-        )
     return {
         "path": str(path),
         "format_version": version,
-        "file_bytes": file_bytes,
+        "file_bytes": path.stat().st_size,
         "data_start": data_start,
         **{k: v for k, v in header.items()},
     }
@@ -381,36 +429,18 @@ class FrozenInvertedIndex:
         path = Path(path)
         with path.open("rb") as f:
             header, _, data_start = _read_header(f)
-            file_bytes = os.fstat(f.fileno()).st_size
-            declared_end = data_start + max(
-                (
-                    int(sec["offset"]) + int(sec["nbytes"])
-                    for sec in header["sections"].values()
-                ),
-                default=0,
-            )
-            if file_bytes < declared_end:
-                raise IndexFormatError(
-                    f"truncated frozen index {path}: sections end at byte "
-                    f"{declared_end}, file holds {file_bytes}"
-                )
-            if file_bytes == 0:
-                raise IndexFormatError(f"empty frozen index file {path}")
             handle = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
         buffer = np.frombuffer(handle, dtype=np.uint8)
         views: Dict[str, np.ndarray] = {}
-        for name, sec in header["sections"].items():
-            dtype = np.dtype(sec["dtype"])
-            shape = tuple(int(s) for s in sec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            if count * dtype.itemsize != int(sec["nbytes"]):
-                raise IndexFormatError(
-                    f"corrupted frozen index {path}: section {name!r} "
-                    f"declares {sec['nbytes']} bytes for shape {shape} "
-                    f"of {dtype}"
-                )
+        # Only the sections this version names are mapped; a later
+        # writer's optional sections are ignored.
+        for name, dtype in _SECTION_DTYPES.items():
+            sec = header["sections"].get(name)
+            if sec is None:
+                continue
+            shape = tuple(int(n) for n in sec["shape"])
             views[name] = np.frombuffer(
-                handle, dtype=dtype, count=count,
+                handle, dtype=np.dtype(dtype), count=int(np.prod(shape)),
                 offset=data_start + int(sec["offset"]),
             ).reshape(shape)
         for required in ("symbols", "offsets", "tids", "positions"):
@@ -600,6 +630,8 @@ class DeltaOverlayIndex:
         self._dataset = dataset
         self._delta: Dict[int, Tuple[Posting, ...]] = {}
         self._delta_postings = 0
+        #: delta symbols the base has never seen (num_symbols = base + these)
+        self._new_symbols = 0
         self._sorted = base.sorted_by_departure
         # Index any trajectories appended to the dataset after the freeze
         # (none when the engine validated counts at construction).
@@ -635,6 +667,11 @@ class DeltaOverlayIndex:
                 sym, self._delta.get(sym, _EMPTY)
             ) + ((tid, pos),)
             added += 1
+        self._new_symbols += sum(
+            1
+            for sym in staged
+            if sym not in self._delta and not self._base.frequency(sym)
+        )
         self._delta.update(staged)
         self._delta_postings += added
 
@@ -673,10 +710,7 @@ class DeltaOverlayIndex:
     @property
     def num_symbols(self) -> int:
         """Distinct symbols with non-empty postings (base ∪ delta)."""
-        extra = sum(
-            1 for sym in self._delta if self._base.frequency(sym) == 0
-        )
-        return self._base.num_symbols + extra
+        return self._base.num_symbols + self._new_symbols
 
     @property
     def num_postings(self) -> int:
@@ -695,5 +729,6 @@ class DeltaOverlayIndex:
         """Counters for ``/healthz`` and the metrics collectors."""
         out = self._base.stats()
         out["delta_postings"] = self._delta_postings
+        out["num_symbols"] = self.num_symbols
         out["num_postings"] = self.num_postings
         return out

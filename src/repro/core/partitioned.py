@@ -51,12 +51,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.cancellation import raise_if_cancelled
-from repro.core.engine import (
-    DEFAULT_TRIE_CACHE,
-    DEFAULT_TRIE_CACHE_BYTES,
-    QueryResult,
-    SubtrajectorySearch,
-)
+from repro.core.engine import QueryResult, SubtrajectorySearch
 from repro.core.frozen import round_robin_shards, shard_index_path
 from repro.core.results import Match
 from repro.core.trie import TrieCache
@@ -140,20 +135,20 @@ class PartitionedSubtrajectorySearch:
     keyword arguments are forwarded to every shard engine.
 
     Engine keyword arguments — including ``dp_backend`` (the adaptive
-    ``"auto"`` default every shard engine inherits) and
-    ``substitution_cache_size`` (each shard engine keeps its own
-    SubstitutionMatrix LRU; see :meth:`substitution_cache_stats` for the
-    aggregate) — are forwarded verbatim to each shard's
+    ``"auto"`` default every shard engine inherits) — are forwarded
+    verbatim to each shard's
     :class:`~repro.core.engine.SubtrajectorySearch` (in-process or inside
     its worker process).
 
-    The warm trie cache is the one exception to shard-local state: trie
-    columns are dataset-independent (keyed by data-symbol path, never by
-    trajectory), so on the in-process backends (``serial``/``threads``)
-    all shard engines share **one** :class:`~repro.core.trie.TrieCache` —
-    shard A's verification warms shard B's, and a fan-out query's shards
-    walk the same tries concurrently (safe: writer rounds serialize on
-    each trie's lock, readers are lock-free).  ``trie_cache_size`` /
+    The warm-query cache is the one exception to shard-local state: a
+    query's substitution rows and trie columns are dataset-independent
+    (a row is a function of query and model, a column is keyed by
+    data-symbol path, never by trajectory), so on the in-process backends
+    (``serial``/``threads``) all shard engines share **one**
+    :class:`~repro.core.trie.TrieCache` — shard A's verification warms
+    shard B's, and a fan-out query's shards read the same matrix and walk
+    the same tries concurrently (safe: writer rounds serialize on each
+    table's lock, readers are lock-free).  ``trie_cache_size`` /
     ``trie_cache_bytes`` size that shared cache, or pass a prebuilt
     ``trie_cache``.  The ``processes`` backend cannot share memory across
     workers, so there the knobs size one cache *per worker* and
@@ -263,23 +258,6 @@ class PartitionedSubtrajectorySearch:
                     "across worker processes; pass trie_cache_size / "
                     "trie_cache_bytes to size each worker's own cache"
                 )
-        else:
-            # One shared cross-query trie cache for all in-process shard
-            # engines (columns are dataset-independent — see the class
-            # docstring); workers keep per-process caches instead.
-            shared = engine_kwargs.pop("trie_cache", None)
-            if shared is None:
-                size = engine_kwargs.pop("trie_cache_size", DEFAULT_TRIE_CACHE)
-                max_bytes = engine_kwargs.pop(
-                    "trie_cache_bytes", DEFAULT_TRIE_CACHE_BYTES
-                )
-                if size < 0:
-                    raise QueryError("trie_cache_size must be >= 0")
-                if max_bytes is not None and max_bytes < 0:
-                    raise QueryError("trie_cache_bytes must be >= 0")
-                shared = TrieCache(size, max_bytes)
-            self._trie_cache = shared
-            engine_kwargs = dict(engine_kwargs, trie_cache=shared)
         self._shards = round_robin_shards(dataset, num_shards)
         self._global_ids: List[List[int]] = [
             list(range(k, len(dataset), num_shards)) for k in range(num_shards)
@@ -325,18 +303,18 @@ class PartitionedSubtrajectorySearch:
                 call_timeout=remote_call_timeout,
             )
         else:
-            self._engines = [
-                SubtrajectorySearch(
-                    shard,
-                    costs,
-                    **(
-                        engine_kwargs
-                        if per_shard_kwargs is None
-                        else {**engine_kwargs, **per_shard_kwargs[i]}
-                    ),
+            # One shared cross-query cache for all in-process shard
+            # engines (entries are dataset-independent — see the class
+            # docstring): shard 0's engine builds it from the cache knobs
+            # (or takes the prebuilt ``trie_cache``) and every later
+            # shard is handed it.  Workers keep per-process caches.
+            for i, shard in enumerate(self._shards):
+                per_shard = {} if per_shard_kwargs is None else per_shard_kwargs[i]
+                engine = SubtrajectorySearch(
+                    shard, costs, **{**engine_kwargs, **per_shard}
                 )
-                for i, shard in enumerate(self._shards)
-            ]
+                self._engines.append(engine)
+                self._trie_cache = engine_kwargs["trie_cache"] = engine._trie_cache
 
     @property
     def num_shards(self) -> int:
@@ -409,8 +387,7 @@ class PartitionedSubtrajectorySearch:
         waits = [s.retry_after for s in self.worker_states() if s.breaker == "open"]
         return min(waits, default=0.0)
 
-    #: summed fields of each engine-level cache's counters.
-    _SUB_FIELDS = ("capacity", "size", "hits", "misses")
+    #: summed fields of the engine-level cache's and the index's counters.
     _TRIE_FIELDS = ("capacity", "size", "bytes", "hits", "misses", "evictions")
     _INDEX_FIELDS = (
         "num_symbols",
@@ -455,27 +432,21 @@ class PartitionedSubtrajectorySearch:
         backends that is one poll of every worker, made without blocking:
         a worker busy with an in-flight query is ``None`` rather than
         stalling a health probe behind a long verification.  In-process
-        shards keep one SubstitutionMatrix LRU each but share **one**
-        trie cache, which is therefore not in their parts."""
+        shards share **one** cache, which is therefore not in their
+        parts."""
         self._check_open()
         if self._workers is not None:
             return self._workers.cache_stats()
-        return [
-            {
-                "substitution": engine.substitution_cache_stats(),
-                "index": engine.index_stats(),
-            }
-            for engine in self._engines
-        ]
+        return [{"index": engine.index_stats()} for engine in self._engines]
 
     def cache_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Both engine-level caches' and the index's aggregates, from ONE
+        """The engine-level cache's and the index's aggregates, from ONE
         snapshot — what ``/healthz`` and ``/stats`` consume.
 
         ``shards_reporting`` says how many shards answered (the same
-        number in all three blocks, because they are one poll).  The
-        shared in-process trie cache's counters are reported as they are
-        (every shard feeds it, so every shard reports).
+        number in both blocks, because they are one poll).  The shared
+        in-process cache's counters are reported as they are (every
+        shard feeds it, so every shard reports).
         """
         parts = self._shard_cache_parts()
 
@@ -487,18 +458,7 @@ class PartitionedSubtrajectorySearch:
             trie["shards"] = trie["shards_reporting"] = self.num_shards
         else:
             trie = self._aggregate(column("trie"), self._TRIE_FIELDS)
-        return {
-            "substitution": self._aggregate(
-                column("substitution"), self._SUB_FIELDS
-            ),
-            "trie": trie,
-            "index": self._aggregate_index(column("index")),
-        }
-
-    def substitution_cache_stats(self) -> Dict[str, int]:
-        """SubstitutionMatrix-LRU counters summed over the shards (the
-        ``"substitution"`` block of :meth:`cache_stats`)."""
-        return self.cache_stats()["substitution"]
+        return {"trie": trie, "index": self._aggregate_index(column("index"))}
 
     def trie_cache_stats(self) -> Dict[str, int]:
         """TrieCache counters across shards (the ``"trie"`` block of
@@ -514,10 +474,10 @@ class PartitionedSubtrajectorySearch:
         """Per-shard (unaggregated) cache counters for ``/metrics``.
 
         Unlike :meth:`cache_stats` (which sums for ``/stats``), the
-        metrics endpoint wants one labelled sample per cache instance:
-        one substitution cache and one index per shard, and the single
-        **shared** in-process trie cache or one per worker — from the
-        same one snapshot (``reporting`` says how many shards answered).
+        metrics endpoint wants one labelled sample per instance: one
+        index per shard, and the single **shared** in-process cache or
+        one per worker — from the same one snapshot (``reporting`` says
+        how many shards answered).
         """
         parts = [
             (str(shard), part)
@@ -525,7 +485,7 @@ class PartitionedSubtrajectorySearch:
             if part is not None
         ]
         out: Dict[str, Any] = {"shards": self.num_shards, "reporting": len(parts)}
-        for name in ("substitution", "trie", "index"):
+        for name in ("trie", "index"):
             out[name] = [(shard, part[name]) for shard, part in parts if name in part]
         if self._trie_cache is not None:
             out["trie"] = [("shared", dict(self._trie_cache.stats()))]

@@ -11,9 +11,9 @@ candidates are verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-__all__ = ["Match", "MatchSet"]
+__all__ = ["Match", "MatchSet", "best_match_per_trajectory"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -29,6 +29,21 @@ class Match:
     def length(self) -> int:
         """Number of symbols in the matched subtrajectory."""
         return self.end - self.start + 1
+
+
+def best_match_per_trajectory(matches: Sequence[Match]) -> Dict[int, Match]:
+    """Pick one match per trajectory: smallest distance, then shortest
+    subtrajectory, then earliest start (§6.2.1 tie-breaking)."""
+    best: Dict[int, Match] = {}
+    for m in matches:
+        cur = best.get(m.trajectory_id)
+        if cur is None or (m.distance, m.length, m.start) < (
+            cur.distance,
+            cur.length,
+            cur.start,
+        ):
+            best[m.trajectory_id] = m
+    return best
 
 
 class MatchSet:

@@ -35,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.apps._common import best_match_per_trajectory
 from repro.core.cancellation import raise_if_cancelled
-from repro.core.results import Match
+from repro.core.results import Match, best_match_per_trajectory
 from repro.distance.smith_waterman import best_match
 from repro.exceptions import QueryError
 

@@ -22,9 +22,9 @@ Two layouts, one per verification walker
   and ``column[-1]`` — the emitted E value) live once, as plain floats in
   the slot-indexed ``mins_list`` / ``lasts_list``, so the walk loop never
   touches a numpy scalar.  This is what makes the trie *portable across
-  queries*: a :class:`TrieCache` entry is just the trie objects, and a
-  repeated query walks them warm with no per-node object graph to rebuild
-  or traverse.
+  queries*: a :class:`TrieCache` entry is just the trie objects beside
+  the query's substitution matrix, and a repeated query walks them warm
+  with no per-node object graph to rebuild or traverse.
 - :class:`TrieNode` — the per-cell Python walker's one-column-per-node
   graph, private to one verifier (the walker holds its root directly).
 
@@ -46,6 +46,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.distance.costs import SubstitutionMatrix
 
 __all__ = ["TrieCache", "TrieCacheEntry", "TrieNode", "VerificationTrie"]
 
@@ -203,20 +205,36 @@ class VerificationTrie:
 
 
 class TrieCacheEntry:
-    """All direction tries of one ``(query, cost model)`` pair.
+    """One query's warm state: everything a ``(query, cost model)`` pair
+    keeps across queries.
 
-    ``tries`` maps ``(iq, direction)`` to the shared
+    ``matrix`` is the query's :class:`~repro.distance.costs.
+    SubstitutionMatrix` (with the per-direction row tables hanging off
+    it) and ``tries`` maps ``(iq, direction)`` to the shared
     :class:`VerificationTrie` — one pair of tries per anchor position the
-    query's verifications have touched.  Entries are handed to concurrent
-    verifiers; :meth:`trie` makes first-touch creation converge on one
-    instance per direction.
+    query's verifications have touched.  ``verification="local"`` fills
+    only the matrix.  Entries are handed to concurrent verifiers;
+    :meth:`substitution_matrix` and :meth:`trie` make first-touch
+    creation converge on one instance.
     """
 
-    __slots__ = ("tries", "lock", "__weakref__")
+    __slots__ = ("tries", "matrix", "lock", "__weakref__")
 
     def __init__(self) -> None:
         self.tries: Dict[Tuple[int, str], VerificationTrie] = {}
+        self.matrix: Optional[SubstitutionMatrix] = None
         self.lock = threading.Lock()
+
+    def substitution_matrix(
+        self, factory: Callable[[], SubstitutionMatrix]
+    ) -> SubstitutionMatrix:
+        """The query's shared matrix, built on first touch (atomically:
+        concurrent missers wait for, and get, one instance).  Called once
+        per query, so it simply takes the lock."""
+        with self.lock:
+            if self.matrix is None:
+                self.matrix = factory()
+            return self.matrix
 
     def trie(
         self, key: Tuple[int, str], factory: Callable[[], VerificationTrie]
@@ -234,8 +252,11 @@ class TrieCacheEntry:
 
     @property
     def nbytes(self) -> int:
-        """Total approximate bytes across this entry's tries."""
-        return sum(trie.nbytes for trie in list(self.tries.values()))
+        """Approximate bytes this entry pins: its tries plus its matrix."""
+        matrix = self.matrix
+        return sum(trie.nbytes for trie in list(self.tries.values())) + (
+            0 if matrix is None else matrix.nbytes
+        )
 
     def column_count(self) -> int:
         """Total cached columns across this entry's tries."""
@@ -243,36 +264,36 @@ class TrieCacheEntry:
 
 
 class TrieCache:
-    """Engine-level LRU of :class:`TrieCacheEntry` objects — warm DP
-    columns across queries.
+    """The engine's one cross-query cache: an LRU of
+    :class:`TrieCacheEntry` objects — a repeated query's substitution
+    rows and DP columns, warm.
 
-    Trie columns depend only on the query part, the cost model, and the
-    walked data symbols — never on the threshold, the time window, or the
-    dataset (a column is keyed by its symbol *path*, not by which
+    Neither half depends on the threshold, the time window, or the
+    dataset (a substitution row is a function of the query and the cost
+    model; a column is keyed by its symbol *path*, not by which
     trajectory produced it).  So the serving layer's repeated (zipf)
-    queries — including tau and time-window variations — can start
-    verification with every previously computed column warm, and online
-    inserts need **no invalidation**: a new trajectory can only add new
-    paths, and any shared prefix it has with cached paths maps to the
-    exact same columns.
+    queries — including tau and time-window variations — skip
+    substitution-row computation and start verification with every
+    previously computed column warm, and online inserts need **no
+    invalidation**: a new trajectory can only add new paths, and any
+    shared prefix it has with cached paths maps to the exact same
+    columns.
 
     Keys are the query-and-model prefix of the engine's normalized
-    :func:`~repro.core.engine.query_signature` — the same prefix the
-    :class:`~repro.distance.costs.SubstitutionMatrixCache` uses — so one
-    cache is valid for exactly one engine/cost-model scope (or one group
-    of shard engines over the same model: shard engines of a partitioned
-    deployment share a single instance, because columns are
-    dataset-independent).
+    :func:`~repro.core.engine.query_signature`, so one cache is valid for
+    exactly one engine/cost-model scope (or one group of shard engines
+    over the same model: the in-process shard engines of a partitioned
+    deployment share a single instance).
 
     Eviction is LRU, bounded two ways: ``capacity`` entries, and — since
-    arenas keep growing *after* insertion as later queries extend the
-    tries — a ``max_bytes`` budget enforced by :meth:`reconcile`, which
-    the engine calls after each verification to re-account
-    ``trie_cache_bytes`` and shed LRU entries until the total fits.
-    ``capacity == 0`` disables the cache entirely (``entry`` returns
-    ``None`` without counting).  Thread-safe; evicting an entry that a
-    running verifier still holds is safe — the verifier keeps its
-    reference, the arenas are released when the last reference drops.
+    arenas and row tables keep growing *after* insertion as later
+    queries extend them — a ``max_bytes`` budget enforced by
+    :meth:`reconcile`, which the engine calls after each verification to
+    re-account the bytes and shed LRU entries until the total fits.
+    ``capacity == 0`` disables cross-query reuse entirely (``lookup``
+    returns no entry without counting).  Thread-safe; evicting an entry
+    that a running verifier still holds is safe — the verifier keeps its
+    reference, the arrays are released when the last reference drops.
     """
 
     def __init__(self, capacity: int, max_bytes: Optional[int] = None) -> None:
@@ -335,10 +356,11 @@ class TrieCache:
         """Re-account entry bytes and evict LRU entries past ``max_bytes``.
 
         Returns the post-eviction byte total.  Called by the engine after
-        each cached verification, because arenas grow while entries sit
-        in the cache — insertion-time accounting alone would undercount.
-        An oversized *single* entry is evicted too (the budget is a hard
-        cap); the query that produced it simply stays cold.
+        each cached verification, because arenas and row tables grow
+        while entries sit in the cache — insertion-time accounting alone
+        would undercount.  An oversized *single* entry is evicted too —
+        one whose matrix alone exceeds the budget included (the budget is
+        a hard cap); the query that produced it simply stays cold.
         """
         with self._lock:
             sizes = [(key, entry.nbytes) for key, entry in self._entries.items()]

@@ -258,21 +258,23 @@ class _DirectionContext:
     computation is deterministic).  ``rows`` is the matrix-owned
     :class:`~repro.distance.costs.DirectionRows` cache mapping a data
     symbol to this direction's contiguous substitution-row slice and its
-    deletion cost; because it lives inside the (engine-LRU-cached)
-    SubstitutionMatrix, repeated queries reuse the copies across verifier
-    instances.  ``row_slice`` maps a *full-query* row to this direction's
-    part: ``slice(iq+1, None)`` forward, ``slice(iq-1, None, -1)``
-    backward (the reversed prefix — WED is invariant under simultaneous
-    reversal because costs are position-independent).
+    deletion cost; because it lives inside the SubstitutionMatrix, which
+    the engine keeps in the query's TrieCache entry, repeated queries
+    reuse the copies across verifier instances.  ``row_slice`` maps a
+    *full-query* row to this direction's part: ``slice(iq+1, None)``
+    forward, ``slice(iq-1, None, -1)`` backward (the reversed prefix —
+    WED is invariant under simultaneous reversal because costs are
+    position-independent).
 
     The context is per-verifier (it owns the walker's scratch buffers —
     parent columns, substitution rows, deletion costs — grown
-    geometrically and reused round after round); only the *trie* may be
-    shared: with a :class:`~repro.core.trie.TrieCacheEntry` the
-    direction's trie comes warm from the engine's cross-query cache,
-    otherwise a fresh one is built.  ``use_trie=False`` (the ablation)
-    keeps no trie here at all — the walker builds a private arena per
-    call, since nothing is cached.
+    geometrically and reused round after round); only the *trie* and
+    ``rows`` may be shared: with a :class:`~repro.core.trie.
+    TrieCacheEntry` the direction's trie comes warm from the same
+    cross-query cache entry the matrix came from, otherwise a fresh one
+    is built.  ``use_trie=False`` (the ablation) keeps no trie here at
+    all — the walker builds a private arena per call, since nothing is
+    cached.
     """
 
     __slots__ = (
@@ -414,14 +416,14 @@ class Verifier:
         when ``matrix`` is supplied.
     matrix:
         A prebuilt :class:`~repro.distance.costs.SubstitutionMatrix` for
-        this exact query — the engine passes its LRU-cached instance so
-        repeated queries skip substitution-row computation entirely.  Must
-        have been built for the same query string.
+        this exact query — the engine passes the one its TrieCache entry
+        holds so repeated queries skip substitution-row computation
+        entirely.  Must have been built for the same query string.
     trie_entry:
         A :class:`~repro.core.trie.TrieCacheEntry` holding this query's
-        shared direction tries — the engine passes its TrieCache entry so
-        repeated queries (tau and time-window variations included) start
-        verification with warm columns.  Arena walker with
+        shared direction tries — the engine passes the entry ``matrix``
+        came from so repeated queries (tau and time-window variations
+        included) start verification with warm columns.  Arena walker with
         ``use_trie=True`` only; the tries may be walked by concurrent
         verifiers (see the module docstring's concurrency notes).
     cancel:

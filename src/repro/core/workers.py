@@ -103,8 +103,7 @@ even when the caller stops waiting):
     ("query", req_id, symbols, kwargs, remaining_seconds | None,
               trace_ctx | None)
     ("add",   req_id, expected_local_id, trajectory, validate)
-    ("stats", req_id)                 -> {"substitution": ..., "trie": ...,
-                                          "index": ...}
+    ("stats", req_id)                 -> {"trie": ..., "index": ...}
     ("ping",  req_id)                 -> {"pid": ...}   (liveness heartbeat)
     ("stop",  req_id)
     ("cancel", req_id)                (out of band: no reply)
@@ -373,14 +372,10 @@ def _answer(engine, conn: _ServedLink, shard_index, msg):
             )
         return tid
     if kind == "stats":
-        # One combined payload for every engine-level cache plus the
+        # One combined payload for the engine-level cache plus the
         # index, so a single non-blocking poll serves all observability
         # consumers (healthz, /stats, /metrics, aggregated shard stats).
-        return {
-            "substitution": engine.substitution_cache_stats(),
-            "trie": engine.trie_cache_stats(),
-            "index": engine.index_stats(),
-        }
+        return engine.cache_stats()
     if kind == "ping":
         return {"pid": os.getpid()}
     if kind == "stop":
@@ -1251,8 +1246,8 @@ class ShardWorkerPool:
         )
 
     def cache_stats(self) -> List[Optional[Dict[str, Dict[str, int]]]]:
-        """Per-worker engine-cache and index counters (``{"substitution":
-        ..., "trie": ..., "index": ...}``), polled without blocking: a
+        """Per-worker engine-cache and index counters (``{"trie": ...,
+        "index": ...}``), polled without blocking: a
         worker busy with an in-flight query — or dead and awaiting respawn
         — yields ``None`` (the caller reports partial coverage instead of
         stalling or erroring a health probe)."""

@@ -27,7 +27,6 @@ import heapq
 import math
 import threading
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "NetERPCost",
     "SURSCost",
     "SubstitutionMatrix",
-    "SubstitutionMatrixCache",
     "validate_cost_model",
 ]
 
@@ -69,9 +67,9 @@ class DirectionRows:
     non-kernel cost of batched verification.
 
     Instances are owned by (and cached inside) the
-    :class:`SubstitutionMatrix`, so when the engine's matrix LRU serves a
-    repeated query, the per-direction dense copies are reused too — not
-    just the full rows.
+    :class:`SubstitutionMatrix`, so when the engine's warm-query cache
+    serves a repeated query, the per-direction dense copies are reused
+    too — not just the full rows.
     """
 
     __slots__ = (
@@ -81,7 +79,6 @@ class DirectionRows:
         "index",
         "rows",
         "deletes",
-        "allocations",
     )
 
     def __init__(
@@ -98,14 +95,12 @@ class DirectionRows:
         self.index: Dict[int, int] = {}
         self.rows = np.empty((16, width), dtype=np.float64)
         self.deletes = np.empty(16, dtype=np.float64)
-        #: ndarray (re)allocations, feeding the verifier's accounting
-        self.allocations = 2
 
     def slot(self, symbol: int) -> int:
         """The dense row slot for ``symbol`` (computed on first touch).
 
-        Shared across concurrent query threads (the engine's matrix LRU
-        hands one instance to every verifier of a repeated query), so
+        Shared across concurrent query threads (the engine's warm-query
+        cache hands one instance to every verifier of a repeated query), so
         writes are serialized: the slot is assigned, its row and delete
         written, and only then published in ``index`` — a lock-free
         reader either misses (and comes here) or sees a fully written
@@ -129,7 +124,6 @@ class DirectionRows:
                         grown_d[:i] = self.deletes
                         self.rows = grown
                         self.deletes = grown_d
-                        self.allocations += 2
                     self.rows[i] = matrix.row(symbol)[self._slice]
                     self.deletes[i] = matrix.delete(symbol)
                     self.index[symbol] = i
@@ -142,6 +136,11 @@ class DirectionRows:
 
     def __len__(self) -> int:
         return len(self.index)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the dense row and delete tables (their capacity)."""
+        return self.rows.nbytes + self.deletes.nbytes
 
 
 class SubstitutionMatrix:
@@ -163,6 +162,16 @@ class SubstitutionMatrix:
 
     ``delete(b)`` memoizes the deletion cost alongside, since it is needed
     once per DP column as well.
+
+    A matrix depends only on the query and the cost-model configuration —
+    never on the dataset, the threshold or the time window — so the engine
+    keeps it across queries inside the query's
+    :class:`~repro.core.trie.TrieCacheEntry`, whose byte budget counts it
+    through :attr:`nbytes`.  It is therefore shared by concurrent server
+    threads: the plain row dicts tolerate concurrent lazy fills (dict
+    updates are atomic under the GIL; a benign race recomputes a row at
+    worst), and the slot-indexed :class:`DirectionRows` tables serialize
+    their first-touch writes — see :meth:`DirectionRows.slot`.
     """
 
     __slots__ = (
@@ -170,7 +179,6 @@ class SubstitutionMatrix:
         "_query",
         "_rows",
         "_deletes",
-        "_dense",
         "_directions",
         "dense_rows",
     )
@@ -187,7 +195,6 @@ class SubstitutionMatrix:
         self._rows: Dict[int, np.ndarray] = {}
         self._deletes: Dict[int, float] = {}
         self._directions: Dict[Hashable, DirectionRows] = {}
-        self._dense: Optional[np.ndarray] = None
         #: number of rows precomputed densely from ``anchors``
         self.dense_rows = 0
         if anchors:
@@ -195,8 +202,7 @@ class SubstitutionMatrix:
             dense = np.empty((len(uniq), len(self._query)), dtype=np.float64)
             for i, b in enumerate(uniq):
                 dense[i] = costs.sub_row_array(b, self._query)
-                self._rows[b] = dense[i]
-            self._dense = dense
+                self._rows[b] = dense[i]  # a view: keeps ``dense`` alive
             self.dense_rows = len(uniq)
 
     @property
@@ -241,73 +247,15 @@ class SubstitutionMatrix:
         """Distinct symbols with a materialized row (dense part included)."""
         return len(self._rows)
 
-
-class SubstitutionMatrixCache:
-    """Engine-level LRU of per-query :class:`SubstitutionMatrix` objects.
-
-    The matrix (and the :class:`DirectionRows` caches hanging off it)
-    depends only on the query and the cost-model configuration, never on
-    the dataset or the threshold, so the serving layer's repeated (zipf)
-    queries can skip substitution-row computation entirely — even when
-    they vary tau or the time window.  Keys are the query-and-model
-    prefix of the engine's normalized
-    :func:`~repro.core.engine.query_signature` (see
-    ``SubtrajectorySearch._substitution_matrix``), so one cache is valid
-    for exactly one engine/cost-model instance.
-
-    ``capacity == 0`` disables caching (``get`` always misses without
-    counting, ``put`` drops).  Thread-safe: engines are queried from many
-    server threads at once; the matrices' plain row dicts tolerate
-    concurrent lazy fills (dict updates are atomic under the GIL; a
-    benign race recomputes a row at worst), and the slot-indexed
-    :class:`DirectionRows` tables serialize their first-touch writes —
-    see :meth:`DirectionRows.slot`.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise CostModelError("substitution cache capacity must be >= 0")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, SubstitutionMatrix]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[SubstitutionMatrix]:
-        """The cached matrix for ``key`` (refreshing recency), or None."""
-        if self.capacity == 0:
-            return None
-        with self._lock:
-            matrix = self._entries.get(key)
-            if matrix is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return matrix
-
-    def put(self, key: Hashable, matrix: SubstitutionMatrix) -> None:
-        """Insert (or refresh) ``key``, evicting the LRU entry if full."""
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._entries[key] = matrix
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> Dict[str, int]:
-        """Observable counters (served via ``/healthz`` and service stats)."""
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "size": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+    @property
+    def nbytes(self) -> int:
+        """Array bytes this matrix pins, counted arithmetically (it is
+        re-read after every verification): one float64 row of ``|Q|``
+        per cached symbol plus every direction's dense tables."""
+        directions = list(self._directions.values())
+        return len(self._rows) * len(self._query) * 8 + sum(
+            rows.nbytes for rows in directions
+        )
 
 
 class CostModel(ABC):

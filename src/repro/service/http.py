@@ -245,7 +245,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "dp_backend": getattr(engine, "dp_backend", "auto"),
                 }
                 # Cache-hit observability for repeated-query traffic
-                # (substitution rows and warm verification tries), read
+                # (warm substitution rows and verification tries), read
                 # as ONE combined snapshot so the processes backend's
                 # non-blocking worker poll runs once per probe; busy
                 # workers are skipped (the probe must not queue behind a
@@ -256,14 +256,11 @@ class _Handler(BaseHTTPRequestHandler):
                 if cache_stats is not None:
                     try:
                         combined = cache_stats()
-                        payload["substitution_cache"] = combined["substitution"]
                         payload["trie_cache"] = combined["trie"]
                         # Index backend, bytes, and (for a frozen mmap)
                         # page-cache residency — same single snapshot.
-                        if "index" in combined:
-                            payload["index"] = combined["index"]
+                        payload["index"] = combined["index"]
                     except Exception as exc:  # noqa: BLE001
-                        payload["substitution_cache"] = {"error": str(exc)}
                         payload["trie_cache"] = {"error": str(exc)}
                         payload["index"] = {"error": str(exc)}
                 # Per-shard worker supervision state: a dead worker (or an

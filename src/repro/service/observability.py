@@ -575,15 +575,12 @@ class ServiceObservability:
                 [({}, combined.get("reporting", 0))],
             )
         ]
-        sub_fields = (
-            ("entries", "size", "gauge", "Cached substitution matrices."),
-            ("hits_total", "hits", "counter", "Substitution cache hits."),
-            ("misses_total", "misses", "counter", "Substitution cache misses."),
-        )
         trie_fields = (
-            ("entries", "size", "gauge", "Cached verification tries."),
+            ("entries", "size", "gauge",
+             "Cached queries (substitution matrix + verification tries)."),
             ("bytes", "bytes", "gauge",
-             "Measured bytes held by cached tries (arrays + edge maps)."),
+             "Bytes held by cached entries (substitution rows, trie "
+             "arrays + edge maps)."),
             ("hits_total", "hits", "counter", "Trie cache hits."),
             ("misses_total", "misses", "counter", "Trie cache misses."),
             ("evictions_total", "evictions", "counter", "Trie cache evictions."),
@@ -606,7 +603,6 @@ class ServiceObservability:
              "mapping (1) or private process memory (0)."),
         )
         for prefix, parts, fields in (
-            ("repro_substitution_cache", combined.get("substitution", []), sub_fields),
             ("repro_trie_cache", combined.get("trie", []), trie_fields),
             ("repro_index", combined.get("index", []), index_fields),
         ):

@@ -400,13 +400,18 @@ class QueryService:
         snap["coalesced_retries"] = (
             self.batcher.retried_followers if self.batcher is not None else 0
         )
-        # One combined snapshot: on the processes backend the worker
-        # links are polled once, and both caches report the same moment.
+        # One snapshot: on the processes backend the worker links are
+        # polled once.  ``substitution_cache`` is an alias — the counters
+        # of the one cache, in the shape the retired substitution LRU
+        # reported — kept for perf/layers.py's ``submatrix_cache.hit_ratio``
+        # until a [benchmark] PR drops that metric.
         cache_stats = getattr(self._engine, "cache_stats", None)
         if cache_stats is not None:
-            combined = cache_stats()
-            snap["substitution_cache"] = combined["substitution"]
-            snap["trie_cache"] = combined["trie"]
+            trie = cache_stats()["trie"]
+            snap["substitution_cache"] = {
+                key: trie[key] for key in ("capacity", "size", "hits", "misses")
+            }
+            snap["trie_cache"] = trie
         snap["observability"] = {
             "trace_sample_rate": self.observability.tracer.sample_rate,
             "slow_query_seconds": self.observability.slow_query_seconds,

@@ -14,7 +14,8 @@ this suite pins:
   ``index_backend="dict"`` and ``"frozen"`` via hypothesis over synthetic
   datasets, through save → mmap-open round trips and online inserts;
 - the file format rejects corruption loudly: bad magic, future versions,
-  truncated sections, and malformed headers all raise
+  truncated sections, malformed headers and hostile section tables (bad
+  dtypes, missing fields, negative or overlapping offsets) all raise
   :class:`~repro.core.frozen.IndexFormatError` with a saying-something
   message, never garbage answers;
 - the partitioned engine resolves per-shard files and validates shard
@@ -199,6 +200,37 @@ class TestDeltaOverlay:
         assert overlay.memory_bytes() > 0
 
 
+def _edit(name, **fields):
+    """A section-table rewrite: replace (or, with ``None``, drop) fields
+    of one section."""
+
+    def rewrite(sections):
+        section = {**sections[name], **fields}
+        sections[name] = {k: v for k, v in section.items() if v is not None}
+        return sections
+
+    return rewrite
+
+
+#: case id -> (rewrite of the valid section table, the IndexFormatError
+#: it must draw)
+HOSTILE_SECTION_TABLES = {
+    "table-is-a-list": (lambda sections: [1, 2], "section table is not an object"),
+    "section-is-a-number": (lambda sections: {**sections, "tids": 7}, "'tids' is malformed"),
+    "dtype-unparseable": (_edit("tids", dtype="zzz"), "'tids' is malformed"),
+    "dtype-missing": (_edit("tids", dtype=None), "'tids' is malformed"),
+    "dtype-not-a-string": (_edit("symbols", dtype=5), "'symbols' is malformed"),
+    "shape-missing": (_edit("tids", shape=None), "'tids' is malformed"),
+    "offset-not-a-number": (_edit("offsets", offset="x"), "'offsets' is malformed"),
+    "tids-as-floats": (_edit("tids", dtype="<f4"), "'tids' must be <i4"),
+    "offsets-as-int32": (_edit("offsets", dtype="<i4", nbytes=20), "'offsets' must be <i8"),
+    "negative-offset": (_edit("symbols", offset=-64), "negative offset"),
+    "negative-shape": (_edit("positions", shape=[-9]), "negative offset or shape"),
+    "nbytes-disagrees": (_edit("positions", nbytes=35), "declares 35 bytes"),
+    "sections-overlap": (_edit("positions", offset=64), "overlap"),
+}
+
+
 class TestFormatRejection:
     def make_file(self, dataset, tmp_path, name="idx.reproidx"):
         path = tmp_path / name
@@ -249,6 +281,46 @@ class TestFormatRejection:
         path.write_bytes(b"hello")
         with pytest.raises(IndexFormatError, match="bad magic"):
             FrozenInvertedIndex.open(path)
+
+    @staticmethod
+    def rewrite_sections(path, rewrite):
+        """Replace only the JSON header's section table; the payload is
+        carried over byte for byte behind the (re-aligned) new header."""
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[12:16], "little")
+        header = json.loads(data[16 : 16 + header_len])
+        header["sections"] = rewrite(header["sections"])
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        align = lambda n: -(-n // 64) * 64  # noqa: E731
+        path.write_bytes(
+            data[:12]
+            + len(raw).to_bytes(4, "little")
+            + raw.ljust(align(16 + len(raw)) - 16, b"\x00")
+            + data[align(16 + header_len):]
+        )
+
+    @pytest.mark.parametrize("reader", [FrozenInvertedIndex.open, inspect_index])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SECTION_TABLES))
+    def test_hostile_section_table(self, tiny_dataset, tmp_path, reader, case):
+        rewrite, message = HOSTILE_SECTION_TABLES[case]
+        path = self.make_file(tiny_dataset, tmp_path)
+        self.rewrite_sections(path, rewrite)
+        with pytest.raises(IndexFormatError, match=message):
+            reader(path)
+
+    def test_unknown_sections_are_ignored(self, tiny_dataset, tmp_path):
+        """Forward compatibility: a later writer's optional section (here
+        sharing no bytes with the others) neither fails nor is mapped."""
+        path = self.make_file(tiny_dataset, tmp_path)
+
+        def add_bloom(sections):
+            end = max(s["offset"] + s["nbytes"] for s in sections.values())
+            bloom = {"dtype": "|u1", "shape": [0], "offset": end, "nbytes": 0}
+            return {**sections, "bloom": bloom}
+
+        self.rewrite_sections(path, add_bloom)
+        assert "bloom" in inspect_index(path)["sections"]
+        assert FrozenInvertedIndex.open(path).num_postings == 9
 
     def test_inspect_reports_header(self, tiny_dataset, tmp_path):
         path = self.make_file(tiny_dataset, tmp_path)
@@ -338,6 +410,28 @@ class TestEngineBackend:
                 vertex_dataset, lev, index_backend="frozen",
                 index_path=str(sharded),
             )
+
+    def test_index_stats_agree_across_backends_after_inserts(self, line_graph):
+        """The same inserts read the same on both backends — a vertex no
+        base trajectory visits included."""
+        inserts = [[0, 1, 2], [4, 5], [5, 4, 2]]
+        engines = {}
+        for backend in ("dict", "frozen"):
+            ds = dataset_of([[0, 1, 2, 3], [2, 1, 0]], line_graph)
+            engines[backend] = SubtrajectorySearch(ds, lev, index_backend=backend)
+        before = engines["dict"].index_stats()
+        assert (before["num_symbols"], before["num_postings"]) == (4, 7)
+        for path in inserts:
+            stats = {}
+            for backend, engine in engines.items():
+                engine.add_trajectory(Trajectory(list(path)))
+                stats[backend] = engine.index_stats()
+            shared = (set(stats["dict"]) & set(stats["frozen"])) - {"backend", "bytes"}
+            assert {"num_symbols", "num_postings", "mmap"} <= shared
+            assert {k: stats["dict"][k] for k in shared} == {
+                k: stats["frozen"][k] for k in shared
+            }
+        assert (stats["frozen"]["num_symbols"], stats["frozen"]["num_postings"]) == (6, 15)
 
     def test_dict_index_stats(self, vertex_dataset):
         engine = SubtrajectorySearch(vertex_dataset, lev)

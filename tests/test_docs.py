@@ -148,10 +148,13 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
     assert offered and set(offered) <= set(_BACKENDS)
 
 
-#: what the one fan-out replaced: the pool's own fan-out, the executor's
-#: span attribute for its private one, and the engine's pool-size knob.
+#: what the one fan-out replaced (the pool's own fan-out, the executor's
+#: span attribute for its private one, the engine's pool-size knob), and
+#: what the one warm-query cache replaced (the substitution LRU, its
+#: keyword and its flag).
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
+    r"|substitution_cache_size|--substitution-cache-size|SubstitutionMatrixCache"
 )
 
 

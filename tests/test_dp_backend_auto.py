@@ -1,10 +1,11 @@
-"""dp_backend="auto" selection and the engine-level SubstitutionMatrix LRU.
+"""dp_backend="auto" selection and cross-query SubstitutionMatrix reuse.
 
 The adaptive backend (ISSUE 4) picks python vs numpy per query from query
 length and cost-model vectorizability — safe because the backends are
 bit-identical — and the knob must round-trip CLI -> engine -> workers ->
-healthz.  The SubstitutionMatrix cache must make repeated-query savings
-observable through the same surfaces.
+healthz.  The cached SubstitutionMatrix (one half of the query's TrieCache
+entry) must make repeated-query savings observable through the same
+surfaces.
 """
 
 import json
@@ -13,14 +14,15 @@ import urllib.request
 import pytest
 
 from repro.cli import build_parser
-from repro.core.engine import SubtrajectorySearch
+from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
+from repro.core.trie import TrieCache
 from repro.core.verification import (
     AUTO_PYTHON_MAX_QUERY,
     Verifier,
     choose_dp_backend,
 )
-from repro.distance.costs import CostModel, SubstitutionMatrixCache
+from repro.distance.costs import CostModel
 from repro.exceptions import QueryError
 from repro.service import QueryService, ServiceServer
 from tests.conftest import sample_query
@@ -48,6 +50,16 @@ class _SlowRowCost(CostModel):
 
     def ins(self, a: int) -> float:
         return 1.0
+
+
+class _CountingRowCost(_SlowRowCost):
+    """Counts the substitution rows the engine asks for."""
+
+    row_calls = 0
+
+    def sub_row_array(self, p, seq):
+        self.row_calls += 1
+        return super().sub_row_array(p, seq)
 
 
 class TestChooseDpBackend:
@@ -133,74 +145,104 @@ class TestEngineAuto:
         )
 
 
+def _engine_key(engine):
+    (key,) = engine._trie_cache.keys()
+    return key
+
+
 class TestSubstitutionMatrixCache:
-    def test_lru_eviction_and_counters(self):
-        cache = SubstitutionMatrixCache(2)
-        assert cache.get("a") is None  # miss
-        cache.put("a", "A")
-        cache.put("b", "B")
-        assert cache.get("a") == "A"  # refreshes recency
-        cache.put("c", "C")  # evicts b (LRU)
-        assert cache.get("b") is None
-        assert cache.get("c") == "C"
+    """Cross-query reuse of a query's SubstitutionMatrix.  Since ISSUE 21
+    the matrix is one half of the query's TrieCache entry and the
+    separate substitution LRU is gone; these are its LRU-order,
+    zero-capacity, negative-capacity and first-touch cases ported onto
+    the one cache (the class and test names are the seed's, so the ids
+    stay comparable)."""
+
+    def test_lru_eviction_and_counters(self, lev_cost):
+        cache = TrieCache(2)
+        built = {
+            name: cache.entry(name).substitution_matrix(
+                lambda: lev_cost.sub_matrix([1, 2, 3])
+            )
+            for name in ("a", "b")  # two misses
+        }
+        entry, status = cache.lookup("a")  # refreshes recency
+        assert status == "hit" and entry.matrix is built["a"]
+        cache.entry("c")  # evicts b (LRU)
+        assert cache.keys() == ["a", "c"]
+        # b's matrix went with its entry: the next lookup starts fresh.
+        entry, status = cache.lookup("b")
+        assert status == "miss" and entry.matrix is None
         stats = cache.stats()
         assert stats["size"] == 2
-        assert stats["hits"] == 2
-        assert stats["misses"] == 2
+        assert stats["hits"] == 1
+        assert stats["misses"] == 4
+        assert stats["evictions"] == 2
 
     def test_zero_capacity_disables(self):
-        cache = SubstitutionMatrixCache(0)
-        cache.put("a", "A")
-        assert cache.get("a") is None
-        assert cache.stats() == {"capacity": 0, "size": 0, "hits": 0, "misses": 0}
+        cache = TrieCache(0)
+        assert cache.lookup("a") == (None, "off")
+        assert cache.lookup("a") == (None, "off")
+        stats = cache.stats()
+        assert (stats["capacity"], stats["size"]) == (0, 0)
+        assert (stats["hits"], stats["misses"]) == (0, 0)
 
     def test_engine_repeated_query_hits(self, vertex_dataset, netedr_cost, rng):
         engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
         query = sample_query(vertex_dataset, rng, 8)
         first = engine.query(query, tau_ratio=0.3)
-        assert engine.substitution_cache_stats()["misses"] == 1
+        assert engine.trie_cache_stats()["misses"] == 1
+        matrix = engine._trie_cache.peek(_engine_key(engine)).matrix
+        assert matrix is not None and matrix.query == tuple(query)
+        rows = matrix.cached_rows()
         repeat = engine.query(query, tau_ratio=0.3)
-        stats = engine.substitution_cache_stats()
+        stats = engine.trie_cache_stats()
         assert stats["hits"] == 1
         assert stats["size"] == 1
+        # The hit served the same matrix, and an exact repeat computed no
+        # new substitution row.
+        assert engine._trie_cache.peek(_engine_key(engine)).matrix is matrix
+        assert matrix.cached_rows() == rows
         # A hit must not change the answer (the matrix is dataset-free).
         assert [(m.trajectory_id, m.start, m.end, m.distance) for m in first.matches] == [
             (m.trajectory_id, m.start, m.end, m.distance) for m in repeat.matches
         ]
         # The matrix is threshold-independent: varying tau still hits.
         engine.query(query, tau_ratio=0.25)
-        stats = engine.substitution_cache_stats()
+        stats = engine.trie_cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
         # A different query is a genuine miss.
         other = sample_query(vertex_dataset, rng, 9)
         if other != query:
             engine.query(other, tau_ratio=0.3)
-            assert engine.substitution_cache_stats()["misses"] == 2
+            assert engine.trie_cache_stats()["misses"] == 2
 
-    def test_engine_cache_disabled(self, vertex_dataset, netedr_cost, rng):
+    def test_engine_cache_disabled(self, vertex_dataset, rng):
+        """``trie_cache_size=0`` is no cross-query reuse of any kind: the
+        repeat pays for its substitution rows again."""
+        costs = _CountingRowCost()
         engine = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, substitution_cache_size=0
+            vertex_dataset, costs, dp_backend="numpy", trie_cache_size=0
         )
         query = sample_query(vertex_dataset, rng, 8)
         engine.query(query, tau_ratio=0.3)
+        first = costs.row_calls
         engine.query(query, tau_ratio=0.3)
-        assert engine.substitution_cache_stats() == {
-            "capacity": 0,
-            "size": 0,
-            "hits": 0,
-            "misses": 0,
-        }
+        assert costs.row_calls == 2 * first > 0
+        stats = engine.trie_cache_stats()
+        assert (stats["capacity"], stats["size"]) == (0, 0)
+        assert (stats["hits"], stats["misses"]) == (0, 0)
 
     def test_negative_capacity_rejected(self, vertex_dataset, edr_cost):
         with pytest.raises(QueryError):
-            SubtrajectorySearch(
-                vertex_dataset, edr_cost, substitution_cache_size=-1
-            )
+            SubtrajectorySearch(vertex_dataset, edr_cost, trie_cache_size=-1)
+        with pytest.raises(ValueError):
+            TrieCache(-1)
 
     def test_direction_rows_concurrent_first_touch(self, lev_cost):
         """The dense slot table is shared across server threads via the
-        matrix LRU: concurrent first-touch fills must neither fork slots
+        cached matrix: concurrent first-touch fills must neither fork slots
         nor tear rows (regression for a slot-assignment race)."""
         import threading
 
@@ -231,21 +273,24 @@ class TestSubstitutionMatrixCache:
 
 
 class TestKnobRoundTrip:
-    """--dp-backend / --substitution-cache-size: CLI -> engine -> workers
-    -> healthz."""
+    """--dp-backend / --trie-cache-size: CLI -> engine -> workers ->
+    healthz."""
 
-    def test_cli_defaults(self):
-        from repro.core.engine import DEFAULT_SUBSTITUTION_CACHE
-
+    def test_cli_defaults(self, capsys):
         args = build_parser().parse_args(["serve", "--self-test"])
         assert args.dp_backend == "auto"
-        assert args.substitution_cache_size == DEFAULT_SUBSTITUTION_CACHE
+        assert args.trie_cache_size == DEFAULT_TRIE_CACHE
+        query = ["query", "--network", "n", "--trips", "t", "--query", "1"]
         args = build_parser().parse_args(
-            ["query", "--network", "n", "--trips", "t", "--query", "1",
-             "--dp-backend", "python", "--substitution-cache-size", "0"]
+            query + ["--dp-backend", "python", "--trie-cache-size", "0"]
         )
         assert args.dp_backend == "python"
-        assert args.substitution_cache_size == 0
+        assert args.trie_cache_size == 0
+        # The second cache's flag went with it, on both subcommands.
+        for argv in (query, ["serve", "--self-test"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--substitution-cache-size", "0"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_partitioned_forwards_and_aggregates(self, vertex_dataset, edr_cost, rng):
         engine = PartitionedSubtrajectorySearch(
@@ -253,18 +298,20 @@ class TestKnobRoundTrip:
             edr_cost,
             num_shards=2,
             dp_backend="auto",
-            substitution_cache_size=8,
+            trie_cache_size=8,
         )
         assert engine.dp_backend == "auto"
         query = long_query(vertex_dataset, rng, AUTO_PYTHON_MAX_QUERY + 1)
         result = engine.query(query, tau_ratio=0.3)
         assert result.dp_backend_used == "numpy"
-        agg = engine.substitution_cache_stats()
+        agg = engine.trie_cache_stats()
         assert agg["shards"] == agg["shards_reporting"] == 2
-        assert agg["capacity"] == 16
-        assert agg["misses"] >= 1
+        # In-process shards share the one cache: capacity is not summed,
+        # and shard 0's miss is shard 1's hit.
+        assert agg["capacity"] == 8
+        assert (agg["misses"], agg["hits"]) == (1, 1)
         engine.query(query, tau_ratio=0.3)
-        assert engine.substitution_cache_stats()["hits"] >= 1
+        assert engine.trie_cache_stats()["hits"] == 3
         engine.close()
 
     def test_workers_round_trip(self, vertex_dataset, edr_cost, rng):
@@ -274,7 +321,7 @@ class TestKnobRoundTrip:
             num_shards=2,
             backend="processes",
             dp_backend="auto",
-            substitution_cache_size=8,
+            trie_cache_size=8,
         )
         try:
             query = sample_query(vertex_dataset, rng, 6)
@@ -287,26 +334,29 @@ class TestKnobRoundTrip:
             # Auto resolved inside the worker processes and shipped back.
             assert result.dp_backend_used == expected.dp_backend_used == "python"
             engine.query(query, tau_ratio=0.3)
-            agg = engine.substitution_cache_stats()
+            agg = engine.trie_cache_stats()
             assert agg["shards_reporting"] == 2  # idle workers all answer
-            # Short EDR queries run the python backend — no matrices built.
+            # One cache per worker; short EDR queries run the python
+            # backend, which consults nothing.
             assert agg["capacity"] == 16
+            assert agg["hits"] == agg["misses"] == 0
         finally:
             engine.close()
 
     def test_healthz_survives_unpollable_engine(self, vertex_dataset, edr_cost):
         """A stats poll that raises (dead worker, closed engine) must
-        degrade the substitution_cache field, not drop the probe
-        connection — /healthz answers liveness, not shard health."""
+        degrade the cache fields, not drop the probe connection —
+        /healthz answers liveness, not shard health."""
         engine = PartitionedSubtrajectorySearch(vertex_dataset, edr_cost, num_shards=2)
         service = QueryService(engine)
         with ServiceServer(service) as server:
             server.start()
-            engine.close()  # substitution_cache_stats now raises QueryError
+            engine.close()  # cache_stats now raises QueryError
             with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
                 health = json.loads(resp.read().decode("utf-8"))
             assert health["status"] == "ok"
-            assert "error" in health["substitution_cache"]
+            assert "error" in health["trie_cache"]
+            assert "substitution_cache" not in health
 
     def test_healthz_exposes_backend_and_cache(
         self, small_graph, netedr_cost, rng, trips
@@ -325,17 +375,22 @@ class TestKnobRoundTrip:
             query = sample_query(vertex_dataset, rng, 8)
             service.query(query, tau_ratio=0.3)
             # An online insert invalidates the *result* cache, but the
-            # substitution matrix depends only on query + cost model: the
-            # repeat recomputes the answer yet reuses the matrix — exactly
-            # the saving the /healthz counters must make visible.
+            # query's warm state depends only on query + cost model: the
+            # repeat recomputes the answer yet reuses matrix and tries —
+            # exactly the saving the /healthz counters must make visible.
             service.add_trajectory(trips[0])
             service.query(query, tau_ratio=0.3)
             with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
                 health = json.loads(resp.read().decode("utf-8"))
             assert health["dp_backend"] == "auto"
-            assert health["substitution_cache"]["hits"] >= 1
-            assert health["substitution_cache"]["misses"] >= 1
+            assert health["trie_cache"]["hits"] >= 1
+            assert health["trie_cache"]["misses"] >= 1
+            assert "substitution_cache" not in health  # reported once
             stats = service.stats()
             assert stats["dp_backend"] == "auto"
-            assert stats["substitution_cache"]["capacity"] > 0
+            # /stats alone keeps the retired name, as a projection.
+            assert stats["substitution_cache"] == {
+                key: stats["trie_cache"][key]
+                for key in ("capacity", "size", "hits", "misses")
+            }
             assert stats["coalesced_retries"] == 0

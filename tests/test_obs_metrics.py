@@ -159,7 +159,9 @@ class TestMetricsEndpoint:
         assert match is not None
         assert int(match.group(1)) > 0
         assert int(match.group(1)) == service.engine.trie_cache_stats()["bytes"]
-        assert 'repro_substitution_cache_hits_total{shard="0"}' in text
+        # One warm-query cache, reported once.
+        assert 'repro_trie_cache_hits_total{shard="0"}' in text
+        assert "repro_substitution_cache" not in text
 
     def test_errors_are_labelled_by_exception_type(self, served):
         server, service = served

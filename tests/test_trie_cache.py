@@ -1,8 +1,10 @@
-"""Cross-query warm trie cache (ISSUE 5): warm == cold, bit for bit.
+"""The cross-query warm-query cache (ISSUEs 5, 21): warm == cold, bit
+for bit.
 
-The engine-level :class:`~repro.core.trie.TrieCache` persists verification
-tries across queries sharing the query-and-cost-model signature prefix, so
-repeated queries walk warm columns instead of recomputing them.  Warmth is
+The engine-level :class:`~repro.core.trie.TrieCache` persists a query's
+substitution matrix and verification tries across queries sharing the
+query-and-cost-model signature prefix, so repeated queries skip row
+computation and walk warm columns instead of recomputing them.  Warmth is
 a pure scheduling change — a cached column holds the exact floats its
 recomputation would produce — so this suite pins, via hypothesis over
 synthetic workloads and non-representable (0.3-multiple) costs:
@@ -18,15 +20,20 @@ synthetic workloads and non-representable (0.3-multiple) costs:
 - concurrency: shard engines sharing one TrieCache under simultaneous
   queries and an online insert never tear a column, and a walk whose
   parked misses another verifier published first absorbs them as hits;
-- tries off: the private per-call arena dies with its walk and the
-  engine's TrieCache is never touched;
-- eviction: LRU order under the byte budget, arena release, size-0
-  disable, and stats summing across shards (processes backend included).
+- tries off: the private per-call arena dies with its walk, and the
+  engine's cache entry keeps the matrix and no tries;
+- eviction: LRU order under the byte budget (matrix bytes included),
+  arena release, size-0 disable, and stats summing across shards
+  (processes backend included);
+- one cache on every backend: a repeat is a hit that computes no
+  substitution row, and concurrent missers share one matrix.
 """
 
 import gc
 import json
+import os
 import threading
+import time
 import urllib.request
 import weakref
 
@@ -64,6 +71,31 @@ class WeightedCost(CostModel):
 
     def ins(self, a: int) -> float:
         return 0.7 + 0.1 * (a % 3)
+
+
+class RowLedgerCost(CostModel):
+    """Unit costs that log every substitution row they compute as one
+    byte appended to ``ledger`` — a count that survives the process
+    boundary (worker engines run a pickled or forked copy)."""
+
+    name = "row-ledger"
+
+    def __init__(self, ledger) -> None:
+        self.ledger = str(ledger)
+
+    def sub(self, a: int, b: int) -> float:
+        return 0.0 if a == b else 1.0
+
+    def ins(self, a: int) -> float:
+        return 1.0
+
+    def sub_row_array(self, p, seq):
+        with open(self.ledger, "ab") as out:
+            out.write(b".")
+        return super().sub_row_array(p, seq)
+
+    def rows_computed(self) -> int:
+        return os.path.getsize(self.ledger) if os.path.exists(self.ledger) else 0
 
 
 lev = LevenshteinCost()
@@ -482,7 +514,7 @@ class TestTriesOff:
         assert all(all(dead) for dead in walks)
         assert all(ctx.trie is None for ctx in v._contexts.values())
 
-    def test_local_verification_never_touches_the_trie_cache(
+    def test_local_verification_reuses_the_matrix_and_builds_no_tries(
         self, vertex_dataset, netedr_cost
     ):
         engine = SubtrajectorySearch(
@@ -495,16 +527,27 @@ class TestTriesOff:
         reference = SubtrajectorySearch(
             vertex_dataset, netedr_cost, dp_backend="numpy", trie_cache_size=0
         )
+        cache = engine._trie_cache
+        statuses = []
         for tid in (0, 1, 0):
             query = list(vertex_dataset.symbols(tid))[:8]
             result = engine.query(query, tau_ratio=0.3)
             assert _result_key(result) == _result_key(
                 reference.query(query, tau_ratio=0.3)
             )
-            assert result.trie_cache_status == ""
-        assert len(engine._trie_cache) == 0
+            statuses.append(result.trie_cache_status)
+        assert statuses == ["miss", "miss", "hit"]
+        assert len(cache) == 2
+        for key in cache.keys():
+            entry = cache.peek(key)
+            assert entry.matrix is not None and entry.matrix.cached_rows() > 0
+            assert entry.tries == {}
         stats = engine.trie_cache_stats()
-        assert stats["hits"] == stats["misses"] == stats["bytes"] == 0
+        assert (stats["hits"], stats["misses"]) == (1, 2)
+        # The budget sees what the entries pin: their matrices.
+        assert stats["bytes"] == sum(
+            cache.peek(key).matrix.nbytes for key in cache.keys()
+        ) > 0
 
 
 class TestEvictionAndDisable:
@@ -555,6 +598,36 @@ class TestEvictionAndDisable:
         # Correctness is unaffected — the query simply stays cold.
         engine.query(query, tau_ratio=0.3)
         assert engine.trie_cache_stats()["evictions"] == 2
+
+    def test_matrix_alone_over_budget_is_shed(self, vertex_dataset, netedr_cost):
+        """The budget counts everything an entry pins: an entry whose
+        substitution matrix *alone* exceeds it — no trie at all — is shed
+        by ``reconcile()``."""
+        cache = TrieCache(4, max_bytes=1000)
+        matrix = cache.entry("k").substitution_matrix(
+            lambda: lev.sub_matrix(range(64), anchors=range(10))
+        )
+        assert matrix.nbytes == 10 * 64 * 8 > cache.max_bytes
+        assert cache.peek("k").tries == {}
+        assert cache.reconcile() == 0
+        assert len(cache) == 0 and cache.stats()["evictions"] == 1
+        # Direction tables count too (ndarray.nbytes), beside the rows.
+        rows = matrix.direction_rows((3, "f"), slice(4, None))
+        rows.slot(77)  # one lazily filled row beside the ten dense ones
+        assert matrix.nbytes == 11 * 64 * 8 + rows.rows.nbytes + rows.deletes.nbytes
+        # End to end: local verification builds no tries, so whatever is
+        # shed was shed for its matrix.
+        engine = SubtrajectorySearch(
+            vertex_dataset,
+            netedr_cost,
+            verification="local",
+            dp_backend="numpy",
+            trie_cache_size=8,
+            trie_cache_bytes=64,
+        )
+        engine.query(list(vertex_dataset.symbols(0))[:6], tau_ratio=0.3)
+        stats = engine.trie_cache_stats()
+        assert (stats["size"], stats["evictions"], stats["bytes"]) == (0, 1, 0)
 
     def test_size_zero_fully_disables(self, vertex_dataset, netedr_cost, rng):
         from tests.conftest import sample_query
@@ -721,3 +794,81 @@ class TestLookupStatusAndMeasuredBytes:
         assert entry.nbytes > array_bytes
         # What /metrics and /stats report is exactly the measured figure.
         assert engine.trie_cache_stats()["bytes"] == entry.nbytes
+
+
+class _SlowMatrixCost(WeightedCost):
+    """Counts :meth:`sub_matrix` builds and makes each slow enough that
+    a second misser is sure to arrive while the first is building."""
+
+    def __init__(self) -> None:
+        self.builds = 0
+
+    def sub_matrix(self, query, *, anchors=None):
+        self.builds += 1
+        time.sleep(0.05)
+        return super().sub_matrix(query, anchors=anchors)
+
+
+class TestOneWarmQueryCache:
+    """ISSUE 21: the substitution matrix and the tries of a query are one
+    cache entry, on every backend."""
+
+    @pytest.mark.parametrize("backend", ["single", "serial", "threads", "processes"])
+    def test_repeat_is_a_hit_that_computes_no_row(
+        self, vertex_dataset, tmp_path, backend
+    ):
+        costs = RowLedgerCost(tmp_path / "rows")
+        if backend == "single":
+            engine = SubtrajectorySearch(vertex_dataset, costs, dp_backend="numpy")
+        else:
+            engine = PartitionedSubtrajectorySearch(
+                vertex_dataset, costs, num_shards=2, backend=backend,
+                dp_backend="numpy",
+            )
+        try:
+            query = list(vertex_dataset.symbols(0))[:8]
+            first = engine.query(query, tau_ratio=0.3)
+            assert "miss" in first.trie_cache_status.split("+")
+            rows = costs.rows_computed()
+            assert rows > 0
+            second = engine.query(query, tau_ratio=0.3)
+            assert second.trie_cache_status == "hit"
+            assert costs.rows_computed() == rows
+            assert _result_key(second) == _result_key(first)
+            with QueryService(engine) as service:
+                stats = service.stats()
+            trie, alias = stats["trie_cache"], stats["substitution_cache"]
+            assert set(alias) == {"capacity", "size", "hits", "misses"}
+            assert (alias["hits"], alias["misses"]) == (trie["hits"], trie["misses"])
+            assert trie["hits"] >= 1 and trie["misses"] >= 1
+        finally:
+            if backend != "single":
+                engine.close()
+
+    def test_concurrent_missers_share_one_matrix(self, vertex_dataset):
+        costs = _SlowMatrixCost()
+        engine = SubtrajectorySearch(vertex_dataset, costs, dp_backend="numpy")
+        query = list(vertex_dataset.symbols(0))[:8]
+        barrier = threading.Barrier(2)
+        results, errors = [], []
+
+        def client():
+            try:
+                barrier.wait()
+                results.append(_result_key(engine.query(query, tau_ratio=0.3)))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        assert results[0] == results[1]
+        # One creates the entry, the other finds it — and waits for the
+        # creator's matrix instead of building a second one.
+        stats = engine.trie_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+        assert costs.builds == 1
