@@ -19,13 +19,19 @@ harness reads everything from one object.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 from repro.core.cancellation import raise_if_cancelled
-from repro.core.filtering import QueryElement, query_profile, tau_from_ratio
+from repro.core.filtering import (
+    QueryElement,
+    check_alphabet,
+    query_profile,
+    tau_from_ratio,
+)
 from repro.core.frozen import DeltaOverlayIndex, FrozenInvertedIndex
 from repro.core.invindex import InvertedIndex
 from repro.core.mincand import (
@@ -137,6 +143,15 @@ class QueryResult:
         return len(self.matches)
 
 
+def check_index_options(index_backend: str, index_path: Optional[str]) -> None:
+    """The one validation of the ``index_backend`` / ``index_path`` pair
+    (the partitioned engine runs it before it spawns a worker)."""
+    if index_backend not in INDEX_BACKENDS:
+        raise QueryError(f"unknown index_backend {index_backend!r}")
+    if index_path is not None and index_backend != "frozen":
+        raise QueryError("index_path requires index_backend='frozen'")
+
+
 def cost_model_id(costs) -> str:
     """A stable, human-readable identifier for a cost-model configuration.
 
@@ -237,7 +252,9 @@ class SubtrajectorySearch:
         Apply the Eq. 11 lower-bound cutoff during local verification.
     sort_by_departure:
         Order postings by trajectory departure time to accelerate
-        temporal-constrained queries (§4.3).
+        temporal-constrained queries (§4.3).  ``None`` (default) means
+        what the ``index_path`` file says, and ``False`` for an index
+        built in memory; an explicit value the file contradicts raises.
     fallback_to_scan:
         When no tau-subsequence exists (``c(Q) < tau``, possible for
         continuous costs with tiny eta — §3.1), scan the whole dataset
@@ -283,18 +300,21 @@ class SubtrajectorySearch:
         :class:`~repro.core.invindex.InvertedIndex` in-process.
         ``"frozen"`` uses the array-packed
         :class:`~repro.core.frozen.FrozenInvertedIndex` as an immutable
-        base behind a :class:`~repro.core.frozen.DeltaOverlayIndex`
-        mutable front — opened from ``index_path`` when given (O(1)
-        mmap; the OS page cache shares the file across every process
-        mapping it), else frozen from the dataset in memory.  Both
-        backends answer queries bit-identically.
+        base behind a :class:`~repro.core.frozen.DeltaOverlayIndex` —
+        opened from ``index_path`` when given (O(1) mmap; the OS page
+        cache shares the file across every process mapping it), else
+        frozen from the dataset in memory.  The overlay's mutable front
+        is an ``InvertedIndex`` too, so both backends answer queries
+        bit-identically and report the same :meth:`index_stats` keys.
     index_path:
         Path to a frozen index file built by ``repro index build`` (or
         :meth:`FrozenInvertedIndex.save`).  Requires
         ``index_backend="frozen"``.  The file's header is validated
-        against the dataset (representation, departure-sort flag,
-        trajectory count); trajectories appended to the dataset after
-        the freeze are indexed into the delta overlay at construction.
+        against the dataset (representation, trajectory count, and the
+        departure-sort flag when ``sort_by_departure`` is given);
+        trajectories appended to the dataset after the freeze are
+        indexed into the overlay's front at construction, departure
+        keys included when the file is sorted.
     index_expected_shard:
         ``(shard_index, num_shards)`` provenance the opened file must
         declare — how
@@ -312,7 +332,7 @@ class SubtrajectorySearch:
         selector: Selector = "greedy",
         verification: VerificationMode = "trie",
         early_termination: bool = True,
-        sort_by_departure: bool = False,
+        sort_by_departure: Optional[bool] = None,
         fallback_to_scan: bool = True,
         dp_backend: str = "auto",
         trie_cache_size: int = DEFAULT_TRIE_CACHE,
@@ -337,10 +357,7 @@ class SubtrajectorySearch:
             raise QueryError("trie_cache_size must be >= 0")
         if trie_cache_bytes is not None and trie_cache_bytes < 0:
             raise QueryError("trie_cache_bytes must be >= 0")
-        if index_backend not in INDEX_BACKENDS:
-            raise QueryError(f"unknown index_backend {index_backend!r}")
-        if index_path is not None and index_backend != "frozen":
-            raise QueryError("index_path requires index_backend='frozen'")
+        check_index_options(index_backend, index_path)
         self._dataset = dataset
         self._costs = costs
         self._selector = _SELECTORS[selector]
@@ -357,13 +374,10 @@ class SubtrajectorySearch:
         # cost_model_id walks vars() — not something to redo per query.
         self._model_id = cost_model_id(costs)
         self._update_lock = threading.Lock()
-        self._index_backend = index_backend
-        # Memoized (num_postings, bytes) pair for index_stats(): the dict
-        # backend's memory_bytes() is an O(postings) getsizeof walk — not
-        # something to redo on every /healthz probe of a large index.
-        self._index_bytes_memo: Optional[tuple] = None
         if index_backend == "dict":
-            self.index = InvertedIndex(dataset, sort_by_departure=sort_by_departure)
+            self.index = InvertedIndex(
+                dataset, sort_by_departure=bool(sort_by_departure)
+            )
         else:
             self.index = self._build_frozen_index(
                 dataset, sort_by_departure, index_path, index_expected_shard
@@ -372,56 +386,44 @@ class SubtrajectorySearch:
     @staticmethod
     def _build_frozen_index(
         dataset: TrajectoryDataset,
-        sort_by_departure: bool,
+        sort_by_departure: Optional[bool],
         index_path: Optional[str],
         expected_shard: Optional[tuple],
     ) -> DeltaOverlayIndex:
-        """Open (or freeze) the immutable base and validate it against the
-        dataset, then wrap it in the mutable delta overlay."""
+        """Freeze the immutable base in memory — or open it and validate
+        its header against the dataset — then put the mutable front on it."""
         if index_path is None:
             base = FrozenInvertedIndex.freeze(
-                dataset, sort_by_departure=sort_by_departure
+                dataset, sort_by_departure=bool(sort_by_departure)
             )
-        else:
-            base = FrozenInvertedIndex.open(index_path)
-            if base.representation != dataset.representation:
-                raise QueryError(
-                    f"frozen index {index_path} holds "
-                    f"{base.representation!r} symbols but the dataset uses "
-                    f"{dataset.representation!r} representation"
-                )
-            if base.sorted_by_departure != sort_by_departure:
-                raise QueryError(
-                    f"frozen index {index_path} was built with "
-                    f"sort_by_departure={base.sorted_by_departure}; the "
-                    f"engine asked for {sort_by_departure}"
-                )
-            if base.num_trajectories > len(dataset):
-                raise QueryError(
-                    f"frozen index {index_path} covers "
-                    f"{base.num_trajectories} trajectories but the dataset "
-                    f"holds only {len(dataset)}"
-                )
-            shard = base.shard
-            if expected_shard is None:
-                if shard is not None:
-                    raise QueryError(
-                        f"frozen index {index_path} is shard "
-                        f"{shard['index']} of {shard['of']}; this engine "
-                        "expects an unsharded index"
-                    )
-            else:
-                want = (int(expected_shard[0]), int(expected_shard[1]))
-                got = (
-                    None
-                    if shard is None
-                    else (int(shard["index"]), int(shard["of"]))
-                )
-                if got != want:
-                    raise QueryError(
-                        f"frozen index {index_path} declares shard "
-                        f"{got}; this engine expects shard {want}"
-                    )
+            return DeltaOverlayIndex(base, dataset)
+        base = FrozenInvertedIndex.open(index_path)
+        got = base.shard and (int(base.shard["index"]), int(base.shard["of"]))
+        want = expected_shard and (int(expected_shard[0]), int(expected_shard[1]))
+        problem = None
+        if base.representation != dataset.representation:
+            problem = (
+                f"holds {base.representation!r} symbols but the dataset uses "
+                f"{dataset.representation!r} representation"
+            )
+        elif sort_by_departure not in (None, base.sorted_by_departure):
+            problem = (
+                f"was built with sort_by_departure={base.sorted_by_departure}; "
+                f"the engine asked for {sort_by_departure}"
+            )
+        elif base.num_trajectories > len(dataset):
+            problem = (
+                f"covers {base.num_trajectories} trajectories but the dataset "
+                f"holds only {len(dataset)}"
+            )
+        elif got != want:
+            problem = (
+                f"is shard {got[0]} of {got[1]}; this engine expects an unsharded index"
+                if want is None
+                else f"declares shard {got}; this engine expects shard {want}"
+            )
+        if problem is not None:
+            raise QueryError(f"frozen index {index_path} {problem}")
         return DeltaOverlayIndex(base, dataset)
 
     # -- public API --------------------------------------------------------
@@ -443,32 +445,11 @@ class SubtrajectorySearch:
         ``QueryResult.dp_backend_used`` for what a query actually ran)."""
         return self._dp_backend
 
-    @property
-    def index_backend(self) -> str:
-        """The configured index backend: ``"dict"`` or ``"frozen"``."""
-        return self._index_backend
-
     def index_stats(self) -> Dict[str, Any]:
         """The inverted index's backend, size, and (for a mapped frozen
         base) page-cache residency — surfaced via ``/healthz`` and the
-        ``/metrics`` collectors.  The dict backend's byte figure is
-        memoized on the posting count, so repeated probes of an unchanged
-        index skip its O(postings) size walk."""
-        index = self.index
-        if isinstance(index, DeltaOverlayIndex):
-            return index.stats()
-        num = index.num_postings
-        memo = self._index_bytes_memo
-        if memo is None or memo[0] != num:
-            memo = (num, index.memory_bytes())
-            self._index_bytes_memo = memo
-        return {
-            "backend": "dict",
-            "num_symbols": index.num_symbols,
-            "num_postings": num,
-            "bytes": memo[1],
-            "mmap": False,
-        }
+        ``/metrics`` collectors."""
+        return self.index.stats()
 
     def trie_cache_stats(self) -> Dict[str, int]:
         """Counters of the engine-level TrieCache (capacity / size /
@@ -505,16 +486,12 @@ class SubtrajectorySearch:
 
         Inserts are serialized against each other (safe from concurrent
         server threads).  Concurrent *queries* are safe on both index
-        backends: the dict index replaces postings lists as immutable
-        tuples, and the frozen backend never touches its mmap'd base —
-        inserts land only in the
-        :class:`~repro.core.frozen.DeltaOverlayIndex` dict overlay, which
-        publishes the same immutable tuples, so every individual lookup
-        sees a consistent (base + delta) list.  On either backend,
-        publication is atomic per *trajectory*: the index stages every
-        touched symbol's new postings and installs them with a single
-        ``dict.update``, so a query racing the insert sees either none of
-        the new trajectory's postings or all of them — never a prefix
+        backends, because the append is the same
+        :meth:`~repro.core.invindex.InvertedIndex.append_trajectory` on
+        both (the frozen backend never touches its mmap'd base): postings
+        lists are replaced as immutable tuples and published atomically
+        per *trajectory*, so a query racing the insert sees either none
+        of the new trajectory's postings or all of them — never a prefix
         that would miss matches anchored on the unpublished rest.
         """
         with self._update_lock:
@@ -799,11 +776,15 @@ class SubtrajectorySearch:
     ) -> float:
         if len(query) == 0:
             raise QueryError("empty query")
+        check_alphabet(query, self._costs)
         if (tau is None) == (tau_ratio is None):
             raise QueryError("exactly one of tau / tau_ratio must be given")
         if tau_ratio is not None:
             return tau_from_ratio(query, self._costs, tau_ratio)
-        assert tau is not None
+        if not math.isfinite(tau):
+            # NaN passes every ``tau <= 0`` / ``total < tau`` guard below
+            # and would come back as an empty answer.
+            raise QueryError(f"tau must be a finite number, got {tau}")
         return tau
 
     def _check_assumption(self, query: Sequence[int], tau: float) -> None:

@@ -17,7 +17,7 @@ from repro.core.invindex import InvertedIndex
 from repro.distance.costs import CostModel
 from repro.exceptions import QueryError
 
-__all__ = ["QueryElement", "query_profile", "tau_from_ratio"]
+__all__ = ["QueryElement", "check_alphabet", "query_profile", "tau_from_ratio"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +61,19 @@ def query_profile(
         neigh, cq, nq = entry
         out.append(QueryElement(iq, q, cq, neigh, nq))
     return out
+
+
+def check_alphabet(query: Sequence[int], costs: CostModel) -> None:
+    """Refuse query symbols a graph-bound model has no vertex or edge
+    for: a negative id would be answered as ``size + id`` and one past
+    the end is an ``IndexError`` deep in a cost call."""
+    size = costs.alphabet_size
+    strays = size is not None and sorted({q for q in query if not 0 <= q < size})
+    if strays:
+        raise QueryError(
+            f"query symbols {strays} are outside the cost model's "
+            f"alphabet 0..{size - 1}"
+        )
 
 
 def tau_from_ratio(query: Sequence[int], costs: CostModel, tau_ratio: float) -> float:

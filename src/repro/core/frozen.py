@@ -4,8 +4,8 @@ The dict-backed :class:`~repro.core.invindex.InvertedIndex` stores one
 Python tuple per posting — flexible, but every worker process that loads
 it re-pickles and privately re-materializes the whole structure, which is
 the main obstacle between reproduction scale (|T| ≈ 800) and the
-10^5–10^6-trajectory production target.  This module packs the same
-postings into flat ``numpy`` column arrays:
+10^5–10^6-trajectory production target.  :meth:`FrozenInvertedIndex.freeze`
+packs the postings of one such index into flat ``numpy`` column arrays:
 
 - ``symbols``   — sorted distinct symbols (``int32``),
 - ``offsets``   — per-symbol prefix offsets into the postings columns
@@ -24,9 +24,10 @@ page, and because every opener maps the same file, the OS page cache
 shares one physical copy across all worker processes on a node.
 
 A frozen index is immutable.  Online inserts go through
-:class:`DeltaOverlayIndex` — a frozen base plus a dict-backed delta
-overlay with the exact append semantics of the mutable index — which is
-what :class:`~repro.core.engine.SubtrajectorySearch` uses for its
+:class:`DeltaOverlayIndex` — a frozen base plus an ``InvertedIndex`` over
+the trajectories the base does not cover, so appends are the mutable
+index's own — which is what
+:class:`~repro.core.engine.SubtrajectorySearch` uses for its
 ``index_backend="frozen"`` mode.  Both backends return bit-identical
 query answers (hypothesis-pinned in ``tests/test_core_frozen.py``).
 """
@@ -36,13 +37,13 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.invindex import InvertedIndex
 from repro.exceptions import IndexError_
 from repro.trajectory.dataset import TrajectoryDataset
 
@@ -212,7 +213,7 @@ def inspect_index(path: Union[str, Path]) -> Dict[str, Any]:
         "format_version": version,
         "file_bytes": path.stat().st_size,
         "data_start": data_start,
-        **{k: v for k, v in header.items()},
+        **header,
     }
 
 
@@ -257,24 +258,20 @@ class FrozenInvertedIndex:
 
     def __init__(
         self,
-        *,
-        symbols: np.ndarray,
-        offsets: np.ndarray,
-        tids: np.ndarray,
-        positions: np.ndarray,
-        departures: Optional[np.ndarray],
+        columns: Dict[str, np.ndarray],
         meta: Dict[str, Any],
+        *,
         path: Optional[Path] = None,
         mmap_buffer: Optional[np.ndarray] = None,
         mmap_handle=None,
         build_seconds: float = 0.0,
         open_seconds: float = 0.0,
     ) -> None:
-        self._symbols = symbols
-        self._offsets = offsets
-        self._tids = tids
-        self._positions = positions
-        self._departures = departures
+        #: section name -> array, in file order (see _SECTION_DTYPES).
+        self._columns = columns
+        self._symbols, self._offsets = columns["symbols"], columns["offsets"]
+        self._tids, self._positions = columns["tids"], columns["positions"]
+        self._departures = columns.get("departures")
         self._meta = meta
         self._path = path
         self._mmap_buffer = mmap_buffer
@@ -298,45 +295,42 @@ class FrozenInvertedIndex:
     ) -> "FrozenInvertedIndex":
         """Pack a dataset's postings into frozen arrays (in memory).
 
-        The build walks trajectories in id order — exactly the traversal
-        of the dict index — so per-symbol postings come out in the same
-        ``(tid, position)`` order; ``sort_by_departure`` applies the same
-        stable departure-time sort.  ``shard`` (``(index, of)``) and
+        The postings are those of ``InvertedIndex(dataset,
+        sort_by_departure=...)``, packed in sorted-symbol order — so each
+        symbol's ``(tid, position)`` order is the dict index's by
+        construction.  ``shard`` (``(index, of)``) and
         ``global_trajectories`` are optional provenance recorded in the
         header so a sharded deployment can detect mismatched files.
         """
         t0 = time.perf_counter()
-        postings: Dict[int, List[Posting]] = {}
-        for tid in range(len(dataset)):
-            for pos, sym in enumerate(dataset.symbols(tid)):
-                postings.setdefault(sym, []).append((tid, pos))
-        symbol_list = sorted(postings)
+        built = InvertedIndex(dataset, sort_by_departure=sort_by_departure)
+        symbol_list = sorted(built.symbols())
         if symbol_list and not (
             -_INT32_MAX <= symbol_list[0] and symbol_list[-1] <= _INT32_MAX
         ):
             raise IndexError_("symbol ids do not fit int32")
         if len(dataset) > _INT32_MAX:
             raise IndexError_("trajectory ids do not fit int32")
-        total = sum(len(p) for p in postings.values())
-        symbols = np.asarray(symbol_list, dtype=np.int32)
+        total = built.num_postings
         offsets = np.zeros(len(symbol_list) + 1, dtype=np.int64)
-        tids = np.empty(total, dtype=np.int32)
-        positions = np.empty(total, dtype=np.int32)
-        departures = np.empty(total, dtype=np.float64) if sort_by_departure else None
-        cursor = 0
-        for i, sym in enumerate(symbol_list):
-            plist = postings[sym]
-            if sort_by_departure:
-                plist.sort(key=lambda p: dataset[p[0]].start_time)
-            end = cursor + len(plist)
-            tids[cursor:end] = [p[0] for p in plist]
-            positions[cursor:end] = [p[1] for p in plist]
-            if departures is not None:
-                departures[cursor:end] = [
-                    dataset[p[0]].start_time for p in plist
-                ]
-            offsets[i + 1] = end
-            cursor = end
+        np.cumsum([built.frequency(sym) for sym in symbol_list], out=offsets[1:])
+        pairs = np.fromiter(
+            (v for sym in symbol_list for p in built.postings(sym) for v in p),
+            dtype=np.int32,
+            count=2 * total,
+        ).reshape(total, 2)
+        columns = {
+            "symbols": np.asarray(symbol_list, dtype=np.int32),
+            "offsets": offsets,
+            "tids": np.ascontiguousarray(pairs[:, 0]),
+            "positions": np.ascontiguousarray(pairs[:, 1]),
+        }
+        if sort_by_departure:
+            columns["departures"] = np.fromiter(
+                (dataset[tid].start_time for tid in columns["tids"].tolist()),
+                dtype=np.float64,
+                count=total,
+            )
         meta: Dict[str, Any] = {
             "representation": dataset.representation,
             "sorted_by_departure": bool(sort_by_departure),
@@ -352,28 +346,9 @@ class FrozenInvertedIndex:
                     len(dataset) if global_trajectories is None else global_trajectories
                 ),
             }
-        return cls(
-            symbols=symbols,
-            offsets=offsets,
-            tids=tids,
-            positions=positions,
-            departures=departures,
-            meta=meta,
-            build_seconds=time.perf_counter() - t0,
-        )
+        return cls(columns, meta, build_seconds=time.perf_counter() - t0)
 
     # -- serialization -------------------------------------------------------
-
-    def _sections(self) -> List[Tuple[str, np.ndarray]]:
-        out = [
-            ("symbols", self._symbols),
-            ("offsets", self._offsets),
-            ("tids", self._tids),
-            ("positions", self._positions),
-        ]
-        if self._departures is not None:
-            out.append(("departures", self._departures))
-        return out
 
     def save(self, path: Union[str, Path]) -> int:
         """Write the single-file container (see ``docs/INDEX_FORMAT.md``)
@@ -383,7 +358,7 @@ class FrozenInvertedIndex:
         path = Path(path)
         sections: Dict[str, Dict[str, Any]] = {}
         cursor = 0
-        arrays = self._sections()
+        arrays = list(self._columns.items())
         for name, arr in arrays:
             cursor = _align_up(cursor)
             little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
@@ -459,20 +434,15 @@ class FrozenInvertedIndex:
             raise IndexFormatError(
                 f"corrupted frozen index {path}: inconsistent section shapes"
             )
-        departures = views.get("departures")
-        if header.get("sorted_by_departure") and departures is None:
+        if header.get("sorted_by_departure") and "departures" not in views:
             raise IndexFormatError(
                 f"corrupted frozen index {path}: departure-sorted header "
                 "but no departures section"
             )
         meta = {k: v for k, v in header.items() if k != "sections"}
         return cls(
-            symbols=symbols,
-            offsets=offsets,
-            tids=tids,
-            positions=positions,
-            departures=departures,
-            meta=meta,
+            views,
+            meta,
             path=path,
             mmap_buffer=buffer,
             mmap_handle=handle,
@@ -487,22 +457,16 @@ class FrozenInvertedIndex:
             return 0, 0
         return int(self._offsets[i]), int(self._offsets[i + 1])
 
+    def _pairs(self, lo: int, hi: int) -> Sequence[Posting]:
+        """Rows ``lo:hi`` of the postings columns as python-int tuples."""
+        if lo == hi:
+            return _EMPTY
+        return list(zip(self._tids[lo:hi].tolist(), self._positions[lo:hi].tolist()))
+
     def postings(self, symbol: int) -> Sequence[Posting]:
         """``L_q``: every ``(id, position)`` where ``symbol`` occurs, in
         the same order the dict index stores them."""
-        lo, hi = self._slice(symbol)
-        if lo == hi:
-            return _EMPTY
-        return list(
-            zip(self._tids[lo:hi].tolist(), self._positions[lo:hi].tolist())
-        )
-
-    def postings_arrays(self, symbol: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(tids, positions)`` column views for ``symbol``
-        (empty arrays when absent) — the array-native lookup the packed
-        layout exists for.  Treat the views as read-only."""
-        lo, hi = self._slice(symbol)
-        return self._tids[lo:hi], self._positions[lo:hi]
+        return self._pairs(*self._slice(symbol))
 
     def frequency(self, symbol: int) -> int:
         """``n(q)``: total occurrence count of ``symbol`` in the dataset."""
@@ -515,17 +479,8 @@ class FrozenInvertedIndex:
         if not self._sorted:
             raise ValueError("index not sorted by departure time")
         lo, hi = self._slice(symbol)
-        if lo == hi:
-            return _EMPTY
-        assert self._departures is not None
-        cut = lo + int(
-            np.searchsorted(self._departures[lo:hi], latest, side="right")
-        )
-        if cut == lo:
-            return _EMPTY
-        return list(
-            zip(self._tids[lo:cut].tolist(), self._positions[lo:cut].tolist())
-        )
+        cut = np.searchsorted(self._departures[lo:hi], latest, side="right")
+        return self._pairs(lo, lo + int(cut))
 
     # -- introspection -------------------------------------------------------
 
@@ -572,8 +527,7 @@ class FrozenInvertedIndex:
     def memory_bytes(self) -> int:
         """Bytes held by the packed arrays (== file payload bytes; for a
         mapping this is *shared* address space, not private RSS)."""
-        total = sum(arr.nbytes for _, arr in self._sections())
-        return int(total)
+        return int(sum(arr.nbytes for arr in self._columns.values()))
 
     def file_bytes(self) -> Optional[int]:
         """On-disk size of the backing file (``None`` when in-memory)."""
@@ -612,123 +566,91 @@ class FrozenInvertedIndex:
 
 
 class DeltaOverlayIndex:
-    """A frozen base with a dict-backed delta overlay: the mutable front
-    of ``index_backend="frozen"``.
+    """A frozen base plus an :class:`~repro.core.invindex.InvertedIndex`
+    over the trajectories past it: the mutable front of
+    ``index_backend="frozen"``.
 
     Lookups merge base postings (packed arrays) with delta postings
-    (plain tuples, exactly the mutable index's layout): base first, then
-    delta, which is the order the dict index would hold after the same
-    appends — so both backends stay bit-identical through online inserts.
-    Appends publish one immutable tuple per symbol, preserving the
-    per-symbol atomicity (and its documented per-trajectory race window)
-    of :meth:`~repro.core.invindex.InvertedIndex.append_trajectory`.
-    Departure-sorted bases reject appends, like the dict variant.
+    (plain tuples): base first, then delta, which is the order the dict
+    index would hold after the same appends — so both backends stay
+    bit-identical through online inserts.  Appends are the delta's own
+    (:meth:`~repro.core.invindex.InvertedIndex.append_trajectory`, atomic
+    per trajectory).  The delta is built with the base's departure-sort
+    flag: a sorted overlay prunes both halves by their own departure keys
+    and, like the dict variant, rejects appends.
     """
 
     def __init__(self, base: FrozenInvertedIndex, dataset: TrajectoryDataset) -> None:
         self._base = base
-        self._dataset = dataset
-        self._delta: Dict[int, Tuple[Posting, ...]] = {}
-        self._delta_postings = 0
-        #: delta symbols the base has never seen (num_symbols = base + these)
-        self._new_symbols = 0
-        self._sorted = base.sorted_by_departure
-        # Index any trajectories appended to the dataset after the freeze
-        # (none when the engine validated counts at construction).
-        for tid in range(base.num_trajectories, len(dataset)):
-            self._index_one(tid)
-
-    @property
-    def base(self) -> FrozenInvertedIndex:
-        """The immutable frozen base."""
-        return self._base
+        # Trajectories appended to the dataset after the freeze (none
+        # when the file covers the whole dataset).
+        self._delta = InvertedIndex(
+            dataset,
+            sort_by_departure=base.sorted_by_departure,
+            first_tid=base.num_trajectories,
+        )
 
     @property
     def sorted_by_departure(self) -> bool:
         """Whether postings are departure-ordered (closed to appends)."""
-        return self._sorted
+        return self._base.sorted_by_departure
 
     @property
     def delta_postings(self) -> int:
-        """Postings added by online inserts since the freeze."""
-        return self._delta_postings
-
-    # -- incremental updates -------------------------------------------------
-
-    def _index_one(self, tid: int) -> None:
-        # Atomic per-trajectory publication (mirrors the dict backend):
-        # stage every touched symbol's new postings tuple, then install
-        # them with one dict.update — a lock-free reader never observes a
-        # half-indexed trajectory.
-        staged: Dict[int, Tuple[Posting, ...]] = {}
-        added = 0
-        for pos, sym in enumerate(self._dataset.symbols(tid)):
-            staged[sym] = staged.get(
-                sym, self._delta.get(sym, _EMPTY)
-            ) + ((tid, pos),)
-            added += 1
-        self._new_symbols += sum(
-            1
-            for sym in staged
-            if sym not in self._delta and not self._base.frequency(sym)
-        )
-        self._delta.update(staged)
-        self._delta_postings += added
+        """Postings of the trajectories the frozen base does not cover."""
+        return self._delta.num_postings
 
     def append_trajectory(self, tid: int) -> None:
         """Index one trajectory appended to the dataset (delta only; the
         frozen base is never touched)."""
-        if self._sorted:
-            raise ValueError("cannot append to a departure-sorted index")
-        self._index_one(tid)
+        self._delta.append_trajectory(tid)
 
     # -- lookups -------------------------------------------------------------
 
+    @staticmethod
+    def _merged(base: Sequence[Posting], delta: Sequence[Posting]) -> Sequence[Posting]:
+        return [*base, *delta] if base and delta else base or delta
+
     def postings(self, symbol: int) -> Sequence[Posting]:
         """``L_q`` across base and delta (base postings first)."""
-        base = self._base.postings(symbol)
-        delta = self._delta.get(symbol)
-        if delta is None:
-            return base
-        if not base:
-            return delta
-        return list(base) + list(delta)
+        return self._merged(self._base.postings(symbol), self._delta.postings(symbol))
 
     def frequency(self, symbol: int) -> int:
         """``n(q)`` across base and delta."""
-        return self._base.frequency(symbol) + len(self._delta.get(symbol, _EMPTY))
+        return self._base.frequency(symbol) + self._delta.frequency(symbol)
 
     def postings_departing_before(self, symbol: int, latest: float) -> Sequence[Posting]:
-        """Temporal-pruned postings (sorted bases only; a sorted base
-        rejects appends, so the delta is empty by construction)."""
-        if not self._sorted:
-            raise ValueError("index not sorted by departure time")
-        return self._base.postings_departing_before(symbol, latest)
+        """Temporal-pruned postings (sorted bases only), each half cut by
+        its own departure keys."""
+        return self._merged(
+            self._base.postings_departing_before(symbol, latest),
+            self._delta.postings_departing_before(symbol, latest),
+        )
 
     # -- introspection -------------------------------------------------------
 
     @property
     def num_symbols(self) -> int:
         """Distinct symbols with non-empty postings (base ∪ delta)."""
-        return self._base.num_symbols + self._new_symbols
+        known = self._base.frequency
+        return self._base.num_symbols + sum(
+            1 for sym in self._delta.symbols() if not known(sym)
+        )
 
     @property
     def num_postings(self) -> int:
         """Total posting count across base and delta."""
-        return self._base.num_postings + self._delta_postings
+        return self._base.num_postings + self._delta.num_postings
 
     def memory_bytes(self) -> int:
-        """Packed-array bytes plus the delta overlay's object sizes."""
-        total = self._base.memory_bytes() + sys.getsizeof(self._delta)
-        for sym, plist in self._delta.items():
-            total += sys.getsizeof(sym) + sys.getsizeof(plist)
-            total += sum(sys.getsizeof(p) for p in plist)
-        return total
+        """Packed-array bytes plus the delta's object sizes."""
+        return self._base.memory_bytes() + self._delta.memory_bytes()
 
     def stats(self) -> Dict[str, Any]:
-        """Counters for ``/healthz`` and the metrics collectors."""
+        """Counters for ``/healthz`` and the metrics collectors (the
+        base's, with the counts the delta adds)."""
         out = self._base.stats()
-        out["delta_postings"] = self._delta_postings
+        out["delta_postings"] = self.delta_postings
         out["num_symbols"] = self.num_symbols
         out["num_postings"] = self.num_postings
         return out

@@ -1,23 +1,17 @@
-"""Inverted index over trajectory symbols (§4.1) — the dict-backed backend.
+"""Inverted index over trajectory symbols (§4.1) — the one mutable
+postings store and the one dataset traversal.
 
 One postings list per symbol; a posting is ``(trajectory_id, position)``.
 Postings can optionally be ordered by trajectory departure time so that
 temporal constraints can prune candidates with a binary search instead of a
 scan (§4.3).
 
-This is one of two interchangeable index backends behind
-:class:`~repro.core.engine.SubtrajectorySearch`:
-
-- ``index_backend="dict"`` (this module): mutable python tuples, built
-  in-process — the right default at reproduction scale and for datasets
-  taking frequent online inserts.
-- ``index_backend="frozen"`` (:mod:`repro.core.frozen`): the same
-  postings packed into flat ``int32``/``int64`` arrays, memory-mapped
-  from a versioned single-file container (byte layout specified in
-  ``docs/INDEX_FORMAT.md``) and shared read-only across worker
-  processes, with a dict-backed delta overlay for online inserts.
-
-Both backends return bit-identical query results (hypothesis-pinned in
+Under ``index_backend="dict"`` an :class:`InvertedIndex` is the engine's
+whole index.  Under ``"frozen"`` (:mod:`repro.core.frozen`)
+``FrozenInvertedIndex.freeze`` packs one into mmap-able arrays, and a
+second one, started at the first trajectory the file does not cover
+(``first_tid``), is the ``DeltaOverlayIndex``'s mutable front.  Both
+backends return bit-identical query results (hypothesis-pinned in
 ``tests/test_core_frozen.py``).
 """
 
@@ -26,7 +20,7 @@ from __future__ import annotations
 import bisect
 import sys
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.trajectory.dataset import TrajectoryDataset
 
@@ -43,6 +37,8 @@ class InvertedIndex:
     ``sort_by_departure=True`` orders each list by the owning trajectory's
     first timestamp and keeps a parallel key array for binary search —
     the paper's optimization for interval-constrained queries.
+    ``first_tid`` skips the trajectories below it (the ones a frozen
+    base already covers).
     """
 
     def __init__(
@@ -50,14 +46,12 @@ class InvertedIndex:
         dataset: TrajectoryDataset,
         *,
         sort_by_departure: bool = False,
+        first_tid: int = 0,
     ) -> None:
         t0 = time.perf_counter()
         self._dataset = dataset
         self._sorted = sort_by_departure
-        postings: Dict[int, List[Posting]] = {}
-        for tid in range(len(dataset)):
-            for pos, sym in enumerate(dataset.symbols(tid)):
-                postings.setdefault(sym, []).append((tid, pos))
+        postings = self._walk(range(first_tid, len(dataset)))
         self._departures: Dict[int, List[float]] = {}
         if sort_by_departure:
             for sym, plist in postings.items():
@@ -66,7 +60,19 @@ class InvertedIndex:
         self._postings: Dict[int, Tuple[Posting, ...]] = {
             sym: tuple(plist) for sym, plist in postings.items()
         }
+        self._num_postings = sum(len(p) for p in postings.values())
+        # (posting count, bytes) of the last memory_bytes() walk stats() took.
+        self._bytes_memo: Optional[Tuple[int, int]] = None
         self.build_seconds = time.perf_counter() - t0
+
+    def _walk(self, tids: Iterable[int]) -> Dict[int, List[Posting]]:
+        """The one dataset traversal: every symbol of ``tids``' trajectories
+        with its ``(tid, position)`` postings, in id order."""
+        found: Dict[int, List[Posting]] = {}
+        for tid in tids:
+            for pos, sym in enumerate(self._dataset.symbols(tid)):
+                found.setdefault(sym, []).append((tid, pos))
+        return found
 
     @property
     def sorted_by_departure(self) -> bool:
@@ -89,12 +95,11 @@ class InvertedIndex:
         """
         if self._sorted:
             raise ValueError("cannot append to a departure-sorted index")
-        staged: Dict[int, Tuple[Posting, ...]] = {}
-        for pos, sym in enumerate(self._dataset.symbols(tid)):
-            staged[sym] = staged.get(
-                sym, self._postings.get(sym, _EMPTY)
-            ) + ((tid, pos),)
-        self._postings.update(staged)
+        current, added = self._postings, self._walk((tid,))
+        current.update(
+            {sym: current.get(sym, _EMPTY) + tuple(new) for sym, new in added.items()}
+        )
+        self._num_postings += sum(len(new) for new in added.values())
 
     # -- lookups ------------------------------------------------------------
 
@@ -123,6 +128,10 @@ class InvertedIndex:
 
     # -- introspection -----------------------------------------------------------
 
+    def symbols(self) -> List[int]:
+        """A snapshot of the distinct symbols with non-empty postings."""
+        return list(self._postings)
+
     @property
     def num_symbols(self) -> int:
         """Distinct symbols with non-empty postings."""
@@ -130,8 +139,8 @@ class InvertedIndex:
 
     @property
     def num_postings(self) -> int:
-        """Total posting count (== total symbols in the dataset)."""
-        return sum(len(p) for p in self._postings.values())
+        """Total posting count (== total symbols indexed)."""
+        return self._num_postings
 
     def memory_bytes(self) -> int:
         """Rough memory footprint of the postings (index-size metric for
@@ -141,3 +150,18 @@ class InvertedIndex:
             total += sys.getsizeof(sym) + sys.getsizeof(plist)
             total += sum(sys.getsizeof(p) for p in plist)
         return total
+
+    def stats(self) -> Dict[str, Any]:
+        """Counters for ``/healthz`` and the metrics collectors.  The
+        byte figure is memoized on the posting count, so repeated probes
+        of an unchanged index skip the O(postings) size walk."""
+        num, memo = self._num_postings, self._bytes_memo
+        if memo is None or memo[0] != num:
+            memo = self._bytes_memo = (num, self.memory_bytes())
+        return {
+            "backend": "dict",
+            "num_symbols": self.num_symbols,
+            "num_postings": num,
+            "bytes": memo[1],
+            "mmap": False,
+        }

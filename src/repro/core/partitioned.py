@@ -51,7 +51,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.cancellation import raise_if_cancelled
-from repro.core.engine import QueryResult, SubtrajectorySearch
+from repro.core.engine import QueryResult, SubtrajectorySearch, check_index_options
 from repro.core.frozen import round_robin_shards, shard_index_path
 from repro.core.results import Match
 from repro.core.trie import TrieCache
@@ -231,8 +231,7 @@ class PartitionedSubtrajectorySearch:
             )
         num_shards = min(num_shards, len(dataset))
         index_path = engine_kwargs.pop("index_path", None)
-        if index_path is not None and engine_kwargs.get("index_backend") != "frozen":
-            raise QueryError("index_path requires index_backend='frozen'")
+        check_index_options(engine_kwargs.get("index_backend", "dict"), index_path)
         # Per-shard engine kwargs: shard k opens its own frozen file and
         # must find its own shard provenance in the header.
         per_shard_kwargs: Optional[List[Dict[str, Any]]] = None

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.cancellation import raise_if_cancelled
+from repro.core.filtering import check_alphabet
 from repro.core.results import Match, best_match_per_trajectory
 from repro.distance.smith_waterman import best_match
 from repro.exceptions import QueryError
@@ -195,6 +196,7 @@ def topk_search(
     if not initial_tau_ratio > 0:
         raise QueryError("initial_tau_ratio must be positive")
     costs, dataset = _engine_surfaces(engine)
+    check_alphabet(query, costs)
     total_ins = sum(costs.ins(q) for q in query)
     if total_ins <= 0:
         raise QueryError("query has zero total insertion cost")

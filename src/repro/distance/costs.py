@@ -269,6 +269,12 @@ class CostModel(ABC):
     #: display name used in benchmark tables
     name: str = "wed"
 
+    @property
+    def alphabet_size(self) -> Optional[int]:
+        """Graph-bound models answer only for symbols ``0 .. size - 1``
+        (their vertex or edge ids); ``None`` = any integer is a symbol."""
+        return None
+
     @abstractmethod
     def sub(self, a: int, b: int) -> float:
         """Substitution cost ``sub(a, b)``."""
@@ -388,6 +394,10 @@ class _CoordinateModel(CostModel):
         self._coords = list(graph.coords)
         self._coords_arr = np.asarray(self._coords, dtype=np.float64)
         self._tree = KDTree(self._coords)
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self._coords)
 
     def _distance(self, a: int, b: int) -> float:
         return euclidean(self._coords[a], self._coords[b])
@@ -567,6 +577,10 @@ class _NetworkModel(CostModel):
         )
         self._cache: Dict[Tuple[int, int], float] = {}
 
+    @property
+    def alphabet_size(self) -> int:
+        return self._graph.num_vertices
+
     def network_distance(self, a: int, b: int) -> float:
         """Memoized undirected shortest-path distance between vertices."""
         if a == b:
@@ -665,6 +679,10 @@ class SURSCost(CostModel):
         self.representation = "edge"
         self._weights = [e.weight for e in graph.edges]
         self._weights_arr = np.asarray(self._weights, dtype=np.float64)
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self._weights)
 
     def sub(self, a: int, b: int) -> float:
         return 0.0 if a == b else self._weights[a] + self._weights[b]

@@ -6,11 +6,10 @@ functions (EDR, ERP), and the ERP-index baseline stores coordinate sums in
 a kd-tree.  The kd-tree is implemented from scratch here.
 """
 
-from repro.spatial.geometry import BoundingBox, Point, euclidean, squared_euclidean
+from repro.spatial.geometry import Point, euclidean, squared_euclidean
 from repro.spatial.kdtree import KDTree
 
 __all__ = [
-    "BoundingBox",
     "KDTree",
     "Point",
     "euclidean",

@@ -9,7 +9,6 @@ the small set of operations the rest of the library needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 Point = Tuple[float, float]
@@ -56,65 +55,3 @@ def centroid(points: Iterable[Sequence[float]]) -> Point:
     if n == 0:
         raise ValueError("centroid of empty point set")
     return (xs / n, ys / n)
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned rectangle ``[xmin, xmax] x [ymin, ymax]``."""
-
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
-
-    def __post_init__(self) -> None:
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise ValueError(f"degenerate bounding box: {self}")
-
-    @staticmethod
-    def from_points(points: Iterable[Sequence[float]]) -> "BoundingBox":
-        """The tightest box covering a non-empty point collection."""
-        xs, ys = [], []
-        for p in points:
-            xs.append(p[0])
-            ys.append(p[1])
-        if not xs:
-            raise ValueError("bounding box of empty point set")
-        return BoundingBox(min(xs), min(ys), max(xs), max(ys))
-
-    def contains(self, p: Sequence[float]) -> bool:
-        """Closed containment test for a point."""
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """Whether two boxes share any point (boundaries count)."""
-        return not (
-            other.xmax < self.xmin
-            or other.xmin > self.xmax
-            or other.ymax < self.ymin
-            or other.ymin > self.ymax
-        )
-
-    def expanded(self, other: "BoundingBox") -> "BoundingBox":
-        """The smallest box covering both ``self`` and ``other``."""
-        return BoundingBox(
-            min(self.xmin, other.xmin),
-            min(self.ymin, other.ymin),
-            max(self.xmax, other.xmax),
-            max(self.ymax, other.ymax),
-        )
-
-    def min_distance(self, p: Sequence[float]) -> float:
-        """Minimum Euclidean distance from ``p`` to this box (0 if inside)."""
-        dx = max(self.xmin - p[0], 0.0, p[0] - self.xmax)
-        dy = max(self.ymin - p[1], 0.0, p[1] - self.ymax)
-        return math.hypot(dx, dy)
-
-    @property
-    def area(self) -> float:
-        """Box area."""
-        return (self.xmax - self.xmin) * (self.ymax - self.ymin)
-
-    def enlargement(self, other: "BoundingBox") -> float:
-        """Area increase if this box were expanded to cover ``other``."""
-        return self.expanded(other).area - self.area

@@ -8,6 +8,7 @@ representations requires the road network and is provided here.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import TrajectoryError
@@ -20,7 +21,7 @@ class Trajectory:
     """A network-constrained trajectory ``(P, T)``.
 
     ``path`` is the vertex representation; ``timestamps`` (optional) must be
-    non-decreasing and as long as the path.  Instances are immutable.
+    finite, non-decreasing and as long as the path.  Instances are immutable.
 
     >>> t = Trajectory([3, 4, 5], timestamps=[0.0, 10.0, 25.0])
     >>> len(t), t.duration
@@ -43,6 +44,10 @@ class Trajectory:
                     f"timestamps length {len(timestamps)} != path length {len(path)}"
                 )
             ts = tuple(float(t) for t in timestamps)
+            if not all(math.isfinite(t) for t in ts):
+                # NaN passes the ordering check below (``b < a`` is False)
+                # and would poison interval predicates and departure sorts.
+                raise TrajectoryError("timestamps must be finite numbers")
             if any(b < a for a, b in zip(ts, ts[1:])):
                 raise TrajectoryError("timestamps must be non-decreasing")
             self._timestamps: Optional[Tuple[float, ...]] = ts

@@ -121,6 +121,35 @@ class TestValidation:
         assert result.matches == []
         assert result.num_candidates == 0
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tau_rejected(self, vertex_dataset, edr_cost, tau):
+        # NaN passes `tau <= 0` and the degenerate-query guard: it used
+        # to come back as an empty answer carrying tau=nan.
+        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
+        with pytest.raises(QueryError, match="finite"):
+            engine.query([1, 2, 3], tau=tau)
+
+    @pytest.mark.parametrize("model_name", ALL_MODELS[1:])
+    @pytest.mark.parametrize("stray", [-3, 10**6])
+    def test_out_of_alphabet_symbol_rejected(
+        self, model_name, stray, vertex_dataset, edge_dataset, request
+    ):
+        """A negative id was answered as ``size + id`` (python indexing)
+        and one past the end was an IndexError; both are a QueryError
+        now, on range and top-k queries alike."""
+        costs = request.getfixturevalue(model_name)
+        dataset = edge_dataset if costs.representation == "edge" else vertex_dataset
+        engine = SubtrajectorySearch(dataset, costs)
+        query = [*dataset.symbols(0)[:3], stray]
+        with pytest.raises(QueryError, match="alphabet"):
+            engine.query(query, tau_ratio=0.2)
+        with pytest.raises(QueryError, match="alphabet"):
+            engine.topk(query, 2)
+
+    def test_levenshtein_alphabet_is_unbounded(self, vertex_dataset, lev_cost):
+        engine = SubtrajectorySearch(vertex_dataset, lev_cost)
+        assert engine.query([1, 2, -3, 10**6], tau=1.0).matches == []
+
 
 class TestResultObject:
     def test_timings_populated(self, vertex_dataset, edr_cost, rng):

@@ -23,6 +23,7 @@ this suite pins:
 - the ``repro index build`` / ``index inspect`` CLI round-trips.
 """
 
+import inspect
 import json
 
 import pytest
@@ -43,6 +44,7 @@ from repro.core.frozen import (
 )
 from repro.core.invindex import InvertedIndex
 from repro.core.partitioned import PartitionedSubtrajectorySearch
+from repro.core.temporal import TimeInterval
 from repro.distance.costs import LevenshteinCost
 from repro.exceptions import QueryError
 from repro.trajectory.dataset import TrajectoryDataset
@@ -138,15 +140,6 @@ class TestFreezeParity:
         written = FrozenInvertedIndex.freeze(vertex_dataset).save(path)
         assert written <= 0.5 * dict_bytes
 
-    def test_postings_arrays_views(self, tiny_dataset):
-        frozen = FrozenInvertedIndex.freeze(tiny_dataset)
-        tids, positions = frozen.postings_arrays(1)
-        assert list(zip(tids.tolist(), positions.tolist())) == list(
-            frozen.postings(1)
-        )
-        empty_t, empty_p = frozen.postings_arrays(99)
-        assert len(empty_t) == 0 and len(empty_p) == 0
-
 
 class TestDeltaOverlay:
     def test_append_merges_after_base(self, line_graph):
@@ -187,6 +180,46 @@ class TestDeltaOverlay:
         overlay = DeltaOverlayIndex(base, tiny_dataset)
         with pytest.raises(ValueError, match="departure-sorted"):
             overlay.append_trajectory(0)
+
+    def test_sorted_overlay_prunes_the_tail_by_its_own_keys(self, tiny_dataset):
+        base = FrozenInvertedIndex.freeze(tiny_dataset, sort_by_departure=True)
+        tiny_dataset.add(Trajectory([1, 2], timestamps=[15.0, 16.0]))
+        tiny_dataset.add(Trajectory([2, 1], timestamps=[8.0, 9.0]))
+        overlay = DeltaOverlayIndex(base, tiny_dataset)
+        assert overlay.sorted_by_departure and overlay.delta_postings == 4
+        whole = InvertedIndex(tiny_dataset, sort_by_departure=True)
+        for sym in range(6):
+            assert sorted(overlay.postings(sym)) == sorted(whole.postings(sym))
+            for latest in (0.0, 5.0, 8.0, 10.0, 15.0, 25.0):
+                # Base-first, so the order differs from one global sort;
+                # the postings are the same.
+                assert sorted(overlay.postings_departing_before(sym, latest)) == sorted(
+                    whole.postings_departing_before(sym, latest)
+                ), (sym, latest)
+        with pytest.raises(ValueError, match="departure-sorted"):
+            overlay.append_trajectory(4)
+
+    def test_figures_are_base_plus_an_index_over_the_tail(self, line_graph):
+        ds = dataset_of([[0, 1, 2], [2, 1]], line_graph)
+        base = FrozenInvertedIndex.freeze(ds)
+        ds.add(Trajectory([2, 3, 4]))  # in the dataset when the overlay opens
+        overlay = DeltaOverlayIndex(base, ds)
+        for appended in ([], [[4, 5, 5]], [[0, 5]]):
+            for path in appended:
+                overlay.append_trajectory(ds.add(Trajectory(path)))
+            tail = InvertedIndex(ds, first_tid=base.num_trajectories)
+            new_symbols = [s for s in tail.symbols() if not base.frequency(s)]
+            assert overlay.delta_postings == tail.num_postings
+            assert overlay.num_postings == base.num_postings + tail.num_postings
+            assert overlay.num_symbols == base.num_symbols + len(new_symbols)
+            assert overlay.memory_bytes() == base.memory_bytes() + tail.memory_bytes()
+            assert overlay.stats() == {
+                **base.stats(),
+                "delta_postings": tail.num_postings,
+                "num_symbols": overlay.num_symbols,
+                "num_postings": overlay.num_postings,
+            }
+        assert (overlay.num_symbols, overlay.num_postings) == (6, 13)
 
     def test_stats_shape(self, tiny_dataset):
         overlay = DeltaOverlayIndex(
@@ -394,12 +427,26 @@ class TestEngineBackend:
             SubtrajectorySearch(
                 small, lev, index_backend="frozen", index_path=str(path)
             )
-        # Sort-flag mismatch.
+        # Sort-flag mismatch, either way round; left unsaid, the flag is
+        # what the file says.
         with pytest.raises(QueryError, match="sort_by_departure"):
             SubtrajectorySearch(
                 vertex_dataset, lev, index_backend="frozen",
                 index_path=str(path), sort_by_departure=True,
             )
+        by_departure = tmp_path / "sorted.reproidx"
+        FrozenInvertedIndex.freeze(vertex_dataset, sort_by_departure=True).save(by_departure)
+        with pytest.raises(QueryError, match="sort_by_departure"):
+            SubtrajectorySearch(
+                vertex_dataset, lev, index_backend="frozen",
+                index_path=str(by_departure), sort_by_departure=False,
+            )
+        for file, is_sorted in ((path, False), (by_departure, True)):
+            engine = SubtrajectorySearch(
+                vertex_dataset, lev, index_backend="frozen", index_path=str(file)
+            )
+            assert engine.index.sorted_by_departure is is_sorted
+        assert not SubtrajectorySearch(vertex_dataset, lev).index.sorted_by_departure
         # A sharded file fed to an unsharded engine.
         sharded = tmp_path / "shard.reproidx"
         FrozenInvertedIndex.freeze(
@@ -432,6 +479,9 @@ class TestEngineBackend:
                 k: stats["frozen"][k] for k in shared
             }
         assert (stats["frozen"]["num_symbols"], stats["frozen"]["num_postings"]) == (6, 15)
+        # ... because each index answers stats() itself: the engine holds
+        # no per-backend branch.
+        assert "isinstance" not in inspect.getsource(SubtrajectorySearch.index_stats)
 
     def test_dict_index_stats(self, vertex_dataset):
         engine = SubtrajectorySearch(vertex_dataset, lev)
@@ -564,14 +614,29 @@ class TestCLI:
         ]) == 0
         assert json.loads(capsys.readouterr().out)["self_test"] == "ok"
 
+    def test_serve_self_test_with_sorted_index(self, workspace, tmp_path, capsys):
+        """``index build --sort-by-departure`` writes a file ``serve
+        --index`` takes as it is: the flag is read from the header."""
+        net, trips = workspace
+        out = str(tmp_path / "sorted.reproidx")
+        assert main([
+            "index", "build", "--network", net, "--trips", trips,
+            "--out", out, "--sort-by-departure",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["index", "inspect", out]) == 0
+        assert json.loads(capsys.readouterr().out)["sorted_by_departure"] is True
+        assert main([
+            "serve", "--network", net, "--trips", trips, "--index", out,
+            "--self-test", "--function", "lev",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["self_test"] == "ok"
+
 
 # -- hypothesis parity --------------------------------------------------------
 
-paths = st.lists(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8),
-    min_size=1,
-    max_size=8,
-)
+path = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8)
+paths = st.lists(path, min_size=1, max_size=8)
 queries = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6)
 
 
@@ -622,3 +687,49 @@ class TestHypothesisParity:
         got = frozen_engine.query(query, tau=tau)
         assert got.matches == ref.matches
         assert got.verification == ref.verification
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        timed=st.lists(
+            st.tuples(path, st.integers(0, 30)),
+            min_size=2,
+            max_size=10,
+        ),
+        frozen_share=st.floats(0.1, 0.9),
+        query=queries,
+        window=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+        sort=st.booleans(),
+    )
+    def test_file_frozen_before_the_dataset_grew(
+        self, line_graph, tmp_path_factory, timed, frozen_share, query, window, sort
+    ):
+        """A file frozen from a prefix of the dataset, opened after the
+        dataset grew: the tail lives in the overlay's front, and interval
+        queries must find it there — with the temporal filter on (which,
+        on a sorted file, cuts each half by its own departure keys) and
+        off."""
+        ds = TrajectoryDataset(line_graph)
+        path = tmp_path_factory.mktemp("grown") / "idx.reproidx"
+        cut = max(1, int(len(timed) * frozen_share))
+        for i, (symbols, departure) in enumerate(timed):
+            if i == cut:
+                FrozenInvertedIndex.freeze(ds, sort_by_departure=sort).save(path)
+            ds.add(Trajectory(symbols, timestamps=[departure + j for j in range(len(symbols))]))
+        dict_engine = SubtrajectorySearch(ds, lev, sort_by_departure=sort)
+        frozen_engine = SubtrajectorySearch(
+            ds, lev, sort_by_departure=sort, index_backend="frozen", index_path=str(path)
+        )
+        assert frozen_engine.index.delta_postings == sum(
+            len(symbols) for symbols, _ in timed[cut:]
+        )
+        tau = min(1.5, float(len(query)))  # keep the query non-degenerate
+        for temporal_filter in (True, False):
+            asked = dict(
+                tau=tau,
+                time_interval=TimeInterval(*window),
+                temporal_filter=temporal_filter,
+            )
+            ref = dict_engine.query(query, **asked)
+            got = frozen_engine.query(query, **asked)
+            assert got.matches == ref.matches, temporal_filter
+            assert got.num_candidates == ref.num_candidates, temporal_filter

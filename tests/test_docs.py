@@ -151,10 +151,11 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
 #: what the one fan-out replaced (the pool's own fan-out, the executor's
 #: span attribute for its private one, the engine's pool-size knob), and
 #: what the one warm-query cache replaced (the substitution LRU, its
-#: keyword and its flag).
+#: keyword and its flag), and the R-tree's box, which outlived the R-tree.
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
     r"|substitution_cache_size|--substitution-cache-size|SubstitutionMatrixCache"
+    r"|BoundingBox"
 )
 
 

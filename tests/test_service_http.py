@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.engine import SubtrajectorySearch
-from repro.distance.costs import LevenshteinCost
+from repro.distance.costs import EDRCost, LevenshteinCost
 from repro.service import QueryService, ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.model import Trajectory
@@ -126,6 +126,9 @@ class TestErrors:
             ("/query", {"path": [1, 2], "tau": 1.0, "limit": 1.0}),
             ("/trajectories", {"path": [1.5, 2.7]}),
             ("/trajectories", {"path": [1, True]}),
+            # json.loads admits NaN; a NaN departure poisons interval
+            # predicates and the departure sort.
+            ("/trajectories", {"path": [1, 2, 3], "timestamps": [float("nan"), 1, 5]}),
         ],
     )
     def test_bad_requests_are_400(self, server, route, payload):
@@ -194,6 +197,20 @@ class TestErrors:
                 {"path": [1, 2], "tau": 1.0, "deadline": 0},
             )
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("body", [{"tau": 1.0}, {"k": 1}])
+    @pytest.mark.parametrize("stray", [-3, 99])
+    def test_out_of_alphabet_symbol_is_400(self, line_graph, stray, body):
+        """Under a graph-bound model ``-3`` used to be answered as vertex
+        ``|V| - 3`` and ``99`` was an IndexError, i.e. a 500."""
+        ds = TrajectoryDataset(line_graph)
+        ds.add(Trajectory([0, 1, 2, 3]))
+        service = QueryService(SubtrajectorySearch(ds, EDRCost(line_graph, 0.5)))
+        with ServiceServer(service).start() as srv:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(srv.url + "/query", {"path": [1, 2, stray], **body})
+            assert err.value.code == 400
+            assert "alphabet" in json.loads(err.value.read())["error"]
 
     def test_unexpected_service_error_is_json_500(self, server):
         service = server._service

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.spatial.geometry import (
-    BoundingBox,
     centroid,
     euclidean,
     squared_euclidean,
@@ -50,52 +49,3 @@ class TestCentroid:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             centroid([])
-
-
-class TestBoundingBox:
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(1, 0, 0, 1)
-
-    def test_contains(self):
-        box = BoundingBox(0, 0, 2, 2)
-        assert box.contains((1, 1))
-        assert box.contains((0, 0))  # boundary included
-        assert not box.contains((3, 1))
-
-    def test_intersects(self):
-        a = BoundingBox(0, 0, 2, 2)
-        assert a.intersects(BoundingBox(1, 1, 3, 3))
-        assert a.intersects(BoundingBox(2, 2, 4, 4))  # touching counts
-        assert not a.intersects(BoundingBox(3, 3, 4, 4))
-
-    def test_expanded_covers_both(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(2, 2, 3, 3)
-        e = a.expanded(b)
-        assert e.contains((0, 0)) and e.contains((3, 3))
-
-    def test_min_distance_inside_is_zero(self):
-        assert BoundingBox(0, 0, 2, 2).min_distance((1, 1)) == 0.0
-
-    def test_min_distance_outside(self):
-        assert BoundingBox(0, 0, 1, 1).min_distance((4, 5)) == 5.0
-
-    def test_from_points(self):
-        box = BoundingBox.from_points([(1, 5), (-2, 3), (0, 0)])
-        assert (box.xmin, box.ymin, box.xmax, box.ymax) == (-2, 0, 1, 5)
-
-    def test_from_points_empty_raises(self):
-        with pytest.raises(ValueError):
-            BoundingBox.from_points([])
-
-    def test_area_and_enlargement(self):
-        a = BoundingBox(0, 0, 2, 3)
-        assert a.area == 6.0
-        assert a.enlargement(BoundingBox(0, 0, 1, 1)) == 0.0
-        assert a.enlargement(BoundingBox(0, 0, 4, 3)) == pytest.approx(6.0)
-
-    @given(st.lists(points, min_size=1, max_size=30))
-    def test_from_points_contains_all(self, pts):
-        box = BoundingBox.from_points(pts)
-        assert all(box.contains(p) for p in pts)

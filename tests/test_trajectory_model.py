@@ -25,6 +25,14 @@ class TestConstruction:
         with pytest.raises(TrajectoryError):
             Trajectory([1, 2, 3], timestamps=[0.0, 5.0, 4.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamps_rejected(self, bad):
+        # NaN passes the ordering check (``b < a`` is False either way).
+        with pytest.raises(TrajectoryError, match="finite"):
+            Trajectory([1, 2, 3], timestamps=[bad, 1.0, 5.0])
+        with pytest.raises(TrajectoryError, match="finite"):
+            Trajectory([1, 2, 3], timestamps=[0.0, 1.0, bad])
+
     def test_equal_timestamps_allowed(self):
         t = Trajectory([1, 2], timestamps=[3.0, 3.0])
         assert t.duration == 0.0
