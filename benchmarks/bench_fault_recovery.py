@@ -98,7 +98,7 @@ def test_fault_recovery(benchmark, recorder, bench_scale):
         respawn_backoff_cap=0.1,
     ) as engine:
         chaos_lat, chaos_answers, chaos_lost = _replay(engine, requests)
-        restarts = engine.restarts_total()
+        restarts = engine.status().restarts_total
 
     victim_lat = [chaos_lat[k - 1] for k in kill_queries]
     calm_lat = [

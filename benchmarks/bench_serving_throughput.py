@@ -533,7 +533,7 @@ def test_remote_backend_latency_and_recovery(recorder, bench_scale):
                 latencies.append(time.perf_counter() - t0)
                 assert _match_keys(result) == expected[tuple(q)]
             recovery_seconds = latencies[REMOTE_STORM_REQUEST - 1]
-            reconnects = engine.restarts_total()
+            reconnects = engine.status().restarts_total
         finally:
             engine.close()
 

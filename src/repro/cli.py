@@ -45,6 +45,7 @@ from repro.distance.costs import (
     NetERPCost,
     SURSCost,
 )
+from repro.exceptions import ReproError
 from repro.network.generators import grid_city, radial_ring_city, random_city
 from repro.network.graph import RoadNetwork
 from repro.network.io import load_network, save_network
@@ -180,10 +181,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     graph, dataset = _load(args, args.representation)
     costs = _build_cost_model(args, graph)
-    if costs.representation != dataset.representation:
-        raise SystemExit(
-            f"{args.function} needs --representation {costs.representation}"
-        )
     engine = SubtrajectorySearch(dataset, costs, **_engine_options(args))
     query = _parse_symbols(args.query)
     interval = None
@@ -192,8 +189,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             raise SystemExit("--time-from and --time-to must be given together")
         interval = TimeInterval(args.time_from, args.time_to)
     if args.top_k is not None:
-        if args.top_k <= 0:
-            raise SystemExit("--top-k must be positive")
         if args.tau is not None:
             raise SystemExit("--top-k and --tau are mutually exclusive")
         if interval is not None:
@@ -340,10 +335,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         raise SystemExit("--network/--trips are required (or pass --self-test)")
     costs = _build_cost_model(args, graph)
-    if costs.representation != dataset.representation:
-        raise SystemExit(
-            f"{args.function} needs --representation {costs.representation}"
-        )
     engine_kwargs = _engine_options(args)
     if args.index is not None:
         engine_kwargs.update(index_backend="frozen", index_path=args.index)
@@ -371,7 +362,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"bad --shard-map: {exc}") from exc
     elif args.shard_map is not None:
         raise SystemExit("--shard-map requires --backend remote")
-    if args.shards > 1 or args.backend in ("processes", "remote"):
+    if args.shards != 1 or args.backend in ("processes", "remote"):
         # "threads" fans shards out on an engine-owned thread pool
         # (GIL-bound verification); "processes" builds one long-lived
         # worker process per shard so verification escapes the GIL —
@@ -406,11 +397,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = ServiceServer(service, host=args.host, port=port)
         if args.self_test:
             return _serve_self_test(
-                server, service, dataset, costs, queries=args.self_test_queries
+                server,
+                service,
+                dataset,
+                costs,
+                queries=args.self_test_queries,
+                faults="fault_plan" in engine_kwargs,
             )
         print(
             f"serving {len(dataset)} trajectories on {server.url} "
-            f"(backend={getattr(engine, 'backend', 'single')}, "
+            f"(backend={engine.status().backend}, "
             f"dp_backend={args.dp_backend})",
             flush=True,
         )
@@ -428,7 +424,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service.close(close_engine=True)
 
 
-def _serve_self_test(server, service, dataset, costs, *, queries: int = 1) -> int:
+def _serve_self_test(
+    server, service, dataset, costs, *, queries: int = 1, faults: bool = False
+) -> int:
     """Start the server, answer ``queries`` HTTP queries, verify each
     against the engine, and exit (the CI smoke path — with a fault plan
     and several queries this is the chaos drill: every query must come
@@ -439,7 +437,11 @@ def _serve_self_test(server, service, dataset, costs, *, queries: int = 1) -> in
     serving backend), plus a shallower repeat that must come back from
     the cache — the serving tier's "k' <= k reuse" rule exercised over
     real HTTP.  Running top-k *after* the range loop keeps fault-plan
-    request ordinals for the chaos drills unchanged."""
+    request ordinals for the chaos drills unchanged.
+
+    Last, ``GET /healthz`` must show the shape every deployment serves:
+    one worker entry per shard, engine blocks free of errors, and status
+    ``ok`` (``degraded`` is allowed only under ``faults``)."""
     import urllib.request
 
     def post_query(payload: dict) -> dict:
@@ -505,20 +507,28 @@ def _serve_self_test(server, service, dataset, costs, *, queries: int = 1) -> in
             print("self-test FAILED: cached truncation changed the ranking")
             return 1
         answered += 2
+        with urllib.request.urlopen(server.url + "/healthz", timeout=60) as response:
+            health = json.loads(response.read().decode("utf-8"))
+        if (
+            health["status"] not in (("ok", "degraded") if faults else ("ok",))
+            or len(health.get("workers", ())) != health.get("shards")
+            or "error" in health["trie_cache"]
+            or "error" in health["index"]
+        ):
+            print(f"self-test FAILED: /healthz served {health}")
+            return 1
         summary = {
             "self_test": "ok",
             "url": server.url,
-            "backend": getattr(service.engine, "backend", "single"),
+            "backend": health["backend"],
             "queries": answered,
             "total_matches": last.get("total_matches"),
             "topk_results": len(answer["results"]),
             "topk_tau_rounds": answer["tau_rounds"],
             "topk_cached_repeat": repeat["cached"],
             "seconds": seconds,
+            "restarts_total": health["restarts_total"],
         }
-        restarts_of = getattr(service.engine, "restarts_total", None)
-        if restarts_of is not None:
-            summary["restarts_total"] = restarts_of()
         print(json.dumps(summary, indent=2))
         return 0
     finally:
@@ -838,7 +848,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        raise SystemExit(f"repro: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,7 +23,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Literal, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple
 
 from repro.core.cancellation import raise_if_cancelled
 from repro.core.filtering import (
@@ -41,6 +41,7 @@ from repro.core.mincand import (
     mincand_prefix,
 )
 from repro.core.results import Match, MatchSet
+from repro.core.supervision import EngineStatus, ShardStatus, WorkerState
 from repro.core.temporal import (
     TemporalMode,
     TimeInterval,
@@ -305,7 +306,7 @@ class SubtrajectorySearch:
         cache shares the file across every process mapping it), else
         frozen from the dataset in memory.  The overlay's mutable front
         is an ``InvertedIndex`` too, so both backends answer queries
-        bit-identically and report the same :meth:`index_stats` keys.
+        bit-identically and report the same ``index.stats()`` keys.
     index_path:
         Path to a frozen index file built by ``repro index build`` (or
         :meth:`FrozenInvertedIndex.save`).  Requires
@@ -445,37 +446,22 @@ class SubtrajectorySearch:
         ``QueryResult.dp_backend_used`` for what a query actually ran)."""
         return self._dp_backend
 
-    def index_stats(self) -> Dict[str, Any]:
-        """The inverted index's backend, size, and (for a mapped frozen
-        base) page-cache residency — surfaced via ``/healthz`` and the
-        ``/metrics`` collectors."""
-        return self.index.stats()
+    def status(self) -> EngineStatus:
+        """One snapshot of this engine — what ``/healthz``, ``/stats`` and
+        ``/metrics`` are projections of.  A bare engine is its own one
+        shard, in-process and so always alive."""
+        shard = ShardStatus(WorkerState(0), self._trie_cache.stats(), self.index.stats())
+        return EngineStatus("single", self._dp_backend, len(self._dataset), [shard])
 
-    def trie_cache_stats(self) -> Dict[str, int]:
-        """Counters of the engine-level TrieCache (capacity / size /
-        bytes / hits / misses / evictions) — surfaced via ``/healthz``
-        and the service stats so repeat-traffic savings are observable."""
-        return self._trie_cache.stats()
+    def close(self) -> None:
+        """Nothing to release (the partitioned engine's counterpart stops
+        threads and workers); here so callers close either engine alike."""
 
-    def cache_stats(self) -> Dict[str, Dict[str, int]]:
-        """The engine-level cache's and the index's counters in one
-        snapshot — what ``/healthz`` and ``/stats`` consume, so one probe
-        is one poll (the partitioned engine's processes backend crosses
-        worker pipes here; see its override)."""
-        return {"trie": self.trie_cache_stats(), "index": self.index_stats()}
+    def __enter__(self) -> "SubtrajectorySearch":
+        return self
 
-    def observability_cache_stats(self) -> Dict[str, Any]:
-        """Cache stats shaped for the ``/metrics`` collectors: one
-        ``(shard_label, counters)`` pair per reporting shard for the
-        cache and for the index.  A single-node engine is its own shard
-        ``"0"``; see the partitioned engine's override for fan-out
-        labeling."""
-        return {
-            "shards": 1,
-            "reporting": 1,
-            "trie": [("0", self.trie_cache_stats())],
-            "index": [("0", self.index_stats())],
-        }
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def add_trajectory(self, trajectory, *, validate: bool = False) -> int:
         """Append one trajectory to the dataset and index it online (§4.1:

@@ -555,13 +555,13 @@ class FrozenInvertedIndex:
             "num_postings": self.num_postings,
             "bytes": self.memory_bytes(),
             "mmap": self.is_mmap,
+            # 0 when in memory / unavailable: every index reports the
+            # same counters, so the cross-shard totals have one shape.
+            "file_bytes": self.file_bytes() or 0,
+            "resident_bytes": self.resident_bytes() or 0,
         }
         if self._path is not None:
             out["path"] = str(self._path)
-            out["file_bytes"] = self.file_bytes()
-            resident = self.resident_bytes()
-            if resident is not None:
-                out["resident_bytes"] = resident
         return out
 
 

@@ -146,7 +146,9 @@ class InvertedIndex:
         """Rough memory footprint of the postings (index-size metric for
         Table 6)."""
         total = sys.getsizeof(self._postings)
-        for sym, plist in self._postings.items():
+        # A snapshot: append_trajectory publishes new symbols into the
+        # live dict while a status probe walks it.
+        for sym, plist in list(self._postings.items()):
             total += sys.getsizeof(sym) + sys.getsizeof(plist)
             total += sum(sys.getsizeof(p) for p in plist)
         return total
@@ -164,4 +166,9 @@ class InvertedIndex:
             "num_postings": num,
             "bytes": memo[1],
             "mmap": False,
+            # The frozen tier's counters, zero here: every index reports
+            # the same ones, so the cross-shard totals have one shape.
+            "delta_postings": 0,
+            "file_bytes": 0,
+            "resident_bytes": 0,
         }

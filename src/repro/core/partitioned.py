@@ -57,7 +57,7 @@ from repro.core.results import Match
 from repro.core.trie import TrieCache
 from repro.core.temporal import TemporalMode, TimeInterval
 from repro.core.verification import VerificationStats
-from repro.core.supervision import WorkerState
+from repro.core.supervision import EngineStatus, ShardStatus, WorkerState
 from repro.core.workers import ShardWorkerPool
 from repro.exceptions import (
     QueryCancelledError,
@@ -152,7 +152,7 @@ class PartitionedSubtrajectorySearch:
     ``trie_cache_bytes`` size that shared cache, or pass a prebuilt
     ``trie_cache``.  The ``processes`` backend cannot share memory across
     workers, so there the knobs size one cache *per worker* and
-    :meth:`trie_cache_stats` sums them.
+    :meth:`status` sums them.
 
     ``index_backend="frozen"`` with an ``index_path`` *stem* resolves one
     frozen index file per shard (``<stem>.shard<k>-of-<N>`` as written by
@@ -344,151 +344,24 @@ class PartitionedSubtrajectorySearch:
         with (``"auto"`` resolves per query inside each shard)."""
         return self._dp_backend
 
-    # -- supervision snapshots ----------------------------------------------
-
-    def worker_states(self) -> List[WorkerState]:
-        """Per-shard supervision snapshots (``/healthz`` / ``/metrics``).
-
-        On the worker backends each supervised shard reports its own
-        (liveness, pid, restart count, breaker state).  In-process shards
-        share the parent's fate, so the other backends report synthetic
-        always-alive states — the endpoint shape is backend-uniform (the
-        figures below are projections of it).
-        """
+    def status(self) -> EngineStatus:
+        """One snapshot of the engine, from ONE poll of its shards — what
+        ``/healthz``, ``/stats``, ``/metrics`` and the 503 body are
+        projections of.  Worker shards report their supervised state and
+        their worker's counters (:meth:`ShardWorkerPool.status
+        <repro.core.workers.ShardWorkerPool.status>`: never blocking);
+        in-process shards share the parent's fate (always-alive states)
+        and **one** cache, reported once as ``shared_trie``."""
         self._check_open()
         if self._workers is not None:
-            return self._workers.worker_states()
-        return [
-            WorkerState(
-                shard=shard,
-                alive=True,
-                pid=None,
-                restarts=0,
-                breaker="closed",
-                consecutive_failures=0,
-            )
-            for shard in range(self.num_shards)
-        ]
-
-    def nodes(self) -> List[Optional[str]]:
-        """Per-shard worker-node addresses (all ``None`` except on the
-        remote backend)."""
-        return [state.node for state in self.worker_states()]
-
-    def restarts_total(self) -> int:
-        """Completed shard-worker respawns — reconnects on the remote
-        backend (0 on in-process backends)."""
-        return sum(state.restarts for state in self.worker_states())
-
-    def retry_after(self) -> float:
-        """Seconds until the soonest open breaker admits a probe (0 when
-        every shard is serving) — the HTTP 503 ``Retry-After`` basis."""
-        waits = [s.retry_after for s in self.worker_states() if s.breaker == "open"]
-        return min(waits, default=0.0)
-
-    #: summed fields of the engine-level cache's and the index's counters.
-    _TRIE_FIELDS = ("capacity", "size", "bytes", "hits", "misses", "evictions")
-    _INDEX_FIELDS = (
-        "num_symbols",
-        "num_postings",
-        "delta_postings",
-        "bytes",
-        "file_bytes",
-        "resident_bytes",
-    )
-
-    def _aggregate(
-        self, parts: Sequence[Optional[Dict[str, int]]], fields: Sequence[str]
-    ) -> Dict[str, int]:
-        """Sum per-shard counter dicts; ``None`` parts (busy workers on a
-        non-blocking poll) are skipped and ``shards_reporting`` says how
-        many answered."""
-        agg = {field: 0 for field in fields}
-        agg["shards"] = self.num_shards
-        agg["shards_reporting"] = 0
-        for part in parts:
-            if part is None:
-                continue
-            agg["shards_reporting"] += 1
-            for field in fields:
-                agg[field] += int(part.get(field, 0))
-        return agg
-
-    def _aggregate_index(
-        self, parts: Sequence[Optional[Dict[str, Any]]]
-    ) -> Dict[str, Any]:
-        """Sum per-shard index counters and carry the non-numeric facts:
-        the backend name (uniform across shards by construction) and
-        whether *every* reporting shard serves from an mmap."""
-        agg: Dict[str, Any] = self._aggregate(parts, self._INDEX_FIELDS)
-        reporting = [p for p in parts if p is not None]
-        agg["backend"] = reporting[0].get("backend", "") if reporting else ""
-        agg["mmap"] = bool(reporting) and all(p.get("mmap") for p in reporting)
-        return agg
-
-    def _shard_cache_parts(self) -> List[Optional[Dict[str, Dict[str, Any]]]]:
-        """One counters dict per shard, from ONE snapshot.  On the worker
-        backends that is one poll of every worker, made without blocking:
-        a worker busy with an in-flight query is ``None`` rather than
-        stalling a health probe behind a long verification.  In-process
-        shards share **one** cache, which is therefore not in their
-        parts."""
-        self._check_open()
-        if self._workers is not None:
-            return self._workers.cache_stats()
-        return [{"index": engine.index_stats()} for engine in self._engines]
-
-    def cache_stats(self) -> Dict[str, Dict[str, Any]]:
-        """The engine-level cache's and the index's aggregates, from ONE
-        snapshot — what ``/healthz`` and ``/stats`` consume.
-
-        ``shards_reporting`` says how many shards answered (the same
-        number in both blocks, because they are one poll).  The shared
-        in-process cache's counters are reported as they are (every
-        shard feeds it, so every shard reports).
-        """
-        parts = self._shard_cache_parts()
-
-        def column(name: str) -> List[Optional[Dict[str, Any]]]:
-            return [None if part is None else part.get(name) for part in parts]
-
-        if self._trie_cache is not None:
-            trie: Dict[str, Any] = dict(self._trie_cache.stats())
-            trie["shards"] = trie["shards_reporting"] = self.num_shards
+            shards, shared = self._workers.status(), None
         else:
-            trie = self._aggregate(column("trie"), self._TRIE_FIELDS)
-        return {"trie": trie, "index": self._aggregate_index(column("index"))}
-
-    def trie_cache_stats(self) -> Dict[str, int]:
-        """TrieCache counters across shards (the ``"trie"`` block of
-        :meth:`cache_stats`)."""
-        return self.cache_stats()["trie"]
-
-    def index_stats(self) -> Dict[str, Any]:
-        """Inverted-index stats summed over the shards (the ``"index"``
-        block of :meth:`cache_stats`)."""
-        return self.cache_stats()["index"]
-
-    def observability_cache_stats(self) -> Dict[str, Any]:
-        """Per-shard (unaggregated) cache counters for ``/metrics``.
-
-        Unlike :meth:`cache_stats` (which sums for ``/stats``), the
-        metrics endpoint wants one labelled sample per instance: one
-        index per shard, and the single **shared** in-process cache or
-        one per worker — from the same one snapshot (``reporting`` says
-        how many shards answered).
-        """
-        parts = [
-            (str(shard), part)
-            for shard, part in enumerate(self._shard_cache_parts())
-            if part is not None
-        ]
-        out: Dict[str, Any] = {"shards": self.num_shards, "reporting": len(parts)}
-        for name in ("trie", "index"):
-            out[name] = [(shard, part[name]) for shard, part in parts if name in part]
-        if self._trie_cache is not None:
-            out["trie"] = [("shared", dict(self._trie_cache.stats()))]
-        return out
+            shards = [
+                ShardStatus(WorkerState(i), None, engine.index.stats())
+                for i, engine in enumerate(self._engines)
+            ]
+            shared = self._trie_cache.stats()
+        return EngineStatus(self._backend, self._dp_backend, len(self), shards, shared)
 
     def __len__(self) -> int:
         return sum(len(ids) for ids in self._global_ids)

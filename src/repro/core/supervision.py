@@ -23,6 +23,10 @@ exactly the same state machines, where a "respawn" is a reconnect:
 - :class:`WorkerState` — one shard's supervision snapshot, the unit
   ``/healthz`` and the ``repro_worker_*`` / ``repro_shard_breaker_state``
   metric families report.
+- :class:`EngineStatus` — what every engine's ``status()`` returns: its
+  facts plus one :class:`ShardStatus` per shard (:class:`WorkerState` +
+  cache / index counters), and the cross-shard projections ``/healthz``,
+  ``/stats``, ``/metrics`` and the 503 body read, written once.
 
 All methods are thread-safe where it matters: breakers are consulted on
 the query path while the supervisor thread records respawn outcomes.
@@ -35,9 +39,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from random import Random
 from time import monotonic
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-__all__ = ["BREAKER_STATES", "CircuitBreaker", "RespawnBackoff", "WorkerState"]
+__all__ = [
+    "BREAKER_STATES",
+    "CircuitBreaker",
+    "EngineStatus",
+    "RespawnBackoff",
+    "ShardStatus",
+    "WorkerState",
+]
 
 #: breaker states in metric-gauge order: the exported
 #: ``repro_shard_breaker_state`` value is the index into this tuple.
@@ -180,11 +191,14 @@ class WorkerState:
     """One shard's supervision snapshot (the ``/healthz`` unit)."""
 
     shard: int
-    alive: bool
-    pid: Optional[int]
-    restarts: int
-    breaker: str
-    consecutive_failures: int
+    # The defaults are a shard that shares its engine's process (and so
+    # its fate): always alive, never restarted — the endpoint shape is
+    # the same on every deployment.
+    alive: bool = True
+    pid: Optional[int] = None
+    restarts: int = 0
+    breaker: str = "closed"
+    consecutive_failures: int = 0
     #: seconds until the supervisor may try the next respawn (0 when the
     #: worker is alive or a respawn is due now).
     respawn_wait: float = 0.0
@@ -214,3 +228,96 @@ class WorkerState:
         if self.retry_after > 0:
             payload["retry_after"] = round(self.retry_after, 3)
         return payload
+
+
+@dataclass
+class ShardStatus:
+    """One shard's facts as they enter the coordinator: its supervision
+    state and its counters exactly as ``TrieCache.stats()`` /
+    ``index.stats()`` report them.  A counter dict is ``None`` when the
+    shard did not answer the non-blocking poll (busy or dead worker);
+    ``trie`` is also ``None`` on a shard that feeds the engine-wide cache
+    (:attr:`EngineStatus.shared_trie`)."""
+
+    worker: WorkerState
+    trie: Optional[Dict[str, Any]] = None
+    index: Optional[Dict[str, Any]] = None
+
+
+def _totals(parts: Sequence[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
+    """Cross-shard totals of per-shard counter dicts, by value type:
+    numbers are summed (a negative one is the "unbounded" marker and
+    stays ``-1``), flags hold when they hold on every reporting shard,
+    anything else is carried when every reporting shard agrees on it.
+    ``None`` parts are skipped; ``shards_reporting`` counts the rest."""
+    reporting = [part for part in parts if part is not None]
+    out: Dict[str, Any] = {}
+    for key in dict.fromkeys(key for part in reporting for key in part):
+        values = [part[key] for part in reporting if key in part]
+        if isinstance(values[0], bool):
+            out[key] = len(values) == len(reporting) and all(values)
+        elif isinstance(values[0], (int, float)):
+            out[key] = -1 if min(values) < 0 else sum(values)
+        elif values.count(values[0]) == len(reporting):
+            out[key] = values[0]
+    out["shards"] = len(parts)
+    out["shards_reporting"] = len(reporting)
+    return out
+
+
+@dataclass
+class EngineStatus:
+    """One snapshot of an engine, from one poll of its shards."""
+
+    #: ``"single"`` for a bare engine, else the fan-out backend.
+    backend: str
+    dp_backend: str
+    trajectories: int
+    shards: List[ShardStatus]
+    #: counters of the one cache all in-process shards share (``None``
+    #: when each shard reports its own).
+    shared_trie: Optional[Dict[str, Any]] = None
+
+    @property
+    def workers(self) -> List[WorkerState]:
+        """Per-shard supervision states, in shard order."""
+        return [shard.worker for shard in self.shards]
+
+    @property
+    def nodes(self) -> List[Optional[str]]:
+        """Per-shard worker-node addresses (``None`` off the remote
+        backend)."""
+        return [shard.worker.node for shard in self.shards]
+
+    @property
+    def degraded_shards(self) -> List[int]:
+        """Shards currently down or breaker-gated."""
+        return [w.shard for w in self.workers if not w.alive or w.breaker != "closed"]
+
+    @property
+    def restarts_total(self) -> int:
+        """Completed shard-worker respawns — reconnects on the remote
+        backend."""
+        return sum(w.restarts for w in self.workers)
+
+    @property
+    def retry_after(self) -> float:
+        """Seconds until the soonest open breaker admits a probe (0 when
+        every shard is serving) — the HTTP 503 ``Retry-After`` basis."""
+        waits = [w.retry_after for w in self.workers if w.breaker == "open"]
+        return min(waits, default=0.0)
+
+    @property
+    def trie(self) -> Dict[str, Any]:
+        """Warm-query cache counters across shards.  The shared cache is
+        reported as it is (every shard feeds it, so every shard
+        reports)."""
+        if self.shared_trie is None:
+            return _totals([shard.trie for shard in self.shards])
+        n = len(self.shards)
+        return {**self.shared_trie, "shards": n, "shards_reporting": n}
+
+    @property
+    def index(self) -> Dict[str, Any]:
+        """Inverted-index counters across shards."""
+        return _totals([shard.index for shard in self.shards])

@@ -103,7 +103,7 @@ even when the caller stops waiting):
     ("query", req_id, symbols, kwargs, remaining_seconds | None,
               trace_ctx | None)
     ("add",   req_id, expected_local_id, trajectory, validate)
-    ("stats", req_id)                 -> {"trie": ..., "index": ...}
+    ("stats", req_id)                 -> ShardStatus (the worker engine's)
     ("ping",  req_id)                 -> {"pid": ...}   (liveness heartbeat)
     ("stop",  req_id)
     ("cancel", req_id)                (out of band: no reply)
@@ -143,13 +143,14 @@ import socket
 import threading
 import weakref
 from collections import deque
+from dataclasses import replace
 from functools import partial
 from multiprocessing.connection import wait as wait_readable
 from time import monotonic, sleep
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import transport
-from repro.core.supervision import CircuitBreaker, RespawnBackoff, WorkerState
+from repro.core.supervision import CircuitBreaker, RespawnBackoff, ShardStatus, WorkerState
 from repro.exceptions import (
     FrameTooLargeError,
     ShardUnavailableError,
@@ -372,10 +373,9 @@ def _answer(engine, conn: _ServedLink, shard_index, msg):
             )
         return tid
     if kind == "stats":
-        # One combined payload for the engine-level cache plus the
-        # index, so a single non-blocking poll serves all observability
-        # consumers (healthz, /stats, /metrics, aggregated shard stats).
-        return engine.cache_stats()
+        # The worker's engine is one shard: its entry is the payload (the
+        # pool swaps in the supervised state it holds for this shard).
+        return engine.status().shards[0]
     if kind == "ping":
         return {"pid": os.getpid()}
     if kind == "stop":
@@ -1225,10 +1225,6 @@ class ShardWorkerPool:
                         "supervision of shard %d failed", worker.index
                     )
 
-    def worker_states(self) -> List[WorkerState]:
-        """Per-shard supervision snapshots (the ``/healthz`` payload)."""
-        return [worker.state() for worker in self._workers]
-
     def query_shard(self, shard: int, query: Sequence[int], kwargs: Dict[str, Any],
                     cancel=None, trace_ctx=None, on_event=None):
         """Run one query on one shard (:meth:`_ShardWorker.query`: breaker
@@ -1245,20 +1241,23 @@ class ShardWorkerPool:
             expected_local_id, trajectory, validate=validate
         )
 
-    def cache_stats(self) -> List[Optional[Dict[str, Dict[str, int]]]]:
-        """Per-worker engine-cache and index counters (``{"trie": ...,
-        "index": ...}``), polled without blocking: a
-        worker busy with an in-flight query — or dead and awaiting respawn
-        — yields ``None`` (the caller reports partial coverage instead of
+    def status(self) -> List[ShardStatus]:
+        """One entry per shard in one pass: its supervision state plus the
+        counters its worker reports, polled without blocking — a worker
+        busy with an in-flight query, or dead and awaiting respawn, has
+        ``None`` counters (the caller reports partial coverage instead of
         stalling or erroring a health probe)."""
         self._check_open()
-        stats: List[Optional[Dict[str, Dict[str, int]]]] = []
+        entries = []
         for worker in self._workers:
             try:
-                stats.append(worker.probe("stats"))
+                reply = worker.probe("stats")
             except WorkerError:
-                stats.append(None)
-        return stats
+                reply = None
+            # Read after the probe, so it shows a link the probe found dead.
+            state = worker.state()
+            entries.append(ShardStatus(state) if reply is None else replace(reply, worker=state))
+        return entries
 
     def close(self) -> None:
         """Stop the supervisor, then every worker (idempotent; also runs

@@ -54,7 +54,8 @@ class Executor:
     engine:
         A :class:`SubtrajectorySearch` or
         :class:`PartitionedSubtrajectorySearch` (anything exposing
-        ``query``, plus public ``costs`` / ``dataset`` for top-k).
+        ``query``, ``add_trajectory``, ``costs``, ``dataset``, ``status``,
+        ``close``).
     max_workers:
         Pool size: one pool thread per query executing at once.
     max_pending:
@@ -117,7 +118,7 @@ class Executor:
             self._closed = True
         if not already:
             self._pool.shutdown(wait=True)
-        if close_engine and hasattr(self._engine, "close"):
+        if close_engine:
             self._engine.close()
 
     def __enter__(self) -> "Executor":

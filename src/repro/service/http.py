@@ -190,24 +190,13 @@ class _Handler(BaseHTTPRequestHandler):
         ``Retry-After`` header tells the client how long the soonest open
         breaker keeps rejecting — retrying sooner is guaranteed wasted."""
         payload: Dict[str, Any] = {"error": str(exc)}
-        engine = service.engine
         retry_after = 0.0
-        states_of = getattr(engine, "worker_states", None)
-        if states_of is not None:
-            try:
-                payload["degraded_shards"] = sorted(
-                    s.shard
-                    for s in states_of()
-                    if not s.alive or s.breaker != "closed"
-                )
-            except Exception:  # noqa: BLE001 — the 503 itself must go out
-                pass
-        retry_of = getattr(engine, "retry_after", None)
-        if retry_of is not None:
-            try:
-                retry_after = float(retry_of())
-            except Exception:  # noqa: BLE001 — the 503 itself must go out
-                retry_after = 0.0
+        try:
+            status = service.engine.status()
+            payload["degraded_shards"] = status.degraded_shards
+            retry_after = status.retry_after
+        except Exception:  # noqa: BLE001 — the 503 itself must go out
+            pass
         # Retry-After is integral delta-seconds; a dead-but-unbroken shard
         # (cooldown 0) still wants a beat for the supervisor's respawn.
         seconds = max(1, math.ceil(retry_after)) if retry_after > 0 else 1
@@ -233,63 +222,43 @@ class _Handler(BaseHTTPRequestHandler):
         path = parsed.path
         try:
             if path == "/healthz":
-                engine = service.engine
-                count = (
-                    len(engine.dataset) if hasattr(engine, "dataset") else len(engine)
-                )
-                payload = {
-                    "status": "ok",
-                    "trajectories": count,
-                    "shards": getattr(engine, "num_shards", 1),
-                    "backend": getattr(engine, "backend", "single"),
-                    "dp_backend": getattr(engine, "dp_backend", "auto"),
-                }
-                # Cache-hit observability for repeated-query traffic
-                # (warm substitution rows and verification tries), read
-                # as ONE combined snapshot so the processes backend's
-                # non-blocking worker poll runs once per probe; busy
-                # workers are skipped (the probe must not queue behind a
-                # long verification), and a failing poll (dead worker,
-                # closing engine) degrades the fields rather than the
-                # probe — /healthz answers liveness, not shard health.
-                cache_stats = getattr(engine, "cache_stats", None)
-                if cache_stats is not None:
-                    try:
-                        combined = cache_stats()
-                        payload["trie_cache"] = combined["trie"]
-                        # Index backend, bytes, and (for a frozen mmap)
-                        # page-cache residency — same single snapshot.
-                        payload["index"] = combined["index"]
-                    except Exception as exc:  # noqa: BLE001
-                        payload["trie_cache"] = {"error": str(exc)}
-                        payload["index"] = {"error": str(exc)}
-                # Per-shard worker supervision state: a dead worker (or an
-                # open breaker) is visible here *before* a query hits it,
-                # and flips the top-level status to "degraded" (still 200
-                # — the server itself is up and can serve partial/other
-                # shards; monitoring alerts on the field, load balancers
-                # on the process).
-                worker_states = getattr(engine, "worker_states", None)
-                if worker_states is not None:
-                    try:
-                        states = worker_states()
-                        payload["workers"] = [s.to_dict() for s in states]
-                        payload["restarts_total"] = sum(s.restarts for s in states)
-                        if any(
-                            not s.alive or s.breaker != "closed" for s in states
-                        ):
-                            payload["status"] = "degraded"
-                    except Exception as exc:  # noqa: BLE001
-                        payload["workers"] = [{"error": str(exc)}]
+                # ONE engine snapshot per probe (one non-blocking poll of
+                # the worker links; busy workers are skipped, so the probe
+                # never queues behind a long verification).  A failing
+                # poll (closing engine) degrades the fields rather than
+                # the probe — /healthz answers liveness, not shard health.
+                payload: Dict[str, Any] = {"status": "ok"}
+                try:
+                    status = service.engine.status()
+                except Exception as exc:  # noqa: BLE001
+                    error = {"error": str(exc)}
+                    payload.update(trie_cache=error, index=error, workers=[error])
+                else:
+                    # A dead worker (or an open breaker) is visible here
+                    # *before* a query hits it, and flips the status to
+                    # "degraded" (still 200 — the server itself is up and
+                    # can serve partial/other shards; monitoring alerts on
+                    # the field, load balancers on the process).
+                    if status.degraded_shards:
+                        payload["status"] = "degraded"
+                    payload.update(
+                        trajectories=status.trajectories,
+                        shards=len(status.shards),
+                        backend=status.backend,
+                        dp_backend=status.dp_backend,
+                        trie_cache=status.trie,
+                        index=status.index,
+                        workers=[w.to_dict() for w in status.workers],
+                        restarts_total=status.restarts_total,
+                    )
                 self._send_json(200, payload)
             elif path == "/stats":
                 self._send_json(200, service.stats())
             elif path == "/metrics":
                 # Prometheus text exposition.  The registry renders push
-                # instruments and pull collectors; the engine-cache
-                # collector polls processes-backend workers WITHOUT
-                # blocking, so a scrape never queues behind a
-                # long-running query.
+                # instruments and pull collectors; the engine collector
+                # polls workers WITHOUT blocking, so a scrape never queues
+                # behind a long-running query.
                 self._send_text(
                     200,
                     service.observability.registry.render(),
@@ -299,13 +268,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._handle_traces(service, parse_qs(parsed.query))
             else:
                 self._send_json(404, {"error": f"unknown path {self.path!r}"})
-        except WorkerError as exc:
-            # Stats polling crosses worker links on the out-of-process backends;
-            # a dead shard is a (usually transient — the supervisor is
-            # respawning it) availability failure: 503 so clients retry.
-            logger.error("shard worker failure serving %s: %s", self.path, exc)
-            self._send_unavailable(service, exc)
         except (ValueError, ReproError) as exc:
+            # A malformed /debug/traces query; the engine-backed routes
+            # degrade their own fields and never raise.
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - keep-alive clients need a
             # response body, not a dropped connection, on unexpected bugs.

@@ -199,8 +199,7 @@ class ServiceObservability:
             raise ValueError("observability is already bound to a service")
         self._service = service
         self.registry.register_collector(self._collect_service)
-        self.registry.register_collector(self._collect_engine_caches)
-        self.registry.register_collector(self._collect_worker_states)
+        self.registry.register_collector(self._collect_engine)
 
     # -- request-path hooks ---------------------------------------------------
 
@@ -463,156 +462,106 @@ class ServiceObservability:
             )
         return families
 
-    def _collect_worker_states(self):
-        """Shard-worker supervision state (processes backend; in-process
-        backends export synthetic always-up states so dashboards keep one
-        shape).  A failing snapshot yields no samples rather than failing
-        the scrape."""
+    def _collect_engine(self):
+        """Every engine-derived family from ONE ``status()`` snapshot (one
+        non-blocking poll of the worker links per scrape): per-shard
+        cache and index counters and per-shard supervision state
+        (in-process shards report always-up states, so dashboards keep one
+        shape on every deployment).  A failing snapshot yields no samples
+        rather than failing the scrape; /healthz reports the failure."""
         from repro.core.supervision import BREAKER_STATES
 
-        engine = self._service.engine
-        states_of = getattr(engine, "worker_states", None)
-        if states_of is None:
-            return []
         try:
-            states = states_of()
-        except Exception:  # noqa: BLE001 - scrape must survive a closing
-            # engine; /healthz reports the failure.
+            status = self._service.engine.status()
+        except Exception:  # noqa: BLE001 - scrape must survive a closing engine
             return []
-        up = []
-        restarts = []
-        breaker = []
-        failures = []
-        node_up = []
-        node_reconnects = []
-        for s in states:
-            label = {"shard": str(s.shard)}
-            up.append((label, 1.0 if s.alive else 0.0))
-            restarts.append((label, float(s.restarts)))
-            breaker.append(
-                (
-                    label,
-                    float(
-                        BREAKER_STATES.index(s.breaker)
-                        if s.breaker in BREAKER_STATES
-                        else len(BREAKER_STATES)
-                    ),
-                )
-            )
-            failures.append((label, float(s.consecutive_failures)))
-            if s.node is not None:
-                # Remote backend: node-addressed views of the same state,
-                # so dashboards can join on the shard-map address (a
-                # "reconnect" is the remote spelling of a respawn).
-                node_label = {"shard": str(s.shard), "node": s.node}
-                node_up.append((node_label, 1.0 if s.alive else 0.0))
-                node_reconnects.append((node_label, float(s.restarts)))
-        families = [
-            (
-                "repro_worker_up",
-                "gauge",
-                "Shard worker process liveness (1 = alive).",
-                up,
-            ),
-            (
-                "repro_worker_restarts_total",
-                "counter",
-                "Completed shard-worker respawns.",
-                restarts,
-            ),
-            (
-                "repro_shard_breaker_state",
-                "gauge",
-                "Circuit breaker state per shard "
-                "(0 = closed, 1 = half_open, 2 = open).",
-                breaker,
-            ),
-            (
-                "repro_shard_consecutive_failures",
-                "gauge",
-                "Consecutive shard failures counted by the breaker.",
-                failures,
-            ),
+        # One (labels, counters) pair per reporting instance: the single
+        # shared in-process cache or one cache per shard, one index per
+        # shard, one supervision state per shard.
+        by_shard = [({"shard": str(i)}, s) for i, s in enumerate(status.shards)]
+        tries = [(labels, s.trie) for labels, s in by_shard if s.trie is not None]
+        if status.shared_trie is not None:
+            tries = [({"shard": "shared"}, status.shared_trie)]
+        indexes = [(labels, s.index) for labels, s in by_shard if s.index is not None]
+        gauge = {state: i for i, state in enumerate(BREAKER_STATES)}
+        workers = [
+            (labels, {**vars(s.worker), "breaker": gauge.get(s.worker.breaker, len(gauge))})
+            for labels, s in by_shard
         ]
-        if node_up:
-            families.append(
-                (
-                    "repro_node_up",
-                    "gauge",
-                    "Remote worker-node connectivity (1 = connected).",
-                    node_up,
-                )
-            )
-            families.append(
-                (
-                    "repro_node_reconnects_total",
-                    "counter",
-                    "Completed reconnects to remote worker nodes.",
-                    node_reconnects,
-                )
-            )
-        return families
-
-    def _collect_engine_caches(self):
-        """Per-shard engine cache counters from one (non-blocking on the
-        processes backend) poll; a failing poll yields no samples rather
-        than failing the whole scrape."""
-        engine = self._service.engine
-        stats_of = getattr(engine, "observability_cache_stats", None)
-        if stats_of is None:
-            return []
-        try:
-            combined = stats_of()
-        except Exception:  # noqa: BLE001 - scrape must not 500 on a
-            # closing engine or dead worker; /healthz reports the failure.
-            return []
+        # Remote backend: node-addressed views of the same state, so
+        # dashboards can join on the shard-map address (a "reconnect" is
+        # the remote spelling of a respawn).
+        nodes = [
+            ({**labels, "node": state["node"]}, state)
+            for labels, state in workers
+            if state["node"] is not None
+        ]
         families = [
             (
                 "repro_cache_shards_reporting",
                 "gauge",
                 "Shards that answered the cache poll (busy workers on "
                 "the processes backend are skipped).",
-                [({}, combined.get("reporting", 0))],
+                [({}, len(indexes))],
             )
         ]
         trie_fields = (
-            ("entries", "size", "gauge",
+            ("repro_trie_cache_entries", "size", "gauge",
              "Cached queries (substitution matrix + verification tries)."),
-            ("bytes", "bytes", "gauge",
+            ("repro_trie_cache_bytes", "bytes", "gauge",
              "Bytes held by cached entries (substitution rows, trie "
              "arrays + edge maps)."),
-            ("hits_total", "hits", "counter", "Trie cache hits."),
-            ("misses_total", "misses", "counter", "Trie cache misses."),
-            ("evictions_total", "evictions", "counter", "Trie cache evictions."),
+            ("repro_trie_cache_hits_total", "hits", "counter", "Trie cache hits."),
+            ("repro_trie_cache_misses_total", "misses", "counter",
+             "Trie cache misses."),
+            ("repro_trie_cache_evictions_total", "evictions", "counter",
+             "Trie cache evictions."),
         )
         index_fields = (
-            ("bytes", "bytes", "gauge",
+            ("repro_index_bytes", "bytes", "gauge",
              "Bytes held by the inverted index postings (packed arrays "
              "for the frozen backend, getsizeof estimate for dict)."),
-            ("file_bytes", "file_bytes", "gauge",
+            ("repro_index_file_bytes", "file_bytes", "gauge",
              "On-disk bytes of the frozen index file (0 for in-memory "
              "backends)."),
-            ("resident_bytes", "resident_bytes", "gauge",
+            ("repro_index_resident_bytes", "resident_bytes", "gauge",
              "Page-cache-resident bytes of the frozen index mapping via "
              "mincore (0 when unavailable)."),
-            ("postings", "num_postings", "gauge", "Total postings indexed."),
-            ("delta_postings", "delta_postings", "gauge",
+            ("repro_index_postings", "num_postings", "gauge",
+             "Total postings indexed."),
+            ("repro_index_delta_postings", "delta_postings", "gauge",
              "Postings added by online inserts since the freeze."),
-            ("mmap", "mmap", "gauge",
+            ("repro_index_mmap", "mmap", "gauge",
              "Whether the shard serves its index from a shared file "
              "mapping (1) or private process memory (0)."),
         )
-        for prefix, parts, fields in (
-            ("repro_trie_cache", combined.get("trie", []), trie_fields),
-            ("repro_index", combined.get("index", []), index_fields),
+        worker_fields = (
+            ("repro_worker_up", "alive", "gauge",
+             "Shard worker process liveness (1 = alive)."),
+            ("repro_worker_restarts_total", "restarts", "counter",
+             "Completed shard-worker respawns."),
+            ("repro_shard_breaker_state", "breaker", "gauge",
+             "Circuit breaker state per shard "
+             "(0 = closed, 1 = half_open, 2 = open)."),
+            ("repro_shard_consecutive_failures", "consecutive_failures", "gauge",
+             "Consecutive shard failures counted by the breaker."),
+        )
+        node_fields = (
+            ("repro_node_up", "alive", "gauge",
+             "Remote worker-node connectivity (1 = connected)."),
+            ("repro_node_reconnects_total", "restarts", "counter",
+             "Completed reconnects to remote worker nodes."),
+        )
+        for parts, fields in (
+            (tries, trie_fields),
+            (indexes, index_fields),
+            (workers, worker_fields),
+            (nodes, node_fields),
         ):
-            for suffix, key, kind, help_text in fields:
+            for family, key, kind, help_text in fields:
                 samples = [
-                    ({"shard": label}, float(part.get(key, 0)))
-                    for label, part in parts
+                    (labels, float(part.get(key, 0))) for labels, part in parts
                 ]
                 if samples:
-                    families.append(
-                        (f"{prefix}_{suffix}", kind, help_text, samples)
-                    )
+                    families.append((family, kind, help_text, samples))
         return families

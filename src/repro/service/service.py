@@ -66,7 +66,9 @@ class QueryService:
     engine:
         :class:`~repro.core.engine.SubtrajectorySearch` or
         :class:`~repro.core.partitioned.PartitionedSubtrajectorySearch`
-        (which fans each query out over its shards itself).
+        (which fans each query out over its shards itself) — anything
+        exposing ``query``, ``add_trajectory``, ``costs``, ``dataset``,
+        ``status``, ``close``.
     max_workers / max_pending / default_deadline:
         Forwarded to the :class:`Executor`.
     cache_size:
@@ -394,24 +396,26 @@ class QueryService:
         <repro.service.observability.ServiceObservability.snapshot>`)
         enriched with cache and engine facts."""
         snap = self.observability.snapshot()
-        snap["num_shards"] = getattr(self._engine, "num_shards", 1)
-        snap["backend"] = getattr(self._engine, "backend", "single")
-        snap["dp_backend"] = getattr(self._engine, "dp_backend", "")
         snap["coalesced_retries"] = (
             self.batcher.retried_followers if self.batcher is not None else 0
         )
-        # One snapshot: on the processes backend the worker links are
-        # polled once.  ``substitution_cache`` is an alias — the counters
-        # of the one cache, in the shape the retired substitution LRU
-        # reported — kept for perf/layers.py's ``submatrix_cache.hit_ratio``
-        # until a [benchmark] PR drops that metric.
-        cache_stats = getattr(self._engine, "cache_stats", None)
-        if cache_stats is not None:
-            trie = cache_stats()["trie"]
-            snap["substitution_cache"] = {
-                key: trie[key] for key in ("capacity", "size", "hits", "misses")
-            }
-            snap["trie_cache"] = trie
+        # One snapshot: on the worker backends the links are polled once,
+        # and a failing poll degrades the engine fields as in /healthz.
+        # ``substitution_cache`` is an alias — the counters of the one
+        # cache, in the shape the retired substitution LRU reported — kept
+        # for perf/layers.py's ``submatrix_cache.hit_ratio`` until a
+        # [benchmark] PR drops that metric.
+        try:
+            status = self._engine.status()
+        except Exception as exc:  # noqa: BLE001
+            snap["substitution_cache"] = snap["trie_cache"] = {"error": str(exc)}
+        else:
+            snap["num_shards"] = len(status.shards)
+            snap["backend"] = status.backend
+            snap["dp_backend"] = status.dp_backend
+            trie = snap["trie_cache"] = status.trie
+            alias = ("capacity", "size", "hits", "misses")
+            snap["substitution_cache"] = {key: trie[key] for key in alias if key in trie}
         snap["observability"] = {
             "trace_sample_rate": self.observability.tracer.sample_rate,
             "slow_query_seconds": self.observability.slow_query_seconds,

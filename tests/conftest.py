@@ -236,7 +236,7 @@ def open_engine(backend, dataset, costs, *, num_shards=2, **kwargs):
 
 def worker_process(pid):
     """The ``multiprocessing.Process`` behind a child-process shard
-    worker, found by the pid ``worker_states()`` reports (fetch it while
+    worker, found by the pid ``status().workers`` reports (fetch it while
     the worker lives: ``active_children`` forgets the dead)."""
     return next(p for p in mp.active_children() if p.pid == pid)
 

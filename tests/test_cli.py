@@ -162,3 +162,44 @@ class TestTravelTime:
         out = json.loads(capsys.readouterr().out)
         assert out["exact_occurrences"] >= 1
         assert out["estimate"] is not None
+
+
+class TestErrorsAreOneLine:
+    """Whatever the library refuses — a representation mismatch, a bad
+    knob, a bad threshold, an unknown symbol, a missing file — leaves the
+    CLI as one ``repro: ...`` line and a non-zero exit, never a
+    traceback."""
+
+    CASES = {
+        "surs on a vertex dataset": ["travel-time", "--function", "surs"],
+        "negative cache budget": ["query", "--trie-cache-mb", "-1"],
+        "nan threshold": ["query", "--tau", "nan"],
+        "out-of-alphabet symbol": ["query", "--query", "1,99999"],
+        "missing network file": ["query", "--network", "/nonexistent/net.txt"],
+        "zero shards": ["serve", "--shards", "0"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_with_one_line(self, workspace, case):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        net, trips = workspace
+        command, *flags = self.CASES[case]
+        argv = [command, "--network", str(net), "--trips", str(trips)]
+        if command != "serve":
+            argv += ["--query", "1,2,3"]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, *flags],  # later flags win
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.strip().splitlines()) == 1, done.stderr

@@ -393,7 +393,7 @@ class TestEngineBackend:
         got = engine.query(q, tau=2.0)
         assert got.matches == ref.matches
         assert got.verification == ref.verification
-        stats = engine.index_stats()
+        stats = engine.status().index
         assert stats["backend"] == "frozen"
         assert stats["mmap"] is True
         assert stats["file_bytes"] == path.stat().st_size
@@ -408,7 +408,7 @@ class TestEngineBackend:
         ref = dict_engine.query([1, 2, 3], tau=1.0)
         got = frozen_engine.query([1, 2, 3], tau=1.0)
         assert got.matches == ref.matches
-        assert frozen_engine.index_stats()["delta_postings"] == 3
+        assert frozen_engine.status().index["delta_postings"] == 3
 
     def test_dict_engine_rejects_index_path(self, vertex_dataset, tmp_path):
         with pytest.raises(QueryError, match="index_backend='frozen'"):
@@ -466,14 +466,18 @@ class TestEngineBackend:
         for backend in ("dict", "frozen"):
             ds = dataset_of([[0, 1, 2, 3], [2, 1, 0]], line_graph)
             engines[backend] = SubtrajectorySearch(ds, lev, index_backend=backend)
-        before = engines["dict"].index_stats()
+        before = engines["dict"].status().index
         assert (before["num_symbols"], before["num_postings"]) == (4, 7)
         for path in inserts:
             stats = {}
             for backend, engine in engines.items():
                 engine.add_trajectory(Trajectory(list(path)))
-                stats[backend] = engine.index_stats()
-            shared = (set(stats["dict"]) & set(stats["frozen"])) - {"backend", "bytes"}
+                stats[backend] = engine.status().index
+            # Every index reports the same counters (one totals shape);
+            # only the frozen tier has a freeze for inserts to be "since".
+            assert set(stats["dict"]) == set(stats["frozen"])
+            assert stats["dict"]["delta_postings"] == 0
+            shared = set(stats["dict"]) - {"backend", "bytes", "delta_postings"}
             assert {"num_symbols", "num_postings", "mmap"} <= shared
             assert {k: stats["dict"][k] for k in shared} == {
                 k: stats["frozen"][k] for k in shared
@@ -481,17 +485,17 @@ class TestEngineBackend:
         assert (stats["frozen"]["num_symbols"], stats["frozen"]["num_postings"]) == (6, 15)
         # ... because each index answers stats() itself: the engine holds
         # no per-backend branch.
-        assert "isinstance" not in inspect.getsource(SubtrajectorySearch.index_stats)
+        assert "isinstance" not in inspect.getsource(SubtrajectorySearch.status)
 
     def test_dict_index_stats(self, vertex_dataset):
         engine = SubtrajectorySearch(vertex_dataset, lev)
-        stats = engine.index_stats()
+        stats = engine.status().index
         assert stats["backend"] == "dict"
         assert stats["mmap"] is False
         assert stats["bytes"] > 0
         # Memoized walk: a repeat probe reuses the byte figure.
-        assert engine.index_stats()["bytes"] == stats["bytes"]
-        assert "index" in engine.cache_stats()
+        assert engine.status().index["bytes"] == stats["bytes"]
+        assert engine.status().shards[0].index == engine.index.stats()
 
 
 class TestPartitioned:
@@ -515,12 +519,14 @@ class TestPartitioned:
         ) as engine:
             got = engine.query(q, tau=2.0)
             assert got.matches == ref.matches
-            stats = engine.index_stats()
+            stats = engine.status().index
             assert stats["backend"] == "frozen"
             assert stats["mmap"] is True
             assert stats["num_postings"] == vertex_dataset.total_symbols()
-            combined = engine.cache_stats()
-            assert combined["index"]["shards"] == 3
+            assert stats["shards"] == stats["shards_reporting"] == 3
+            assert stats["file_bytes"] == sum(
+                shard.index["file_bytes"] for shard in engine.status().shards
+            )
 
     def test_wrong_shard_count_fails_loudly(self, vertex_dataset, tmp_path):
         stem = str(tmp_path / "idx.reproidx")

@@ -131,16 +131,23 @@ class TestExactness:
         self, process_engine, monkeypatch
     ):
         pool = process_engine._workers
-        poll, polls = pool.cache_stats, []
-        monkeypatch.setattr(
-            pool, "cache_stats", lambda: polls.append(1) or poll()
-        )
-        combined = process_engine.cache_stats()
-        assert len(polls) == 1
-        assert set(combined) == {"trie", "index"}
-        assert process_engine.trie_cache_stats() == combined["trie"]
-        assert process_engine.index_stats() == combined["index"]
-        assert len(polls) == 3
+        probes = []
+        for worker in pool._workers:
+            probe = worker.probe
+            monkeypatch.setattr(
+                worker,
+                "probe",
+                lambda kind, probe=probe, shard=worker.index: (
+                    probes.append((shard, kind)) or probe(kind)
+                ),
+            )
+        status = process_engine.status()
+        assert probes == [(shard, "stats") for shard in range(len(status.shards))]
+        # Every projection reads that one snapshot: no further polls.
+        assert status.trie["shards_reporting"] == len(status.shards)
+        assert status.index["shards_reporting"] == len(status.shards)
+        assert status.restarts_total == 0 and status.degraded_shards == []
+        assert len(probes) == len(status.shards)
 
     def test_spawn_start_method_ships_pickled_shards(
         self, vertex_dataset, edr_cost, rng
@@ -184,7 +191,7 @@ class TestReplication:
 
 class TestLifecycle:
     def test_workers_are_daemon_processes(self, process_engine):
-        states = process_engine.worker_states()
+        states = process_engine.status().workers
         assert all(s.alive for s in states)
         assert all(worker_process(s.pid).daemon for s in states)
 
@@ -201,7 +208,7 @@ class TestLifecycle:
             supervise=False,
         )
         try:
-            kill_worker(engine.worker_states()[0].pid)
+            kill_worker(engine.status().workers[0].pid)
             with pytest.raises(WorkerError):
                 engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
         finally:
@@ -218,11 +225,11 @@ class TestLifecycle:
         try:
             query = sample_query(vertex_dataset, rng, 6)
             before = engine.query(query, tau_ratio=0.25)
-            kill_worker(engine.worker_states()[0].pid)
+            kill_worker(engine.status().workers[0].pid)
             after = engine.query(query, tau_ratio=0.25)
             assert keys(after) == keys(before)
             assert after.complete
-            assert engine.restarts_total() == 1
+            assert engine.status().restarts_total == 1
         finally:
             engine.close()
 
@@ -259,15 +266,19 @@ class TestProbesDoNotQueueBehindQueries:
                 assert entered.wait(timeout=30.0), "query never reached a worker"
 
                 t0 = time.perf_counter()
-                per_worker = engine._workers.cache_stats()
-                obs = engine.observability_cache_stats()
+                per_worker = engine._workers.status()
+                status = engine.status()
                 elapsed = time.perf_counter() - t0
 
                 assert elapsed < 2.0, "probe queued behind the blocked query"
                 # Busy workers report None / drop out of coverage, not stall.
-                assert any(part is None for part in per_worker)
-                assert obs["shards"] == 2
-                assert obs["reporting"] < obs["shards"]
+                assert any(
+                    part.trie is None and part.index is None for part in per_worker
+                )
+                assert all(part.worker.alive for part in per_worker)
+                assert status.index["shards"] == status.trie["shards"] == 2
+                assert status.index["shards_reporting"] < 2
+                assert status.trie["shards_reporting"] < 2
             finally:
                 gate.set()
                 worker.join(timeout=60.0)

@@ -151,11 +151,15 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
 #: what the one fan-out replaced (the pool's own fan-out, the executor's
 #: span attribute for its private one, the engine's pool-size knob), and
 #: what the one warm-query cache replaced (the substitution LRU, its
-#: keyword and its flag), and the R-tree's box, which outlived the R-tree.
+#: keyword and its flag), and the R-tree's box, which outlived the R-tree,
+#: and the status accessors the one ``status()`` snapshot replaced.
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
     r"|substitution_cache_size|--substitution-cache-size|SubstitutionMatrixCache"
     r"|BoundingBox"
+    r"|worker_states|restarts_total\(|retry_after\(\)|\.nodes\(\)|cache_stats\("
+    r"|trie_cache_stats|index_stats|_aggregate_index|_shard_cache_parts"
+    r"|_TRIE_FIELDS|_INDEX_FIELDS"
 )
 
 
@@ -163,6 +167,22 @@ _GONE = re.compile(
 def test_docs_name_no_removed_fan_out_api(doc):
     stale = _GONE.findall(doc.read_text(encoding="utf-8"))
     assert not stale, f"{doc.name} still mentions {stale}"
+
+
+def test_service_tier_never_probes_the_engine_by_name():
+    """Both engines answer the same surface (``query``, ``add_trajectory``,
+    ``costs``, ``dataset``, ``status``, ``close``): nothing in the service
+    tier or the CLI finds out which one it holds."""
+    sources = sorted((REPO / "src" / "repro" / "service").glob("*.py"))
+    sources.append(REPO / "src" / "repro" / "cli.py")
+    probe = re.compile(r"(?:getattr|hasattr)\([^)]*engine")
+    found = [
+        f"{path.name}:{number}"
+        for path in sources
+        for number, line in enumerate(path.read_text("utf-8").splitlines(), 1)
+        if probe.search(line)
+    ]
+    assert not found, found
 
 
 def _knob_section():

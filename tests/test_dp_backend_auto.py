@@ -191,12 +191,12 @@ class TestSubstitutionMatrixCache:
         engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
         query = sample_query(vertex_dataset, rng, 8)
         first = engine.query(query, tau_ratio=0.3)
-        assert engine.trie_cache_stats()["misses"] == 1
+        assert engine.status().trie["misses"] == 1
         matrix = engine._trie_cache.peek(_engine_key(engine)).matrix
         assert matrix is not None and matrix.query == tuple(query)
         rows = matrix.cached_rows()
         repeat = engine.query(query, tau_ratio=0.3)
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert stats["hits"] == 1
         assert stats["size"] == 1
         # The hit served the same matrix, and an exact repeat computed no
@@ -209,14 +209,14 @@ class TestSubstitutionMatrixCache:
         ]
         # The matrix is threshold-independent: varying tau still hits.
         engine.query(query, tau_ratio=0.25)
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert stats["misses"] == 1
         assert stats["hits"] == 2
         # A different query is a genuine miss.
         other = sample_query(vertex_dataset, rng, 9)
         if other != query:
             engine.query(other, tau_ratio=0.3)
-            assert engine.trie_cache_stats()["misses"] == 2
+            assert engine.status().trie["misses"] == 2
 
     def test_engine_cache_disabled(self, vertex_dataset, rng):
         """``trie_cache_size=0`` is no cross-query reuse of any kind: the
@@ -230,7 +230,7 @@ class TestSubstitutionMatrixCache:
         first = costs.row_calls
         engine.query(query, tau_ratio=0.3)
         assert costs.row_calls == 2 * first > 0
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert (stats["capacity"], stats["size"]) == (0, 0)
         assert (stats["hits"], stats["misses"]) == (0, 0)
 
@@ -304,14 +304,14 @@ class TestKnobRoundTrip:
         query = long_query(vertex_dataset, rng, AUTO_PYTHON_MAX_QUERY + 1)
         result = engine.query(query, tau_ratio=0.3)
         assert result.dp_backend_used == "numpy"
-        agg = engine.trie_cache_stats()
+        agg = engine.status().trie
         assert agg["shards"] == agg["shards_reporting"] == 2
         # In-process shards share the one cache: capacity is not summed,
         # and shard 0's miss is shard 1's hit.
         assert agg["capacity"] == 8
         assert (agg["misses"], agg["hits"]) == (1, 1)
         engine.query(query, tau_ratio=0.3)
-        assert engine.trie_cache_stats()["hits"] == 3
+        assert engine.status().trie["hits"] == 3
         engine.close()
 
     def test_workers_round_trip(self, vertex_dataset, edr_cost, rng):
@@ -334,7 +334,7 @@ class TestKnobRoundTrip:
             # Auto resolved inside the worker processes and shipped back.
             assert result.dp_backend_used == expected.dp_backend_used == "python"
             engine.query(query, tau_ratio=0.3)
-            agg = engine.trie_cache_stats()
+            agg = engine.status().trie
             assert agg["shards_reporting"] == 2  # idle workers all answer
             # One cache per worker; short EDR queries run the python
             # backend, which consults nothing.
@@ -351,7 +351,7 @@ class TestKnobRoundTrip:
         service = QueryService(engine)
         with ServiceServer(service) as server:
             server.start()
-            engine.close()  # cache_stats now raises QueryError
+            engine.close()  # status() now raises QueryError
             with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
                 health = json.loads(resp.read().decode("utf-8"))
             assert health["status"] == "ok"

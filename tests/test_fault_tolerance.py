@@ -219,7 +219,7 @@ class TestCrashRecovery:
             for result in (first, killed, after):
                 assert keys(result) == keys(expected)
                 assert result.complete and result.degraded_shards == ()
-            assert engine.restarts_total() == 1
+            assert engine.status().restarts_total == 1
 
     @settings(
         max_examples=5,
@@ -262,7 +262,7 @@ class TestCrashRecovery:
             expected = keys(undisturbed.query(query, tau_ratio=0.25))
         with make_engine(vertex_dataset, edr_cost, fault_plan=plan) as engine:
             assert keys(engine.query(query, tau_ratio=0.25)) == expected
-            assert engine.restarts_total() == 1
+            assert engine.status().restarts_total == 1
 
     def test_journal_replay_covers_online_inserts(
         self, small_graph, edr_cost, trips
@@ -284,7 +284,7 @@ class TestCrashRecovery:
             # The respawned worker rebuilt + replayed: identical again.
             after = engine.query(query, tau_ratio=0.25)
             assert keys(after) == keys(before)
-            assert engine.restarts_total() == 1
+            assert engine.status().restarts_total == 1
 
     def test_insert_crash_between_add_and_ack_is_replayable(
         self, small_graph, edr_cost, trips
@@ -407,7 +407,7 @@ class TestGracefulDegradation:
             # Hammer until the breaker opens (each degraded pass may
             # record one more failure).
             deadline = time.monotonic() + 10.0
-            while engine.worker_states()[1].breaker != "open":
+            while engine.status().workers[1].breaker != "open":
                 engine.query(query, tau_ratio=0.25, allow_partial=True)
                 assert time.monotonic() < deadline, "breaker never opened"
             # Once the respawn-failure budget drains, the supervisor
@@ -419,7 +419,7 @@ class TestGracefulDegradation:
                     break
                 assert time.monotonic() < deadline, "shard never recovered"
                 time.sleep(0.05)
-            assert engine.worker_states()[1].breaker == "closed"
+            assert engine.status().workers[1].breaker == "closed"
 
 
 class TestProbeOutcomes:
@@ -432,16 +432,16 @@ class TestProbeOutcomes:
             vertex_dataset, edr_cost, breaker_failures=1, breaker_cooldown=0.05
         ) as engine:
             engine._workers._workers[0].breaker.record_failure()
-            assert engine.worker_states()[0].breaker == "open"
+            assert engine.status().workers[0].breaker == "open"
             time.sleep(0.1)  # wait out the cooldown: the next query probes
-            assert engine.worker_states()[0].breaker == "half_open"
+            assert engine.status().workers[0].breaker == "half_open"
             yield engine
 
     def serves_like_a_single_engine(self, engine, dataset, costs, query):
         expected = keys(SubtrajectorySearch(dataset, costs).query(query, tau_ratio=0.2))
         for _ in range(2):
             assert keys(engine.query(query, tau_ratio=0.2)) == expected
-        state = engine.worker_states()[0]
+        state = engine.status().workers[0]
         assert state.alive and state.breaker == "closed"
         assert state.consecutive_failures == 0
 
@@ -473,14 +473,16 @@ class TestPoolHardening:
         shards = [vertex_dataset]
         pool = ShardWorkerPool(shards, edr_cost, {}, supervise=False)
         try:
-            kill_worker(pool.worker_states()[0].pid)
+            kill_worker(pool._workers[0].state().pid)
             t0 = time.monotonic()
             with pytest.raises(WorkerError):
                 pool._workers[0].probe("stats")
             assert time.monotonic() - t0 < 2.0
-            # cache_stats degrades the dead worker to None instead of
-            # failing the whole (healthz) probe.
-            assert pool.cache_stats() == [None]
+            # status() degrades the dead worker to None counters instead
+            # of failing the whole (healthz) probe — and says it is dead.
+            (entry,) = pool.status()
+            assert entry.trie is None and entry.index is None
+            assert not entry.worker.alive
         finally:
             pool.close()
 
@@ -519,7 +521,7 @@ class TestPoolHardening:
             [vertex_dataset], edr_cost, {}, supervise=False, fault_plan=plan
         )
         try:
-            process = worker_process(pool.worker_states()[0].pid)
+            process = worker_process(pool._workers[0].state().pid)
             with pytest.raises(WorkerError):
                 pool.query_shard(0, [0, 1, 2], {"tau": 2.0})
             process.join(5)
@@ -534,9 +536,9 @@ class TestPoolHardening:
             vertex_dataset, edr_cost, num_shards=2, backend="serial"
         )
         try:
-            states = engine.worker_states()
+            states = engine.status().workers
             assert all(s.alive and s.restarts == 0 for s in states)
-            assert engine.restarts_total() == 0
+            assert engine.status().restarts_total == 0
         finally:
             engine.close()
 

@@ -158,7 +158,7 @@ class TestMetricsEndpoint:
         )
         assert match is not None
         assert int(match.group(1)) > 0
-        assert int(match.group(1)) == service.engine.trie_cache_stats()["bytes"]
+        assert int(match.group(1)) == service.engine.status().trie["bytes"]
         # One warm-query cache, reported once.
         assert 'repro_trie_cache_hits_total{shard="0"}' in text
         assert "repro_substitution_cache" not in text

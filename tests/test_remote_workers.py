@@ -171,7 +171,7 @@ class TestParity:
             ) as procs:
                 assert remote.backend == "remote"
                 assert remote.num_shards == 3
-                assert remote.nodes() == addresses
+                assert remote.status().nodes == addresses
                 for _ in range(3):
                     query = sample_query(vertex_dataset, rng, 6)
                     a = single.query(query, tau_ratio=0.25)
@@ -212,7 +212,7 @@ class TestObservability:
                 for address in addresses:
                     assert f'node="{address}"' in rendered
                 # The injected drop cost shard 1 exactly one reconnect.
-                assert engine.restarts_total() == 1
+                assert engine.status().restarts_total == 1
             finally:
                 service.close(close_engine=True)
 
@@ -276,7 +276,7 @@ class TestCallDeadline:
                         assert time.monotonic() < deadline
                         time.sleep(0.05)
                 assert keys(result) == expected
-                assert engine.restarts_total() >= 1
+                assert engine.status().restarts_total >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +307,8 @@ class TestNodeLoss:
                 # insert past the handshake watermark: identical again.
                 after = engine.query(query, tau_ratio=0.25)
                 assert keys(after) == keys(before)
-                assert engine.restarts_total() == 1
-                states = engine.worker_states()
+                assert engine.status().restarts_total == 1
+                states = engine.status().workers
                 assert all(s.alive for s in states)
                 assert states[0].restarts == 1
 
@@ -363,8 +363,8 @@ class TestSeededChaos:
                     assert result.complete and result.degraded_shards == ()
                 # Every disruption forced exactly one reconnect, each of
                 # which replayed the journal to the handshake watermark.
-                assert engine.restarts_total() == 5
-                states = engine.worker_states()
+                assert engine.status().restarts_total == 5
+                states = engine.status().workers
                 assert all(s.alive for s in states)
                 assert [s.restarts for s in states] == [
                     len(disruptions[0]),

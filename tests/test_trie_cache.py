@@ -241,7 +241,7 @@ class TestEngineWarmPath:
             assert _result_key(warm) == _result_key(cold)
             assert warm.verification.visited_columns == cold.verification.visited_columns
             assert warm.verification.computed_columns <= cold.verification.computed_columns
-        stats = warm_engine.trie_cache_stats()
+        stats = warm_engine.status().trie
         if dp_backend == "python":
             # The python backend builds per-verifier node tries; the
             # engine never touches the TrieCache for it.
@@ -251,7 +251,7 @@ class TestEngineWarmPath:
             assert stats["misses"] == 1
             assert stats["hits"] == 3
             assert stats["size"] == 1
-        assert cold_engine.trie_cache_stats()["capacity"] == 0
+        assert cold_engine.status().trie["capacity"] == 0
 
     def test_online_insert_needs_no_invalidation(self, small_graph, trips, netedr_cost):
         """Why inserts never invalidate the trie cache: a cached column is
@@ -267,11 +267,11 @@ class TestEngineWarmPath:
         engine = SubtrajectorySearch(dataset, netedr_cost, trie_cache_size=8)
         query = list(dataset.symbols(0))[:8]
         before = engine.query(query, tau_ratio=0.4)
-        assert engine.trie_cache_stats()["size"] == 1
+        assert engine.status().trie["size"] == 1
         engine.add_trajectory(trips[20])
         after = engine.query(query, tau_ratio=0.4)
         # Entry survived the insert (no invalidation) and was reused.
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert stats["size"] == 1
         assert stats["hits"] == 1
         assert stats["evictions"] == 0
@@ -359,7 +359,7 @@ class TestSharedCacheConcurrency:
         # Settled state: warm answers equal the post-insert cold engine.
         for i, q in enumerate(queries):
             assert _result_key(engine.query(q, tau_ratio=0.4)) == post[i]
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         # One shared cache: one miss per distinct signature, no matter
         # how many shards and threads walked it; everything else hit.
         assert stats["misses"] == len(queries)
@@ -542,7 +542,7 @@ class TestTriesOff:
             entry = cache.peek(key)
             assert entry.matrix is not None and entry.matrix.cached_rows() > 0
             assert entry.tries == {}
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert (stats["hits"], stats["misses"]) == (1, 2)
         # The budget sees what the entries pin: their matrices.
         assert stats["bytes"] == sum(
@@ -571,7 +571,7 @@ class TestEvictionAndDisable:
         keys = cache.keys()
         assert len(keys) == 2
         assert first_key in keys  # the refreshed entry survived
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert stats["evictions"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 3
         # Evicting q1's would mean releasing ITS arenas; here q1 survived,
@@ -591,13 +591,13 @@ class TestEvictionAndDisable:
         )
         query = list(vertex_dataset.symbols(0))[:6]
         engine.query(query, tau_ratio=0.3)
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert stats["size"] == 0
         assert stats["evictions"] == 1
         assert stats["bytes"] == 0
         # Correctness is unaffected — the query simply stays cold.
         engine.query(query, tau_ratio=0.3)
-        assert engine.trie_cache_stats()["evictions"] == 2
+        assert engine.status().trie["evictions"] == 2
 
     def test_matrix_alone_over_budget_is_shed(self, vertex_dataset, netedr_cost):
         """The budget counts everything an entry pins: an entry whose
@@ -626,7 +626,7 @@ class TestEvictionAndDisable:
             trie_cache_bytes=64,
         )
         engine.query(list(vertex_dataset.symbols(0))[:6], tau_ratio=0.3)
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert (stats["size"], stats["evictions"], stats["bytes"]) == (0, 1, 0)
 
     def test_size_zero_fully_disables(self, vertex_dataset, netedr_cost, rng):
@@ -640,11 +640,12 @@ class TestEvictionAndDisable:
         b = engine.query(query, tau_ratio=0.3)
         assert _result_key(a) == _result_key(b)
         # Truly off: no entries, no counting, and repeats recompute.
-        assert engine.trie_cache_stats() == {
+        (shard,) = engine.status().shards
+        assert shard.trie == {
             "capacity": 0,
             "size": 0,
             "bytes": 0,
-            "max_bytes": engine.trie_cache_stats()["max_bytes"],
+            "max_bytes": shard.trie["max_bytes"],
             "hits": 0,
             "misses": 0,
             "evictions": 0,
@@ -715,7 +716,7 @@ class TestEvictionAndDisable:
             query = list(vertex_dataset.symbols(0))[:8]
             engine.query(query, tau_ratio=0.3)
             engine.query(query, tau_ratio=0.3)
-            stats = engine.trie_cache_stats()
+            stats = engine.status().trie
             assert stats["shards"] == 2
             assert stats["shards_reporting"] == 2  # idle workers all answer
             # Per-worker caches (no shared memory): capacities sum, and
@@ -793,7 +794,7 @@ class TestLookupStatusAndMeasuredBytes:
         assert array_bytes > 0
         assert entry.nbytes > array_bytes
         # What /metrics and /stats report is exactly the measured figure.
-        assert engine.trie_cache_stats()["bytes"] == entry.nbytes
+        assert engine.status().trie["bytes"] == entry.nbytes
 
 
 class _SlowMatrixCost(WeightedCost):
@@ -869,6 +870,6 @@ class TestOneWarmQueryCache:
         assert results[0] == results[1]
         # One creates the entry, the other finds it — and waits for the
         # creator's matrix instead of building a second one.
-        stats = engine.trie_cache_stats()
+        stats = engine.status().trie
         assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
         assert costs.builds == 1

@@ -219,7 +219,7 @@ class TestHandleContract:
             assert time.monotonic() - t0 < 1.0, "probe queued behind the query"
             gate.set()
             assert reply.result(timeout=30.0).matches is not None
-        assert "trie" in handle.probe("stats")
+        assert handle.probe("stats").trie is not None
 
 
 @needs_fork
@@ -261,7 +261,7 @@ class TestLinkFaults:
                 result = engine.query(query, tau_ratio=0.25)
                 assert keys(result) == expected
                 assert result.complete
-            assert engine.restarts_total() == 1
+            assert engine.status().restarts_total == 1
 
     def test_conn_hang_without_deadline_fails_fast_and_recovers(
         self, link, vertex_dataset, edr_cost, rng
@@ -278,7 +278,7 @@ class TestLinkFaults:
             t0 = time.monotonic()
             assert keys(engine.query(query, tau_ratio=0.25)) == expected
             assert time.monotonic() - t0 < 60.0
-            assert engine.restarts_total() == 1
+            assert engine.status().restarts_total == 1
 
     def test_slow_links_and_short_writes_are_benign(
         self, link, vertex_dataset, edr_cost, rng
@@ -297,7 +297,7 @@ class TestLinkFaults:
             for _ in range(3):
                 assert keys(engine.query(query, tau_ratio=0.25)) == expected
             # Latency and fragmentation never cost a link.
-            assert engine.restarts_total() == 0
+            assert engine.status().restarts_total == 0
 
     def test_held_down_link_strict_fails_loudly(
         self, link, vertex_dataset, edr_cost, rng
@@ -340,9 +340,9 @@ class TestLinkFaults:
             ]
             # The failed attempt and its retry opened the breaker
             # (threshold 2); Retry-After now has a basis.
-            states = engine.worker_states()
+            states = engine.status().workers
             assert states[1].breaker == "open"
-            assert engine.retry_after() > 0.0
+            assert engine.status().retry_after > 0.0
             assert states[1].to_dict()["retry_after"] > 0.0
 
 
@@ -391,7 +391,7 @@ class TestReplicationAndLifecycle:
             engine.close()
             engine.close()  # second close is a no-op, not an error
             assert pool.closed
-            assert not any(s.alive for s in pool.worker_states())
+            assert not any(worker.alive for worker in pool._workers)
             assert pool not in workers._LIVE_POOLS
             with pytest.raises(QueryError):
                 engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
@@ -401,15 +401,16 @@ class TestReplicationAndLifecycle:
 
     def test_worker_states_snapshot(self, link, vertex_dataset, edr_cost):
         with open_engine(link, vertex_dataset, edr_cost) as engine:
-            states = engine.worker_states()
+            status = engine.status()
+            states = status.workers
             assert [s.shard for s in states] == [0, 1]
             assert all(s.alive and s.breaker == "closed" for s in states)
             assert all(s.pid for s in states)
-            assert [s.node for s in states] == engine.nodes()
-            assert all((n is None) == (link == "processes") for n in engine.nodes())
+            assert [s.node for s in states] == status.nodes
+            assert all((n is None) == (link == "processes") for n in status.nodes)
             d = states[0].to_dict()
             assert {"shard", "alive", "pid", "restarts", "breaker"} <= set(d)
-            assert d.get("node") == engine.nodes()[0]
+            assert d.get("node") == status.nodes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,18 +419,19 @@ class TestReplicationAndLifecycle:
 
 
 def assert_figures_are_projections(engine):
-    """The engine-level figures are sums / minima over worker_states()."""
-    states = engine.worker_states()
-    assert engine.restarts_total() == sum(s.restarts for s in states)
-    assert engine.nodes() == [s.node for s in states]
+    """The engine-level figures are sums / minima over the snapshot's own
+    worker states.  Returns the snapshot."""
+    status = engine.status()
+    states = status.workers
+    assert [s.shard for s in states] == list(range(len(status.shards)))
+    assert status.restarts_total == sum(s.restarts for s in states)
+    assert status.nodes == [s.node for s in states]
+    assert status.degraded_shards == [
+        s.shard for s in states if not s.alive or s.breaker != "closed"
+    ]
     open_waits = [s.retry_after for s in states if s.breaker == "open"]
-    if not open_waits:
-        assert engine.retry_after() == 0.0
-    else:
-        # Read a moment later than the snapshot: the cooldown only shrinks.
-        assert 0.0 < engine.retry_after() <= min(open_waits)
-        assert min(open_waits) - engine.retry_after() < 5.0
-    return states
+    assert status.retry_after == min(open_waits, default=0.0)
+    return status
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
@@ -437,9 +439,9 @@ def test_engine_figures_are_projections_of_worker_states(
     backend, vertex_dataset, edr_cost
 ):
     with open_engine(backend, vertex_dataset, edr_cost) as engine:
-        states = assert_figures_are_projections(engine)
-        assert engine.restarts_total() == 0 and engine.retry_after() == 0.0
-        assert all(s.breaker == "closed" for s in states)
+        status = assert_figures_are_projections(engine)
+        assert status.restarts_total == 0 and status.retry_after == 0.0
+        assert all(s.breaker == "closed" for s in status.workers)
 
 
 #: shard 1 held down: killed before every query and never respawned — or,
@@ -470,9 +472,10 @@ def test_figures_stay_projections_once_a_breaker_is_open(
             sample_query(vertex_dataset, rng, 6), tau_ratio=0.25, allow_partial=True
         )
         assert result.degraded_shards == (1,)
-        states = assert_figures_are_projections(engine)
-        assert [s.breaker for s in states] == ["closed", "open"]
-        assert 0.0 < engine.retry_after() <= 60.0
+        status = assert_figures_are_projections(engine)
+        assert [s.breaker for s in status.workers] == ["closed", "open"]
+        assert status.degraded_shards == [1]
+        assert 0.0 < status.retry_after <= 60.0
 
 
 def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
@@ -498,7 +501,7 @@ def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
             engine._workers.query_shard(
                 query_shard, sample_query(vertex_dataset, rng, 6), {"tau_ratio": 0.25}
             )
-        states = engine.worker_states()
+        states = engine.status().workers
         by_insert, by_query = states[insert_shard], states[query_shard]
         assert by_insert.consecutive_failures == by_query.consecutive_failures == 1
         assert by_insert.breaker == by_query.breaker == "closed"  # 1 of 3
@@ -532,7 +535,7 @@ _ORPHAN_PARENT = textwrap.dedent(
             dataset, LevenshteinCost(), num_shards=2, backend="processes",
             start_method=sys.argv[1],
         )
-        print(*(s.pid for s in engine.worker_states()), flush=True)
+        print(*(s.pid for s in engine.status().workers), flush=True)
         time.sleep(120)
 
     if __name__ == "__main__":
