@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import List, Optional, Sequence
 
 from repro.apps.travel_time import TravelTimeEstimator
@@ -441,17 +442,28 @@ def _serve_self_test(
 
     Last, ``GET /healthz`` must show the shape every deployment serves:
     one worker entry per shard, engine blocks free of errors, and status
-    ``ok`` (``degraded`` is allowed only under ``faults``)."""
-    import urllib.request
+    ``ok`` (``degraded`` is allowed only under ``faults``).
 
-    def post_query(payload: dict) -> dict:
-        request = urllib.request.Request(
-            server.url + "/query",
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            return json.loads(response.read().decode("utf-8"))
+    Every request rides ONE keep-alive connection, and the cached top-k
+    repeat — whose service time is microseconds — must come back within
+    20 ms of it: the guard on the one-write, ``TCP_NODELAY`` front door
+    (``service/http.py``)."""
+    import http.client
+
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+
+    def fetch(method: str, route: str, payload: Optional[dict] = None) -> dict:
+        """One request on the self-test's single keep-alive connection."""
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        conn.request(method, route, body=body)
+        response = conn.getresponse()
+        data = response.read()
+        if response.status != 200:
+            raise ReproError(
+                f"self-test: {method} {route} answered {response.status}: "
+                f"{data.decode('utf-8', 'replace')}"
+            )
+        return json.loads(data.decode("utf-8"))
 
     server.start()
     try:
@@ -460,7 +472,7 @@ def _serve_self_test(
         last = {}
         for i in range(max(1, queries)):
             path = list(dataset.symbols(i % len(dataset)))[:6]
-            answer = post_query({"path": path, "tau_ratio": 0.3})
+            answer = fetch("POST", "/query", {"path": path, "tau_ratio": 0.3})
             direct = service.engine.query(path, tau_ratio=0.3)
             if answer["total_matches"] != len(direct.matches):
                 print(
@@ -478,7 +490,7 @@ def _serve_self_test(
 
         path = list(dataset.symbols(0))[:6]
         k = min(5, len(dataset))
-        answer = post_query({"path": path, "k": k})
+        answer = fetch("POST", "/query", {"path": path, "k": k})
         oracle = topk_search(SubtrajectorySearch(dataset, costs), path, k)
         got = [
             (r["trajectory"], r["start"], r["end"], r["distance"])
@@ -494,7 +506,23 @@ def _serve_self_test(
             )
             return 1
         smaller = max(1, k - 2)
-        repeat = post_query({"path": path, "k": smaller})
+        started = time.perf_counter()
+        repeat = fetch("POST", "/query", {"path": path, "k": smaller})
+        # What the client waited beyond the service's own time: parsing,
+        # the handler thread, serialization, the socket.  Sub-millisecond
+        # on a stall-free front door; a reply split over two sends reads
+        # a delayed-ACK timer here (>= 40 ms) from the second request of
+        # a connection on.
+        front_door_ms = (
+            time.perf_counter() - started - float(repeat["seconds"])
+        ) * 1000.0
+        if front_door_ms > 20.0:
+            print(
+                f"self-test FAILED: the cached top-{smaller} repeat spent "
+                f"{front_door_ms:.1f} ms outside the service on a keep-alive "
+                f"connection (limit 20 ms)"
+            )
+            return 1
         if service.cache.capacity > 0 and not repeat["cached"]:
             print(
                 f"self-test FAILED: top-{smaller} repeat was not served "
@@ -507,8 +535,7 @@ def _serve_self_test(
             print("self-test FAILED: cached truncation changed the ranking")
             return 1
         answered += 2
-        with urllib.request.urlopen(server.url + "/healthz", timeout=60) as response:
-            health = json.loads(response.read().decode("utf-8"))
+        health = fetch("GET", "/healthz")
         if (
             health["status"] not in (("ok", "degraded") if faults else ("ok",))
             or len(health.get("workers", ())) != health.get("shards")
@@ -527,11 +554,13 @@ def _serve_self_test(
             "topk_tau_rounds": answer["tau_rounds"],
             "topk_cached_repeat": repeat["cached"],
             "seconds": seconds,
+            "front_door_ms": round(front_door_ms, 3),
             "restarts_total": health["restarts_total"],
         }
         print(json.dumps(summary, indent=2))
         return 0
     finally:
+        conn.close()
         server.shutdown()
 
 

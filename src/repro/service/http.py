@@ -33,9 +33,10 @@ API surface (all bodies JSON):
   validated as graph walks by default (``"validate": false`` opts out).
 
 Input is checked, not coerced: ``path`` must be a list of JSON integers,
-``limit`` / ``k`` non-boolean integers, and every numeric field finite —
-``json.loads`` admits ``NaN`` / ``Infinity``, and a NaN slips through
-every ``<=`` guard downstream.
+``limit`` / ``k`` non-boolean integers, ``allow_partial`` / ``validate``
+JSON booleans, and every numeric field (``timestamps`` included) finite
+and non-boolean — ``json.loads`` admits ``NaN`` / ``Infinity``, and a NaN
+slips through every ``<=`` guard downstream.
 
 Error mapping: malformed requests → 400, admission shed → 429, missed
 deadline → 504, shard worker down/unavailable (and the client did not
@@ -43,6 +44,17 @@ opt into a partial answer) → 503.  503 bodies carry the currently
 unhealthy ``degraded_shards`` plus a ``Retry-After`` header derived from
 the soonest breaker cooldown, so clients back off for exactly as long as
 the supervisor needs.
+
+On the wire: every reply is ONE write (status line, headers and body
+together) on a ``TCP_NODELAY`` socket.  Headers and body sent apart cost
+a keep-alive client ~40 ms per reply — Nagle holds the second segment
+until the first is acknowledged, and the client delays that ACK.  A
+refusal keeps the connection unless the request's declared body was left
+unread (no usable ``Content-Length``, ``Transfer-Encoding``, a POST to
+an unknown path), in which case the reply says ``Connection: close``.
+(The stdlib's own ``send_error`` replies — a malformed request line, an
+unsupported method — are still its two sends; with ``TCP_NODELAY`` they
+do not wait either, and they always close.)
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ import json
 import logging
 import math
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -145,11 +158,18 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the service stored on the server object."""
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a reply too large for one
+    # segment must not have its tail wait on Nagle either.
+    disable_nagle_algorithm = True
+    # Whether the current request declared a body that has not been read
+    # off the stream (set per request by do_GET / do_POST / _read_body).
+    _body_unread = False
 
     # -- plumbing -----------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("%s - %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s - %s", self.address_string(), format % args)
 
     def _send_json(
         self,
@@ -170,19 +190,25 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if status >= 400:
-            # The request body may not have been (fully) drained on error
-            # paths; closing keeps the keep-alive stream from
-            # desynchronizing on leftover bytes.
-            self.send_header("Connection", "close")
+        """Every reply leaves here, as ONE write of status line, headers
+        and body — never a header-only segment for the body to wait
+        behind (module docstring, "On the wire")."""
+        self.log_request(status, len(body))
+        lines = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        lines.extend(f"{name}: {value}" for name, value in (headers or {}).items())
+        if self._body_unread:
+            # Bytes of this request are still on the stream; the next
+            # request line would be parsed out of them.
+            lines.append("Connection: close")
             self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + body)
 
     def _send_unavailable(self, service: QueryService, exc: WorkerError) -> None:
         """One shard-unavailability 503: the body names the shards that
@@ -204,12 +230,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(503, payload, headers={"Retry-After": str(seconds)})
 
     def _read_body(self) -> Dict[str, Any]:
+        if "Transfer-Encoding" in self.headers:
+            raise ValueError("request body must be sent with Content-Length")
         length = int(self.headers.get("Content-Length", 0))
         if length <= 0:
             raise ValueError("missing request body")
         if length > _MAX_BODY:
             raise ValueError("request body too large")
-        data = json.loads(self.rfile.read(length).decode("utf-8"))
+        raw = self.rfile.read(length)
+        # The stream is at the next request line: whatever is wrong with
+        # these bytes, the refusal need not cost the connection.
+        self._body_unread = False
+        data = json.loads(raw.decode("utf-8"))
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
@@ -220,6 +252,9 @@ class _Handler(BaseHTTPRequestHandler):
         service: QueryService = self.server.service  # type: ignore[attr-defined]
         parsed = urlsplit(self.path)
         path = parsed.path
+        self._body_unread = (
+            "Content-Length" in self.headers or "Transfer-Encoding" in self.headers
+        )
         try:
             if path == "/healthz":
                 # ONE engine snapshot per probe (one non-blocking poll of
@@ -282,6 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         service: QueryService = self.server.service  # type: ignore[attr-defined]
+        self._body_unread = True  # until _read_body has read it
         try:
             if self.path == "/query":
                 self._handle_query(service)
@@ -384,16 +420,18 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_insert(self, service: QueryService) -> None:
         body = self._read_body()
         timestamps = body.get("timestamps")
-        trajectory = Trajectory(
-            self._symbols_of(body),
-            timestamps=None if timestamps is None else [float(t) for t in timestamps],
-        )
+        if timestamps is not None:
+            if isinstance(timestamps, list):
+                timestamps = [self._finite_number(t) for t in timestamps]
+            if not isinstance(timestamps, list) or None in timestamps:
+                raise ValueError("'timestamps' must be a list of finite numbers")
         # Untrusted write endpoint: reject non-walks unless the client
         # explicitly opts out with {"validate": false}.
-        validate = body.get("validate")
-        tid = service.add_trajectory(
-            trajectory, validate=True if validate is None else bool(validate)
-        )
+        validate = body.get("validate", True)
+        if not isinstance(validate, bool):
+            raise ValueError("'validate' must be a boolean")
+        trajectory = Trajectory(self._symbols_of(body), timestamps=timestamps)
+        tid = service.add_trajectory(trajectory, validate=validate)
         self._send_json(200, {"trajectory": tid, "invalidated_cache": True})
 
     @staticmethod
@@ -419,14 +457,23 @@ class _Handler(BaseHTTPRequestHandler):
         value = body.get(name)
         if value is None:
             return None
+        number = _Handler._finite_number(value)
+        if number is None:
+            raise ValueError(f"'{name}' must be a finite number")
+        return number
+
+    @staticmethod
+    def _finite_number(value: Any) -> Optional[float]:
+        """``value`` as a float if it is a finite, non-boolean JSON
+        number, else ``None``."""
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
                 number = float(value)
             except OverflowError:  # an integer literal beyond float range
-                number = math.inf
+                return None
             if math.isfinite(number):
                 return number
-        raise ValueError(f"'{name}' must be a finite number")
+        return None
 
     @classmethod
     def _interval_of(cls, body: Dict[str, Any]) -> Tuple[Optional[TimeInterval], str]:

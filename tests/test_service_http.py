@@ -1,7 +1,10 @@
 """HTTP frontend: routes, JSON shapes, error mapping, and the CLI
 self-test smoke path."""
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -12,6 +15,7 @@ import pytest
 from repro.cli import main
 from repro.core.engine import SubtrajectorySearch
 from repro.distance.costs import EDRCost, LevenshteinCost
+from repro.exceptions import WorkerError
 from repro.service import QueryService, ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.model import Trajectory
@@ -129,6 +133,13 @@ class TestErrors:
             # json.loads admits NaN; a NaN departure poisons interval
             # predicates and the departure sort.
             ("/trajectories", {"path": [1, 2, 3], "timestamps": [float("nan"), 1, 5]}),
+            # float("0") and float(True) used to let these through.
+            ("/trajectories", {"path": [1, 2, 3], "timestamps": ["0", "1", "2"]}),
+            ("/trajectories", {"path": [1, 2, 3], "timestamps": [True, True, True]}),
+            ("/trajectories", {"path": [1, 2, 3], "timestamps": "012"}),
+            # bool(0) switched graph-walk validation off, bool("false") on.
+            ("/trajectories", {"path": [0, 5], "validate": 0}),
+            ("/trajectories", {"path": [0, 1], "validate": "false"}),
         ],
     )
     def test_bad_requests_are_400(self, server, route, payload):
@@ -250,6 +261,19 @@ class TestOnlineInsertOverHTTP:
         )
         assert status == 200 and body["trajectory"] == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("timestamps", ["0", "1"]), ("timestamps", [True, 1]), ("validate", 0)],
+    )
+    def test_uncoercible_field_is_named_and_nothing_is_inserted(
+        self, server, field, value
+    ):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(server.url + "/trajectories", {"path": [0, 1], field: value})
+        assert err.value.code == 400
+        assert f"'{field}'" in json.loads(err.value.read())["error"]
+        assert _get(server.url + "/healthz")[1]["trajectories"] == 2
+
     def test_insert_then_query_sees_new_trajectory(self, server):
         _, before = _post(server.url + "/query", {"path": [5, 4, 3], "tau": 1.0})
         assert before["total_matches"] == 0
@@ -261,6 +285,202 @@ class TestOnlineInsertOverHTTP:
         _, after = _post(server.url + "/query", {"path": [5, 4, 3], "tau": 1.0})
         assert after["cached"] is False  # stale empty answer was invalidated
         assert after["total_matches"] == 1
+
+
+_CACHED_QUERY = ("POST", "/query", {"path": [1, 2, 3], "tau": 1.0})
+
+
+def _roundtrip(conn, method, route, payload=None):
+    """One request on a keep-alive connection: status, headers, raw body."""
+    body = None if payload is None else json.dumps(payload).encode("utf-8")
+    conn.request(method, route, body=body)
+    response = conn.getresponse()
+    return response.status, response.headers, response.read()
+
+
+@pytest.fixture()
+def conn(server):
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    yield connection
+    connection.close()
+
+
+@pytest.fixture()
+def server_writes(server, monkeypatch):
+    """Every ``send`` / ``sendall`` on a socket the server accepted, as
+    ``(bytes, TCP_NODELAY)`` — recorded at the socket, below whatever
+    buffering the handler does.  The client's sockets (this process too)
+    are told apart by their local port."""
+    writes = []
+    for name in ("send", "sendall"):
+        def spy(sock, data, *flags, _original=getattr(socket.socket, name)):
+            if sock.getsockname()[1] == server.port:
+                nodelay = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                writes.append((len(data), nodelay))
+            return _original(sock, data, *flags)
+
+        monkeypatch.setattr(socket.socket, name, spy)
+    return writes
+
+
+def _fill(server, count):
+    """Enough trajectories for one range query to answer > 40 KB."""
+    for _ in range(count):
+        server._service.add_trajectory(Trajectory([0, 1, 2, 3, 4, 5]))
+    return "POST", "/query", {"path": [1, 2, 3, 4], "tau": 2.0}
+
+
+class TestFrontDoor:
+    """A keep-alive client must never wait on its own delayed ACK: every
+    reply is one write on a ``TCP_NODELAY`` socket.  Fresh-connection
+    clients (``urlopen``, every test above) cannot see the difference —
+    the first reply on a connection rides the kernel's quick-ACK phase."""
+
+    def test_every_reply_kind_is_one_socket_write(
+        self, server, conn, server_writes, monkeypatch
+    ):
+        big = _fill(server, 160)
+        _roundtrip(conn, *_CACHED_QUERY)
+
+        def unavailable(*args, **kwargs):
+            raise WorkerError("shard 0 is down")
+
+        requests = [
+            ("cached 200", 200, _CACHED_QUERY),
+            ("metrics text", 200, ("GET", "/metrics")),
+            ("400", 400, ("POST", "/query", {"path": [1, 2], "tau": "x"})),
+            ("404", 404, ("GET", "/nope")),
+            ("503", 503, ("POST", "/query", {"path": [3, 4], "tau": 1.0})),
+            ("large 200", 200, big),
+        ]
+        for kind, expected, request in requests:
+            with monkeypatch.context() as patch:
+                if expected == 503:
+                    patch.setattr(server._service, "query", unavailable)
+                del server_writes[:]
+                status, headers, body = _roundtrip(conn, *request)
+            assert status == expected, kind
+            sizes = [size for size, _ in server_writes]
+            assert len(sizes) == 1, f"{kind}: reply left in {len(sizes)} writes {sizes}"
+            assert sizes[0] > len(body) == int(headers["Content-Length"]), kind
+            if kind == "cached 200":
+                assert json.loads(body)["cached"] is True
+            elif kind == "503":
+                assert headers["Retry-After"] == "1"
+            elif kind == "large 200":
+                assert len(body) >= 40_000
+
+    def test_accepted_sockets_have_nodelay(self, conn, server_writes):
+        _roundtrip(conn, "GET", "/healthz")
+        assert server_writes and all(nodelay for _, nodelay in server_writes)
+
+    def test_keepalive_round_trips_do_not_stall(self, conn):
+        """A reply split over two sends reads the client's delayed-ACK
+        timer (a kernel constant, >= 40 ms) from the second request of a
+        connection on; a whole one reads well under a millisecond.  The
+        bound sits 2x from the first and >20x from the second."""
+        insert = ("POST", "/trajectories", {"path": [0, 1, 2], "timestamps": [0, 1, 2]})
+        for request in (
+            _CACHED_QUERY,
+            ("GET", "/healthz"),
+            ("GET", "/stats"),
+            ("GET", "/metrics"),
+            insert,
+        ):
+            elapsed = []
+            for _ in range(30):
+                started = time.perf_counter()
+                status, _, _ = _roundtrip(conn, *request)
+                elapsed.append(time.perf_counter() - started)
+                assert status == 200
+            assert statistics.median(elapsed) < 0.020, request[1]
+
+    def test_content_length_is_the_bytes_on_the_wire(self, server):
+        """Read to EOF on a raw socket, so nothing trims or pads the body
+        to the header's figure the way an HTTP client would."""
+        smallest = ("POST", "/trajectories", {"path": [0, 1]})
+        for method, route, payload in (smallest, _fill(server, 160)):
+            data = json.dumps(payload).encode("utf-8")
+            head = (
+                f"{method} {route} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n"
+            )
+            with socket.create_connection((server.host, server.port), timeout=30) as raw:
+                raw.sendall(head.encode("ascii") + data)
+                reply = b"".join(iter(lambda: raw.recv(65536), b""))
+            headers, _, body = reply.partition(b"\r\n\r\n")
+            assert headers.startswith(b"HTTP/1.1 200 OK\r\n")
+            (length,) = [
+                int(line.split(b":")[1])
+                for line in headers.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            ]
+            assert length == len(body)
+            assert isinstance(json.loads(body), dict)
+
+
+class TestRefusalsKeepTheConnection:
+    """A refusal sent after the request body was read leaves the stream
+    at the next request line, so it must not cost the client its
+    connection — least of all a shed (429) or a 503, which would send the
+    retry through a fresh handshake and handler thread exactly when the
+    server is loaded.  Only a body left unread closes."""
+
+    @pytest.fixture()
+    def accepted(self, server):
+        """Connections the server accepted — one handler thread each."""
+        connections = []
+        get_request = server._httpd.get_request
+
+        def counting():
+            connections.append(get_request())
+            return connections[-1]
+
+        server._httpd.get_request = counting
+        return connections
+
+    def test_refusals_after_the_body_was_read_share_one_socket(self, conn, accepted):
+        bad = ("POST", "/query", {"path": [1, 2], "tau": "x"})
+        late = ("POST", "/query", {"path": [2, 3], "tau": 1.0, "deadline": 1e-9})
+        non_walk = ("POST", "/trajectories", {"path": [0, 5]})
+        sock = None
+        for expected, request in (
+            (400, bad), (200, _CACHED_QUERY), (504, late), (200, _CACHED_QUERY),
+            (400, non_walk), (404, ("GET", "/nope")), (200, ("GET", "/healthz")),
+        ):
+            status, headers, _ = _roundtrip(conn, *request)
+            assert status == expected
+            assert headers["Connection"] is None
+            sock = sock or conn.sock
+            assert conn.sock is sock
+        assert len(accepted) == 1
+
+    @pytest.mark.parametrize(
+        "route, declared",
+        [
+            ("/query", {"Content-Length": str(17 * 1024 * 1024)}),
+            ("/query", {"Content-Length": "many"}),
+            ("/query", {"Transfer-Encoding": "chunked"}),
+            ("/query", {}),
+            ("/nope", {"Content-Length": "2"}),
+        ],
+    )
+    def test_an_unread_body_closes_and_the_client_reconnects(
+        self, conn, accepted, route, declared
+    ):
+        assert _roundtrip(conn, *_CACHED_QUERY)[0] == 200
+        # Headers only: the server must decide from what was declared.
+        conn.putrequest("POST", route)
+        for name, value in declared.items():
+            conn.putheader(name, value)
+        conn.endheaders()
+        response = conn.getresponse()
+        response.read()
+        assert response.status == (404 if route == "/nope" else 400)
+        assert response.headers["Connection"] == "close"
+        assert conn.sock is None
+        assert _roundtrip(conn, *_CACHED_QUERY)[0] == 200
+        assert len(accepted) == 2
 
 
 class TestServerLifecycle:
