@@ -89,13 +89,7 @@ def test_fault_recovery(benchmark, recorder, bench_scale):
     assert base_lost == 0
 
     with PartitionedSubtrajectorySearch(
-        dataset,
-        costs,
-        num_shards=NUM_SHARDS,
-        backend="processes",
-        fault_plan=plan,
-        respawn_backoff=0.01,
-        respawn_backoff_cap=0.1,
+        dataset, costs, num_shards=NUM_SHARDS, backend="processes", fault_plan=plan
     ) as engine:
         chaos_lat, chaos_answers, chaos_lost = _replay(engine, requests)
         restarts = engine.status().restarts_total

@@ -387,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         default_deadline=args.deadline,
         cache_size=args.cache_size,
-        batching=not args.no_batching,
         trace_sample_rate=args.trace_sample_rate,
         slow_query_seconds=(
             None if args.slow_query_ms is None else args.slow_query_ms / 1000.0
@@ -726,9 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--deadline", type=float, default=None, help="default per-query deadline (s)"
     )
     p.add_argument("--cache-size", type=int, default=1024, help="LRU entries (0 = off)")
-    p.add_argument(
-        "--no-batching", action="store_true", help="disable request coalescing"
-    )
     p.add_argument(
         "--trace-sample-rate",
         type=float,

@@ -256,10 +256,6 @@ class SubtrajectorySearch:
         temporal-constrained queries (§4.3).  ``None`` (default) means
         what the ``index_path`` file says, and ``False`` for an index
         built in memory; an explicit value the file contradicts raises.
-    fallback_to_scan:
-        When no tau-subsequence exists (``c(Q) < tau``, possible for
-        continuous costs with tiny eta — §3.1), scan the whole dataset
-        instead of raising.
     dp_backend:
         Verification DP backend: ``"auto"`` (default) resolves per query
         — the array-native kernel for long queries or expensive cost
@@ -334,7 +330,6 @@ class SubtrajectorySearch:
         verification: VerificationMode = "trie",
         early_termination: bool = True,
         sort_by_departure: Optional[bool] = None,
-        fallback_to_scan: bool = True,
         dp_backend: str = "auto",
         trie_cache_size: int = DEFAULT_TRIE_CACHE,
         trie_cache_bytes: Optional[int] = DEFAULT_TRIE_CACHE_BYTES,
@@ -364,7 +359,6 @@ class SubtrajectorySearch:
         self._selector = _SELECTORS[selector]
         self._verification: VerificationMode = verification
         self._early_termination = early_termination
-        self._fallback = fallback_to_scan
         self._dp_backend = dp_backend
         self._trie_cache = (
             trie_cache
@@ -548,8 +542,8 @@ class SubtrajectorySearch:
         try:
             subsequence = self._selector(profile, tau)
         except QueryError:
-            if not self._fallback:
-                raise
+            # No tau-subsequence exists (c(Q) < tau, possible for
+            # continuous costs with tiny eta — §3.1): scan the dataset.
             return self._scan_fallback(
                 query, tau, t0, time_interval, temporal_mode, cancel, trace
             )

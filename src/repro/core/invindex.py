@@ -147,8 +147,10 @@ class InvertedIndex:
         Table 6)."""
         total = sys.getsizeof(self._postings)
         # A snapshot: append_trajectory publishes new symbols into the
-        # live dict while a status probe walks it.
-        for sym, plist in list(self._postings.items()):
+        # live dict while a status probe walks it.  ``copy`` is one C call;
+        # ``list(items())`` allocates a tuple per item, and a collection
+        # those allocations trigger can hand the GIL to the inserter mid-walk.
+        for sym, plist in self._postings.copy().items():
             total += sys.getsizeof(sym) + sys.getsizeof(plist)
             total += sum(sys.getsizeof(p) for p in plist)
         return total

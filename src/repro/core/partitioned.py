@@ -184,12 +184,7 @@ class PartitionedSubtrajectorySearch:
         num_shards: int = 4,
         backend: str = "serial",
         start_method: Optional[str] = None,
-        supervise: bool = True,
         fault_plan=None,
-        breaker_failures: int = 3,
-        breaker_cooldown: float = 1.0,
-        respawn_backoff: float = 0.05,
-        respawn_backoff_cap: float = 2.0,
         shard_map: Optional[Sequence[str]] = None,
         connect_timeout: float = 5.0,
         remote_call_timeout: Optional[float] = None,
@@ -291,12 +286,7 @@ class PartitionedSubtrajectorySearch:
                 engine_kwargs,
                 start_method=start_method,
                 per_shard_kwargs=per_shard_kwargs,
-                supervise=supervise,
                 fault_plan=fault_plan,
-                breaker_failures=breaker_failures,
-                breaker_cooldown=breaker_cooldown,
-                respawn_backoff=respawn_backoff,
-                respawn_backoff_cap=respawn_backoff_cap,
                 shard_map=list(shard_map) if backend == "remote" else None,
                 connect_timeout=connect_timeout,
                 call_timeout=remote_call_timeout,

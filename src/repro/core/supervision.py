@@ -28,6 +28,9 @@ exactly the same state machines, where a "respawn" is a reconnect:
   cache / index counters), and the cross-shard projections ``/healthz``,
   ``/stats``, ``/metrics`` and the 503 body read, written once.
 
+The fault policy is four constants, not options: every shard is built
+with them (read at construction, so a test may patch them here).
+
 All methods are thread-safe where it matters: breakers are consulted on
 the query path while the supervisor thread records respawn outcomes.
 """
@@ -42,9 +45,13 @@ from time import monotonic
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
+    "BREAKER_COOLDOWN",
+    "BREAKER_FAILURES",
     "BREAKER_STATES",
     "CircuitBreaker",
     "EngineStatus",
+    "RESPAWN_BACKOFF",
+    "RESPAWN_BACKOFF_CAP",
     "RespawnBackoff",
     "ShardStatus",
     "WorkerState",
@@ -54,6 +61,14 @@ __all__ = [
 #: ``repro_shard_breaker_state`` value is the index into this tuple.
 BREAKER_STATES = ("closed", "half_open", "open")
 
+#: consecutive shard failures that open a shard's breaker.
+BREAKER_FAILURES = 3
+#: seconds an open breaker waits before admitting its half-open probe.
+BREAKER_COOLDOWN = 1.0
+#: base and cap (seconds) of the jittered exponential respawn backoff.
+RESPAWN_BACKOFF = 0.05
+RESPAWN_BACKOFF_CAP = 2.0
+
 
 class CircuitBreaker:
     """Closed → open after N consecutive failures → half-open probe.
@@ -62,15 +77,18 @@ class CircuitBreaker:
     its reply vs. a worker that died / stayed unreachable), not
     client-level ones — a deadline miss or a refused threshold is the
     client's business, not the shard's health: the shard answered.
+    Unset arguments take the module's fault policy.
     """
 
     def __init__(
         self,
         *,
-        failure_threshold: int = 3,
-        cooldown: float = 1.0,
+        failure_threshold: Optional[int] = None,
+        cooldown: Optional[float] = None,
         clock=monotonic,
     ) -> None:
+        failure_threshold = BREAKER_FAILURES if failure_threshold is None else failure_threshold
+        cooldown = BREAKER_COOLDOWN if cooldown is None else cooldown
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if cooldown < 0:
@@ -171,10 +189,14 @@ class RespawnBackoff:
     ``min(cap, base * 2**k) * u`` with ``u`` drawn uniformly from
     ``[0.5, 1.5)`` by a :class:`random.Random` seeded at construction —
     reproducible for the chaos suite, desynchronized across shards via
-    per-shard seeds.
+    per-shard seeds.  Unset bounds take the module's fault policy.
     """
 
-    def __init__(self, *, base: float = 0.05, cap: float = 2.0, seed: int = 0) -> None:
+    def __init__(
+        self, *, base: Optional[float] = None, cap: Optional[float] = None, seed: int = 0
+    ) -> None:
+        base = RESPAWN_BACKOFF if base is None else base
+        cap = RESPAWN_BACKOFF_CAP if cap is None else cap
         if base < 0 or cap < base:
             raise ValueError("need 0 <= base <= cap")
         self.base = base

@@ -87,7 +87,8 @@ backend, the shards, the supervisor thread, ``close()``.
   probe slot is handed back however the probe ends;
 - a shard whose link failed is revived and its query retried exactly
   once, within the caller's remaining deadline budget, re-shipping the
-  *updated* remaining time;
+  *updated* remaining time.  An error the worker *replied* with stands:
+  its link is up, so a respawn would only replace a healthy worker;
 - deterministic chaos: a :class:`~repro.faultinject.FaultPlan` ships
   per-shard worker-side fault tables to the workers (kill before / after
   request K, delay or drop a reply, ignore stop), network faults into
@@ -542,10 +543,9 @@ class _ShardWorker:
     *mid-handshake* when the connect lands on a node that is still going
     down.  Any transport failure before the handshake completes just
     means "this attempt lost the race".  (A child process has no such
-    race: its budget is 0, one attempt.)  With ``supervise`` off a dead
-    worker stays dead (:meth:`revive` refuses); ``breaker`` / ``backoff``
-    default to the pool's default policy; ``respawn_failures`` is the
-    fault plan's injected-failure budget.
+    race: its budget is 0, one attempt.)  Breaker and backoff follow the
+    fault policy of :mod:`repro.core.supervision`; ``plan`` supplies this
+    shard's fault tables, injected respawn failures and backoff seed.
     """
 
     def __init__(
@@ -556,15 +556,10 @@ class _ShardWorker:
         dataset,
         costs,
         engine_kwargs: Dict[str, Any],
-        faults=None,
-        net_faults=None,
+        plan: FaultPlan,
         *,
         open_budget: float = 0.0,
         call_timeout: Optional[float] = None,
-        supervise: bool = True,
-        breaker: Optional[CircuitBreaker] = None,
-        backoff: Optional[RespawnBackoff] = None,
-        respawn_failures: int = 0,
     ) -> None:
         self.index = index
         self.node = node
@@ -575,20 +570,20 @@ class _ShardWorker:
         #: acknowledged inserts the mirror may not hold yet, as
         #: ``(expected_local_id, trajectory, validate)``.
         self.journal: List[Tuple[int, Any, bool]] = []
-        self.breaker = breaker or CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.last_error = ""
         self.events: deque = deque(maxlen=16)
-        self._backoff = backoff or RespawnBackoff()
+        self._backoff = RespawnBackoff(seed=plan.seed + index)
         self._respawn_attempts = 0
         self._respawn_not_before = 0.0
-        self._respawn_fail_budget = respawn_failures
-        #: whether :meth:`revive` may act; :meth:`stop` turns it off.
-        self._supervise = supervise
+        self._respawn_fail_budget = plan.respawn_failures(index)
+        #: set by :meth:`stop`: no :meth:`revive` from then on.
+        self._stopped = False
         self._opener = opener
         self._costs = costs
         self._engine_kwargs = dict(engine_kwargs)
-        self._faults = faults
-        self._net_faults = net_faults
+        self._faults = plan.worker_faults(index)
+        self._net_faults = plan.network_faults(index)
         self._call_timeout = call_timeout
         self._lock = threading.Lock()
         self._req = 0
@@ -669,8 +664,8 @@ class _ShardWorker:
     ) -> bool:
         """Bring this shard's worker back up: replace a dead incarnation
         with a fresh one and replay the insert journal so the replica is
-        bit-identical.  Returns True when the worker is alive afterwards
-        (already, or freshly respawned).
+        bit-identical.  Returns True when a worker the caller may retry on
+        is up afterwards (already, or freshly respawned).
 
         ``blocking`` waits (bounded) for the lock — the query-path retry;
         non-blocking skips the tick when the lock is busy — the
@@ -684,16 +679,15 @@ class _ShardWorker:
         ``force`` ignores the backoff window — used by the query path,
         whose bound is the caller's own deadline budget.
 
-        ``seen_restarts`` is the restart generation the caller observed
-        *failing*.  A dying worker closes its socket before ``waitpid``
-        reports it dead, so ``alive`` can stay True for a worker whose
-        requests already fail — trusting it would retry on a corpse's
-        link.  When the generation hasn't changed since the failure,
-        respawn over the stale-alive process (any lingering incarnation
-        is killed first); when it has, the supervisor beat us to it and
-        the live worker really is fresh.
+        ``seen_restarts`` is the restart generation the caller's failed
+        request was sent to.  A failed link or process is always closed
+        where the failure is found, so an incarnation of that generation
+        that is still up did not fail: the failure was its own reply,
+        which a respawn would only repeat on a fresh worker — False, and
+        the caller's error stands.  A later generation is a worker the
+        supervisor already brought back.
         """
-        if not self._supervise:
+        if self._stopped:
             return False
 
         def fresh() -> bool:
@@ -713,10 +707,10 @@ class _ShardWorker:
         elif not self._lock.acquire(blocking=False):
             return False
         try:
-            if not self._supervise:
+            if self._stopped:
                 return False  # stopped while this call waited for the lock
-            if fresh():
-                return True
+            if self.alive:
+                return fresh()
             if not force and monotonic() < self._respawn_not_before:
                 return False
             if self._respawn_fail_budget > 0:
@@ -797,14 +791,15 @@ class _ShardWorker:
         fault policy.
 
         A shard whose circuit breaker is open is not even sent to
-        (:class:`ShardUnavailableError`).  A shard whose worker fails
-        under the request (:class:`WorkerError`) is revived and the query
-        retried — exactly once, only within the caller's remaining
-        deadline budget, re-shipping the *updated* remaining time.  The
-        error that stands (the original when no retry was possible, else
-        the retry's) propagates.  While waiting, a tripped ``cancel``
-        token becomes a cancel frame, and the worker still sends its one
-        reply.
+        (:class:`ShardUnavailableError`).  A shard whose link or process
+        fails under the request (:class:`WorkerError`) is revived and the
+        query retried — exactly once, only within the caller's remaining
+        deadline budget, re-shipping the *updated* remaining time.  A
+        :class:`WorkerError` the worker replied with is not retried (see
+        :meth:`revive`).  The error that stands (the original when no
+        retry was possible, else the retry's) propagates.  While waiting,
+        a tripped ``cancel`` token becomes a cancel frame, and the worker
+        still sends its one reply.
 
         With ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair) the
         worker traces its engine query and the return value is
@@ -823,13 +818,15 @@ class _ShardWorker:
                 raise ShardUnavailableError(
                     f"shard {self.index} circuit breaker is {self.breaker.state}"
                 )
+            generation = self.restarts
             try:
                 return attempt()
             except WorkerError:
                 # No retry once the caller's deadline is spent, nor when
-                # the revive fails (or the shard is unsupervised/stopped).
+                # nothing was revived: the worker replied with the error,
+                # the respawn failed, or the shard is stopped.
                 if (cancel is not None and cancel.cancelled()) or not self.revive(
-                    blocking=True, force=True, seen_restarts=self.restarts
+                    blocking=True, force=True, seen_restarts=generation
                 ):
                     raise
             if on_event is not None:
@@ -1007,7 +1004,7 @@ class _ShardWorker:
         owns a process — SIGTERM if it lingers, SIGKILL if it is wedged,
         so a child can never outlive ``close()``.  A node is an external
         process with its own lifecycle and is only ever disconnected."""
-        self._supervise = False  # no revive from here on
+        self._stopped = True
         self._cancel(self._req)  # unblock any abandoned in-flight work
         if self.alive:
             # Polite phase: send "stop" without waiting for the reply (the
@@ -1075,21 +1072,9 @@ class ShardWorkerPool:
         engine ships each worker its own frozen ``index_path`` (the path
         crosses the link, never the index: the worker mmaps the file —
         including again on every respawn).
-    supervise:
-        Run the supervisor thread (liveness poll + respawn with backoff)
-        and enable the query path's respawn-and-retry.  Off, a dead
-        worker stays dead and every query to it raises
-        :class:`WorkerError` — the pre-supervision semantics, kept for
-        tests that pin crash behavior.
     fault_plan:
         Optional :class:`~repro.faultinject.FaultPlan` — deterministic
         chaos, see that module.
-    breaker_failures / breaker_cooldown:
-        Per-shard circuit breaker: consecutive shard failures that open
-        it, and seconds before a half-open probe is allowed.
-    respawn_backoff / respawn_backoff_cap:
-        Base and cap (seconds) of the exponential respawn backoff
-        (jittered per shard).
     shard_map:
         One ``"host:port"`` node address per shard.  When given, links
         are connections to standalone ``repro worker --listen`` node
@@ -1111,12 +1096,7 @@ class ShardWorkerPool:
         *,
         start_method: Optional[str] = None,
         per_shard_kwargs: Optional[Sequence[Optional[Dict[str, Any]]]] = None,
-        supervise: bool = True,
         fault_plan=None,
-        breaker_failures: int = 3,
-        breaker_cooldown: float = 1.0,
-        respawn_backoff: float = 0.05,
-        respawn_backoff_cap: float = 2.0,
         shard_map: Optional[Sequence[str]] = None,
         connect_timeout: float = 5.0,
         call_timeout: Optional[float] = None,
@@ -1156,27 +1136,8 @@ class ShardWorkerPool:
                 opener, node = links[index]
                 self._workers.append(
                     _ShardWorker(
-                        index,
-                        opener,
-                        node,
-                        dataset,
-                        costs,
-                        kwargs,
-                        plan.worker_faults(index),
-                        plan.network_faults(index),
-                        open_budget=open_budget,
-                        call_timeout=call_timeout,
-                        supervise=bool(supervise),
-                        breaker=CircuitBreaker(
-                            failure_threshold=breaker_failures,
-                            cooldown=breaker_cooldown,
-                        ),
-                        backoff=RespawnBackoff(
-                            base=respawn_backoff,
-                            cap=respawn_backoff_cap,
-                            seed=plan.seed + index,
-                        ),
-                        respawn_failures=plan.respawn_failures(index),
+                        index, opener, node, dataset, costs, kwargs, plan,
+                        open_budget=open_budget, call_timeout=call_timeout,
                     )
                 )
         except BaseException:
@@ -1187,13 +1148,12 @@ class ShardWorkerPool:
         if not _ATEXIT_REGISTERED:
             atexit.register(_shutdown_live_pools)
             _ATEXIT_REGISTERED = True
-        if supervise:
-            self._supervisor = threading.Thread(
-                target=self._supervise_loop,
-                name="repro-shard-supervisor",
-                daemon=True,
-            )
-            self._supervisor.start()
+        self._supervisor = threading.Thread(
+            target=self._supervise_loop,
+            name="repro-shard-supervisor",
+            daemon=True,
+        )
+        self._supervisor.start()
 
     @property
     def closed(self) -> bool:

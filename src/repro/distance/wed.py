@@ -146,10 +146,7 @@ def wed_within(
     init = wed_row_init(costs, query)
     row: List[float] = init
     if min(init) >= tau:
-        # Even the empty prefix cannot recover; but the full value might
-        # still matter to callers only when < tau, so report inf.
-        if row[-1] < tau:
-            pass  # unreachable: row[-1] >= min(row) >= tau
+        # Even the empty prefix cannot recover (row[-1] >= min(row) >= tau).
         return math.inf
     for p in data:
         row, row_min = wed_step_min(costs, query, p, row, ins_prefix=init)

@@ -6,8 +6,8 @@ signature are guaranteed the same answer *on an unchanged dataset*, so a
 cached :class:`~repro.core.engine.QueryResult` can be returned verbatim.
 The "unchanged dataset" part is the caller's contract — the serving
 facade clears the cache on every online update (insert today, delete when
-the engine grows one), and exposes :meth:`ResultCache.invalidate` for
-finer-grained hooks.
+the engine grows one).  Hits and misses are counted where requests are
+recorded (the service's ``repro_queries_total{outcome}``), not here.
 
 Cached results are shared objects: callers must treat them as immutable.
 """
@@ -26,8 +26,7 @@ class ResultCache:
 
     ``capacity`` bounds the number of retained entries; inserting beyond it
     evicts the least-recently-*used* entry (a ``get`` refreshes recency).
-    ``capacity=0`` disables retention entirely (every ``get`` misses) while
-    keeping the counters, so hit-rate accounting stays uniform.
+    ``capacity=0`` disables retention entirely (every ``get`` misses).
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -36,8 +35,6 @@ class ResultCache:
         self._capacity = capacity
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.invalidations = 0
         self._generation = 0
 
@@ -69,10 +66,8 @@ class ResultCache:
             try:
                 value = self._data[key]
             except KeyError:
-                self.misses += 1
                 return None
             self._data.move_to_end(key)
-            self.hits += 1
             return value
 
     def put(
@@ -106,14 +101,12 @@ class ResultCache:
     def get_topk(self, key: Hashable, k: int):
         """The cached top-k answer re-cut to ``k`` — or ``None`` when no
         entry exists or the stored one is too shallow to cover ``k``
-        (counted as a miss either way: the caller must compute)."""
+        (either way the caller must compute)."""
         with self._lock:
             entry = self._data.get(key)
             if entry is None or not entry.covers(k):
-                self.misses += 1
                 return None
             self._data.move_to_end(key)
-            self.hits += 1
             return entry.at_k(k)
 
     def put_topk(
@@ -137,21 +130,7 @@ class ResultCache:
             while len(self._data) > self._capacity:
                 self._data.popitem(last=False)
 
-    # -- invalidation hooks -------------------------------------------------
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was present.
-
-        Also bumps the generation (even when nothing was cached yet): an
-        in-flight compute for this key may still be running against the
-        pre-invalidation state, and its eventual generation-guarded put
-        must not land."""
-        with self._lock:
-            present = self._data.pop(key, None) is not None
-            if present:
-                self.invalidations += 1
-            self._generation += 1
-            return present
+    # -- invalidation -------------------------------------------------------
 
     def clear(self) -> int:
         """Drop every entry (the online-update hook) and bump the
@@ -162,9 +141,3 @@ class ResultCache:
             self.invalidations += dropped
             self._generation += 1
             return dropped
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups since construction (0.0 before any lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0

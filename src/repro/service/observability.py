@@ -74,8 +74,6 @@ class ServiceObservability:
     slow_query_seconds:
         End-to-end latency threshold over which a query is logged and
         force-recorded; ``None`` disables slow-query handling.
-    recent_traces / slowest_traces:
-        Flight recorder capacities.
     """
 
     def __init__(
@@ -83,15 +81,11 @@ class ServiceObservability:
         *,
         trace_sample_rate: float = 0.0,
         slow_query_seconds: Optional[float] = None,
-        recent_traces: int = 64,
-        slowest_traces: int = 16,
     ) -> None:
         if slow_query_seconds is not None and slow_query_seconds < 0:
             raise ValueError("slow_query_seconds must be >= 0")
         self.tracer = Tracer(trace_sample_rate)
-        self.recorder = FlightRecorder(
-            recent=recent_traces, slowest=slowest_traces
-        )
+        self.recorder = FlightRecorder()
         self.slow_query_seconds = slow_query_seconds
         self.registry = MetricsRegistry()
         reg = self.registry
@@ -195,8 +189,6 @@ class ServiceObservability:
     def bind(self, service) -> None:
         """Register the pull collectors that read ``service`` state
         (executor depth, result cache, coalescer, engine caches)."""
-        if self._service is not None:
-            raise ValueError("observability is already bound to a service")
         self._service = service
         self.registry.register_collector(self._collect_service)
         self.registry.register_collector(self._collect_engine)
@@ -438,29 +430,17 @@ class ServiceObservability:
         )
 
     def _collect_service(self):
-        service = self._service
-        families = [
+        batcher = self._service.batcher
+        gauges = [
             (family, kind, help_text, [({}, value)])
             for _, family, kind, help_text, value in self._service_gauges()
         ]
-        if service.batcher is not None:
-            families.append(
-                (
-                    "repro_coalesce_flights",
-                    "gauge",
-                    "Distinct computations currently in flight.",
-                    [({}, service.batcher.in_flight())],
-                )
-            )
-            families.append(
-                (
-                    "repro_coalesce_flights_led_total",
-                    "counter",
-                    "Flights led (one engine pass each).",
-                    [({}, service.batcher.flights)],
-                )
-            )
-        return families
+        return gauges + [
+            ("repro_coalesce_flights", "gauge",
+             "Distinct computations currently in flight.", [({}, batcher.in_flight())]),
+            ("repro_coalesce_flights_led_total", "counter",
+             "Flights led (one engine pass each).", [({}, batcher.flights)]),
+        ]
 
     def _collect_engine(self):
         """Every engine-derived family from ONE ``status()`` snapshot (one

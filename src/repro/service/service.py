@@ -72,14 +72,8 @@ class QueryService:
     max_workers / max_pending / default_deadline:
         Forwarded to the :class:`Executor`.
     cache_size:
-        LRU capacity; ``0`` disables result caching.
-    batching:
-        Coalesce concurrent duplicate requests (single-flight).
-    observability:
-        A prebuilt :class:`~repro.service.observability.ServiceObservability`
-        to bind, or ``None`` to construct one from ``trace_sample_rate`` /
-        ``slow_query_seconds`` (which are ignored when a prebuilt one is
-        given — its own knobs win).
+        LRU capacity; ``0`` disables result caching.  Concurrent
+        duplicate requests always coalesce (single-flight).
     trace_sample_rate:
         Fraction of requests to trace end-to-end (0 = tracing off, the
         near-zero-overhead default; slow queries are recorded regardless).
@@ -97,8 +91,6 @@ class QueryService:
         max_pending: int = 64,
         default_deadline: Optional[float] = None,
         cache_size: int = 1024,
-        batching: bool = True,
-        observability: Optional[ServiceObservability] = None,
         trace_sample_rate: float = 0.0,
         slow_query_seconds: Optional[float] = None,
     ) -> None:
@@ -111,14 +103,12 @@ class QueryService:
             default_deadline=default_deadline,
         )
         self.cache = ResultCache(cache_size)
-        self.batcher = Batcher() if batching else None
-        if observability is None:
-            observability = ServiceObservability(
-                trace_sample_rate=trace_sample_rate,
-                slow_query_seconds=slow_query_seconds,
-            )
-        self.observability = observability
-        observability.bind(self)
+        self.batcher = Batcher()
+        self.observability = ServiceObservability(
+            trace_sample_rate=trace_sample_rate,
+            slow_query_seconds=slow_query_seconds,
+        )
+        self.observability.bind(self)
 
     @property
     def engine(self):
@@ -327,36 +317,30 @@ class QueryService:
                         store(sig, answer, generation=generation)
                     return answer
 
-                if self.batcher is None:
-                    result = compute()
-                else:
-                    # The flight key includes the deadline (a
-                    # tightly-budgeted leader's DeadlineExceededError must
-                    # not propagate to a follower that asked for more
-                    # time), the cache generation (a post-insert request
-                    # must not share a pre-insert computation) and the
-                    # depth (a follower gets exactly the leader's answer).
-                    # wait_timeout enforces the budget for followers that
-                    # joined a leader's flight late; follower_retry is the
-                    # fairness half of the same rule — a follower that
-                    # joined late has budget left when the leader's
-                    # deadline fires, so it goes around as a new leader
-                    # instead of inheriting a miss it did not earn.
-                    budget = deadline if deadline is not None else self.executor.default_deadline
-                    flight_span = None if root is None else root.child("coalesce")
-                    try:
-                        result, coalesced = self.batcher.run(
-                            (sig, k, deadline, generation, allow_partial),
-                            compute,
-                            wait_timeout=budget,
-                            follower_retry=lambda exc: isinstance(
-                                exc, DeadlineExceededError
-                            ),
-                        )
-                    finally:
-                        if flight_span is not None:
-                            flight_span.set("coalesced", coalesced)
-                            flight_span.finish()
+                # The flight key includes the deadline (a tightly-budgeted
+                # leader's DeadlineExceededError must not propagate to a
+                # follower that asked for more time), the cache generation
+                # (a post-insert request must not share a pre-insert
+                # computation) and the depth (a follower gets exactly the
+                # leader's answer).  wait_timeout enforces the budget for
+                # followers that joined a leader's flight late;
+                # follower_retry is the fairness half of the same rule — a
+                # follower that joined late has budget left when the
+                # leader's deadline fires, so it goes around as a new
+                # leader instead of inheriting a miss it did not earn.
+                budget = deadline if deadline is not None else self.executor.default_deadline
+                flight_span = None if root is None else root.child("coalesce")
+                try:
+                    result, coalesced = self.batcher.run(
+                        (sig, k, deadline, generation, allow_partial),
+                        compute,
+                        wait_timeout=budget,
+                        follower_retry=lambda exc: isinstance(exc, DeadlineExceededError),
+                    )
+                finally:
+                    if flight_span is not None:
+                        flight_span.set("coalesced", coalesced)
+                        flight_span.finish()
         except TimeoutError as exc:
             # A follower's own budget ran out inside a leader's flight.
             error = DeadlineExceededError(str(exc))
@@ -396,9 +380,7 @@ class QueryService:
         <repro.service.observability.ServiceObservability.snapshot>`)
         enriched with cache and engine facts."""
         snap = self.observability.snapshot()
-        snap["coalesced_retries"] = (
-            self.batcher.retried_followers if self.batcher is not None else 0
-        )
+        snap["coalesced_retries"] = self.batcher.retried_followers
         # One snapshot: on the worker backends the links are polled once,
         # and a failing poll degrades the engine fields as in /healthz.
         # ``substitution_cache`` is an alias — the counters of the one

@@ -229,21 +229,7 @@ class TestFallback:
         tau = min(c_total * 50, ins_total * 0.9)
         if tau <= c_total:  # graph geometry made filter costs large: skip
             pytest.skip("filter costs too large to trigger fallback")
-        engine = SubtrajectorySearch(ds, erp, fallback_to_scan=True)
+        engine = SubtrajectorySearch(ds, erp)
         result = engine.query(query, tau=tau)
         assert result.used_fallback
         assert result_keys(result) == oracle(ds, query, erp, tau)
-
-    def test_fallback_disabled_raises(self, small_graph):
-        ds = TrajectoryDataset(small_graph)
-        ds.add(Trajectory([0, 1, 2]))
-        erp = ERPCost(small_graph, eta=0.0)
-        query = [0, 1, 2]
-        c_total = sum(erp.filter_cost(q) for q in query)
-        ins_total = sum(erp.ins(q) for q in query)
-        tau = min(c_total * 50, ins_total * 0.9)
-        if tau <= c_total:
-            pytest.skip("filter costs too large to trigger fallback")
-        engine = SubtrajectorySearch(ds, erp, fallback_to_scan=False)
-        with pytest.raises(QueryError):
-            engine.query(query, tau=tau)

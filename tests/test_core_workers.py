@@ -12,6 +12,7 @@ from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.temporal import TimeInterval
 from repro.core.workers import default_start_method
 from repro.exceptions import QueryError, WorkerError
+from repro.faultinject import FaultPlan, FaultRule
 from repro.trajectory.dataset import TrajectoryDataset
 from tests.conftest import (
     GatedEDRCost,
@@ -201,11 +202,12 @@ class TestLifecycle:
     def test_crashed_worker_surfaces_as_worker_error(
         self, vertex_dataset, edr_cost, rng
     ):
-        # supervise=False pins the pre-supervision semantics: a dead
-        # worker stays dead and the query fails loudly.
+        # A dead worker whose respawns fail stays dead, and the query
+        # fails loudly.
+        plan = FaultPlan(rules=[FaultRule(shard=0, op="fail_respawn", count=10_000)])
         engine = PartitionedSubtrajectorySearch(
             vertex_dataset, edr_cost, num_shards=2, backend="processes",
-            supervise=False,
+            fault_plan=plan,
         )
         try:
             kill_worker(engine.status().workers[0].pid)
@@ -217,7 +219,7 @@ class TestLifecycle:
     def test_crashed_worker_recovers_under_supervision(
         self, vertex_dataset, edr_cost, rng
     ):
-        # The default (supervised) pool respawns the dead worker and
+        # The supervised pool respawns the dead worker and
         # retries the query — the caller never sees the crash.
         engine = PartitionedSubtrajectorySearch(
             vertex_dataset, edr_cost, num_shards=2, backend="processes"

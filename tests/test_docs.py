@@ -19,9 +19,12 @@ what can be enforced:
   serve --backend`` offers and the ones the engine implements agree,
   and no doc mentions a fan-out API that no longer exists;
 - the operations knob table is the CLI: every flag in it is a ``repro
-  serve`` option with the default the table states, and every
-  supervision keyword the paragraph under it names is an engine keyword
-  with the stated default.
+  serve`` option with the default the table states;
+- the fault-policy paragraph under it names every constant of
+  ``core/supervision.py`` with its value, and the library-keyword table
+  names exactly the keywords of ``PartitionedSubtrajectorySearch`` and
+  ``QueryService`` — an option can be neither added undocumented nor
+  removed with its row left behind.
 """
 
 import doctest
@@ -211,35 +214,44 @@ def test_knob_table_flags_are_serve_options_with_the_stated_defaults():
         action = options.get(flag)
         if action is None:
             wrong.append(f"{flag}: not an option of `repro serve`")
-        elif cell == "batching on":
-            # a store-true switch documented by what it turns off
-            if action.default is not False or action.nargs != 0:
-                wrong.append(f"{flag}: not an off-by-default switch")
         elif not _agrees(cell.strip(), action.default):
             wrong.append(f"{flag}: table says {cell!r}, parser says {action.default!r}")
     assert not wrong, wrong
 
 
-def test_supervision_knobs_are_engine_keywords_with_the_stated_defaults():
-    from repro.core.partitioned import PartitionedSubtrajectorySearch
+def test_fault_policy_constants_are_documented_with_their_values():
+    from repro.core import supervision
 
-    paragraph = _knob_section().split("Engine-level supervision knobs", 1)[1]
-    paragraph = paragraph.split("\n\n", 1)[0]
+    paragraph = _knob_section().split("The fault policy", 1)[1].split("\n\n", 1)[0]
     stated = dict(re.findall(r"`(\w+)` \(([^)]+)\)", paragraph))
-    assert set(stated) == {
-        "supervise",
-        "breaker_failures",
-        "breaker_cooldown",
-        "respawn_backoff",
-        "respawn_backoff_cap",
+    constants = {
+        name: value
+        for name, value in vars(supervision).items()
+        if name.isupper() and isinstance(value, (int, float))
     }
-    parameters = inspect.signature(PartitionedSubtrajectorySearch.__init__).parameters
+    assert set(stated) == set(constants)
     wrong = [
-        f"{name}: doc says {cell!r}, engine says {parameters.get(name)}"
+        f"{name}: doc says {cell!r}, code says {constants[name]!r}"
         for name, cell in stated.items()
-        if name not in parameters or not _agrees(cell, parameters[name].default)
+        if not _agrees(cell, constants[name])
     ]
     assert not wrong, wrong
+
+
+def test_library_keyword_table_is_the_constructors():
+    from repro.core.partitioned import PartitionedSubtrajectorySearch
+    from repro.service import QueryService
+
+    text = (REPO / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
+    section = text.split("### Library keywords", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)\((\w+)=\)` \|", section, re.M))
+    actual = {
+        (cls.__name__, name)
+        for cls in (PartitionedSubtrajectorySearch, QueryService)
+        for name, parameter in inspect.signature(cls.__init__).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    assert documented == actual
 
 
 def test_index_format_examples_execute():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import supervision
+from repro.core import workers as workers_module
 from repro.core.cancellation import CancelToken
 from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
@@ -381,11 +383,15 @@ class TestGracefulDegradation:
                 engine.merge_shard_results(results[:2])
 
     def test_breaker_opens_and_fails_fast_then_recovers(
-        self, vertex_dataset, edr_cost, rng
+        self, vertex_dataset, edr_cost, rng, monkeypatch
     ):
         # Shard 1 is held down for 3 respawns; breaker (threshold 2,
         # cooldown 0.2 s) opens, then a half-open probe after recovery
         # closes it and the engine serves complete answers again.
+        monkeypatch.setattr(supervision, "BREAKER_FAILURES", 2)
+        monkeypatch.setattr(supervision, "BREAKER_COOLDOWN", 0.2)
+        monkeypatch.setattr(supervision, "RESPAWN_BACKOFF", 0.01)
+        monkeypatch.setattr(supervision, "RESPAWN_BACKOFF_CAP", 0.05)
         plan = FaultPlan(
             rules=[
                 FaultRule(shard=1, op="kill_before", request=1),
@@ -393,15 +399,7 @@ class TestGracefulDegradation:
             ]
         )
         query = sample_query(vertex_dataset, rng, 6)
-        with make_engine(
-            vertex_dataset,
-            edr_cost,
-            fault_plan=plan,
-            breaker_failures=2,
-            breaker_cooldown=0.2,
-            respawn_backoff=0.01,
-            respawn_backoff_cap=0.05,
-        ) as engine:
+        with make_engine(vertex_dataset, edr_cost, fault_plan=plan) as engine:
             partial = engine.query(query, tau_ratio=0.25, allow_partial=True)
             assert not partial.complete
             # Hammer until the breaker opens (each degraded pass may
@@ -427,10 +425,10 @@ class TestProbeOutcomes:
     the shard that sent it is healthy and must keep serving."""
 
     @pytest.fixture()
-    def half_open(self, vertex_dataset, edr_cost):
-        with make_engine(
-            vertex_dataset, edr_cost, breaker_failures=1, breaker_cooldown=0.05
-        ) as engine:
+    def half_open(self, vertex_dataset, edr_cost, monkeypatch):
+        monkeypatch.setattr(supervision, "BREAKER_FAILURES", 1)
+        monkeypatch.setattr(supervision, "BREAKER_COOLDOWN", 0.05)
+        with make_engine(vertex_dataset, edr_cost) as engine:
             engine._workers._workers[0].breaker.record_failure()
             assert engine.status().workers[0].breaker == "open"
             time.sleep(0.1)  # wait out the cooldown: the next query probes
@@ -468,10 +466,11 @@ class TestPoolHardening:
     """Satellites: stop escalation, dead-worker try_call, guarded sends."""
 
     def test_try_call_on_dead_worker_raises_not_hangs(
-        self, vertex_dataset, edr_cost
+        self, vertex_dataset, edr_cost, monkeypatch
     ):
-        shards = [vertex_dataset]
-        pool = ShardWorkerPool(shards, edr_cost, {}, supervise=False)
+        # A supervisor that never ticks leaves the dead worker dead.
+        monkeypatch.setattr(workers_module, "_SUPERVISOR_POLL", 3600.0)
+        pool = ShardWorkerPool([vertex_dataset], edr_cost, {})
         try:
             kill_worker(pool._workers[0].state().pid)
             t0 = time.monotonic()
@@ -492,14 +491,7 @@ class TestPoolHardening:
         # wedge_stop: the worker ignores SIGTERM and "stop" requests —
         # only the final SIGKILL in the escalation chain can end it.
         plan = FaultPlan(rules=[FaultRule(shard=0, op="wedge_stop")])
-        pool = ShardWorkerPool(
-            shards := [vertex_dataset],
-            edr_cost,
-            {},
-            supervise=False,
-            fault_plan=plan,
-        )
-        assert len(shards) == 1
+        pool = ShardWorkerPool([vertex_dataset], edr_cost, {}, fault_plan=plan)
         worker = pool._workers[0]
         assert worker.alive
         process = worker_process(worker.pid)
@@ -516,10 +508,13 @@ class TestPoolHardening:
     def test_injected_faults_exit_with_the_fault_code(
         self, vertex_dataset, edr_cost, rng
     ):
-        plan = FaultPlan(rules=[FaultRule(shard=0, op="kill_before", request=1)])
-        pool = ShardWorkerPool(
-            [vertex_dataset], edr_cost, {}, supervise=False, fault_plan=plan
+        plan = FaultPlan(
+            rules=[
+                FaultRule(shard=0, op="kill_before", request=1),
+                FaultRule(shard=0, op="fail_respawn", count=10_000),
+            ]
         )
+        pool = ShardWorkerPool([vertex_dataset], edr_cost, {}, fault_plan=plan)
         try:
             process = worker_process(pool._workers[0].state().pid)
             with pytest.raises(WorkerError):

@@ -248,14 +248,19 @@ class TestQueryService:
             assert stats["cache_hits"] == sum(r.cached for r in responses)
             assert stats["coalesced"] == sum(r.coalesced for r in responses)
 
-    def test_batching_disabled_still_correct(self, vertex_dataset, edr_cost, rng):
+    def test_uncached_sequential_repeats_recompute_the_same_answer(
+        self, vertex_dataset, edr_cost, rng
+    ):
+        # Coalescing only joins a flight still in the air: a repeat after
+        # the first answer, with the cache off, is an engine pass of its own.
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         q = sample_query(vertex_dataset, rng, 6)
-        with QueryService(engine, batching=False, cache_size=0) as service:
+        with QueryService(engine, cache_size=0) as service:
             a = service.query(q, tau_ratio=0.25)
             b = service.query(q, tau_ratio=0.25)
-            assert not a.cached and not b.cached
+            assert not (a.cached or a.coalesced or b.cached or b.coalesced)
             assert keys(a.result.matches) == keys(b.result.matches)
+            assert service.stats()["computed_queries"] == 2
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rejections_are_counted(self, vertex_dataset, edr_cost, rng, kind):

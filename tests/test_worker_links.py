@@ -24,7 +24,7 @@ from functools import partial
 
 import pytest
 
-from repro.core import workers
+from repro.core import supervision, workers
 from repro.core.cancellation import CancelToken
 from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import _BACKENDS, PartitionedSubtrajectorySearch
@@ -36,7 +36,7 @@ from repro.exceptions import (
     TransportError,
     WorkerError,
 )
-from repro.faultinject import FaultPlan, FaultRule, WorkerFaults
+from repro.faultinject import FaultPlan, FaultRule
 from repro.trajectory.dataset import TrajectoryDataset
 from tests.conftest import (
     GatedEDRCost,
@@ -59,8 +59,9 @@ def link(request):
 
 
 @contextmanager
-def open_handle(link, dataset, costs, *, faults=None, call_timeout=None):
-    """One bare parent-side handle over ``link`` (no pool, no supervisor)."""
+def open_handle(link, dataset, costs, *, faults=(), call_timeout=None):
+    """One bare parent-side handle over ``link`` (no pool, no supervisor),
+    with ``faults`` (fault rules for shard 0) injected."""
     with thread_nodes(1 if link == "remote" else 0) as addresses:
         if link == "processes":
             # fork, so gate_events() reach the child by inheritance
@@ -70,7 +71,7 @@ def open_handle(link, dataset, costs, *, faults=None, call_timeout=None):
             node, budget = addresses[0], 15.0
             opener = partial(workers._open_node, node, budget)
         handle = workers._ShardWorker(
-            0, opener, node, dataset, costs, {}, faults, None,
+            0, opener, node, dataset, costs, {}, FaultPlan(rules=list(faults)),
             open_budget=budget, call_timeout=call_timeout,
         )
         try:
@@ -144,9 +145,7 @@ class TestHandleContract:
     def test_late_reply_poisons_the_link_and_the_next_call_reopens(
         self, link, vertex_dataset, edr_cost
     ):
-        faults = WorkerFaults(
-            [FaultRule(shard=0, op="delay_reply", request=1, on="add", seconds=1.0)]
-        )
+        faults = [FaultRule(shard=0, op="delay_reply", request=1, on="add", seconds=1.0)]
         insert = (len(vertex_dataset), vertex_dataset[0], False)
         with open_handle(
             link, vertex_dataset, edr_cost, faults=faults, call_timeout=0.2
@@ -312,8 +311,10 @@ class TestLinkFaults:
                 engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
 
     def test_held_down_link_degrades_and_opens_breaker(
-        self, link, vertex_dataset, edr_cost, rng
+        self, link, vertex_dataset, edr_cost, rng, monkeypatch
     ):
+        monkeypatch.setattr(supervision, "BREAKER_FAILURES", 2)
+        monkeypatch.setattr(supervision, "BREAKER_COOLDOWN", 30.0)
         query = sample_query(vertex_dataset, rng, 6)
         with PartitionedSubtrajectorySearch(
             vertex_dataset, edr_cost, num_shards=3, backend="serial"
@@ -321,13 +322,7 @@ class TestLinkFaults:
             full = undisturbed.query(query, tau_ratio=0.25)
         plan = FaultPlan(rules=[FaultRule(shard=1, op="conn_drop", request=0)])
         with open_engine(
-            link,
-            vertex_dataset,
-            edr_cost,
-            num_shards=3,
-            fault_plan=plan,
-            breaker_failures=2,
-            breaker_cooldown=30.0,
+            link, vertex_dataset, edr_cost, num_shards=3, fault_plan=plan
         ) as engine:
             partial_result = engine.query(query, tau_ratio=0.25, allow_partial=True)
             assert not partial_result.complete
@@ -457,17 +452,12 @@ HELD_DOWN = {
 
 
 def test_figures_stay_projections_once_a_breaker_is_open(
-    link, vertex_dataset, edr_cost, rng
+    link, vertex_dataset, edr_cost, rng, monkeypatch
 ):
+    monkeypatch.setattr(supervision, "BREAKER_FAILURES", 1)
+    monkeypatch.setattr(supervision, "BREAKER_COOLDOWN", 60.0)
     plan = FaultPlan(rules=HELD_DOWN[link], seed=7)
-    with open_engine(
-        link,
-        vertex_dataset,
-        edr_cost,
-        fault_plan=plan,
-        breaker_failures=1,
-        breaker_cooldown=60.0,
-    ) as engine:
+    with open_engine(link, vertex_dataset, edr_cost, fault_plan=plan) as engine:
         result = engine.query(
             sample_query(vertex_dataset, rng, 6), tau_ratio=0.25, allow_partial=True
         )
@@ -479,11 +469,13 @@ def test_figures_stay_projections_once_a_breaker_is_open(
 
 
 def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
-    link, vertex_dataset, edr_cost, rng
+    link, vertex_dataset, edr_cost, rng, monkeypatch
 ):
     # One policy: whichever request trips over the dead link, the shard's
-    # breaker, last error and event ring tell the same story.  Unsupervised,
-    # so no respawn tidies the evidence away.
+    # breaker, last error and event ring tell the same story.  Nothing
+    # revives the shards to tidy the evidence away: the supervisor never
+    # ticks, and the query is one bare call (inserts are never retried).
+    monkeypatch.setattr(workers, "_SUPERVISOR_POLL", 3600.0)
     insert_shard = len(vertex_dataset) % 2
     query_shard = 1 - insert_shard
     plan = FaultPlan(
@@ -492,14 +484,12 @@ def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
             FaultRule(shard=query_shard, op="conn_drop", request=1, on="query"),
         ]
     )
-    with open_engine(
-        link, vertex_dataset, edr_cost, fault_plan=plan, supervise=False
-    ) as engine:
+    with open_engine(link, vertex_dataset, edr_cost, fault_plan=plan) as engine:
         with pytest.raises(WorkerError):
             engine.add_trajectory(vertex_dataset[0])
-        with pytest.raises(WorkerError):  # (a fan-out would hit the dead shard too)
-            engine._workers.query_shard(
-                query_shard, sample_query(vertex_dataset, rng, 6), {"tau_ratio": 0.25}
+        with pytest.raises(WorkerError):
+            engine._workers._workers[query_shard].call(
+                "query", query_payload(sample_query(vertex_dataset, rng, 6))
             )
         states = engine.status().workers
         by_insert, by_query = states[insert_shard], states[query_shard]
@@ -512,6 +502,28 @@ def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
             by_insert.events[-1].split(": ")[1] == by_query.events[-1].split(": ")[1]
         )
         assert len(engine) == len(vertex_dataset)  # the reservation rolled back
+
+
+def test_an_error_the_worker_replied_with_respawns_nothing(
+    link, small_graph, vertex_dataset, rng
+):
+    # An engine bug that cannot cross the link comes back as the worker's
+    # own reply (a WorkerError naming it): the link is up and the worker
+    # healthy, so nothing is respawned or retried.  Each shard records the
+    # one failure — a second such query must not open every breaker.
+    costs = UnshippableFailureCost(small_graph, epsilon=60.0)
+    query = sample_query(vertex_dataset, rng, 6)
+    with open_engine(link, vertex_dataset, costs) as engine:
+        pids = [s.pid for s in engine.status().workers]
+        # Shard by shard: in a fan-out the first failure cancels the rest.
+        for call in engine.shard_query_callables(query, tau_ratio=0.25):
+            with pytest.raises(WorkerError, match="EngineBug.*exploded"):
+                call()
+        status = engine.status()
+        assert status.restarts_total == 0
+        assert [s.pid for s in status.workers] == pids
+        assert [s.consecutive_failures for s in status.workers] == [1, 1]
+        assert all(s.alive and s.breaker == "closed" for s in status.workers)
 
 
 # ---------------------------------------------------------------------------
