@@ -8,22 +8,24 @@ effect directly).
 """
 
 import time
+from contextlib import nullcontext
 
-from _helpers import load_workload, taus_for
+from _helpers import forced_walker, load_workload, taus_for
 
 from repro.bench.harness import SeriesTable, format_seconds
 from repro.core.engine import SubtrajectorySearch
 
 VARIANTS = [
-    ("BT (trie+ET)", dict(verification="trie", early_termination=True)),
-    ("local+ET (no trie)", dict(verification="local", early_termination=True)),
-    ("trie, no ET", dict(verification="trie", early_termination=False)),
-    ("local, no ET", dict(verification="local", early_termination=False)),
-    ("SW oracle", dict(verification="sw")),
-    # The unlabeled variants above run the array-native default
-    # (dp_backend="numpy"); this row isolates the DP-backend ingredient
-    # (see bench_verification_hotpath.py for the dedicated comparison).
-    ("BT python DP", dict(verification="trie", dp_backend="python")),
+    ("BT (trie+ET)", dict(verification="trie", early_termination=True), None),
+    ("local+ET (no trie)", dict(verification="local", early_termination=True), None),
+    ("trie, no ET", dict(verification="trie", early_termination=False), None),
+    ("local, no ET", dict(verification="local", early_termination=False), None),
+    ("SW oracle", dict(verification="sw"), None),
+    # The variants above run the walker the engine's rule picks; this row
+    # isolates the DP-walker ingredient by patching the rule to the
+    # per-cell Python walker (see bench_verification_hotpath.py for the
+    # dedicated comparison).
+    ("BT python DP", dict(verification="trie"), "python"),
 ]
 TAU_RATIOS = [0.1, 0.2, 0.3]
 
@@ -37,18 +39,22 @@ def test_ablation_verification_variants(benchmark, recorder, bench_scale):
     )
     measured = {}
     reference_keys = None
-    for name, kwargs in VARIANTS:
+    for name, kwargs, walker in VARIANTS:
         engine = SubtrajectorySearch(dataset, costs, **kwargs)
         series = []
         all_keys = []
         for ratio in TAU_RATIOS:
             taus = taus_for(costs, queries, ratio)
-            t0 = time.perf_counter()
-            keys = [
-                tuple((m.trajectory_id, m.start, m.end) for m in engine.query(q, tau=t).matches)
-                for q, t in zip(queries, taus)
-            ]
-            series.append((time.perf_counter() - t0) / len(queries))
+            with forced_walker(walker) if walker else nullcontext():
+                t0 = time.perf_counter()
+                keys = [
+                    tuple(
+                        (m.trajectory_id, m.start, m.end)
+                        for m in engine.query(q, tau=t).matches
+                    )
+                    for q, t in zip(queries, taus)
+                ]
+                series.append((time.perf_counter() - t0) / len(queries))
             all_keys.append(keys)
         if reference_keys is None:
             reference_keys = all_keys

@@ -89,7 +89,7 @@ def test_observability_overhead(recorder, bench_scale):
         query_length=QUERY_LENGTH,
         num_queries=NUM_QUERIES,
     )
-    engine = SubtrajectorySearch(dataset, costs, dp_backend="numpy")
+    engine = SubtrajectorySearch(dataset, costs)
 
     # Warm-up: cost-model caches and the warm-query TrieCache — every
     # config then measures identical steady serving state.

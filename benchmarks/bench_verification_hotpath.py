@@ -9,16 +9,17 @@ latency, and (since the PR 4 arena rework) *allocator pressure*:
 garbage-collector activity and ndarray materializations per query, the
 ~25%-of-runtime overhead the arena-backed trie columns exist to remove.
 
-Backends compared: ``dp_backend="python"`` (the per-cell Python walker)
-against ``dp_backend="numpy"`` (the arena walker: anchor-grouped batch
+Walkers compared, each forced by patching the engine's one walker rule
+(``choose_dp_backend``): ``"python"`` (the per-cell Python walker)
+against ``"numpy"`` (the arena walker: anchor-grouped batch
 verification whose ``step_dp_batch`` calls write straight into
 arena rows, substitution rows served from a per-query
 ``SubstitutionMatrix``), across dataset scales on the paper-style
 workload: the long-trajectory ``singapore`` profile with |Q| = 50 under
 NetEDR (§2.2.3, the paper's headline setting) and the coordinate-based
 EDR — plus a short-query |Q| = 10 regime, the one setting where the
-python loop can still win and the reason ``dp_backend="auto"`` exists
-(each cell records what auto would pick).
+python loop can still win and the reason the rule exists (each cell
+records what the rule picks).
 
 Since PR 5 the numpy backend is measured in two serving regimes:
 
@@ -61,7 +62,7 @@ import gc
 import time
 import tracemalloc
 
-from _helpers import load_workload
+from _helpers import forced_walker, load_workload
 
 from repro.bench.harness import SeriesTable, format_seconds
 from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
@@ -69,7 +70,7 @@ from repro.core.verification import choose_dp_backend
 
 #: (profile, similarity function, query length); the first entry is the
 #: headline (floor-gated) workload, the |Q|=10 entry is the short-query
-#: regime that motivates dp_backend="auto".
+#: regime that motivates the walker rule.
 WORKLOADS = [
     ("singapore", "NetEDR", 50),
     ("singapore", "EDR", 50),
@@ -121,9 +122,14 @@ def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
     enables the TrieCache, and the warm-up pass doubles as its warmer —
     the timed loop then measures steady warm-repeat serving.
     """
-    engine = SubtrajectorySearch(
-        dataset, costs, dp_backend=backend, trie_cache_size=trie_cache_size
-    )
+    with forced_walker(backend):
+        return _measure(
+            SubtrajectorySearch(dataset, costs, trie_cache_size=trie_cache_size),
+            queries,
+        )
+
+
+def _measure(engine, queries):
     answers = []
     visited = computed = candidates = allocations = 0
     # Warm-up pass collects the answers for the exactness gate (and warms
@@ -302,7 +308,7 @@ def test_verification_hotpath(recorder, bench_scale):
         formatter=lambda v: f"{v:.2f}",
     )
     table.add_row(
-        "auto picks",
+        "rule picks",
         [1.0 if c["auto_backend"] == "numpy" else 0.0 for c in cells],
         formatter=lambda v: "numpy" if v else "python",
     )
@@ -338,7 +344,7 @@ def test_verification_hotpath(recorder, bench_scale):
             "verification than cold numpy on the same cells; answers "
             "bit-identical across backends and cache temperatures "
             "everywhere; |Q|=10 EDR documents the short-query regime "
-            "dp_backend='auto' routes to python.  Cold cells "
+            "the walker rule routes to python.  Cold cells "
             "(trie_cache_size=0) rebuild the substitution matrix as well "
             "as the tries on every run: records from before the two "
             "engine caches became one timed cold with a warm substitution "

@@ -98,16 +98,7 @@ def _add_cost_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g-del", type=float, default=2000.0, help="NetERP del cost")
 
 
-def _add_dp_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dp-backend",
-        default="auto",
-        choices=["auto", "numpy", "python"],
-        help="verification DP backend: 'auto' picks per query (pure-Python "
-        "for short queries over vectorizable cost models, array-native "
-        "numpy everywhere else), 'numpy'/'python' force one backend "
-        "(default: auto; identical results either way)",
-    )
+def _add_trie_cache_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trie-cache-size",
         type=int,
@@ -130,9 +121,8 @@ def _add_dp_backend_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_options(args: argparse.Namespace) -> dict:
-    """The engine keywords set by :func:`_add_dp_backend_option`'s flags."""
+    """The engine keywords set by :func:`_add_trie_cache_options`' flags."""
     return {
-        "dp_backend": args.dp_backend,
         "trie_cache_size": args.trie_cache_size,
         "trie_cache_bytes": int(args.trie_cache_mb * 1024 * 1024),
     }
@@ -406,8 +396,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         print(
             f"serving {len(dataset)} trajectories on {server.url} "
-            f"(backend={engine.status().backend}, "
-            f"dp_backend={args.dp_backend})",
+            f"(backend={engine.status().backend})",
             flush=True,
         )
         try:
@@ -677,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-to", type=float, default=None)
     p.add_argument("--limit", type=int, default=20, help="max matches printed")
     _add_cost_options(p)
-    _add_dp_backend_option(p)
+    _add_trie_cache_options(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("travel-time", help="estimate travel time of a path")
@@ -774,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         "raise it for chaos drills so faults land mid-traffic)",
     )
     _add_cost_options(p)
-    _add_dp_backend_option(p)
+    _add_trie_cache_options(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -71,7 +71,6 @@ logger = logging.getLogger(__name__)
 
 Selector = Literal["greedy", "exact", "prefix", "all"]
 VerificationMode = Literal["trie", "local", "sw"]
-DP_BACKENDS = ("python", "numpy", "auto")
 INDEX_BACKENDS = ("dict", "frozen")
 
 #: default capacity (entries) of the engine-level TrieCache — a repeated
@@ -110,7 +109,8 @@ class QueryResult:
     used_fallback: bool = False
     #: DP backend the verification stage actually ran ("python"/"numpy";
     #: empty for the SW mode and the scan fallback, which run no column
-    #: DP) — how the ``dp_backend="auto"`` choice is observed end to end.
+    #: DP) — how the per-query ``choose_dp_backend`` verdict is observed
+    #: end to end.
     dp_backend_used: str = ""
     #: ndarrays materialized on the verification hot path (see
     #: :attr:`repro.core.verification.Verifier.dp_array_allocations`);
@@ -248,7 +248,9 @@ class SubtrajectorySearch:
     verification:
         ``"trie"`` = bidirectional tries (OSF-BT), ``"local"`` = local
         verification without caching, ``"sw"`` = per-trajectory
-        Smith–Waterman oracle (OSF-SW).
+        Smith–Waterman oracle (OSF-SW).  The first two run on the walker
+        :func:`~repro.core.verification.choose_dp_backend` picks for each
+        query (reported as ``QueryResult.dp_backend_used``).
     early_termination:
         Apply the Eq. 11 lower-bound cutoff during local verification.
     sort_by_departure:
@@ -256,14 +258,6 @@ class SubtrajectorySearch:
         temporal-constrained queries (§4.3).  ``None`` (default) means
         what the ``index_path`` file says, and ``False`` for an index
         built in memory; an explicit value the file contradicts raises.
-    dp_backend:
-        Verification DP backend: ``"auto"`` (default) resolves per query
-        — the array-native kernel for long queries or expensive cost
-        models, the pure-Python per-cell loop for short queries over
-        vectorizable-row models (the one regime where kernel-launch
-        overhead loses).  ``"numpy"`` / ``"python"`` force one backend.
-        All choices return identical results; ``QueryResult.
-        dp_backend_used`` reports what actually ran.
     trie_cache_size / trie_cache_bytes:
         Capacity (entries) and byte budget of the engine-level
         :class:`~repro.core.trie.TrieCache`, the one cross-query cache:
@@ -330,7 +324,6 @@ class SubtrajectorySearch:
         verification: VerificationMode = "trie",
         early_termination: bool = True,
         sort_by_departure: Optional[bool] = None,
-        dp_backend: str = "auto",
         trie_cache_size: int = DEFAULT_TRIE_CACHE,
         trie_cache_bytes: Optional[int] = DEFAULT_TRIE_CACHE_BYTES,
         trie_cache: Optional[TrieCache] = None,
@@ -347,8 +340,6 @@ class SubtrajectorySearch:
             raise QueryError(f"unknown selector {selector!r}")
         if verification not in ("trie", "local", "sw"):
             raise QueryError(f"unknown verification mode {verification!r}")
-        if dp_backend not in DP_BACKENDS:
-            raise QueryError(f"unknown dp_backend {dp_backend!r}")
         if trie_cache_size < 0:
             raise QueryError("trie_cache_size must be >= 0")
         if trie_cache_bytes is not None and trie_cache_bytes < 0:
@@ -359,7 +350,6 @@ class SubtrajectorySearch:
         self._selector = _SELECTORS[selector]
         self._verification: VerificationMode = verification
         self._early_termination = early_termination
-        self._dp_backend = dp_backend
         self._trie_cache = (
             trie_cache
             if trie_cache is not None
@@ -433,19 +423,12 @@ class SubtrajectorySearch:
         """The indexed trajectory dataset."""
         return self._dataset
 
-    @property
-    def dp_backend(self) -> str:
-        """The configured verification DP backend: ``"auto"``, ``"numpy"``
-        or ``"python"`` (``"auto"`` resolves per query — see
-        ``QueryResult.dp_backend_used`` for what a query actually ran)."""
-        return self._dp_backend
-
     def status(self) -> EngineStatus:
         """One snapshot of this engine — what ``/healthz``, ``/stats`` and
         ``/metrics`` are projections of.  A bare engine is its own one
         shard, in-process and so always alive."""
         shard = ShardStatus(WorkerState(0), self._trie_cache.stats(), self.index.stats())
-        return EngineStatus("single", self._dp_backend, len(self._dataset), [shard])
+        return EngineStatus("single", len(self._dataset), [shard])
 
     def close(self) -> None:
         """Nothing to release (the partitioned engine's counterpart stops
@@ -570,9 +553,7 @@ class SubtrajectorySearch:
         if self._verification == "sw":
             stats = self._verify_sw(candidates, query, tau, matches, cancel)
         else:
-            backend_used = self._dp_backend
-            if backend_used == "auto":
-                backend_used = choose_dp_backend(len(query), self._costs)
+            backend_used = choose_dp_backend(len(query), self._costs)
             matrix = trie_entry = None
             if backend_used == "numpy":
                 matrix, trie_entry, trie_status = self._warm_state(

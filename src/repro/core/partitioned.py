@@ -131,12 +131,8 @@ class PartitionedSubtrajectorySearch:
     """Exact search over trajectory shards.
 
     ``num_shards`` engines are built over disjoint trajectory subsets
-    (round-robin assignment, which balances shard sizes).  All constructor
-    keyword arguments are forwarded to every shard engine.
-
-    Engine keyword arguments — including ``dp_backend`` (the adaptive
-    ``"auto"`` default every shard engine inherits) — are forwarded
-    verbatim to each shard's
+    (round-robin assignment, which balances shard sizes).  Engine keyword
+    arguments are forwarded verbatim to each shard's
     :class:`~repro.core.engine.SubtrajectorySearch` (in-process or inside
     its worker process).
 
@@ -241,7 +237,6 @@ class PartitionedSubtrajectorySearch:
                 for i in range(num_shards)
             ]
         self._backend = backend
-        self._dp_backend = str(engine_kwargs.get("dp_backend", "auto"))
         self._trie_cache: Optional[TrieCache] = None
         if backend in _OUT_OF_PROCESS:
             if "trie_cache" in engine_kwargs:
@@ -328,12 +323,6 @@ class PartitionedSubtrajectorySearch:
         per-shard mirrors, so it is current on every backend)."""
         return _GlobalDatasetView(self)
 
-    @property
-    def dp_backend(self) -> str:
-        """The verification DP backend every shard engine is configured
-        with (``"auto"`` resolves per query inside each shard)."""
-        return self._dp_backend
-
     def status(self) -> EngineStatus:
         """One snapshot of the engine, from ONE poll of its shards — what
         ``/healthz``, ``/stats``, ``/metrics`` and the 503 body are
@@ -351,7 +340,7 @@ class PartitionedSubtrajectorySearch:
                 for i, engine in enumerate(self._engines)
             ]
             shared = self._trie_cache.stats()
-        return EngineStatus(self._backend, self._dp_backend, len(self), shards, shared)
+        return EngineStatus(self._backend, len(self), shards, shared)
 
     def __len__(self) -> int:
         return sum(len(ids) for ids in self._global_ids)

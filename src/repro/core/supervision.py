@@ -293,7 +293,6 @@ class EngineStatus:
 
     #: ``"single"`` for a bare engine, else the fan-out backend.
     backend: str
-    dp_backend: str
     trajectories: int
     shards: List[ShardStatus]
     #: counters of the one cache all in-process shards share (``None``

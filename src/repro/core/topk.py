@@ -140,24 +140,6 @@ class TopKResult:
         return replace(self, matches=matches, k=k, ties_at_k=ties)
 
 
-def _engine_surfaces(engine):
-    """The public ``costs`` / ``dataset`` accessors top-k builds on.
-
-    Raises a typed :class:`~repro.exceptions.QueryError` (not a bare
-    ``AttributeError``) when the engine does not expose them — the
-    actionable message names what a supported engine provides.
-    """
-    costs = getattr(engine, "costs", None)
-    dataset = getattr(engine, "dataset", None)
-    if costs is None or dataset is None:
-        raise QueryError(
-            f"{type(engine).__name__} does not support top-k search: the "
-            "engine must expose public 'costs' and 'dataset' accessors "
-            "(SubtrajectorySearch and PartitionedSubtrajectorySearch do)"
-        )
-    return costs, dataset
-
-
 def topk_search(
     engine,
     query: Sequence[int],
@@ -195,7 +177,7 @@ def topk_search(
         raise QueryError("growth must exceed 1")
     if not initial_tau_ratio > 0:
         raise QueryError("initial_tau_ratio must be positive")
-    costs, dataset = _engine_surfaces(engine)
+    costs, dataset = engine.costs, engine.dataset
     check_alphabet(query, costs)
     total_ins = sum(costs.ins(q) for q in query)
     if total_ins <= 0:
@@ -258,13 +240,14 @@ def topk_search(
             # Under degradation the sweep must not quietly resurrect a
             # dead shard's trajectories from the coordinator's mirror:
             # a partial answer is *exactly* the live-shard answer, so
-            # skip trajectories placed on shards that failed to probe.
-            num_shards = getattr(engine, "num_shards", 0)
+            # skip trajectories placed on shards that failed to probe
+            # (only the partitioned engine reports degraded shards).
+            num_shards = engine.num_shards if degraded else 0
             try:
                 for tid in range(len(dataset)):
                     if tid in best:
                         continue
-                    if degraded and num_shards and tid % num_shards in degraded:
+                    if num_shards and tid % num_shards in degraded:
                         continue
                     # The whole point of threading the token here: the
                     # sweep is O(|T|·|P||Q|) and must stop within one

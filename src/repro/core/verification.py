@@ -62,11 +62,11 @@ bit-identical:
   (``benchmarks/bench_verification_hotpath.py`` tracks the gap both
   ways).
 
-``dp_backend="auto"`` (the engine default) resolves per query via
-:func:`choose_dp_backend`: the Python walker for short queries over
-models with vectorizable (hence cheap) substitution rows — the one regime
-where kernel-launch overhead loses to plain Python — and the arena walker
-everywhere else.  Safe precisely because the two are bit-identical.
+The engine runs every query on the walker :func:`choose_dp_backend`
+picks: the Python walker for short queries over models with vectorizable
+(hence cheap) substitution rows — the one regime where kernel-launch
+overhead loses to plain Python — and the arena walker everywhere else.
+Safe precisely because the two are bit-identical.
 
 Batching, virgin routing, and cross-query trie warmth all preserve the
 sequential semantics exactly: which columns get computed *by this query*,
@@ -123,7 +123,7 @@ AUTO_PYTHON_MAX_QUERY = 15
 
 
 def choose_dp_backend(query_length: int, costs: CostModel) -> str:
-    """Resolve ``dp_backend="auto"`` for one query.
+    """The walker one query runs on: the engine's only selection rule.
 
     Picks ``"python"`` for short queries (``<= AUTO_PYTHON_MAX_QUERY``)
     over models whose substitution rows are vectorizable — i.e. cheap —

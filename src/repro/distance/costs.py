@@ -294,7 +294,7 @@ class CostModel(ABC):
         s = self.sub
         return [s(p, q) for q in seq]
 
-    # -- array-native hooks (the dp_backend="numpy" hot path) ---------------
+    # -- array-native hooks (the arena walker's hot path) -------------------
 
     def sub_row_array(self, p: int, seq: Sequence[int]) -> np.ndarray:
         """:meth:`sub_row` as a float64 array — override for models whose
@@ -318,7 +318,7 @@ class CostModel(ABC):
         """True when this model computes substitution rows without a
         per-element Python loop (it overrides :meth:`sub_row_array`).
 
-        ``dp_backend="auto"`` reads this as a cost proxy: vectorizable
+        The engine's walker rule reads this as a cost proxy: vectorizable
         rows are cheap rows, and on cheap rows short queries cannot
         amortize the numpy kernel-launch overhead, so the pure-Python DP
         wins there.  Models without an override (the network-aware

@@ -168,9 +168,7 @@ class Executor:
                 kwargs["trace"] = span
             if allow_partial:
                 kwargs["allow_partial"] = True
-            future = self._pool.submit(
-                self._engine.query, query, cancel=token, **kwargs
-            )
+            future = self._submit(self._engine.query, query, cancel=token, **kwargs)
             return self._gather(future, token)
 
     def topk(
@@ -194,7 +192,7 @@ class Executor:
         trajectory.
         """
         with self._admitted(deadline, trace, mode="topk") as (token, span):
-            future = self._pool.submit(
+            future = self._submit(
                 topk_search,
                 self._engine,
                 query,
@@ -219,9 +217,9 @@ class Executor:
     ) -> Iterator[Tuple[CancelToken, Any]]:
         """The scope every query kind executes in: admit (or shed), start
         the deadline token, open the ``execute`` span, and on the way out
-        map a pool shutdown to the shed it is, annotate the span with any
-        failure, and release the admission slot.  Yields ``(token,
-        execute_span)``; the body only decides what goes to the pool."""
+        annotate the span with any failure and release the admission
+        slot.  Yields ``(token, execute_span)``; the body only decides
+        what goes to the pool."""
         if deadline is not None and deadline <= 0:
             # A malformed request, not a missed deadline: report it as
             # such instead of polluting the deadline-miss metric.
@@ -257,15 +255,8 @@ class Executor:
             try:
                 yield token, span
             except BaseException as exc:
-                shed = isinstance(exc, RuntimeError) and "shutdown" in str(exc)
                 if span is not None:
-                    span.set(
-                        "error", "AdmissionError" if shed else type(exc).__name__
-                    )
-                if shed:
-                    # Admitted concurrently with close(): the pool refuses
-                    # new futures.  Report it as the shed it is, not a 500.
-                    raise AdmissionError("service is shutting down") from None
+                    span.set("error", type(exc).__name__)
                 raise
             finally:
                 if span is not None:
@@ -273,6 +264,15 @@ class Executor:
         finally:
             with self._lock:
                 self._pending -= 1
+
+    def _submit(self, fn, *args, **kwargs) -> Future:
+        """``fn`` on the pool.  Only the pool's own refusal (a query
+        admitted concurrently with :meth:`close`) is a shed, HTTP 429; an
+        engine error, whatever its text, reaches the caller as itself."""
+        try:
+            return self._pool.submit(fn, *args, **kwargs)
+        except RuntimeError:
+            raise AdmissionError("service is shutting down") from None
 
     @staticmethod
     def _gather(future: Future, token: CancelToken):

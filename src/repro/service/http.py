@@ -280,7 +280,6 @@ class _Handler(BaseHTTPRequestHandler):
                         trajectories=status.trajectories,
                         shards=len(status.shards),
                         backend=status.backend,
-                        dp_backend=status.dp_backend,
                         trie_cache=status.trie,
                         index=status.index,
                         workers=[w.to_dict() for w in status.workers],

@@ -394,7 +394,6 @@ class QueryService:
         else:
             snap["num_shards"] = len(status.shards)
             snap["backend"] = status.backend
-            snap["dp_backend"] = status.dp_backend
             trie = snap["trie_cache"] = status.trie
             alias = ("capacity", "size", "hits", "misses")
             snap["substitution_cache"] = {key: trie[key] for key in alias if key in trie}

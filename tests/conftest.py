@@ -22,6 +22,8 @@ from repro.distance.costs import (
     NetERPCost,
     SURSCost,
 )
+from repro.distance.smith_waterman import all_matches, best_match
+from repro.distance.wed import wed
 from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
 from repro.trajectory.dataset import TrajectoryDataset
@@ -156,6 +158,72 @@ def sample_query(dataset: TrajectoryDataset, rng: random.Random, length: int):
     symbols = dataset.symbols(tid)
     s = rng.randrange(0, len(symbols) - length + 1)
     return list(symbols[s : s + length])
+
+
+# -- the brute-force oracles every exactness suite compares against ---------
+
+
+def _symbol_strings(corpus):
+    """Each trajectory's symbol string, by id: ``corpus`` is a dataset or
+    already a list of symbol strings."""
+    if isinstance(corpus, TrajectoryDataset):
+        return [corpus.symbols(tid) for tid in range(len(corpus))]
+    return corpus
+
+
+def oracle_range(corpus, query, costs, tau):
+    """The range answer as ``{(tid, start, end)}``: every subtrajectory
+    within WED ``tau`` of ``query``, by one full Smith–Waterman pass
+    (``distance.smith_waterman.all_matches``) per trajectory."""
+    return {
+        (tid, s, t)
+        for tid, data in enumerate(_symbol_strings(corpus))
+        for s, t, _ in all_matches(data, query, costs, tau)
+    }
+
+
+def oracle_topk(corpus, query, costs, k, *, tids=None):
+    """The top-k ranking as ``[(tid, distance)]``, best first: each
+    trajectory's best substring (``best_match``), ranked by distance
+    then id.  A trajectory's best *distance* is unique even when several
+    windows achieve it, so the oracle pins the ranking, not the windows.
+    ``tids`` restricts the ranking to those trajectories."""
+    strings = _symbol_strings(corpus)
+    ranked = []
+    for tid in range(len(strings)) if tids is None else tids:
+        s, t, d = best_match(strings[tid], query, costs)
+        if t >= s:
+            ranked.append((d, tid))
+    ranked.sort()
+    return [(tid, d) for d, tid in ranked[:k]]
+
+
+def brute_all(data, query, costs, tau):
+    """Every ``(start, end, distance)`` of one symbol string with WED
+    below ``tau``, in ``(start, end)`` order — an exhaustive ``wed`` per
+    substring, independent of the Smith–Waterman code it checks."""
+    return [
+        (s, t, d)
+        for s in range(len(data))
+        for t in range(s, len(data))
+        if (d := wed(data[s : t + 1], query, costs)) < tau
+    ]
+
+
+def force_walker(monkeypatch, walker):
+    """Run every engine query from here on on one verification walker
+    (``"python"`` or ``"numpy"``; ``"auto"`` restores the rule) by
+    patching the one rule the engine consults.  In-process shards and
+    in-thread nodes see the patch, and so do worker processes forked
+    after the call."""
+    from repro.core import engine, verification
+
+    rule = verification.choose_dp_backend
+    monkeypatch.setattr(
+        engine,
+        "choose_dp_backend",
+        rule if walker == "auto" else lambda query_length, costs: walker,
+    )
 
 
 #: the two request kinds the service tier serves through one path; the

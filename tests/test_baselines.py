@@ -12,23 +12,14 @@ from repro.baselines import (
     torch_engine,
 )
 from repro.core.engine import SubtrajectorySearch
-from repro.distance.smith_waterman import all_matches
 from repro.distance.wed import wed
 from repro.exceptions import IndexError_, QueryError
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import sample_query
+from tests.conftest import oracle_range, sample_query
 
 
 def keys(matches):
     return {(m.trajectory_id, m.start, m.end) for m in matches}
-
-
-def oracle(dataset, query, costs, tau):
-    out = set()
-    for tid in range(len(dataset)):
-        for s, t, _ in all_matches(dataset.symbols(tid), query, costs, tau):
-            out.add((tid, s, t))
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +39,7 @@ class TestAdaptedEngines:
         engine = factory(vertex_dataset, edr_cost, verification=verification)
         for query in workload:
             result = engine.query(query, tau_ratio=0.25)
-            assert keys(result.matches) == oracle(
+            assert keys(result.matches) == oracle_range(
                 vertex_dataset, query, edr_cost, result.tau
             )
 
@@ -73,7 +64,7 @@ class TestPlainSW:
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         for query in workload:
             tau = engine.query(query, tau_ratio=0.25).tau
-            assert keys(scan.query(query, tau)) == oracle(
+            assert keys(scan.query(query, tau)) == oracle_range(
                 vertex_dataset, query, edr_cost, tau
             )
 
@@ -115,14 +106,14 @@ class TestQGram:
         index = QGramIndex(vertex_dataset, edr_cost)
         for query in workload:
             tau = 1.5
-            assert keys(index.query(query, tau)) == oracle(
+            assert keys(index.query(query, tau)) == oracle_range(
                 vertex_dataset, query, edr_cost, tau
             )
 
     def test_exact_results_lev(self, vertex_dataset, lev_cost, workload):
         index = QGramIndex(vertex_dataset, lev_cost)
         for query in workload:
-            assert keys(index.query(query, 2.0)) == oracle(
+            assert keys(index.query(query, 2.0)) == oracle_range(
                 vertex_dataset, query, lev_cost, 2.0
             )
 
@@ -131,7 +122,7 @@ class TestQGram:
     ):
         index = QGramIndex(vertex_dataset, edr_cost)
         for query in workload:
-            want_ids = {tid for tid, _, _ in oracle(vertex_dataset, query, edr_cost, 1.5)}
+            want_ids = {tid for tid, _, _ in oracle_range(vertex_dataset, query, edr_cost, 1.5)}
             assert want_ids <= set(index.candidates(query, 1.5))
 
     def test_large_tau_degenerates_to_scan(self, vertex_dataset, edr_cost):
@@ -169,7 +160,7 @@ class TestDITA:
         rng = random.Random(5)
         for _ in range(3):
             query = sample_query(tiny, rng, 5)
-            assert keys(index.query(query, 1.5)) == oracle(tiny, query, edr_cost, 1.5)
+            assert keys(index.query(query, 1.5)) == oracle_range(tiny, query, edr_cost, 1.5)
 
     def test_exact_results_erp(self, tiny, erp_cost):
         import random
@@ -178,7 +169,7 @@ class TestDITA:
         rng = random.Random(6)
         query = sample_query(tiny, rng, 5)
         tau = 0.15 * sum(erp_cost.ins(q) for q in query)
-        assert keys(index.query(query, tau)) == oracle(tiny, query, erp_cost, tau)
+        assert keys(index.query(query, tau)) == oracle_range(tiny, query, erp_cost, tau)
 
     def test_candidates_prune_something(self, tiny, edr_cost):
         import random
@@ -220,7 +211,7 @@ class TestERPIndexBaseline:
         for _ in range(3):
             query = sample_query(tiny, rng, 5)
             tau = 0.15 * sum(erp_cost.ins(q) for q in query)
-            assert keys(index.query(query, tau)) == oracle(tiny, query, erp_cost, tau)
+            assert keys(index.query(query, tau)) == oracle_range(tiny, query, erp_cost, tau)
 
     def test_lower_bound_is_valid(self, tiny, erp_cost):
         """No subtrajectory outside the kd-tree radius can match."""
@@ -231,7 +222,7 @@ class TestERPIndexBaseline:
         query = sample_query(tiny, rng, 5)
         tau = 0.2 * sum(erp_cost.ins(q) for q in query)
         cands = set(index.candidates(query, tau))
-        assert oracle(tiny, query, erp_cost, tau) <= cands
+        assert oracle_range(tiny, query, erp_cost, tau) <= cands
 
     def test_requires_erp_model(self, tiny, edr_cost):
         with pytest.raises(IndexError_):
@@ -260,4 +251,4 @@ class TestSURSWithBaselines:
         engine = SubtrajectorySearch(edge_dataset, surs_cost)
         query = sample_query(edge_dataset, rng, 5)
         tau = engine.query(query, tau_ratio=0.2).tau
-        assert keys(scan.query(query, tau)) == oracle(edge_dataset, query, surs_cost, tau)
+        assert keys(scan.query(query, tau)) == oracle_range(edge_dataset, query, surs_cost, tau)

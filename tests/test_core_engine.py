@@ -8,21 +8,12 @@ import pytest
 
 from repro.core.engine import SubtrajectorySearch
 from repro.distance.costs import ERPCost
-from repro.distance.smith_waterman import all_matches
 from repro.exceptions import QueryError
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.model import Trajectory
-from tests.conftest import sample_query
+from tests.conftest import oracle_range, sample_query
 
 ALL_MODELS = ["lev_cost", "edr_cost", "erp_cost", "netedr_cost", "neterp_cost", "surs_cost"]
-
-
-def oracle(dataset, query, costs, tau):
-    want = set()
-    for tid in range(len(dataset)):
-        for s, t, _ in all_matches(dataset.symbols(tid), query, costs, tau):
-            want.add((tid, s, t))
-    return want
 
 
 def result_keys(result):
@@ -40,7 +31,7 @@ class TestAgainstOracle:
         for _ in range(4):
             query = sample_query(dataset, rng, 6)
             result = engine.query(query, tau_ratio=0.25)
-            assert result_keys(result) == oracle(dataset, query, costs, result.tau)
+            assert result_keys(result) == oracle_range(dataset, query, costs, result.tau)
 
     @pytest.mark.parametrize("selector", ["greedy", "exact", "prefix", "all"])
     def test_all_selectors(self, selector, vertex_dataset, edr_cost, rng):
@@ -48,7 +39,7 @@ class TestAgainstOracle:
         for _ in range(3):
             query = sample_query(vertex_dataset, rng, 5)
             result = engine.query(query, tau_ratio=0.3)
-            assert result_keys(result) == oracle(
+            assert result_keys(result) == oracle_range(
                 vertex_dataset, query, edr_cost, result.tau
             )
 
@@ -60,7 +51,7 @@ class TestAgainstOracle:
         for _ in range(3):
             query = sample_query(vertex_dataset, rng, 5)
             result = engine.query(query, tau_ratio=0.3)
-            assert result_keys(result) == oracle(
+            assert result_keys(result) == oracle_range(
                 vertex_dataset, query, edr_cost, result.tau
             )
 
@@ -232,4 +223,4 @@ class TestFallback:
         engine = SubtrajectorySearch(ds, erp)
         result = engine.query(query, tau=tau)
         assert result.used_fallback
-        assert result_keys(result) == oracle(ds, query, erp, tau)
+        assert result_keys(result) == oracle_range(ds, query, erp, tau)

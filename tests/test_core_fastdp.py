@@ -9,8 +9,7 @@ from repro.core.engine import SubtrajectorySearch
 from repro.core.verification import Verifier, step_dp_batch
 from repro.distance.costs import LevenshteinCost
 from repro.distance.wed import wed_step
-from repro.exceptions import QueryError
-from tests.conftest import sample_query
+from tests.conftest import force_walker, sample_query
 
 lev = LevenshteinCost()
 
@@ -25,6 +24,14 @@ def step_one(sub_row, dele, ins_prefix, prev):
         np.asarray(ins_prefix),
         np.asarray(prev, dtype=np.float64)[None, :],
     )[0]
+
+
+def walked(monkeypatch, walker, engine, query, **kwargs):
+    """``engine.query`` on one walker (the engine's rule patched)."""
+    force_walker(monkeypatch, walker)
+    result = engine.query(query, **kwargs)
+    assert result.dp_backend_used == walker
+    return result
 
 
 class TestStepDPBatch:
@@ -158,47 +165,55 @@ class TestStepDPBatch:
 
 
 class TestEngineBackendEquivalence:
+    """Each walker end to end, chosen by patching the engine's one rule."""
+
     def test_unknown_backend_rejected(self, vertex_dataset, edr_cost):
-        with pytest.raises(QueryError):
-            SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend="fortran")
+        # The engine takes no walker at all: the rule is the only choice.
+        with pytest.raises(TypeError, match="dp_backend"):
+            SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend="numpy")
 
     @pytest.mark.parametrize("model_name", ["lev_cost", "edr_cost", "erp_cost", "surs_cost"])
     def test_same_results_as_python_backend(
-        self, model_name, request, vertex_dataset, edge_dataset, rng
+        self, model_name, request, vertex_dataset, edge_dataset, rng, monkeypatch
     ):
         costs = request.getfixturevalue(model_name)
         ds = edge_dataset if costs.representation == "edge" else vertex_dataset
-        py = SubtrajectorySearch(ds, costs, dp_backend="python")
-        np_engine = SubtrajectorySearch(ds, costs, dp_backend="numpy")
+        engine = SubtrajectorySearch(ds, costs)
         for _ in range(3):
             query = sample_query(ds, rng, 6)
-            a = py.query(query, tau_ratio=0.25)
-            b = np_engine.query(query, tau_ratio=0.25)
+            a, b = (
+                walked(monkeypatch, walker, engine, query, tau_ratio=0.25)
+                for walker in ("python", "numpy")
+            )
             keys = lambda r: [(m.trajectory_id, m.start, m.end) for m in r.matches]  # noqa: E731
             assert keys(a) == keys(b)
             for ma, mb in zip(a.matches, b.matches):
                 assert ma.distance == pytest.approx(mb.distance)
 
-    def test_counters_identical_across_backends(self, vertex_dataset, edr_cost, rng):
+    def test_counters_identical_across_backends(
+        self, vertex_dataset, edr_cost, rng, monkeypatch
+    ):
         query = sample_query(vertex_dataset, rng, 6)
-        py = SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend="python")
-        npb = SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend="numpy")
-        a = py.query(query, tau_ratio=0.2).verification
-        b = npb.query(query, tau_ratio=0.2).verification
+        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
+        a, b = (
+            walked(monkeypatch, walker, engine, query, tau_ratio=0.2).verification
+            for walker in ("python", "numpy")
+        )
         assert a.visited_columns == b.visited_columns
         assert a.computed_columns == b.computed_columns
 
     def test_network_models_numpy_backend(
-        self, vertex_dataset, netedr_cost, neterp_cost, rng
+        self, vertex_dataset, netedr_cost, neterp_cost, rng, monkeypatch
     ):
         """Network-distance cost models (cached-oracle sub_row) work under
         the vectorized backend too."""
         for costs in (netedr_cost, neterp_cost):
-            py = SubtrajectorySearch(vertex_dataset, costs, dp_backend="python")
-            npb = SubtrajectorySearch(vertex_dataset, costs, dp_backend="numpy")
+            engine = SubtrajectorySearch(vertex_dataset, costs)
             query = sample_query(vertex_dataset, rng, 5)
-            a = py.query(query, tau_ratio=0.2)
-            b = npb.query(query, tau_ratio=0.2)
+            a, b = (
+                walked(monkeypatch, walker, engine, query, tau_ratio=0.2)
+                for walker in ("python", "numpy")
+            )
             assert [(m.trajectory_id, m.start, m.end) for m in a.matches] == [
                 (m.trajectory_id, m.start, m.end) for m in b.matches
             ]

@@ -6,20 +6,9 @@ from repro.core.engine import SubtrajectorySearch, topk_signature
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.results import Match
 from repro.core.topk import TopKResult, topk_search
-from repro.distance.smith_waterman import best_match
 from repro.exceptions import QueryCancelledError, QueryError
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import sample_query
-
-
-def brute_topk(dataset, query, costs, k):
-    scored = []
-    for tid in range(len(dataset)):
-        s, t, d = best_match(dataset.symbols(tid), query, costs)
-        if t >= s:
-            scored.append((d, tid))
-    scored.sort()
-    return scored[:k]
+from tests.conftest import oracle_topk, sample_query
 
 
 class TestTopK:
@@ -44,9 +33,9 @@ class TestTopK:
         for _ in range(2):
             query = sample_query(vertex_dataset, rng, 6)
             got = topk_search(engine, query, k)
-            want = brute_topk(vertex_dataset, query, edr_cost, k)
+            want = oracle_topk(vertex_dataset, query, edr_cost, k)
             assert len(got) == len(want)
-            for m, (d, _) in zip(got, want):
+            for m, (_, d) in zip(got, want):
                 assert m.distance == pytest.approx(d)
 
     def test_results_sorted_and_unique_trajectories(
@@ -76,8 +65,8 @@ class TestTopK:
         engine = SubtrajectorySearch(edge_dataset, surs_cost)
         query = sample_query(edge_dataset, rng, 5)
         got = topk_search(engine, query, 5)
-        want = brute_topk(edge_dataset, query, surs_cost, 5)
-        for m, (d, _) in zip(got, want):
+        want = oracle_topk(edge_dataset, query, surs_cost, 5)
+        for m, (_, d) in zip(got, want):
             assert m.distance == pytest.approx(d)
 
     def test_result_carries_provenance(self, vertex_dataset, edr_cost, rng):
@@ -94,13 +83,6 @@ class TestTopK:
         assert list(got) == got.matches
         assert got[0] == got.matches[0]
         assert len(got) == len(got.matches)
-
-    def test_unsupported_engine_raises_typed_error(self):
-        class NotAnEngine:
-            pass
-
-        with pytest.raises(QueryError, match="does not support top-k"):
-            topk_search(NotAnEngine(), [1, 2, 3], 5)
 
     def test_partitioned_public_accessors(self, vertex_dataset, edr_cost):
         with PartitionedSubtrajectorySearch(

@@ -5,8 +5,8 @@ import pytest
 from repro.core.results import MatchSet
 from repro.core.verification import Verifier
 from repro.distance.costs import LevenshteinCost
-from repro.distance.smith_waterman import all_matches
 from repro.distance.wed import wed
+from tests.conftest import oracle_range
 
 lev = LevenshteinCost()
 
@@ -24,14 +24,6 @@ def candidates_for(data_strings, query):
                 if sym == q:
                     out.append((tid, j, iq))
     return out
-
-
-def oracle(data_strings, query, tau):
-    want = set()
-    for tid, data in enumerate(data_strings):
-        for s, t, _ in all_matches(data, query, lev, tau):
-            want.add((tid, s, t))
-    return want
 
 
 class TestVerifyCandidate:
@@ -69,7 +61,7 @@ class TestVerifyCandidate:
         v = make_verifier(data, query, 2.0)
         ms = MatchSet()
         v.verify_all(candidates_for(data, query), ms)
-        assert oracle(data, query, 2.0) == {
+        assert oracle_range(data, query, lev, 2.0) == {
             (m.trajectory_id, m.start, m.end) for m in ms
         }
 
@@ -97,7 +89,7 @@ class TestEquivalences:
             ms = MatchSet()
             v.verify_all(candidates_for(data, query), ms)
             got = {(m.trajectory_id, m.start, m.end) for m in ms}
-            assert got == oracle(data, query, tau)
+            assert got == oracle_range(data, query, lev, tau)
 
     @pytest.mark.parametrize("early", [True, False])
     def test_trie_off_same_results(self, workload, early):

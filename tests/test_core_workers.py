@@ -75,13 +75,13 @@ class TestConfiguration:
     ):
         # Readiness handshake: bad engine options fail in the constructor
         # with their real cause, exactly like the in-process backends.
-        with pytest.raises(QueryError, match="dp_backend"):
+        with pytest.raises(QueryError, match="selector"):
             PartitionedSubtrajectorySearch(
                 vertex_dataset,
                 edr_cost,
                 num_shards=2,
                 backend="processes",
-                dp_backend="typo",
+                selector="typo",
             )
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.distance.costs import LevenshteinCost
 from repro.distance.smith_waterman import all_matches, best_match
 from repro.distance.wed import wed
+from tests.conftest import brute_all
 
 lev = LevenshteinCost()
 
@@ -22,16 +23,6 @@ def brute_best(data, query):
             if d < best[2]:
                 best = (s, t, d)
     return best
-
-
-def brute_all(data, query, tau):
-    out = []
-    for s in range(len(data)):
-        for t in range(s, len(data)):
-            d = wed(data[s : t + 1], query, lev)
-            if d < tau:
-                out.append((s, t, d))
-    return out
 
 
 class TestBestMatch:
@@ -87,7 +78,7 @@ class TestAllMatches:
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force(self, data, query, tau):
         got = sorted(all_matches(data, query, lev, tau))
-        want = sorted(brute_all(data, query, tau))
+        want = brute_all(data, query, lev, tau)
         assert got == want
 
     @given(data_strings, query_strings)

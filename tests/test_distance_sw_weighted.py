@@ -13,6 +13,7 @@ from repro.core.verification import Verifier
 from repro.distance.costs import CostModel
 from repro.distance.smith_waterman import all_matches, best_match
 from repro.distance.wed import wed
+from tests.conftest import brute_all
 
 
 class RampCost(CostModel):
@@ -40,22 +41,12 @@ ramp = RampCost()
 strings = st.lists(st.integers(0, 5), min_size=1, max_size=9)
 
 
-def brute_all(data, query, tau):
-    out = []
-    for s in range(len(data)):
-        for t in range(s, len(data)):
-            d = wed(data[s : t + 1], query, ramp)
-            if d < tau:
-                out.append((s, t))
-    return sorted(out)
-
-
 class TestWeightedSW:
     @given(strings, strings, st.floats(0.3, 3.0))
     @settings(max_examples=120, deadline=None)
     def test_all_matches_weighted(self, data, query, tau):
         got = sorted((s, t) for s, t, _ in all_matches(data, query, ramp, tau))
-        assert got == brute_all(data, query, tau)
+        assert got == [(s, t) for s, t, _ in brute_all(data, query, ramp, tau)]
 
     @given(strings, strings)
     @settings(max_examples=80, deadline=None)
@@ -85,7 +76,7 @@ class TestWeightedVerification:
         ms = MatchSet()
         verifier.verify_all(candidates, ms)
         got = {(m.start, m.end) for m in ms}
-        want = set(brute_all(data, query, tau))
+        want = {(s, t) for s, t, _ in brute_all(data, query, ramp, tau)}
         # Razor's-edge exclusion: with non-representable costs (0.3/0.9) a
         # subtrajectory whose true WED *equals* tau sits on the strict-<
         # boundary, where the verifier's bidirectional sum (left + anchor +

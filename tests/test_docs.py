@@ -155,7 +155,9 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
 #: span attribute for its private one, the engine's pool-size knob), and
 #: what the one warm-query cache replaced (the substitution LRU, its
 #: keyword and its flag), and the R-tree's box, which outlived the R-tree,
-#: and the status accessors the one ``status()`` snapshot replaced.
+#: the status accessors the one ``status()`` snapshot replaced, and the
+#: caller-set walker (its keyword and its flag; the ``dp_backend=numpy``
+#: span rendering and the ``{dp_backend="numpy"}`` metric label stay).
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
     r"|substitution_cache_size|--substitution-cache-size|SubstitutionMatrixCache"
@@ -163,6 +165,7 @@ _GONE = re.compile(
     r"|worker_states|restarts_total\(|retry_after\(\)|\.nodes\(\)|cache_stats\("
     r"|trie_cache_stats|index_stats|_aggregate_index|_shard_cache_parts"
     r"|_TRIE_FIELDS|_INDEX_FIELDS"
+    r"|--dp-backend|(?<!\{)dp_backend=[\"(.)]|DP_BACKENDS"
 )
 
 
@@ -175,9 +178,9 @@ def test_docs_name_no_removed_fan_out_api(doc):
 def test_service_tier_never_probes_the_engine_by_name():
     """Both engines answer the same surface (``query``, ``add_trajectory``,
     ``costs``, ``dataset``, ``status``, ``close``): nothing in the service
-    tier or the CLI finds out which one it holds."""
+    tier, the CLI or top-k finds out which one it holds."""
     sources = sorted((REPO / "src" / "repro" / "service").glob("*.py"))
-    sources.append(REPO / "src" / "repro" / "cli.py")
+    sources += [REPO / "src" / "repro" / name for name in ("cli.py", "core/topk.py")]
     probe = re.compile(r"(?:getattr|hasattr)\([^)]*engine")
     found = [
         f"{path.name}:{number}"
@@ -207,7 +210,7 @@ def _agrees(cell, default):
 
 def test_knob_table_flags_are_serve_options_with_the_stated_defaults():
     rows = re.findall(r"^\| `(--[\w-]+)` \| `?([^|`]+)`? \|", _knob_section(), re.M)
-    assert len(rows) >= 15, "knob table not found or reshaped"
+    assert len(rows) >= 14, "knob table not found or reshaped"
     options = _serve_options()
     wrong = []
     for flag, cell in rows:

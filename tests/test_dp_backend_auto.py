@@ -1,11 +1,11 @@
-"""dp_backend="auto" selection and cross-query SubstitutionMatrix reuse.
+"""The walker rule and cross-query SubstitutionMatrix reuse.
 
-The adaptive backend (ISSUE 4) picks python vs numpy per query from query
-length and cost-model vectorizability — safe because the backends are
-bit-identical — and the knob must round-trip CLI -> engine -> workers ->
-healthz.  The cached SubstitutionMatrix (one half of the query's TrieCache
-entry) must make repeated-query savings observable through the same
-surfaces.
+``choose_dp_backend`` picks python vs numpy per query from query length
+and cost-model vectorizability — safe because the walkers are
+bit-identical — and it is the only way an engine picks one: no keyword,
+flag or status field sets or reports a configured walker.  The cached
+SubstitutionMatrix (one half of the query's TrieCache entry) must make
+repeated-query savings observable through the engine's surfaces.
 """
 
 import json
@@ -25,7 +25,7 @@ from repro.core.verification import (
 from repro.distance.costs import CostModel
 from repro.exceptions import QueryError
 from repro.service import QueryService, ServiceServer
-from tests.conftest import sample_query
+from tests.conftest import force_walker, sample_query
 
 
 def long_query(dataset, rng, length):
@@ -91,10 +91,6 @@ class TestChooseDpBackend:
 
 
 class TestEngineAuto:
-    def test_default_is_auto(self, vertex_dataset, edr_cost):
-        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
-        assert engine.dp_backend == "auto"
-
     def test_short_query_runs_python(self, vertex_dataset, edr_cost, rng):
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         result = engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.3)
@@ -111,27 +107,22 @@ class TestEngineAuto:
         result = engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.3)
         assert result.dp_backend_used == "numpy"
 
-    def test_explicit_backend_is_honoured(self, vertex_dataset, edr_cost, rng):
-        query = sample_query(vertex_dataset, rng, 6)
-        for backend in ("python", "numpy"):
-            engine = SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend=backend)
-            assert engine.dp_backend == backend
-            assert engine.query(query, tau_ratio=0.3).dp_backend_used == backend
-
-    def test_auto_matches_forced_backends(self, vertex_dataset, edr_cost, rng):
+    def test_auto_matches_forced_backends(
+        self, vertex_dataset, edr_cost, rng, monkeypatch
+    ):
         query = sample_query(vertex_dataset, rng, 6)
         answers = []
         for backend in ("auto", "python", "numpy"):
-            engine = SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend=backend)
+            force_walker(monkeypatch, backend)
+            engine = SubtrajectorySearch(vertex_dataset, edr_cost)
             result = engine.query(query, tau_ratio=0.3)
+            assert backend in ("auto", result.dp_backend_used)
             answers.append(
                 [(m.trajectory_id, m.start, m.end, m.distance) for m in result.matches]
             )
         assert answers[0] == answers[1] == answers[2]
 
-    def test_unknown_backend_rejected(self, vertex_dataset, edr_cost):
-        with pytest.raises(QueryError):
-            SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend="cuda")
+    def test_unknown_backend_rejected(self):
         with pytest.raises(QueryError):
             Verifier(lambda t: [], [1], _SlowRowCost(), 1.0, dp_backend="cuda")
 
@@ -218,13 +209,13 @@ class TestSubstitutionMatrixCache:
             engine.query(other, tau_ratio=0.3)
             assert engine.status().trie["misses"] == 2
 
-    def test_engine_cache_disabled(self, vertex_dataset, rng):
+    def test_engine_cache_disabled(self, vertex_dataset, rng, monkeypatch):
         """``trie_cache_size=0`` is no cross-query reuse of any kind: the
-        repeat pays for its substitution rows again."""
+        repeat pays for its substitution rows again (on the arena walker,
+        the one that reads rows through the matrix)."""
+        force_walker(monkeypatch, "numpy")
         costs = _CountingRowCost()
-        engine = SubtrajectorySearch(
-            vertex_dataset, costs, dp_backend="numpy", trie_cache_size=0
-        )
+        engine = SubtrajectorySearch(vertex_dataset, costs, trie_cache_size=0)
         query = sample_query(vertex_dataset, rng, 8)
         engine.query(query, tau_ratio=0.3)
         first = costs.row_calls
@@ -273,34 +264,30 @@ class TestSubstitutionMatrixCache:
 
 
 class TestKnobRoundTrip:
-    """--dp-backend / --trie-cache-size: CLI -> engine -> workers ->
-    healthz."""
+    """--trie-cache-size: CLI -> engine -> workers -> healthz; the walker
+    is the rule's, with no knob anywhere on the way."""
 
     def test_cli_defaults(self, capsys):
         args = build_parser().parse_args(["serve", "--self-test"])
-        assert args.dp_backend == "auto"
         assert args.trie_cache_size == DEFAULT_TRIE_CACHE
         query = ["query", "--network", "n", "--trips", "t", "--query", "1"]
-        args = build_parser().parse_args(
-            query + ["--dp-backend", "python", "--trie-cache-size", "0"]
-        )
-        assert args.dp_backend == "python"
+        args = build_parser().parse_args(query + ["--trie-cache-size", "0"])
         assert args.trie_cache_size == 0
-        # The second cache's flag went with it, on both subcommands.
+        # The second cache's flag went with it, and so did the walker's,
+        # on both subcommands.
         for argv in (query, ["serve", "--self-test"]):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(argv + ["--substitution-cache-size", "0"])
-        assert "unrecognized arguments" in capsys.readouterr().err
+            for gone in (["--substitution-cache-size", "0"], ["--dp-backend", "numpy"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv + gone)
+                assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_partitioned_forwards_and_aggregates(self, vertex_dataset, edr_cost, rng):
         engine = PartitionedSubtrajectorySearch(
             vertex_dataset,
             edr_cost,
             num_shards=2,
-            dp_backend="auto",
             trie_cache_size=8,
         )
-        assert engine.dp_backend == "auto"
         query = long_query(vertex_dataset, rng, AUTO_PYTHON_MAX_QUERY + 1)
         result = engine.query(query, tau_ratio=0.3)
         assert result.dp_backend_used == "numpy"
@@ -320,7 +307,6 @@ class TestKnobRoundTrip:
             edr_cost,
             num_shards=2,
             backend="processes",
-            dp_backend="auto",
             trie_cache_size=8,
         )
         try:
@@ -331,7 +317,7 @@ class TestKnobRoundTrip:
             assert [(m.trajectory_id, m.start, m.end) for m in result.matches] == [
                 (m.trajectory_id, m.start, m.end) for m in expected.matches
             ]
-            # Auto resolved inside the worker processes and shipped back.
+            # The rule ran inside the worker processes; its verdict came back.
             assert result.dp_backend_used == expected.dp_backend_used == "python"
             engine.query(query, tau_ratio=0.3)
             agg = engine.status().trie
@@ -382,12 +368,12 @@ class TestKnobRoundTrip:
             service.query(query, tau_ratio=0.3)
             with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
                 health = json.loads(resp.read().decode("utf-8"))
-            assert health["dp_backend"] == "auto"
+            assert "dp_backend" not in health  # the walker is per query
             assert health["trie_cache"]["hits"] >= 1
             assert health["trie_cache"]["misses"] >= 1
             assert "substitution_cache" not in health  # reported once
             stats = service.stats()
-            assert stats["dp_backend"] == "auto"
+            assert "dp_backend" not in stats
             # /stats alone keeps the retired name, as a projection.
             assert stats["substitution_cache"] == {
                 key: stats["trie_cache"][key]

@@ -95,7 +95,7 @@ def test_snapshot_has_one_entry_per_shard_and_totals_are_sums(
         engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.25)
         status = engine.status()
         assert isinstance(status, EngineStatus)
-        assert status.backend == name and status.dp_backend == "auto"
+        assert status.backend == name
         assert status.trajectories == len(vertex_dataset)
         assert len(status.shards) == DEPLOYMENTS[name]
         assert all(isinstance(w, WorkerState) for w in status.workers)
@@ -175,7 +175,7 @@ def test_every_deployment_serves_one_shape_from_one_poll_per_request(
         assert unavailable["degraded_shards"] == []
         assert health["status"] == "ok"
         assert health["backend"] == stats["backend"] == name
-        assert health["dp_backend"] == stats["dp_backend"] == "auto"
+        assert "dp_backend" not in health and "dp_backend" not in stats
         assert health["shards"] == stats["num_shards"] == DEPLOYMENTS[name]
         assert len(health["workers"]) == DEPLOYMENTS[name]
         assert health["restarts_total"] == 0

@@ -18,18 +18,10 @@ from repro.distance.costs import (
     LevenshteinCost,
     SURSCost,
 )
-from repro.distance.smith_waterman import all_matches
 from repro.network.generators import grid_city, random_city
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.generator import TripGenerator
-
-
-def oracle_keys(dataset, query, costs, tau):
-    out = set()
-    for tid in range(len(dataset)):
-        for s, t, _ in all_matches(dataset.symbols(tid), query, costs, tau):
-            out.add((tid, s, t))
-    return out
+from tests.conftest import oracle_range
 
 
 def engine_keys(result):
@@ -70,7 +62,7 @@ class TestRandomWorlds:
         costs = EDRCost(graph, epsilon=graph.median_edge_weight())
         engine = SubtrajectorySearch(ds, costs)
         result = engine.query(query, tau_ratio=ratio)
-        assert engine_keys(result) == oracle_keys(ds, query, costs, result.tau)
+        assert engine_keys(result) == oracle_range(ds, query, costs, result.tau)
 
     @given(random_workload())
     @settings(max_examples=15, deadline=None)
@@ -81,7 +73,7 @@ class TestRandomWorlds:
         costs = ERPCost(graph, eta=0.1 * graph.median_edge_weight())
         engine = SubtrajectorySearch(ds, costs)
         result = engine.query(query, tau_ratio=ratio)
-        assert engine_keys(result) == oracle_keys(ds, query, costs, result.tau)
+        assert engine_keys(result) == oracle_range(ds, query, costs, result.tau)
 
     @given(random_workload())
     @settings(max_examples=15, deadline=None)
@@ -93,7 +85,7 @@ class TestRandomWorlds:
         costs = SURSCost(graph)
         engine = SubtrajectorySearch(ds, costs)
         result = engine.query(equery, tau_ratio=ratio)
-        assert engine_keys(result) == oracle_keys(ds, equery, costs, result.tau)
+        assert engine_keys(result) == oracle_range(ds, equery, costs, result.tau)
 
     @given(random_workload())
     @settings(max_examples=15, deadline=None)

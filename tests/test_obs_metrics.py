@@ -122,7 +122,7 @@ class TestRegistryRendering:
 
 @pytest.fixture()
 def served(vertex_dataset, netedr_cost):
-    engine = SubtrajectorySearch(vertex_dataset, netedr_cost, dp_backend="numpy")
+    engine = SubtrajectorySearch(vertex_dataset, netedr_cost)  # NetEDR: numpy walker
     service = QueryService(engine, trace_sample_rate=1.0)
     server = ServiceServer(service).start()
     yield server, service

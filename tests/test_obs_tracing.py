@@ -178,7 +178,6 @@ def traced_server(vertex_dataset, netedr_cost):
         netedr_cost,
         num_shards=2,
         backend="processes",
-        dp_backend="numpy",
         trie_cache_size=8,
     )
     service = QueryService(engine, trace_sample_rate=1.0)
@@ -345,9 +344,7 @@ class TestSlowQueryPath:
     def test_unsampled_slow_query_is_synthesized_and_logged(
         self, vertex_dataset, netedr_cost, caplog, kind
     ):
-        engine = PartitionedSubtrajectorySearch(
-            vertex_dataset, netedr_cost, num_shards=2, dp_backend="numpy"
-        )
+        engine = PartitionedSubtrajectorySearch(vertex_dataset, netedr_cost, num_shards=2)
         service = QueryService(
             engine, trace_sample_rate=0.0, slow_query_seconds=0.0
         )

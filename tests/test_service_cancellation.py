@@ -25,7 +25,7 @@ from repro.core.workers import default_start_method
 from repro.exceptions import DeadlineExceededError, QueryCancelledError
 from repro.service import Executor, QueryService
 from repro.service.batching import Batcher
-from tests.conftest import KINDS, ask, sample_query
+from tests.conftest import KINDS, ask, force_walker, sample_query
 
 
 class CountdownToken:
@@ -144,10 +144,11 @@ def _slow_verifier(monkeypatch, counter, delay=0.02):
     candidates actually verified — the slow-verifier fixture of ISSUE 2.
 
     The seam is ``_combine``, which the Python walker reaches once per
-    candidate, so engines under this fixture run ``dp_backend="python"``
-    (the arena walker combines a whole anchor group after its walk and
-    polls the token per round instead — deadline plumbing is identical
-    either way)."""
+    candidate, so engines under this fixture run the Python walker (the
+    rule, patched; the arena walker combines a whole anchor group after
+    its walk and polls the token per round instead — deadline plumbing
+    is identical either way)."""
+    force_walker(monkeypatch, "python")
     original = Verifier._combine
 
     def slow(self, *args):
@@ -175,7 +176,7 @@ class TestExecutorDeadlineStopsShardWork:
         counter = {"verified": 0}
         _slow_verifier(monkeypatch, counter)
         sharded = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=2, dp_backend="python"
+            vertex_dataset, edr_cost, num_shards=2
         )
         with Executor(sharded, max_workers=2) as executor:
             with pytest.raises(DeadlineExceededError):
@@ -208,7 +209,6 @@ class TestExecutorDeadlineStopsShardWork:
             edr_cost,
             num_shards=2,
             backend="processes",
-            dp_backend="python",
         )
         single = SubtrajectorySearch(vertex_dataset, edr_cost)
         query = sample_query(vertex_dataset, rng, 6)

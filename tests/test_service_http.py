@@ -238,6 +238,29 @@ class TestErrors:
         finally:
             service.query = original
 
+    @pytest.mark.parametrize("body", [{"tau": 1.0}, {"k": 1}], ids=["range", "topk"])
+    def test_engine_error_naming_a_shutdown_is_a_500_not_a_shed(self, line_graph, body):
+        """Only the executor pool's own refusal is a shed: an engine error
+        whose text happens to say "shutdown" (one from a user's cost
+        model, say) reaches the client as the 500 it is, and is not
+        counted as rejected."""
+
+        class ShutdownTalkingEngine(SubtrajectorySearch):
+            def query(self, *args, **kwargs):
+                raise RuntimeError("oracle shutdown")
+
+        ds = TrajectoryDataset(line_graph)
+        ds.add(Trajectory([0, 1, 2, 3], timestamps=[0, 1, 2, 3]))
+        service = QueryService(ShutdownTalkingEngine(ds, LevenshteinCost()))
+        with ServiceServer(service).start() as srv:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(srv.url + "/query", {"path": [1, 2], **body})
+            assert err.value.code == 500
+            assert "oracle shutdown" in json.loads(err.value.read())["error"]
+            _, stats = _get(srv.url + "/stats")
+        assert stats["rejected"] == 0
+        assert stats["errors_by_type"] == {"RuntimeError": 1}
+
     def test_malformed_json_is_400(self, server):
         request = urllib.request.Request(
             server.url + "/query",

@@ -56,7 +56,7 @@ STATS_KEYS = {
     "latency_mean", "cache_hits", "cache_hit_rate", "coalesced",
     "coalesce_rate", "invalidations", "matches", "candidates",
     "stage_seconds", "computed_queries", "cache_size", "cache_capacity",
-    "pending", "num_shards", "backend", "dp_backend", "coalesced_retries",
+    "pending", "num_shards", "backend", "coalesced_retries",
     "substitution_cache", "trie_cache", "observability",
 }
 

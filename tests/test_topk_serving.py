@@ -20,35 +20,19 @@ from hypothesis import strategies as st
 from repro.core.engine import SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.topk import topk_search
-from repro.distance.smith_waterman import best_match
 from repro.exceptions import QueryError, WorkerError
 from repro.faultinject import FaultPlan, FaultRule
 from repro.service import QueryService, ServiceServer
-from tests.conftest import sample_query, thread_nodes
+from tests.conftest import oracle_topk, sample_query, thread_nodes
 
 pytestmark = pytest.mark.timeout(300)
 
 
-def oracle_topk(dataset, query, costs, k, *, tids=None):
-    """Brute-force ranking: one Smith–Waterman sweep per trajectory.
-
-    A trajectory's best *distance* is unique even when several windows
-    achieve it, so the oracle pins the (trajectory, distance) ranking;
-    window choice among equal-distance matches follows the engine's
-    canonical tie-break and is pinned separately via
-    :func:`single_engine_topk` (full bit-identity)."""
-    ranked = []
-    for tid in tids if tids is not None else range(len(dataset)):
-        s, t, d = best_match(dataset.symbols(tid), query, costs)
-        if t >= s:
-            ranked.append((d, tid))
-    ranked.sort()
-    return [(tid, d) for d, tid in ranked[:k]]
-
-
 def single_engine_topk(dataset, query, costs, k):
     """The unsharded reference answer every serving path must reproduce
-    bit-for-bit, windows included."""
+    bit-for-bit, windows included (``oracle_topk`` pins the ranking; the
+    window among equal-distance matches follows the engine's canonical
+    tie-break)."""
     return rank_keys(topk_search(SubtrajectorySearch(dataset, costs), query, k))
 
 

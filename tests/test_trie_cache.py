@@ -62,7 +62,7 @@ class WeightedCost(CostModel):
     """Non-representable 0.3-multiple costs: bit-identity stress.
 
     No ``sub_row_array`` override, so ``vectorized_rows()`` is False and
-    ``dp_backend="auto"`` routes every query length to numpy."""
+    the engine's walker rule routes every query length to numpy."""
 
     name = "w03"
 
@@ -82,6 +82,12 @@ class RowLedgerCost(CostModel):
 
     def __init__(self, ledger) -> None:
         self.ledger = str(ledger)
+
+    def vectorized_rows(self) -> bool:
+        # A row costs a file append: not a cheap row, so the walker rule
+        # sends every query to the arena walker — the one that reads
+        # rows through the cached matrix — in worker processes too.
+        return False
 
     def sub(self, a: int, b: int) -> float:
         return 0.0 if a == b else 1.0
@@ -224,16 +230,13 @@ class TestEngineWarmPath:
 
     @pytest.mark.parametrize("dp_backend", ["auto", "numpy", "python"])
     def test_warm_engine_matches_cold_engine(
-        self, vertex_dataset, netedr_cost, rng, dp_backend
+        self, vertex_dataset, netedr_cost, rng, dp_backend, monkeypatch
     ):
-        from tests.conftest import sample_query
+        from tests.conftest import force_walker, sample_query
 
-        warm_engine = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend=dp_backend, trie_cache_size=8
-        )
-        cold_engine = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend=dp_backend, trie_cache_size=0
-        )
+        force_walker(monkeypatch, dp_backend)
+        warm_engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=8)
+        cold_engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         query = sample_query(vertex_dataset, rng, 8)
         for tau_ratio in (0.3, 0.45, 0.3, 0.2):
             warm = warm_engine.query(query, tau_ratio=tau_ratio)
@@ -521,12 +524,9 @@ class TestTriesOff:
             vertex_dataset,
             netedr_cost,
             verification="local",
-            dp_backend="numpy",
             trie_cache_size=8,
         )
-        reference = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend="numpy", trie_cache_size=0
-        )
+        reference = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         cache = engine._trie_cache
         statuses = []
         for tid in (0, 1, 0):
@@ -621,7 +621,6 @@ class TestEvictionAndDisable:
             vertex_dataset,
             netedr_cost,
             verification="local",
-            dp_backend="numpy",
             trie_cache_size=8,
             trie_cache_bytes=64,
         )
@@ -745,30 +744,26 @@ class TestLookupStatusAndMeasuredBytes:
         assert off.stats()["hits"] == 0 and off.stats()["misses"] == 0
 
     def test_query_result_carries_trie_cache_status(
-        self, vertex_dataset, netedr_cost
+        self, vertex_dataset, netedr_cost, monkeypatch
     ):
-        engine = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend="numpy", trie_cache_size=8
-        )
+        from tests.conftest import force_walker
+
+        engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=8)
         query = list(vertex_dataset.symbols(0))[:8]
         assert engine.query(query, tau_ratio=0.3).trie_cache_status == "miss"
         assert engine.query(query, tau_ratio=0.3).trie_cache_status == "hit"
-        disabled = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend="numpy", trie_cache_size=0
-        )
+        disabled = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         assert disabled.query(query, tau_ratio=0.3).trie_cache_status == "off"
         # The python backend never takes the trie path at all.
-        python_engine = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend="python"
-        )
+        force_walker(monkeypatch, "python")
+        python_engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
         assert python_engine.query(query, tau_ratio=0.3).trie_cache_status == ""
 
     def test_merged_shard_statuses_join_distinct_values(
         self, vertex_dataset, netedr_cost
     ):
         engine = PartitionedSubtrajectorySearch(
-            vertex_dataset, netedr_cost, num_shards=2, dp_backend="numpy",
-            trie_cache_size=8,
+            vertex_dataset, netedr_cost, num_shards=2, trie_cache_size=8,
         )
         query = list(vertex_dataset.symbols(0))[:8]
         cold = engine.query(query, tau_ratio=0.3).trie_cache_status
@@ -781,9 +776,7 @@ class TestLookupStatusAndMeasuredBytes:
         """Satellite 1: ``nbytes`` measures the real containers and boxed
         objects (``sys.getsizeof`` + ``ndarray.nbytes``), so accounted
         bytes strictly exceed the raw array payload."""
-        engine = SubtrajectorySearch(
-            vertex_dataset, netedr_cost, dp_backend="numpy", trie_cache_size=8
-        )
+        engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=8)
         query = list(vertex_dataset.symbols(0))[:8]
         engine.query(query, tau_ratio=0.3)
         cache = engine._trie_cache
@@ -820,11 +813,10 @@ class TestOneWarmQueryCache:
     ):
         costs = RowLedgerCost(tmp_path / "rows")
         if backend == "single":
-            engine = SubtrajectorySearch(vertex_dataset, costs, dp_backend="numpy")
+            engine = SubtrajectorySearch(vertex_dataset, costs)
         else:
             engine = PartitionedSubtrajectorySearch(
-                vertex_dataset, costs, num_shards=2, backend=backend,
-                dp_backend="numpy",
+                vertex_dataset, costs, num_shards=2, backend=backend
             )
         try:
             query = list(vertex_dataset.symbols(0))[:8]
@@ -848,7 +840,7 @@ class TestOneWarmQueryCache:
 
     def test_concurrent_missers_share_one_matrix(self, vertex_dataset):
         costs = _SlowMatrixCost()
-        engine = SubtrajectorySearch(vertex_dataset, costs, dp_backend="numpy")
+        engine = SubtrajectorySearch(vertex_dataset, costs)  # w03 rows: numpy walker
         query = list(vertex_dataset.symbols(0))[:8]
         barrier = threading.Barrier(2)
         results, errors = [], []
