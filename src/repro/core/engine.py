@@ -560,14 +560,13 @@ class SubtrajectorySearch:
                     query, subsequence, candidates
                 )
             verifier = Verifier(
-                self._dataset.symbols,
+                self._dataset.symbols_array,
                 query,
                 self._costs,
                 tau,
                 use_trie=self._verification == "trie",
                 early_termination=self._early_termination,
                 dp_backend=backend_used,
-                symbols_array_of=self._dataset.symbols_array,
                 matrix=matrix,
                 trie_entry=trie_entry,
                 cancel=cancel,

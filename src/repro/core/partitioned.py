@@ -432,7 +432,6 @@ class PartitionedSubtrajectorySearch:
         tau: Optional[float] = None,
         tau_ratio: Optional[float] = None,
         time_interval: Optional[TimeInterval] = None,
-        temporal_filter: bool = True,
         temporal_mode: TemporalMode = "overlap",
         cancel=None,
         trace=None,
@@ -460,7 +459,6 @@ class PartitionedSubtrajectorySearch:
             tau=tau,
             tau_ratio=tau_ratio,
             time_interval=time_interval,
-            temporal_filter=temporal_filter,
             temporal_mode=temporal_mode,
         )
         symbols = list(query)
@@ -635,7 +633,6 @@ class PartitionedSubtrajectorySearch:
         tau: Optional[float] = None,
         tau_ratio: Optional[float] = None,
         time_interval: Optional[TimeInterval] = None,
-        temporal_filter: bool = True,
         temporal_mode: TemporalMode = "overlap",
         cancel=None,
         trace=None,
@@ -664,7 +661,6 @@ class PartitionedSubtrajectorySearch:
             tau=tau,
             tau_ratio=tau_ratio,
             time_interval=time_interval,
-            temporal_filter=temporal_filter,
             temporal_mode=temporal_mode,
             cancel=token,
             trace=trace,

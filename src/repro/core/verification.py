@@ -31,11 +31,13 @@ Three optimizations, individually switchable for ablation:
 One seam — :class:`Verifier` — with exactly two AllPrefixWED
 implementations behind it, both evaluating the repo-wide prefix-min
 insert chain (see :mod:`repro.distance.wed`) so their floats are
-bit-identical:
+bit-identical.  Candidates are deduped and grouped by anchor position
+``iq``, and both walkers share one per-candidate setup: the
+trajectory's int array, the anchor cost and budget, and both direction
+views materialized once as plain int lists.  Only AllPrefixWED differs:
 
-- ``dp_backend="numpy"`` is the **arena walker**: candidates are deduped
-  and grouped by anchor position ``iq``, and each group's states advance
-  together over one *slot-native* trie per direction
+- ``dp_backend="numpy"`` is the **arena walker**: each group's states
+  advance together over one *slot-native* trie per direction
   (:class:`~repro.core.trie.VerificationTrie`: columns as rows of one
   growable matrix, structure in one ``(parent_slot, symbol) ->
   child_slot`` dict, the per-column min / last as plain floats).  Rounds
@@ -43,17 +45,18 @@ bit-identical:
   its first miss in a scalar loop; on a *warm* trie (served across
   queries by the engine's :class:`~repro.core.trie.TrieCache`) that is
   the entire verification, a fully cached query never launches a DP
-  kernel — and a *resolve*: states park per ``(slot, symbol)`` miss
-  (rendezvous-deduplicated) and the round's distinct misses become one
+  kernel — and a *resolve*: the round's **pending list** of distinct
+  ``(slot, symbol)`` misses, each with its waiting states, becomes one
   :func:`step_dp_batch` call writing straight into freshly reserved
   arena rows.  A state that was the *sole* waiter on its miss has
-  provably diverged from every other state and advances as a
-  slot-indexed **virgin chain** — no rendezvous, no walker round-trip —
-  batched into the same kernel calls.  Everything else is a
+  provably diverged from every other state, so its next miss stays in
+  the pending list as a one-waiter entry that never enters the walk's
+  rendezvous dict — no walker round-trip.  Everything else is a
   configuration of this walker: :meth:`Verifier.verify_candidate` is a
   group of one, and ``use_trie=False`` runs it on a private per-call
-  arena that seeds every state as a virgin chain and publishes no edges,
-  so every visit recomputes its column and the arena dies with the call.
+  arena that seeds every state as a one-waiter entry and publishes no
+  edges, so every visit recomputes its column and the arena dies with
+  the call.
 - ``dp_backend="python"`` is the **per-cell Python walker**: one
   candidate at a time over a :class:`~repro.core.trie.TrieNode` graph,
   one pure-Python loop iteration per DP cell.  It is the reference the
@@ -68,7 +71,7 @@ picks: the Python walker for short queries over models with vectorizable
 overhead loses to plain Python — and the arena walker everywhere else.
 Safe precisely because the two are bit-identical.
 
-Batching, virgin routing, and cross-query trie warmth all preserve the
+Batching, sole-waiter entries, and cross-query trie warmth all preserve the
 sequential semantics exactly: which columns get computed *by this query*,
 every column's floats, each candidate's early-termination point, and the
 UPR/CMR counters are order- and schedule-independent — the two walkers,
@@ -196,11 +199,6 @@ def step_dp_batch(
 
 
 Candidate = Tuple[int, int, int]  # (trajectory id, position j, query position iq)
-
-#: symbols materialized per tolist() chunk by the arena walker — small
-#: enough that an immediately-terminated candidate on a long trajectory
-#: wastes almost nothing, large enough to amortize the slice machinery.
-_SYMBOL_CHUNK = 64
 
 #: ndarray buffers one batched StepDP resolution materializes per round:
 #: the index arrays behind the parent-row and substitution-row/delete
@@ -387,8 +385,9 @@ class Verifier:
     Parameters
     ----------
     symbols_of:
-        Callable mapping a trajectory id to its symbol string (the dataset's
-        ``symbols`` method).
+        Callable mapping a trajectory id to its symbols as an int ndarray
+        (the dataset's ``symbols_array`` method); any other int sequence
+        is converted per candidate.
     query / costs / tau:
         The query string, cost model, and similarity threshold.
     use_trie:
@@ -403,11 +402,6 @@ class Verifier:
         over slot-native tries and the array-native column kernel; or
         ``"python"`` — the per-cell Python walker.  Results are
         bit-identical.
-    symbols_array_of:
-        Callable mapping a trajectory id to its ``np.int32`` symbol array
-        (the dataset's ``symbols_array``).  Used by the arena walker only;
-        when omitted, arrays are converted from ``symbols_of`` and memoized
-        per verifier.
     anchors:
         Symbols that can appear at candidate anchor positions (the union of
         the tau-subsequence's substitution neighborhoods).  Their
@@ -446,7 +440,6 @@ class Verifier:
         use_trie: bool = True,
         early_termination: bool = True,
         dp_backend: str = "auto",
-        symbols_array_of=None,
         anchors: Optional[Sequence[int]] = None,
         matrix: Optional[SubstitutionMatrix] = None,
         trie_entry: Optional[TrieCacheEntry] = None,
@@ -490,9 +483,6 @@ class Verifier:
                 self._allocs += 1 + (1 if anchors else 0)
             self._ins_vec = costs.ins_vector(self._query)
             self._allocs += 1
-            if symbols_array_of is None:
-                symbols_array_of = self._converting_array_accessor()
-        self._symbols_array_of = symbols_array_of
         # Per (query position, direction), built lazily since only
         # tau-subsequence positions are anchors (2|Q'| tries, §5.2): the
         # arena walker's contexts, and the Python walker's
@@ -500,20 +490,6 @@ class Verifier:
         self._contexts: Dict[Tuple[int, str], _DirectionContext] = {}
         self._roots: Dict[Tuple[int, str], Tuple[Tuple[int, ...], TrieNode]] = {}
         self.stats = VerificationStats()
-
-    def _converting_array_accessor(self):
-        """Fallback ``symbols_array_of``: convert + memoize per verifier."""
-        cache: Dict[int, np.ndarray] = {}
-        symbols_of = self._symbols_of
-
-        def accessor(tid: int) -> np.ndarray:
-            arr = cache.get(tid)
-            if arr is None:
-                arr = np.asarray(symbols_of(tid), dtype=np.int32)
-                cache[tid] = arr
-            return arr
-
-        return accessor
 
     @property
     def dp_array_allocations(self) -> int:
@@ -591,54 +567,56 @@ class Verifier:
     def _verify_group(
         self, iq: int, group: Sequence[Candidate], matches: MatchSet
     ) -> None:
-        """Algorithm 4 for the candidates sharing anchor position ``iq``
-        — and the one dispatch between the two walkers: the arena walker
-        advances the whole group together, once per direction; the Python
-        walker takes the candidates one at a time (polling the
-        cancellation token between them)."""
+        """Algorithm 4 for the candidates sharing anchor position ``iq``.
+
+        One setup serves both walkers: per candidate, the trajectory's
+        int array, the UPR counters, the anchor cost and the budget
+        ``tau' = tau - sub(Q[iq], P[j])``, and both direction views as
+        int lists (the backward one reversed — WED is invariant under
+        simultaneous reversal).  Only AllPrefixWED differs: the arena
+        walker advances the whole group together, once per direction;
+        the Python walker takes the candidates one at a time, polling the
+        cancellation token between them."""
         stats = self.stats
         tau = self._tau
-        if self._numpy:
-            matrix = self._matrix
-            items: List[Tuple[int, int, float, float]] = []
-            views_b: List[np.ndarray] = []
-            views_f: List[np.ndarray] = []
-            budgets: List[float] = []
-            for tid, j, _ in group:
-                data = self._symbols_array_of(tid)
-                stats.candidates += 1
-                stats.sw_columns += len(data)
-                # The anchor cost is the iq-th entry of the symbol's cached
-                # full-query substitution row (sub is symmetric — §2.2.1).
-                anchor_cost = float(matrix.row(data.item(j))[iq])
-                budget = tau - anchor_cost
-                if budget <= 0:
-                    continue
-                items.append((tid, j, anchor_cost, budget))
-                views_b.append(data[:j][::-1])
-                views_f.append(data[j + 1 :])
-                budgets.append(budget)
-            if not items:
-                return
-            ebs = self._arena_all_prefix_wed(views_b, budgets, self._context(iq, "b"))
-            efs = self._arena_all_prefix_wed(views_f, budgets, self._context(iq, "f"))
-            for (tid, j, anchor_cost, budget), eb, ef in zip(items, ebs, efs):
-                self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
-            return
+        numpy = self._numpy
+        row = self._matrix.row if numpy else None
+        sub = self._costs.sub
         query_symbol = self._query[iq]
-        for n, (tid, j, _) in enumerate(group):
-            if n:
-                raise_if_cancelled(self._cancel, "verification")
+        items: List[Tuple[int, int, float, float]] = []
+        backs: List[List[int]] = []
+        fwds: List[List[int]] = []
+        for tid, j, _ in group:
             data = self._symbols_of(tid)
+            if not isinstance(data, np.ndarray):
+                data = np.asarray(data, dtype=np.int64)
             stats.candidates += 1
             stats.sw_columns += len(data)
-            anchor_cost = self._costs.sub(query_symbol, data[j])
+            symbol = data.item(j)
+            # The arena walker reads the anchor cost off the symbol's cached
+            # full-query substitution row (sub is symmetric — §2.2.1).
+            anchor_cost = float(row(symbol)[iq]) if numpy else sub(query_symbol, symbol)
             budget = tau - anchor_cost
-            if budget <= 0:
-                continue
-            eb = self._all_prefix_wed(_Reversed(data, j), self._root(iq, "b"), budget)
-            ef = self._all_prefix_wed(_Suffix(data, j + 1), self._root(iq, "f"), budget)
-            self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
+            if budget > 0:
+                items.append((tid, j, anchor_cost, budget))
+                backs.append(data[:j][::-1].tolist())
+                fwds.append(data[j + 1 :].tolist())
+        if not items:
+            return
+        if numpy:
+            budgets = [item[3] for item in items]
+            ebs = self._arena_all_prefix_wed(backs, budgets, self._context(iq, "b"))
+            efs = self._arena_all_prefix_wed(fwds, budgets, self._context(iq, "f"))
+            for item, eb, ef in zip(items, ebs, efs):
+                self._combine(*item, eb, ef, matches)
+            return
+        root_b, root_f = self._root(iq, "b"), self._root(iq, "f")
+        for n, item in enumerate(items):
+            if n:
+                raise_if_cancelled(self._cancel, "verification")
+            eb = self._all_prefix_wed(backs[n], root_b, item[3])
+            ef = self._all_prefix_wed(fwds[n], root_f, item[3])
+            self._combine(*item, eb, ef, matches)
 
     def _combine(
         self,
@@ -669,7 +647,7 @@ class Verifier:
 
     def _arena_all_prefix_wed(
         self,
-        views: List[np.ndarray],
+        views: List[List[int]],
         budgets: List[float],
         ctx: _DirectionContext,
     ) -> List[List[float]]:
@@ -678,118 +656,84 @@ class Verifier:
 
         Rounds alternate two phases until every state terminates:
 
-        1. **walk** (:meth:`_walk_cached`): every live state runs through
-           cached columns to its first miss.  On a warm (cross-query
-           cached) trie this phase is the entire verification: no kernel
-           ever launches.  A state whose edge is absent parks at the cold
-           frontier, rendezvous-deduplicated per distinct
-           ``(slot, symbol)`` miss;
-        2. **resolve** (:meth:`_resolve_round`): the round's distinct
-           misses — walker entries and virgin-chain steps together —
-           become one :func:`step_dp_batch` call writing into freshly
-           reserved arena rows, published under the trie's writer lock.
+        1. **walk** (:meth:`_walk_cached`): every runnable state runs
+           through cached columns to its first miss.  On a warm
+           (cross-query cached) trie this phase is the entire
+           verification: no kernel ever launches.  A state whose edge is
+           absent parks in the **pending list** — one entry per distinct
+           ``(slot, symbol)`` miss with its waiting states, deduplicated
+           by the walk's rendezvous dict;
+        2. **resolve** (:meth:`_resolve_round`): every pending entry
+           becomes one row of a single :func:`step_dp_batch` call writing
+           into freshly reserved arena rows, published under the trie's
+           writer lock.
 
-        A state that was the *sole* waiter on its miss has provably
+        A state that was the *sole* waiter on its entry has provably
         diverged from every other state in this walk — states sharing a
         prefix walk an identical frozen-trie path each round and
-        therefore meet at the same first miss as co-waiters — so its
-        future steps are guaranteed unshared misses: it advances as a
-        slot-indexed **virgin chain**, skipping the walker and rendezvous
-        entirely, batched into the same kernel calls.  Emitted E values,
-        termination points, and every counter are identical to walking
-        the candidates one at a time; batching, virgin routing, and cache
-        warmth only change where time (not arithmetic) is spent — except
-        that warm cache hits are, by definition, not recounted in
-        ``computed_columns``.
+        therefore meet at the same first miss as co-waiters — so the miss
+        at the column just computed for it can be nobody else's: it stays
+        pending as a one-waiter entry that never enters the rendezvous
+        dict and skips the walker, batched into the same kernel calls.
+        Multi-waiter survivors return to the walker, whose rendezvous
+        dedupes them again.  Emitted E values, termination points, and
+        every counter are identical to walking the candidates one at a
+        time; batching, sole-waiter entries, and cache warmth only change
+        where time (not arithmetic) is spent — except that warm cache
+        hits are, by definition, not recounted in ``computed_columns``.
 
         Without the trie (the ablation) the walk runs on a private arena
-        that lives for this call only: every state starts as a virgin
-        chain off the root and no edge is ever published, so every visit
+        that lives for this call only: every state starts as a one-waiter
+        entry off the root and no edge is ever published, so every visit
         recomputes its column — matching sequential local verification
         column for column — and nothing outlives the call.
         """
-        shared = self._use_trie
-        trie = ctx.trie if shared else ctx.new_trie()
-        root_last = trie.lasts_list[0]
+        trie = ctx.trie if self._use_trie else ctx.new_trie()
         root_min = trie.mins_list[0]
-        outs: List[List[float]] = [[root_last] for _ in views]
+        outs: List[List[float]] = [[trie.lasts_list[0]] for _ in views]
         early = self._early_termination
         # One walk state per candidate still extending:
-        # [slot, symbol list, out list, budget, k, len(view), view array].
-        # Symbols are materialized into plain int lists *chunk by chunk*
-        # (C-speed tolist of the zero-copy view, indexed per visit) so an
-        # early-terminated candidate on a very long trajectory never pays
-        # for symbols it will not reach.
-        runnable: List[list] = []
-        for view, budget, out in zip(views, budgets, outs):
-            if early and root_min >= budget:
-                continue
-            n = len(view)
-            if n:
-                runnable.append(
-                    [0, view[:_SYMBOL_CHUNK].tolist(), out, budget, 0, n, view]
-                )
+        # [slot, symbols, out list, budget, k, len(symbols)].
+        runnable: List[list] = [
+            [0, view, out, budget, 0, len(view)]
+            for view, budget, out in zip(views, budgets, outs)
+            if view and not (early and root_min >= budget)
+        ]
+        # The pending list, as parallel lists: parent slot, symbol,
+        # substitution-row slot and waiting states per parked miss.  It is
+        # per walk, so the shared trie never sees half-born entries:
+        # ``edges`` gains a key only when its column is already in the
+        # arena (and fully written), which also means a failing batch
+        # (e.g. a cost model raising mid-row) leaves the trie fully
+        # consistent with no cleanup pass.
+        pslots: List[int] = []
+        syms: List[int] = []
+        rowslots: List[int] = []
+        waiters: List[List[list]] = []
+        if not self._use_trie:
+            # Nothing is cached, so the walker has nothing to find: every
+            # state starts pending, a one-waiter entry off the root.
+            for st in runnable:
+                pslots.append(0)
+                syms.append(st[1][0])
+                rowslots.append(ctx.rows.slot(st[1][0]))
+                waiters.append([st])
+            runnable = []
         computed = 0
-        # Parked misses.  The rendezvous for duplicate (slot, symbol)
-        # misses within a round is ``pend_index`` — a round-local dict, so
-        # the shared trie never sees half-born entries: ``edges`` gains a
-        # key only when its column is already in the arena (and fully
-        # written), which also means a failing batch (e.g. a cost model
-        # raising mid-row) leaves the trie fully consistent with no
-        # cleanup pass.
-        pend_index: Dict[Tuple[int, int], int] = {}
-        pend_pslots: List[int] = []
-        pend_syms: List[int] = []
-        pend_rowslots: List[int] = []
-        pend_waiters: List[List[list]] = []
-        # Virgin chains: parallel lists of (state, parent arena slot,
-        # next symbol, substitution-row slot).
-        v_states: List[list] = []
-        v_pslots: List[int] = []
-        v_syms: List[int] = []
-        v_rowslots: List[int] = []
-        if not shared:
-            v_states, runnable = runnable, []
-            v_pslots = [0] * len(v_states)
-            v_syms = [st[1][0] for st in v_states]
-            v_rowslots = [ctx.rows.slot(symbol) for symbol in v_syms]
         try:
-            while runnable or v_states:
+            while runnable or pslots:
                 raise_if_cancelled(self._cancel, "verification")
                 if runnable:
                     self._walk_cached(
-                        trie,
-                        ctx.rows,
-                        runnable,
-                        pend_index,
-                        pend_pslots,
-                        pend_syms,
-                        pend_rowslots,
-                        pend_waiters,
+                        trie, ctx.rows, runnable, pslots, syms, rowslots, waiters
                     )
                     runnable = []
-                if pend_pslots or v_states:
-                    nxt_v: Tuple[list, list, list, list] = ([], [], [], [])
-                    done, runnable = self._resolve_round(
-                        ctx,
-                        trie,
-                        pend_pslots,
-                        pend_syms,
-                        pend_rowslots,
-                        pend_waiters,
-                        v_states,
-                        v_pslots,
-                        v_syms,
-                        v_rowslots,
-                        nxt_v,
+                if pslots:
+                    done, runnable, pending = self._resolve_round(
+                        ctx, trie, pslots, syms, rowslots, waiters
                     )
                     computed += done
-                    v_states, v_pslots, v_syms, v_rowslots = nxt_v
-                    pend_index.clear()
-                    pend_pslots = []
-                    pend_syms = []
-                    pend_rowslots = []
-                    pend_waiters = []
+                    pslots, syms, rowslots, waiters = pending
         finally:
             # Visited-column accounting is derived, not incremented: every
             # visit appends exactly one E value to its state's out list
@@ -805,19 +749,20 @@ class Verifier:
         trie: VerificationTrie,
         rows,
         states: List[list],
-        pend_index: Dict[Tuple[int, int], int],
-        pend_pslots: List[int],
-        pend_syms: List[int],
-        pend_rowslots: List[int],
-        pend_waiters: List[List[list]],
+        pslots: List[int],
+        syms: List[int],
+        rowslots: List[int],
+        waiters: List[List[list]],
     ) -> None:
         """Run each of ``states`` through cached columns until it has
-        terminated or parked at a cache miss.
+        terminated or parked at a cache miss in the pending list.
 
         The trie is frozen during a walk phase (this thread publishes
         only in :meth:`_resolve_round`), so the order states are walked
         in is unobservable.  Misses rendezvous per distinct
-        ``(slot, symbol)`` in ``pend_index``.
+        ``(slot, symbol)`` in a dict local to this walk; the one-waiter
+        entries already pending never enter it (see
+        :meth:`_arena_all_prefix_wed` for why none can collide).
         """
         edges_get = trie.edges.get
         mins_list = trie.mins_list
@@ -826,41 +771,38 @@ class Verifier:
         rows_slot = rows.slot
         early = self._early_termination
         inf = float("inf")
+        rendezvous: Dict[Tuple[int, int], int] = {}
         for st in states:
             slot = st[0]
-            view = st[1]
+            symbols = st[1]
             k = st[4]
             n = st[5]
             append = st[2].append
-            filled = len(view)
             # ``limit`` folds the early-termination flag out of the
             # per-visit condition (inf never fires).
             limit = st[3] if early else inf
             while True:
-                if k == filled:
-                    view.extend(st[6][filled : 2 * filled + 16].tolist())
-                    filled = len(view)
-                symbol = view[k]
+                symbol = symbols[k]
                 edge = (slot, symbol)
                 child = edges_get(edge)
                 if child is None:
                     st[0] = slot
                     st[4] = k
-                    idx = pend_index.get(edge)
+                    idx = rendezvous.get(edge)
                     if idx is None:
-                        pend_index[edge] = len(pend_pslots)
-                        pend_pslots.append(slot)
-                        pend_syms.append(symbol)
+                        rendezvous[edge] = len(pslots)
+                        pslots.append(slot)
+                        syms.append(symbol)
                         # Dense substitution-row slot, resolved here (one
                         # inline dict hit per distinct miss) so
                         # resolution can bulk-gather.
                         sslot = rows_index_get(symbol)
                         if sslot is None:
                             sslot = rows_slot(symbol)
-                        pend_rowslots.append(sslot)
-                        pend_waiters.append([st])
+                        rowslots.append(sslot)
+                        waiters.append([st])
                     else:
-                        pend_waiters[idx].append(st)
+                        waiters[idx].append(st)
                     break
                 append(lasts_list[child])
                 k += 1
@@ -872,75 +814,52 @@ class Verifier:
         self,
         ctx: _DirectionContext,
         trie: VerificationTrie,
-        pend_pslots: List[int],
-        pend_syms: List[int],
-        pend_rowslots: List[int],
-        pend_waiters: List[List[list]],
-        v_states: List[list],
-        v_pslots: List[int],
-        v_syms: List[int],
-        v_rowslots: List[int],
-        nxt_v: Tuple[list, list, list, list],
-    ) -> Tuple[int, List[list]]:
-        """Resolve one round of misses — walker entries and virgin chains
-        together — into the arena with a single batched kernel call.
+        pslots: List[int],
+        syms: List[int],
+        rowslots: List[int],
+        waiters: List[List[list]],
+    ) -> Tuple[int, List[list], Tuple[list, list, list, list]]:
+        """Resolve one round's pending list into the arena with a single
+        batched kernel call.
 
         Slots are global to the trie (every level has the same column
         width), so the whole round is one batch regardless of depth:
         parents gathered with one ``np.take`` from the matrix,
         substitution rows and deletes bulk-gathered by their dense
         :class:`~repro.distance.costs.DirectionRows` slots, and the
-        kernel writing into freshly reserved rows — walker misses first,
-        virgin chain steps behind them.  The trie's writer lock is held
-        across reserve + write + publish (the module-docstring ordering),
-        and parked misses are re-checked against ``edges`` first: on a
-        *shared* trie another thread may have published some of them
-        since this walk parked (those waiters are served as hits, and the
-        column is not re-counted as computed).  Single-threaded the
-        re-check never fires — walks see a frozen trie between park and
-        resolve — so counters stay bit-identical to the Python walker.
+        kernel writing into freshly reserved rows in pending-list order.
+        The trie's writer lock is held across reserve + write + publish
+        (the module-docstring ordering), and pending entries are
+        re-checked against ``edges`` first: on a *shared* trie another
+        thread may have published some of them since this walk parked
+        them or the previous round created their parent (those waiters
+        are served as hits, and the column is not re-counted as
+        computed).  Single-threaded the re-check never fires — walks see
+        a frozen trie between park and resolve — so counters stay
+        bit-identical to the Python walker.
 
-        Returns ``(columns computed, states returning to the walker)``;
-        ``nxt_v`` receives the virgin chains still alive.  A surviving
-        *sole-waiter* walker entry becomes a virgin chain (see
+        Returns ``(columns computed, states returning to the walker,
+        next round's pending list)``.  A surviving *sole* waiter's next
+        miss is a one-waiter entry of the next pending list (see
         :meth:`_arena_all_prefix_wed` for the divergence proof);
         multi-waiter survivors may still converge on shared symbols, so
         they return to the walker, whose rendezvous dict dedupes them.
         """
         rows = ctx.rows
-        prefix = ctx.ins_prefix
         early = self._early_termination
         runnable: List[list] = []
-        wn = len(pend_pslots)
-        vn = len(v_states)
-        lock = trie.lock
         edges = trie.edges
-        mins_list = trie.mins_list
-        lasts_list = trie.lasts_list
-        with lock:
+        with trie.lock:
             # Cross-thread re-check (no-op single-threaded, see docstring).
-            hit = [
-                i
-                for i in range(wn)
-                if (pend_pslots[i], pend_syms[i]) in edges
-            ]
-            v_hit = (
-                [i for i in range(vn) if (v_pslots[i], v_syms[i]) in edges]
-                if vn
-                else []
-            )
-            if hit or v_hit:
-                wn, vn = self._absorb_published(
-                    trie, hit, v_hit, pend_pslots, pend_syms, pend_rowslots,
-                    pend_waiters, v_states, v_pslots, v_syms, v_rowslots,
-                    runnable,
+            hit = [i for i in range(len(pslots)) if (pslots[i], syms[i]) in edges]
+            if hit:
+                self._absorb_published(
+                    trie, hit, pslots, syms, rowslots, waiters, runnable
                 )
-                if not (wn or vn):
-                    return 0, runnable
-            count = wn + vn
+                if not pslots:
+                    return 0, runnable, ([], [], [], [])
+            count = len(pslots)
             parents, subs, dels, work_a, work_b, mins_buf = ctx.scratch(count)
-            pslots = pend_pslots + v_pslots if vn else pend_pslots
-            rowslots = pend_rowslots + v_rowslots if vn else pend_rowslots
             # Parents are gathered into scratch BEFORE reserving: reserve
             # may grow (swap) the matrix, and the out= slice below must
             # come from the post-growth matrix.
@@ -955,124 +874,79 @@ class Verifier:
             ctx.trie_growth += trie.allocations - before_growth
             out = trie.matrix[start : start + count]
             step_dp_batch(
-                subs, dels, prefix, parents, out=out, work=(work_a, work_b)
+                subs, dels, ctx.ins_prefix, parents, out=out, work=(work_a, work_b)
             )
             # Direct ufunc reduce: same floats as out.min(axis=1), minus
             # the np.min wrapper dispatch paid once per round.
             np.minimum.reduce(out, axis=1, out=mins_buf)
             mins = mins_buf.tolist()
             lasts = out[:, -1].tolist()
-            mins_list.extend(mins)
-            lasts_list.extend(lasts)
+            trie.mins_list.extend(mins)
+            trie.lasts_list.extend(lasts)
             # Publish the edges last: a lock-free reader that sees one is
             # guaranteed a fully written column and scalars.  A private
             # (tries-off) arena publishes none: nothing may be found again.
             if self._use_trie:
-                slot = start
-                for i in range(wn):
-                    edges[(pend_pslots[i], pend_syms[i])] = slot
-                    slot += 1
-                for i in range(vn):
-                    edges[(v_pslots[i], v_syms[i])] = slot
-                    slot += 1
+                edges.update(zip(zip(pslots, syms), range(start, start + count)))
         self._allocs += _GROUP_TEMP_ARRAYS
         self._dp_rounds += 1
-        nv_states, nv_pslots, nv_syms, nv_rowslots = nxt_v
+        next_pslots: List[int] = []
+        next_syms: List[int] = []
+        next_rowslots: List[int] = []
+        next_waiters: List[List[list]] = []
         rows_index_get = rows.index.get
         rows_slot = rows.slot
-        runnable_append = runnable.append
-        slot = start
-        for i in range(wn):
+        for i, wlist in enumerate(waiters):
             cmin = mins[i]
             last = lasts[i]
-            wlist = pend_waiters[i]
-            if len(wlist) == 1:
-                st = wlist[0]
-                st[2].append(last)
-                k = st[4] + 1
-                if (not early or cmin < st[3]) and k != st[5]:
-                    # Sole waiter whose walk continues: divergence point —
-                    # the state becomes a virgin chain from this slot.
-                    st[4] = k
-                    view = st[1]
-                    if k == len(view):
-                        view.extend(st[6][k : 2 * k + 16].tolist())
-                    symbol2 = view[k]
-                    sslot = rows_index_get(symbol2)
-                    if sslot is None:
-                        sslot = rows_slot(symbol2)
-                    nv_states.append(st)
-                    nv_pslots.append(slot)
-                    nv_syms.append(symbol2)
-                    nv_rowslots.append(sslot)
-                slot += 1
-                continue
+            sole = len(wlist) == 1
             for st in wlist:
                 st[2].append(last)
                 k = st[4] + 1
                 if (early and cmin >= st[3]) or k == st[5]:
                     continue
-                st[0] = slot
                 st[4] = k
-                runnable_append(st)
-            slot += 1
-        # Virgin section: no waiter lists — the chain advances by arena
-        # slot, terminating exactly where the sequential walk would.
-        for i in range(vn):
-            st = v_states[i]
-            row = wn + i
-            last = lasts[row]
-            st[2].append(last)
-            cmin = mins[row]
-            k = st[4] + 1
-            if (early and cmin >= st[3]) or k == st[5]:
-                continue
-            st[4] = k
-            view = st[1]
-            if k == len(view):
-                view.extend(st[6][k : 2 * k + 16].tolist())
-            symbol2 = view[k]
-            sslot = rows_index_get(symbol2)
-            if sslot is None:
-                sslot = rows_slot(symbol2)
-            nv_states.append(st)
-            nv_pslots.append(start + row)
-            nv_syms.append(symbol2)
-            nv_rowslots.append(sslot)
-        return count, runnable
+                if sole:
+                    # Divergence point: the next miss, at the column just
+                    # computed, is this state's alone.
+                    symbol = st[1][k]
+                    sslot = rows_index_get(symbol)
+                    if sslot is None:
+                        sslot = rows_slot(symbol)
+                    next_pslots.append(start + i)
+                    next_syms.append(symbol)
+                    next_rowslots.append(sslot)
+                    next_waiters.append(wlist)
+                else:
+                    st[0] = start + i
+                    runnable.append(st)
+        return count, runnable, (next_pslots, next_syms, next_rowslots, next_waiters)
 
     def _absorb_published(
         self,
         trie: VerificationTrie,
         hit: List[int],
-        v_hit: List[int],
-        pend_pslots: List[int],
-        pend_syms: List[int],
-        pend_rowslots: List[int],
-        pend_waiters: List[List[list]],
-        v_states: List[list],
-        v_pslots: List[int],
-        v_syms: List[int],
-        v_rowslots: List[int],
+        pslots: List[int],
+        syms: List[int],
+        rowslots: List[int],
+        waiters: List[List[list]],
         runnable: List[list],
-    ) -> Tuple[int, int]:
-        """Serve parked misses that a *concurrent* walk resolved first
-        (their edges appeared between park and resolve) as cache hits,
-        compacting the pending lists in place.  Only reachable on shared
-        tries under concurrency; survivors — virgin chains included,
-        since a cross-thread publication breaks the chain's sole-owner
-        guarantee — return to the walker.  Caller holds the trie lock.
-        Returns the compacted ``(walker, virgin)`` pending counts."""
+    ) -> None:
+        """Serve pending entries that a *concurrent* walk resolved first
+        (their edges appeared since they were parked or carried over) as
+        cache hits, compacting the pending list in place.  Only reachable
+        on shared tries under concurrency; survivors — one-waiter entries
+        included, since a cross-thread publication breaks the sole-owner
+        guarantee — return to the walker.  Caller holds the trie lock."""
         edges = trie.edges
         mins_list = trie.mins_list
         lasts_list = trie.lasts_list
         early = self._early_termination
-        hit_set = set(hit)
         for i in hit:
-            slot = edges[(pend_pslots[i], pend_syms[i])]
+            slot = edges[(pslots[i], syms[i])]
             cmin = mins_list[slot]
             last = lasts_list[slot]
-            for st in pend_waiters[i]:
+            for st in waiters[i]:
                 st[2].append(last)
                 k = st[4] + 1
                 if (early and cmin >= st[3]) or k == st[5]:
@@ -1080,31 +954,10 @@ class Verifier:
                 st[0] = slot
                 st[4] = k
                 runnable.append(st)
-        keep = [i for i in range(len(pend_pslots)) if i not in hit_set]
-        pend_pslots[:] = [pend_pslots[i] for i in keep]
-        pend_syms[:] = [pend_syms[i] for i in keep]
-        pend_rowslots[:] = [pend_rowslots[i] for i in keep]
-        pend_waiters[:] = [pend_waiters[i] for i in keep]
-        if v_hit:
-            v_hit_set = set(v_hit)
-            for i in v_hit:
-                st = v_states[i]
-                slot = edges[(v_pslots[i], v_syms[i])]
-                cmin = mins_list[slot]
-                last = lasts_list[slot]
-                st[2].append(last)
-                k = st[4] + 1
-                if (early and cmin >= st[3]) or k == st[5]:
-                    continue
-                st[0] = slot
-                st[4] = k
-                runnable.append(st)
-            keep = [i for i in range(len(v_states)) if i not in v_hit_set]
-            v_states[:] = [v_states[i] for i in keep]
-            v_pslots[:] = [v_pslots[i] for i in keep]
-            v_syms[:] = [v_syms[i] for i in keep]
-            v_rowslots[:] = [v_rowslots[i] for i in keep]
-        return len(pend_pslots), len(v_states)
+        hit_set = set(hit)
+        keep = [i for i in range(len(pslots)) if i not in hit_set]
+        for column in (pslots, syms, rowslots, waiters):
+            column[:] = [column[i] for i in keep]
 
     def _context(self, iq: int, direction: str) -> _DirectionContext:
         key = (iq, direction)
@@ -1143,7 +996,7 @@ class Verifier:
 
     def _all_prefix_wed(
         self,
-        data_part: Sequence[int],
+        data_part: List[int],
         root: Tuple[Tuple[int, ...], TrieNode],
         budget: float,
     ) -> List[float]:
@@ -1159,8 +1012,7 @@ class Verifier:
             return out
         ins_prefix = node.column
         nq = len(query_part)
-        for k in range(len(data_part)):
-            symbol = data_part[k]
+        for symbol in data_part:
             self.stats.visited_columns += 1
             child = node.find_child(symbol) if self._use_trie else None
             if child is None:
@@ -1215,35 +1067,3 @@ class Verifier:
         for ctx in self._contexts.values():
             total += 1 if ctx.trie is None else ctx.trie.node_count()
         return total
-
-
-class _Reversed:
-    """Lazy reversed view of ``seq[:end]`` (avoids copying long prefixes)."""
-
-    __slots__ = ("_seq", "_end")
-
-    def __init__(self, seq: Sequence[int], end: int) -> None:
-        self._seq = seq
-        self._end = end  # number of elements, reading backwards from end-1
-
-    def __len__(self) -> int:
-        return self._end
-
-    def __getitem__(self, k: int) -> int:
-        return self._seq[self._end - 1 - k]
-
-
-class _Suffix:
-    """Lazy view of ``seq[start:]``."""
-
-    __slots__ = ("_seq", "_start")
-
-    def __init__(self, seq: Sequence[int], start: int) -> None:
-        self._seq = seq
-        self._start = start
-
-    def __len__(self) -> int:
-        return len(self._seq) - self._start
-
-    def __getitem__(self, k: int) -> int:
-        return self._seq[self._start + k]

@@ -136,7 +136,6 @@ class Executor:
         tau: Optional[float] = None,
         tau_ratio: Optional[float] = None,
         time_interval: Optional[TimeInterval] = None,
-        temporal_filter: bool = True,
         temporal_mode: TemporalMode = "overlap",
         deadline: Optional[float] = None,
         trace=None,
@@ -160,7 +159,6 @@ class Executor:
             tau=tau,
             tau_ratio=tau_ratio,
             time_interval=time_interval,
-            temporal_filter=temporal_filter,
             temporal_mode=temporal_mode,
         )
         with self._admitted(deadline, trace) as (token, span):

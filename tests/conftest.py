@@ -13,6 +13,7 @@ import threading
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
 
 from repro.distance.costs import (
     EDRCost,
@@ -74,6 +75,14 @@ if importlib.util.find_spec("pytest_timeout") is None:
             return (yield)
         finally:
             faulthandler.cancel_dump_traceback_later()
+
+
+#: the deep run of the history state machine (tests/test_history.py),
+#: selected with ``--hypothesis-profile=history``; tier-1 runs a short
+#: cut of the same machine under the default profile.
+settings.register_profile(
+    "history", max_examples=200, stateful_step_count=60, deadline=None
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,174 @@
+"""History-level exactness: one deployment, one generated history.
+
+A hypothesis state machine drives one deployment through a history of
+online inserts, range queries, top-k queries and — on child-process
+shards — worker kills, and checks every answer against the brute-force
+oracles (``oracle_range`` / ``oracle_topk``) over the history so far.
+The engines keep their ``TrieCache``, and queries are drawn from a
+bundle so a later step can repeat an earlier query and walk the warm
+tries that the earlier step built, across inserts and respawns.  The
+cost model is NetEDR, whose rows the walker rule always sends to the
+arena walker — the walker the ``TrieCache`` serves.
+
+Tier-1 runs a short history per deployment.  The ``history`` profile
+(``tests/conftest.py``) runs the same machine deeper:
+``pytest tests/test_history.py --hypothesis-profile=history``.
+"""
+
+import multiprocessing as mp
+import time
+from contextlib import ExitStack, contextmanager
+
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle,
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro.core.engine import SubtrajectorySearch
+from repro.core.filtering import tau_from_ratio
+from repro.core.frozen import FrozenInvertedIndex
+from repro.exceptions import WorkerError
+from repro.trajectory.dataset import TrajectoryDataset
+from tests.conftest import kill_worker, open_engine, oracle_range, oracle_topk
+
+pytestmark = pytest.mark.timeout(300)
+
+#: trajectories every history starts from; the rest of the ``trips``
+#: fixture is the pool ``add_trajectory`` draws from.
+BASE = 20
+
+DEPLOYMENTS = ("dict", "frozen", "threads", "processes")
+
+BUDGET = settings(
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+    **(
+        {}
+        if settings.get_current_profile_name() == "history"
+        else {"max_examples": 20, "stateful_step_count": 40}
+    ),
+)
+
+
+@contextmanager
+def deploy(kind, dataset, costs, index_path):
+    """One engine of ``kind``: a single engine on the dict index or on
+    the frozen file at ``index_path`` (inserts land in its delta
+    overlay), or a 2-shard partitioned engine on ``kind``'s backend."""
+    if kind == "dict":
+        yield SubtrajectorySearch(dataset, costs)
+    elif kind == "frozen":
+        yield SubtrajectorySearch(
+            dataset, costs, index_backend="frozen", index_path=index_path
+        )
+    else:
+        with open_engine(kind, dataset, costs, num_shards=2) as engine:
+            yield engine
+
+
+class HistoryMachine(RuleBasedStateMachine):
+    queries = Bundle("queries")
+
+    def __init__(self, kind, graph, trips, costs, index_path):
+        super().__init__()
+        self.kind = kind
+        self.costs = costs
+        self.pool = trips[BASE:]
+        #: every trajectory's symbols, by global id: the oracle's corpus
+        self.history = [tuple(t.path) for t in trips[:BASE]]
+        #: shards whose worker was killed and that no request has revived
+        self.down = set()
+        dataset = TrajectoryDataset(graph, "vertex")
+        dataset.extend(trips[:BASE])
+        self.stack = ExitStack()
+        self.engine = self.stack.enter_context(
+            deploy(kind, dataset, costs, index_path)
+        )
+
+    def teardown(self):
+        self.stack.close()
+
+    @rule(
+        target=queries,
+        tid=st.integers(min_value=0),
+        start=st.integers(min_value=0),
+        length=st.integers(min_value=3, max_value=14),
+    )
+    def pick_query(self, tid, start, length):
+        path = self.history[tid % len(self.history)]
+        length = min(length, len(path))
+        start %= len(path) - length + 1
+        return list(path[start : start + length])
+
+    @rule(pick=st.integers(min_value=0))
+    def add_trajectory(self, pick):
+        """An insert lands under the next global id.  Sent to a killed
+        worker the supervisor has not respawned yet, it fails loudly
+        instead (the engine does not retry inserts) and leaves no trace:
+        retried once the shard is back, as a client would, it gets the
+        same id."""
+        trajectory = self.pool[pick % len(self.pool)]
+        shard = len(self.history) % 2
+        try:
+            gid = self.engine.add_trajectory(trajectory)
+        except WorkerError:
+            assert shard in self.down
+            deadline = time.monotonic() + 10.0
+            while not self.engine.status().workers[shard].alive:
+                assert time.monotonic() < deadline, "the supervisor never respawned"
+                time.sleep(0.02)
+            gid = self.engine.add_trajectory(trajectory)
+        assert gid == len(self.history)
+        self.history.append(tuple(trajectory.path))
+        self.down.discard(shard)
+
+    @rule(query=queries, tau_ratio=st.floats(min_value=0.05, max_value=0.5))
+    def range_query(self, query, tau_ratio):
+        result = self.engine.query(query, tau_ratio=tau_ratio)
+        tau = tau_from_ratio(query, self.costs, tau_ratio)
+        assert result.complete
+        assert {
+            (m.trajectory_id, m.start, m.end) for m in result.matches
+        } == oracle_range(self.history, query, self.costs, tau)
+        self.down.clear()  # a query revives every shard it finds dead
+
+    @rule(query=queries, k=st.integers(min_value=1, max_value=6))
+    def topk(self, query, k):
+        result = self.engine.topk(query, k)
+        assert result.complete
+        assert [(m.trajectory_id, m.distance) for m in result] == oracle_topk(
+            self.history, query, self.costs, k
+        )
+        self.down.clear()
+
+    @precondition(lambda self: self.kind == "processes")
+    @rule(shard=st.integers(min_value=0, max_value=1))
+    def kill_worker(self, shard):
+        state = self.engine.status().workers[shard]
+        # A snapshot taken while the supervisor respawns the shard can
+        # pair alive=True with the replaced incarnation's pid (the link
+        # is up before the handshake names the new pid): only a pid that
+        # is a live child now is killed.
+        if state.alive and state.pid in {p.pid for p in mp.active_children()}:
+            kill_worker(state.pid)
+            self.down.add(shard)
+
+
+@pytest.mark.parametrize("kind", DEPLOYMENTS)
+def test_history_matches_the_oracle(kind, small_graph, trips, netedr_cost, tmp_path):
+    index_path = None
+    if kind == "frozen":
+        base = TrajectoryDataset(small_graph, "vertex")
+        base.extend(trips[:BASE])
+        index_path = str(tmp_path / "base.reproidx")
+        FrozenInvertedIndex.freeze(base).save(index_path)
+    run_state_machine_as_test(
+        lambda: HistoryMachine(kind, small_graph, trips, netedr_cost, index_path),
+        settings=BUDGET,
+    )

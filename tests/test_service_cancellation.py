@@ -72,19 +72,39 @@ class TestVerifierObservesToken:
         assert len(candidates) >= 2, "fixture must yield several candidates"
 
         # Token trips on the poll before the second candidate: exactly one
-        # candidate may be verified, then the loop must raise.  (python
-        # backend — its verification loop is per candidate.)
-        verifier = Verifier(
-            vertex_dataset.symbols,
-            query,
-            edr_cost,
-            tau,
-            dp_backend="python",
-            cancel=CountdownToken(1),
-        )
+        # candidate may be walked, then the loop must raise.  (python
+        # backend — its verification loop is per candidate.)  The whole
+        # first group is set up, and counted in stats.candidates, before
+        # any walk, so the proof is in the columns: two AllPrefixWED
+        # walks (one candidate, both directions) account for every
+        # visited column.
+        def verifier(cancel=None):
+            return Verifier(
+                vertex_dataset.symbols_array,
+                query,
+                edr_cost,
+                tau,
+                dp_backend="python",
+                cancel=cancel,
+            )
+
+        tripped = verifier(CountdownToken(1))
+        walks = []
+        walk = tripped._all_prefix_wed
+
+        def counting(data_part, root, budget):
+            out = walk(data_part, root, budget)
+            walks.append(len(out) - 1)  # E[0] is the root, not a visit
+            return out
+
+        tripped._all_prefix_wed = counting
         with pytest.raises(QueryCancelledError):
-            verifier.verify_all(candidates, MatchSet())
-        assert verifier.stats.candidates == 1
+            tripped.verify_all(candidates, MatchSet())
+        assert len(walks) == 2
+        assert tripped.stats.visited_columns == sum(walks)
+        full = verifier()
+        full.verify_all(candidates, MatchSet())
+        assert tripped.stats.visited_columns < full.stats.visited_columns
 
     def test_batched_backend_stops_within_one_group(
         self, vertex_dataset, edr_cost, rng
