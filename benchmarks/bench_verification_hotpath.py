@@ -13,8 +13,8 @@ Walkers compared, each forced by patching the engine's one walker rule
 (``choose_dp_backend``): ``"python"`` (the per-cell Python walker)
 against ``"numpy"`` (the arena walker: anchor-grouped batch
 verification whose ``step_dp_batch`` calls write straight into
-arena rows, substitution rows served from a per-query
-``SubstitutionMatrix``), across dataset scales on the paper-style
+arena rows, substitution rows and tries read through the query's
+warm-state ``TrieCacheEntry``), across dataset scales on the paper-style
 workload: the long-trajectory ``singapore`` profile with |Q| = 50 under
 NetEDR (§2.2.3, the paper's headline setting) and the coordinate-based
 EDR — plus a short-query |Q| = 10 regime, the one setting where the
@@ -24,8 +24,8 @@ records what the rule picks).
 Since PR 5 the numpy backend is measured in two serving regimes:
 
 - **cold** (``trie_cache_size=0``): no cross-query reuse of any kind —
-  every query builds its substitution matrix and its tries from
-  scratch.  Records from before the two engine caches became one
+  every query gets a fresh entry and computes its substitution rows and
+  its tries from scratch.  Records from before the two engine caches became one
   (ISSUE 21) timed "cold" with a *warm substitution LRU* (only the
   tries were rebuilt), so their cold times are lower and their
   ``verify_speedup`` / ``warm_speedup`` are not comparable with this
@@ -33,7 +33,7 @@ Since PR 5 the numpy backend is measured in two serving regimes:
   measures end to end;
 - **warm-repeat** (the default TrieCache enabled, warmed by the
   measurement loop's own repeats): the engine serves the repeated query
-  from its cached matrix and trie columns, so verification is the arena
+  from its cached rows and trie columns, so verification is the arena
   walker's cached-column walk plus combine — the serving layer's zipf-repeat
   regime.  The ``warm_speedup`` column (cold/warm verification time) is
   floor-gated in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware
@@ -118,7 +118,7 @@ def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
     untimed passes so the instrumentation never pollutes the timings.
 
     ``trie_cache_size=0`` (the cold configurations) rebuilds the
-    query's matrix and tries on every run; the warm configuration
+    query's rows and tries on every run; the warm configuration
     enables the TrieCache, and the warm-up pass doubles as its warmer —
     the timed loop then measures steady warm-repeat serving.
     """
@@ -345,7 +345,7 @@ def test_verification_hotpath(recorder, bench_scale):
             "bit-identical across backends and cache temperatures "
             "everywhere; |Q|=10 EDR documents the short-query regime "
             "the walker rule routes to python.  Cold cells "
-            "(trie_cache_size=0) rebuild the substitution matrix as well "
+            "(trie_cache_size=0) recompute the substitution rows as well "
             "as the tries on every run: records from before the two "
             "engine caches became one timed cold with a warm substitution "
             "LRU, so their cold times read lower and their speedups are "

@@ -104,7 +104,7 @@ def _add_trie_cache_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=DEFAULT_TRIE_CACHE,
         help="engine-level LRU of per-query warm state (substitution "
-        "matrix + verification tries); repeated queries (tau/time-window "
+        "rows + verification tries); repeated queries (tau/time-window "
         "variations included) skip row computation, start with warm DP "
         "columns and only compute the cold frontier (0 disables all "
         f"cross-query reuse; default: {DEFAULT_TRIE_CACHE} entries, "

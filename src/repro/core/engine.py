@@ -48,7 +48,7 @@ from repro.core.temporal import (
     filter_candidates,
     match_satisfies,
 )
-from repro.core.trie import TrieCache
+from repro.core.trie import TrieCache, TrieCacheEntry
 from repro.core.verification import (
     Candidate,
     VerificationStats,
@@ -261,24 +261,26 @@ class SubtrajectorySearch:
     trie_cache_size / trie_cache_bytes:
         Capacity (entries) and byte budget of the engine-level
         :class:`~repro.core.trie.TrieCache`, the one cross-query cache:
-        one entry per query, keyed on the query-and-model prefix of
-        :func:`query_signature`, holding the query's
-        :class:`~repro.distance.costs.SubstitutionMatrix` and its
-        verification tries.  Repeated queries (the serving layer's zipf
-        traffic) skip substitution-row computation and start
-        verification with every previously computed DP column *warm* —
-        the walker runs through cached columns in a scalar loop and
-        launches a DP kernel only at the cold frontier — across tau and
-        time-window variations, and needing no invalidation on online
-        inserts (rows depend on the query and the model, columns are
-        keyed by data-symbol path, not by trajectory, so both are
-        dataset-independent).  ``verification="local"`` keeps the matrix
-        half only.  Entry bytes (matrix rows and trie arenas) are
-        re-accounted after each verification and LRU entries shed past
-        the budget.  ``trie_cache_size=0`` disables cross-query reuse of
-        any kind (per-query matrix and tries, the pre-cache behaviour).
-        Warmth changes which rows and columns are *recomputed*, never
-        any emitted float: warm and cold answers are bit-identical.
+        one :class:`~repro.core.trie.TrieCacheEntry` per query, keyed on
+        the query-and-model prefix of :func:`query_signature` — the
+        query's whole warm state: its substitution rows and, per anchor
+        position and direction, the row table and the verification trie.
+        Repeated queries (the serving layer's zipf traffic) skip
+        substitution-row computation and start verification with every
+        previously computed DP column *warm* — the walker runs through
+        cached columns in a scalar loop and launches a DP kernel only at
+        the cold frontier — across tau and time-window variations, and
+        needing no invalidation on online inserts (rows depend on the
+        query and the model, columns are keyed by data-symbol path, not
+        by trajectory, so both are dataset-independent).
+        ``verification="local"`` keeps the rows and row tables and
+        builds no trie.  Entry bytes (rows, row tables and trie arenas)
+        are re-accounted after each verification and LRU entries shed
+        past the budget.  ``trie_cache_size=0`` disables cross-query
+        reuse of any kind (each query gets a fresh entry, the pre-cache
+        behaviour).  Warmth changes which rows and columns are
+        *recomputed*, never any emitted float: warm and cold answers are
+        bit-identical.
     trie_cache:
         A prebuilt :class:`~repro.core.trie.TrieCache` to use instead of
         constructing one — how
@@ -554,11 +556,9 @@ class SubtrajectorySearch:
             stats = self._verify_sw(candidates, query, tau, matches, cancel)
         else:
             backend_used = choose_dp_backend(len(query), self._costs)
-            matrix = trie_entry = None
+            trie_entry = None
             if backend_used == "numpy":
-                matrix, trie_entry, trie_status = self._warm_state(
-                    query, subsequence, candidates
-                )
+                trie_entry, trie_status = self._warm_state(query)
             verifier = Verifier(
                 self._dataset.symbols_array,
                 query,
@@ -567,14 +567,13 @@ class SubtrajectorySearch:
                 use_trie=self._verification == "trie",
                 early_termination=self._early_termination,
                 dp_backend=backend_used,
-                matrix=matrix,
                 trie_entry=trie_entry,
                 cancel=cancel,
             )
             try:
                 verifier.verify_all(candidates, matches)
             finally:
-                if trie_entry is not None:
+                if trie_status in ("hit", "miss"):
                     # Row tables and arenas grew during verification
                     # (cancelled or not): re-account trie_cache_bytes and
                     # shed LRU entries past the byte budget.
@@ -684,49 +683,30 @@ class SubtrajectorySearch:
 
     # -- internals ------------------------------------------------------------
 
-    def _warm_state(self, query: Sequence[int], subsequence, candidates):
-        """This query's ``(matrix, cache entry, lookup status)`` — one
-        lookup in the cross-query TrieCache.
+    def _warm_state(self, query: Sequence[int]):
+        """This query's ``(TrieCacheEntry, lookup status)`` — one lookup
+        in the cross-query TrieCache; with the cache ``"off"``, a fresh
+        entry that lives for this query only.
 
-        On a ``"hit"`` the substitution rows, the per-direction
-        contiguous copies hanging off the matrix and the entry's tries
-        are all reused — the row-computation stage of verification
-        disappears for repeated queries and the walk starts warm.  On a
-        ``"miss"`` (or with the cache ``"off"``, where the entry is
-        ``None`` and the matrix lives for this query only) the matrix is
-        built with dense rows for the anchors that actually occur in the
-        data (nonempty postings): every candidate's anchor symbol lies in
-        the chosen subsequence's neighborhoods, and the matrix also fills
-        lazily, so skipping absent symbols only defers work, never
-        recomputes it.  Concurrent missers of one key build one matrix
-        (:meth:`TrieCacheEntry.substitution_matrix`).
+        On a ``"hit"`` the substitution rows, the per-direction row
+        tables and the tries are all reused — the row-computation stage
+        of verification disappears for repeated queries and the walk
+        starts warm.  Rows are computed on first touch only, so a query
+        whose temporal filter dropped candidates never pays for their
+        anchors' rows.  Concurrent missers of one key get one entry.
 
         The key is the query-and-cost-model *prefix* of
         :func:`query_signature`: rows and columns depend on neither the
-        threshold nor the temporal constraint (only which rows end up
-        dense and where the early-termination *frontier* lies — never a
-        float), so requests varying tau or the time window share one
-        entry — and they depend on nothing in the dataset, so entries
-        stay valid across online inserts too.
+        threshold nor the temporal constraint (only where the
+        early-termination *frontier* lies — never a float), so requests
+        varying tau or the time window share one entry — and they depend
+        on nothing in the dataset, so entries stay valid across online
+        inserts too.
         """
-
-        def build():
-            anchors = None
-            if candidates:
-                index = self.index
-                anchors = [
-                    b
-                    for element in subsequence
-                    for b in element.neighborhood
-                    if index.frequency(b)
-                ]
-            return self._costs.sub_matrix(query, anchors=anchors)
-
-        entry, status = self._trie_cache.lookup(
-            (tuple(int(s) for s in query), self._model_id)
+        key = tuple(int(s) for s in query)
+        return self._trie_cache.lookup(
+            (key, self._model_id), lambda: TrieCacheEntry(self._costs, key)
         )
-        matrix = build() if entry is None else entry.substitution_matrix(build)
-        return matrix, entry, status
 
     def _resolve_tau(
         self,

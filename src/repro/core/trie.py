@@ -22,11 +22,16 @@ Two layouts, one per verification walker
   and ``column[-1]`` — the emitted E value) live once, as plain floats in
   the slot-indexed ``mins_list`` / ``lasts_list``, so the walk loop never
   touches a numpy scalar.  This is what makes the trie *portable across
-  queries*: a :class:`TrieCache` entry is just the trie objects beside
-  the query's substitution matrix, and a repeated query walks them warm
-  with no per-node object graph to rebuild or traverse.
+  queries*: a repeated query walks it warm with no per-node object graph
+  to rebuild or traverse.
 - :class:`TrieNode` — the per-cell Python walker's one-column-per-node
   graph, private to one verifier (the walker holds its root directly).
+
+A :class:`TrieCacheEntry` is one query's whole warm state: the query's
+substitution rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
+:class:`DirectionState` — the insertion prefix, the slot-indexed
+:class:`DirectionRows` table and the :class:`VerificationTrie`.  The
+engine's :class:`TrieCache` keeps entries across queries.
 
 Concurrency contract (shared tries are walked by concurrent server
 threads): readers are lock-free; writers serialize on :attr:`
@@ -47,9 +52,18 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distance.costs import SubstitutionMatrix
+from repro.distance.costs import CostModel
+from repro.distance.wed import wed_row_init
 
-__all__ = ["TrieCache", "TrieCacheEntry", "TrieNode", "VerificationTrie"]
+__all__ = [
+    "DirectionRows",
+    "DirectionState",
+    "QueryRows",
+    "TrieCache",
+    "TrieCacheEntry",
+    "TrieNode",
+    "VerificationTrie",
+]
 
 #: rows a fresh arena starts with; growth doubles.
 _INITIAL_ROWS = 32
@@ -73,27 +87,32 @@ _FLOAT_OBJECT_BYTES = sys.getsizeof(0.5)
 class TrieNode:
     """One cached DP column of the per-cell Python walker's trie.
 
-    ``column_min`` caches ``min(column)``, the early-termination lower
-    bound ``LB`` of Eq. 11, and ``column_last`` caches ``column[-1]`` (the
-    E value read once per visit), so the walk reads two attributes per
-    visit instead of scanning the column.
+    ``column_min`` is ``min(column)``, the early-termination lower bound
+    ``LB`` of Eq. 11 — handed in by the caller, which has it from
+    :func:`~repro.distance.wed.wed_step_min` without a rescan — and
+    ``column_last`` caches ``column[-1]`` (the E value read once per
+    visit), so the walk reads two attributes per visit instead of
+    scanning the column.
     """
 
     __slots__ = ("children", "column", "column_min", "column_last")
 
-    def __init__(self, column: Sequence[float]) -> None:
+    def __init__(self, column: Sequence[float], column_min: float) -> None:
         self.children: dict = {}
         self.column: Sequence[float] = column
-        self.column_min: float = float(min(column))
+        self.column_min: float = float(column_min)
         self.column_last: float = float(column[-1])
 
     def find_child(self, symbol: int) -> Optional["TrieNode"]:
         """The cached child for ``symbol``, or None (a cache miss)."""
         return self.children.get(symbol)
 
-    def create_child(self, symbol: int, column: Sequence[float]) -> "TrieNode":
-        """Cache ``column`` as the child for ``symbol`` and return it."""
-        child = TrieNode(column)
+    def create_child(
+        self, symbol: int, column: Sequence[float], column_min: float
+    ) -> "TrieNode":
+        """Cache ``column`` (minimum ``column_min``) as the child for
+        ``symbol`` and return it."""
+        child = TrieNode(column, column_min)
         self.children[symbol] = child
         return child
 
@@ -204,63 +223,210 @@ class VerificationTrie:
         )
 
 
-class TrieCacheEntry:
-    """One query's warm state: everything a ``(query, cost model)`` pair
-    keeps across queries.
+class QueryRows:
+    """The query's full substitution rows: ``row(b)[i] == sub(b,
+    query[i])``, each computed once, on first touch, through the model's
+    vectorized :meth:`~repro.distance.costs.CostModel.sub_row_array`.
 
-    ``matrix`` is the query's :class:`~repro.distance.costs.
-    SubstitutionMatrix` (with the per-direction row tables hanging off
-    it) and ``tries`` maps ``(iq, direction)`` to the shared
-    :class:`VerificationTrie` — one pair of tries per anchor position the
-    query's verifications have touched.  ``verification="local"`` fills
-    only the matrix.  Entries are handed to concurrent verifiers;
-    :meth:`substitution_matrix` and :meth:`trie` make first-touch
-    creation converge on one instance.
+    The verifier reads a candidate's anchor cost off its symbol's row, and
+    every :class:`DirectionRows` table copies its slices from here.  Rows
+    depend only on the query and the model, never on the dataset, the
+    threshold or the time window, so they stay valid for as long as the
+    entry lives.  Concurrent first touches of one symbol serialize on the
+    lock and compute its row once; readers of a filled row stay lock-free.
     """
 
-    __slots__ = ("tries", "matrix", "lock", "__weakref__")
+    __slots__ = ("costs", "query", "rows", "_lock")
 
-    def __init__(self) -> None:
-        self.tries: Dict[Tuple[int, str], VerificationTrie] = {}
-        self.matrix: Optional[SubstitutionMatrix] = None
-        self.lock = threading.Lock()
+    def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
+        self.costs = costs
+        self.query = tuple(query)
+        self.rows: Dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
 
-    def substitution_matrix(
-        self, factory: Callable[[], SubstitutionMatrix]
-    ) -> SubstitutionMatrix:
-        """The query's shared matrix, built on first touch (atomically:
-        concurrent missers wait for, and get, one instance).  Called once
-        per query, so it simply takes the lock."""
-        with self.lock:
-            if self.matrix is None:
-                self.matrix = factory()
-            return self.matrix
-
-    def trie(
-        self, key: Tuple[int, str], factory: Callable[[], VerificationTrie]
-    ) -> VerificationTrie:
-        """The shared trie for one ``(iq, direction)``, built on first
-        touch (atomically: concurrent first callers get one instance)."""
-        trie = self.tries.get(key)
-        if trie is None:
-            with self.lock:
-                trie = self.tries.get(key)
-                if trie is None:
-                    trie = factory()
-                    self.tries[key] = trie
-        return trie
+    def row(self, symbol: int) -> np.ndarray:
+        """``[sub(symbol, q) for q in query]`` as a float64 array."""
+        row = self.rows.get(symbol)
+        if row is None:
+            with self._lock:
+                row = self.rows.get(symbol)
+                if row is None:
+                    row = self.costs.sub_row_array(symbol, self.query)
+                    self.rows[symbol] = row
+        return row
 
     @property
     def nbytes(self) -> int:
-        """Approximate bytes this entry pins: its tries plus its matrix."""
-        matrix = self.matrix
-        return sum(trie.nbytes for trie in list(self.tries.values())) + (
-            0 if matrix is None else matrix.nbytes
-        )
+        """One float64 row of ``|Q|`` per touched symbol (counted
+        arithmetically: it is re-read after every verification)."""
+        return len(self.rows) * len(self.query) * 8
 
-    def column_count(self) -> int:
-        """Total cached columns across this entry's tries."""
-        return sum(trie.node_count() for trie in list(self.tries.values()))
+
+class DirectionRows:
+    """One direction's substitution costs, stored *dense and slot-indexed*.
+
+    The arena walker's DP consumes, per visited data symbol, the symbol's
+    substitution row restricted to one *query part* (forward suffix or
+    reversed backward prefix of the query) plus its deletion cost.  Each
+    distinct symbol gets an integer *slot* on first touch; its row (a
+    contiguous copy of the possibly negative-stride full-row slice) lands
+    in row ``slot`` of one growable matrix, with the deletion cost in a
+    parallel vector.  Batch assembly then gathers a whole round of rows
+    with two ``np.take`` calls instead of one numpy ``__setitem__`` per
+    cache miss.
+    """
+
+    __slots__ = ("_source", "_slice", "_lock", "index", "rows", "deletes")
+
+    def __init__(self, source: QueryRows, row_slice: slice, width: int) -> None:
+        self._source = source
+        self._slice = row_slice
+        #: serializes first-touch slot assignment/growth; readers stay
+        #: lock-free (see :meth:`slot`).
+        self._lock = threading.Lock()
+        #: symbol -> dense slot; the verifier's walker reads it inline
+        #: (one dict hit per cache miss) and calls :meth:`slot` only on
+        #: first touch of a symbol.
+        self.index: Dict[int, int] = {}
+        self.rows = np.empty((16, width), dtype=np.float64)
+        self.deletes = np.empty(16, dtype=np.float64)
+
+    def slot(self, symbol: int) -> int:
+        """The dense row slot for ``symbol`` (computed on first touch).
+
+        Shared across concurrent query threads (the engine's warm-query
+        cache hands one instance to every verifier of a repeated query), so
+        writes are serialized: the slot is assigned, its row and delete
+        written, and only then published in ``index`` — a lock-free
+        reader either misses (and comes here) or sees a fully written
+        row.  Growth publishes the grown buffers *before* writing the new
+        row, so any slot a reader has seen is present in whatever
+        ``rows``/``deletes`` arrays it fetches afterwards.
+        """
+        i = self.index.get(symbol)
+        if i is None:
+            with self._lock:
+                i = self.index.get(symbol)
+                if i is None:
+                    i = len(self.index)
+                    if i == len(self.rows):
+                        grown = np.empty(
+                            (2 * i, self.rows.shape[1]), dtype=np.float64
+                        )
+                        grown[:i] = self.rows
+                        grown_d = np.empty(2 * i, dtype=np.float64)
+                        grown_d[:i] = self.deletes
+                        self.rows = grown
+                        self.deletes = grown_d
+                    source = self._source
+                    self.rows[i] = source.row(symbol)[self._slice]
+                    self.deletes[i] = source.costs.delete(symbol)
+                    self.index[symbol] = i
+        return i
+
+    def get(self, symbol: int) -> Tuple[np.ndarray, float]:
+        """This direction's ``(substitution row, delete cost)`` views."""
+        i = self.slot(symbol)
+        return self.rows[i], float(self.deletes[i])
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the dense row and delete tables (their capacity)."""
+        return self.rows.nbytes + self.deletes.nbytes
+
+
+#: ndarrays a new :class:`DirectionState` allocates: the insertion
+#: prefix and the two :class:`DirectionRows` tables.
+_STATE_ARRAYS = 3
+
+
+class DirectionState:
+    """One ``(iq, direction)``'s warm state: the insertion prefix of the
+    query part (the trie's root column, and the ``P`` of the prefix-min
+    DP convention — summed left to right by
+    :func:`~repro.distance.wed.wed_row_init`, the Python walker's own
+    root, so both walkers hold the same floats), the part's
+    :class:`DirectionRows` table, and its :class:`VerificationTrie` —
+    ``None`` until a verifier with tries on first walks this direction.
+
+    The part is ``query[iq+1:]`` forward and the reversed prefix
+    ``query[iq-1::-1]`` backward: WED is invariant under simultaneous
+    reversal because costs are position-independent.
+    """
+
+    __slots__ = ("ins_prefix", "rows", "trie")
+
+    def __init__(self, source: QueryRows, iq: int, direction: str) -> None:
+        if direction == "b":
+            row_slice = slice(iq - 1, None, -1) if iq > 0 else slice(0, 0)
+        else:
+            row_slice = slice(iq + 1, None)
+        part = source.query[row_slice]
+        self.ins_prefix = np.array(wed_row_init(source.costs, part), dtype=np.float64)
+        self.rows = DirectionRows(source, row_slice, len(part))
+        self.trie: Optional[VerificationTrie] = None
+
+
+class TrieCacheEntry:
+    """One query's whole warm state, built from ``(costs, query)``: the
+    query's :class:`QueryRows` and one :class:`DirectionState` per
+    ``(iq, direction)`` its verifications have touched — the only place
+    that key is held.  Nothing under an entry refers back to it, so an
+    evicted entry's arrays go the moment the last verifier holding it
+    drops it, with no wait for the cyclic collector.
+
+    Entries are handed to concurrent verifiers: :meth:`direction` makes
+    first-touch creation of states and tries converge on one instance.
+    """
+
+    __slots__ = ("rows", "directions", "_lock", "__weakref__")
+
+    def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
+        self.rows = QueryRows(costs, query)
+        self.directions: Dict[Tuple[int, str], DirectionState] = {}
+        self._lock = threading.Lock()
+
+    @property
+    def query(self) -> Tuple[int, ...]:
+        """The query string this entry's rows are computed against."""
+        return self.rows.query
+
+    def direction(
+        self, iq: int, direction: str, with_trie: bool
+    ) -> Tuple[DirectionState, int]:
+        """The shared state for one ``(iq, direction)``, created on first
+        touch — and its trie too when ``with_trie`` — plus the number of
+        ndarrays *this call* allocated doing so (zero once warm), which
+        the caller charges to its own verification.  Concurrent first
+        callers get one instance: a state or trie is published only
+        fully built, under the lock."""
+        key = (iq, direction)
+        state = self.directions.get(key)
+        if state is not None and (state.trie is not None or not with_trie):
+            return state, 0
+        with self._lock:
+            allocated = 0
+            state = self.directions.get(key)
+            if state is None:
+                state = self.directions[key] = DirectionState(self.rows, iq, direction)
+                allocated = _STATE_ARRAYS
+            if with_trie and state.trie is None:
+                state.trie = VerificationTrie(state.ins_prefix)
+                allocated += state.trie.allocations
+            return state, allocated
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes this entry pins: its rows, row tables and tries."""
+        total = self.rows.nbytes
+        for state in list(self.directions.values()):
+            total += state.rows.nbytes
+            if state.trie is not None:
+                total += state.trie.nbytes
+        return total
 
 
 class TrieCache:
@@ -291,7 +457,7 @@ class TrieCache:
     :meth:`reconcile`, which the engine calls after each verification to
     re-account the bytes and shed LRU entries until the total fits.
     ``capacity == 0`` disables cross-query reuse entirely (``lookup``
-    returns no entry without counting).  Thread-safe; evicting an entry
+    hands out a fresh, unshared entry without counting).  Thread-safe; evicting an entry
     that a running verifier still holds is safe — the verifier keeps its
     reference, the arrays are released when the last reference drops.
     """
@@ -314,19 +480,18 @@ class TrieCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def entry(self, key: Hashable) -> Optional[TrieCacheEntry]:
-        """The (created-if-absent) entry for ``key``, LRU-refreshed; None
-        when the cache is disabled.  Creation counts as a miss."""
-        return self.lookup(key)[0]
-
-    def lookup(self, key: Hashable) -> Tuple[Optional[TrieCacheEntry], str]:
-        """Like :meth:`entry`, but also reports what happened:
-        ``"hit"`` (warm entry reused), ``"miss"`` (fresh entry created —
-        this query verifies cold and warms the cache), or ``"off"``
-        (cache disabled).  The status feeds trace span attributes, so an
-        operator can see warm vs. cold verification per query."""
+    def lookup(
+        self, key: Hashable, factory: Callable[[], TrieCacheEntry]
+    ) -> Tuple[TrieCacheEntry, str]:
+        """The entry for ``key``, LRU-refreshed, and what happened:
+        ``"hit"`` (warm entry reused), ``"miss"`` (``factory()`` built a
+        fresh entry — this query verifies cold and warms the cache), or
+        ``"off"`` (cache disabled: ``factory()`` builds a fresh entry
+        that is never shared or counted).  The status feeds trace span
+        attributes, so an operator can see warm vs. cold verification per
+        query."""
         if self.capacity == 0:
-            return None, "off"
+            return factory(), "off"
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -334,7 +499,7 @@ class TrieCache:
                 self.hits += 1
                 return entry, "hit"
             self.misses += 1
-            entry = TrieCacheEntry()
+            entry = factory()
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -359,8 +524,8 @@ class TrieCache:
         each cached verification, because arenas and row tables grow
         while entries sit in the cache — insertion-time accounting alone
         would undercount.  An oversized *single* entry is evicted too —
-        one whose matrix alone exceeds the budget included (the budget is
-        a hard cap); the query that produced it simply stays cold.
+        one whose rows alone exceed the budget included (the budget is a
+        hard cap); the query that produced it simply stays cold.
         """
         with self._lock:
             sizes = [(key, entry.nbytes) for key, entry in self._entries.items()]

@@ -56,10 +56,16 @@ views materialized once as plain int lists.  Only AllPrefixWED differs:
   group of one, and ``use_trie=False`` runs it on a private per-call
   arena that seeds every state as a one-waiter entry and publishes no
   edges, so every visit recomputes its column and the arena dies with
-  the call.
+  the call.  The walker reads everything warm through the query's
+  :class:`~repro.core.trie.TrieCacheEntry` — the anchor costs off its
+  full substitution rows, and per ``(iq, direction)`` the insertion
+  prefix, the slot-indexed row table and the trie — which the engine
+  keeps across queries (or builds fresh per query with the cache off);
+  the verifier itself keeps only scratch buffers and allocation counts.
 - ``dp_backend="python"`` is the **per-cell Python walker**: one
   candidate at a time over a :class:`~repro.core.trie.TrieNode` graph,
-  one pure-Python loop iteration per DP cell.  It is the reference the
+  one pure-Python loop iteration per DP cell
+  (:func:`~repro.distance.wed.wed_step_min`).  It is the reference the
   parity suites hold the arena walker to *and* the faster path for short
   queries over cheap substitution rows
   (``benchmarks/bench_verification_hotpath.py`` tracks the gap both
@@ -80,8 +86,10 @@ results bit for bit (warm caches lower ``computed_columns`` and
 nothing else: a cached column has the same floats it would be recomputed
 with).
 
-Shared tries (the cross-query cache, and shard engines sharing one cache)
-are walked by concurrent server threads: readers are lock-free, and each
+Shared entries (the cross-query cache, and shard engines sharing one
+cache) are walked by concurrent server threads: row tables, direction
+states and tries converge on one instance at first touch, readers are
+lock-free, and each
 round of misses is resolved under the trie's writer lock with
 publish-after-write ordering (see :mod:`repro.core.trie`), re-checking
 parked misses against edges another thread may have published meanwhile —
@@ -105,8 +113,9 @@ import numpy as np
 
 from repro.core.cancellation import raise_if_cancelled
 from repro.core.results import MatchSet
-from repro.core.trie import TrieCacheEntry, TrieNode, VerificationTrie
-from repro.distance.costs import CostModel, SubstitutionMatrix
+from repro.core.trie import DirectionState, TrieCacheEntry, TrieNode, VerificationTrie
+from repro.distance.costs import CostModel
+from repro.distance.wed import wed_row_init, wed_step_min
 from repro.exceptions import QueryError
 
 __all__ = [
@@ -161,7 +170,8 @@ def step_dp_batch(
     as ``B[j] = min(C[j], P[j] + min over i < j of (C[i] - P[i]))`` with
     one ``minimum.accumulate`` pass — the exact evaluation order every DP
     step in this repo uses (see :mod:`repro.distance.wed`), so the result
-    is *bit-identical* to the Python walker's ``_step_dp``, not merely
+    is *bit-identical* to the Python walker's
+    :func:`~repro.distance.wed.wed_step_min`, not merely
     close: the strict ``< tau`` match semantics see the same floats
     everywhere, and batching (``L = 1`` included) changes throughput,
     never values.
@@ -245,44 +255,21 @@ class VerificationStats:
 
 
 class _DirectionContext:
-    """The arena walker's per-direction query data, shared by all
-    candidates with the same anchor position ``iq``.
-
-    ``ins_prefix`` is the cumulative insertion-cost prefix of the query
-    part — the trie's root column and the ``P`` of the prefix-min DP
-    convention (summed left-to-right like the Python walker's list, so
-    both hold the same floats; a *warm* trie served by the engine's
-    TrieCache holds the bit-identical root column because the
-    computation is deterministic).  ``rows`` is the matrix-owned
-    :class:`~repro.distance.costs.DirectionRows` cache mapping a data
-    symbol to this direction's contiguous substitution-row slice and its
-    deletion cost; because it lives inside the SubstitutionMatrix, which
-    the engine keeps in the query's TrieCache entry, repeated queries
-    reuse the copies across verifier instances.  ``row_slice`` maps a
-    *full-query* row to this direction's part: ``slice(iq+1, None)``
-    forward, ``slice(iq-1, None, -1)`` backward (the reversed prefix —
-    WED is invariant under simultaneous reversal because costs are
-    position-independent).
-
-    The context is per-verifier (it owns the walker's scratch buffers —
-    parent columns, substitution rows, deletion costs — grown
-    geometrically and reused round after round); only the *trie* and
-    ``rows`` may be shared: with a :class:`~repro.core.trie.
-    TrieCacheEntry` the direction's trie comes warm from the same
-    cross-query cache entry the matrix came from, otherwise a fresh one
-    is built.  ``use_trie=False`` (the ablation) keeps no trie here at
-    all — the walker builds a private arena per call, since nothing is
-    cached.
+    """The arena walker's per-verifier view of one shared
+    :class:`~repro.core.trie.DirectionState`: its private scratch buffers
+    — parent columns, substitution rows, deletion costs, the two kernel
+    work buffers and the per-column minima, grown geometrically and
+    reused round after round — and the ndarray allocations this verifier
+    is charged for on that direction (see
+    :attr:`Verifier.dp_array_allocations`).  Everything warm — the
+    insertion prefix, the row table, the trie — lives on the state, in
+    the query's :class:`~repro.core.trie.TrieCacheEntry`.
     """
 
     __slots__ = (
-        "ins_prefix",
-        "row_slice",
-        "rows",
-        "trie",
+        "state",
         "width",
-        "scratch_allocations",
-        "trie_growth",
+        "allocations",
         "_parents",
         "_subs",
         "_dels",
@@ -291,55 +278,20 @@ class _DirectionContext:
         "_mins",
     )
 
-    def __init__(
-        self,
-        iq: int,
-        direction: str,
-        ins_vec: np.ndarray,
-        matrix: SubstitutionMatrix,
-        *,
-        use_trie: bool,
-        entry: Optional[TrieCacheEntry],
-    ) -> None:
-        if direction == "b":
-            self.row_slice = slice(iq - 1, None, -1) if iq > 0 else slice(0, 0)
-        else:
-            self.row_slice = slice(iq + 1, None)
-        ins_part = ins_vec[self.row_slice]
-        self.width = len(ins_part) + 1
-        prefix = np.empty(self.width, dtype=np.float64)
-        prefix[0] = 0.0
-        np.cumsum(ins_part, out=prefix[1:])
-        self.ins_prefix = prefix
-        self.rows = matrix.direction_rows((iq, direction), self.row_slice)
-        self.scratch_allocations = 1  # the prefix itself
-        #: arena ndarray (re)allocations THIS context performed — trie
-        #: creation plus reserve-driven growth inside our own locked
-        #: rounds.  Accumulated locally rather than read off the (maybe
-        #: shared) trie, so concurrent verifiers growing the same warm
-        #: trie never double-count each other's work.
-        self.trie_growth = 0
+    def __init__(self, state: DirectionState) -> None:
+        self.state = state
+        self.width = len(state.ins_prefix)
+        #: ndarray (re)allocations charged to this verifier here: entry
+        #: state its first touch created, scratch growth, and arena
+        #: growth inside its own locked rounds — accumulated locally, so
+        #: concurrent verifiers growing one warm trie never double-count.
+        self.allocations = 0
         self._parents: Optional[np.ndarray] = None
         self._subs: Optional[np.ndarray] = None
         self._dels: Optional[np.ndarray] = None
         self._work_a: Optional[np.ndarray] = None
         self._work_b: Optional[np.ndarray] = None
         self._mins: Optional[np.ndarray] = None
-        self.trie: Optional[VerificationTrie] = None
-        if use_trie and entry is None:
-            self.trie = self.new_trie()
-        elif use_trie:
-            self.trie = entry.trie((iq, direction), self.new_trie)
-
-    def new_trie(self) -> VerificationTrie:
-        """A fresh arena rooted at this direction's insertion prefix,
-        charged to this context.  As a :meth:`TrieCacheEntry.trie
-        <repro.core.trie.TrieCacheEntry.trie>` factory it runs at most
-        once per entry — concurrent first-touchers converge on one
-        instance — so creation is charged to the creating query only."""
-        trie = VerificationTrie(self.ins_prefix)
-        self.trie_growth += trie.allocations
-        return trie
 
     def scratch(
         self, count: int
@@ -361,7 +313,7 @@ class _DirectionContext:
             self._work_a = np.empty((capacity, self.width - 1), dtype=np.float64)
             self._work_b = np.empty((capacity, self.width), dtype=np.float64)
             self._mins = np.empty(capacity, dtype=np.float64)
-            self.scratch_allocations += 6
+            self.allocations += 6
         return (
             parents[:count],
             self._subs[:count],
@@ -370,13 +322,6 @@ class _DirectionContext:
             self._work_b[:count],
             self._mins[:count],
         )
-
-    @property
-    def arena_allocations(self) -> int:
-        """Arena + scratch ndarray allocations this context has made (a
-        warm shared trie's pre-existing allocations — and any growth a
-        *concurrent* verifier performs on it — are excluded)."""
-        return self.scratch_allocations + self.trie_growth
 
 
 class Verifier:
@@ -402,23 +347,14 @@ class Verifier:
         over slot-native tries and the array-native column kernel; or
         ``"python"`` — the per-cell Python walker.  Results are
         bit-identical.
-    anchors:
-        Symbols that can appear at candidate anchor positions (the union of
-        the tau-subsequence's substitution neighborhoods).  Their
-        substitution rows are precomputed densely when this verifier builds
-        its own :class:`~repro.distance.costs.SubstitutionMatrix`; ignored
-        when ``matrix`` is supplied.
-    matrix:
-        A prebuilt :class:`~repro.distance.costs.SubstitutionMatrix` for
-        this exact query — the engine passes the one its TrieCache entry
-        holds so repeated queries skip substitution-row computation
-        entirely.  Must have been built for the same query string.
     trie_entry:
-        A :class:`~repro.core.trie.TrieCacheEntry` holding this query's
-        shared direction tries — the engine passes the entry ``matrix``
-        came from so repeated queries (tau and time-window variations
-        included) start verification with warm columns.  Arena walker with
-        ``use_trie=True`` only; the tries may be walked by concurrent
+        The :class:`~repro.core.trie.TrieCacheEntry` for this exact query
+        — its substitution rows, row tables and direction tries.  The
+        engine passes the one its TrieCache holds, so repeated queries
+        (tau and time-window variations included) compute no row again
+        and start verification with warm columns; ``None`` builds a
+        fresh, private entry.  Read by the arena walker only (tries with
+        ``use_trie=True`` only); its state may be shared with concurrent
         verifiers (see the module docstring's concurrency notes).
     cancel:
         Optional cooperative cancellation token (anything with a
@@ -440,8 +376,6 @@ class Verifier:
         use_trie: bool = True,
         early_termination: bool = True,
         dp_backend: str = "auto",
-        anchors: Optional[Sequence[int]] = None,
-        matrix: Optional[SubstitutionMatrix] = None,
         trie_entry: Optional[TrieCacheEntry] = None,
         cancel=None,
     ) -> None:
@@ -458,43 +392,37 @@ class Verifier:
         self._cancel = cancel
         self._numpy = dp_backend == "numpy"
         self.dp_backend = dp_backend
-        self._matrix: Optional[SubstitutionMatrix] = None
-        self._ins_vec: Optional[np.ndarray] = None
-        self._trie_entry = trie_entry if use_trie else None
-        #: ndarrays materialized on the verification path (arena/scratch
-        #: growths plus per-round kernel temporaries) — deliberately NOT a
-        #: VerificationStats field, because the Python walker allocates
-        #: none and the stats are pinned walker-identical.
+        self._entry: Optional[TrieCacheEntry] = None
+        if self._numpy:
+            if trie_entry is None:
+                trie_entry = TrieCacheEntry(costs, self._query)
+            elif trie_entry.query != self._query:
+                raise QueryError("cache entry was built for a different query")
+            self._entry = trie_entry
+        #: per-round kernel temporaries materialized so far (the rest of
+        #: dp_array_allocations is counted per direction context) —
+        #: deliberately NOT a VerificationStats field, because the Python
+        #: walker allocates none and the stats are pinned walker-identical.
         self._allocs = 0
         #: DP kernel launches (one per resolve round) — the "how many
         #: times did we enter numpy" trace attribute.  Like ``_allocs``,
         #: kept out of VerificationStats: the Python walker launches no
         #: kernels.
         self._dp_rounds = 0
-        if self._numpy:
-            if matrix is not None:
-                if matrix.query != self._query:
-                    raise QueryError(
-                        "substitution matrix was built for a different query"
-                    )
-                self._matrix = matrix
-            else:
-                self._matrix = costs.sub_matrix(self._query, anchors=anchors)
-                self._allocs += 1 + (1 if anchors else 0)
-            self._ins_vec = costs.ins_vector(self._query)
-            self._allocs += 1
-        # Per (query position, direction), built lazily since only
-        # tau-subsequence positions are anchors (2|Q'| tries, §5.2): the
-        # arena walker's contexts, and the Python walker's
-        # (query part, trie root) pairs.
-        self._contexts: Dict[Tuple[int, str], _DirectionContext] = {}
+        # Built lazily, since only tau-subsequence positions are anchors
+        # (2|Q'| tries, §5.2): the arena walker's scratch per entry
+        # direction state, and the Python walker's (query part, trie
+        # root) pairs per (query position, direction).
+        self._contexts: Dict[DirectionState, _DirectionContext] = {}
         self._roots: Dict[Tuple[int, str], Tuple[Tuple[int, ...], TrieNode]] = {}
         self.stats = VerificationStats()
 
     @property
     def dp_array_allocations(self) -> int:
-        """ndarrays materialized verifying so far: per-query setup, arena
-        and scratch (re)allocations, and per-round kernel temporaries.
+        """ndarrays materialized verifying so far: the entry state this
+        verifier's first touch created (a direction's insertion prefix
+        and row tables, a trie's first arena), scratch and arena
+        (re)allocations, and per-round kernel temporaries.
 
         A one-ndarray-per-column layout would allocate at least one more
         per *computed column* on top of the same per-round temporaries,
@@ -502,10 +430,7 @@ class Verifier:
         ``computed_columns + dp_array_allocations`` (that cost) against
         ``dp_array_allocations`` (this one).  With a warm shared trie
         only this query's growth is counted, not the cached history."""
-        total = self._allocs
-        for ctx in self._contexts.values():
-            total += ctx.arena_allocations
-        return total
+        return self._allocs + sum(ctx.allocations for ctx in self._contexts.values())
 
     @property
     def dp_rounds(self) -> int:
@@ -580,7 +505,7 @@ class Verifier:
         stats = self.stats
         tau = self._tau
         numpy = self._numpy
-        row = self._matrix.row if numpy else None
+        row = self._entry.rows.row if numpy else None
         sub = self._costs.sub
         query_symbol = self._query[iq]
         items: List[Tuple[int, int, float, float]] = []
@@ -688,7 +613,12 @@ class Verifier:
         recomputes its column — matching sequential local verification
         column for column — and nothing outlives the call.
         """
-        trie = ctx.trie if self._use_trie else ctx.new_trie()
+        state = ctx.state
+        if self._use_trie:
+            trie = state.trie
+        else:
+            trie = VerificationTrie(state.ins_prefix)
+            ctx.allocations += trie.allocations
         root_min = trie.mins_list[0]
         outs: List[List[float]] = [[trie.lasts_list[0]] for _ in views]
         early = self._early_termination
@@ -716,7 +646,7 @@ class Verifier:
             for st in runnable:
                 pslots.append(0)
                 syms.append(st[1][0])
-                rowslots.append(ctx.rows.slot(st[1][0]))
+                rowslots.append(state.rows.slot(st[1][0]))
                 waiters.append([st])
             runnable = []
         computed = 0
@@ -725,7 +655,7 @@ class Verifier:
                 raise_if_cancelled(self._cancel, "verification")
                 if runnable:
                     self._walk_cached(
-                        trie, ctx.rows, runnable, pslots, syms, rowslots, waiters
+                        trie, state.rows, runnable, pslots, syms, rowslots, waiters
                     )
                     runnable = []
                 if pslots:
@@ -826,7 +756,7 @@ class Verifier:
         width), so the whole round is one batch regardless of depth:
         parents gathered with one ``np.take`` from the matrix,
         substitution rows and deletes bulk-gathered by their dense
-        :class:`~repro.distance.costs.DirectionRows` slots, and the
+        :class:`~repro.core.trie.DirectionRows` slots, and the
         kernel writing into freshly reserved rows in pending-list order.
         The trie's writer lock is held across reserve + write + publish
         (the module-docstring ordering), and pending entries are
@@ -845,7 +775,7 @@ class Verifier:
         multi-waiter survivors may still converge on shared symbols, so
         they return to the walker, whose rendezvous dict dedupes them.
         """
-        rows = ctx.rows
+        rows = ctx.state.rows
         early = self._early_termination
         runnable: List[list] = []
         edges = trie.edges
@@ -871,10 +801,10 @@ class Verifier:
             # a trie shared with concurrent verifiers.
             before_growth = trie.allocations
             start = trie.reserve(count)
-            ctx.trie_growth += trie.allocations - before_growth
+            ctx.allocations += trie.allocations - before_growth
             out = trie.matrix[start : start + count]
             step_dp_batch(
-                subs, dels, ctx.ins_prefix, parents, out=out, work=(work_a, work_b)
+                subs, dels, ctx.state.ins_prefix, parents, out=out, work=(work_a, work_b)
             )
             # Direct ufunc reduce: same floats as out.min(axis=1), minus
             # the np.min wrapper dispatch paid once per round.
@@ -960,17 +890,13 @@ class Verifier:
             column[:] = [column[i] for i in keep]
 
     def _context(self, iq: int, direction: str) -> _DirectionContext:
-        key = (iq, direction)
-        ctx = self._contexts.get(key)
+        """This verifier's scratch for the entry's ``(iq, direction)``
+        state, charged with whatever entry state the lookup created."""
+        state, allocated = self._entry.direction(iq, direction, self._use_trie)
+        ctx = self._contexts.get(state)
         if ctx is None:
-            ctx = self._contexts[key] = _DirectionContext(
-                iq,
-                direction,
-                self._ins_vec,
-                self._matrix,
-                use_trie=self._use_trie,
-                entry=self._trie_entry,
-            )
+            ctx = self._contexts[state] = _DirectionContext(state)
+        ctx.allocations += allocated
         return ctx
 
     # -- Algorithm 5: AllPrefixWED, Python walker ----------------------------
@@ -988,10 +914,8 @@ class Verifier:
                 part = tuple(reversed(self._query[:iq]))
             else:
                 part = self._query[iq + 1 :]
-            prefix: List[float] = [0.0]
-            for q in part:
-                prefix.append(prefix[-1] + self._costs.ins(q))
-            pair = self._roots[key] = (part, TrieNode(prefix))
+            prefix = wed_row_init(self._costs, part)
+            pair = self._roots[key] = (part, TrieNode(prefix, min(prefix)))
         return pair
 
     def _all_prefix_wed(
@@ -1010,54 +934,25 @@ class Verifier:
         out: List[float] = [node.column_last]
         if self._early_termination and node.column_min >= budget:
             return out
+        costs = self._costs
         ins_prefix = node.column
-        nq = len(query_part)
         for symbol in data_part:
             self.stats.visited_columns += 1
             child = node.find_child(symbol) if self._use_trie else None
             if child is None:
-                column = self._step_dp(symbol, query_part, ins_prefix, node.column, nq)
+                column, column_min = wed_step_min(
+                    costs, query_part, symbol, node.column, ins_prefix=ins_prefix
+                )
                 self.stats.computed_columns += 1
                 if self._use_trie:
-                    child = node.create_child(symbol, column)
+                    child = node.create_child(symbol, column, column_min)
                 else:
-                    child = TrieNode(column)
+                    child = TrieNode(column, column_min)
             node = child
             out.append(node.column_last)
             if self._early_termination and node.column_min >= budget:
                 break
         return out
-
-    # -- Algorithm 6: StepDP -------------------------------------------------
-
-    def _step_dp(
-        self,
-        symbol: int,
-        query_part: Sequence[int],
-        ins_prefix: Sequence[float],
-        prev: Sequence[float],
-        nq: int,
-    ) -> List[float]:
-        # Prefix-min insert chain — the same evaluation order as
-        # step_dp_batch, cell for cell (see repro.distance.wed), so the
-        # two walkers return identical floats.
-        costs = self._costs
-        sub_row = costs.sub_row(symbol, query_part)
-        dele = costs.delete(symbol)
-        first = prev[0] + dele
-        column = [first]
-        m = first - ins_prefix[0]
-        for j in range(nq):
-            c = prev[j] + sub_row[j]
-            via_del = prev[j + 1] + dele
-            if via_del < c:
-                c = via_del
-            chain = ins_prefix[j + 1] + m
-            column.append(c if c <= chain else chain)
-            d = c - ins_prefix[j + 1]
-            if d < m:
-                m = d
-        return column
 
     def trie_node_count(self) -> int:
         """Total cached columns across all live tries (a tries-off arena
@@ -1065,5 +960,6 @@ class Verifier:
         there)."""
         total = sum(root.node_count() for _, root in self._roots.values())
         for ctx in self._contexts.values():
-            total += 1 if ctx.trie is None else ctx.trie.node_count()
+            trie = ctx.state.trie if self._use_trie else None
+            total += 1 if trie is None else trie.node_count()
         return total

@@ -627,7 +627,9 @@ class _ShardWorker:
 
     def _teardown_incarnation(self) -> None:
         """Dispose of the current (dead or dying) incarnation before a
-        reopen.  Caller must hold ``_lock``."""
+        reopen, its pid first: the next incarnation is unnamed until its
+        handshake.  Caller must hold ``_lock``."""
+        self.pid = None
         if self._conn is not None:
             self._conn.close()
         if self._process is not None and self._process.is_alive():
@@ -768,11 +770,18 @@ class _ShardWorker:
         self.journal[:] = [e for e in self.journal if e[0] >= mirrored]
 
     def state(self) -> WorkerState:
-        """This shard's supervision snapshot (the ``/healthz`` unit)."""
+        """This shard's supervision snapshot (the ``/healthz`` unit).
+
+        Read without the lock, so ``alive`` needs a named incarnation and
+        is taken between two reads of its pid, standing only if both
+        agree: a respawn's open link before its handshake names the new
+        pid (a teardown clears the old one) reads as not alive, never as
+        the replaced incarnation's pid alive."""
+        pid = self.pid
         return WorkerState(
             shard=self.index,
-            alive=self.alive,
-            pid=self.pid,
+            alive=pid is not None and self.alive and self.pid == pid,
+            pid=pid,
             restarts=self.restarts,
             breaker=self.breaker.state,
             consecutive_failures=self.breaker.consecutive_failures,

@@ -17,245 +17,35 @@ The WED assumptions (§2.2.1) must hold: ``sub(a,b) >= 0``, symmetry
 Six instances are provided: Levenshtein, EDR, ERP (coordinate-based), and
 NetEDR, NetERP, SURS (network-aware, §2.2.3).  Network distances run on an
 undirected view of the graph — the paper's fix for the asymmetry of directed
-shortest paths — and are answered by a hub-labeling oracle when available,
-falling back to cached bidirectional Dijkstra.
+shortest paths — and are answered by an exact hub-labeling oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import CostModelError
 from repro.network.graph import RoadNetwork
 from repro.network.hub_labeling import HubLabeling
-from repro.network.shortest_path import bidirectional_dijkstra, bounded_dijkstra
+from repro.network.shortest_path import bounded_dijkstra
 from repro.spatial.geometry import Point, centroid, euclidean, padded_radius
 from repro.spatial.kdtree import KDTree
 
 __all__ = [
     "CostModel",
-    "DirectionRows",
     "EDRCost",
     "ERPCost",
     "LevenshteinCost",
     "NetEDRCost",
     "NetERPCost",
     "SURSCost",
-    "SubstitutionMatrix",
     "validate_cost_model",
 ]
-
-
-class DirectionRows:
-    """Per-direction substitution costs, stored *dense and slot-indexed*.
-
-    The verifier's DP consumes, per visited data symbol, the symbol's
-    substitution row restricted to one *query part* (forward suffix or
-    reversed backward prefix of the query) plus its deletion cost.  Each
-    distinct symbol gets an integer *slot* on first touch; its row (a
-    contiguous copy of the possibly negative-stride full-row slice) lands
-    in row ``slot`` of one growable matrix, with the deletion cost in a
-    parallel vector.  Batch assembly then gathers a whole round of rows
-    with two ``np.take`` calls instead of one numpy ``__setitem__`` per
-    cache miss — the per-miss copy loop used to be the largest
-    non-kernel cost of batched verification.
-
-    Instances are owned by (and cached inside) the
-    :class:`SubstitutionMatrix`, so when the engine's warm-query cache
-    serves a repeated query, the per-direction dense copies are reused
-    too — not just the full rows.
-    """
-
-    __slots__ = (
-        "_matrix",
-        "_slice",
-        "_lock",
-        "index",
-        "rows",
-        "deletes",
-    )
-
-    def __init__(
-        self, matrix: "SubstitutionMatrix", row_slice: slice, width: int
-    ) -> None:
-        self._matrix = matrix
-        self._slice = row_slice
-        #: serializes first-touch slot assignment/growth; readers stay
-        #: lock-free (see :meth:`slot`).
-        self._lock = threading.Lock()
-        #: symbol -> dense slot; the verifier's walker reads it inline
-        #: (one dict hit per cache miss) and calls :meth:`slot` only on
-        #: first touch of a symbol.
-        self.index: Dict[int, int] = {}
-        self.rows = np.empty((16, width), dtype=np.float64)
-        self.deletes = np.empty(16, dtype=np.float64)
-
-    def slot(self, symbol: int) -> int:
-        """The dense row slot for ``symbol`` (computed on first touch).
-
-        Shared across concurrent query threads (the engine's warm-query
-        cache hands one instance to every verifier of a repeated query), so
-        writes are serialized: the slot is assigned, its row and delete
-        written, and only then published in ``index`` — a lock-free
-        reader either misses (and comes here) or sees a fully written
-        row.  Growth publishes the grown buffers *before* writing the new
-        row, so any slot a reader has seen is present in whatever
-        ``rows``/``deletes`` arrays it fetches afterwards.
-        """
-        i = self.index.get(symbol)
-        if i is None:
-            with self._lock:
-                i = self.index.get(symbol)
-                if i is None:
-                    matrix = self._matrix
-                    i = len(self.index)
-                    if i == len(self.rows):
-                        grown = np.empty(
-                            (2 * i, self.rows.shape[1]), dtype=np.float64
-                        )
-                        grown[:i] = self.rows
-                        grown_d = np.empty(2 * i, dtype=np.float64)
-                        grown_d[:i] = self.deletes
-                        self.rows = grown
-                        self.deletes = grown_d
-                    self.rows[i] = matrix.row(symbol)[self._slice]
-                    self.deletes[i] = matrix.delete(symbol)
-                    self.index[symbol] = i
-        return i
-
-    def get(self, symbol: int) -> Tuple[np.ndarray, float]:
-        """This direction's ``(substitution row, delete cost)`` views."""
-        i = self.slot(symbol)
-        return self.rows[i], float(self.deletes[i])
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the dense row and delete tables (their capacity)."""
-        return self.rows.nbytes + self.deletes.nbytes
-
-
-class SubstitutionMatrix:
-    """Per-query substitution costs served as ``np.ndarray`` rows.
-
-    ``row(b)[i] == sub(b, query[i])`` for the fixed query this table was
-    built for.  The verifier's DP consumes one row per visited data symbol
-    (Algorithm 6), so rows are computed once per distinct symbol — via the
-    model's vectorized :meth:`CostModel.sub_row_array` — and then served as
-    cached arrays whose *slices* (forward / reversed-backward query parts)
-    are zero-copy views.
-
-    ``anchors`` optionally names symbols whose rows are precomputed into
-    one dense matrix up front — the engine passes the union of the chosen
-    tau-subsequence's substitution neighborhoods, i.e. every symbol that
-    can appear at a candidate's anchor position.  All other symbols (the
-    alphabet may be unbounded) fall back to a per-symbol dict cache filled
-    on first touch.
-
-    ``delete(b)`` memoizes the deletion cost alongside, since it is needed
-    once per DP column as well.
-
-    A matrix depends only on the query and the cost-model configuration —
-    never on the dataset, the threshold or the time window — so the engine
-    keeps it across queries inside the query's
-    :class:`~repro.core.trie.TrieCacheEntry`, whose byte budget counts it
-    through :attr:`nbytes`.  It is therefore shared by concurrent server
-    threads: the plain row dicts tolerate concurrent lazy fills (dict
-    updates are atomic under the GIL; a benign race recomputes a row at
-    worst), and the slot-indexed :class:`DirectionRows` tables serialize
-    their first-touch writes — see :meth:`DirectionRows.slot`.
-    """
-
-    __slots__ = (
-        "_costs",
-        "_query",
-        "_rows",
-        "_deletes",
-        "_directions",
-        "dense_rows",
-    )
-
-    def __init__(
-        self,
-        costs: "CostModel",
-        query: Sequence[int],
-        *,
-        anchors: Optional[Sequence[int]] = None,
-    ) -> None:
-        self._costs = costs
-        self._query = tuple(query)
-        self._rows: Dict[int, np.ndarray] = {}
-        self._deletes: Dict[int, float] = {}
-        self._directions: Dict[Hashable, DirectionRows] = {}
-        #: number of rows precomputed densely from ``anchors``
-        self.dense_rows = 0
-        if anchors:
-            uniq = list(dict.fromkeys(int(b) for b in anchors))
-            dense = np.empty((len(uniq), len(self._query)), dtype=np.float64)
-            for i, b in enumerate(uniq):
-                dense[i] = costs.sub_row_array(b, self._query)
-                self._rows[b] = dense[i]  # a view: keeps ``dense`` alive
-            self.dense_rows = len(uniq)
-
-    @property
-    def query(self) -> Tuple[int, ...]:
-        """The query string the rows are computed against."""
-        return self._query
-
-    def row(self, symbol: int) -> np.ndarray:
-        """``[sub(symbol, q) for q in query]`` as a cached float64 array."""
-        r = self._rows.get(symbol)
-        if r is None:
-            r = self._costs.sub_row_array(symbol, self._query)
-            self._rows[symbol] = r
-        return r
-
-    def delete(self, symbol: int) -> float:
-        """Memoized deletion cost ``del(symbol)``."""
-        d = self._deletes.get(symbol)
-        if d is None:
-            d = float(self._costs.delete(symbol))
-            self._deletes[symbol] = d
-        return d
-
-    def direction_rows(self, key: Hashable, row_slice: slice) -> DirectionRows:
-        """The :class:`DirectionRows` cache for one ``(iq, direction)``.
-
-        ``key`` identifies the direction context (the verifier uses the
-        ``(iq, direction)`` pair); the first caller fixes ``row_slice``
-        for that key and later callers share the cached copies.
-        """
-        rows = self._directions.get(key)
-        if rows is None:
-            width = len(range(*row_slice.indices(len(self._query))))
-            # setdefault: concurrent first callers converge on ONE
-            # instance (slot tables must not fork between threads).
-            rows = self._directions.setdefault(
-                key, DirectionRows(self, row_slice, width)
-            )
-        return rows
-
-    def cached_rows(self) -> int:
-        """Distinct symbols with a materialized row (dense part included)."""
-        return len(self._rows)
-
-    @property
-    def nbytes(self) -> int:
-        """Array bytes this matrix pins, counted arithmetically (it is
-        re-read after every verification): one float64 row of ``|Q|``
-        per cached symbol plus every direction's dense tables."""
-        directions = list(self._directions.values())
-        return len(self._rows) * len(self._query) * 8 + sum(
-            rows.nbytes for rows in directions
-        )
 
 
 class CostModel(ABC):
@@ -301,18 +91,10 @@ class CostModel(ABC):
         row can be computed without a per-element Python loop.
 
         The array-native verifier calls this once per distinct symbol per
-        query (rows are cached in a :class:`SubstitutionMatrix`), so even
-        the default loop-and-wrap implementation is off the per-column
-        hot path."""
+        query (rows are cached in the query's warm-state entry,
+        :class:`repro.core.trie.QueryRows`), so even the default
+        loop-and-wrap implementation is off the per-column hot path."""
         return np.asarray(self.sub_row(p, seq), dtype=np.float64)
-
-    def ins_vector(self, seq: Sequence[int]) -> np.ndarray:
-        """``[ins(q) for q in seq]`` as a float64 array (once per query).
-
-        Deliberately *not* vectorized in subclasses: it runs once per
-        query, and looping :meth:`ins` keeps the values bit-identical to
-        the pure-Python DP's."""
-        return np.fromiter((self.ins(q) for q in seq), dtype=np.float64, count=len(seq))
 
     def vectorized_rows(self) -> bool:
         """True when this model computes substitution rows without a
@@ -326,16 +108,6 @@ class CostModel(ABC):
         backend computes once per symbol per query instead of once per
         DP column — numpy wins at every query length."""
         return type(self).sub_row_array is not CostModel.sub_row_array
-
-    def sub_matrix(
-        self, query: Sequence[int], *, anchors: Optional[Sequence[int]] = None
-    ) -> SubstitutionMatrix:
-        """A per-query :class:`SubstitutionMatrix` over this model.
-
-        ``anchors`` (e.g. the union of the query's substitution
-        neighborhoods) selects symbols whose rows are precomputed densely;
-        everything else is cached on first touch."""
-        return SubstitutionMatrix(self, query, anchors=anchors)
 
     # -- filtering hooks (§3.1) -------------------------------------------
 
@@ -565,16 +337,13 @@ class _NetworkModel(CostModel):
     """Shared machinery for shortest-path-distance models.
 
     Distances are computed on an undirected view of the graph (symmetry fix,
-    §2.2.3) and answered by hub labeling when ``use_hub_labeling`` is set
-    (exact, built once) or by memoized bidirectional Dijkstra otherwise.
+    §2.2.3) and answered by hub labeling (exact, built once), memoized.
     """
 
-    def __init__(self, graph: RoadNetwork, *, use_hub_labeling: bool = True) -> None:
+    def __init__(self, graph: RoadNetwork) -> None:
         self.representation = "vertex"
         self._graph = graph.undirected()
-        self._oracle: Optional[HubLabeling] = (
-            HubLabeling(self._graph) if use_hub_labeling else None
-        )
+        self._oracle = HubLabeling(self._graph)
         self._cache: Dict[Tuple[int, int], float] = {}
 
     @property
@@ -588,11 +357,7 @@ class _NetworkModel(CostModel):
         key = (a, b) if a <= b else (b, a)
         d = self._cache.get(key)
         if d is None:
-            if self._oracle is not None:
-                d = self._oracle.query(key[0], key[1])
-            else:
-                d = bidirectional_dijkstra(self._graph, key[0], key[1])
-            self._cache[key] = d
+            d = self._cache[key] = self._oracle.query(key[0], key[1])
         return d
 
 
@@ -601,14 +366,8 @@ class NetEDRCost(_NetworkModel):
 
     name = "NetEDR"
 
-    def __init__(
-        self,
-        graph: RoadNetwork,
-        epsilon: Optional[float] = None,
-        *,
-        use_hub_labeling: bool = True,
-    ) -> None:
-        super().__init__(graph, use_hub_labeling=use_hub_labeling)
+    def __init__(self, graph: RoadNetwork, epsilon: Optional[float] = None) -> None:
+        super().__init__(graph)
         # Paper default (§6.1): epsilon = median edge weight.
         self.epsilon = graph.median_edge_weight() if epsilon is None else epsilon
         if self.epsilon < 0:
@@ -640,11 +399,10 @@ class NetERPCost(_NetworkModel):
         g_del: float,
         *,
         eta: Optional[float] = None,
-        use_hub_labeling: bool = True,
     ) -> None:
         if g_del <= 0:
             raise CostModelError("NetERP deletion cost must be positive")
-        super().__init__(graph, use_hub_labeling=use_hub_labeling)
+        super().__init__(graph)
         self.g_del = g_del
         # Paper default (§6.1 / App. D): eta = median edge weight.
         self.eta = graph.median_edge_weight() if eta is None else eta

@@ -7,8 +7,9 @@ used by the whole-matching baselines.
 
 Floating-point convention
 -------------------------
-Every DP step in this repo — :func:`wed_step`, the verifier's pure-Python
-``_step_dp``, and the vectorized ``step_dp_batch`` kernel — evaluates
+Every DP step in this repo — :func:`wed_step_min` (which the verifier's
+per-cell Python walker calls) and the vectorized ``step_dp_batch`` kernel
+— evaluates
 the insertion chain in the *prefix-min* form
 
     B[j] = min(C[j], P[j] + min over i < j of (C[i] - P[i]))

@@ -487,10 +487,10 @@ class ServiceObservability:
         ]
         trie_fields = (
             ("repro_trie_cache_entries", "size", "gauge",
-             "Cached queries (substitution matrix + verification tries)."),
+             "Cached queries (substitution rows + verification tries)."),
             ("repro_trie_cache_bytes", "bytes", "gauge",
-             "Bytes held by cached entries (substitution rows, trie "
-             "arrays + edge maps)."),
+             "Bytes held by cached entries (substitution rows, row "
+             "tables, trie arrays + edge maps)."),
             ("repro_trie_cache_hits_total", "hits", "counter", "Trie cache hits."),
             ("repro_trie_cache_misses_total", "misses", "counter",
              "Trie cache misses."),

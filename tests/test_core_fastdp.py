@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import SubtrajectorySearch
-from repro.core.verification import Verifier, step_dp_batch
+from repro.core.verification import step_dp_batch
 from repro.distance.costs import LevenshteinCost
-from repro.distance.wed import wed_step
+from repro.distance.wed import wed_step, wed_step_min
 from tests.conftest import force_walker, sample_query
 
 lev = LevenshteinCost()
@@ -129,8 +129,12 @@ class TestStepDPBatch:
         want = wed_step(lev, query, 2, prev)
         got = step_one(lev.sub_row(2, query), 1.0, ins_prefix, prev)
         assert got.tolist() == want
-        walker = Verifier(lambda tid: [], query, lev, 1.0, dp_backend="python")
-        assert walker._step_dp(2, query, ins_prefix, prev, len(query)) == want
+        # The Python walker's StepDP, with the insertion prefix its trie
+        # root holds: the same column, and the minimum its node keeps.
+        assert wed_step_min(lev, query, 2, prev, ins_prefix=ins_prefix) == (
+            want,
+            min(want),
+        )
 
     def test_non_contiguous_inputs_are_read_not_mutated(self):
         """Strided and reversed views (the backward direction's row

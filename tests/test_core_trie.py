@@ -1,38 +1,51 @@
 """Verification trie data structures: the Python walker's node graph and
 the arena walker's slot-native trie."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.trie import TrieCache, TrieCacheEntry, TrieNode, VerificationTrie
+from repro.distance.costs import LevenshteinCost
+
+lev = LevenshteinCost()
+
+
+def new_entry():
+    return TrieCacheEntry(lev, (1, 2, 3, 4))
 
 
 class TestTrieNode:
     def test_column_min_cached(self):
-        node = TrieNode([3.0, 1.0, 2.0])
+        # The minimum is the caller's (wed_step_min hands it over): the
+        # node stores it instead of rescanning the column.
+        node = TrieNode([3.0, 1.0, 2.0], 1.0)
         assert node.column_min == 1.0
         assert node.column_last == 2.0
 
     def test_find_and_create_child(self):
-        node = TrieNode([0.0])
+        node = TrieNode([0.0], 0.0)
         assert node.find_child(5) is None
-        child = node.create_child(5, [1.0])
+        child = node.create_child(5, [1.0], 1.0)
         assert node.find_child(5) is child
         assert child.column == [1.0]
+        assert child.column_min == 1.0
 
     def test_children_independent(self):
-        node = TrieNode([0.0])
-        a = node.create_child(1, [1.0])
-        b = node.create_child(2, [2.0])
+        node = TrieNode([0.0], 0.0)
+        a = node.create_child(1, [1.0], 1.0)
+        b = node.create_child(2, [2.0], 2.0)
         assert node.find_child(1) is a
         assert node.find_child(2) is b
 
     def test_node_count(self):
-        root = TrieNode([0.0])
+        root = TrieNode([0.0], 0.0)
         assert root.node_count() == 1
-        a = root.create_child(1, [1.0])
-        a.create_child(2, [2.0])
-        root.create_child(3, [3.0])
+        a = root.create_child(1, [1.0], 1.0)
+        a.create_child(2, [2.0], 2.0)
+        root.create_child(3, [3.0], 3.0)
         assert root.node_count() == 4
         assert a.node_count() == 2
 
@@ -94,40 +107,76 @@ class TestVerificationTrie:
         assert trie.nbytes > before
 
 
+class _CountingLev(LevenshteinCost):
+    """Counts the substitution rows it computes."""
+
+    calls = 0
+
+    def sub_row_array(self, p, seq):
+        self.calls += 1
+        return super().sub_row_array(p, seq)
+
+
 class TestTrieCacheEntry:
     def test_first_touch_converges_on_one_instance(self):
-        entry = TrieCacheEntry()
-        built = []
+        """More threads than cores, switching as often as the interpreter
+        allows, all touching the same fresh entry: one state, one trie,
+        one row per symbol, and the creation charged once."""
+        costs = _CountingLev()
+        entry = TrieCacheEntry(costs, (1, 2, 3, 4))
+        barrier = threading.Barrier(8)
+        got, rows = [], []
 
-        def factory():
-            trie = VerificationTrie(np.zeros(3))
-            built.append(trie)
-            return trie
+        def touch():
+            barrier.wait()
+            got.append(entry.direction(1, "f", True))
+            rows.append([entry.rows.row(s) for s in range(50)])
 
-        a = entry.trie((0, "f"), factory)
-        b = entry.trie((0, "f"), factory)
-        c = entry.trie((0, "b"), factory)
-        assert a is b
-        assert a is not c
-        assert len(built) == 2
-        assert entry.nbytes == a.nbytes + c.nbytes
-        assert entry.column_count() == 2  # two roots
+        threads = [threading.Thread(target=touch) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len({id(state) for state, _ in got}) == 1
+        assert sorted(charged for _, charged in got) == [0] * 7 + [4]
+        assert costs.calls == 50
+        assert all(row is first for seen in rows for row, first in zip(seen, rows[0]))
+        a, _ = got[0]
+        assert entry.direction(1, "f", True) == (a, 0)
+        c, charged = entry.direction(1, "b", False)
+        assert c is not a and c.trie is None and charged == 3
+        assert list(entry.directions) == [(1, "f"), (1, "b")]
+        # Root columns are the parts' insertion prefixes.
+        assert a.ins_prefix.tolist() == [0.0, 1.0, 2.0]
+        assert c.ins_prefix.tolist() == [0.0, 1.0]
+        assert a.trie.row(0).tolist() == a.ins_prefix.tolist()
+        # Bytes: the 50 rows, the row tables and the one trie.
+        assert entry.nbytes == (
+            50 * 4 * 8 + a.rows.nbytes + c.rows.nbytes + a.trie.nbytes
+        )
+        assert a.trie.node_count() == 1  # the root
 
 
 class TestTrieCache:
     def _entry_with_bytes(self, cache, key, rows):
-        entry = cache.entry(key)
-        trie = entry.trie((0, "f"), lambda: VerificationTrie(np.zeros(8)))
+        entry, _ = cache.lookup(key, new_entry)
+        trie = entry.direction(0, "f", True)[0].trie
         with trie.lock:
             trie.reserve(rows)
         return entry
 
     def test_lru_entry_capacity(self):
         cache = TrieCache(2)
-        cache.entry("a")
-        cache.entry("b")
-        cache.entry("a")  # refresh: b is now LRU
-        cache.entry("c")  # evicts b
+        cache.lookup("a", new_entry)
+        cache.lookup("b", new_entry)
+        cache.lookup("a", new_entry)  # refresh: b is now LRU
+        cache.lookup("c", new_entry)  # evicts b
         assert cache.keys() == ["a", "c"]
         stats = cache.stats()
         assert stats["evictions"] == 1
@@ -136,8 +185,11 @@ class TestTrieCache:
 
     def test_zero_capacity_disables(self):
         cache = TrieCache(0)
-        assert cache.entry("a") is None
-        assert cache.entry("a") is None
+        # Off: every lookup hands out a fresh, unshared entry.
+        a, status = cache.lookup("a", new_entry)
+        b, _ = cache.lookup("a", new_entry)
+        assert status == "off" and a is not b
+        assert len(cache) == 0
         stats = cache.stats()
         assert stats["hits"] == stats["misses"] == stats["size"] == 0
 
@@ -158,7 +210,7 @@ class TestTrieCache:
         assert cache.keys() == ["a"]
         # The cached entry keeps growing while cached — the budget must
         # catch it at the next reconcile, even as the only entry.
-        trie = entry.tries[(0, "f")]
+        trie = entry.directions[(0, "f")].trie
         with trie.lock:
             trie.reserve(4000)
         cache.reconcile()

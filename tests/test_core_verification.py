@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.results import MatchSet
+from repro.core.trie import TrieCacheEntry
 from repro.core.verification import Verifier
 from repro.distance.costs import LevenshteinCost
 from repro.distance.wed import wed
@@ -227,8 +228,9 @@ class TestDedupeAndGrouping:
         for the anchor symbol — one row materialization, not one per iq."""
         data = [[7, 7, 7, 7]]
         query = [7, 8, 7]  # repeated query symbol: (tid, j) shared by iq 0 and 2
-        v = make_verifier(data, query, 2.0, dp_backend="numpy")
+        entry = TrieCacheEntry(lev, query)
+        v = make_verifier(data, query, 2.0, dp_backend="numpy", trie_entry=entry)
         ms = MatchSet()
         v.verify_all(candidates_for(data, query), ms)
         # Only symbols 7 (anchor + data) ever need a row.
-        assert v._matrix.cached_rows() == 1
+        assert list(entry.rows.rows) == [7]

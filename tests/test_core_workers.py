@@ -236,6 +236,47 @@ class TestLifecycle:
             engine.close()
 
 
+    def test_respawn_handshake_never_reports_the_dead_pid_alive(
+        self, vertex_dataset, edr_cost
+    ):
+        """``state()`` is read without the shard lock.  While a respawn's
+        handshake is held open the new link is up but names no pid yet:
+        the snapshot ``/healthz`` projects must not pair ``alive`` with
+        the replaced incarnation's pid."""
+        engine = PartitionedSubtrajectorySearch(
+            vertex_dataset, edr_cost, num_shards=2, backend="processes"
+        )
+        shard = engine._workers._workers[0]
+        receive = shard._receive
+        entered, release = threading.Event(), threading.Event()
+
+        def held_handshake(req_id, token, expires):
+            if req_id == 0:
+                entered.set()
+                release.wait(10)
+            return receive(req_id, token, expires)
+
+        try:
+            dead = engine.status().workers[0].pid
+            shard._receive = held_handshake
+            kill_worker(dead)
+            respawn = threading.Thread(
+                target=shard.revive, kwargs={"blocking": True, "force": True}
+            )
+            respawn.start()
+            assert entered.wait(10), "no respawn reached its handshake"
+            held = engine.status().workers[0]
+            release.set()
+            respawn.join(10)
+            assert not (held.alive and held.pid == dead)
+            assert not held.alive
+            after = engine.status().workers[0]
+            assert after.alive and after.pid not in (None, dead)
+        finally:
+            release.set()
+            engine.close()
+
+
 @pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
     reason="gate events need fork inheritance",

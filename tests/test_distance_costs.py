@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.trie import QueryRows, TrieCacheEntry
 from repro.distance.costs import (
     EDRCost,
     ERPCost,
@@ -170,12 +171,16 @@ class TestNetEDR:
             assert (v in got) == inside
 
     def test_dijkstra_fallback_matches_hub_labeling(self, small_graph):
-        a = NetEDRCost(small_graph, use_hub_labeling=True)
-        b = NetEDRCost(small_graph, use_hub_labeling=False)
+        # network_distance always asks the hub labels; they must agree
+        # with plain Dijkstra on the same undirected view.
+        costs = NetEDRCost(small_graph)
+        und = small_graph.undirected()
         rng = random.Random(9)
         for _ in range(15):
             u, v = rng.randrange(64), rng.randrange(64)
-            assert a.network_distance(u, v) == pytest.approx(b.network_distance(u, v))
+            assert costs.network_distance(u, v) == pytest.approx(
+                bidirectional_dijkstra(und, u, v)
+            )
 
 
 class TestNetERP:
@@ -252,7 +257,8 @@ class TestValidateCostModel:
 
 
 class TestArrayNativeHooks:
-    """sub_row_array / ins_vector / SubstitutionMatrix — the vectorized
+    """sub_row_array and the per-query rows built from it (the warm-state
+    entry's ``QueryRows`` and ``DirectionRows``) — the vectorized
     interface consumed by the array-native verification backend."""
 
     @pytest.mark.parametrize(
@@ -275,34 +281,41 @@ class TestArrayNativeHooks:
         )
 
     def test_ins_vector_matches_ins(self, erp_cost):
+        # The insertion costs reach the array walker as a direction's
+        # insertion prefix: ins summed left to right, as the DP expects.
         seq = [1, 4, 9]
-        assert erp_cost.ins_vector(seq).tolist() == [erp_cost.ins(q) for q in seq]
+        state, _ = TrieCacheEntry(erp_cost, [0] + seq).direction(0, "f", False)
+        want = [0.0]
+        for q in seq:
+            want.append(want[-1] + erp_cost.ins(q))
+        assert state.ins_prefix.tolist() == want
 
     def test_substitution_matrix_rows(self, edr_cost):
         query = (0, 5, 9, 5)
-        matrix = edr_cost.sub_matrix(query)
-        assert matrix.query == query
-        assert matrix.cached_rows() == 0
-        row = matrix.row(3)
+        rows = QueryRows(edr_cost, query)
+        assert rows.query == query
+        assert rows.rows == {}
+        row = rows.row(3)
         assert row.tolist() == edr_cost.sub_row(3, query)
-        assert matrix.row(3) is row  # cached
-        assert matrix.cached_rows() == 1
-        assert matrix.delete(3) == edr_cost.delete(3)
+        assert rows.row(3) is row  # cached
+        assert list(rows.rows) == [3]
+        table = TrieCacheEntry(edr_cost, query).direction(1, "f", False)[0].rows
+        assert table.get(3)[1] == edr_cost.delete(3)
 
     def test_substitution_matrix_dense_anchors(self, edr_cost):
+        # Anchor rows are filled on first touch, once per distinct symbol.
         query = (0, 5, 9)
-        matrix = edr_cost.sub_matrix(query, anchors=[5, 9, 5])
-        assert matrix.dense_rows == 2  # deduped
-        assert matrix.cached_rows() == 2
-        for b in (5, 9):
-            assert matrix.row(b).tolist() == edr_cost.sub_row(b, query)
-        # Non-anchor symbols still resolve through the dict fallback.
-        assert matrix.row(1).tolist() == edr_cost.sub_row(1, query)
-        assert matrix.cached_rows() == 3
+        rows = QueryRows(edr_cost, query)
+        for b in (5, 9, 5):
+            assert rows.row(b).tolist() == edr_cost.sub_row(b, query)
+        assert sorted(rows.rows) == [5, 9]
+        # Any other symbol resolves the same way.
+        assert rows.row(1).tolist() == edr_cost.sub_row(1, query)
+        assert sorted(rows.rows) == [1, 5, 9]
 
     def test_matrix_row_slices_are_views(self, lev_cost):
-        matrix = lev_cost.sub_matrix((1, 2, 3, 2))
-        row = matrix.row(2)
+        rows = QueryRows(lev_cost, (1, 2, 3, 2))
+        row = rows.row(2)
         forward = row[2:]
         backward = row[:2][::-1]
         assert forward.base is not None and backward.base is not None

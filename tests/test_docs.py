@@ -157,7 +157,9 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
 #: keyword and its flag), and the R-tree's box, which outlived the R-tree,
 #: the status accessors the one ``status()`` snapshot replaced, and the
 #: caller-set walker (its keyword and its flag; the ``dp_backend=numpy``
-#: span rendering and the ``{dp_backend="numpy"}`` metric label stay).
+#: span rendering and the ``{dp_backend="numpy"}`` metric label stay),
+#: and the per-query matrix the warm-state entry absorbed, with the
+#: network models' Dijkstra switch.
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
     r"|substitution_cache_size|--substitution-cache-size|SubstitutionMatrixCache"
@@ -166,6 +168,7 @@ _GONE = re.compile(
     r"|trie_cache_stats|index_stats|_aggregate_index|_shard_cache_parts"
     r"|_TRIE_FIELDS|_INDEX_FIELDS"
     r"|--dp-backend|(?<!\{)dp_backend=[\"(.)]|DP_BACKENDS"
+    r"|SubstitutionMatrix\b|sub_matrix\(|use_hub_labeling"
 )
 
 

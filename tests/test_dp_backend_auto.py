@@ -1,10 +1,10 @@
-"""The walker rule and cross-query SubstitutionMatrix reuse.
+"""The walker rule and cross-query reuse of a query's substitution rows.
 
 ``choose_dp_backend`` picks python vs numpy per query from query length
 and cost-model vectorizability — safe because the walkers are
 bit-identical — and it is the only way an engine picks one: no keyword,
 flag or status field sets or reports a configured walker.  The cached
-SubstitutionMatrix (one half of the query's TrieCache entry) must make
+substitution rows (part of the query's TrieCache entry) must make
 repeated-query savings observable through the engine's surfaces.
 """
 
@@ -16,7 +16,7 @@ import pytest
 from repro.cli import build_parser
 from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
-from repro.core.trie import TrieCache
+from repro.core.trie import TrieCache, TrieCacheEntry
 from repro.core.verification import (
     AUTO_PYTHON_MAX_QUERY,
     Verifier,
@@ -142,38 +142,43 @@ def _engine_key(engine):
 
 
 class TestSubstitutionMatrixCache:
-    """Cross-query reuse of a query's SubstitutionMatrix.  Since ISSUE 21
-    the matrix is one half of the query's TrieCache entry and the
-    separate substitution LRU is gone; these are its LRU-order,
-    zero-capacity, negative-capacity and first-touch cases ported onto
-    the one cache (the class and test names are the seed's, so the ids
-    stay comparable)."""
+    """Cross-query reuse of a query's substitution rows.  The rows are
+    part of the query's TrieCache entry and the separate substitution
+    LRU is gone; these are its LRU-order, zero-capacity,
+    negative-capacity and first-touch cases ported onto the one cache
+    (the class and test names are the seed's, so the ids stay
+    comparable)."""
 
     def test_lru_eviction_and_counters(self, lev_cost):
         cache = TrieCache(2)
-        built = {
-            name: cache.entry(name).substitution_matrix(
-                lambda: lev_cost.sub_matrix([1, 2, 3])
-            )
-            for name in ("a", "b")  # two misses
-        }
-        entry, status = cache.lookup("a")  # refreshes recency
-        assert status == "hit" and entry.matrix is built["a"]
-        cache.entry("c")  # evicts b (LRU)
+
+        def factory():
+            return TrieCacheEntry(lev_cost, [1, 2, 3])
+
+        built = {}
+        for name in ("a", "b"):  # two misses
+            built[name], _ = cache.lookup(name, factory)
+            built[name].rows.row(7)
+        entry, status = cache.lookup("a", factory)  # refreshes recency
+        assert status == "hit" and entry is built["a"] and list(entry.rows.rows) == [7]
+        cache.lookup("c", factory)  # evicts b (LRU)
         assert cache.keys() == ["a", "c"]
-        # b's matrix went with its entry: the next lookup starts fresh.
-        entry, status = cache.lookup("b")
-        assert status == "miss" and entry.matrix is None
+        # b's rows went with its entry: the next lookup starts fresh.
+        entry, status = cache.lookup("b", factory)
+        assert status == "miss" and entry is not built["b"] and entry.rows.rows == {}
         stats = cache.stats()
         assert stats["size"] == 2
         assert stats["hits"] == 1
         assert stats["misses"] == 4
         assert stats["evictions"] == 2
 
-    def test_zero_capacity_disables(self):
+    def test_zero_capacity_disables(self, lev_cost):
         cache = TrieCache(0)
-        assert cache.lookup("a") == (None, "off")
-        assert cache.lookup("a") == (None, "off")
+        seen = []
+        for _ in range(2):
+            entry, status = cache.lookup("a", lambda: TrieCacheEntry(lev_cost, [1]))
+            assert status == "off" and all(entry is not e for e in seen)
+            seen.append(entry)
         stats = cache.stats()
         assert (stats["capacity"], stats["size"]) == (0, 0)
         assert (stats["hits"], stats["misses"]) == (0, 0)
@@ -183,22 +188,23 @@ class TestSubstitutionMatrixCache:
         query = sample_query(vertex_dataset, rng, 8)
         first = engine.query(query, tau_ratio=0.3)
         assert engine.status().trie["misses"] == 1
-        matrix = engine._trie_cache.peek(_engine_key(engine)).matrix
-        assert matrix is not None and matrix.query == tuple(query)
-        rows = matrix.cached_rows()
+        entry = engine._trie_cache.peek(_engine_key(engine))
+        assert entry is not None and entry.query == tuple(query)
+        rows = len(entry.rows.rows)
+        assert rows > 0
         repeat = engine.query(query, tau_ratio=0.3)
         stats = engine.status().trie
         assert stats["hits"] == 1
         assert stats["size"] == 1
-        # The hit served the same matrix, and an exact repeat computed no
+        # The hit served the same entry, and an exact repeat computed no
         # new substitution row.
-        assert engine._trie_cache.peek(_engine_key(engine)).matrix is matrix
-        assert matrix.cached_rows() == rows
-        # A hit must not change the answer (the matrix is dataset-free).
+        assert engine._trie_cache.peek(_engine_key(engine)) is entry
+        assert len(entry.rows.rows) == rows
+        # A hit must not change the answer (the rows are dataset-free).
         assert [(m.trajectory_id, m.start, m.end, m.distance) for m in first.matches] == [
             (m.trajectory_id, m.start, m.end, m.distance) for m in repeat.matches
         ]
-        # The matrix is threshold-independent: varying tau still hits.
+        # The rows are threshold-independent: varying tau still hits.
         engine.query(query, tau_ratio=0.25)
         stats = engine.status().trie
         assert stats["misses"] == 1
@@ -212,7 +218,7 @@ class TestSubstitutionMatrixCache:
     def test_engine_cache_disabled(self, vertex_dataset, rng, monkeypatch):
         """``trie_cache_size=0`` is no cross-query reuse of any kind: the
         repeat pays for its substitution rows again (on the arena walker,
-        the one that reads rows through the matrix)."""
+        the one that reads rows through the cache entry)."""
         force_walker(monkeypatch, "numpy")
         costs = _CountingRowCost()
         engine = SubtrajectorySearch(vertex_dataset, costs, trie_cache_size=0)
@@ -233,13 +239,12 @@ class TestSubstitutionMatrixCache:
 
     def test_direction_rows_concurrent_first_touch(self, lev_cost):
         """The dense slot table is shared across server threads via the
-        cached matrix: concurrent first-touch fills must neither fork slots
+        cached entry: concurrent first-touch fills must neither fork slots
         nor tear rows (regression for a slot-assignment race)."""
         import threading
 
         query = list(range(24))
-        matrix = lev_cost.sub_matrix(query)
-        rows = matrix.direction_rows((3, "f"), slice(4, None))
+        rows = TrieCacheEntry(lev_cost, query).direction(3, "f", False)[0].rows
         symbols = list(range(500))
         barrier = threading.Barrier(4)
 

@@ -15,7 +15,6 @@ Tier-1 runs a short history per deployment.  The ``history`` profile
 ``pytest tests/test_history.py --hypothesis-profile=history``.
 """
 
-import multiprocessing as mp
 import time
 from contextlib import ExitStack, contextmanager
 
@@ -151,11 +150,9 @@ class HistoryMachine(RuleBasedStateMachine):
     @rule(shard=st.integers(min_value=0, max_value=1))
     def kill_worker(self, shard):
         state = self.engine.status().workers[shard]
-        # A snapshot taken while the supervisor respawns the shard can
-        # pair alive=True with the replaced incarnation's pid (the link
-        # is up before the handshake names the new pid): only a pid that
-        # is a live child now is killed.
-        if state.alive and state.pid in {p.pid for p in mp.active_children()}:
+        # A snapshot never pairs alive=True with a replaced incarnation's
+        # pid, even mid-respawn, so an alive pid is a live child.
+        if state.alive:
             kill_worker(state.pid)
             self.down.add(shard)
 

@@ -2,8 +2,9 @@
 for bit.
 
 The engine-level :class:`~repro.core.trie.TrieCache` persists a query's
-substitution matrix and verification tries across queries sharing the
-query-and-cost-model signature prefix, so repeated queries skip row
+warm state — its substitution rows, row tables and verification tries,
+one :class:`~repro.core.trie.TrieCacheEntry` — across queries sharing
+the query-and-cost-model signature prefix, so repeated queries skip row
 computation and walk warm columns instead of recomputing them.  Warmth is
 a pure scheduling change — a cached column holds the exact floats its
 recomputation would produce — so this suite pins, via hypothesis over
@@ -21,12 +22,13 @@ synthetic workloads and non-representable (0.3-multiple) costs:
   queries and an online insert never tear a column, and a walk whose
   parked misses another verifier published first absorbs them as hits;
 - tries off: the private per-call arena dies with its walk, and the
-  engine's cache entry keeps the matrix and no tries;
-- eviction: LRU order under the byte budget (matrix bytes included),
-  arena release, size-0 disable, and stats summing across shards
-  (processes backend included);
+  engine's cache entry keeps the rows and no tries;
+- eviction: LRU order under the byte budget (row bytes included), the
+  evicted entry released by reference counting alone, size-0 disable,
+  and stats summing across shards (processes backend included);
 - one cache on every backend: a repeat is a hit that computes no
-  substitution row, and concurrent missers share one matrix.
+  substitution row, concurrent missers share one entry's rows, and a
+  time-window query computes no row for the anchors the filter dropped.
 """
 
 import gc
@@ -50,9 +52,10 @@ from repro.core.engine import (
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.results import MatchSet
 from repro.core import verification
+from repro.core.temporal import TimeInterval, filter_candidates
 from repro.core.trie import TrieCache, TrieCacheEntry
 from repro.core.verification import Verifier
-from repro.distance.costs import CostModel, LevenshteinCost
+from repro.distance.costs import CostModel, LevenshteinCost, NetEDRCost
 from repro.service import QueryService
 from repro.service.http import ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
@@ -86,7 +89,7 @@ class RowLedgerCost(CostModel):
     def vectorized_rows(self) -> bool:
         # A row costs a file append: not a cheap row, so the walker rule
         # sends every query to the arena walker — the one that reads
-        # rows through the cached matrix — in worker processes too.
+        # rows through the cache entry — in worker processes too.
         return False
 
     def sub(self, a: int, b: int) -> float:
@@ -156,7 +159,7 @@ class TestWarmColdBitIdentity:
         """One shared TrieCacheEntry across tau variations: results and
         all answer-relevant counters bit-identical to fresh-trie runs;
         computed_columns only ever drops."""
-        entry = TrieCacheEntry()
+        entry = TrieCacheEntry(costs, query)
         for tau in taus:
             warm = run_verifier(data, query, costs, tau, "numpy", entry)
             cold = run_verifier(data, query, costs, tau, "numpy", None)
@@ -188,7 +191,7 @@ class TestWarmColdBitIdentity:
         pure-Python per-cell backend bit for bit — results and every
         counter except computed_columns (the python backend has no
         cross-query cache, so it recomputes what the warm walk reuses)."""
-        entry = TrieCacheEntry()
+        entry = TrieCacheEntry(costs, query)
         run_verifier(data, query, costs, tau, "numpy", entry)  # warm up
         warm = run_verifier(data, query, costs, tau, "numpy", entry)
         python = run_verifier(data, query, costs, tau, "python", None)
@@ -214,7 +217,9 @@ class TestWarmColdBitIdentity:
         """Routing a first-touch query through a (cold) cache entry is a
         no-op: results, the full VerificationStats, and even
         dp_array_allocations match the cache-disabled run exactly."""
-        through_cache = run_verifier(data, query, w03, tau, "numpy", TrieCacheEntry())
+        through_cache = run_verifier(
+            data, query, w03, tau, "numpy", TrieCacheEntry(w03, query)
+        )
         no_cache = run_verifier(data, query, w03, tau, "numpy", None)
         assert through_cache[0] == no_cache[0]
         assert through_cache[1] == no_cache[1]
@@ -422,11 +427,11 @@ class TestAbsorbPublishedMisses:
     @pytest.mark.parametrize("round_kind", ["walker", "virgin"])
     def test_misses_published_between_walk_and_resolve(self, round_kind, early):
         candidates = candidates_for(self.DATA, self.QUERY)
-        alone, alone_e = self._verifier(TrieCacheEntry(), early)
+        alone, alone_e = self._verifier(TrieCacheEntry(w03, self.QUERY), early)
         want = self._run(alone, candidates)
         assert want and alone.stats.computed_columns > 0
 
-        entry = TrieCacheEntry()
+        entry = TrieCacheEntry(w03, self.QUERY)
         a, a_e = self._verifier(entry, early)
         b, _ = self._verifier(entry, early)
         fired = []
@@ -528,7 +533,7 @@ class TestTriesOff:
         # One private arena per (group, direction) walk, dead on return.
         assert len(walks) == len(arenas) > 2
         assert all(all(dead) for dead in walks)
-        assert all(ctx.trie is None for ctx in v._contexts.values())
+        assert all(ctx.state.trie is None for ctx in v._contexts.values())
 
     def test_local_verification_reuses_the_matrix_and_builds_no_tries(
         self, vertex_dataset, netedr_cost
@@ -553,13 +558,13 @@ class TestTriesOff:
         assert len(cache) == 2
         for key in cache.keys():
             entry = cache.peek(key)
-            assert entry.matrix is not None and entry.matrix.cached_rows() > 0
-            assert entry.tries == {}
+            assert entry.rows.rows and entry.directions
+            assert all(state.trie is None for state in entry.directions.values())
         stats = engine.status().trie
         assert (stats["hits"], stats["misses"]) == (1, 2)
-        # The budget sees what the entries pin: their matrices.
+        # The budget sees what the entries pin: their rows and row tables.
         assert stats["bytes"] == sum(
-            cache.peek(key).matrix.nbytes for key in cache.keys()
+            cache.peek(key).nbytes for key in cache.keys()
         ) > 0
 
 
@@ -573,27 +578,35 @@ class TestEvictionAndDisable:
         engine.query(queries[0], tau_ratio=0.3)
         (first_key,) = cache.keys()
         entry = cache.peek(first_key)
-        refs = [weakref.ref(entry)] + [
-            weakref.ref(trie) for trie in entry.tries.values()
-        ]
-        assert refs[1:], "verification should have built at least one trie"
-        del entry
-        engine.query(queries[1], tau_ratio=0.3)
-        engine.query(queries[0], tau_ratio=0.3)  # refresh: q1 is now LRU
-        engine.query(queries[2], tau_ratio=0.3)  # capacity 2: evicts q1
-        keys = cache.keys()
-        assert len(keys) == 2
-        assert first_key in keys  # the refreshed entry survived
-        stats = engine.status().trie
-        assert stats["evictions"] == 1
-        assert stats["hits"] == 1 and stats["misses"] == 3
-        # Evicting q1's would mean releasing ITS arenas; here q1 survived,
-        # so evict it too and confirm the arenas actually free.
-        engine.query(queries[1], tau_ratio=0.3)
-        engine.query(queries[2], tau_ratio=0.3)
-        assert first_key not in cache.keys()
-        gc.collect()
-        assert all(ref() is None for ref in refs), "evicted arenas still pinned"
+        states = list(entry.directions.values())
+        tries = [weakref.ref(s.trie) for s in states if s.trie is not None]
+        assert tries, "verification should have built at least one trie"
+        tables = [weakref.ref(s.rows.rows) for s in states]
+        tables += [weakref.ref(row) for row in entry.rows.rows.values()]
+        refs = [weakref.ref(entry)] + tries + tables
+        del entry, states
+        # Reference counting alone must free an evicted entry: nothing
+        # under it points back at it, so no cycle waits for the collector.
+        gc.disable()
+        try:
+            engine.query(queries[1], tau_ratio=0.3)
+            engine.query(queries[0], tau_ratio=0.3)  # refresh: q1 is now LRU
+            engine.query(queries[2], tau_ratio=0.3)  # capacity 2: evicts q1
+            keys = cache.keys()
+            assert len(keys) == 2
+            assert first_key in keys  # the refreshed entry survived
+            stats = engine.status().trie
+            assert stats["evictions"] == 1
+            assert stats["hits"] == 1 and stats["misses"] == 3
+            # Evicting q1's would mean releasing ITS arenas; here q1
+            # survived, so evict it too and confirm everything frees.
+            engine.query(queries[1], tau_ratio=0.3)
+            engine.query(queries[2], tau_ratio=0.3)
+            assert first_key not in cache.keys()
+            pinned = [i for i, ref in enumerate(refs) if ref() is not None]
+        finally:
+            gc.enable()
+        assert not pinned, "evicted entry, row tables or tries still pinned"
 
     def test_byte_budget_evicts_after_verification(self, vertex_dataset, netedr_cost):
         engine = SubtrajectorySearch(
@@ -614,22 +627,22 @@ class TestEvictionAndDisable:
 
     def test_matrix_alone_over_budget_is_shed(self, vertex_dataset, netedr_cost):
         """The budget counts everything an entry pins: an entry whose
-        substitution matrix *alone* exceeds it — no trie at all — is shed
-        by ``reconcile()``."""
+        substitution rows *alone* exceed it — no direction state, no trie
+        at all — is shed by ``reconcile()``."""
         cache = TrieCache(4, max_bytes=1000)
-        matrix = cache.entry("k").substitution_matrix(
-            lambda: lev.sub_matrix(range(64), anchors=range(10))
-        )
-        assert matrix.nbytes == 10 * 64 * 8 > cache.max_bytes
-        assert cache.peek("k").tries == {}
+        entry, _ = cache.lookup("k", lambda: TrieCacheEntry(lev, range(64)))
+        for symbol in range(10):
+            entry.rows.row(symbol)
+        assert entry.nbytes == 10 * 64 * 8 > cache.max_bytes
+        assert entry.directions == {}
         assert cache.reconcile() == 0
         assert len(cache) == 0 and cache.stats()["evictions"] == 1
         # Direction tables count too (ndarray.nbytes), beside the rows.
-        rows = matrix.direction_rows((3, "f"), slice(4, None))
-        rows.slot(77)  # one lazily filled row beside the ten dense ones
-        assert matrix.nbytes == 11 * 64 * 8 + rows.rows.nbytes + rows.deletes.nbytes
+        rows = entry.direction(3, "f", False)[0].rows
+        rows.slot(77)  # one more full row, copied into the table
+        assert entry.nbytes == 11 * 64 * 8 + rows.rows.nbytes + rows.deletes.nbytes
         # End to end: local verification builds no tries, so whatever is
-        # shed was shed for its matrix.
+        # shed was shed for its rows.
         engine = SubtrajectorySearch(
             vertex_dataset,
             netedr_cost,
@@ -745,14 +758,18 @@ class TestLookupStatusAndMeasuredBytes:
     """ISSUE 6 satellite 1 plus the lookup-status plumbing traces rely on."""
 
     def test_lookup_reports_hit_miss_off(self):
+        def factory():
+            return TrieCacheEntry(lev, (1, 2))
+
         cache = TrieCache(2)
-        entry, status = cache.lookup("k")
+        entry, status = cache.lookup("k", factory)
         assert status == "miss" and entry is not None
-        again, status2 = cache.lookup("k")
+        again, status2 = cache.lookup("k", factory)
         assert status2 == "hit" and again is entry
         assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
         off = TrieCache(0)
-        assert off.lookup("k") == (None, "off")
+        fresh, status3 = off.lookup("k", factory)
+        assert status3 == "off" and off.lookup("k", factory)[0] is not fresh
         # Disabled caches count nothing — "off" is not a miss.
         assert off.stats()["hits"] == 0 and off.stats()["misses"] == 0
 
@@ -795,30 +812,49 @@ class TestLookupStatusAndMeasuredBytes:
         cache = engine._trie_cache
         (key,) = cache.keys()
         entry = cache.peek(key)
-        assert entry.tries, "verification should have built tries"
-        array_bytes = sum(trie.matrix.nbytes for trie in entry.tries.values())
+        tries = [s.trie for s in entry.directions.values() if s.trie is not None]
+        assert tries, "verification should have built tries"
+        array_bytes = sum(trie.matrix.nbytes for trie in tries)
         assert array_bytes > 0
         assert entry.nbytes > array_bytes
         # What /metrics and /stats report is exactly the measured figure.
         assert engine.status().trie["bytes"] == entry.nbytes
 
 
-class _SlowMatrixCost(WeightedCost):
-    """Counts :meth:`sub_matrix` builds and makes each slow enough that
-    a second misser is sure to arrive while the first is building."""
+class _SlowRowCost(WeightedCost):
+    """Counts :meth:`sub_row_array` calls and makes each slow enough that
+    a second verifier is sure to want a row while the first computes it."""
 
     def __init__(self) -> None:
-        self.builds = 0
+        self.calls = 0
 
-    def sub_matrix(self, query, *, anchors=None):
-        self.builds += 1
-        time.sleep(0.05)
-        return super().sub_matrix(query, anchors=anchors)
+    def vectorized_rows(self) -> bool:
+        return False  # w03 rows stay on the arena walker at every length
+
+    def sub_row_array(self, p, seq):
+        self.calls += 1
+        time.sleep(0.002)
+        return super().sub_row_array(p, seq)
+
+
+class _RowSymbolsCost(NetEDRCost):
+    """NetEDR recording the symbol of every substitution row it computes."""
+
+    def __init__(self, graph) -> None:
+        super().__init__(graph)
+        self.symbols = set()
+
+    def vectorized_rows(self) -> bool:
+        return False  # like NetEDR itself: the arena walker reads the rows
+
+    def sub_row_array(self, p, seq):
+        self.symbols.add(p)
+        return super().sub_row_array(p, seq)
 
 
 class TestOneWarmQueryCache:
-    """ISSUE 21: the substitution matrix and the tries of a query are one
-    cache entry, on every backend."""
+    """The substitution rows and the tries of a query are one cache
+    entry, on every backend."""
 
     @pytest.mark.parametrize("backend", ["single", "serial", "threads", "processes"])
     def test_repeat_is_a_hit_that_computes_no_row(
@@ -852,9 +888,16 @@ class TestOneWarmQueryCache:
                 engine.close()
 
     def test_concurrent_missers_share_one_matrix(self, vertex_dataset):
-        costs = _SlowMatrixCost()
-        engine = SubtrajectorySearch(vertex_dataset, costs)  # w03 rows: numpy walker
+        """Concurrent missers of one query share one entry, and with it
+        one computation of each substitution row: together they compute
+        exactly the rows one cold query computes alone."""
+        costs = _SlowRowCost()
         query = list(vertex_dataset.symbols(0))[:8]
+        alone = SubtrajectorySearch(vertex_dataset, costs, trie_cache_size=0)
+        want = _result_key(alone.query(query, tau_ratio=0.3))
+        rows_alone, costs.calls = costs.calls, 0
+        assert rows_alone > 0
+        engine = SubtrajectorySearch(vertex_dataset, costs)
         barrier = threading.Barrier(2)
         results, errors = [], []
 
@@ -872,9 +915,36 @@ class TestOneWarmQueryCache:
             t.join(30.0)
         assert not errors, errors
         assert not any(t.is_alive() for t in threads)
-        assert results[0] == results[1]
+        assert results == [want, want]
         # One creates the entry, the other finds it — and waits for the
-        # creator's matrix instead of building a second one.
+        # rows being computed instead of computing them a second time.
         stats = engine.status().trie
         assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
-        assert costs.builds == 1
+        assert costs.calls == rows_alone
+
+    def test_time_window_computes_no_row_for_dropped_anchors(
+        self, small_graph, vertex_dataset
+    ):
+        """Rows are computed on first touch only: a candidate the temporal
+        filter drops is never verified, so its anchor symbol gets no row
+        (the dense anchor pre-pass this replaces computed one for every
+        anchor in the index, dropped or not)."""
+        costs = _RowSymbolsCost(small_graph)
+        engine = SubtrajectorySearch(vertex_dataset, costs)
+        query = list(vertex_dataset.symbols(0))[:8]
+        first = vertex_dataset[0]
+        window = TimeInterval(first.timestamps[0], first.timestamps[-1])
+        candidates = engine.candidates(query, tau_ratio=0.3)
+        kept = {tid for tid, _, _ in filter_candidates(vertex_dataset, candidates, window)}
+        reachable = set()
+        for tid in kept:
+            reachable.update(vertex_dataset.symbols(tid))
+        dropped = {
+            vertex_dataset.symbols(tid)[j]
+            for tid, j, _ in candidates
+            if tid not in kept
+        }
+        assert dropped - reachable, "the window drops no anchor of its own"
+        result = engine.query(query, tau_ratio=0.3, time_interval=window)
+        assert result.trie_cache_status == "miss" and result.matches
+        assert costs.symbols and costs.symbols <= reachable
