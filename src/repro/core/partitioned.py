@@ -142,9 +142,9 @@ class PartitionedSubtrajectorySearch:
     data-symbol path, never by trajectory), so on the in-process backends
     (``serial``/``threads``) all shard engines share **one**
     :class:`~repro.core.trie.TrieCache` — shard A's verification warms
-    shard B's, and a fan-out query's shards read the same rows and walk
-    the same tries concurrently (safe: writer rounds serialize on each
-    table's lock, readers are lock-free).  ``trie_cache_size`` /
+    shard B's, and a fan-out query's shards share one entry per query,
+    each walking it for one anchor group at a time under the entry's
+    lock.  ``trie_cache_size`` /
     ``trie_cache_bytes`` size that shared cache, or pass a prebuilt
     ``trie_cache``.  The ``processes`` backend cannot share memory across
     workers, so there the knobs size one cache *per worker* and

@@ -33,14 +33,14 @@ substitution rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
 :class:`DirectionRows` table and the :class:`VerificationTrie`.  The
 engine's :class:`TrieCache` keeps entries across queries.
 
-Concurrency contract (shared tries are walked by concurrent server
-threads): readers are lock-free; writers serialize on :attr:`
-VerificationTrie.lock` and must publish in the order *grow matrix → write
-column → append min/last → publish edge*.  A reader that observes an edge
-is therefore guaranteed fully-written backing entries in whatever matrix
-reference it fetches afterwards (CPython's GIL orders the stores), and a
-grown matrix always contains every previously published slot — no torn
-columns.  Rows are never mutated after their edge is published.
+One rule covers concurrency: **an entry is walked by one verifier at a
+time.**  The arena walker holds :attr:`TrieCacheEntry.lock` for a whole
+anchor group, so nothing under an entry — rows, row tables, states,
+tries — has a lock of its own.  A concurrent verifier of the same query
+waits for at most one group, then walks the first one's columns as cache
+hits.  Writers still write a column (or a row) before the key that makes
+it reachable, but only for exception safety: a round that raises leaves
+no half-born edge behind.
 """
 
 from __future__ import annotations
@@ -134,9 +134,7 @@ class VerificationTrie:
     cumulative insertion costs of the query part.  One growable
     ``(capacity, width)`` matrix holds every column (slot 0 = root), the
     ``edges`` dict holds the structure, and ``mins_list``/``lasts_list``
-    hold the per-column scalars as plain floats.  Writers must hold
-    :attr:`lock` and follow the publication order in the module
-    docstring.
+    hold the per-column scalars as plain floats.
     """
 
     __slots__ = (
@@ -147,7 +145,6 @@ class VerificationTrie:
         "edges",
         "used",
         "allocations",
-        "lock",
         "__weakref__",
     )
 
@@ -164,18 +161,10 @@ class VerificationTrie:
         #: every column this trie stores (feeds the benchmark's
         #: allocation-reduction metric).
         self.allocations = 1
-        #: serializes writer rounds (reserve + column write + edge
-        #: publication); readers stay lock-free.
-        self.lock = threading.Lock()
 
     def reserve(self, count: int) -> int:
         """Reserve ``count`` contiguous rows; returns the first slot.
-
-        Caller must hold :attr:`lock`.  Growth publishes the grown
-        ``matrix`` (old rows copied) *before* returning, so lock-free
-        readers holding either generation see every previously published
-        slot.
-        """
+        Growth doubles the matrix, copying the rows in use."""
         start = self.used
         needed = start + count
         matrix = self.matrix
@@ -185,10 +174,6 @@ class VerificationTrie:
                 capacity *= 2
             grown = np.empty((capacity, self.width), dtype=np.float64)
             grown[:start] = matrix[:start]
-            # Publish the grown matrix before any new row is written: a
-            # reader can only learn of a new slot through an edge, which
-            # is published after the row — so any matrix reference it
-            # fetches after seeing the edge contains the slot.
             self.matrix = grown
             self.allocations += 1
         self.used = needed
@@ -232,27 +217,21 @@ class QueryRows:
     every :class:`DirectionRows` table copies its slices from here.  Rows
     depend only on the query and the model, never on the dataset, the
     threshold or the time window, so they stay valid for as long as the
-    entry lives.  Concurrent first touches of one symbol serialize on the
-    lock and compute its row once; readers of a filled row stay lock-free.
+    entry lives.
     """
 
-    __slots__ = ("costs", "query", "rows", "_lock")
+    __slots__ = ("costs", "query", "rows")
 
     def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
         self.costs = costs
         self.query = tuple(query)
         self.rows: Dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def row(self, symbol: int) -> np.ndarray:
         """``[sub(symbol, q) for q in query]`` as a float64 array."""
         row = self.rows.get(symbol)
         if row is None:
-            with self._lock:
-                row = self.rows.get(symbol)
-                if row is None:
-                    row = self.costs.sub_row_array(symbol, self.query)
-                    self.rows[symbol] = row
+            row = self.rows[symbol] = self.costs.sub_row_array(symbol, self.query)
         return row
 
     @property
@@ -276,14 +255,11 @@ class DirectionRows:
     cache miss.
     """
 
-    __slots__ = ("_source", "_slice", "_lock", "index", "rows", "deletes")
+    __slots__ = ("_source", "_slice", "index", "rows", "deletes")
 
     def __init__(self, source: QueryRows, row_slice: slice, width: int) -> None:
         self._source = source
         self._slice = row_slice
-        #: serializes first-touch slot assignment/growth; readers stay
-        #: lock-free (see :meth:`slot`).
-        self._lock = threading.Lock()
         #: symbol -> dense slot; the verifier's walker reads it inline
         #: (one dict hit per cache miss) and calls :meth:`slot` only on
         #: first touch of a symbol.
@@ -294,34 +270,23 @@ class DirectionRows:
     def slot(self, symbol: int) -> int:
         """The dense row slot for ``symbol`` (computed on first touch).
 
-        Shared across concurrent query threads (the engine's warm-query
-        cache hands one instance to every verifier of a repeated query), so
-        writes are serialized: the slot is assigned, its row and delete
-        written, and only then published in ``index`` — a lock-free
-        reader either misses (and comes here) or sees a fully written
-        row.  Growth publishes the grown buffers *before* writing the new
-        row, so any slot a reader has seen is present in whatever
-        ``rows``/``deletes`` arrays it fetches afterwards.
-        """
+        The row and delete are written before the symbol enters
+        ``index``, so a cost model raising mid-row leaves no slot
+        behind."""
         i = self.index.get(symbol)
         if i is None:
-            with self._lock:
-                i = self.index.get(symbol)
-                if i is None:
-                    i = len(self.index)
-                    if i == len(self.rows):
-                        grown = np.empty(
-                            (2 * i, self.rows.shape[1]), dtype=np.float64
-                        )
-                        grown[:i] = self.rows
-                        grown_d = np.empty(2 * i, dtype=np.float64)
-                        grown_d[:i] = self.deletes
-                        self.rows = grown
-                        self.deletes = grown_d
-                    source = self._source
-                    self.rows[i] = source.row(symbol)[self._slice]
-                    self.deletes[i] = source.costs.delete(symbol)
-                    self.index[symbol] = i
+            i = len(self.index)
+            if i == len(self.rows):
+                grown = np.empty((2 * i, self.rows.shape[1]), dtype=np.float64)
+                grown[:i] = self.rows
+                grown_d = np.empty(2 * i, dtype=np.float64)
+                grown_d[:i] = self.deletes
+                self.rows = grown
+                self.deletes = grown_d
+            source = self._source
+            self.rows[i] = source.row(symbol)[self._slice]
+            self.deletes[i] = source.costs.delete(symbol)
+            self.index[symbol] = i
         return i
 
     def get(self, symbol: int) -> Tuple[np.ndarray, float]:
@@ -378,16 +343,17 @@ class TrieCacheEntry:
     evicted entry's arrays go the moment the last verifier holding it
     drops it, with no wait for the cyclic collector.
 
-    Entries are handed to concurrent verifiers: :meth:`direction` makes
-    first-touch creation of states and tries converge on one instance.
+    A verifier walks the entry only while it holds :attr:`lock` (see the
+    module docstring); :attr:`nbytes` alone is read without it.
     """
 
-    __slots__ = ("rows", "directions", "_lock", "__weakref__")
+    __slots__ = ("rows", "directions", "lock", "__weakref__")
 
     def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
         self.rows = QueryRows(costs, query)
         self.directions: Dict[Tuple[int, str], DirectionState] = {}
-        self._lock = threading.Lock()
+        #: held by the one verifier walking this entry, a group at a time.
+        self.lock = threading.Lock()
 
     @property
     def query(self) -> Tuple[int, ...]:
@@ -397,30 +363,26 @@ class TrieCacheEntry:
     def direction(
         self, iq: int, direction: str, with_trie: bool
     ) -> Tuple[DirectionState, int]:
-        """The shared state for one ``(iq, direction)``, created on first
-        touch — and its trie too when ``with_trie`` — plus the number of
-        ndarrays *this call* allocated doing so (zero once warm), which
-        the caller charges to its own verification.  Concurrent first
-        callers get one instance: a state or trie is published only
-        fully built, under the lock."""
+        """The state for one ``(iq, direction)``, created on first touch —
+        and its trie too when ``with_trie`` — plus the number of ndarrays
+        *this call* allocated doing so (zero once warm), which the caller
+        charges to its own verification.  Caller holds :attr:`lock`."""
         key = (iq, direction)
+        allocated = 0
         state = self.directions.get(key)
-        if state is not None and (state.trie is not None or not with_trie):
-            return state, 0
-        with self._lock:
-            allocated = 0
-            state = self.directions.get(key)
-            if state is None:
-                state = self.directions[key] = DirectionState(self.rows, iq, direction)
-                allocated = _STATE_ARRAYS
-            if with_trie and state.trie is None:
-                state.trie = VerificationTrie(state.ins_prefix)
-                allocated += state.trie.allocations
-            return state, allocated
+        if state is None:
+            state = self.directions[key] = DirectionState(self.rows, iq, direction)
+            allocated = _STATE_ARRAYS
+        if with_trie and state.trie is None:
+            state.trie = VerificationTrie(state.ins_prefix)
+            allocated += state.trie.allocations
+        return state, allocated
 
     @property
     def nbytes(self) -> int:
-        """Bytes this entry pins: its rows, row tables and tries."""
+        """Bytes this entry pins: its rows, row tables and tries.  Read
+        without :attr:`lock` (by :meth:`TrieCache.reconcile`), so the
+        states are copied out before summing."""
         total = self.rows.nbytes
         for state in list(self.directions.values()):
             total += state.rows.nbytes
@@ -457,9 +419,12 @@ class TrieCache:
     :meth:`reconcile`, which the engine calls after each verification to
     re-account the bytes and shed LRU entries until the total fits.
     ``capacity == 0`` disables cross-query reuse entirely (``lookup``
-    hands out a fresh, unshared entry without counting).  Thread-safe; evicting an entry
-    that a running verifier still holds is safe — the verifier keeps its
-    reference, the arrays are released when the last reference drops.
+    hands out a fresh, unshared entry without counting).  Thread-safe
+    under its own lock, which is never taken while an entry's
+    :attr:`~TrieCacheEntry.lock` is held (and takes no entry lock
+    itself).  Evicting an entry that a running verifier still holds is
+    safe — the verifier keeps its reference, the arrays are released when
+    the last reference drops.
     """
 
     def __init__(self, capacity: int, max_bytes: Optional[int] = None) -> None:

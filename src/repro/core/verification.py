@@ -86,15 +86,13 @@ results bit for bit (warm caches lower ``computed_columns`` and
 nothing else: a cached column has the same floats it would be recomputed
 with).
 
-Shared entries (the cross-query cache, and shard engines sharing one
-cache) are walked by concurrent server threads: row tables, direction
-states and tries converge on one instance at first touch, readers are
-lock-free, and each
-round of misses is resolved under the trie's writer lock with
-publish-after-write ordering (see :mod:`repro.core.trie`), re-checking
-parked misses against edges another thread may have published meanwhile —
-so concurrent walks never tear a column and at worst recount a column one
-thread computed as the other thread's cache hit.
+Entries are shared (the cross-query cache, and shard engines sharing one
+cache) under one rule: **an entry is walked by one verifier at a time.**
+The arena walker holds the entry's :attr:`~repro.core.trie.TrieCacheEntry.lock`
+for each anchor group — the anchor-cost reads, both direction walks and
+the combine — so a concurrent verifier of the same query waits for at
+most one group and then finds that group's columns as cache hits.  Each
+column is therefore computed, and counted, exactly once.
 
 The :class:`VerificationStats` counters implement the §6.4 metrics: UPR
 (columns surviving early termination vs. a full Smith–Waterman pass) and
@@ -106,8 +104,9 @@ walker-identical by design; the ndarray-materialization count, which is
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -283,8 +282,7 @@ class _DirectionContext:
         self.width = len(state.ins_prefix)
         #: ndarray (re)allocations charged to this verifier here: entry
         #: state its first touch created, scratch growth, and arena
-        #: growth inside its own locked rounds — accumulated locally, so
-        #: concurrent verifiers growing one warm trie never double-count.
+        #: growth in its own rounds.
         self.allocations = 0
         self._parents: Optional[np.ndarray] = None
         self._subs: Optional[np.ndarray] = None
@@ -353,9 +351,9 @@ class Verifier:
         engine passes the one its TrieCache holds, so repeated queries
         (tau and time-window variations included) compute no row again
         and start verification with warm columns; ``None`` builds a
-        fresh, private entry.  Read by the arena walker only (tries with
-        ``use_trie=True`` only); its state may be shared with concurrent
-        verifiers (see the module docstring's concurrency notes).
+        fresh, private entry.  Read by the arena walker only, under the
+        entry's lock for one anchor group at a time (see the module
+        docstring).
     cancel:
         Optional cooperative cancellation token (anything with a
         ``cancelled() -> bool`` method, e.g.
@@ -393,12 +391,16 @@ class Verifier:
         self._numpy = dp_backend == "numpy"
         self.dp_backend = dp_backend
         self._entry: Optional[TrieCacheEntry] = None
+        #: what a group holds while it runs: the entry's lock for the
+        #: arena walker, nothing for the Python walker (it reads no entry).
+        self._hold: ContextManager = nullcontext()
         if self._numpy:
             if trie_entry is None:
                 trie_entry = TrieCacheEntry(costs, self._query)
             elif trie_entry.query != self._query:
                 raise QueryError("cache entry was built for a different query")
             self._entry = trie_entry
+            self._hold = trie_entry.lock
         #: per-round kernel temporaries materialized so far (the rest of
         #: dp_array_allocations is counted per direction context) —
         #: deliberately NOT a VerificationStats field, because the Python
@@ -479,7 +481,9 @@ class Verifier:
             end = start
             while end < total and unique[end][2] == iq:
                 end += 1
-            self._verify_group(iq, unique[start:end], matches)
+            # One group per hold: a waiter for the entry waits one group.
+            with self._hold:
+                self._verify_group(iq, unique[start:end], matches)
             start = end
 
     # -- Algorithm 4 --------------------------------------------------------
@@ -487,7 +491,8 @@ class Verifier:
     def verify_candidate(self, candidate: Candidate, matches: MatchSet) -> None:
         """Emit every match of Definition 3 anchored at this candidate —
         a group of one."""
-        self._verify_group(candidate[2], [candidate], matches)
+        with self._hold:
+            self._verify_group(candidate[2], [candidate], matches)
 
     def _verify_group(
         self, iq: int, group: Sequence[Candidate], matches: MatchSet
@@ -501,7 +506,11 @@ class Verifier:
         simultaneous reversal).  Only AllPrefixWED differs: the arena
         walker advances the whole group together, once per direction;
         the Python walker takes the candidates one at a time, polling the
-        cancellation token between them."""
+        cancellation token between them.
+
+        The caller holds ``self._hold`` — for the arena walker, the
+        entry's lock — across the call: setup, both walks and the
+        combine."""
         stats = self.stats
         tau = self._tau
         numpy = self._numpy
@@ -590,8 +599,7 @@ class Verifier:
            by the walk's rendezvous dict;
         2. **resolve** (:meth:`_resolve_round`): every pending entry
            becomes one row of a single :func:`step_dp_batch` call writing
-           into freshly reserved arena rows, published under the trie's
-           writer lock.
+           into freshly reserved arena rows.
 
         A state that was the *sole* waiter on its entry has provably
         diverged from every other state in this walk — states sharing a
@@ -631,11 +639,10 @@ class Verifier:
         ]
         # The pending list, as parallel lists: parent slot, symbol,
         # substitution-row slot and waiting states per parked miss.  It is
-        # per walk, so the shared trie never sees half-born entries:
-        # ``edges`` gains a key only when its column is already in the
-        # arena (and fully written), which also means a failing batch
-        # (e.g. a cost model raising mid-row) leaves the trie fully
-        # consistent with no cleanup pass.
+        # per walk, so the trie never sees half-born entries: ``edges``
+        # gains a key only when its column is already written, and a
+        # failing batch (e.g. a cost model raising mid-row) leaves the
+        # trie consistent with no cleanup pass.
         pslots: List[int] = []
         syms: List[int] = []
         rowslots: List[int] = []
@@ -687,9 +694,9 @@ class Verifier:
         """Run each of ``states`` through cached columns until it has
         terminated or parked at a cache miss in the pending list.
 
-        The trie is frozen during a walk phase (this thread publishes
-        only in :meth:`_resolve_round`), so the order states are walked
-        in is unobservable.  Misses rendezvous per distinct
+        The trie is frozen during a walk phase (edges are added only in
+        :meth:`_resolve_round`), so the order states are walked in is
+        unobservable.  Misses rendezvous per distinct
         ``(slot, symbol)`` in a dict local to this walk; the one-waiter
         entries already pending never enter it (see
         :meth:`_arena_all_prefix_wed` for why none can collide).
@@ -758,15 +765,9 @@ class Verifier:
         substitution rows and deletes bulk-gathered by their dense
         :class:`~repro.core.trie.DirectionRows` slots, and the
         kernel writing into freshly reserved rows in pending-list order.
-        The trie's writer lock is held across reserve + write + publish
-        (the module-docstring ordering), and pending entries are
-        re-checked against ``edges`` first: on a *shared* trie another
-        thread may have published some of them since this walk parked
-        them or the previous round created their parent (those waiters
-        are served as hits, and the column is not re-counted as
-        computed).  Single-threaded the re-check never fires — walks see
-        a frozen trie between park and resolve — so counters stay
-        bit-identical to the Python walker.
+        Every pending entry is still a miss: the caller holds the entry,
+        so no edge appears between park and resolve, and the counters
+        stay bit-identical to the Python walker's.
 
         Returns ``(columns computed, states returning to the walker,
         next round's pending list)``.  A surviving *sole* waiter's next
@@ -778,46 +779,32 @@ class Verifier:
         rows = ctx.state.rows
         early = self._early_termination
         runnable: List[list] = []
-        edges = trie.edges
-        with trie.lock:
-            # Cross-thread re-check (no-op single-threaded, see docstring).
-            hit = [i for i in range(len(pslots)) if (pslots[i], syms[i]) in edges]
-            if hit:
-                self._absorb_published(
-                    trie, hit, pslots, syms, rowslots, waiters, runnable
-                )
-                if not pslots:
-                    return 0, runnable, ([], [], [], [])
-            count = len(pslots)
-            parents, subs, dels, work_a, work_b, mins_buf = ctx.scratch(count)
-            # Parents are gathered into scratch BEFORE reserving: reserve
-            # may grow (swap) the matrix, and the out= slice below must
-            # come from the post-growth matrix.
-            np.take(trie.matrix, pslots, axis=0, out=parents)
-            np.take(rows.rows, rowslots, axis=0, out=subs)
-            np.take(rows.deletes, rowslots, axis=0, out=dels)
-            # Growth only happens inside reserve, and only under this
-            # lock we hold — so the delta is exactly OUR growth, even on
-            # a trie shared with concurrent verifiers.
-            before_growth = trie.allocations
-            start = trie.reserve(count)
-            ctx.allocations += trie.allocations - before_growth
-            out = trie.matrix[start : start + count]
-            step_dp_batch(
-                subs, dels, ctx.state.ins_prefix, parents, out=out, work=(work_a, work_b)
-            )
-            # Direct ufunc reduce: same floats as out.min(axis=1), minus
-            # the np.min wrapper dispatch paid once per round.
-            np.minimum.reduce(out, axis=1, out=mins_buf)
-            mins = mins_buf.tolist()
-            lasts = out[:, -1].tolist()
-            trie.mins_list.extend(mins)
-            trie.lasts_list.extend(lasts)
-            # Publish the edges last: a lock-free reader that sees one is
-            # guaranteed a fully written column and scalars.  A private
-            # (tries-off) arena publishes none: nothing may be found again.
-            if self._use_trie:
-                edges.update(zip(zip(pslots, syms), range(start, start + count)))
+        count = len(pslots)
+        parents, subs, dels, work_a, work_b, mins_buf = ctx.scratch(count)
+        # Parents are gathered into scratch BEFORE reserving: reserve
+        # may grow (swap) the matrix, and the out= slice below must
+        # come from the post-growth matrix.
+        np.take(trie.matrix, pslots, axis=0, out=parents)
+        np.take(rows.rows, rowslots, axis=0, out=subs)
+        np.take(rows.deletes, rowslots, axis=0, out=dels)
+        before_growth = trie.allocations
+        start = trie.reserve(count)
+        ctx.allocations += trie.allocations - before_growth
+        out = trie.matrix[start : start + count]
+        step_dp_batch(
+            subs, dels, ctx.state.ins_prefix, parents, out=out, work=(work_a, work_b)
+        )
+        # Direct ufunc reduce: same floats as out.min(axis=1), minus
+        # the np.min wrapper dispatch paid once per round.
+        np.minimum.reduce(out, axis=1, out=mins_buf)
+        mins = mins_buf.tolist()
+        lasts = out[:, -1].tolist()
+        trie.mins_list.extend(mins)
+        trie.lasts_list.extend(lasts)
+        # Edges last, once their columns are written.  A private
+        # (tries-off) arena adds none: nothing may be found again.
+        if self._use_trie:
+            trie.edges.update(zip(zip(pslots, syms), range(start, start + count)))
         self._allocs += _GROUP_TEMP_ARRAYS
         self._dp_rounds += 1
         next_pslots: List[int] = []
@@ -851,43 +838,6 @@ class Verifier:
                     st[0] = start + i
                     runnable.append(st)
         return count, runnable, (next_pslots, next_syms, next_rowslots, next_waiters)
-
-    def _absorb_published(
-        self,
-        trie: VerificationTrie,
-        hit: List[int],
-        pslots: List[int],
-        syms: List[int],
-        rowslots: List[int],
-        waiters: List[List[list]],
-        runnable: List[list],
-    ) -> None:
-        """Serve pending entries that a *concurrent* walk resolved first
-        (their edges appeared since they were parked or carried over) as
-        cache hits, compacting the pending list in place.  Only reachable
-        on shared tries under concurrency; survivors — one-waiter entries
-        included, since a cross-thread publication breaks the sole-owner
-        guarantee — return to the walker.  Caller holds the trie lock."""
-        edges = trie.edges
-        mins_list = trie.mins_list
-        lasts_list = trie.lasts_list
-        early = self._early_termination
-        for i in hit:
-            slot = edges[(pslots[i], syms[i])]
-            cmin = mins_list[slot]
-            last = lasts_list[slot]
-            for st in waiters[i]:
-                st[2].append(last)
-                k = st[4] + 1
-                if (early and cmin >= st[3]) or k == st[5]:
-                    continue
-                st[0] = slot
-                st[4] = k
-                runnable.append(st)
-        hit_set = set(hit)
-        keep = [i for i in range(len(pslots)) if i not in hit_set]
-        for column in (pslots, syms, rowslots, waiters):
-            column[:] = [column[i] for i in keep]
 
     def _context(self, iq: int, direction: str) -> _DirectionContext:
         """This verifier's scratch for the entry's ``(iq, direction)``

@@ -85,10 +85,11 @@ backend, the shards, the supervisor thread, ``close()``.
   expired deadline) both count as success, only :class:`~repro.
   exceptions.WorkerError` counts against the breaker, and a half-open
   probe slot is handed back however the probe ends;
-- a shard whose link failed is revived and its query retried exactly
-  once, within the caller's remaining deadline budget, re-shipping the
-  *updated* remaining time.  An error the worker *replied* with stands:
-  its link is up, so a respawn would only replace a healthy worker;
+- a shard whose link failed is revived and its request — a query or an
+  insert — retried exactly once; a query's retry stays within the
+  caller's remaining deadline budget, re-shipping the *updated*
+  remaining time.  An error the worker *replied* with stands: its link
+  is up, so a respawn would only replace a healthy worker;
 - deterministic chaos: a :class:`~repro.faultinject.FaultPlan` ships
   per-shard worker-side fault tables to the workers (kill before / after
   request K, delay or drop a reply, ignore stop), network faults into
@@ -800,15 +801,11 @@ class _ShardWorker:
         fault policy.
 
         A shard whose circuit breaker is open is not even sent to
-        (:class:`ShardUnavailableError`).  A shard whose link or process
-        fails under the request (:class:`WorkerError`) is revived and the
-        query retried — exactly once, only within the caller's remaining
-        deadline budget, re-shipping the *updated* remaining time.  A
-        :class:`WorkerError` the worker replied with is not retried (see
-        :meth:`revive`).  The error that stands (the original when no
-        retry was possible, else the retry's) propagates.  While waiting,
-        a tripped ``cancel`` token becomes a cancel frame, and the worker
-        still sends its one reply.
+        (:class:`ShardUnavailableError`); otherwise the query is one
+        :meth:`_retried_once` call, whose retry re-ships the *updated*
+        remaining deadline budget.  While waiting, a tripped ``cancel``
+        token becomes a cancel frame, and the worker still sends its one
+        reply.
 
         With ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair) the
         worker traces its engine query and the return value is
@@ -827,30 +824,42 @@ class _ShardWorker:
                 raise ShardUnavailableError(
                     f"shard {self.index} circuit breaker is {self.breaker.state}"
                 )
-            generation = self.restarts
-            try:
-                return attempt()
-            except WorkerError:
-                # No retry once the caller's deadline is spent, nor when
-                # nothing was revived: the worker replied with the error,
-                # the respawn failed, or the shard is stopped.
-                if (cancel is not None and cancel.cancelled()) or not self.revive(
-                    blocking=True, force=True, seen_restarts=generation
-                ):
-                    raise
-            if on_event is not None:
-                on_event("retried")
-            return attempt()
+            return self._retried_once(attempt, cancel, on_event)
 
     def add(self, expected_local_id: int, trajectory, *, validate: bool = False) -> int:
         """Apply one online insert on the worker, versioned (the worker
         acknowledges only if its own insert got ``expected_local_id``) and
         journaled.  Synchronous — when this returns, queries on this shard
-        see the new trajectory (read-your-writes for the inserter).  Not
-        retried (the caller rolls its id reservation back), but recorded
-        like any request."""
+        see the new trajectory (read-your-writes for the inserter).
+
+        Retried once after a revive, like a query.  That is safe: an
+        insert the dead incarnation committed without acknowledging died
+        with it (the revived worker rebuilds from the mirror and the
+        journal, which only hold acknowledged inserts), so the retry gets
+        the same expected id.  If the error stands, the caller rolls its
+        id reservation back."""
         entry = (int(expected_local_id), trajectory, bool(validate))
-        return self.call("add", entry)
+        return self._retried_once(lambda: self.call("add", entry))
+
+    def _retried_once(self, attempt, cancel=None, on_event=None):
+        """``attempt()``; if its link or process failed under it
+        (:class:`WorkerError`), revive the shard and retry exactly once.
+        No retry once ``cancel`` has tripped (the caller's deadline is
+        spent), nor when nothing was revived: the worker replied with the
+        error (see :meth:`revive`), the respawn failed, or the shard is
+        stopped.  The error that stands (the original when no retry was
+        possible, else the retry's) propagates."""
+        generation = self.restarts
+        try:
+            return attempt()
+        except WorkerError:
+            if (cancel is not None and cancel.cancelled()) or not self.revive(
+                blocking=True, force=True, seen_restarts=generation
+            ):
+                raise
+        if on_event is not None:
+            on_event("retried")
+        return attempt()
 
     def probe(self, kind: str):
         """A ``stats`` / ``ping`` round trip that returns ``None`` instead

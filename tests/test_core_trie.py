@@ -63,13 +63,11 @@ class TestVerificationTrie:
 
     def test_reserve_contiguous_and_growth_preserves_rows(self):
         trie = VerificationTrie(np.asarray([1.0, 2.0, 3.0]))
-        with trie.lock:
-            first = trie.reserve(2)
+        first = trie.reserve(2)
         assert first == 1  # root occupies slot 0
         trie.matrix[first] = [4.0, 5.0, 6.0]
         before = trie.allocations
-        with trie.lock:
-            grown = trie.reserve(200)  # forces growth, slots stay dense
+        grown = trie.reserve(200)  # forces growth, slots stay dense
         assert grown == 3
         assert trie.used == 203
         assert trie.allocations > before
@@ -80,20 +78,18 @@ class TestVerificationTrie:
     def test_growth_is_geometric(self):
         trie = VerificationTrie(np.zeros(2))
         for _ in range(300):
-            with trie.lock:
-                trie.reserve(1)
+            trie.reserve(1)
         # 300 rows, doubling from 32: 4 reallocations of the one matrix,
         # not ~300.
         assert trie.allocations == 1 + 4
 
     def test_edges_address_columns(self):
         trie = VerificationTrie(np.asarray([0.0, 1.0]))
-        with trie.lock:
-            slot = trie.reserve(1)
-            trie.matrix[slot] = [0.5, 1.5]
-            trie.mins_list.append(0.5)
-            trie.lasts_list.append(1.5)
-            trie.edges[(0, 7)] = slot
+        slot = trie.reserve(1)
+        trie.matrix[slot] = [0.5, 1.5]
+        trie.mins_list.append(0.5)
+        trie.lasts_list.append(1.5)
+        trie.edges[(0, 7)] = slot
         assert trie.edges.get((0, 7)) == slot
         assert trie.edges.get((0, 8)) is None
         assert trie.node_count() == 2
@@ -102,8 +98,7 @@ class TestVerificationTrie:
         trie = VerificationTrie(np.zeros(4))
         before = trie.nbytes
         assert before > trie.matrix.nbytes
-        with trie.lock:
-            trie.reserve(500)
+        trie.reserve(500)
         assert trie.nbytes > before
 
 
@@ -120,8 +115,9 @@ class _CountingLev(LevenshteinCost):
 class TestTrieCacheEntry:
     def test_first_touch_converges_on_one_instance(self):
         """More threads than cores, switching as often as the interpreter
-        allows, all touching the same fresh entry: one state, one trie,
-        one row per symbol, and the creation charged once."""
+        allows, all touching the same fresh entry under its lock (as the
+        arena walker does): one state, one trie, one row per symbol, and
+        the creation charged once."""
         costs = _CountingLev()
         entry = TrieCacheEntry(costs, (1, 2, 3, 4))
         barrier = threading.Barrier(8)
@@ -129,8 +125,9 @@ class TestTrieCacheEntry:
 
         def touch():
             barrier.wait()
-            got.append(entry.direction(1, "f", True))
-            rows.append([entry.rows.row(s) for s in range(50)])
+            with entry.lock:
+                got.append(entry.direction(1, "f", True))
+                rows.append([entry.rows.row(s) for s in range(50)])
 
         threads = [threading.Thread(target=touch) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -167,8 +164,7 @@ class TestTrieCache:
     def _entry_with_bytes(self, cache, key, rows):
         entry, _ = cache.lookup(key, new_entry)
         trie = entry.direction(0, "f", True)[0].trie
-        with trie.lock:
-            trie.reserve(rows)
+        trie.reserve(rows)
         return entry
 
     def test_lru_entry_capacity(self):
@@ -211,8 +207,7 @@ class TestTrieCache:
         # The cached entry keeps growing while cached — the budget must
         # catch it at the next reconcile, even as the only entry.
         trie = entry.directions[(0, "f")].trie
-        with trie.lock:
-            trie.reserve(4000)
+        trie.reserve(4000)
         cache.reconcile()
         assert cache.keys() == []
         assert cache.stats()["bytes"] == 0

@@ -169,6 +169,7 @@ _GONE = re.compile(
     r"|_TRIE_FIELDS|_INDEX_FIELDS"
     r"|--dp-backend|(?<!\{)dp_backend=[\"(.)]|DP_BACKENDS"
     r"|SubstitutionMatrix\b|sub_matrix\(|use_hub_labeling"
+    r"|_absorb_published|publish-after-write"
 )
 
 

@@ -239,19 +239,22 @@ class TestSubstitutionMatrixCache:
 
     def test_direction_rows_concurrent_first_touch(self, lev_cost):
         """The dense slot table is shared across server threads via the
-        cached entry: concurrent first-touch fills must neither fork slots
+        cached entry: concurrent first-touch fills, each holding the
+        entry's lock as the arena walker does, must neither fork slots
         nor tear rows (regression for a slot-assignment race)."""
         import threading
 
         query = list(range(24))
-        rows = TrieCacheEntry(lev_cost, query).direction(3, "f", False)[0].rows
+        entry = TrieCacheEntry(lev_cost, query)
+        rows = entry.direction(3, "f", False)[0].rows
         symbols = list(range(500))
         barrier = threading.Barrier(4)
 
         def fill(offset):
             barrier.wait()
             for s in symbols[offset:] + symbols[:offset]:
-                rows.slot(s)
+                with entry.lock:
+                    rows.slot(s)
 
         threads = [threading.Thread(target=fill, args=(i * 125,)) for i in range(4)]
         for t in threads:

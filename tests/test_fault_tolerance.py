@@ -301,23 +301,39 @@ class TestCrashRecovery:
             rules=[FaultRule(shard=1, op="kill_before", request=1, on="add")]
         )
         with make_engine(ds, edr_cost, fault_plan=plan) as engine:
-            with pytest.raises(WorkerError):
-                engine.add_trajectory(trips[13])  # gid 13 -> shard 1
-            # The failed insert rolled back; retry lands on the respawned
-            # worker with the same global id and becomes queryable.
-            deadline = time.monotonic() + 10.0
-            while True:
-                try:
-                    gid = engine.add_trajectory(trips[13])
-                    break
-                except WorkerError:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.05)
+            # The shard revives and the insert is retried once, like a
+            # query: it lands on the respawned worker with the same global
+            # id and becomes queryable.
+            gid = engine.add_trajectory(trips[13])  # gid 13 -> shard 1
             assert gid == 13
+            assert engine.status().restarts_total == 1
             result = engine.query(list(trips[13].path[:6]), tau_ratio=0.25)
             assert any(m.trajectory_id == gid for m in result.matches)
             assert result.complete
+
+    def test_insert_to_a_killed_worker_revives_and_lands(
+        self, small_graph, edr_cost, trips, monkeypatch
+    ):
+        """An insert sent to a worker that died since its last request
+        revives the shard and lands, as a query would: no failed insert,
+        and no failure left on the breaker (three such inserts used to
+        open it, turning the shard's queries into 503s while it was back
+        up)."""
+        from repro.trajectory.dataset import TrajectoryDataset
+
+        monkeypatch.setattr(workers_module, "_SUPERVISOR_POLL", 3600.0)
+        ds = TrajectoryDataset(small_graph)
+        ds.extend(trips[:13])
+        with make_engine(ds, edr_cost) as engine:
+            target = len(engine) % 2
+            kill_worker(engine.status().workers[target].pid)
+            assert engine.add_trajectory(trips[13]) == 13
+            status = engine.status()
+            assert status.restarts_total == 1
+            assert status.workers[target].breaker == "closed"
+            assert status.workers[target].consecutive_failures == 0
+            result = engine.query(list(trips[13].path[:6]), tau_ratio=0.25)
+            assert any(m.trajectory_id == 13 for m in result.matches)
 
 
 class TestGracefulDegradation:

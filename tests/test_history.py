@@ -15,7 +15,6 @@ Tier-1 runs a short history per deployment.  The ``history`` profile
 ``pytest tests/test_history.py --hypothesis-profile=history``.
 """
 
-import time
 from contextlib import ExitStack, contextmanager
 
 import pytest
@@ -32,7 +31,6 @@ from hypothesis.stateful import (
 from repro.core.engine import SubtrajectorySearch
 from repro.core.filtering import tau_from_ratio
 from repro.core.frozen import FrozenInvertedIndex
-from repro.exceptions import WorkerError
 from repro.trajectory.dataset import TrajectoryDataset
 from tests.conftest import kill_worker, open_engine, oracle_range, oracle_topk
 
@@ -81,8 +79,6 @@ class HistoryMachine(RuleBasedStateMachine):
         self.pool = trips[BASE:]
         #: every trajectory's symbols, by global id: the oracle's corpus
         self.history = [tuple(t.path) for t in trips[:BASE]]
-        #: shards whose worker was killed and that no request has revived
-        self.down = set()
         dataset = TrajectoryDataset(graph, "vertex")
         dataset.extend(trips[:BASE])
         self.stack = ExitStack()
@@ -107,25 +103,13 @@ class HistoryMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(min_value=0))
     def add_trajectory(self, pick):
-        """An insert lands under the next global id.  Sent to a killed
-        worker the supervisor has not respawned yet, it fails loudly
-        instead (the engine does not retry inserts) and leaves no trace:
-        retried once the shard is back, as a client would, it gets the
-        same id."""
+        """An insert lands under the next global id — sent to a killed
+        worker the supervisor has not respawned yet too: the shard revives
+        and the insert is retried once, as a query is."""
         trajectory = self.pool[pick % len(self.pool)]
-        shard = len(self.history) % 2
-        try:
-            gid = self.engine.add_trajectory(trajectory)
-        except WorkerError:
-            assert shard in self.down
-            deadline = time.monotonic() + 10.0
-            while not self.engine.status().workers[shard].alive:
-                assert time.monotonic() < deadline, "the supervisor never respawned"
-                time.sleep(0.02)
-            gid = self.engine.add_trajectory(trajectory)
+        gid = self.engine.add_trajectory(trajectory)
         assert gid == len(self.history)
         self.history.append(tuple(trajectory.path))
-        self.down.discard(shard)
 
     @rule(query=queries, tau_ratio=st.floats(min_value=0.05, max_value=0.5))
     def range_query(self, query, tau_ratio):
@@ -135,7 +119,6 @@ class HistoryMachine(RuleBasedStateMachine):
         assert {
             (m.trajectory_id, m.start, m.end) for m in result.matches
         } == oracle_range(self.history, query, self.costs, tau)
-        self.down.clear()  # a query revives every shard it finds dead
 
     @rule(query=queries, k=st.integers(min_value=1, max_value=6))
     def topk(self, query, k):
@@ -144,7 +127,6 @@ class HistoryMachine(RuleBasedStateMachine):
         assert [(m.trajectory_id, m.distance) for m in result] == oracle_topk(
             self.history, query, self.costs, k
         )
-        self.down.clear()
 
     @precondition(lambda self: self.kind == "processes")
     @rule(shard=st.integers(min_value=0, max_value=1))
@@ -154,7 +136,6 @@ class HistoryMachine(RuleBasedStateMachine):
         # pid, even mid-respawn, so an alive pid is a live child.
         if state.alive:
             kill_worker(state.pid)
-            self.down.add(shard)
 
 
 @pytest.mark.parametrize("kind", DEPLOYMENTS)

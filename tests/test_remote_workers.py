@@ -262,21 +262,19 @@ class TestCallDeadline:
                 fault_plan=plan,
                 remote_call_timeout=3.0,
             ) as engine:
-                # The first replicated add on shard 0 vanishes into the
-                # half-open link; only the call deadline unmasks it.
-                with pytest.raises(WorkerError):
-                    engine.add_trajectory(vertex_dataset[0])
-                # The link was poisoned and re-established: queries serve.
-                deadline = time.monotonic() + 30.0
-                while True:
-                    try:
-                        result = engine.query(query, tau_ratio=0.25)
-                        break
-                    except WorkerError:
-                        assert time.monotonic() < deadline
-                        time.sleep(0.05)
-                assert keys(result) == expected
+                # The first replicated add on the target shard vanishes
+                # into the half-open link; only the call deadline unmasks
+                # it.  The poisoned link is re-established and the insert
+                # retried once on it, so it lands with its id.
+                t0 = time.monotonic()
+                gid = engine.add_trajectory(vertex_dataset[0])
+                assert gid == len(vertex_dataset)
+                assert time.monotonic() - t0 >= 3.0  # the deadline fired
                 assert engine.status().restarts_total >= 1
+                # Queries serve, the inserted copy of trajectory 0 included.
+                result = engine.query(query, tau_ratio=0.25)
+                twin = {(gid, s, e) for tid, s, e in expected if tid == 0}
+                assert set(keys(result)) == set(expected) | twin
 
 
 # ---------------------------------------------------------------------------

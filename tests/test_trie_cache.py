@@ -18,9 +18,11 @@ synthetic workloads and non-representable (0.3-multiple) costs:
 - the cache being merely *enabled* changes nothing: a first (cold-start)
   query through the cache matches the cache-disabled run in results,
   stats, and ``dp_array_allocations`` exactly;
-- concurrency: shard engines sharing one TrieCache under simultaneous
-  queries and an online insert never tear a column, and a walk whose
-  parked misses another verifier published first absorbs them as hits;
+- concurrency: one verifier walks an entry at a time — a second one
+  waits for the first one's anchor group and finds its columns as hits,
+  concurrent verifiers at distinct thresholds answer exactly and compute
+  each column once, and shard engines sharing one TrieCache under
+  simultaneous queries and an online insert answer exactly;
 - tries off: the private per-call arena dies with its walk, and the
   engine's cache entry keeps the rows and no tries;
 - eviction: LRU order under the byte budget (row bytes included), the
@@ -34,13 +36,14 @@ synthetic workloads and non-representable (0.3-multiple) costs:
 import gc
 import json
 import os
+import sys
 import threading
 import time
 import urllib.request
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser
@@ -59,6 +62,7 @@ from repro.distance.costs import CostModel, LevenshteinCost, NetEDRCost
 from repro.service import QueryService
 from repro.service.http import ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
+from tests.conftest import oracle_range
 
 
 class WeightedCost(CostModel):
@@ -303,10 +307,10 @@ class TestSharedCacheConcurrency:
         Safe because (a) trie columns are dataset-independent — shard A's
         walk caches columns shard B would compute identically, and an
         insert adds paths without changing any existing column (see
-        test_online_insert_needs_no_invalidation) — and (b) the trie's
-        writer lock plus publish-after-write ordering mean a lock-free
-        reader never observes a torn column.  Torn or wrong columns
-        would surface here as wrong distances vs. the cold references.
+        test_online_insert_needs_no_invalidation) — and (b) one
+        verifier walks an entry at a time (the entry's lock, held per
+        anchor group).  Torn or wrong columns would surface here as
+        wrong distances vs. the cold references.
         """
         dataset = TrajectoryDataset(small_graph, "vertex")
         dataset.extend(trips[:20])
@@ -377,15 +381,11 @@ class TestSharedCacheConcurrency:
         engine.close()
 
 
-class TestAbsorbPublishedMisses:
-    """The one branch only concurrency reaches — ``_absorb_published`` —
-    driven deterministically: verifier B runs to completion on the shared
-    entry from a hook between verifier A's walk and its resolve, so every
-    entry of A's pending list is already published when A takes the trie
-    lock.  Two kinds of entry get absorbed: misses this round's walk
-    parked (``walker``), and *virgin* entries — sole-waiter entries
-    carried over from the previous resolve, which no walk has touched
-    since (``virgin``)."""
+class TestOneVerifierPerEntry:
+    """The rule: a :class:`TrieCacheEntry` is walked by one verifier at a
+    time — the arena walker holds the entry's lock for each anchor group,
+    so a second verifier of the same query waits for the group and then
+    walks its columns as cache hits."""
 
     DATA = [
         [1, 2, 3, 4, 5, 0, 1, 2, 3, 4],
@@ -396,26 +396,15 @@ class TestAbsorbPublishedMisses:
     QUERY = [3, 4, 5]
     TAU = 4.0
 
-    def _verifier(self, entry, early):
-        v = Verifier(
+    def _verifier(self, entry):
+        return Verifier(
             lambda tid: self.DATA[tid],
             self.QUERY,
             w03,
             self.TAU,
             dp_backend="numpy",
-            early_termination=early,
             trie_entry=entry,
         )
-        e_values = []
-        walk = v._arena_all_prefix_wed
-
-        def recording(views, budgets, ctx):
-            outs = walk(views, budgets, ctx)
-            e_values.append([list(out) for out in outs])
-            return outs
-
-        v._arena_all_prefix_wed = recording
-        return v, e_values
 
     @staticmethod
     def _run(v, candidates):
@@ -423,81 +412,120 @@ class TestAbsorbPublishedMisses:
         v.verify_all(candidates, ms)
         return sorted((m.trajectory_id, m.start, m.end, m.distance) for m in ms)
 
-    @pytest.mark.parametrize("early", [True, False], ids=["et", "no-et"])
-    @pytest.mark.parametrize("round_kind", ["walker", "virgin"])
-    def test_misses_published_between_walk_and_resolve(self, round_kind, early):
+    def test_second_verifier_waits_for_the_group(self):
         candidates = candidates_for(self.DATA, self.QUERY)
-        alone, alone_e = self._verifier(TrieCacheEntry(w03, self.QUERY), early)
+        alone = self._verifier(None)
         want = self._run(alone, candidates)
         assert want and alone.stats.computed_columns > 0
 
         entry = TrieCacheEntry(w03, self.QUERY)
-        a, a_e = self._verifier(entry, early)
-        b, _ = self._verifier(entry, early)
-        fired = []
-        computed_before = [0]
-        walked_this_round = set()
-        walked_after = set()
-        absorbed = []
-        resolve, walk, absorb = a._resolve_round, a._walk_cached, a._absorb_published
+        a, b = self._verifier(entry), self._verifier(entry)
+        got_b, errors = [], []
 
-        def hooked_resolve(ctx, trie, pslots, syms, rowslots, waiters):
-            virgin = {
-                id(w[0])
-                for w in waiters
-                if len(w) == 1 and id(w[0]) not in walked_this_round
-            }
-            walked_this_round.clear()
-            firing = not fired and (round_kind == "walker" or bool(virgin))
-            if firing:
-                fired.append(virgin)
-                assert self._run(b, candidates) == want
-            done, runnable, pending = resolve(
-                ctx, trie, pslots, syms, rowslots, waiters
-            )
-            if firing:
-                # Every pending entry was published by B: nothing is
-                # computed and every live state — virgin entries included
-                # — goes back to the walker.
-                assert done == 0
-                assert not pending[0], "an absorbed entry stayed pending"
-            elif not fired:
-                computed_before[0] += done
-            return done, runnable, pending
+        def run_b():
+            try:
+                got_b.append(self._run(b, candidates))
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
 
-        def spying_absorb(trie, hit, pslots, syms, rowslots, waiters, runnable):
-            absorbed.append({id(st) for i in hit for st in waiters[i]})
-            return absorb(trie, hit, pslots, syms, rowslots, waiters, runnable)
+        thread = threading.Thread(target=run_b)
+        walk = a._walk_cached
 
-        def hooked_walk(trie, rows, states, *rest):
-            walked_this_round.update(id(st) for st in states)
-            if fired:
-                walked_after.update(id(st) for st in states)
-            return walk(trie, rows, states, *rest)
+        def hooked_walk(*args):
+            if thread.ident is None:
+                # A is inside its first group: B starts on the same entry
+                # and gets ample time to finish — it must not.
+                thread.start()
+                thread.join(0.3)
+                assert thread.is_alive(), "B walked the entry while A held it"
+            return walk(*args)
 
-        a._resolve_round = hooked_resolve
         a._walk_cached = hooked_walk
-        a._absorb_published = spying_absorb
-        got = self._run(a, candidates)
-
-        assert fired, "the hook never found its round"
-        assert got == want
-        assert a_e == alone_e
-        assert a.stats.visited_columns == alone.stats.visited_columns
-        assert a.stats.emitted == alone.stats.emitted
-        # Absorbed columns are hits, not computations: A counts only what
-        # it computed before the hook, B the rest — no column twice.
-        assert a.stats.computed_columns == computed_before[0]
+        got_a = self._run(a, candidates)
+        thread.join(30.0)
+        assert not errors, errors
+        assert thread.ident is not None and not thread.is_alive()
+        assert got_a == got_b[0] == want
+        # B found every column A computed as a hit, and vice versa after
+        # A's first group: each column was computed once, by one of them.
         assert (
             a.stats.computed_columns + b.stats.computed_columns
             == alone.stats.computed_columns
         )
-        if round_kind == "virgin":
-            # Every carried-over entry was served from B's publications.
-            assert fired[0] <= absorbed[0] and computed_before[0] > 0
-            assert fired[0] & walked_after, "no absorbed virgin entry was rewalked"
-        else:
-            assert absorbed[0] and a.stats.computed_columns == 0
+
+
+#: the stress class runs briefly in tier-1 and deep under
+#: ``--hypothesis-profile=history`` (tests/conftest.py).
+STRESS = settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    **(
+        {}
+        if settings.get_current_profile_name() == "history"
+        else {"max_examples": 30}
+    ),
+)
+
+
+class TestConcurrentVerifiersStress:
+    """2-6 threads, switching as often as the interpreter allows, verify
+    one query at distinct thresholds over one fresh shared entry."""
+
+    @given(
+        data=st.lists(strings, min_size=1, max_size=4),
+        query=st.lists(symbols, min_size=1, max_size=5),
+        taus=st.lists(
+            st.floats(min_value=0.5, max_value=4.5), min_size=2, max_size=6, unique=True
+        ),
+    )
+    @STRESS
+    def test_every_answer_exact_and_every_column_computed_once(self, data, query, taus):
+        entry = TrieCacheEntry(lev, query)
+        # Every (id, j, iq) is a candidate, so verification is complete:
+        # on unit costs the answers must equal the oracle's exactly.
+        candidates = [
+            (tid, j, iq)
+            for tid, string in enumerate(data)
+            for j in range(len(string))
+            for iq in range(len(query))
+        ]
+        barrier = threading.Barrier(len(taus))
+        answers, computed, errors = {}, [], []
+
+        def verify(tau):
+            try:
+                v = Verifier(
+                    lambda tid: data[tid],
+                    query,
+                    lev,
+                    tau,
+                    dp_backend="numpy",
+                    trie_entry=entry,
+                )
+                ms = MatchSet()
+                barrier.wait()
+                v.verify_all(candidates, ms)
+                answers[tau] = {(m.trajectory_id, m.start, m.end) for m in ms}
+                computed.append(v.stats.computed_columns)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=verify, args=(tau,)) for tau in taus]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        for tau in taus:
+            assert answers[tau] == oracle_range(data, query, lev, tau)
+        tries = [s.trie for s in entry.directions.values() if s.trie is not None]
+        assert sum(computed) == sum(trie.node_count() - 1 for trie in tries)
 
 
 class TestTriesOff:
@@ -505,8 +533,8 @@ class TestTriesOff:
     shared."""
 
     def test_private_arena_dies_with_each_walk(self, monkeypatch):
-        data = TestAbsorbPublishedMisses.DATA
-        query = TestAbsorbPublishedMisses.QUERY
+        data = TestOneVerifierPerEntry.DATA
+        query = TestOneVerifierPerEntry.QUERY
         arenas = []
         build = verification.VerificationTrie
 

@@ -474,7 +474,8 @@ def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
     # One policy: whichever request trips over the dead link, the shard's
     # breaker, last error and event ring tell the same story.  Nothing
     # revives the shards to tidy the evidence away: the supervisor never
-    # ticks, and the query is one bare call (inserts are never retried).
+    # ticks, and the insert and the query are one bare call each (the
+    # shard's own add and query would revive and retry).
     monkeypatch.setattr(workers, "_SUPERVISOR_POLL", 3600.0)
     insert_shard = len(vertex_dataset) % 2
     query_shard = 1 - insert_shard
@@ -485,8 +486,11 @@ def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
         ]
     )
     with open_engine(link, vertex_dataset, edr_cost, fault_plan=plan) as engine:
+        local_id = len(engine._shards[insert_shard])
         with pytest.raises(WorkerError):
-            engine.add_trajectory(vertex_dataset[0])
+            engine._workers._workers[insert_shard].call(
+                "add", (local_id, vertex_dataset[0], False)
+            )
         with pytest.raises(WorkerError):
             engine._workers._workers[query_shard].call(
                 "query", query_payload(sample_query(vertex_dataset, rng, 6))
@@ -501,7 +505,7 @@ def test_a_failed_insert_is_recorded_exactly_like_a_failed_query(
         assert (
             by_insert.events[-1].split(": ")[1] == by_query.events[-1].split(": ")[1]
         )
-        assert len(engine) == len(vertex_dataset)  # the reservation rolled back
+        assert len(engine._shards[insert_shard]) == local_id  # nothing mirrored
 
 
 def test_an_error_the_worker_replied_with_respawns_nothing(
