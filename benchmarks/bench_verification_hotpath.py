@@ -21,7 +21,8 @@ EDR — plus a short-query |Q| = 10 regime, the one setting where the
 python loop can still win and the reason the rule exists (each cell
 records what the rule picks).
 
-Since PR 5 the numpy backend is measured in two serving regimes:
+Both walkers walk the tries of the one cross-query ``TrieCache``, and
+each is measured in two serving regimes:
 
 - **cold** (``trie_cache_size=0``): no cross-query reuse of any kind —
   every query gets a fresh entry and computes its substitution rows and
@@ -33,12 +34,13 @@ Since PR 5 the numpy backend is measured in two serving regimes:
   measures end to end;
 - **warm-repeat** (the default TrieCache enabled, warmed by the
   measurement loop's own repeats): the engine serves the repeated query
-  from its cached rows and trie columns, so verification is the arena
-  walker's cached-column walk plus combine — the serving layer's zipf-repeat
-  regime.  The ``warm_speedup`` column (cold/warm verification time) is
-  floor-gated in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware
-  cells, and warm answers are asserted bit-identical to both cold
-  backends.
+  from its cached rows and trie columns, so verification is the
+  walker's cached-column walk plus combine — the serving layer's
+  zipf-repeat regime.  ``numpy_warm`` is the arena walker's: its
+  ``warm_speedup`` column (cold/warm verification time) is floor-gated
+  in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware cells.
+  ``python_warm`` is the per-cell walker's, recorded with no floor.
+  Warm answers are asserted bit-identical to both cold backends.
 
 The record lands in ``results/BENCH_verification.json`` — the repo's
 committed perf baseline (a copy lives at the repo root) — and the inline
@@ -82,9 +84,12 @@ NUM_QUERIES = 3
 TAU_RATIO = 0.4
 REPEATS = 3
 BACKENDS = ("python", "numpy")
-#: third measured configuration: the numpy backend with the cross-query
-#: TrieCache enabled, timed on repeats (the zipf-serving regime).
+#: the warm-repeat configurations: each backend with the cross-query
+#: TrieCache enabled, timed on repeats (the zipf-serving regime).  Only
+#: the numpy one is floor-gated.
 WARM = "numpy_warm"
+PYTHON_WARM = "python_warm"
+CONFIGS = (*BACKENDS, WARM, PYTHON_WARM)
 #: CI gate: numpy must beat python by at least this factor on the
 #: network-aware |Q|=50 workload's verification stage, at every scale.
 SPEEDUP_FLOOR = 1.5
@@ -211,13 +216,15 @@ def test_verification_hotpath(recorder, bench_scale):
                     )
             # Warm-repeat regime: the cross-query TrieCache serves the
             # repeats; answers must stay bit-identical to both cold runs.
-            answers, measured[WARM] = _run_backend(
-                dataset, costs, queries, "numpy",
-                trie_cache_size=DEFAULT_TRIE_CACHE,
-            )
-            assert answers == expected, (
-                f"warm trie cache changed answers on {profile}/{function}"
-            )
+            for config, backend in ((WARM, "numpy"), (PYTHON_WARM, "python")):
+                answers, measured[config] = _run_backend(
+                    dataset, costs, queries, backend,
+                    trie_cache_size=DEFAULT_TRIE_CACHE,
+                )
+                assert answers == expected, (
+                    f"warm trie cache changed {backend} answers on "
+                    f"{profile}/{function}"
+                )
             numpy_allocs = measured["numpy"]["dp_array_allocs_per_query"]
             computed_per_query = measured["numpy"]["computed_columns_per_query"]
             cell = {
@@ -250,7 +257,7 @@ def test_verification_hotpath(recorder, bench_scale):
                     if numpy_allocs
                     else float("inf")
                 ),
-                **{config: measured[config] for config in (*BACKENDS, WARM)},
+                **{config: measured[config] for config in CONFIGS},
             }
             cells.append(cell)
             if function == WORKLOADS[0][1] and (
@@ -271,7 +278,7 @@ def test_verification_hotpath(recorder, bench_scale):
             "python vs array-native (arena) DP"
         ),
     )
-    for config in (*BACKENDS, WARM):
+    for config in CONFIGS:
         table.add_row(
             f"{config} verify/query",
             [c[config]["verify_seconds_per_query"] for c in cells],
@@ -319,6 +326,7 @@ def test_verification_hotpath(recorder, bench_scale):
         {
             "backends": list(BACKENDS),
             "warm_config": WARM,
+            "python_warm_config": PYTHON_WARM,
             "cells": cells,
             "headline_workload": f"{headline['profile']}/{headline['function']}",
             "headline_scale": headline["scale"],
@@ -339,10 +347,11 @@ def test_verification_hotpath(recorder, bench_scale):
             "the network-aware (NetEDR) |Q|=50 workload (headline cell); >= "
             f"{SPEEDUP_FLOOR}x and >= {ALLOC_REDUCTION_FLOOR}x fewer ndarray "
             "materializations than the per-column layout enforced on every "
-            "NetEDR cell (CI smoke included); warm-repeat serving (the "
+            "NetEDR cell (CI smoke included); numpy warm-repeat serving (the "
             f"cross-query TrieCache) >= {WARM_SPEEDUP_FLOOR}x faster at "
-            "verification than cold numpy on the same cells; answers "
-            "bit-identical across backends and cache temperatures "
+            "verification than cold numpy on the same cells; the per-cell "
+            "walker's warm repeats (python_warm) recorded with no floor; "
+            "answers bit-identical across backends and cache temperatures "
             "everywhere; |Q|=10 EDR documents the short-query regime "
             "the walker rule routes to python.  Cold cells "
             "(trie_cache_size=0) recompute the substitution rows as well "

@@ -82,7 +82,7 @@ INDEX_BACKENDS = ("dict", "frozen")
 DEFAULT_TRIE_CACHE = 32
 
 #: default byte budget across everything the cached entries pin (per
-#: engine/shard group).  Re-accounted after every cached verification;
+#: engine/shard group).  Each verification re-accounts its own entry;
 #: LRU entries are shed until the total fits (see TrieCache.reconcile).
 DEFAULT_TRIE_CACHE_BYTES = 256 * 1024 * 1024
 
@@ -119,7 +119,7 @@ class QueryResult:
     #: what the cross-query TrieCache did for this query: ``"hit"`` (warm
     #: rows and columns reused), ``"miss"`` (verified cold, warmed the
     #: cache), ``"off"`` (cache disabled), or ``""`` when the cache was
-    #: not consulted at all (sw mode, python backend, scan fallback).
+    #: not consulted at all (sw mode, scan fallback).
     #: Merged shard results join the distinct per-shard statuses with ``+``.
     trie_cache_status: str = ""
     #: DP kernel launches during verification (one per resolve round; 0
@@ -267,20 +267,20 @@ class SubtrajectorySearch:
         position and direction, the row table and the verification trie.
         Repeated queries (the serving layer's zipf traffic) skip
         substitution-row computation and start verification with every
-        previously computed DP column *warm* — the walker runs through
-        cached columns in a scalar loop and launches a DP kernel only at
-        the cold frontier — across tau and time-window variations, and
+        previously computed DP column *warm* — either walker runs
+        through cached columns in a scalar loop and computes columns only
+        at the cold frontier — across tau and time-window variations, and
         needing no invalidation on online inserts (rows depend on the
         query and the model, columns are keyed by data-symbol path, not
         by trajectory, so both are dataset-independent).
         ``verification="local"`` keeps the rows and row tables and
-        builds no trie.  Entry bytes (rows, row tables and trie arenas)
-        are re-accounted after each verification and LRU entries shed
-        past the budget.  ``trie_cache_size=0`` disables cross-query
-        reuse of any kind (each query gets a fresh entry, the pre-cache
-        behaviour).  Warmth changes which rows and columns are
-        *recomputed*, never any emitted float: warm and cold answers are
-        bit-identical.
+        builds no trie.  Each verification re-accounts the bytes of its
+        own entry (rows, row tables and trie arenas) and sheds LRU
+        entries past the budget.  ``trie_cache_size=0`` disables
+        cross-query reuse of any kind (each query gets a fresh entry,
+        the pre-cache behaviour).  Warmth changes which rows and columns
+        are *recomputed*, never any emitted float: warm and cold answers
+        are bit-identical.
     trie_cache:
         A prebuilt :class:`~repro.core.trie.TrieCache` to use instead of
         constructing one — how
@@ -556,9 +556,7 @@ class SubtrajectorySearch:
             stats = self._verify_sw(candidates, query, tau, matches, cancel)
         else:
             backend_used = choose_dp_backend(len(query), self._costs)
-            trie_entry = None
-            if backend_used == "numpy":
-                trie_entry, trie_status = self._warm_state(query)
+            trie_entry, trie_status = self._warm_state(query)
             verifier = Verifier(
                 self._dataset.symbols_array,
                 query,
@@ -573,11 +571,10 @@ class SubtrajectorySearch:
             try:
                 verifier.verify_all(candidates, matches)
             finally:
-                if trie_status in ("hit", "miss"):
-                    # Row tables and arenas grew during verification
-                    # (cancelled or not): re-account trie_cache_bytes and
-                    # shed LRU entries past the byte budget.
-                    self._trie_cache.reconcile()
+                # Row tables and arenas grew during verification
+                # (cancelled or not): re-account this entry's bytes and
+                # shed LRU entries past the byte budget.
+                self._trie_cache.reconcile(trie_entry)
             stats = verifier.stats
             allocations = verifier.dp_array_allocations
             dp_rounds = verifier.dp_rounds
@@ -685,15 +682,16 @@ class SubtrajectorySearch:
 
     def _warm_state(self, query: Sequence[int]):
         """This query's ``(TrieCacheEntry, lookup status)`` — one lookup
-        in the cross-query TrieCache; with the cache ``"off"``, a fresh
+        in the cross-query TrieCache, for every trie or local
+        verification on either walker; with the cache ``"off"``, a fresh
         entry that lives for this query only.
 
         On a ``"hit"`` the substitution rows, the per-direction row
         tables and the tries are all reused — the row-computation stage
         of verification disappears for repeated queries and the walk
-        starts warm.  Rows are computed on first touch only, so a query
-        whose temporal filter dropped candidates never pays for their
-        anchors' rows.  Concurrent missers of one key get one entry.
+        starts warm, whichever walker built the tries.  Rows are
+        computed on first touch only, so a query whose temporal filter
+        dropped candidates never pays for their anchors' rows.  Concurrent missers of one key get one entry.
 
         The key is the query-and-cost-model *prefix* of
         :func:`query_signature`: rows and columns depend on neither the

@@ -9,23 +9,19 @@ a road network share prefixes (out-degree is tiny), later candidates walk
 cached columns instead of recomputing them — the cache-miss rate is the
 CMR metric of §6.4.
 
-Two layouts, one per verification walker
-(:mod:`repro.core.verification`):
-
-- :class:`VerificationTrie` — the arena walker's **slot-native** trie, no
-  node objects at all.  Every level has the same column width
-  (``|Q^d| + 1``), so all columns live as rows of **one** growable
-  ``(capacity, width)`` float64 matrix, with slot 0 holding the root
-  column.  Structure lives in one ``edges`` dict mapping
-  ``(parent_slot, symbol) -> child_slot``, and the two scalars the walk
-  reads per visit (``min(column)`` — the Eq. 11 early-termination bound —
-  and ``column[-1]`` — the emitted E value) live once, as plain floats in
-  the slot-indexed ``mins_list`` / ``lasts_list``, so the walk loop never
-  touches a numpy scalar.  This is what makes the trie *portable across
-  queries*: a repeated query walks it warm with no per-node object graph
-  to rebuild or traverse.
-- :class:`TrieNode` — the per-cell Python walker's one-column-per-node
-  graph, private to one verifier (the walker holds its root directly).
+One layout, :class:`VerificationTrie`, serves both verification walkers
+(:mod:`repro.core.verification`): a **slot-native** trie, no node objects
+at all.  Every level has the same column width (``|Q^d| + 1``), so all
+columns live as rows of **one** growable ``(capacity, width)`` float64
+matrix, with slot 0 holding the root column.  Structure lives in one
+``edges`` dict mapping ``(parent_slot, symbol) -> child_slot``, and the
+two scalars a walk reads per visit (``min(column)`` — the Eq. 11
+early-termination bound — and ``column[-1]`` — the emitted E value) live
+once, as plain floats in the slot-indexed ``mins_list`` /
+``lasts_list``, so the walk loop never touches a numpy scalar.  This is
+what makes the trie *portable across queries*: a repeated query walks it
+warm with no per-node object graph to rebuild or traverse, whichever
+walker built it.
 
 A :class:`TrieCacheEntry` is one query's whole warm state: the query's
 substitution rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
@@ -34,13 +30,13 @@ substitution rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
 engine's :class:`TrieCache` keeps entries across queries.
 
 One rule covers concurrency: **an entry is walked by one verifier at a
-time.**  The arena walker holds :attr:`TrieCacheEntry.lock` for a whole
+time.**  Either walker holds :attr:`TrieCacheEntry.lock` for a whole
 anchor group, so nothing under an entry — rows, row tables, states,
 tries — has a lock of its own.  A concurrent verifier of the same query
 waits for at most one group, then walks the first one's columns as cache
 hits.  Writers still write a column (or a row) before the key that makes
-it reachable, but only for exception safety: a round that raises leaves
-no half-born edge behind.
+it reachable (:meth:`VerificationTrie.publish`), but only for exception
+safety: a round that raises leaves no half-born edge behind.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +57,6 @@ __all__ = [
     "QueryRows",
     "TrieCache",
     "TrieCacheEntry",
-    "TrieNode",
     "VerificationTrie",
 ]
 
@@ -82,49 +77,6 @@ _EDGE_OBJECT_BYTES = (
     sys.getsizeof((1 << 20, 1 << 20)) + 3 * sys.getsizeof(1 << 20)
 )
 _FLOAT_OBJECT_BYTES = sys.getsizeof(0.5)
-
-
-class TrieNode:
-    """One cached DP column of the per-cell Python walker's trie.
-
-    ``column_min`` is ``min(column)``, the early-termination lower bound
-    ``LB`` of Eq. 11 — handed in by the caller, which has it from
-    :func:`~repro.distance.wed.wed_step_min` without a rescan — and
-    ``column_last`` caches ``column[-1]`` (the E value read once per
-    visit), so the walk reads two attributes per visit instead of
-    scanning the column.
-    """
-
-    __slots__ = ("children", "column", "column_min", "column_last")
-
-    def __init__(self, column: Sequence[float], column_min: float) -> None:
-        self.children: dict = {}
-        self.column: Sequence[float] = column
-        self.column_min: float = float(column_min)
-        self.column_last: float = float(column[-1])
-
-    def find_child(self, symbol: int) -> Optional["TrieNode"]:
-        """The cached child for ``symbol``, or None (a cache miss)."""
-        return self.children.get(symbol)
-
-    def create_child(
-        self, symbol: int, column: Sequence[float], column_min: float
-    ) -> "TrieNode":
-        """Cache ``column`` (minimum ``column_min``) as the child for
-        ``symbol`` and return it."""
-        child = TrieNode(column, column_min)
-        self.children[symbol] = child
-        return child
-
-    def node_count(self) -> int:
-        """Cached columns in the subtree rooted here (this node included)."""
-        count = 0
-        stack: List[TrieNode] = [self]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children.values())
-        return count
 
 
 class VerificationTrie:
@@ -179,6 +131,20 @@ class VerificationTrie:
         self.used = needed
         return start
 
+    def publish(
+        self,
+        start: int,
+        mins: List[float],
+        lasts: List[float],
+        keys: Iterable[Tuple[int, int]],
+    ) -> None:
+        """Make the rows from ``start`` on, already written, reachable:
+        their scalars first, then one ``(parent_slot, symbol)`` edge per
+        key, in row order (no keys: the rows stay unreachable)."""
+        self.mins_list.extend(mins)
+        self.lasts_list.extend(lasts)
+        self.edges.update(zip(keys, range(start, start + len(mins))))
+
     def row(self, slot: int) -> np.ndarray:
         """The column stored at ``slot``."""
         return self.matrix[slot]
@@ -213,7 +179,7 @@ class QueryRows:
     query[i])``, each computed once, on first touch, through the model's
     vectorized :meth:`~repro.distance.costs.CostModel.sub_row_array`.
 
-    The verifier reads a candidate's anchor cost off its symbol's row, and
+    The arena walker reads a candidate's anchor cost off its symbol's row, and
     every :class:`DirectionRows` table copies its slices from here.  Rows
     depend only on the query and the model, never on the dataset, the
     threshold or the time window, so they stay valid for as long as the
@@ -309,27 +275,28 @@ _STATE_ARRAYS = 3
 
 
 class DirectionState:
-    """One ``(iq, direction)``'s warm state: the insertion prefix of the
-    query part (the trie's root column, and the ``P`` of the prefix-min
-    DP convention — summed left to right by
-    :func:`~repro.distance.wed.wed_row_init`, the Python walker's own
-    root, so both walkers hold the same floats), the part's
-    :class:`DirectionRows` table, and its :class:`VerificationTrie` —
-    ``None`` until a verifier with tries on first walks this direction.
+    """One ``(iq, direction)``'s warm state: the query ``part`` itself
+    (the per-cell walker's :func:`~repro.distance.wed.wed_step_min`
+    argument), its insertion prefix (the trie's root column, and the
+    ``P`` of the prefix-min DP convention — summed left to right by
+    :func:`~repro.distance.wed.wed_row_init`), the part's
+    :class:`DirectionRows` table (the arena walker's), and its
+    :class:`VerificationTrie` — ``None`` until a verifier with tries on
+    first walks this direction.
 
     The part is ``query[iq+1:]`` forward and the reversed prefix
     ``query[iq-1::-1]`` backward: WED is invariant under simultaneous
     reversal because costs are position-independent.
     """
 
-    __slots__ = ("ins_prefix", "rows", "trie")
+    __slots__ = ("part", "ins_prefix", "rows", "trie")
 
     def __init__(self, source: QueryRows, iq: int, direction: str) -> None:
         if direction == "b":
             row_slice = slice(iq - 1, None, -1) if iq > 0 else slice(0, 0)
         else:
             row_slice = slice(iq + 1, None)
-        part = source.query[row_slice]
+        self.part = part = source.query[row_slice]
         self.ins_prefix = np.array(wed_row_init(source.costs, part), dtype=np.float64)
         self.rows = DirectionRows(source, row_slice, len(part))
         self.trie: Optional[VerificationTrie] = None
@@ -347,13 +314,17 @@ class TrieCacheEntry:
     module docstring); :attr:`nbytes` alone is read without it.
     """
 
-    __slots__ = ("rows", "directions", "lock", "__weakref__")
+    __slots__ = ("rows", "directions", "lock", "counted_bytes", "__weakref__")
 
     def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
         self.rows = QueryRows(costs, query)
         self.directions: Dict[Tuple[int, str], DirectionState] = {}
         #: held by the one verifier walking this entry, a group at a time.
         self.lock = threading.Lock()
+        #: the bytes a :class:`TrieCache` counts for this entry: ``None``
+        #: while it is not cached, ``0`` on insertion, then
+        #: :attr:`nbytes` as of its last :meth:`TrieCache.reconcile`.
+        self.counted_bytes: Optional[int] = None
 
     @property
     def query(self) -> Tuple[int, ...]:
@@ -417,7 +388,10 @@ class TrieCache:
     arenas and row tables keep growing *after* insertion as later
     queries extend them — a ``max_bytes`` budget enforced by
     :meth:`reconcile`, which the engine calls after each verification to
-    re-account the bytes and shed LRU entries until the total fits.
+    re-account the one entry that verification walked and shed LRU
+    entries until the total fits.  Only a verification grows an entry,
+    and each reconciles its own, so :attr:`bytes` is exact whenever no
+    verification is running.
     ``capacity == 0`` disables cross-query reuse entirely (``lookup``
     hands out a fresh, unshared entry without counting).  Thread-safe
     under its own lock, which is never taken while an entry's
@@ -437,7 +411,7 @@ class TrieCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: bytes across live entries as of the last :meth:`reconcile`.
+        #: the sum of the cached entries' ``counted_bytes``.
         self.bytes = 0
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, TrieCacheEntry]" = OrderedDict()
@@ -465,10 +439,10 @@ class TrieCache:
                 return entry, "hit"
             self.misses += 1
             entry = factory()
+            entry.counted_bytes = 0
             self._entries[key] = entry
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+                self._evict_lru()
             return entry, "miss"
 
     def peek(self, key: Hashable) -> Optional[TrieCacheEntry]:
@@ -482,28 +456,37 @@ class TrieCache:
         with self._lock:
             return list(self._entries)
 
-    def reconcile(self) -> int:
-        """Re-account entry bytes and evict LRU entries past ``max_bytes``.
+    def reconcile(self, entry: TrieCacheEntry) -> int:
+        """Re-account ``entry``'s bytes and evict LRU entries past
+        ``max_bytes``.
 
         Returns the post-eviction byte total.  Called by the engine after
-        each cached verification, because arenas and row tables grow
-        while entries sit in the cache — insertion-time accounting alone
-        would undercount.  An oversized *single* entry is evicted too —
-        one whose rows alone exceed the budget included (the budget is a
-        hard cap); the query that produced it simply stays cold.
+        each verification with the entry it walked, because arenas and
+        row tables grow while entries sit in the cache — insertion-time
+        accounting alone would undercount.  No other entry is measured.
+        An entry no longer cached (evicted meanwhile, or handed out with
+        the cache off) changes nothing.  An oversized *single* entry is
+        evicted too — one whose rows alone exceed the budget included
+        (the budget is a hard cap); the query that produced it simply
+        stays cold.
         """
         with self._lock:
-            sizes = [(key, entry.nbytes) for key, entry in self._entries.items()]
-            total = sum(size for _, size in sizes)
-            if self.max_bytes is not None:
-                for key, size in sizes:  # sizes is in LRU order
-                    if total <= self.max_bytes:
-                        break
-                    if self._entries.pop(key, None) is not None:
-                        self.evictions += 1
-                        total -= size
-            self.bytes = total
-            return total
+            if entry.counted_bytes is not None:
+                size = entry.nbytes
+                self.bytes += size - entry.counted_bytes
+                entry.counted_bytes = size
+                if self.max_bytes is not None:
+                    while self.bytes > self.max_bytes:
+                        self._evict_lru()
+            return self.bytes
+
+    def _evict_lru(self) -> None:
+        """Drop the least recently used entry and its counted bytes.
+        Caller holds the cache lock."""
+        _, entry = self._entries.popitem(last=False)
+        self.bytes -= entry.counted_bytes
+        entry.counted_bytes = None
+        self.evictions += 1
 
     def stats(self) -> Dict[str, int]:
         """Observable counters (served via ``/healthz`` and service stats)."""

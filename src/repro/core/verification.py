@@ -31,16 +31,23 @@ Three optimizations, individually switchable for ablation:
 One seam — :class:`Verifier` — with exactly two AllPrefixWED
 implementations behind it, both evaluating the repo-wide prefix-min
 insert chain (see :mod:`repro.distance.wed`) so their floats are
-bit-identical.  Candidates are deduped and grouped by anchor position
-``iq``, and both walkers share one per-candidate setup: the
-trajectory's int array, the anchor cost and budget, and both direction
-views materialized once as plain int lists.  Only AllPrefixWED differs:
+bit-identical, and both walking one trie layout: per direction, the
+*slot-native* :class:`~repro.core.trie.VerificationTrie` of the query's
+:class:`~repro.core.trie.TrieCacheEntry` (columns as rows of one
+growable matrix, structure in one ``(parent_slot, symbol) ->
+child_slot`` dict, the per-column min / last as plain floats).  The
+entry holds everything warm — the anchor costs' full substitution rows,
+and per ``(iq, direction)`` the query part, its insertion prefix, the
+slot-indexed row table and the trie — and the engine keeps it across
+queries (or builds it fresh per query with the cache off); the verifier
+itself keeps only scratch buffers and allocation counts.  Candidates are
+deduped and grouped by anchor position ``iq``, and both walkers share
+one per-candidate setup: the trajectory's int array, the anchor cost and
+budget, and both direction views materialized once as plain int lists.
+Only AllPrefixWED differs — how a cache miss is computed:
 
 - ``dp_backend="numpy"`` is the **arena walker**: each group's states
-  advance together over one *slot-native* trie per direction
-  (:class:`~repro.core.trie.VerificationTrie`: columns as rows of one
-  growable matrix, structure in one ``(parent_slot, symbol) ->
-  child_slot`` dict, the per-column min / last as plain floats).  Rounds
+  advance together over the direction's trie.  Rounds
   alternate a *walk* — every live state runs through cached columns to
   its first miss in a scalar loop; on a *warm* trie (served across
   queries by the engine's :class:`~repro.core.trie.TrieCache`) that is
@@ -56,20 +63,16 @@ views materialized once as plain int lists.  Only AllPrefixWED differs:
   group of one, and ``use_trie=False`` runs it on a private per-call
   arena that seeds every state as a one-waiter entry and publishes no
   edges, so every visit recomputes its column and the arena dies with
-  the call.  The walker reads everything warm through the query's
-  :class:`~repro.core.trie.TrieCacheEntry` — the anchor costs off its
-  full substitution rows, and per ``(iq, direction)`` the insertion
-  prefix, the slot-indexed row table and the trie — which the engine
-  keeps across queries (or builds fresh per query with the cache off);
-  the verifier itself keeps only scratch buffers and allocation counts.
+  the call.
 - ``dp_backend="python"`` is the **per-cell Python walker**: one
-  candidate at a time over a :class:`~repro.core.trie.TrieNode` graph,
-  one pure-Python loop iteration per DP cell
-  (:func:`~repro.distance.wed.wed_step_min`).  It is the reference the
-  parity suites hold the arena walker to *and* the faster path for short
+  candidate at a time over the same trie, following cached edges to its
+  first miss and computing the uncached suffix one pure-Python loop
+  iteration per DP cell (:func:`~repro.distance.wed.wed_step_min`),
+  published as one block of arena rows.  It is the reference the parity
+  suites hold the arena walker to *and* the faster path for short
   queries over cheap substitution rows
   (``benchmarks/bench_verification_hotpath.py`` tracks the gap both
-  ways).
+  ways).  A trie either walker built is walked warm by the other.
 
 The engine runs every query on the walker :func:`choose_dp_backend`
 picks: the Python walker for short queries over models with vectorizable
@@ -88,7 +91,7 @@ with).
 
 Entries are shared (the cross-query cache, and shard engines sharing one
 cache) under one rule: **an entry is walked by one verifier at a time.**
-The arena walker holds the entry's :attr:`~repro.core.trie.TrieCacheEntry.lock`
+Either walker holds the entry's :attr:`~repro.core.trie.TrieCacheEntry.lock`
 for each anchor group — the anchor-cost reads, both direction walks and
 the combine — so a concurrent verifier of the same query waits for at
 most one group and then finds that group's columns as cache hits.  Each
@@ -98,23 +101,22 @@ The :class:`VerificationStats` counters implement the §6.4 metrics: UPR
 (columns surviving early termination vs. a full Smith–Waterman pass) and
 CMR (columns actually computed vs. columns visited).  They are
 walker-identical by design; the ndarray-materialization count, which is
-*not* (the Python walker allocates none), is reported separately via
-:attr:`Verifier.dp_array_allocations`.
+*not* (the Python walker runs no kernel and allocates no scratch), is
+reported separately via :attr:`Verifier.dp_array_allocations`.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cancellation import raise_if_cancelled
 from repro.core.results import MatchSet
-from repro.core.trie import DirectionState, TrieCacheEntry, TrieNode, VerificationTrie
+from repro.core.trie import DirectionState, TrieCacheEntry, VerificationTrie
 from repro.distance.costs import CostModel
-from repro.distance.wed import wed_row_init, wed_step_min
+from repro.distance.wed import wed_step_min
 from repro.exceptions import QueryError
 
 __all__ = [
@@ -254,15 +256,15 @@ class VerificationStats:
 
 
 class _DirectionContext:
-    """The arena walker's per-verifier view of one shared
-    :class:`~repro.core.trie.DirectionState`: its private scratch buffers
-    — parent columns, substitution rows, deletion costs, the two kernel
-    work buffers and the per-column minima, grown geometrically and
-    reused round after round — and the ndarray allocations this verifier
-    is charged for on that direction (see
-    :attr:`Verifier.dp_array_allocations`).  Everything warm — the
-    insertion prefix, the row table, the trie — lives on the state, in
-    the query's :class:`~repro.core.trie.TrieCacheEntry`.
+    """A verifier's view of one shared
+    :class:`~repro.core.trie.DirectionState`: the arena walker's private
+    scratch buffers — parent columns, substitution rows, deletion costs,
+    the two kernel work buffers and the per-column minima, grown
+    geometrically and reused round after round — and the ndarray
+    allocations this verifier is charged for on that direction (see
+    :attr:`Verifier.dp_array_allocations`).  Everything warm — the query
+    part, the insertion prefix, the row table, the trie — lives on the
+    state, in the query's :class:`~repro.core.trie.TrieCacheEntry`.
     """
 
     __slots__ = (
@@ -290,6 +292,13 @@ class _DirectionContext:
         self._work_a: Optional[np.ndarray] = None
         self._work_b: Optional[np.ndarray] = None
         self._mins: Optional[np.ndarray] = None
+
+    def reserve(self, trie: VerificationTrie, count: int) -> int:
+        """``trie.reserve(count)``, charging any arena growth here."""
+        before = trie.allocations
+        start = trie.reserve(count)
+        self.allocations += trie.allocations - before
+        return start
 
     def scratch(
         self, count: int
@@ -351,9 +360,8 @@ class Verifier:
         engine passes the one its TrieCache holds, so repeated queries
         (tau and time-window variations included) compute no row again
         and start verification with warm columns; ``None`` builds a
-        fresh, private entry.  Read by the arena walker only, under the
-        entry's lock for one anchor group at a time (see the module
-        docstring).
+        fresh, private entry.  Read by either walker under the entry's
+        lock, one anchor group at a time (see the module docstring).
     cancel:
         Optional cooperative cancellation token (anything with a
         ``cancelled() -> bool`` method, e.g.
@@ -390,21 +398,15 @@ class Verifier:
         self._cancel = cancel
         self._numpy = dp_backend == "numpy"
         self.dp_backend = dp_backend
-        self._entry: Optional[TrieCacheEntry] = None
-        #: what a group holds while it runs: the entry's lock for the
-        #: arena walker, nothing for the Python walker (it reads no entry).
-        self._hold: ContextManager = nullcontext()
-        if self._numpy:
-            if trie_entry is None:
-                trie_entry = TrieCacheEntry(costs, self._query)
-            elif trie_entry.query != self._query:
-                raise QueryError("cache entry was built for a different query")
-            self._entry = trie_entry
-            self._hold = trie_entry.lock
+        if trie_entry is None:
+            trie_entry = TrieCacheEntry(costs, self._query)
+        elif trie_entry.query != self._query:
+            raise QueryError("cache entry was built for a different query")
+        self._entry = trie_entry
         #: per-round kernel temporaries materialized so far (the rest of
         #: dp_array_allocations is counted per direction context) —
         #: deliberately NOT a VerificationStats field, because the Python
-        #: walker allocates none and the stats are pinned walker-identical.
+        #: walker runs no kernel and the stats are pinned walker-identical.
         self._allocs = 0
         #: DP kernel launches (one per resolve round) — the "how many
         #: times did we enter numpy" trace attribute.  Like ``_allocs``,
@@ -412,11 +414,9 @@ class Verifier:
         #: kernels.
         self._dp_rounds = 0
         # Built lazily, since only tau-subsequence positions are anchors
-        # (2|Q'| tries, §5.2): the arena walker's scratch per entry
-        # direction state, and the Python walker's (query part, trie
-        # root) pairs per (query position, direction).
+        # (2|Q'| tries, §5.2): this verifier's view of each entry
+        # direction state it walks.
         self._contexts: Dict[DirectionState, _DirectionContext] = {}
-        self._roots: Dict[Tuple[int, str], Tuple[Tuple[int, ...], TrieNode]] = {}
         self.stats = VerificationStats()
 
     @property
@@ -482,7 +482,7 @@ class Verifier:
             while end < total and unique[end][2] == iq:
                 end += 1
             # One group per hold: a waiter for the entry waits one group.
-            with self._hold:
+            with self._entry.lock:
                 self._verify_group(iq, unique[start:end], matches)
             start = end
 
@@ -491,7 +491,7 @@ class Verifier:
     def verify_candidate(self, candidate: Candidate, matches: MatchSet) -> None:
         """Emit every match of Definition 3 anchored at this candidate —
         a group of one."""
-        with self._hold:
+        with self._entry.lock:
             self._verify_group(candidate[2], [candidate], matches)
 
     def _verify_group(
@@ -503,18 +503,18 @@ class Verifier:
         int array, the UPR counters, the anchor cost and the budget
         ``tau' = tau - sub(Q[iq], P[j])``, and both direction views as
         int lists (the backward one reversed — WED is invariant under
-        simultaneous reversal).  Only AllPrefixWED differs: the arena
-        walker advances the whole group together, once per direction;
-        the Python walker takes the candidates one at a time, polling the
-        cancellation token between them.
+        simultaneous reversal).  Only AllPrefixWED differs, behind one
+        shape — ``(views, budgets, context) -> E lists``, once per
+        direction: the arena walker advances the whole group together;
+        the per-cell walker takes the candidates one at a time, polling
+        the cancellation token between them.
 
-        The caller holds ``self._hold`` — for the arena walker, the
-        entry's lock — across the call: setup, both walks and the
-        combine."""
+        The caller holds the entry's lock across the call: setup, both
+        walks and the combine."""
         stats = self.stats
         tau = self._tau
         numpy = self._numpy
-        row = self._entry.rows.row if numpy else None
+        row = self._entry.rows.row
         sub = self._costs.sub
         query_symbol = self._query[iq]
         items: List[Tuple[int, int, float, float]] = []
@@ -528,7 +528,8 @@ class Verifier:
             stats.sw_columns += len(data)
             symbol = data.item(j)
             # The arena walker reads the anchor cost off the symbol's cached
-            # full-query substitution row (sub is symmetric — §2.2.1).
+            # full-query substitution row (sub is symmetric — §2.2.1); the
+            # per-cell walker's one sub call is cheaper than a full row.
             anchor_cost = float(row(symbol)[iq]) if numpy else sub(query_symbol, symbol)
             budget = tau - anchor_cost
             if budget > 0:
@@ -537,19 +538,11 @@ class Verifier:
                 fwds.append(data[j + 1 :].tolist())
         if not items:
             return
-        if numpy:
-            budgets = [item[3] for item in items]
-            ebs = self._arena_all_prefix_wed(backs, budgets, self._context(iq, "b"))
-            efs = self._arena_all_prefix_wed(fwds, budgets, self._context(iq, "f"))
-            for item, eb, ef in zip(items, ebs, efs):
-                self._combine(*item, eb, ef, matches)
-            return
-        root_b, root_f = self._root(iq, "b"), self._root(iq, "f")
-        for n, item in enumerate(items):
-            if n:
-                raise_if_cancelled(self._cancel, "verification")
-            eb = self._all_prefix_wed(backs[n], root_b, item[3])
-            ef = self._all_prefix_wed(fwds[n], root_f, item[3])
+        walk = self._arena_all_prefix_wed if numpy else self._cell_all_prefix_wed
+        budgets = [item[3] for item in items]
+        ebs = walk(backs, budgets, self._context(iq, "b"))
+        efs = walk(fwds, budgets, self._context(iq, "f"))
+        for item, eb, ef in zip(items, ebs, efs):
             self._combine(*item, eb, ef, matches)
 
     def _combine(
@@ -787,9 +780,7 @@ class Verifier:
         np.take(trie.matrix, pslots, axis=0, out=parents)
         np.take(rows.rows, rowslots, axis=0, out=subs)
         np.take(rows.deletes, rowslots, axis=0, out=dels)
-        before_growth = trie.allocations
-        start = trie.reserve(count)
-        ctx.allocations += trie.allocations - before_growth
+        start = ctx.reserve(trie, count)
         out = trie.matrix[start : start + count]
         step_dp_batch(
             subs, dels, ctx.state.ins_prefix, parents, out=out, work=(work_a, work_b)
@@ -799,12 +790,9 @@ class Verifier:
         np.minimum.reduce(out, axis=1, out=mins_buf)
         mins = mins_buf.tolist()
         lasts = out[:, -1].tolist()
-        trie.mins_list.extend(mins)
-        trie.lasts_list.extend(lasts)
-        # Edges last, once their columns are written.  A private
-        # (tries-off) arena adds none: nothing may be found again.
-        if self._use_trie:
-            trie.edges.update(zip(zip(pslots, syms), range(start, start + count)))
+        # A private (tries-off) arena publishes no edge: nothing may be
+        # found again.
+        trie.publish(start, mins, lasts, zip(pslots, syms) if self._use_trie else ())
         self._allocs += _GROUP_TEMP_ARRAYS
         self._dp_rounds += 1
         next_pslots: List[int] = []
@@ -849,67 +837,88 @@ class Verifier:
         ctx.allocations += allocated
         return ctx
 
-    # -- Algorithm 5: AllPrefixWED, Python walker ----------------------------
+    # -- Algorithm 5: AllPrefixWED, per-cell walker ---------------------------
 
-    def _root(self, iq: int, direction: str) -> Tuple[Tuple[int, ...], TrieNode]:
-        """One direction's ``(query part, trie root)`` for the Python
-        walker.  The backward part is the reversed prefix (WED is
-        invariant under simultaneous reversal because costs are
-        position-independent); the root column ``wed(eps, part prefix)``
-        is the cumulative insertion cost of the part."""
-        key = (iq, direction)
-        pair = self._roots.get(key)
-        if pair is None:
-            if direction == "b":
-                part = tuple(reversed(self._query[:iq]))
-            else:
-                part = self._query[iq + 1 :]
-            prefix = wed_row_init(self._costs, part)
-            pair = self._roots[key] = (part, TrieNode(prefix, min(prefix)))
-        return pair
-
-    def _all_prefix_wed(
+    def _cell_all_prefix_wed(
         self,
-        data_part: List[int],
-        root: Tuple[Tuple[int, ...], TrieNode],
-        budget: float,
-    ) -> List[float]:
-        """``E[k] = wed(data_part[:k], query part)`` for growing ``k``.
+        views: List[List[int]],
+        budgets: List[float],
+        ctx: _DirectionContext,
+    ) -> List[List[float]]:
+        """AllPrefixWED for many candidates, one at a time and one
+        pure-Python loop iteration per DP cell:
+        ``E[k] = wed(view[:k], query part)`` for growing ``k``, per view.
 
-        Stops early once the column minimum reaches ``budget`` (the stopped
-        column's E value could only be >= budget, so nothing is lost).
-        ``E[0]`` is the cost of inserting the whole query part.
+        Each candidate follows the direction trie's cached edges to its
+        first miss.  Past it every column is new — a fresh slot has no
+        children — so the walker computes that uncached suffix with
+        :func:`~repro.distance.wed.wed_step_min`, seeded from the miss's
+        parent row, and publishes it as one block of arena rows before
+        the next candidate walks: later candidates and later queries,
+        on either walker, find it cached.  Without the trie (the
+        ablation) nothing is found or published, and every visit
+        computes its column.  A candidate stops once its column minimum
+        reaches its budget (the stopped column's E value could only be
+        >= budget, so nothing is lost); ``E[0]`` is the cost of
+        inserting the whole query part.
         """
-        query_part, node = root
-        out: List[float] = [node.column_last]
-        if self._early_termination and node.column_min >= budget:
-            return out
+        state = ctx.state
+        trie = state.trie if self._use_trie else None
         costs = self._costs
-        ins_prefix = node.column
-        for symbol in data_part:
-            self.stats.visited_columns += 1
-            child = node.find_child(symbol) if self._use_trie else None
-            if child is None:
-                column, column_min = wed_step_min(
-                    costs, query_part, symbol, node.column, ins_prefix=ins_prefix
-                )
-                self.stats.computed_columns += 1
-                if self._use_trie:
-                    child = node.create_child(symbol, column, column_min)
-                else:
-                    child = TrieNode(column, column_min)
-            node = child
-            out.append(node.column_last)
-            if self._early_termination and node.column_min >= budget:
-                break
-        return out
-
-    def trie_node_count(self) -> int:
-        """Total cached columns across all live tries (a tries-off arena
-        context counts its root alone — nothing else survives a walk
-        there)."""
-        total = sum(root.node_count() for _, root in self._roots.values())
-        for ctx in self._contexts.values():
-            trie = ctx.state.trie if self._use_trie else None
-            total += 1 if trie is None else trie.node_count()
-        return total
+        part = state.part
+        ins_prefix = state.ins_prefix.tolist()
+        root_min = min(ins_prefix)
+        if trie is not None:
+            edges_get = trie.edges.get
+            mins_list = trie.mins_list
+            lasts_list = trie.lasts_list
+        early = self._early_termination
+        inf = float("inf")
+        outs: List[List[float]] = []
+        try:
+            for n, (view, budget) in enumerate(zip(views, budgets)):
+                if n:
+                    raise_if_cancelled(self._cancel, "verification")
+                out = [ins_prefix[-1]]
+                outs.append(out)
+                limit = budget if early else inf
+                if root_min >= limit:
+                    continue
+                slot = 0
+                # The previous column's floats, once past the first miss.
+                column = None if trie is not None else ins_prefix
+                columns: List[List[float]] = []
+                mins: List[float] = []
+                syms: List[int] = []
+                for symbol in view:
+                    if column is None:
+                        child = edges_get((slot, symbol))
+                        if child is not None:
+                            slot = child
+                            out.append(lasts_list[child])
+                            if mins_list[child] >= limit:
+                                break
+                            continue
+                        column = trie.row(slot).tolist()
+                    column, column_min = wed_step_min(
+                        costs, part, symbol, column, ins_prefix=ins_prefix
+                    )
+                    out.append(column[-1])
+                    columns.append(column)
+                    mins.append(column_min)
+                    syms.append(symbol)
+                    if column_min >= limit:
+                        break
+                count = len(columns)
+                self.stats.computed_columns += count
+                if count and trie is not None:
+                    # The suffix is a chain: its first column hangs off
+                    # the miss's parent, every later one off the row
+                    # before it.
+                    start = ctx.reserve(trie, count)
+                    trie.matrix[start : start + count] = columns
+                    parents = [slot, *range(start, start + count - 1)]
+                    trie.publish(start, mins, out[-count:], zip(parents, syms))
+        finally:
+            self.stats.visited_columns += sum(len(o) for o in outs) - len(outs)
+        return outs

@@ -198,7 +198,8 @@ class TestEngineBackendEquivalence:
         self, vertex_dataset, edr_cost, rng, monkeypatch
     ):
         query = sample_query(vertex_dataset, rng, 6)
-        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
+        # Cache off: each walker verifies cold, not off the other's tries.
+        engine = SubtrajectorySearch(vertex_dataset, edr_cost, trie_cache_size=0)
         a, b = (
             walked(monkeypatch, walker, engine, query, tau_ratio=0.2).verification
             for walker in ("python", "numpy")

@@ -1,5 +1,5 @@
-"""Verification trie data structures: the Python walker's node graph and
-the arena walker's slot-native trie."""
+"""Verification trie data structures: the slot-native trie both walkers
+walk, the per-query warm state and the cross-query cache."""
 
 import sys
 import threading
@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.trie import TrieCache, TrieCacheEntry, TrieNode, VerificationTrie
+from repro.core.trie import TrieCache, TrieCacheEntry, VerificationTrie
 from repro.distance.costs import LevenshteinCost
 
 lev = LevenshteinCost()
@@ -15,39 +15,6 @@ lev = LevenshteinCost()
 
 def new_entry():
     return TrieCacheEntry(lev, (1, 2, 3, 4))
-
-
-class TestTrieNode:
-    def test_column_min_cached(self):
-        # The minimum is the caller's (wed_step_min hands it over): the
-        # node stores it instead of rescanning the column.
-        node = TrieNode([3.0, 1.0, 2.0], 1.0)
-        assert node.column_min == 1.0
-        assert node.column_last == 2.0
-
-    def test_find_and_create_child(self):
-        node = TrieNode([0.0], 0.0)
-        assert node.find_child(5) is None
-        child = node.create_child(5, [1.0], 1.0)
-        assert node.find_child(5) is child
-        assert child.column == [1.0]
-        assert child.column_min == 1.0
-
-    def test_children_independent(self):
-        node = TrieNode([0.0], 0.0)
-        a = node.create_child(1, [1.0], 1.0)
-        b = node.create_child(2, [2.0], 2.0)
-        assert node.find_child(1) is a
-        assert node.find_child(2) is b
-
-    def test_node_count(self):
-        root = TrieNode([0.0], 0.0)
-        assert root.node_count() == 1
-        a = root.create_child(1, [1.0], 1.0)
-        a.create_child(2, [2.0], 2.0)
-        root.create_child(3, [3.0], 3.0)
-        assert root.node_count() == 4
-        assert a.node_count() == 2
 
 
 class TestVerificationTrie:
@@ -191,9 +158,10 @@ class TestTrieCache:
 
     def test_byte_budget_evicts_lru_first(self):
         cache = TrieCache(16, max_bytes=150_000)
-        self._entry_with_bytes(cache, "a", 400)
-        self._entry_with_bytes(cache, "b", 400)
-        assert cache.reconcile() <= 150_000
+        a = self._entry_with_bytes(cache, "a", 400)
+        cache.reconcile(a)
+        b = self._entry_with_bytes(cache, "b", 400)
+        assert cache.reconcile(b) <= 150_000
         # One ~100KB entry fits; two do not. "a" (LRU) must have gone.
         assert cache.keys() == ["b"]
         assert cache.stats()["evictions"] == 1
@@ -202,15 +170,42 @@ class TestTrieCache:
     def test_reconcile_accounts_growth_after_insertion(self):
         cache = TrieCache(16, max_bytes=50_000)
         entry = self._entry_with_bytes(cache, "a", 4)
-        assert cache.reconcile() < 50_000
+        assert cache.reconcile(entry) < 50_000
         assert cache.keys() == ["a"]
         # The cached entry keeps growing while cached — the budget must
         # catch it at the next reconcile, even as the only entry.
         trie = entry.directions[(0, "f")].trie
         trie.reserve(4000)
-        cache.reconcile()
+        cache.reconcile(entry)
         assert cache.keys() == []
         assert cache.stats()["bytes"] == 0
+
+    def test_capacity_eviction_releases_bytes(self):
+        """An entry a lookup evicts for capacity takes its counted bytes
+        with it at once, and reconciling it afterwards changes nothing."""
+        cache = TrieCache(2)
+        a = self._entry_with_bytes(cache, "a", 400)
+        cache.reconcile(a)
+        b = self._entry_with_bytes(cache, "b", 4)
+        cache.reconcile(b)
+        assert cache.stats()["bytes"] == a.nbytes + b.nbytes
+        cache.lookup("c", new_entry)  # capacity 2: evicts "a"
+        cached = [cache.peek(key) for key in cache.keys()]
+        assert cache.stats()["bytes"] == sum(entry.nbytes for entry in cached)
+        assert cache.reconcile(a) == b.nbytes
+        assert cache.stats()["evictions"] == 1
+
+    def test_reconcile_reads_only_its_entry(self):
+        """Re-accounting measures the entry the query walked, never the
+        rest of the cache: another entry's growth waits for its own
+        reconcile."""
+        cache = TrieCache(4)
+        a = self._entry_with_bytes(cache, "a", 4)
+        b = self._entry_with_bytes(cache, "b", 4)
+        cache.reconcile(a)
+        assert cache.stats()["bytes"] == a.nbytes
+        cache.reconcile(b)
+        assert cache.stats()["bytes"] == a.nbytes + b.nbytes
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -176,14 +176,6 @@ class TestCounters:
         assert 0.0 <= s.cache_miss_rate <= 1.0
         assert s.total_unpruned_rate <= s.unpruned_position_rate + 1e-9
 
-    def test_trie_node_count_grows(self):
-        data = [[1, 2, 3]]
-        query = [2]
-        v = make_verifier(data, query, 2.0)
-        ms = MatchSet()
-        v.verify_all(candidates_for(data, query), ms)
-        assert v.trie_node_count() >= 2
-
 
 class TestDedupeAndGrouping:
     """verify_all dedupes exact (id, j, iq) repeats and reorders by anchor

@@ -170,6 +170,7 @@ _GONE = re.compile(
     r"|--dp-backend|(?<!\{)dp_backend=[\"(.)]|DP_BACKENDS"
     r"|SubstitutionMatrix\b|sub_matrix\(|use_hub_labeling"
     r"|_absorb_published|publish-after-write"
+    r"|TrieNode|trie_node_count|consults no entry"
 )
 
 

@@ -6,9 +6,13 @@ shards — worker kills, and checks every answer against the brute-force
 oracles (``oracle_range`` / ``oracle_topk``) over the history so far.
 The engines keep their ``TrieCache``, and queries are drawn from a
 bundle so a later step can repeat an earlier query and walk the warm
-tries that the earlier step built, across inserts and respawns.  The
-cost model is NetEDR, whose rows the walker rule always sends to the
-arena walker — the walker the ``TrieCache`` serves.
+tries that the earlier step built, across inserts and respawns.  Two
+cost models give the two walkers their histories: NetEDR, whose rows
+the walker rule always sends to the arena walker, on every deployment,
+and EDR, whose queries here are all short enough (|Q| <= 14) for the
+rule to send to the per-cell walker, on ``dict`` and ``threads``.  Both
+walkers walk the ``TrieCache``'s tries, so an EDR repeat after an
+insert walks warm per-cell tries too.
 
 Tier-1 runs a short history per deployment.  The ``history`` profile
 (``tests/conftest.py``) runs the same machine deeper:
@@ -31,6 +35,7 @@ from hypothesis.stateful import (
 from repro.core.engine import SubtrajectorySearch
 from repro.core.filtering import tau_from_ratio
 from repro.core.frozen import FrozenInvertedIndex
+from repro.core.verification import choose_dp_backend
 from repro.trajectory.dataset import TrajectoryDataset
 from tests.conftest import kill_worker, open_engine, oracle_range, oracle_topk
 
@@ -40,7 +45,17 @@ pytestmark = pytest.mark.timeout(300)
 #: fixture is the pool ``add_trajectory`` draws from.
 BASE = 20
 
+#: the longest query ``pick_query`` draws.
+MAX_QUERY = 14
+
 DEPLOYMENTS = ("dict", "frozen", "threads", "processes")
+
+#: (deployment, cost-model fixture): NetEDR everywhere, and the EDR deck
+#: that reaches the per-cell walker on one single and one sharded
+#: deployment.
+CASES = [pytest.param(kind, "netedr_cost", id=kind) for kind in DEPLOYMENTS] + [
+    pytest.param(kind, "edr_cost", id=f"{kind}-edr") for kind in ("dict", "threads")
+]
 
 BUDGET = settings(
     deadline=None,
@@ -93,7 +108,7 @@ class HistoryMachine(RuleBasedStateMachine):
         target=queries,
         tid=st.integers(min_value=0),
         start=st.integers(min_value=0),
-        length=st.integers(min_value=3, max_value=14),
+        length=st.integers(min_value=3, max_value=MAX_QUERY),
     )
     def pick_query(self, tid, start, length):
         path = self.history[tid % len(self.history)]
@@ -138,8 +153,11 @@ class HistoryMachine(RuleBasedStateMachine):
             kill_worker(state.pid)
 
 
-@pytest.mark.parametrize("kind", DEPLOYMENTS)
-def test_history_matches_the_oracle(kind, small_graph, trips, netedr_cost, tmp_path):
+@pytest.mark.parametrize("kind, model", CASES)
+def test_history_matches_the_oracle(kind, model, small_graph, trips, request, tmp_path):
+    costs = request.getfixturevalue(model)
+    if model == "edr_cost":
+        assert choose_dp_backend(MAX_QUERY, costs) == "python"
     index_path = None
     if kind == "frozen":
         base = TrajectoryDataset(small_graph, "vertex")
@@ -147,6 +165,6 @@ def test_history_matches_the_oracle(kind, small_graph, trips, netedr_cost, tmp_p
         index_path = str(tmp_path / "base.reproidx")
         FrozenInvertedIndex.freeze(base).save(index_path)
     run_state_machine_as_test(
-        lambda: HistoryMachine(kind, small_graph, trips, netedr_cost, index_path),
+        lambda: HistoryMachine(kind, small_graph, trips, costs, index_path),
         settings=BUDGET,
     )

@@ -75,9 +75,9 @@ class TestVerifierObservesToken:
         # candidate may be walked, then the loop must raise.  (python
         # backend — its verification loop is per candidate.)  The whole
         # first group is set up, and counted in stats.candidates, before
-        # any walk, so the proof is in the columns: two AllPrefixWED
-        # walks (one candidate, both directions) account for every
-        # visited column.
+        # any walk, so the proof is in the columns: the first group's
+        # backward walk stops after its first candidate, and walking that
+        # candidate alone again visits exactly as many columns.
         def verifier(cancel=None):
             return Verifier(
                 vertex_dataset.symbols_array,
@@ -90,18 +90,21 @@ class TestVerifierObservesToken:
 
         tripped = verifier(CountdownToken(1))
         walks = []
-        walk = tripped._all_prefix_wed
+        walk = tripped._cell_all_prefix_wed
 
-        def counting(data_part, root, budget):
-            out = walk(data_part, root, budget)
-            walks.append(len(out) - 1)  # E[0] is the root, not a visit
-            return out
+        def recording(views, budgets, ctx):
+            walks.append((views, budgets, ctx))
+            return walk(views, budgets, ctx)
 
-        tripped._all_prefix_wed = counting
+        tripped._cell_all_prefix_wed = recording
         with pytest.raises(QueryCancelledError):
             tripped.verify_all(candidates, MatchSet())
-        assert len(walks) == 2
-        assert tripped.stats.visited_columns == sum(walks)
+        ((views, budgets, ctx),) = walks
+        assert len(views) >= 2
+        visited = tripped.stats.visited_columns
+        assert visited > 0
+        walk(views[:1], budgets[:1], ctx)  # one candidate: no poll
+        assert tripped.stats.visited_columns == 2 * visited
         full = verifier()
         full.verify_all(candidates, MatchSet())
         assert tripped.stats.visited_columns < full.stats.visited_columns

@@ -15,14 +15,17 @@ synthetic workloads and non-representable (0.3-multiple) costs:
 - every VerificationStats counter identical warm vs cold except
   ``computed_columns``, which may only *drop* on a warm walk (and drops
   to exactly 0 on an exact repeat — the whole frontier is cached);
+- one layout: an entry either walker warmed is walked by the other with
+  no column computed, on every cost model;
 - the cache being merely *enabled* changes nothing: a first (cold-start)
   query through the cache matches the cache-disabled run in results,
   stats, and ``dp_array_allocations`` exactly;
 - concurrency: one verifier walks an entry at a time — a second one
   waits for the first one's anchor group and finds its columns as hits,
-  concurrent verifiers at distinct thresholds answer exactly and compute
-  each column once, and shard engines sharing one TrieCache under
-  simultaneous queries and an online insert answer exactly;
+  concurrent verifiers at distinct thresholds, on either walker or both,
+  answer exactly and compute each column once, and shard engines sharing
+  one TrieCache under simultaneous queries and an online insert answer
+  exactly;
 - tries off: the private per-call arena dies with its walk, and the
   engine's cache entry keeps the rows and no tries;
 - eviction: LRU order under the byte budget (row bytes included), the
@@ -55,10 +58,20 @@ from repro.core.engine import (
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.results import MatchSet
 from repro.core import verification
+from repro.core.filtering import tau_from_ratio
 from repro.core.temporal import TimeInterval, filter_candidates
 from repro.core.trie import TrieCache, TrieCacheEntry
 from repro.core.verification import Verifier
-from repro.distance.costs import CostModel, LevenshteinCost, NetEDRCost
+from repro.distance.costs import (
+    CostModel,
+    EDRCost,
+    ERPCost,
+    LevenshteinCost,
+    NetEDRCost,
+    NetERPCost,
+    SURSCost,
+)
+from repro.network.generators import grid_city
 from repro.service import QueryService
 from repro.service.http import ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
@@ -113,6 +126,18 @@ class RowLedgerCost(CostModel):
 
 lev = LevenshteinCost()
 w03 = WeightedCost()
+
+#: every cost model of ``repro.distance.costs`` on one small grid, whose
+#: first vertices (and, for SURS, edges) are the symbols drawn below.
+_GRID = grid_city(8, 8, seed=42)
+MODELS = {
+    "lev": lev,
+    "edr": EDRCost(_GRID, epsilon=60.0),
+    "erp": ERPCost(_GRID, eta=25.0),
+    "netedr": NetEDRCost(_GRID),
+    "neterp": NetERPCost(_GRID, g_del=250.0),
+    "surs": SURSCost(_GRID),
+}
 
 
 def candidates_for(data_strings, query):
@@ -191,10 +216,9 @@ class TestWarmColdBitIdentity:
     @settings(max_examples=60, deadline=None)
     @pytest.mark.parametrize("costs", [lev, w03], ids=["lev", "w03"])
     def test_warm_walk_matches_python_backend(self, costs, data, query, tau):
-        """The strongest cross-backend pin: a *warm* numpy walk equals the
-        pure-Python per-cell backend bit for bit — results and every
-        counter except computed_columns (the python backend has no
-        cross-query cache, so it recomputes what the warm walk reuses)."""
+        """The strongest cross-backend pin: a *warm* numpy walk equals a
+        cold pure-Python per-cell walk bit for bit — results and every
+        counter except computed_columns, which the warm walk reuses."""
         entry = TrieCacheEntry(costs, query)
         run_verifier(data, query, costs, tau, "numpy", entry)  # warm up
         warm = run_verifier(data, query, costs, tau, "numpy", entry)
@@ -203,13 +227,16 @@ class TestWarmColdBitIdentity:
         assert warm[1].visited_columns == python[1].visited_columns
         assert warm[1].emitted == python[1].emitted
         assert warm[1].computed_columns == 0
-        # And the python backend ignores the entry entirely: handing it
-        # one must change nothing (auto short queries on vectorizable
-        # models resolve to python — the cache must be inert there).
+        # And the python backend walks the same entry warm: handed the
+        # numpy-built one, it computes no column and allocates no ndarray
+        # (auto short queries on vectorizable models resolve to python —
+        # the cache serves them too).
         with_entry = run_verifier(data, query, costs, tau, "python", entry)
         assert with_entry[0] == python[0]
-        assert with_entry[1] == python[1]
-        assert with_entry[2] == python[2] == 0  # no ndarrays either way
+        assert with_entry[1].computed_columns == 0
+        assert with_entry[1].visited_columns == python[1].visited_columns
+        assert with_entry[1].emitted == python[1].emitted
+        assert with_entry[2] == 0
 
     @given(
         data=st.lists(strings, min_size=1, max_size=3),
@@ -230,6 +257,33 @@ class TestWarmColdBitIdentity:
         assert through_cache[2] == no_cache[2]
 
 
+class TestOneLayout:
+    """Both walkers walk one trie layout: an entry either walker warmed
+    is walked by the other with no column computed, on every cost
+    model."""
+
+    @given(
+        data=st.lists(strings, min_size=1, max_size=3),
+        query=st.lists(symbols, min_size=1, max_size=5),
+        tau_ratio=st.floats(min_value=0.1, max_value=0.7),
+    )
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_either_walker_walks_the_others_entry(self, name, data, query, tau_ratio):
+        costs = MODELS[name]
+        tau = tau_from_ratio(query, costs, tau_ratio)
+        for first, second in (("python", "numpy"), ("numpy", "python")):
+            entry = TrieCacheEntry(costs, query)
+            built = run_verifier(data, query, costs, tau, first, entry)
+            # Cold, the walkers agree on every counter.
+            cold = run_verifier(data, query, costs, tau, second, None)
+            assert cold[0] == built[0] and cold[1] == built[1]
+            walked = run_verifier(data, query, costs, tau, second, entry)
+            assert walked[0] == built[0]  # keys AND distances, exact ==
+            assert walked[1].computed_columns == 0
+            assert walked[1].visited_columns == built[1].visited_columns
+
+
 def _result_key(result):
     return [(m.trajectory_id, m.start, m.end, m.distance) for m in result.matches]
 
@@ -247,22 +301,23 @@ class TestEngineWarmPath:
         warm_engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=8)
         cold_engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         query = sample_query(vertex_dataset, rng, 8)
+        seen = set()
         for tau_ratio in (0.3, 0.45, 0.3, 0.2):
             warm = warm_engine.query(query, tau_ratio=tau_ratio)
             cold = cold_engine.query(query, tau_ratio=tau_ratio)
             assert _result_key(warm) == _result_key(cold)
             assert warm.verification.visited_columns == cold.verification.visited_columns
             assert warm.verification.computed_columns <= cold.verification.computed_columns
+            if tau_ratio in seen:
+                # An exact repeat finds its whole frontier cached.
+                assert warm.verification.computed_columns == 0
+            seen.add(tau_ratio)
         stats = warm_engine.status().trie
-        if dp_backend == "python":
-            # The python backend builds per-verifier node tries; the
-            # engine never touches the TrieCache for it.
-            assert stats["misses"] == stats["hits"] == 0
-        else:
-            # All four tau variations share ONE entry: a single miss.
-            assert stats["misses"] == 1
-            assert stats["hits"] == 3
-            assert stats["size"] == 1
+        # All four tau variations share ONE entry, on either walker: a
+        # single miss.
+        assert stats["misses"] == 1
+        assert stats["hits"] == 3
+        assert stats["size"] == 1
         assert cold_engine.status().trie["capacity"] == 0
 
     def test_online_insert_needs_no_invalidation(self, small_graph, trips, netedr_cost):
@@ -469,7 +524,9 @@ STRESS = settings(
 
 class TestConcurrentVerifiersStress:
     """2-6 threads, switching as often as the interpreter allows, verify
-    one query at distinct thresholds over one fresh shared entry."""
+    one query at distinct thresholds over one fresh shared entry — all on
+    the arena walker, all on the per-cell walker, or alternating per
+    thread."""
 
     @given(
         data=st.lists(strings, min_size=1, max_size=4),
@@ -479,7 +536,10 @@ class TestConcurrentVerifiersStress:
         ),
     )
     @STRESS
-    def test_every_answer_exact_and_every_column_computed_once(self, data, query, taus):
+    @pytest.mark.parametrize("walkers", ["numpy", "python", "mixed"])
+    def test_every_answer_exact_and_every_column_computed_once(
+        self, walkers, data, query, taus
+    ):
         entry = TrieCacheEntry(lev, query)
         # Every (id, j, iq) is a candidate, so verification is complete:
         # on unit costs the answers must equal the oracle's exactly.
@@ -492,14 +552,18 @@ class TestConcurrentVerifiersStress:
         barrier = threading.Barrier(len(taus))
         answers, computed, errors = {}, [], []
 
-        def verify(tau):
+        def verify(n, tau):
+            if walkers == "mixed":
+                walker = ("numpy", "python")[n % 2]
+            else:
+                walker = walkers
             try:
                 v = Verifier(
                     lambda tid: data[tid],
                     query,
                     lev,
                     tau,
-                    dp_backend="numpy",
+                    dp_backend=walker,
                     trie_entry=entry,
                 )
                 ms = MatchSet()
@@ -510,7 +574,9 @@ class TestConcurrentVerifiersStress:
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [threading.Thread(target=verify, args=(tau,)) for tau in taus]
+        threads = [
+            threading.Thread(target=verify, args=(n, tau)) for n, tau in enumerate(taus)
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -656,14 +722,14 @@ class TestEvictionAndDisable:
     def test_matrix_alone_over_budget_is_shed(self, vertex_dataset, netedr_cost):
         """The budget counts everything an entry pins: an entry whose
         substitution rows *alone* exceed it — no direction state, no trie
-        at all — is shed by ``reconcile()``."""
+        at all — is shed by ``reconcile(entry)``."""
         cache = TrieCache(4, max_bytes=1000)
         entry, _ = cache.lookup("k", lambda: TrieCacheEntry(lev, range(64)))
         for symbol in range(10):
             entry.rows.row(symbol)
         assert entry.nbytes == 10 * 64 * 8 > cache.max_bytes
         assert entry.directions == {}
-        assert cache.reconcile() == 0
+        assert cache.reconcile(entry) == 0
         assert len(cache) == 0 and cache.stats()["evictions"] == 1
         # Direction tables count too (ndarray.nbytes), beside the rows.
         rows = entry.direction(3, "f", False)[0].rows
@@ -812,10 +878,10 @@ class TestLookupStatusAndMeasuredBytes:
         assert engine.query(query, tau_ratio=0.3).trie_cache_status == "hit"
         disabled = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         assert disabled.query(query, tau_ratio=0.3).trie_cache_status == "off"
-        # The python backend never takes the trie path at all.
+        # The python backend looks the entry up too.
         force_walker(monkeypatch, "python")
         python_engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
-        assert python_engine.query(query, tau_ratio=0.3).trie_cache_status == ""
+        assert python_engine.query(query, tau_ratio=0.3).trie_cache_status == "miss"
 
     def test_merged_shard_statuses_join_distinct_values(
         self, vertex_dataset, netedr_cost
