@@ -11,13 +11,13 @@ benchmark measures the serving subsystem built on top of it
    the serial baseline by concurrency 8, with a substantial cache hit
    rate on the skewed mix.
 
-2. *Backend latency*: single-query latency of the three shard fan-out
-   backends of `PartitionedSubtrajectorySearch` on a CPU-bound 4-shard
-   workload.  Pure-Python verification holds the GIL, so the threads
-   backend cannot beat serial by much; the processes backend (one worker
-   process per shard, ISSUE 2) should beat threads by >1.5x wherever 4
-   cores are actually available — the assertion is gated on CPU
-   affinity so single-core containers still record the numbers.
+2. *Backend latency*: single-query latency of the two single-machine
+   shard fan-out backends of `PartitionedSubtrajectorySearch` on a
+   CPU-bound 4-shard workload.  Verification holds the GIL, so `serial`
+   uses one core per query; the processes backend (one worker process
+   per shard) should beat it by >1.5x wherever 4 cores are actually
+   available — the assertion is gated on CPU affinity so small
+   containers still record the numbers.
 
 3. *Remote backend*: the same queries served by standalone worker-node
    processes over the socket transport — latency percentiles at growing
@@ -62,7 +62,7 @@ BACKEND_QUERY_LENGTH = 30
 BACKEND_TAU_RATIO = 0.5
 BACKEND_NUM_QUERIES = 4
 BACKEND_REPEATS = 2
-#: processes must beat threads by this factor on a >=4-core machine.
+#: processes must beat serial by this factor on a >=4-core machine.
 BACKEND_SPEEDUP_FLOOR = 1.5
 
 #: blended-workload experiment: a zipf-skewed stream mixing range and
@@ -187,10 +187,10 @@ def _usable_cores() -> int:
 
 
 def test_backend_single_query_latency(recorder, bench_scale):
-    """Fan-out backends on a CPU-bound 4-shard workload (ISSUE 2).
+    """Fan-out backends on a CPU-bound 4-shard workload.
 
-    Serial vs. threads shows the GIL ceiling; threads vs. processes shows
-    the cross-process shard workers actually using >1 core per query.
+    Serial is the GIL ceiling (one core per query); serial vs. processes
+    shows the cross-process shard workers using >1 core per query.
     """
     graph, dataset, costs, _ = load_workload("beijing", "EDR", scale=bench_scale)
     queries = sample_queries(
@@ -199,7 +199,6 @@ def test_backend_single_query_latency(recorder, bench_scale):
 
     backends = {
         "serial": {},
-        "threads": {},
         "processes": {},
     }
     latencies = {}
@@ -227,7 +226,7 @@ def test_backend_single_query_latency(recorder, bench_scale):
         finally:
             engine.close()
 
-    speedup = latencies["threads"] / latencies["processes"]
+    speedup = latencies["serial"] / latencies["processes"]
     cores = _usable_cores()
 
     table = SeriesTable(
@@ -255,7 +254,7 @@ def test_backend_single_query_latency(recorder, bench_scale):
         {
             "backends": list(backends),
             "latency_seconds": [latencies[b] for b in backends],
-            "speedup_processes_vs_threads": speedup,
+            "speedup_processes_vs_serial": speedup,
             "usable_cores": cores,
             "num_shards": NUM_SHARDS,
             "query_length": BACKEND_QUERY_LENGTH,
@@ -265,7 +264,7 @@ def test_backend_single_query_latency(recorder, bench_scale):
             "speedup_enforced": cores >= NUM_SHARDS,
         },
         expectation=(
-            f"processes > {BACKEND_SPEEDUP_FLOOR}x faster than threads per "
+            f"processes > {BACKEND_SPEEDUP_FLOOR}x faster than serial per "
             f"query on a {NUM_SHARDS}-shard CPU-bound workload when "
             f">= {NUM_SHARDS} cores are available"
         ),
@@ -275,7 +274,7 @@ def test_backend_single_query_latency(recorder, bench_scale):
     # query.  Only enforceable where the OS actually grants the cores.
     if cores >= NUM_SHARDS:
         assert speedup > BACKEND_SPEEDUP_FLOOR, (
-            f"processes backend only {speedup:.2f}x faster than threads "
+            f"processes backend only {speedup:.2f}x faster than serial "
             f"with {cores} cores"
         )
     else:

@@ -353,10 +353,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise SystemExit(f"bad --shard-map: {exc}") from exc
     elif args.shard_map is not None:
         raise SystemExit("--shard-map requires --backend remote")
-    if args.shards != 1 or args.backend in ("processes", "remote"):
-        # "threads" fans shards out on an engine-owned thread pool
-        # (GIL-bound verification); "processes" builds one long-lived
-        # worker process per shard so verification escapes the GIL —
+    if args.shards != 1 or args.backend != "serial":
+        # "serial" queries in-process shards one after another in the
+        # request's thread; "processes" builds one long-lived worker
+        # process per shard so verification escapes the GIL —
         # honored even for a single shard (the query still runs in an
         # isolated worker process rather than being silently dropped);
         # "remote" connects to standalone worker nodes from --shard-map
@@ -408,7 +408,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
     finally:
         # The CLI owns the engine: terminate shard worker processes (and
-        # the engine's shard threads) no matter how serving ended.  The
+        # the threads that wait on them) no matter how serving ended.  The
         # workers-module atexit hook is the backstop, not the plan.
         service.close(close_engine=True)
 
@@ -685,12 +685,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1, help="engine shards (>1 fans out)")
     p.add_argument(
         "--backend",
-        default="threads",
-        choices=["threads", "processes", "remote"],
-        help="shard fan-out backend: 'threads' runs shard queries on the "
-        "engine's shard threads (GIL-bound verification); 'processes' runs "
-        "one worker process per shard; 'remote' connects to standalone "
-        "'repro worker' nodes listed in --shard-map (default: threads)",
+        default="serial",
+        choices=["serial", "processes", "remote"],
+        help="shard fan-out backend: 'serial' queries in-process shards one "
+        "after another (one shared warm cache); 'processes' runs one worker "
+        "process per shard; 'remote' connects to standalone 'repro worker' "
+        "nodes listed in --shard-map (default: serial)",
     )
     p.add_argument(
         "--shard-map",

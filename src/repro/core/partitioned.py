@@ -14,15 +14,13 @@ shard_query_callables`), run them, merge (:meth:`~
 PartitionedSubtrajectorySearch.merge_shard_results`) — and the backend
 only decides where a shard's engine lives and who runs its call:
 
-- ``"serial"`` — shards queried one after another in the caller's thread
-  (the default; lowest overhead for tiny shards);
-- ``"threads"`` — shard calls run on the engine's shard threads (one per
-  shard).  Overlaps the non-GIL-bound parts only: pure-Python
-  verification serializes on the GIL, so this tops out near one core;
+- ``"serial"`` — shard engines live in the parent and are queried one
+  after another in the caller's thread (the default: verification holds
+  the GIL, so threads here would only add hand-offs);
 - ``"processes"`` — each shard's engine lives in a long-lived worker
   process (:class:`~repro.core.workers.ShardWorkerPool`) and a shard's
   call is one blocking round trip to it (pickled query descriptor over a
-  framed socketpair), made from the same shard threads.  CPU-bound
+  framed socketpair), made from the engine's shard threads.  CPU-bound
   verification then genuinely parallelizes: a single query uses up to
   one core per shard while the parent's threads merely wait;
 - ``"remote"`` — each shard's engine lives in a standalone worker node
@@ -69,7 +67,7 @@ from repro.trajectory.dataset import TrajectoryDataset
 
 __all__ = ["PartitionedSubtrajectorySearch"]
 
-_BACKENDS = ("serial", "threads", "processes", "remote")
+_BACKENDS = ("serial", "processes", "remote")
 #: backends whose shard engines live in another process: workers build
 #: their own engines, caches cannot be shared, faults can be injected.
 _OUT_OF_PROCESS = ("processes", "remote")
@@ -139,16 +137,14 @@ class PartitionedSubtrajectorySearch:
     The warm-query cache is the one exception to shard-local state: a
     query's substitution rows and trie columns are dataset-independent
     (a row is a function of query and model, a column is keyed by
-    data-symbol path, never by trajectory), so on the in-process backends
-    (``serial``/``threads``) all shard engines share **one**
-    :class:`~repro.core.trie.TrieCache` — shard A's verification warms
-    shard B's, and a fan-out query's shards share one entry per query,
-    each walking it for one anchor group at a time under the entry's
-    lock.  ``trie_cache_size`` /
-    ``trie_cache_bytes`` size that shared cache, or pass a prebuilt
-    ``trie_cache``.  The ``processes`` backend cannot share memory across
-    workers, so there the knobs size one cache *per worker* and
-    :meth:`status` sums them.
+    data-symbol path, never by trajectory), so on ``serial`` all shard
+    engines share **one** :class:`~repro.core.trie.TrieCache` — shard A's
+    verification warms shard B's, and a fan-out query's shards share one
+    entry per query, each walking it for one anchor group at a time under
+    the entry's lock.  ``trie_cache_size`` / ``trie_cache_bytes`` size
+    that shared cache, or pass a prebuilt ``trie_cache``.  The worker
+    backends cannot share memory across workers, so there the knobs size
+    one cache *per worker* and :meth:`status` sums them.
 
     ``index_backend="frozen"`` with an ``index_path`` *stem* resolves one
     frozen index file per shard (``<stem>.shard<k>-of-<N>`` as written by
@@ -159,17 +155,17 @@ class PartitionedSubtrajectorySearch:
     mmaps its shard's file in O(1) instead of rebuilding (or unpickling)
     postings, and the OS page cache shares the bytes across workers.
 
-    ``backend`` selects where shard engines live and who runs their
-    calls (see the module docstring); it defaults to ``"serial"``.  Every
-    other backend runs one shard thread per shard, and the worker
-    backends one worker per shard.  All backends produce identical
+    ``backend`` selects where shard engines live (see the module
+    docstring); it defaults to ``"serial"``.  With several worker shards
+    the engine owns one shard thread per shard, only to overlap the
+    blocking round trips to the workers.  All backends produce identical
     results: the merge collects shard results in shard order regardless
     of completion order.
 
-    Every backend but ``serial`` holds OS resources (shard threads,
-    worker processes, sockets); call :meth:`close` when done — it also
-    cancels the queries still in flight.  Unclosed engines are cleaned
-    up at interpreter exit, and the class works as a context manager.
+    The worker backends hold OS resources (shard threads, worker
+    processes, sockets); call :meth:`close` when done — it also cancels
+    the queries still in flight.  Unclosed engines are cleaned up at
+    interpreter exit, and the class works as a context manager.
     """
 
     def __init__(
@@ -238,15 +234,14 @@ class PartitionedSubtrajectorySearch:
             ]
         self._backend = backend
         self._trie_cache: Optional[TrieCache] = None
-        if backend in _OUT_OF_PROCESS:
-            if "trie_cache" in engine_kwargs:
-                # Fail here with the real reason, not deep in the worker
-                # spawn as an opaque "cannot pickle thread lock".
-                raise QueryError(
-                    f"backend={backend!r} cannot share a prebuilt trie_cache "
-                    "across worker processes; pass trie_cache_size / "
-                    "trie_cache_bytes to size each worker's own cache"
-                )
+        if backend in _OUT_OF_PROCESS and "trie_cache" in engine_kwargs:
+            # Fail here with the real reason, not deep in the worker
+            # spawn as an opaque "cannot pickle thread lock".
+            raise QueryError(
+                f"backend={backend!r} cannot share a prebuilt trie_cache "
+                "across worker processes; pass trie_cache_size / "
+                "trie_cache_bytes to size each worker's own cache"
+            )
         self._shards = round_robin_shards(dataset, num_shards)
         self._global_ids: List[List[int]] = [
             list(range(k, len(dataset), num_shards)) for k in range(num_shards)
@@ -260,14 +255,7 @@ class PartitionedSubtrajectorySearch:
         self._flight_lock = threading.Lock()
         self._engines: List[SubtrajectorySearch] = []
         self._workers: Optional[ShardWorkerPool] = None
-        # One thread per shard runs the shard calls of every query on
-        # every backend but serial (threads start on first use, so none
-        # exists yet when a processes pool forks its workers below).
         self._pool: Optional[ThreadPoolExecutor] = None
-        if backend != "serial" and num_shards > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=num_shards, thread_name_prefix="repro-shard"
-            )
         if backend in _OUT_OF_PROCESS:
             # Engines are built inside the workers — index memory and
             # build time live there, once, not in the parent too.  With a
@@ -286,6 +274,11 @@ class PartitionedSubtrajectorySearch:
                 connect_timeout=connect_timeout,
                 call_timeout=remote_call_timeout,
             )
+            if num_shards > 1:
+                # One thread per shard overlaps the blocking round trips.
+                self._pool = ThreadPoolExecutor(
+                    max_workers=num_shards, thread_name_prefix="repro-shard"
+                )
         else:
             # One shared cross-query cache for all in-process shard
             # engines (entries are dataset-independent — see the class
@@ -307,8 +300,7 @@ class PartitionedSubtrajectorySearch:
 
     @property
     def backend(self) -> str:
-        """The fan-out backend: ``serial``, ``threads``, ``processes``,
-        or ``remote``."""
+        """The fan-out backend: ``serial``, ``processes`` or ``remote``."""
         return self._backend
 
     @property
@@ -346,7 +338,7 @@ class PartitionedSubtrajectorySearch:
         return sum(len(ids) for ids in self._global_ids)
 
     def close(self) -> None:
-        """Release fan-out resources (shard threads / worker processes).
+        """Release fan-out resources (worker links and their shard threads).
 
         Idempotent, and safe on any backend.  Queries still in flight are
         cancelled (they raise a typed error, never hang).  Process workers
@@ -370,7 +362,7 @@ class PartitionedSubtrajectorySearch:
 
     def _check_open(self) -> None:
         # Uniform across backends: a closed engine fails loudly instead of
-        # silently degrading (threads would otherwise fall back to serial).
+        # silently degrading (in-process shards would answer on).
         if self._closed:
             raise QueryError("engine is closed")
 
@@ -512,8 +504,10 @@ class PartitionedSubtrajectorySearch:
                 span.finish()
 
     def _run(self, calls: Sequence[Callable], token: _QueryToken) -> List:
-        """Run one query's shard calls — inline on ``serial``, else on the
-        shard threads — and return their results in shard order.
+        """Run one query's shard calls and return their results in shard
+        order: inline, or — with several worker shards — on the shard
+        threads, whose one reason to exist is to overlap those blocking
+        round trips.
 
         The first shard to fail trips ``token`` so its siblings stop, and
         every call is waited for (a request sent still collects its one

@@ -1,10 +1,10 @@
 """Out-of-process shard workers: CPU-bound verification past the GIL.
 
-The ``threads`` backend of :class:`~repro.core.partitioned.
-PartitionedSubtrajectorySearch` parallelizes I/O-ish work but not the
-Smith–Waterman-style verification that dominates query cost (§6) — pure-
-Python DP holds the GIL, so N shard threads share one core.  This module
-moves each shard's engine behind a **framed link**
+The Smith–Waterman-style verification that dominates query cost (§6)
+holds the GIL, so the in-process ``serial`` backend of
+:class:`~repro.core.partitioned.PartitionedSubtrajectorySearch` uses one
+core however many shards it has.  This module moves each shard's engine
+behind a **framed link**
 (:class:`~repro.core.transport.FramedSocket`) and keeps exactly one
 parent-side object per shard (:class:`_ShardWorker`, the *supervised
 shard*) and one worker-side serve path (:func:`serve_link`) for every way
@@ -28,9 +28,9 @@ is a fresh engine incarnation — a *reconnect is a respawn*.
   pickled :class:`~repro.core.engine.QueryResult` objects (the merge-
   irrelevant ``subsequence`` field is stripped to keep replies small).
   There is no fan-out here: one query is one blocking
-  :meth:`_ShardWorker.query` round trip per shard, run concurrently by
-  the partitioned engine's shard threads — a thread holds one shard's
-  lock at a time;
+  :meth:`_ShardWorker.query` round trip per shard, and the partitioned
+  engine's shard threads overlap those trips — a thread holds one
+  shard's lock at a time;
 - deadlines survive the link: the parent sends the *remaining* budget
   with each query and the worker rebuilds a local token from it, so
   clock skew cannot extend a deadline.  The parent bounds its own wait

@@ -5,9 +5,9 @@ query — range or top-k, on a plain
 :class:`~repro.core.engine.SubtrajectorySearch` or a
 :class:`~repro.core.partitioned.PartitionedSubtrajectorySearch` — is one
 deadline-bound pool task that calls the engine; the shard fan-out, on
-whatever backend, is the engine's own (the pool thread coordinates while
-the engine's shard threads or workers burn the CPU).  Two protections
-keep the pool healthy under overload:
+whatever backend, is the engine's own (the pool thread runs in-process
+shards itself, or waits while the engine's shard workers burn the CPU).
+Two protections keep the pool healthy under overload:
 
 - *admission control*: at most ``max_pending`` queries may be in flight;
   beyond that, new arrivals are shed immediately with
@@ -109,10 +109,10 @@ class Executor:
         """Stop admitting queries and drain the pool (idempotent).
 
         ``close_engine=True`` additionally closes the wrapped engine —
-        for partitioned engines that terminates the shard threads and
-        worker processes.  Off by default because the engine is
-        caller-owned and may outlive this executor (e.g. one engine
-        served by successive executors in benchmarks)."""
+        for partitioned engines that terminates the worker processes and
+        the shard threads that wait on them.  Off by default because the
+        engine is caller-owned and may outlive this executor (e.g. one
+        engine served by successive executors in benchmarks)."""
         with self._lock:
             already = self._closed
             self._closed = True

@@ -241,7 +241,10 @@ class _Handler(BaseHTTPRequestHandler):
         # The stream is at the next request line: whatever is wrong with
         # these bytes, the refusal need not cost the connection.
         self._body_unread = False
-        data = json.loads(raw.decode("utf-8"))
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("request body is nested too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data

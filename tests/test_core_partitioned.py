@@ -141,27 +141,6 @@ class TestExactness:
 
 
 class TestParallelFanOut:
-    @pytest.mark.parametrize("num_shards", [1, 2, 8])
-    def test_parallel_matches_serial(self, vertex_dataset, edr_cost, rng, num_shards):
-        # One shard runs inline; beyond that, one shard thread per shard.
-        serial = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=num_shards
-        )
-        parallel = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, num_shards=num_shards, backend="threads"
-        )
-        try:
-            for _ in range(3):
-                query = sample_query(vertex_dataset, rng, 6)
-                a = serial.query(query, tau_ratio=0.25)
-                b = parallel.query(query, tau_ratio=0.25)
-                assert keys(a) == keys(b)
-                assert [m.distance for m in a.matches] == pytest.approx(
-                    [m.distance for m in b.matches]
-                )
-        finally:
-            parallel.close()
-
     def test_shard_callables_merge_equals_query(self, vertex_dataset, edr_cost, rng):
         sharded = PartitionedSubtrajectorySearch(
             vertex_dataset, edr_cost, num_shards=3
@@ -183,15 +162,15 @@ class TestParallelFanOut:
 
 
 class TestBackends:
-    """The backend knob: identical answers, differing only in who runs
-    the shard fan-out (caller / thread pool / worker processes)."""
+    """The backend knob: identical answers, differing only in where the
+    shard engines live (the parent / worker processes / worker nodes)."""
 
     @pytest.mark.parametrize(
         "backend,kwargs",
         [
             ("serial", {}),
-            ("threads", {}),
-            ("threads", {"num_shards": 1}),  # no shard threads: inline
+            ("serial", {"num_shards": 1}),
+            ("processes", {"num_shards": 1}),  # no shard threads: inline
             ("processes", {}),
             ("remote", {}),
         ],
@@ -215,10 +194,24 @@ class TestBackends:
                 [m.distance for m in b.matches]
             )
 
+    def test_only_worker_shards_get_shard_threads(self, vertex_dataset, edr_cost, rng):
+        # The shard threads exist to overlap blocking worker round trips;
+        # in-process shards hold the GIL and run in the caller's thread.
+        query = sample_query(vertex_dataset, rng, 6)
+        for backend, threaded in (("serial", False), ("processes", True)):
+            before = set(threading.enumerate())
+            with PartitionedSubtrajectorySearch(
+                vertex_dataset, edr_cost, num_shards=3, backend=backend
+            ) as engine:
+                engine.query(query, tau_ratio=0.25)
+                started = set(threading.enumerate()) - before
+            shard_threads = [t for t in started if t.name.startswith("repro-shard")]
+            assert bool(shard_threads) == threaded, backend
+
     def test_close_idempotent_on_every_backend(
         self, vertex_dataset, edr_cost, remote_nodes
     ):
-        for backend in ("serial", "threads", "processes", "remote"):
+        for backend in ("serial", "processes", "remote"):
             engine = PartitionedSubtrajectorySearch(
                 vertex_dataset,
                 edr_cost,
@@ -232,9 +225,9 @@ class TestBackends:
     def test_closed_engine_fails_loudly_on_every_backend(
         self, vertex_dataset, edr_cost, rng, remote_nodes
     ):
-        # No backend may silently degrade (e.g. threads falling back to a
-        # serial scan) after close: use-after-close is a caller bug.
-        for backend in ("serial", "threads", "processes", "remote"):
+        # No backend may silently degrade (e.g. in-process shards answering
+        # on) after close: use-after-close is a caller bug.
+        for backend in ("serial", "processes", "remote"):
             engine = PartitionedSubtrajectorySearch(
                 vertex_dataset,
                 edr_cost,

@@ -43,11 +43,18 @@ class TestConfiguration:
                 vertex_dataset, edr_cost, backend="fibers"
             )
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_threads_backend_is_gone(self, vertex_dataset, edr_cost):
+        # Verification holds the GIL, so in-process shards run serially.
+        with pytest.raises(QueryError, match=r"\('serial', 'processes', 'remote'\)"):
+            PartitionedSubtrajectorySearch(
+                vertex_dataset, edr_cost, backend="threads"
+            )
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_max_workers_is_not_an_engine_option(
         self, vertex_dataset, edr_cost, backend
     ):
-        # One shard thread per shard, one worker per shard: nothing to
+        # One worker (and one shard thread) per shard: nothing to
         # size.  The name is forwarded like any unknown engine option and
         # refused by the shard engine, at construction, on every backend.
         with pytest.raises(TypeError):
@@ -56,16 +63,8 @@ class TestConfiguration:
             )
 
     def test_backend_defaults_preserve_old_semantics(self, vertex_dataset, edr_cost):
-        serial = PartitionedSubtrajectorySearch(vertex_dataset, edr_cost)
-        threaded = PartitionedSubtrajectorySearch(
-            vertex_dataset, edr_cost, backend="threads"
-        )
-        try:
-            assert serial.backend == "serial"
-            assert threaded.backend == "threads"
-        finally:
-            serial.close()
-            threaded.close()
+        with PartitionedSubtrajectorySearch(vertex_dataset, edr_cost) as engine:
+            assert engine.backend == "serial"
 
     def test_default_start_method_is_valid(self):
         assert default_start_method() in mp.get_all_start_methods()

@@ -16,8 +16,10 @@ what can be enforced:
   (``doctest`` over the file — the same check CI runs);
 - the README links all three docs, so they are discoverable;
 - the shard fan-out backends the README describes, the ones ``repro
-  serve --backend`` offers and the ones the engine implements agree,
-  and no doc mentions a fan-out API that no longer exists;
+  serve --backend`` offers, the ones the operations knob table names and
+  the ones the engine implements agree, no doc mentions a fan-out API
+  that no longer exists, and no code, benchmark or CI step names the
+  ``threads`` backend that ``serial`` replaced;
 - the operations knob table is the CLI: every flag in it is a ``repro
   serve`` option with the default the table states;
 - the fault-policy paragraph under it names every constant of
@@ -147,8 +149,10 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
     assert described == set(_BACKENDS)
     assert "max_workers" not in section  # the engine has no pool to size
 
-    offered = _serve_options()["--backend"].choices
-    assert offered and set(offered) <= set(_BACKENDS)
+    assert set(_serve_options()["--backend"].choices) == set(_BACKENDS)
+    (row,) = re.findall(r"^\| `--backend` \|.*$", _knob_section(), re.M)
+    named = set(re.findall(r"`(\w+)` \(", row))
+    assert named == set(_BACKENDS)
 
 
 #: what the one fan-out replaced (the pool's own fan-out, the executor's
@@ -159,7 +163,9 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
 #: caller-set walker (its keyword and its flag; the ``dp_backend=numpy``
 #: span rendering and the ``{dp_backend="numpy"}`` metric label stay),
 #: and the per-query matrix the warm-state entry absorbed, with the
-#: network models' Dijkstra switch.
+#: network models' Dijkstra switch, and the in-process thread fan-out
+#: backend, which lost to ``serial`` on every measurement.
+_THREADS_BACKEND = r"--backend threads|backend=[\"']threads[\"']|`threads`"
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
     r"|substitution_cache_size|--substitution-cache-size|SubstitutionMatrixCache"
@@ -171,6 +177,7 @@ _GONE = re.compile(
     r"|SubstitutionMatrix\b|sub_matrix\(|use_hub_labeling"
     r"|_absorb_published|publish-after-write"
     r"|TrieNode|trie_node_count|consults no entry"
+    r"|" + _THREADS_BACKEND
 )
 
 
@@ -178,6 +185,21 @@ _GONE = re.compile(
 def test_docs_name_no_removed_fan_out_api(doc):
     stale = _GONE.findall(doc.read_text(encoding="utf-8"))
     assert not stale, f"{doc.name} still mentions {stale}"
+
+
+def test_no_code_benchmark_or_ci_step_names_the_threads_backend():
+    paths = [
+        *(REPO / "src").rglob("*.py"),
+        *(REPO / "benchmarks").glob("*.py"),
+        *(REPO / ".github" / "workflows").glob("*.yml"),
+    ]
+    pattern = re.compile(_THREADS_BACKEND)
+    stale = [
+        path.relative_to(REPO).as_posix()
+        for path in paths
+        if pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not stale, stale
 
 
 def test_service_tier_never_probes_the_engine_by_name():

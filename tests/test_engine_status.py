@@ -3,7 +3,7 @@
 Both engine classes answer ``status()`` with one
 :class:`~repro.core.supervision.EngineStatus`, and ``/healthz``,
 ``/stats``, ``/metrics`` and the 503 body are projections of it.  One
-body runs over the bare engine and all four fan-out backends, so the
+body runs over the bare engine and all three fan-out backends, so the
 endpoint shapes cannot drift apart again.
 """
 
@@ -36,7 +36,7 @@ from tests.conftest import (
 pytestmark = pytest.mark.timeout(300)
 
 #: deployment -> shard count (``single`` is a bare SubtrajectorySearch).
-DEPLOYMENTS = {"single": 1, "serial": 1, "threads": 2, "processes": 2, "remote": 2}
+DEPLOYMENTS = {"single": 1, "serial": 2, "processes": 2, "remote": 2}
 
 
 @contextmanager
@@ -111,7 +111,7 @@ def test_snapshot_has_one_entry_per_shard_and_totals_are_sums(
         index_parts = [shard.index for shard in status.shards]
         trie_parts = [shard.trie for shard in status.shards]
         assert None not in index_parts
-        if name in ("serial", "threads"):
+        if name == "serial":
             assert trie_parts == [None] * len(status.shards)
             trie_parts = [status.shared_trie]
         else:

@@ -10,7 +10,7 @@ tries that the earlier step built, across inserts and respawns.  Two
 cost models give the two walkers their histories: NetEDR, whose rows
 the walker rule always sends to the arena walker, on every deployment,
 and EDR, whose queries here are all short enough (|Q| <= 14) for the
-rule to send to the per-cell walker, on ``dict`` and ``threads``.  Both
+rule to send to the per-cell walker, on ``dict`` and ``serial``.  Both
 walkers walk the ``TrieCache``'s tries, so an EDR repeat after an
 insert walks warm per-cell tries too.
 
@@ -48,13 +48,13 @@ BASE = 20
 #: the longest query ``pick_query`` draws.
 MAX_QUERY = 14
 
-DEPLOYMENTS = ("dict", "frozen", "threads", "processes")
+DEPLOYMENTS = ("dict", "frozen", "serial", "processes")
 
 #: (deployment, cost-model fixture): NetEDR everywhere, and the EDR deck
 #: that reaches the per-cell walker on one single and one sharded
 #: deployment.
 CASES = [pytest.param(kind, "netedr_cost", id=kind) for kind in DEPLOYMENTS] + [
-    pytest.param(kind, "edr_cost", id=f"{kind}-edr") for kind in ("dict", "threads")
+    pytest.param(kind, "edr_cost", id=f"{kind}-edr") for kind in ("dict", "serial")
 ]
 
 BUDGET = settings(

@@ -3,6 +3,7 @@ self-test smoke path."""
 
 import http.client
 import json
+import logging
 import socket
 import statistics
 import threading
@@ -478,6 +479,24 @@ class TestRefusalsKeepTheConnection:
             assert conn.sock is sock
         assert len(accepted) == 1
 
+    @pytest.mark.parametrize("route", ["/query", "/trajectories"])
+    def test_a_deeply_nested_body_is_a_400_on_the_same_socket(
+        self, conn, accepted, caplog, route
+    ):
+        """Nesting deep enough to exhaust the JSON parser's recursion
+        limit, in a body far under the size cap, is a malformed request:
+        a 400 with no logged traceback, and the connection serves on."""
+        depth = 100_000
+        body = b'{"path": ' + b"[" * depth + b"]" * depth + b"}"
+        conn.request("POST", route, body=body)
+        response = conn.getresponse()
+        assert response.status == 400
+        assert "nested too deeply" in json.loads(response.read())["error"]
+        assert response.headers["Connection"] is None
+        assert _roundtrip(conn, *_CACHED_QUERY)[0] == 200
+        assert len(accepted) == 1
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
     @pytest.mark.parametrize(
         "route, declared",
         [
@@ -530,7 +549,13 @@ class TestCliSelfTest:
         ) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["self_test"] == "ok"
-        assert out["backend"] == "threads"  # the serve default
+        assert out["backend"] == "serial"  # the serve default
+
+    def test_serve_refuses_the_threads_backend(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--self-test", "--shards", "2", "--backend", "threads"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
 
     def test_serve_self_test_process_backend(self, capsys):
         # End-to-end over HTTP with one worker process per shard; the

@@ -1,9 +1,9 @@
-"""One fan-out, four backends: the contract of a partitioned query.
+"""One fan-out, three backends: the contract of a partitioned query.
 
 ``PartitionedSubtrajectorySearch.query`` is the same three steps on
 every backend — per-shard calls, run them, merge — so what a caller may
-rely on is pinned here once and run over ``serial``, ``threads``,
-``processes`` and ``remote``: exact answers, sibling cancellation that
+rely on is pinned here once and run over ``serial``, ``processes`` and
+``remote``: exact answers, sibling cancellation that
 leaves the links in sync, one engine shared by many client threads,
 ``allow_partial``, and ``close()`` under load.  What only a worker link
 can do (retries, breakers, journals) stays in ``test_worker_links.py``.
@@ -36,9 +36,6 @@ from tests.conftest import (
 )
 
 pytestmark = pytest.mark.timeout(300)
-
-IN_PROCESS = ("serial", "threads")
-
 
 @pytest.fixture(params=_BACKENDS)
 def backend(request):
@@ -172,7 +169,7 @@ def test_allow_partial_degrades_worker_shards_only(
     full = SubtrajectorySearch(vertex_dataset, edr_cost).query(query, tau_ratio=0.25)
 
     def held_down(*shards):
-        if backend in IN_PROCESS:
+        if backend == "serial":
             return {}  # nothing in-process can die on its own
         return {
             "fault_plan": FaultPlan(
@@ -184,7 +181,7 @@ def test_allow_partial_degrades_worker_shards_only(
         backend, vertex_dataset, edr_cost, num_shards=3, **held_down(1)
     ) as engine:
         result = engine.query(query, tau_ratio=0.25, allow_partial=True)
-        if backend in IN_PROCESS:
+        if backend == "serial":
             assert result.complete and result.degraded_shards == ()
             assert result.matches == full.matches
             return

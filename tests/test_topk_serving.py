@@ -2,7 +2,7 @@
 
 Pins the end-to-end contract of :meth:`QueryService.topk` and the HTTP
 ``{"k": n}`` mode against a brute-force per-trajectory Smith–Waterman
-oracle: every backend (serial, threads, processes, remote), cold and
+oracle: every backend (serial, processes, remote), cold and
 warm trie cache, and a held-down shard must all produce answers that
 are bit-identical to the oracle — or flagged ``complete=False``, never
 silently short.
@@ -87,7 +87,7 @@ class TestStackParity:
         )
         assert response.result.complete
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_sharded_backends_match_oracle(
         self, vertex_dataset, edr_cost, rng, backend
     ):

@@ -353,10 +353,10 @@ class TestEngineWarmPath:
 
 
 class TestSharedCacheConcurrency:
-    def test_threads_shards_share_one_cache_under_insert(
+    def test_serial_shards_share_one_cache_under_insert(
         self, small_graph, trips, netedr_cost
     ):
-        """Two threads-backend shards + concurrent clients + an online
+        """Two serial-backend shards + concurrent clients + an online
         insert, all over ONE shared TrieCache.
 
         Safe because (a) trie columns are dataset-independent — shard A's
@@ -373,7 +373,7 @@ class TestSharedCacheConcurrency:
             dataset,
             netedr_cost,
             num_shards=2,
-            backend="threads",
+            backend="serial",
             trie_cache_size=8,
         )
         queries = [list(dataset.symbols(t))[:8] for t in (0, 1)]
@@ -428,7 +428,7 @@ class TestSharedCacheConcurrency:
             assert _result_key(engine.query(q, tau_ratio=0.4)) == post[i]
         stats = engine.status().trie
         # One shared cache: one miss per distinct signature, no matter
-        # how many shards and threads walked it; everything else hit.
+        # how many shards and client threads walked it; everything else hit.
         assert stats["misses"] == len(queries)
         assert stats["hits"] >= 4 * 8 - len(queries)
         assert stats["evictions"] == 0
@@ -950,7 +950,7 @@ class TestOneWarmQueryCache:
     """The substitution rows and the tries of a query are one cache
     entry, on every backend."""
 
-    @pytest.mark.parametrize("backend", ["single", "serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["single", "serial", "processes"])
     def test_repeat_is_a_hit_that_computes_no_row(
         self, vertex_dataset, tmp_path, backend
     ):
