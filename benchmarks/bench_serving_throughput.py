@@ -190,7 +190,10 @@ def test_backend_single_query_latency(recorder, bench_scale):
     """Fan-out backends on a CPU-bound 4-shard workload.
 
     Serial is the GIL ceiling (one core per query); serial vs. processes
-    shows the cross-process shard workers using >1 core per query.
+    shows the cross-process shard workers using >1 core per query.  Both
+    run with the trie cache off, so every timed query verifies cold: with
+    it on, the warm-up pass would leave the timed loop walking cached
+    columns plus, on ``processes``, the IPC around them.
     """
     graph, dataset, costs, _ = load_workload("beijing", "EDR", scale=bench_scale)
     queries = sample_queries(
@@ -205,7 +208,12 @@ def test_backend_single_query_latency(recorder, bench_scale):
     expected = None
     for backend, kwargs in backends.items():
         engine = PartitionedSubtrajectorySearch(
-            dataset, costs, num_shards=NUM_SHARDS, backend=backend, **kwargs
+            dataset,
+            costs,
+            num_shards=NUM_SHARDS,
+            backend=backend,
+            trie_cache_size=0,
+            **kwargs,
         )
         try:
             # Warm-up pass doubles as the exactness check across backends.

@@ -252,7 +252,9 @@ class SubtrajectorySearch:
         :func:`~repro.core.verification.choose_dp_backend` picks for each
         query (reported as ``QueryResult.dp_backend_used``).
     early_termination:
-        Apply the Eq. 11 lower-bound cutoff during local verification.
+        Apply the Eq. 11 lower-bound cutoff during local verification,
+        and the count bound that skips candidates before any DP column
+        (see :mod:`repro.core.verification`).
     sort_by_departure:
         Order postings by trajectory departure time to accelerate
         temporal-constrained queries (§4.3).  ``None`` (default) means
@@ -521,14 +523,23 @@ class SubtrajectorySearch:
         self._check_assumption(query, tau)
         raise_if_cancelled(cancel, "query")
 
-        # Stage 1: MinCand — choose the tau-subsequence.
+        # Stage 1: MinCand — choose the tau-subsequence.  B(q) and c(q)
+        # come from the query's warm entry, which verification walks too.
         t0 = time.perf_counter()
-        profile = query_profile(query, self._costs, self.index)
+        trie_entry, trie_status = None, ""
+        neighborhoods = None
+        if self._verification != "sw":
+            trie_entry, trie_status = self._warm_state(query)
+            with trie_entry.lock:
+                neighborhoods = trie_entry.neighborhoods()
+        profile = query_profile(query, self._costs, self.index, neighborhoods)
         try:
             subsequence = self._selector(profile, tau)
         except QueryError:
             # No tau-subsequence exists (c(Q) < tau, possible for
             # continuous costs with tiny eta — §3.1): scan the dataset.
+            if trie_entry is not None:
+                self._trie_cache.reconcile(trie_entry)
             return self._scan_fallback(
                 query, tau, t0, time_interval, temporal_mode, cancel, trace
             )
@@ -550,13 +561,11 @@ class SubtrajectorySearch:
         stats = VerificationStats()
         backend_used = ""
         allocations = 0
-        trie_status = ""
         dp_rounds = 0
-        if self._verification == "sw":
+        if trie_entry is None:
             stats = self._verify_sw(candidates, query, tau, matches, cancel)
         else:
             backend_used = choose_dp_backend(len(query), self._costs)
-            trie_entry, trie_status = self._warm_state(query)
             verifier = Verifier(
                 self._dataset.symbols_array,
                 query,
@@ -616,6 +625,7 @@ class SubtrajectorySearch:
                 visited_columns=stats.visited_columns,
                 computed_columns=stats.computed_columns,
                 emitted=stats.emitted,
+                bound_pruned=stats.bound_pruned,
                 dp_backend=backend_used or self._verification,
                 dp_rounds=dp_rounds,
                 dp_array_allocations=allocations,
@@ -686,7 +696,10 @@ class SubtrajectorySearch:
         verification on either walker; with the cache ``"off"``, a fresh
         entry that lives for this query only.
 
-        On a ``"hit"`` the substitution rows, the per-direction row
+        Looked up before MinCand: the entry's
+        :class:`~repro.core.filtering.QueryNeighborhoods` feed both the
+        query profile and the verifier's count bound.  On a ``"hit"`` the
+        neighborhoods, the substitution rows, the per-direction row
         tables and the tries are all reused — the row-computation stage
         of verification disappears for repeated queries and the walk
         starts warm, whichever walker built the tries.  Rows are

@@ -6,18 +6,35 @@ substitution neighborhood ``B(q)`` (Definition 4), its filtering cost
 postings ``N_q = sum over b in B(q) of n(b)``.  A subsequence ``Q'`` with
 ``c(Q') >= tau`` (a *tau-subsequence*) then certifies that any matching
 subtrajectory shares at least one symbol with ``B(Q')``.
+
+``B(q)`` and ``c(q)`` are computed in one place,
+:class:`QueryNeighborhoods`, once per distinct query symbol.  The same
+object holds the :class:`NeighborhoodTable` the verifier's count bound
+reads (:mod:`repro.core.verification`): every query element whose
+neighborhood a match's data never touches costs that match at least
+``c(q)``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.invindex import InvertedIndex
 from repro.distance.costs import CostModel
 from repro.exceptions import QueryError
 
-__all__ = ["QueryElement", "check_alphabet", "query_profile", "tau_from_ratio"]
+__all__ = [
+    "NeighborhoodTable",
+    "QueryElement",
+    "QueryNeighborhoods",
+    "check_alphabet",
+    "query_profile",
+    "tau_from_ratio",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,29 +53,143 @@ class QueryElement:
     candidate_count: int
 
 
+class NeighborhoodTable:
+    """The count bound's lookup table for one query: for every symbol in
+    some ``B(q)``, a bitmask of the query positions whose neighborhood
+    holds it — one little-endian uint64 word per 64 positions — and
+    ``c(q)`` per position.
+
+    The masks are stored dense over the neighborhood symbols' id range
+    (``low`` up), plus one zero row that every symbol outside all the
+    neighborhoods maps to, so a lookup is one ``take`` — a sorted-key
+    ``searchsorted`` over unsorted symbols costs twenty times more.  The
+    range of a path's neighborhoods is local on a road network; its
+    bytes are charged to the entry like everything else it holds.
+    """
+
+    __slots__ = ("length", "low", "dense", "costs", "_sides")
+
+    def __init__(self, hoods: "QueryNeighborhoods") -> None:
+        query = hoods.query
+        self.length = len(query)
+        words = (self.length + 63) // 64
+        bits: Dict[int, List[int]] = {}
+        for i, q in enumerate(query):
+            for b in hoods.by_symbol[q][0]:
+                row = bits.get(b)
+                if row is None:
+                    row = bits[b] = [0] * words
+                row[i >> 6] |= 1 << (i & 63)
+        self.low = min(bits, default=0)
+        span = max(bits) - self.low + 1 if bits else 0
+        #: row ``b - low`` holds symbol ``b``'s mask; row ``span`` is zero.
+        self.dense = np.zeros((span + 1, words), dtype="<u8")
+        if bits:
+            self.dense[np.array(list(bits)) - self.low] = np.array(
+                list(bits.values()), dtype="<u8"
+            )
+        self.costs = np.array([hoods.by_symbol[q][1] for q in query], dtype=np.float64)
+        self._sides: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def hits(self, symbols: np.ndarray) -> np.ndarray:
+        """``(len(symbols) + 1, words)`` bitmasks: bit ``i`` of row ``k``
+        is set iff ``symbols[k]`` is in ``B(query[i])``; the extra last
+        row is zero."""
+        idx = np.empty(len(symbols) + 1, dtype=np.int64)
+        np.subtract(symbols, self.low, out=idx[:-1], dtype=np.int64)
+        idx[-1] = -1
+        # Below ``low`` wraps to a huge unsigned value: one minimum sends
+        # every symbol outside the range to the zero row.
+        unsigned = idx.view(np.uint64)
+        np.minimum(unsigned, len(self.dense) - 1, out=unsigned)
+        return self.dense[idx]
+
+    def side_masks(self, iq: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The positions before ``iq`` and after it, as word arrays
+        (built once per ``iq``)."""
+        sides = self._sides.get(iq)
+        if sides is None:
+            width = self.dense.shape[1]
+            before = (1 << iq) - 1
+            after = (1 << self.length) - (1 << (iq + 1))
+            sides = self._sides[iq] = tuple(
+                np.array(
+                    [(side >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(width)],
+                    dtype="<u8",
+                )
+                for side in (before, after)
+            )
+        return sides
+
+    @property
+    def nbytes(self) -> int:
+        return self.dense.nbytes + self.costs.nbytes
+
+
+class QueryNeighborhoods:
+    """``B(q)`` and ``c(q)`` for one query, computed once per distinct
+    symbol — the one place either is computed — and the count bound's
+    :class:`NeighborhoodTable`, built from them on first use.
+
+    Both depend on the query and the cost model only, never on the
+    dataset, the threshold or the time window, so the query's
+    :class:`~repro.core.trie.TrieCacheEntry` keeps them: a warm repeat
+    calls no ``neighbors()`` at all (NetEDR's bounded Dijkstras
+    included).
+    """
+
+    __slots__ = ("query", "by_symbol", "_table")
+
+    def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
+        self.query = tuple(query)
+        #: symbol -> (B(q) unique and ordered, c(q))
+        self.by_symbol: Dict[int, Tuple[Tuple[int, ...], float]] = {}
+        for q in self.query:
+            if q not in self.by_symbol:
+                neigh = tuple(dict.fromkeys(costs.neighbors(q)))
+                self.by_symbol[q] = (neigh, costs.filter_cost(q))
+        self._table: Optional[NeighborhoodTable] = None
+
+    def table(self) -> NeighborhoodTable:
+        """The count bound's table, built on first call."""
+        if self._table is None:
+            self._table = NeighborhoodTable(self)
+        return self._table
+
+    @property
+    def nbytes(self) -> int:
+        """The neighborhood tuples and the table, once built."""
+        total = sys.getsizeof(self.by_symbol) + sum(
+            sys.getsizeof(neigh) for neigh, _ in self.by_symbol.values()
+        )
+        return total + (self._table.nbytes if self._table is not None else 0)
+
+
 def query_profile(
     query: Sequence[int],
     costs: CostModel,
     index: Optional[InvertedIndex] = None,
+    neighborhoods: Optional[QueryNeighborhoods] = None,
 ) -> List[QueryElement]:
     """Compute :class:`QueryElement` for every position of ``query``.
 
-    Neighborhoods and filter costs are memoized per distinct symbol, so
-    repeated vertices in the query are profiled once.
+    ``B(q)`` and ``c(q)`` come from ``neighborhoods`` (the engine passes
+    the query's cached one), or from a fresh :class:`QueryNeighborhoods`;
+    ``N_q`` is summed once per distinct symbol.
     """
     if len(query) == 0:
         raise QueryError("empty query")
-    cache: dict = {}
+    if neighborhoods is None:
+        neighborhoods = QueryNeighborhoods(costs, query)
+    counts: Dict[int, int] = {}
     out: List[QueryElement] = []
     for iq, q in enumerate(query):
-        entry = cache.get(q)
-        if entry is None:
-            neigh = tuple(dict.fromkeys(costs.neighbors(q)))  # unique, ordered
-            cq = costs.filter_cost(q)
-            nq = sum(index.frequency(b) for b in neigh) if index is not None else 0
-            entry = (neigh, cq, nq)
-            cache[q] = entry
-        neigh, cq, nq = entry
+        neigh, cq = neighborhoods.by_symbol[q]
+        nq = counts.get(q)
+        if nq is None:
+            nq = counts[q] = (
+                sum(index.frequency(b) for b in neigh) if index is not None else 0
+            )
         out.append(QueryElement(iq, q, cq, neigh, nq))
     return out
 

@@ -28,11 +28,15 @@ from repro.exceptions import QueryError
 
 __all__ = ["mincand_all", "mincand_exact", "mincand_greedy", "mincand_prefix"]
 
+#: numerical slack for the greedy's price ties only.
+#: Never for the ``c(Q') >= tau`` test itself: Theorem 1 needs the filter
+#: costs to reach tau, and a subsequence 1e-12 short of it misses every
+#: match costing exactly its ``c(Q')``.
 _EPS = 1e-12
 
 
 def _check_feasible(elements: Sequence[QueryElement], tau: float) -> None:
-    if sum(e.cost for e in elements) + _EPS < tau:
+    if sum(e.cost for e in elements) < tau:
         raise QueryError(
             f"no tau-subsequence exists: sum of filter costs "
             f"{sum(e.cost for e in elements):.6g} < tau={tau:.6g} "
@@ -50,11 +54,14 @@ def mincand_greedy(elements: Sequence[QueryElement], tau: float) -> List[QueryEl
     if tau <= 0:
         return []
     _check_feasible(elements, tau)
-    remaining = [e for e in elements if e.cost > _EPS]
+    remaining = [e for e in elements if e.cost > 0]
     w = {e.position: 0.0 for e in remaining}
     chosen: List[QueryElement] = []
     c_sum = 0.0
-    while c_sum + _EPS < tau:
+    # Running out of elements ends the loop too: then every element with
+    # a cost is chosen, and _check_feasible summed them to tau already
+    # (in position order — this sum's order may round it an ulp short).
+    while c_sum < tau and remaining:
         slack = tau - c_sum
         best = None
         best_v = float("inf")
@@ -98,7 +105,7 @@ def mincand_exact(
     best_obj = float("inf")
     for r in range(1, len(elements) + 1):
         for subset in combinations(elements, r):
-            if sum(e.cost for e in subset) + _EPS < tau:
+            if sum(e.cost for e in subset) < tau:
                 continue
             obj = sum(e.candidate_count for e in subset)
             if obj < best_obj:
@@ -118,7 +125,7 @@ def mincand_prefix(elements: Sequence[QueryElement], tau: float) -> List[QueryEl
     for e in sorted(elements, key=lambda e: e.position):
         chosen.append(e)
         c_sum += e.cost
-        if c_sum + _EPS >= tau:
+        if c_sum >= tau:
             return chosen
     return chosen  # pragma: no cover - guarded by _check_feasible
 

@@ -576,7 +576,6 @@ class PartitionedSubtrajectorySearch:
         dp_rounds = 0
         backend_used = ""
         trie_statuses: List[str] = []
-        stats = VerificationStats()
         for result, id_map in zip(results, self._global_ids):
             if result is None:
                 continue
@@ -591,13 +590,6 @@ class PartitionedSubtrajectorySearch:
             status = result.trie_cache_status
             if status and status not in trie_statuses:
                 trie_statuses.append(status)
-            s = result.verification
-            stats.candidates += s.candidates
-            stats.sw_columns += s.sw_columns
-            stats.visited_columns += s.visited_columns
-            stats.computed_columns += s.computed_columns
-            stats.emitted += s.emitted
-            stats.duplicate_candidates += s.duplicate_candidates
             matches.extend(
                 Match(id_map[m.trajectory_id], m.start, m.end, m.distance)
                 for m in result.matches
@@ -611,7 +603,9 @@ class PartitionedSubtrajectorySearch:
             mincand_seconds=mincand,
             lookup_seconds=lookup,
             verify_seconds=verify,
-            verification=stats,
+            verification=VerificationStats.sum(
+                result.verification for result in results if result is not None
+            ),
             dp_backend_used=backend_used,
             dp_array_allocations=allocations,
             dp_rounds=dp_rounds,

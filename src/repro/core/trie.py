@@ -24,7 +24,9 @@ warm with no per-node object graph to rebuild or traverse, whichever
 walker built it.
 
 A :class:`TrieCacheEntry` is one query's whole warm state: the query's
-substitution rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
+neighborhoods ``B(q)`` / ``c(q)`` and the count bound's table
+(:class:`~repro.core.filtering.QueryNeighborhoods`), its substitution
+rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
 :class:`DirectionState` — the insertion prefix, the slot-indexed
 :class:`DirectionRows` table and the :class:`VerificationTrie`.  The
 engine's :class:`TrieCache` keeps entries across queries.
@@ -48,6 +50,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.core.filtering import QueryNeighborhoods
 from repro.distance.costs import CostModel
 from repro.distance.wed import wed_row_init
 
@@ -304,21 +307,31 @@ class DirectionState:
 
 class TrieCacheEntry:
     """One query's whole warm state, built from ``(costs, query)``: the
-    query's :class:`QueryRows` and one :class:`DirectionState` per
-    ``(iq, direction)`` its verifications have touched — the only place
-    that key is held.  Nothing under an entry refers back to it, so an
-    evicted entry's arrays go the moment the last verifier holding it
-    drops it, with no wait for the cyclic collector.
+    query's :class:`~repro.core.filtering.QueryNeighborhoods` (built on
+    first :meth:`neighborhoods` call), its :class:`QueryRows` and one
+    :class:`DirectionState` per ``(iq, direction)`` its verifications
+    have touched — the only place that key is held.  Nothing under an
+    entry refers back to it, so an evicted entry's arrays go the moment
+    the last verifier holding it drops it, with no wait for the cyclic
+    collector.
 
     A verifier walks the entry only while it holds :attr:`lock` (see the
     module docstring); :attr:`nbytes` alone is read without it.
     """
 
-    __slots__ = ("rows", "directions", "lock", "counted_bytes", "__weakref__")
+    __slots__ = (
+        "rows",
+        "directions",
+        "hoods",
+        "lock",
+        "counted_bytes",
+        "__weakref__",
+    )
 
     def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
         self.rows = QueryRows(costs, query)
         self.directions: Dict[Tuple[int, str], DirectionState] = {}
+        self.hoods: Optional[QueryNeighborhoods] = None
         #: held by the one verifier walking this entry, a group at a time.
         self.lock = threading.Lock()
         #: the bytes a :class:`TrieCache` counts for this entry: ``None``
@@ -330,6 +343,14 @@ class TrieCacheEntry:
     def query(self) -> Tuple[int, ...]:
         """The query string this entry's rows are computed against."""
         return self.rows.query
+
+    def neighborhoods(self) -> QueryNeighborhoods:
+        """The query's ``B(q)`` / ``c(q)``, computed on first call — by
+        the engine's MinCand stage, or by a direct verifier's count
+        bound.  Caller holds :attr:`lock`."""
+        if self.hoods is None:
+            self.hoods = QueryNeighborhoods(self.rows.costs, self.rows.query)
+        return self.hoods
 
     def direction(
         self, iq: int, direction: str, with_trie: bool
@@ -351,10 +372,14 @@ class TrieCacheEntry:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this entry pins: its rows, row tables and tries.  Read
-        without :attr:`lock` (by :meth:`TrieCache.reconcile`), so the
-        states are copied out before summing."""
+        """Bytes this entry pins: its neighborhoods and bound table, rows,
+        row tables and tries.  Read without :attr:`lock` (by
+        :meth:`TrieCache.reconcile`), so the states are copied out before
+        summing."""
         total = self.rows.nbytes
+        hoods = self.hoods
+        if hoods is not None:
+            total += hoods.nbytes
         for state in list(self.directions.values()):
             total += state.rows.nbytes
             if state.trie is not None:

@@ -20,13 +20,39 @@ candidate set the reported distances are sound upper bounds.  The engine
 never verifies outside this contract — when no tau-subsequence exists it
 falls back to an exact scan.
 
-Three optimizations, individually switchable for ablation:
+Four optimizations, individually switchable for ablation:
 
 - *local verification*: DP runs outward from ``j`` only while the running
   prefix lower bound (Eq. 11 — the column minimum) stays below the budget;
 - *bidirectional tries*: DP columns are cached per (direction, ``iq``)
   across candidates sharing data prefixes (§5.2);
-- the anchor tightens the budget to ``tau' = tau - sub(Q[iq], P[j])``.
+- the anchor tightens the budget to ``tau' = tau - sub(Q[iq], P[j])``;
+- the *count bound* skips a candidate before any DP column when no match
+  through it can stay under ``tau``.  Not in the paper: Theorem 1 admits
+  a candidate on a single neighbor hit; the bound counts the misses.
+
+The count bound, for a candidate with anchor cost ``a`` and budget
+``b = tau - a``.  Let ``δ`` be the model's
+:meth:`~repro.distance.costs.CostModel.deletion_floor`.  A backward part
+``P[s..j-1]`` aligned within ``b`` against ``Q[:iq]`` substitutes at
+most ``iq`` data symbols and deletes fewer than ``b / δ``, so it lies
+inside the *backward reach* ``P[j - iq - floor(b/δ) .. j-1]``; the
+forward reach is ``P[j+1 .. j + |Q| - iq - 1 + floor(b/δ)]``; with
+``δ = 0`` a reach is its whole side.  Every query element is inserted
+(cost ``ins(q) >= c(q)``) or substituted by a data symbol inside the
+reach, which costs at least ``c(q)`` unless that symbol is in ``B(q)``
+(Eq. 7).  The elements' operations are distinct, so every match through
+the candidate costs at least ``LB = a + sum of c(q)`` over the ``q`` of
+``Q[:iq]`` with no ``B(q)`` symbol in the backward reach, plus the same
+over ``Q[iq+1:]`` and the forward reach.  The candidate is skipped when
+``LB >= tau (1 + 1e-9)``: the relative margin, also applied to the
+reach, covers float rounding in the real-valued models.  A skipped
+candidate can emit nothing, so answers do not change.  The bound is
+early termination at the candidate level and runs exactly when
+``early_termination`` is on, so the "no ET" ablation stays the paper's
+unpruned algorithm.  ``B(q)`` and ``c(q)`` come from the query's entry
+(:class:`~repro.core.filtering.QueryNeighborhoods`, shared with
+MinCand), and one anchor group is evaluated in a handful of numpy calls.
 
 One seam — :class:`Verifier` — with exactly two AllPrefixWED
 implementations behind it, both evaluating the repo-wide prefix-min
@@ -99,16 +125,18 @@ column is therefore computed, and counted, exactly once.
 
 The :class:`VerificationStats` counters implement the §6.4 metrics: UPR
 (columns surviving early termination vs. a full Smith–Waterman pass) and
-CMR (columns actually computed vs. columns visited).  They are
-walker-identical by design; the ndarray-materialization count, which is
-*not* (the Python walker runs no kernel and allocates no scratch), is
-reported separately via :attr:`Verifier.dp_array_allocations`.
+CMR (columns actually computed vs. columns visited).  They cover the
+candidates actually walked; ``bound_pruned`` counts the ones the count
+bound skipped.  They are walker-identical by design; the
+ndarray-materialization count, which is *not* (the Python walker runs no
+kernel and allocates no scratch), is reported separately via
+:attr:`Verifier.dp_array_allocations`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,6 +239,11 @@ def step_dp_batch(
 
 Candidate = Tuple[int, int, int]  # (trajectory id, position j, query position iq)
 
+#: relative margin of the count bound, on both the reach and the skip
+#: test: real-valued DP sums of a few hundred terms are off by ~1e-14,
+#: and a model's deletion floor may sit an ulp above some ``delete()``.
+_BOUND_MARGIN = 1e-9
+
 #: ndarray buffers one batched StepDP resolution materializes per round:
 #: the index arrays behind the parent-row and substitution-row/delete
 #: gathers (np.take converts the slot lists).  Counted (not avoided)
@@ -234,6 +267,19 @@ class VerificationStats:
     emitted: int = 0
     #: exact (id, j, iq) repeats dropped by ``verify_all`` before verification
     duplicate_candidates: int = 0
+    #: candidates the count bound skipped before any DP column; every
+    #: other counter above covers only the candidates actually walked
+    bound_pruned: int = 0
+
+    @classmethod
+    def sum(cls, parts: Iterable["VerificationStats"]) -> "VerificationStats":
+        """Field-by-field sum (shard merges), over every field."""
+        total = cls()
+        for part in parts:
+            for field in fields(cls):
+                name = field.name
+                setattr(total, name, getattr(total, name) + getattr(part, name))
+        return total
 
     @property
     def unpruned_position_rate(self) -> float:
@@ -347,7 +393,8 @@ class Verifier:
         every column (OSF-BT -> OSF with plain local verification).
     early_termination:
         Stop extending a direction once the column minimum reaches the
-        budget (§5.1).  Disabling scans to the trajectory ends.
+        budget (§5.1), and skip candidates the count bound rules out
+        before any column.  Disabling scans to the trajectory ends.
     dp_backend:
         ``"auto"`` (resolved per query via :func:`choose_dp_backend`),
         ``"numpy"`` — the arena walker: anchor-grouped batch verification
@@ -417,6 +464,10 @@ class Verifier:
         # (2|Q'| tries, §5.2): this verifier's view of each entry
         # direction state it walks.
         self._contexts: Dict[DirectionState, _DirectionContext] = {}
+        # floor(budget * _reach_scale) deletions fit in a budget; with
+        # δ = 0 nothing limits them (inf: the whole side).
+        delta = costs.deletion_floor()
+        self._reach_scale = (1.0 + _BOUND_MARGIN) / delta if delta > 0 else np.inf
         self.stats = VerificationStats()
 
     @property
@@ -500,14 +551,16 @@ class Verifier:
         """Algorithm 4 for the candidates sharing anchor position ``iq``.
 
         One setup serves both walkers: per candidate, the trajectory's
-        int array, the UPR counters, the anchor cost and the budget
-        ``tau' = tau - sub(Q[iq], P[j])``, and both direction views as
-        int lists (the backward one reversed — WED is invariant under
-        simultaneous reversal).  Only AllPrefixWED differs, behind one
-        shape — ``(views, budgets, context) -> E lists``, once per
-        direction: the arena walker advances the whole group together;
-        the per-cell walker takes the candidates one at a time, polling
-        the cancellation token between them.
+        int array, the anchor cost and the budget
+        ``tau' = tau - sub(Q[iq], P[j])``; then, with early termination
+        on, the count bound (:meth:`_count_bound`) over the whole group;
+        then, per candidate still standing, the UPR counters and both
+        direction views as int lists (the backward one reversed — WED is
+        invariant under simultaneous reversal).  Only AllPrefixWED
+        differs, behind one shape — ``(views, budgets, context) -> E
+        lists``, once per direction: the arena walker advances the whole
+        group together; the per-cell walker takes the candidates one at a
+        time, polling the cancellation token between them.
 
         The caller holds the entry's lock across the call: setup, both
         walks and the combine."""
@@ -517,15 +570,11 @@ class Verifier:
         row = self._entry.rows.row
         sub = self._costs.sub
         query_symbol = self._query[iq]
-        items: List[Tuple[int, int, float, float]] = []
-        backs: List[List[int]] = []
-        fwds: List[List[int]] = []
+        items: List[Tuple[int, int, float, float, np.ndarray]] = []
         for tid, j, _ in group:
             data = self._symbols_of(tid)
             if not isinstance(data, np.ndarray):
                 data = np.asarray(data, dtype=np.int64)
-            stats.candidates += 1
-            stats.sw_columns += len(data)
             symbol = data.item(j)
             # The arena walker reads the anchor cost off the symbol's cached
             # full-query substitution row (sub is symmetric — §2.2.1); the
@@ -533,17 +582,82 @@ class Verifier:
             anchor_cost = float(row(symbol)[iq]) if numpy else sub(query_symbol, symbol)
             budget = tau - anchor_cost
             if budget > 0:
-                items.append((tid, j, anchor_cost, budget))
-                backs.append(data[:j][::-1].tolist())
-                fwds.append(data[j + 1 :].tolist())
+                items.append((tid, j, anchor_cost, budget, data))
+            else:
+                stats.candidates += 1
+                stats.sw_columns += len(data)
+        if items and self._early_termination:
+            items = self._count_bound(iq, items)
         if not items:
             return
+        backs: List[List[int]] = []
+        fwds: List[List[int]] = []
+        for _, j, _, _, data in items:
+            stats.candidates += 1
+            stats.sw_columns += len(data)
+            backs.append(data[:j][::-1].tolist())
+            fwds.append(data[j + 1 :].tolist())
         walk = self._arena_all_prefix_wed if numpy else self._cell_all_prefix_wed
         budgets = [item[3] for item in items]
         ebs = walk(backs, budgets, self._context(iq, "b"))
         efs = walk(fwds, budgets, self._context(iq, "f"))
-        for item, eb, ef in zip(items, ebs, efs):
-            self._combine(*item, eb, ef, matches)
+        for (tid, j, anchor_cost, budget, _), eb, ef in zip(items, ebs, efs):
+            self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
+
+    def _count_bound(
+        self, iq: int, items: List[Tuple[int, int, float, float, np.ndarray]]
+    ) -> List[Tuple[int, int, float, float, np.ndarray]]:
+        """The count bound: the ``items`` whose lower bound ``LB`` stays
+        below ``tau``; the rest are counted in ``stats.bound_pruned``.
+
+        A candidate's backward reach is the ``|Q[:iq]| + floor(b / δ)``
+        data symbols before ``j`` and its forward reach the
+        ``|Q[iq+1:]| + floor(b / δ)`` after it (clipped to the
+        trajectory; the whole side when ``δ = 0``).  ``LB`` is the anchor
+        cost plus ``c(q)`` for every ``q`` of ``Q[:iq]`` whose ``B(q)``
+        the backward reach misses, and the same over ``Q[iq+1:]`` and the
+        forward reach.  Evaluated for the whole group at once: the
+        candidates' symbols are looked up in the query's
+        :class:`~repro.core.filtering.NeighborhoodTable` in one
+        concatenated array, every reach is OR-reduced by one
+        ``reduceat``, and the missed positions' ``c(q)`` are summed by one
+        matrix product."""
+        table = self._entry.neighborhoods().table()
+        _, js, anchors, budgets, datas = zip(*items)
+        js = np.array(js, dtype=np.int64)
+        lens = np.fromiter(map(len, datas), dtype=np.int64, count=len(datas))
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        # Deletions cost >= δ each and stay under the budget on each side;
+        # np.minimum before the cast, since δ = 0 makes the quotient inf.
+        extra = np.minimum(np.floor(np.array(budgets) * self._reach_scale), lens)
+        extra = extra.astype(np.int64)
+        anchor = starts + js
+        # Per candidate, [backward start, anchor) and [anchor + 1, forward
+        # end) in the concatenated symbols: reduceat over the four
+        # indices reduces both reaches at the even slots.
+        cuts = np.stack(
+            (
+                np.maximum(anchor - iq - extra, starts),
+                anchor,
+                anchor + 1,
+                np.minimum(anchor + (len(self._query) - iq) + extra, ends),
+            ),
+            axis=1,
+        ).ravel()
+        reach = np.bitwise_or.reduceat(table.hits(np.concatenate(datas)), cuts, axis=0)
+        reach = reach[0::2]
+        # An empty reach reads its first symbol instead of nothing.
+        reach[cuts[0::2] == cuts[1::2]] = 0
+        before, after = table.side_masks(iq)
+        missed = (before & ~reach[0::2]) | (after & ~reach[1::2])
+        bits = np.unpackbits(
+            missed.view(np.uint8), axis=1, count=table.length, bitorder="little"
+        )
+        bounds = np.array(anchors) + bits @ table.costs
+        keep = np.flatnonzero(bounds < self._tau * (1.0 + _BOUND_MARGIN)).tolist()
+        self.stats.bound_pruned += len(items) - len(keep)
+        return [items[i] for i in keep]
 
     def _combine(
         self,

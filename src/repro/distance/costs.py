@@ -10,6 +10,9 @@ edge ids), plus the two filtering hooks the search engine needs:
   (Eq. 7), the guaranteed cost of editing ``q`` away without landing in its
   neighborhood.
 
+The verifier's count bound adds one hook: ``deletion_floor()``, a lower
+bound on every symbol's deletion cost.
+
 The WED assumptions (§2.2.1) must hold: ``sub(a,b) >= 0``, symmetry
 ``sub(a,b) == sub(b,a)`` (hence ``ins(a) == del(a)``), and ``sub(a,a) == 0``.
 :func:`validate_cost_model` spot-checks them.
@@ -76,6 +79,16 @@ class CostModel(ABC):
     def delete(self, a: int) -> float:
         """Deletion cost ``del(a)``; defaults to ``ins(a)`` (§2.2.1)."""
         return self.ins(a)
+
+    def deletion_floor(self) -> float:
+        """A lower bound on :meth:`delete` over every symbol: ``δ``.
+
+        The verifier's count bound (:mod:`repro.core.verification`) reads
+        it to bound how many data symbols a match may delete within its
+        budget.  ``0.0`` is always sound: nothing limits the deletions,
+        so the bound looks at the whole trajectory side.  Models with a
+        positive floor override it."""
+        return 0.0
 
     def sub_row(self, p: int, seq: Sequence[int]) -> List[float]:
         """``[sub(p, s) for s in seq]`` — override for vectorized models.
@@ -147,6 +160,9 @@ class LevenshteinCost(CostModel):
 
     def sub_row_array(self, p: int, seq: Sequence[int]) -> np.ndarray:
         return (np.asarray(seq, dtype=np.int64) != p).astype(np.float64)
+
+    def deletion_floor(self) -> float:
+        return 1.0
 
     def filter_cost(self, q: int) -> float:
         return 1.0
@@ -227,6 +243,9 @@ class EDRCost(_CoordinateModel):
         d2 = (qc[:, 0] - px) ** 2 + (qc[:, 1] - py) ** 2
         return (d2 > self.epsilon * self.epsilon).astype(np.float64)
 
+    def deletion_floor(self) -> float:
+        return 1.0
+
     def neighbors(self, q: int) -> List[int]:
         # B(q) must be exactly {b : sub(q, b) == 0} or the subsequence
         # filter loses soundness at the epsilon boundary; the kd-tree's
@@ -272,6 +291,14 @@ class ERPCost(_CoordinateModel):
         super().__init__(graph)
         self.eta = eta
         self._g: Point = reference if reference is not None else centroid(self._coords)
+        gx, gy = self._g
+        coords = self._coords_arr
+        # δ: the nearest vertex's distance to g, 0.0 when g sits on one.
+        self._deletion_floor = (
+            float(np.hypot(coords[:, 0] - gx, coords[:, 1] - gy).min())
+            if len(coords)
+            else 0.0
+        )
 
     @property
     def reference(self) -> Point:
@@ -283,6 +310,9 @@ class ERPCost(_CoordinateModel):
 
     def ins(self, a: int) -> float:
         return euclidean(self._coords[a], self._g)
+
+    def deletion_floor(self) -> float:
+        return self._deletion_floor
 
     def sub_row(self, p: int, seq: Sequence[int]) -> List[float]:
         px, py = self._coords[p]
@@ -379,6 +409,9 @@ class NetEDRCost(_NetworkModel):
     def ins(self, a: int) -> float:
         return 1.0
 
+    def deletion_floor(self) -> float:
+        return 1.0
+
     def neighbors(self, q: int) -> List[int]:
         return sorted(bounded_dijkstra(self._graph, q, self.epsilon))
 
@@ -415,6 +448,9 @@ class NetERPCost(_NetworkModel):
     def ins(self, a: int) -> float:
         return self.g_del
 
+    def deletion_floor(self) -> float:
+        return self.g_del
+
     def neighbors(self, q: int) -> List[int]:
         return sorted(bounded_dijkstra(self._graph, q, self.eta))
 
@@ -448,6 +484,9 @@ class SURSCost(CostModel):
     def ins(self, a: int) -> float:
         return self._weights[a]
 
+    def deletion_floor(self) -> float:
+        return min(self._weights, default=0.0)
+
     def sub_row(self, p: int, seq: Sequence[int]) -> List[float]:
         w = self._weights
         wp = w[p]
@@ -477,12 +516,16 @@ def validate_cost_model(
     """Spot-check the WED assumptions (§2.2.1) on a sample of symbols.
 
     Raises :class:`CostModelError` on the first violation.  Checks:
-    nonnegativity, ``sub(a,a) == 0``, symmetry, ``ins == del``, and that
+    nonnegativity, ``sub(a,a) == 0``, symmetry, ``ins == del``,
+    ``del(a) >= deletion_floor()``, and that
     ``neighbors``/``filter_cost`` are mutually consistent: every ``b`` in
     ``B(q)`` is not an admissible target for ``c(q)``, i.e.
     ``c(q) <= sub(q, b')`` for sampled ``b'`` outside ``B(q)`` and
     ``c(q) <= del(q)``.
     """
+    floor = model.deletion_floor()
+    if floor < 0:
+        raise CostModelError(f"negative deletion_floor() {floor}")
     for a in symbols:
         if model.sub(a, a) > tolerance:
             raise CostModelError(f"sub({a},{a}) != 0")
@@ -490,6 +533,10 @@ def validate_cost_model(
             raise CostModelError(f"negative ins/del cost at {a}")
         if abs(model.ins(a) - model.delete(a)) > tolerance:
             raise CostModelError(f"ins({a}) != del({a})")
+        if model.delete(a) + tolerance < floor:
+            raise CostModelError(
+                f"del({a})={model.delete(a)} is below deletion_floor()={floor}"
+            )
         for b in symbols:
             sab = model.sub(a, b)
             if sab < 0:

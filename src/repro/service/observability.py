@@ -317,6 +317,7 @@ class ServiceObservability:
                         "dp_rounds": result.dp_rounds,
                         "trie_cache": result.trie_cache_status or "n/a",
                         "computed_columns": result.verification.computed_columns,
+                        "bound_pruned": result.verification.bound_pruned,
                     }
                 stages = [
                     ("mincand", result.mincand_seconds, {}),

@@ -11,7 +11,10 @@ from repro.core.mincand import (
     mincand_greedy,
     mincand_prefix,
 )
+from repro.core.engine import SubtrajectorySearch
+from repro.distance.costs import ERPCost
 from repro.exceptions import QueryError
+from tests.conftest import oracle_range
 
 
 def make_elements(costs, counts):
@@ -69,6 +72,16 @@ class TestGreedy:
         elements = make_elements([0.5, 0.5], [1, 1])
         with pytest.raises(QueryError):
             mincand_greedy(elements, 2.0)
+
+    @pytest.mark.parametrize("select", [mincand_greedy, mincand_exact, mincand_prefix])
+    def test_a_hair_short_of_tau_is_not_enough(self, select):
+        """Theorem 1 needs c(Q') >= tau: a subsequence 1e-13 short of it
+        misses every match costing exactly its c(Q')."""
+        elements = make_elements([1.0, 1.0], [1, 5])
+        chosen = select(elements, 1.0 + 1e-13)
+        assert coverage(chosen) >= 1.0 + 1e-13
+        with pytest.raises(QueryError):
+            select(elements, 2.0 + 1e-13)
 
     def test_zero_cost_elements_never_chosen(self):
         elements = make_elements([0.0, 1.0, 0.0, 1.0], [0, 5, 0, 5])
@@ -154,3 +167,15 @@ class TestAll:
     def test_returns_everything(self):
         elements = make_elements([1.0, 1.0], [1, 2])
         assert mincand_all(elements, 1.0) == elements
+
+
+def test_engine_finds_matches_costing_just_under_tau(small_graph, vertex_dataset):
+    """A match costing ``c(q)`` under a threshold a few ulps above it:
+    the tau-subsequence must not stop at ``{q}``."""
+    costs = ERPCost(small_graph, eta=25.0)
+    query = [19, 27]
+    tau = costs.filter_cost(27) * (1.0 + 1e-15)
+    result = SubtrajectorySearch(vertex_dataset, costs).query(query, tau=tau)
+    assert {(m.trajectory_id, m.start, m.end) for m in result.matches} == (
+        oracle_range(vertex_dataset, query, costs, tau)
+    )

@@ -1,5 +1,6 @@
 """Partitioned engine: sharded search equals single-node search."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -193,6 +194,34 @@ class TestBackends:
             assert [m.distance for m in a.matches] == pytest.approx(
                 [m.distance for m in b.matches]
             )
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_merged_stats_are_the_shard_engines_sum(
+        self, vertex_dataset, edr_cost, backend
+    ):
+        """Every VerificationStats field of a merged answer is the sum of
+        the shard engines' own — ``bound_pruned`` included, non-zero."""
+        query = list(vertex_dataset.symbols(4)[:6])
+        shards = [
+            SubtrajectorySearch(shard, edr_cost, trie_cache_size=0)
+            for shard in round_robin_shards(vertex_dataset, 2)
+        ]
+        parts = [engine.query(query, tau_ratio=0.25).verification for engine in shards]
+        with PartitionedSubtrajectorySearch(
+            vertex_dataset,
+            edr_cost,
+            backend=backend,
+            num_shards=2,
+            trie_cache_size=0,
+        ) as sharded:
+            merged = sharded.query(query, tau_ratio=0.25).verification
+        assert {
+            f.name: getattr(merged, f.name) for f in dataclasses.fields(merged)
+        } == {
+            f.name: sum(getattr(part, f.name) for part in parts)
+            for f in dataclasses.fields(merged)
+        }
+        assert merged.bound_pruned > 0
 
     def test_only_worker_shards_get_shard_threads(self, vertex_dataset, edr_cost, rng):
         # The shard threads exist to overlap blocking worker round trips;

@@ -190,7 +190,7 @@ class TestDedupeAndGrouping:
         ms = MatchSet()
         v.verify_all(cands + cands + [cands[0]], ms)
         assert v.stats.duplicate_candidates == len(cands) + 1
-        assert v.stats.candidates == len(cands)
+        assert v.stats.candidates + v.stats.bound_pruned == len(cands)
         # Results identical to the duplicate-free run.
         clean = make_verifier(data, query, 2.0, dp_backend=backend)
         ref = MatchSet()

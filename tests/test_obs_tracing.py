@@ -239,6 +239,7 @@ class TestStitchedProcessTraces:
             assert all(
                 s["attributes"]["dp_backend"] == "numpy" for s in verify
             )
+            assert all("bound_pruned" in s["attributes"] for s in verify)
 
         # Satellite 4's teeth: cold vs warm trie-cache status, per shard,
         # visible in the stitched span attributes.
@@ -376,8 +377,18 @@ class TestSlowQueryPath:
             assert set(stages["verify"]) == (
                 {"tau_rounds", "swept"}
                 if kind == "topk"
-                else {"dp_backend", "dp_rounds", "trie_cache", "computed_columns"}
+                else {
+                    "dp_backend",
+                    "dp_rounds",
+                    "trie_cache",
+                    "computed_columns",
+                    "bound_pruned",
+                }
             )
+            if kind == "range":
+                assert stages["verify"]["bound_pruned"] == (
+                    response.result.verification.bound_pruned
+                )
             # A cached repeat did no engine work: root only, marked so.
             ask(service, kind, query)
             repeat = service.observability.recorder.recent(1)[0]

@@ -74,8 +74,8 @@ class TestVerifierObservesToken:
         # Token trips on the poll before the second candidate: exactly one
         # candidate may be walked, then the loop must raise.  (python
         # backend — its verification loop is per candidate.)  The whole
-        # first group is set up, and counted in stats.candidates, before
-        # any walk, so the proof is in the columns: the first group's
+        # first group is set up, bounded and counted before any walk, so
+        # the proof is in the columns: the first group's
         # backward walk stops after its first candidate, and walking that
         # candidate alone again visits exactly as many columns.
         def verifier(cancel=None):
@@ -132,7 +132,11 @@ class TestVerifierObservesToken:
         with pytest.raises(QueryCancelledError):
             verifier.verify_all(candidates, MatchSet())
         first_group = {c[2] for c in candidates}
-        assert verifier.stats.candidates < len(candidates) or len(first_group) == 1
+        started = verifier.stats.candidates + verifier.stats.bound_pruned
+        assert started < len(set(candidates)) or len(first_group) == 1
+        # The first group kept candidates past the count bound: the trip
+        # landed inside a walk, not in a group the bound emptied.
+        assert verifier.stats.candidates > 0
         # The trip fired before any DP column was computed for group two.
         assert verifier.stats.visited_columns == 0
 
