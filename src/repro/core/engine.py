@@ -527,66 +527,69 @@ class SubtrajectorySearch:
         # come from the query's warm entry, which verification walks too.
         t0 = time.perf_counter()
         trie_entry, trie_status = None, ""
-        neighborhoods = None
         if self._verification != "sw":
             trie_entry, trie_status = self._warm_state(query)
-            with trie_entry.lock:
-                neighborhoods = trie_entry.neighborhoods()
-        profile = query_profile(query, self._costs, self.index, neighborhoods)
         try:
-            subsequence = self._selector(profile, tau)
-        except QueryError:
-            # No tau-subsequence exists (c(Q) < tau, possible for
-            # continuous costs with tiny eta — §3.1): scan the dataset.
+            neighborhoods = None
+            if trie_entry is not None:
+                with trie_entry.lock:
+                    neighborhoods = trie_entry.neighborhoods()
+            profile = query_profile(query, self._costs, self.index, neighborhoods)
+            try:
+                subsequence = self._selector(profile, tau)
+            except QueryError:
+                # No tau-subsequence exists (c(Q) < tau, possible for
+                # continuous costs with tiny eta — §3.1): scan the dataset.
+                return self._scan_fallback(
+                    query, tau, t0, time_interval, temporal_mode, cancel, trace
+                )
+            t1 = time.perf_counter()
+
+            # Stage 2: index lookup — gather candidates.  Sorted-postings
+            # pruning is part of the TF strategy (§4.3), so the no-TF
+            # ablation must not benefit from it.
+            raise_if_cancelled(cancel, "query")
+            candidates = self._collect_candidates(
+                subsequence, time_interval if temporal_filter else None
+            )
+            if time_interval is not None and temporal_filter:
+                candidates = filter_candidates(
+                    self._dataset, candidates, time_interval
+                )
+            t2 = time.perf_counter()
+
+            # Stage 3: verification.
+            matches = MatchSet()
+            stats = VerificationStats()
+            backend_used = ""
+            allocations = 0
+            dp_rounds = 0
+            if trie_entry is None:
+                stats = self._verify_sw(candidates, query, tau, matches, cancel)
+            else:
+                backend_used = choose_dp_backend(len(query), self._costs)
+                verifier = Verifier(
+                    self._dataset.symbols_array,
+                    query,
+                    self._costs,
+                    tau,
+                    use_trie=self._verification == "trie",
+                    early_termination=self._early_termination,
+                    dp_backend=backend_used,
+                    trie_entry=trie_entry,
+                    cancel=cancel,
+                )
+                verifier.verify_all(candidates, matches)
+                stats = verifier.stats
+                allocations = verifier.dp_array_allocations
+                dp_rounds = verifier.dp_rounds
+        finally:
+            # The entry gained neighborhoods, rows, row tables and arenas
+            # on every exit (a scan fallback, a cancellation, an error
+            # included): re-account its bytes and shed LRU entries past
+            # the byte budget.
             if trie_entry is not None:
                 self._trie_cache.reconcile(trie_entry)
-            return self._scan_fallback(
-                query, tau, t0, time_interval, temporal_mode, cancel, trace
-            )
-        t1 = time.perf_counter()
-
-        # Stage 2: index lookup — gather candidates.  Sorted-postings
-        # pruning is part of the TF strategy (§4.3), so the no-TF ablation
-        # must not benefit from it.
-        raise_if_cancelled(cancel, "query")
-        candidates = self._collect_candidates(
-            subsequence, time_interval if temporal_filter else None
-        )
-        if time_interval is not None and temporal_filter:
-            candidates = filter_candidates(self._dataset, candidates, time_interval)
-        t2 = time.perf_counter()
-
-        # Stage 3: verification.
-        matches = MatchSet()
-        stats = VerificationStats()
-        backend_used = ""
-        allocations = 0
-        dp_rounds = 0
-        if trie_entry is None:
-            stats = self._verify_sw(candidates, query, tau, matches, cancel)
-        else:
-            backend_used = choose_dp_backend(len(query), self._costs)
-            verifier = Verifier(
-                self._dataset.symbols_array,
-                query,
-                self._costs,
-                tau,
-                use_trie=self._verification == "trie",
-                early_termination=self._early_termination,
-                dp_backend=backend_used,
-                trie_entry=trie_entry,
-                cancel=cancel,
-            )
-            try:
-                verifier.verify_all(candidates, matches)
-            finally:
-                # Row tables and arenas grew during verification
-                # (cancelled or not): re-account this entry's bytes and
-                # shed LRU entries past the byte budget.
-                self._trie_cache.reconcile(trie_entry)
-            stats = verifier.stats
-            allocations = verifier.dp_array_allocations
-            dp_rounds = verifier.dp_rounds
         t3 = time.perf_counter()
 
         result = matches.to_list()
@@ -698,7 +701,9 @@ class SubtrajectorySearch:
 
         Looked up before MinCand: the entry's
         :class:`~repro.core.filtering.QueryNeighborhoods` feed both the
-        query profile and the verifier's count bound.  On a ``"hit"`` the
+        query profile and the verifier's count bound, so a query that
+        ends in the scan fallback (no tau-subsequence) keeps one too: its
+        repeat's MinCand reads them warm.  On a ``"hit"`` the
         neighborhoods, the substitution rows, the per-direction row
         tables and the tries are all reused — the row-computation stage
         of verification disappears for repeated queries and the walk

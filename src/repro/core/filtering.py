@@ -9,7 +9,7 @@ subtrajectory shares at least one symbol with ``B(Q')``.
 
 ``B(q)`` and ``c(q)`` are computed in one place,
 :class:`QueryNeighborhoods`, once per distinct query symbol.  The same
-object holds the :class:`NeighborhoodTable` the verifier's count bound
+object holds the symbol-to-positions bitmasks the verifier's count bound
 reads (:mod:`repro.core.verification`): every query element whose
 neighborhood a match's data never touches costs that match at least
 ``c(q)``.
@@ -28,7 +28,6 @@ from repro.distance.costs import CostModel
 from repro.exceptions import QueryError
 
 __all__ = [
-    "NeighborhoodTable",
     "QueryElement",
     "QueryNeighborhoods",
     "check_alphabet",
@@ -53,83 +52,20 @@ class QueryElement:
     candidate_count: int
 
 
-class NeighborhoodTable:
-    """The count bound's lookup table for one query: for every symbol in
-    some ``B(q)``, a bitmask of the query positions whose neighborhood
-    holds it — one little-endian uint64 word per 64 positions — and
-    ``c(q)`` per position.
+#: The count bound's mask table is dense over the neighborhood symbols'
+#: id range while that range holds at most this many ids per symbol in
+#: it (a path's neighborhoods are local on a road network: 2-13 on the
+#: benchmark grids); past it, symbols are looked up in the sorted keys,
+#: so the table never grows with the size of the ids a request sends.
+_DENSE_IDS_PER_KEY = 32
 
-    The masks are stored dense over the neighborhood symbols' id range
-    (``low`` up), plus one zero row that every symbol outside all the
-    neighborhoods maps to, so a lookup is one ``take`` — a sorted-key
-    ``searchsorted`` over unsorted symbols costs twenty times more.  The
-    range of a path's neighborhoods is local on a road network; its
-    bytes are charged to the entry like everything else it holds.
-    """
-
-    __slots__ = ("length", "low", "dense", "costs", "_sides")
-
-    def __init__(self, hoods: "QueryNeighborhoods") -> None:
-        query = hoods.query
-        self.length = len(query)
-        words = (self.length + 63) // 64
-        bits: Dict[int, List[int]] = {}
-        for i, q in enumerate(query):
-            for b in hoods.by_symbol[q][0]:
-                row = bits.get(b)
-                if row is None:
-                    row = bits[b] = [0] * words
-                row[i >> 6] |= 1 << (i & 63)
-        self.low = min(bits, default=0)
-        span = max(bits) - self.low + 1 if bits else 0
-        #: row ``b - low`` holds symbol ``b``'s mask; row ``span`` is zero.
-        self.dense = np.zeros((span + 1, words), dtype="<u8")
-        if bits:
-            self.dense[np.array(list(bits)) - self.low] = np.array(
-                list(bits.values()), dtype="<u8"
-            )
-        self.costs = np.array([hoods.by_symbol[q][1] for q in query], dtype=np.float64)
-        self._sides: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def hits(self, symbols: np.ndarray) -> np.ndarray:
-        """``(len(symbols) + 1, words)`` bitmasks: bit ``i`` of row ``k``
-        is set iff ``symbols[k]`` is in ``B(query[i])``; the extra last
-        row is zero."""
-        idx = np.empty(len(symbols) + 1, dtype=np.int64)
-        np.subtract(symbols, self.low, out=idx[:-1], dtype=np.int64)
-        idx[-1] = -1
-        # Below ``low`` wraps to a huge unsigned value: one minimum sends
-        # every symbol outside the range to the zero row.
-        unsigned = idx.view(np.uint64)
-        np.minimum(unsigned, len(self.dense) - 1, out=unsigned)
-        return self.dense[idx]
-
-    def side_masks(self, iq: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The positions before ``iq`` and after it, as word arrays
-        (built once per ``iq``)."""
-        sides = self._sides.get(iq)
-        if sides is None:
-            width = self.dense.shape[1]
-            before = (1 << iq) - 1
-            after = (1 << self.length) - (1 << (iq + 1))
-            sides = self._sides[iq] = tuple(
-                np.array(
-                    [(side >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(width)],
-                    dtype="<u8",
-                )
-                for side in (before, after)
-            )
-        return sides
-
-    @property
-    def nbytes(self) -> int:
-        return self.dense.nbytes + self.costs.nbytes
+_INT64 = np.iinfo(np.int64)
 
 
 class QueryNeighborhoods:
     """``B(q)`` and ``c(q)`` for one query, computed once per distinct
     symbol — the one place either is computed — and the count bound's
-    :class:`NeighborhoodTable`, built from them on first use.
+    lookup table, built from them on first :meth:`hits` call.
 
     Both depend on the query and the cost model only, never on the
     dataset, the threshold or the time window, so the query's
@@ -138,7 +74,7 @@ class QueryNeighborhoods:
     included).
     """
 
-    __slots__ = ("query", "by_symbol", "_table")
+    __slots__ = ("query", "by_symbol", "filter_costs", "_low", "_keys", "_masks")
 
     def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
         self.query = tuple(query)
@@ -148,21 +84,74 @@ class QueryNeighborhoods:
             if q not in self.by_symbol:
                 neigh = tuple(dict.fromkeys(costs.neighbors(q)))
                 self.by_symbol[q] = (neigh, costs.filter_cost(q))
-        self._table: Optional[NeighborhoodTable] = None
+        #: ``c(q)`` per query position.
+        self.filter_costs = np.array(
+            [self.by_symbol[q][1] for q in self.query], dtype=np.float64
+        )
+        self._low = 0
+        self._keys: Optional[np.ndarray] = None
+        self._masks: Optional[np.ndarray] = None
 
-    def table(self) -> NeighborhoodTable:
-        """The count bound's table, built on first call."""
-        if self._table is None:
-            self._table = NeighborhoodTable(self)
-        return self._table
+    def hits(self, symbols: np.ndarray) -> np.ndarray:
+        """``(len(symbols) + 1, words)`` bitmasks, one little-endian
+        uint64 word per 64 query positions: bit ``i`` of row ``k`` is set
+        iff ``symbols[k]`` is in ``B(query[i])``; the extra last row is
+        zero."""
+        if self._masks is None:
+            self._build_masks()
+        masks, keys = self._masks, self._keys
+        zero = len(masks) - 1
+        idx = np.empty(len(symbols) + 1, dtype=np.int64)
+        idx[-1] = zero
+        if keys is None:
+            np.subtract(symbols, self._low, out=idx[:-1], dtype=np.int64)
+            # Below ``low`` wraps to a huge unsigned value: one minimum
+            # sends every symbol outside the range to the zero row.
+            unsigned = idx.view(np.uint64)
+            np.minimum(unsigned, zero, out=unsigned)
+        else:
+            pos = np.searchsorted(keys, symbols)
+            np.minimum(pos, zero - 1, out=pos)
+            idx[:-1] = np.where(keys[pos] == symbols, pos, zero)
+        return masks[idx]
+
+    def _build_masks(self) -> None:
+        """One mask row per neighborhood symbol plus a zero row that every
+        other symbol maps to: dense over the symbols' id range (row
+        ``b - low``, a lookup is one ``take``) or, when that range is
+        sparse, in sorted-key order (a ``searchsorted``, some twenty
+        times slower)."""
+        words = (len(self.query) + 63) // 64
+        bits: Dict[int, List[int]] = {}
+        for i, q in enumerate(self.query):
+            for b in self.by_symbol[q][0]:
+                # No trajectory symbol lies outside int64: such a b never hits.
+                if _INT64.min <= b <= _INT64.max:
+                    row = bits.get(b)
+                    if row is None:
+                        row = bits[b] = [0] * words
+                    row[i >> 6] |= 1 << (i & 63)
+        keys = sorted(bits)
+        rows = np.array([bits[b] for b in keys] + [[0] * words], dtype="<u8")
+        span = keys[-1] - keys[0] + 1 if keys else 0
+        if span <= _DENSE_IDS_PER_KEY * len(keys):
+            self._low = keys[0] if keys else 0
+            self._masks = np.zeros((span + 1, words), dtype="<u8")
+            self._masks[np.array(keys, dtype=np.int64) - self._low] = rows[:-1]
+        else:
+            self._keys = np.array(keys, dtype=np.int64)
+            self._masks = rows
 
     @property
     def nbytes(self) -> int:
-        """The neighborhood tuples and the table, once built."""
-        total = sys.getsizeof(self.by_symbol) + sum(
-            sys.getsizeof(neigh) for neigh, _ in self.by_symbol.values()
-        )
-        return total + (self._table.nbytes if self._table is not None else 0)
+        """The neighborhood tuples, ``c(q)`` and the mask table, once
+        built."""
+        total = sys.getsizeof(self.by_symbol) + self.filter_costs.nbytes
+        total += sum(sys.getsizeof(neigh) for neigh, _ in self.by_symbol.values())
+        for array in (self._keys, self._masks):
+            if array is not None:
+                total += array.nbytes
+        return total
 
 
 def query_profile(

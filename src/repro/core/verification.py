@@ -244,6 +244,11 @@ Candidate = Tuple[int, int, int]  # (trajectory id, position j, query position i
 #: and a model's deletion floor may sit an ulp above some ``delete()``.
 _BOUND_MARGIN = 1e-9
 
+
+def _mask_words(mask: int, words: int) -> np.ndarray:
+    """The bitmask ``mask`` as ``words`` little-endian uint64 words."""
+    return np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
+
 #: ndarray buffers one batched StepDP resolution materializes per round:
 #: the index arrays behind the parent-row and substitution-row/delete
 #: gathers (np.take converts the slot lists).  Counted (not avoided)
@@ -618,11 +623,12 @@ class Verifier:
         the backward reach misses, and the same over ``Q[iq+1:]`` and the
         forward reach.  Evaluated for the whole group at once: the
         candidates' symbols are looked up in the query's
-        :class:`~repro.core.filtering.NeighborhoodTable` in one
+        :class:`~repro.core.filtering.QueryNeighborhoods` in one
         concatenated array, every reach is OR-reduced by one
         ``reduceat``, and the missed positions' ``c(q)`` are summed by one
         matrix product."""
-        table = self._entry.neighborhoods().table()
+        hoods = self._entry.neighborhoods()
+        length = len(self._query)
         _, js, anchors, budgets, datas = zip(*items)
         js = np.array(js, dtype=np.int64)
         lens = np.fromiter(map(len, datas), dtype=np.int64, count=len(datas))
@@ -641,20 +647,23 @@ class Verifier:
                 np.maximum(anchor - iq - extra, starts),
                 anchor,
                 anchor + 1,
-                np.minimum(anchor + (len(self._query) - iq) + extra, ends),
+                np.minimum(anchor + (length - iq) + extra, ends),
             ),
             axis=1,
         ).ravel()
-        reach = np.bitwise_or.reduceat(table.hits(np.concatenate(datas)), cuts, axis=0)
+        reach = np.bitwise_or.reduceat(hoods.hits(np.concatenate(datas)), cuts, axis=0)
         reach = reach[0::2]
         # An empty reach reads its first symbol instead of nothing.
         reach[cuts[0::2] == cuts[1::2]] = 0
-        before, after = table.side_masks(iq)
+        # The query positions before iq and after it, as mask words.
+        words = reach.shape[1]
+        before = _mask_words((1 << iq) - 1, words)
+        after = _mask_words((1 << length) - (1 << (iq + 1)), words)
         missed = (before & ~reach[0::2]) | (after & ~reach[1::2])
         bits = np.unpackbits(
-            missed.view(np.uint8), axis=1, count=table.length, bitorder="little"
+            missed.view(np.uint8), axis=1, count=length, bitorder="little"
         )
-        bounds = np.array(anchors) + bits @ table.costs
+        bounds = np.array(anchors) + bits @ hoods.filter_costs
         keep = np.flatnonzero(bounds < self._tau * (1.0 + _BOUND_MARGIN)).tolist()
         self.stats.bound_pruned += len(items) - len(keep)
         return [items[i] for i in keep]

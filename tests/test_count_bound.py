@@ -7,7 +7,9 @@ Two claims are pinned here: a skipped candidate, verified anyway, emits
 nothing; and the answers equal the brute-force oracle's.
 """
 
+import json
 import math
+import urllib.request
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.core import engine as engine_module
 from repro.core.engine import SubtrajectorySearch
 from repro.core.filtering import QueryNeighborhoods, tau_from_ratio
 from repro.core.results import MatchSet
-from repro.core.verification import VerificationStats, Verifier
+from repro.core.verification import VerificationStats, Verifier, _mask_words
 from repro.distance.costs import (
     CostModel,
     EDRCost,
@@ -30,8 +32,11 @@ from repro.distance.costs import (
     SURSCost,
     validate_cost_model,
 )
-from repro.exceptions import CostModelError
+from repro.exceptions import CostModelError, QueryCancelledError
 from repro.obs.tracing import Trace
+from repro.service import QueryService, ServiceServer
+from repro.trajectory.dataset import TrajectoryDataset
+from repro.trajectory.model import Trajectory
 from tests.conftest import oracle_range
 
 MODELS = ("lev", "edr", "erp", "netedr", "neterp", "surs")
@@ -357,35 +362,71 @@ class TestNeighborhoods:
         costs = Counting(small_graph, epsilon=60.0)
         hoods = QueryNeighborhoods(costs, [3, 7, 3, 7, 9])
         assert sorted(calls) == [3, 7, 9]
-        table = hoods.table()
-        assert table.dense.shape[1] == 1
-        assert hoods.table() is table
+        masks = hoods.hits(np.array([3, 7]))
+        assert masks.shape == (3, 1)
+        built = hoods._masks
+        hoods.hits(np.array([9]))
+        assert hoods._masks is built
 
-    def test_table_bits(self, lev_cost):
-        table = QueryNeighborhoods(lev_cost, [5, 6, 5]).table()
-        hits = table.hits(np.array([5, 6, 7, 4, -3], dtype=np.int32))
+    def test_mask_bits(self, lev_cost):
+        hoods = QueryNeighborhoods(lev_cost, [5, 6, 5])
+        hits = hoods.hits(np.array([5, 6, 7, 4, -3], dtype=np.int32))
         assert hits[:, 0].tolist() == [0b101, 0b010, 0, 0, 0, 0]
-        before, after = table.side_masks(1)
-        assert before.tolist() == [0b001]
-        assert after.tolist() == [0b100]
+        assert hoods._keys is None  # dense: ids 5..6
+        assert hoods.filter_costs.tolist() == [1.0, 1.0, 1.0]
 
     def test_wide_queries_take_several_words(self, lev_cost):
         query = list(range(70))
-        table = QueryNeighborhoods(lev_cost, query).table()
-        assert table.dense.shape == (71, 2)
-        hits = table.hits(np.array([0, 64, 69, 99]))
+        hits = QueryNeighborhoods(lev_cost, query).hits(np.array([0, 64, 69, 99]))
         assert hits.tolist() == [[1, 0], [0, 1], [0, 1 << 5], [0, 0], [0, 0]]
-        before, after = table.side_masks(64)
-        assert before.tolist() == [(1 << 64) - 1, 0]
-        assert after.tolist() == [0, ((1 << 5) - 1) << 1]
+
+    def test_mask_words(self):
+        assert _mask_words(0b001, 1).tolist() == [0b001]
+        assert _mask_words((1 << 64) - 1, 2).tolist() == [(1 << 64) - 1, 0]
+        assert _mask_words(((1 << 5) - 1) << 65, 2).tolist() == [0, ((1 << 5) - 1) << 1]
 
     def test_no_neighborhood_symbols(self):
         class Empty(LevenshteinCost):
             def neighbors(self, q):
                 return []
 
-        table = QueryNeighborhoods(Empty(), [1, 2]).table()
-        assert table.hits(np.array([1, 2])).tolist() == [[0], [0], [0]]
+        hoods = QueryNeighborhoods(Empty(), [1, 2])
+        assert hoods.hits(np.array([1, 2])).tolist() == [[0], [0], [0]]
+
+    @pytest.mark.parametrize("far", [10**12, -(10**12), 2**63 - 1, 10**30])
+    def test_table_size_does_not_follow_the_ids(self, lev_cost, far):
+        """Sparse ids are looked up in sorted keys: the table stays a few
+        rows however far apart a request's ids are, and an id no int64
+        holds (no trajectory symbol can equal it) hits nothing."""
+        hoods = QueryNeighborhoods(lev_cost, [0, 3, far])
+        probe = [0, 3, 5, -1, 2**62]
+        hits = hoods.hits(np.array(probe, dtype=np.int64))
+        assert hits[:, 0].tolist() == [0b001, 0b010, 0, 0, 0, 0]
+        if far < 2**63:
+            assert hoods.hits(np.array([far]))[:, 0].tolist() == [0b100, 0]
+        assert hoods._masks.nbytes <= 64
+        assert hoods.nbytes < 4096
+
+    def test_cancelled_after_mincand_still_counts_the_entry(
+        self, vertex_dataset, edr_cost
+    ):
+        """The entry's neighborhoods exist from MinCand on: a query
+        cancelled between MinCand and verification is charged for them."""
+
+        class AfterFirstPoll:
+            polls = 0
+
+            def cancelled(self):
+                self.polls += 1
+                return self.polls > 1
+
+        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
+        query = list(vertex_dataset.symbols(2)[:5])
+        with pytest.raises(QueryCancelledError):
+            engine.query(query, tau_ratio=0.2, cancel=AfterFirstPoll())
+        entry, status = engine._warm_state(query)
+        assert status == "hit" and entry.hoods is not None
+        assert entry.counted_bytes == entry.nbytes == engine._trie_cache.bytes > 0
 
     def test_warm_repeat_calls_no_neighbors(self, small_graph, vertex_dataset):
         calls = []
@@ -409,3 +450,42 @@ def test_stats_sum_covers_every_field():
     b = VerificationStats(10, 20, 30, 40, 50, 60, 70)
     assert VerificationStats.sum([a, b]) == VerificationStats(11, 22, 33, 44, 55, 66, 77)
     assert VerificationStats.sum([]) == VerificationStats()
+
+
+class TestClientSymbolIds:
+    """Levenshtein has no alphabet bound, so a request may name any
+    integer: the answer must not depend on how large it is."""
+
+    @pytest.fixture()
+    def corpus(self, line_graph):
+        ds = TrajectoryDataset(line_graph)
+        ds.add(Trajectory([0, 1, 2, 3], timestamps=[0, 1, 2, 3]))
+        ds.add(Trajectory([2, 3, 4, 5], timestamps=[4, 5, 6, 7]))
+        return ds
+
+    @pytest.mark.parametrize("far", [10**9, 10**12, -(10**12), 2**63 - 1, 10**30])
+    @pytest.mark.parametrize("mode", ["trie", "local"])
+    def test_engine_answers_like_the_oracle(self, corpus, lev_cost, far, mode):
+        engine = SubtrajectorySearch(corpus, lev_cost, verification=mode)
+        result = engine.query([0, far], tau=1.5)
+        assert result.num_candidates > 0
+        got = {(m.trajectory_id, m.start, m.end) for m in result.matches}
+        assert got == oracle_range(corpus, [0, far], lev_cost, 1.5) == {(0, 0, 0), (0, 0, 1)}
+
+    def test_http_query_answers_like_the_engine(self, corpus, lev_cost):
+        engine = SubtrajectorySearch(corpus, lev_cost)
+        service = QueryService(engine, max_workers=2, cache_size=32)
+        payload = json.dumps({"path": [0, 10**12], "tau": 1.5}).encode("utf-8")
+        with ServiceServer(service).start() as srv:
+            request = urllib.request.Request(
+                srv.url + "/query",
+                data=payload,
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                status, body = response.status, json.loads(response.read())
+        assert status == 200
+        assert [(m["trajectory"], m["start"], m["end"]) for m in body["matches"]] == [
+            (0, 0, 0),
+            (0, 0, 1),
+        ]
