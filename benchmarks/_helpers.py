@@ -5,12 +5,10 @@ from __future__ import annotations
 import os
 import time
 from typing import Callable, List, Sequence, Tuple
-from unittest import mock
 
 from repro.baselines import PlainSWScan, QGramIndex, dison_engine, torch_engine
 from repro.bench.datasets import build_dataset
 from repro.bench.workloads import sample_queries
-from repro.core import engine as engine_module
 from repro.core.engine import SubtrajectorySearch
 from repro.distance.costs import (
     CostModel,
@@ -177,15 +175,6 @@ def avg_query_seconds(
     for q, tau in zip(queries, taus):
         method.query(q, tau)
     return (time.perf_counter() - t0) / len(queries)
-
-
-def forced_walker(walker: str):
-    """A context in which every engine query verifies on ``walker``
-    (``"python"`` or ``"numpy"``): the engine's one walker rule,
-    ``choose_dp_backend``, patched for the duration."""
-    return mock.patch.object(
-        engine_module, "choose_dp_backend", lambda query_length, costs: walker
-    )
 
 
 def taus_for(

@@ -1,31 +1,25 @@
 """Ablation — verification design choices (§5, Table 5 rationale).
 
-Dissects OSF-BT into its ingredients: trie caching, early termination, and
-the DP backend.  All variants must return identical results; the timings
+Dissects OSF-BT into its ingredients: trie caching and early termination.
+All variants must return identical results; the timings
 quantify each ingredient's contribution (the paper justifies BT and early
 termination via the UPR/CMR counters; this bench shows the wall-clock
 effect directly).
 """
 
 import time
-from contextlib import nullcontext
 
-from _helpers import forced_walker, load_workload, taus_for
+from _helpers import load_workload, taus_for
 
 from repro.bench.harness import SeriesTable, format_seconds
 from repro.core.engine import SubtrajectorySearch
 
 VARIANTS = [
-    ("BT (trie+ET)", dict(verification="trie", early_termination=True), None),
-    ("local+ET (no trie)", dict(verification="local", early_termination=True), None),
-    ("trie, no ET", dict(verification="trie", early_termination=False), None),
-    ("local, no ET", dict(verification="local", early_termination=False), None),
-    ("SW oracle", dict(verification="sw"), None),
-    # The variants above run the walker the engine's rule picks; this row
-    # isolates the DP-walker ingredient by patching the rule to the
-    # per-cell Python walker (see bench_verification_hotpath.py for the
-    # dedicated comparison).
-    ("BT python DP", dict(verification="trie"), "python"),
+    ("BT (trie+ET)", dict(verification="trie", early_termination=True)),
+    ("local+ET (no trie)", dict(verification="local", early_termination=True)),
+    ("trie, no ET", dict(verification="trie", early_termination=False)),
+    ("local, no ET", dict(verification="local", early_termination=False)),
+    ("SW oracle", dict(verification="sw")),
 ]
 TAU_RATIOS = [0.1, 0.2, 0.3]
 
@@ -39,22 +33,21 @@ def test_ablation_verification_variants(benchmark, recorder, bench_scale):
     )
     measured = {}
     reference_keys = None
-    for name, kwargs, walker in VARIANTS:
+    for name, kwargs in VARIANTS:
         engine = SubtrajectorySearch(dataset, costs, **kwargs)
         series = []
         all_keys = []
         for ratio in TAU_RATIOS:
             taus = taus_for(costs, queries, ratio)
-            with forced_walker(walker) if walker else nullcontext():
-                t0 = time.perf_counter()
-                keys = [
-                    tuple(
-                        (m.trajectory_id, m.start, m.end)
-                        for m in engine.query(q, tau=t).matches
-                    )
-                    for q, t in zip(queries, taus)
-                ]
-                series.append((time.perf_counter() - t0) / len(queries))
+            t0 = time.perf_counter()
+            keys = [
+                tuple(
+                    (m.trajectory_id, m.start, m.end)
+                    for m in engine.query(q, tau=t).matches
+                )
+                for q, t in zip(queries, taus)
+            ]
+            series.append((time.perf_counter() - t0) / len(queries))
             all_keys.append(keys)
         if reference_keys is None:
             reference_keys = all_keys

@@ -1,78 +1,49 @@
-"""Verification hot path — pure-Python vs. array-native DP backends.
+"""Verification hot path — cold verification against warm repeats.
 
 Not a paper figure: the paper's §5 speedups (local verification,
 bidirectional tries) are algorithmic; this benchmark tracks the
-constant-factor layer underneath them — the per-column DP kernel that
+constant-factor layer underneath them — the per-cell DP walker that
 every shard burns its CPU in.  It measures candidate-verification
 throughput (visited/computed DP columns per second), single-query
-latency, and (since the PR 4 arena rework) *allocator pressure*:
-garbage-collector activity and ndarray materializations per query, the
-~25%-of-runtime overhead the arena-backed trie columns exist to remove.
+latency and allocator pressure (garbage-collector activity and the
+tracemalloc peak per query) on the paper-style workload: the
+long-trajectory ``singapore`` profile with |Q| = 50 under NetEDR
+(§2.2.3, the paper's headline setting) and the coordinate-based EDR,
+plus a short-query |Q| = 10 EDR regime.
 
-Walkers compared, each forced by patching the engine's one walker rule
-(``choose_dp_backend``): ``"python"`` (the per-cell Python walker)
-against ``"numpy"`` (the arena walker: anchor-grouped batch
-verification whose ``step_dp_batch`` calls write straight into
-arena rows, substitution rows and tries read through the query's
-warm-state ``TrieCacheEntry``), across dataset scales on the paper-style
-workload: the long-trajectory ``singapore`` profile with |Q| = 50 under
-NetEDR (§2.2.3, the paper's headline setting) and the coordinate-based
-EDR — plus a short-query |Q| = 10 regime, the one setting where the
-python loop can still win and the reason the rule exists (each cell
-records what the rule picks).
-
-Both walkers walk the tries of the one cross-query ``TrieCache``, and
-each is measured in two serving regimes:
+The one walker is measured in two serving regimes:
 
 - **cold** (``trie_cache_size=0``): no cross-query reuse of any kind —
   every query gets a fresh entry and computes its substitution rows and
-  its tries from scratch.  Records from before the two engine caches became one
-  (ISSUE 21) timed "cold" with a *warm substitution LRU* (only the
-  tries were rebuilt), so their cold times are lower and their
-  ``verify_speedup`` / ``warm_speedup`` are not comparable with this
-  one's; cold now means what ``perf/``'s ``range_cold`` workload
-  measures end to end;
-- **warm-repeat** (the default TrieCache enabled, warmed by the
-  measurement loop's own repeats): the engine serves the repeated query
-  from its cached rows and trie columns, so verification is the
-  walker's cached-column walk plus combine — the serving layer's
-  zipf-repeat regime.  ``numpy_warm`` is the arena walker's: its
-  ``warm_speedup`` column (cold/warm verification time) is floor-gated
-  in CI at ``WARM_SPEEDUP_FLOOR`` on the network-aware cells.
-  ``python_warm`` is the per-cell walker's, recorded with no floor.
-  Warm answers are asserted bit-identical to both cold backends.
+  its tries from scratch; cold is what ``perf/``'s ``range_cold``
+  workload measures end to end;
+- **warm** (the default TrieCache enabled, warmed by the measurement
+  loop's own repeats): the engine serves the repeated query from its
+  cached rows and trie columns, so verification is the cached-column
+  walk plus combine — the serving layer's zipf-repeat regime.
 
 The record lands in ``results/BENCH_verification.json`` — the repo's
 committed perf baseline (a copy lives at the repo root) — and the inline
 assertions are the CI regression gate:
 
-- both backends must return *identical* matches (keys and distances —
-  the kernels are bit-identical by construction, see
-  ``repro.distance.wed``);
-- on the network-aware |Q|=50 workload the numpy backend must be >=
-  ``SPEEDUP_FLOOR``x faster at verification than the python backend even
-  on the CI smoke workload (``REPRO_BENCH_SCALE=0.25``), guarding
-  against silently de-vectorizing the kernel;
-- on the same cells the arena layout must keep ndarray materializations
-  at least ``ALLOC_REDUCTION_FLOOR``x below the pre-arena
-  one-ndarray-per-computed-column behaviour (``alloc_reduction`` =
-  would-be allocations / actual allocations), guarding against silently
-  re-introducing per-column churn.
+- warm answers must equal cold answers bit for bit (keys and
+  distances): a cached column holds the floats its recomputation would;
+- on the network-aware cells warm verification must be >=
+  ``WARM_SPEEDUP_FLOOR``x faster than cold, even on the CI smoke
+  workload (``REPRO_BENCH_SCALE=0.25``), guarding the warm-repeat walk.
 """
 
 import gc
 import time
 import tracemalloc
 
-from _helpers import forced_walker, load_workload
+from _helpers import load_workload
 
 from repro.bench.harness import SeriesTable, format_seconds
 from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
-from repro.core.verification import choose_dp_backend
 
 #: (profile, similarity function, query length); the first entry is the
-#: headline (floor-gated) workload, the |Q|=10 entry is the short-query
-#: regime that motivates the walker rule.
+#: headline (floor-gated) workload.
 WORKLOADS = [
     ("singapore", "NetEDR", 50),
     ("singapore", "EDR", 50),
@@ -83,22 +54,11 @@ REL_SCALES = [0.5, 1.0]
 NUM_QUERIES = 3
 TAU_RATIO = 0.4
 REPEATS = 3
-BACKENDS = ("python", "numpy")
-#: the warm-repeat configurations: each backend with the cross-query
-#: TrieCache enabled, timed on repeats (the zipf-serving regime).  Only
-#: the numpy one is floor-gated.
-WARM = "numpy_warm"
-PYTHON_WARM = "python_warm"
-CONFIGS = (*BACKENDS, WARM, PYTHON_WARM)
-#: CI gate: numpy must beat python by at least this factor on the
-#: network-aware |Q|=50 workload's verification stage, at every scale.
-SPEEDUP_FLOOR = 1.5
-#: CI gate: the arena must materialize >= this many times fewer ndarrays
-#: per query than the pre-arena per-column layout on the same cells.
-ALLOC_REDUCTION_FLOOR = 5.0
-#: CI gate: warm-repeat verification must beat cold numpy verification by
-#: at least this factor on the network-aware cells (the ISSUE 5 headline:
-#: repeated queries should cost little more than the frontier walk).
+#: serving regime -> the engine's trie_cache_size.
+CONFIGS = {"cold": 0, "warm": DEFAULT_TRIE_CACHE}
+#: CI gate: warm-repeat verification must beat cold verification by at
+#: least this factor on the network-aware cells (repeated queries should
+#: cost little more than the frontier walk).
 WARM_SPEEDUP_FLOOR = 2.0
 
 
@@ -111,7 +71,7 @@ def _gc_totals():
     )
 
 
-def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
+def _measure(engine, queries):
     """Answers + verification timings/counters for one configuration.
 
     Per-query times are the *minimum* over ``REPEATS`` runs — the
@@ -119,27 +79,16 @@ def _run_backend(dataset, costs, queries, backend, *, trie_cache_size=0):
     machine's background load can only slow a run down, never speed it
     up), applied identically to every configuration.  GC activity is
     measured as the delta over the whole timed loop (normalized per
-    query run); tracemalloc peak and ndarray counts come from separate,
-    untimed passes so the instrumentation never pollutes the timings.
-
-    ``trie_cache_size=0`` (the cold configurations) rebuilds the
-    query's rows and tries on every run; the warm configuration
-    enables the TrieCache, and the warm-up pass doubles as its warmer —
-    the timed loop then measures steady warm-repeat serving.
+    query run); the tracemalloc peak comes from a separate, untimed pass
+    so the instrumentation never pollutes the timings.  With the cache
+    on, the warm-up pass doubles as its warmer — the timed loop then
+    measures steady warm-repeat serving.
     """
-    with forced_walker(backend):
-        return _measure(
-            SubtrajectorySearch(dataset, costs, trie_cache_size=trie_cache_size),
-            queries,
-        )
-
-
-def _measure(engine, queries):
     answers = []
-    visited = computed = candidates = allocations = 0
-    # Warm-up pass collects the answers for the exactness gate (and warms
-    # the cost model's distance caches, so both backends measure steady
-    # serving state).
+    visited = computed = candidates = 0
+    # The warm-up pass collects the answers for the exactness gate (and
+    # warms the cost model's distance caches, so both regimes measure
+    # steady serving state).
     for q in queries:
         result = engine.query(q, tau_ratio=TAU_RATIO)
         answers.append(
@@ -148,9 +97,6 @@ def _measure(engine, queries):
         visited += result.verification.visited_columns
         computed += result.verification.computed_columns
         candidates += result.verification.candidates
-    # Steady-state allocation accounting (post-warm-up).
-    for q in queries:
-        allocations += engine.query(q, tau_ratio=TAU_RATIO).dp_array_allocations
     best_verify = [float("inf")] * len(queries)
     best_query = [float("inf")] * len(queries)
     gc_before = _gc_totals()
@@ -163,8 +109,6 @@ def _measure(engine, queries):
             best_query[i] = min(best_query[i], elapsed)
     gc_after = _gc_totals()
     timed_runs = REPEATS * len(queries)
-    # Peak heap of one steady-state query (untimed: tracemalloc hooks
-    # every allocation and would skew the latency numbers).
     tracemalloc.start()
     engine.query(queries[0], tau_ratio=TAU_RATIO)
     peak_bytes = tracemalloc.get_traced_memory()[1]
@@ -180,7 +124,6 @@ def _measure(engine, queries):
         ),
         "candidates_per_query": candidates / n,
         "computed_columns_per_query": computed / n,
-        "dp_array_allocs_per_query": allocations / n,
         "gc_collections_per_query": (gc_after[0] - gc_before[0]) / timed_runs,
         "gc_collected_per_query": (gc_after[1] - gc_before[1]) / timed_runs,
         "tracemalloc_peak_mb": peak_bytes / 1e6,
@@ -189,7 +132,6 @@ def _measure(engine, queries):
 
 def test_verification_hotpath(recorder, bench_scale):
     cells = []
-    headline = None
     for profile, function, query_length in WORKLOADS:
         for rel in REL_SCALES:
             scale = bench_scale * rel
@@ -201,70 +143,30 @@ def test_verification_hotpath(recorder, bench_scale):
                 num_queries=NUM_QUERIES,
             )
             measured = {}
-            expected = None
-            for backend in BACKENDS:
-                answers, metrics = _run_backend(dataset, costs, queries, backend)
-                measured[backend] = metrics
-                # Exactness gate: identical keys AND identical distances —
-                # the array-native kernel is bit-identical, not merely close.
-                if expected is None:
-                    expected = answers
-                else:
-                    assert answers == expected, (
-                        f"{backend} backend changed answers on "
-                        f"{profile}/{function}"
-                    )
-            # Warm-repeat regime: the cross-query TrieCache serves the
-            # repeats; answers must stay bit-identical to both cold runs.
-            for config, backend in ((WARM, "numpy"), (PYTHON_WARM, "python")):
-                answers, measured[config] = _run_backend(
-                    dataset, costs, queries, backend,
-                    trie_cache_size=DEFAULT_TRIE_CACHE,
-                )
-                assert answers == expected, (
-                    f"warm trie cache changed {backend} answers on "
-                    f"{profile}/{function}"
-                )
-            numpy_allocs = measured["numpy"]["dp_array_allocs_per_query"]
-            computed_per_query = measured["numpy"]["computed_columns_per_query"]
-            cell = {
-                "profile": profile,
-                "function": function,
-                "query_length": query_length,
-                "scale": scale,
-                "trajectories": len(dataset),
-                "auto_backend": choose_dp_backend(query_length, costs),
-                "verify_speedup": (
-                    measured["python"]["verify_seconds_per_query"]
-                    / measured["numpy"]["verify_seconds_per_query"]
-                ),
-                "query_speedup": (
-                    measured["python"]["query_seconds_per_query"]
-                    / measured["numpy"]["query_seconds_per_query"]
-                ),
-                # Warm-repeat verification vs cold numpy verification: the
-                # cross-query TrieCache's multiplicative win on repeats.
-                "warm_speedup": (
-                    measured["numpy"]["verify_seconds_per_query"]
-                    / measured[WARM]["verify_seconds_per_query"]
-                ),
-                # Pre-arena, the numpy backend materialized >= 1 ndarray per
-                # computed column on top of the same per-round temporaries;
-                # the arena's ratio of that cost to its own is the
-                # allocation-reduction gate.
-                "alloc_reduction": (
-                    (computed_per_query + numpy_allocs) / numpy_allocs
-                    if numpy_allocs
-                    else float("inf")
-                ),
-                **{config: measured[config] for config in CONFIGS},
-            }
-            cells.append(cell)
-            if function == WORKLOADS[0][1] and (
-                headline is None
-                or cell["verify_speedup"] > headline["verify_speedup"]
-            ):
-                headline = cell  # best network-aware cell (full table recorded)
+            answers = {}
+            for config, cache_size in CONFIGS.items():
+                engine = SubtrajectorySearch(dataset, costs, trie_cache_size=cache_size)
+                answers[config], measured[config] = _measure(engine, queries)
+            # Exactness gate: identical keys AND identical distances.
+            assert answers["warm"] == answers["cold"], (
+                f"warm trie cache changed answers on {profile}/{function}"
+            )
+            cells.append(
+                {
+                    "profile": profile,
+                    "function": function,
+                    "query_length": query_length,
+                    "scale": scale,
+                    "trajectories": len(dataset),
+                    "warm_speedup": (
+                        measured["cold"]["verify_seconds_per_query"]
+                        / measured["warm"]["verify_seconds_per_query"]
+                    ),
+                    **measured,
+                }
+            )
+    gated = [c for c in cells if c["function"] == WORKLOADS[0][1]]
+    headline = max(gated, key=lambda c: c["scale"])
 
     table = SeriesTable(
         "series",
@@ -275,7 +177,7 @@ def test_verification_hotpath(recorder, bench_scale):
         ],
         title=(
             f"Verification hot path (singapore, tau_ratio={TAU_RATIO}): "
-            "python vs array-native (arena) DP"
+            "cold vs warm-repeat"
         ),
     )
     for config in CONFIGS:
@@ -285,19 +187,9 @@ def test_verification_hotpath(recorder, bench_scale):
             formatter=format_seconds,
         )
     table.add_row(
-        "numpy columns/sec",
-        [c["numpy"]["visited_columns_per_sec"] for c in cells],
+        "cold columns/sec",
+        [c["cold"]["visited_columns_per_sec"] for c in cells],
         formatter=lambda v: f"{v:,.0f}",
-    )
-    table.add_row(
-        "verify speedup",
-        [c["verify_speedup"] for c in cells],
-        formatter=lambda v: f"{v:.2f}x",
-    )
-    table.add_row(
-        "query speedup",
-        [c["query_speedup"] for c in cells],
-        formatter=lambda v: f"{v:.2f}x",
     )
     table.add_row(
         "warm-repeat speedup",
@@ -305,37 +197,21 @@ def test_verification_hotpath(recorder, bench_scale):
         formatter=lambda v: f"{v:.2f}x",
     )
     table.add_row(
-        "ndarray alloc reduction",
-        [c["alloc_reduction"] for c in cells],
-        formatter=lambda v: f"{v:.1f}x",
-    )
-    table.add_row(
-        "numpy GC collections/query",
-        [c["numpy"]["gc_collections_per_query"] for c in cells],
+        "cold GC collections/query",
+        [c["cold"]["gc_collections_per_query"] for c in cells],
         formatter=lambda v: f"{v:.2f}",
-    )
-    table.add_row(
-        "rule picks",
-        [1.0 if c["auto_backend"] == "numpy" else 0.0 for c in cells],
-        formatter=lambda v: "numpy" if v else "python",
     )
     table.print()
 
     recorder.record(
         "BENCH_verification",
         {
-            "backends": list(BACKENDS),
-            "warm_config": WARM,
-            "python_warm_config": PYTHON_WARM,
+            "configs": list(CONFIGS),
             "cells": cells,
             "headline_workload": f"{headline['profile']}/{headline['function']}",
             "headline_scale": headline["scale"],
-            "headline_verify_speedup": headline["verify_speedup"],
-            "headline_query_speedup": headline["query_speedup"],
-            "headline_alloc_reduction": headline["alloc_reduction"],
+            "headline_cold_verify_seconds": headline["cold"]["verify_seconds_per_query"],
             "headline_warm_speedup": headline["warm_speedup"],
-            "speedup_floor": SPEEDUP_FLOOR,
-            "alloc_reduction_floor": ALLOC_REDUCTION_FLOOR,
             "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
             "tau_ratio": TAU_RATIO,
             "num_queries": NUM_QUERIES,
@@ -343,43 +219,16 @@ def test_verification_hotpath(recorder, bench_scale):
             "bench_scale": bench_scale,
         },
         expectation=(
-            "array-native arena backend >= 4x python verification speedup on "
-            "the network-aware (NetEDR) |Q|=50 workload (headline cell); >= "
-            f"{SPEEDUP_FLOOR}x and >= {ALLOC_REDUCTION_FLOOR}x fewer ndarray "
-            "materializations than the per-column layout enforced on every "
-            "NetEDR cell (CI smoke included); numpy warm-repeat serving (the "
-            f"cross-query TrieCache) >= {WARM_SPEEDUP_FLOOR}x faster at "
-            "verification than cold numpy on the same cells; the per-cell "
-            "walker's warm repeats (python_warm) recorded with no floor; "
-            "answers bit-identical across backends and cache temperatures "
-            "everywhere; |Q|=10 EDR documents the short-query regime "
-            "the walker rule routes to python.  Cold cells "
-            "(trie_cache_size=0) recompute the substitution rows as well "
-            "as the tries on every run: records from before the two "
-            "engine caches became one timed cold with a warm substitution "
-            "LRU, so their cold times read lower and their speedups are "
-            "not comparable with this record's"
+            f"warm-repeat serving (the cross-query TrieCache) >= "
+            f"{WARM_SPEEDUP_FLOOR}x faster at verification than cold on every "
+            "NetEDR cell (CI smoke included); warm answers bit-identical to "
+            "cold everywhere.  Cold cells (trie_cache_size=0) compute the "
+            "substitution rows as well as the tries on every run"
         ),
     )
 
-    # The CI gates: de-vectorizing the kernel, re-introducing per-column
-    # Python work, re-introducing per-column ndarray churn, or breaking
-    # the warm-repeat walk on the numpy path fails the build.
-    for cell in cells:
-        if cell["function"] != WORKLOADS[0][1]:
-            continue
-        assert cell["verify_speedup"] >= SPEEDUP_FLOOR, (
-            f"array-native backend only {cell['verify_speedup']:.2f}x faster "
-            f"than python at verification on {cell['profile']}/"
-            f"{cell['function']} scale {cell['scale']:g} "
-            f"(floor {SPEEDUP_FLOOR}x)"
-        )
-        assert cell["alloc_reduction"] >= ALLOC_REDUCTION_FLOOR, (
-            f"arena columns only cut ndarray materializations "
-            f"{cell['alloc_reduction']:.1f}x vs the per-column layout on "
-            f"{cell['profile']}/{cell['function']} scale {cell['scale']:g} "
-            f"(floor {ALLOC_REDUCTION_FLOOR}x)"
-        )
+    # The CI gate: breaking the warm-repeat walk fails the build.
+    for cell in gated:
         assert cell["warm_speedup"] >= WARM_SPEEDUP_FLOOR, (
             f"warm trie cache only {cell['warm_speedup']:.2f}x faster than "
             f"cold verification on {cell['profile']}/{cell['function']} "

@@ -49,12 +49,7 @@ from repro.core.temporal import (
     match_satisfies,
 )
 from repro.core.trie import TrieCache, TrieCacheEntry
-from repro.core.verification import (
-    Candidate,
-    VerificationStats,
-    Verifier,
-    choose_dp_backend,
-)
+from repro.core.verification import Candidate, VerificationStats, Verifier
 from repro.distance.smith_waterman import all_matches
 from repro.exceptions import QueryError
 from repro.trajectory.dataset import TrajectoryDataset
@@ -76,7 +71,7 @@ INDEX_BACKENDS = ("dict", "frozen")
 #: default capacity (entries) of the engine-level TrieCache — a repeated
 #: query's substitution rows and DP columns, warm.  Sized for the serving
 #: layer's zipf repeat traffic (the hot head of the query distribution);
-#: row tables and trie arenas keep growing while cached, so the binding
+#: row caches and trie arenas keep growing while cached, so the binding
 #: limit under heavy traffic is usually DEFAULT_TRIE_CACHE_BYTES, not
 #: the entry count.
 DEFAULT_TRIE_CACHE = 32
@@ -107,24 +102,15 @@ class QueryResult:
     verify_seconds: float
     verification: VerificationStats
     used_fallback: bool = False
-    #: DP backend the verification stage actually ran ("python"/"numpy";
-    #: empty for the SW mode and the scan fallback, which run no column
-    #: DP) — how the per-query ``choose_dp_backend`` verdict is observed
-    #: end to end.
+    #: "python" whenever the verifier ran, else "" (read by perf/layers.py's verify.python_share).
     dp_backend_used: str = ""
-    #: ndarrays materialized on the verification hot path (see
-    #: :attr:`repro.core.verification.Verifier.dp_array_allocations`);
-    #: deliberately outside VerificationStats, which is walker-identical.
-    dp_array_allocations: int = 0
     #: what the cross-query TrieCache did for this query: ``"hit"`` (warm
     #: rows and columns reused), ``"miss"`` (verified cold, warmed the
     #: cache), ``"off"`` (cache disabled), or ``""`` when the cache was
     #: not consulted at all (sw mode, scan fallback).
     #: Merged shard results join the distinct per-shard statuses with ``+``.
     trie_cache_status: str = ""
-    #: DP kernel launches during verification (one per resolve round; 0
-    #: for the python backend and a fully-warm rewalk) — like
-    #: dp_array_allocations, outside VerificationStats.
+    #: always 0: the verifier launches no DP kernel (read by perf/layers.py's verify.dp_rounds).
     dp_rounds: int = 0
     #: False when this is a *partial* answer: one or more shards were
     #: unavailable and the caller opted into graceful degradation
@@ -248,9 +234,9 @@ class SubtrajectorySearch:
     verification:
         ``"trie"`` = bidirectional tries (OSF-BT), ``"local"`` = local
         verification without caching, ``"sw"`` = per-trajectory
-        Smith–Waterman oracle (OSF-SW).  The first two run on the walker
-        :func:`~repro.core.verification.choose_dp_backend` picks for each
-        query (reported as ``QueryResult.dp_backend_used``).
+        Smith–Waterman oracle (OSF-SW).  The first two run the one
+        AllPrefixWED walker of :mod:`repro.core.verification`; ``"local"``
+        still caches each direction's substitution rows, but no column.
     early_termination:
         Apply the Eq. 11 lower-bound cutoff during local verification,
         and the count bound that skips candidates before any DP column
@@ -265,19 +251,20 @@ class SubtrajectorySearch:
         :class:`~repro.core.trie.TrieCache`, the one cross-query cache:
         one :class:`~repro.core.trie.TrieCacheEntry` per query, keyed on
         the query-and-model prefix of :func:`query_signature` — the
-        query's whole warm state: its substitution rows and, per anchor
-        position and direction, the row table and the verification trie.
+        query's whole warm state: its neighborhoods and, per anchor
+        position and direction, the substitution rows and the
+        verification trie.
         Repeated queries (the serving layer's zipf traffic) skip
         substitution-row computation and start verification with every
-        previously computed DP column *warm* — either walker runs
-        through cached columns in a scalar loop and computes columns only
-        at the cold frontier — across tau and time-window variations, and
+        previously computed DP column *warm* — the walker runs through
+        cached columns in a scalar loop and computes columns only at the
+        cold frontier — across tau and time-window variations, and
         needing no invalidation on online inserts (rows depend on the
         query and the model, columns are keyed by data-symbol path, not
         by trajectory, so both are dataset-independent).
-        ``verification="local"`` keeps the rows and row tables and
-        builds no trie.  Each verification re-accounts the bytes of its
-        own entry (rows, row tables and trie arenas) and sheds LRU
+        ``verification="local"`` keeps the rows and builds no trie.  Each
+        verification re-accounts the bytes of its own entry (rows and
+        trie arenas) and sheds LRU
         entries past the budget.  ``trie_cache_size=0`` disables
         cross-query reuse of any kind (each query gets a fresh entry,
         the pre-cache behaviour).  Warmth changes which rows and columns
@@ -562,12 +549,10 @@ class SubtrajectorySearch:
             matches = MatchSet()
             stats = VerificationStats()
             backend_used = ""
-            allocations = 0
-            dp_rounds = 0
             if trie_entry is None:
                 stats = self._verify_sw(candidates, query, tau, matches, cancel)
             else:
-                backend_used = choose_dp_backend(len(query), self._costs)
+                backend_used = "python"
                 verifier = Verifier(
                     self._dataset.symbols_array,
                     query,
@@ -575,16 +560,13 @@ class SubtrajectorySearch:
                     tau,
                     use_trie=self._verification == "trie",
                     early_termination=self._early_termination,
-                    dp_backend=backend_used,
                     trie_entry=trie_entry,
                     cancel=cancel,
                 )
                 verifier.verify_all(candidates, matches)
                 stats = verifier.stats
-                allocations = verifier.dp_array_allocations
-                dp_rounds = verifier.dp_rounds
         finally:
-            # The entry gained neighborhoods, rows, row tables and arenas
+            # The entry gained neighborhoods, rows and arenas
             # on every exit (a scan fallback, a cancellation, an error
             # included): re-account its bytes and shed LRU entries past
             # the byte budget.
@@ -629,9 +611,6 @@ class SubtrajectorySearch:
                 computed_columns=stats.computed_columns,
                 emitted=stats.emitted,
                 bound_pruned=stats.bound_pruned,
-                dp_backend=backend_used or self._verification,
-                dp_rounds=dp_rounds,
-                dp_array_allocations=allocations,
                 trie_cache=trie_status or "n/a",
             )
         return QueryResult(
@@ -644,9 +623,7 @@ class SubtrajectorySearch:
             verify_seconds=t3 - t2,
             verification=stats,
             dp_backend_used=backend_used,
-            dp_array_allocations=allocations,
             trie_cache_status=trie_status,
-            dp_rounds=dp_rounds,
         )
 
     def topk(
@@ -696,7 +673,7 @@ class SubtrajectorySearch:
     def _warm_state(self, query: Sequence[int]):
         """This query's ``(TrieCacheEntry, lookup status)`` — one lookup
         in the cross-query TrieCache, for every trie or local
-        verification on either walker; with the cache ``"off"``, a fresh
+        verification; with the cache ``"off"``, a fresh
         entry that lives for this query only.
 
         Looked up before MinCand: the entry's
@@ -704,12 +681,12 @@ class SubtrajectorySearch:
         query profile and the verifier's count bound, so a query that
         ends in the scan fallback (no tau-subsequence) keeps one too: its
         repeat's MinCand reads them warm.  On a ``"hit"`` the
-        neighborhoods, the substitution rows, the per-direction row
-        tables and the tries are all reused — the row-computation stage
-        of verification disappears for repeated queries and the walk
-        starts warm, whichever walker built the tries.  Rows are
-        computed on first touch only, so a query whose temporal filter
-        dropped candidates never pays for their anchors' rows.  Concurrent missers of one key get one entry.
+        neighborhoods, the per-direction substitution rows and the tries
+        are all reused — the row-computation stage of verification
+        disappears for repeated queries and the walk starts warm.  Rows
+        are computed on a symbol's first cache miss only, so a query
+        whose temporal filter dropped candidates never pays for their
+        rows.  Concurrent missers of one key get one entry.
 
         The key is the query-and-cost-model *prefix* of
         :func:`query_signature`: rows and columns depend on neither the

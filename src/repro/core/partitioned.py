@@ -572,8 +572,6 @@ class PartitionedSubtrajectorySearch:
         tau_used = 0.0
         candidates = 0
         mincand = lookup = verify = 0.0
-        allocations = 0
-        dp_rounds = 0
         backend_used = ""
         trie_statuses: List[str] = []
         for result, id_map in zip(results, self._global_ids):
@@ -584,8 +582,6 @@ class PartitionedSubtrajectorySearch:
             mincand += result.mincand_seconds
             lookup += result.lookup_seconds
             verify += result.verify_seconds
-            allocations += result.dp_array_allocations
-            dp_rounds += result.dp_rounds
             backend_used = backend_used or result.dp_backend_used
             status = result.trie_cache_status
             if status and status not in trie_statuses:
@@ -607,8 +603,6 @@ class PartitionedSubtrajectorySearch:
                 result.verification for result in results if result is not None
             ),
             dp_backend_used=backend_used,
-            dp_array_allocations=allocations,
-            dp_rounds=dp_rounds,
             trie_cache_status="+".join(sorted(trie_statuses)),
             complete=not degraded,
             degraded_shards=degraded,

@@ -9,7 +9,7 @@ a road network share prefixes (out-degree is tiny), later candidates walk
 cached columns instead of recomputing them — the cache-miss rate is the
 CMR metric of §6.4.
 
-One layout, :class:`VerificationTrie`, serves both verification walkers
+One layout, :class:`VerificationTrie`, serves the verifier's walker
 (:mod:`repro.core.verification`): a **slot-native** trie, no node objects
 at all.  Every level has the same column width (``|Q^d| + 1``), so all
 columns live as rows of **one** growable ``(capacity, width)`` float64
@@ -20,25 +20,24 @@ early-termination bound — and ``column[-1]`` — the emitted E value) live
 once, as plain floats in the slot-indexed ``mins_list`` /
 ``lasts_list``, so the walk loop never touches a numpy scalar.  This is
 what makes the trie *portable across queries*: a repeated query walks it
-warm with no per-node object graph to rebuild or traverse, whichever
-walker built it.
+warm with no per-node object graph to rebuild or traverse.
 
 A :class:`TrieCacheEntry` is one query's whole warm state: the query's
 neighborhoods ``B(q)`` / ``c(q)`` and the count bound's table
-(:class:`~repro.core.filtering.QueryNeighborhoods`), its substitution
-rows (:class:`QueryRows`) and, per ``(iq, direction)``, one
-:class:`DirectionState` — the insertion prefix, the slot-indexed
-:class:`DirectionRows` table and the :class:`VerificationTrie`.  The
-engine's :class:`TrieCache` keeps entries across queries.
+(:class:`~repro.core.filtering.QueryNeighborhoods`) and, per
+``(iq, direction)``, one :class:`DirectionState` — the query part, its
+insertion prefix, its substitution-row cache and the
+:class:`VerificationTrie`.  The engine's :class:`TrieCache` keeps entries
+across queries.
 
 One rule covers concurrency: **an entry is walked by one verifier at a
-time.**  Either walker holds :attr:`TrieCacheEntry.lock` for a whole
-anchor group, so nothing under an entry — rows, row tables, states,
-tries — has a lock of its own.  A concurrent verifier of the same query
-waits for at most one group, then walks the first one's columns as cache
-hits.  Writers still write a column (or a row) before the key that makes
-it reachable (:meth:`VerificationTrie.publish`), but only for exception
-safety: a round that raises leaves no half-born edge behind.
+time.**  The verifier holds :attr:`TrieCacheEntry.lock` for a whole
+anchor group, so nothing under an entry — states, row caches, tries —
+has a lock of its own.  A concurrent verifier of the same query waits
+for at most one group, then walks the first one's columns as cache hits.
+Writers still write a column (or a row) before the key that makes it
+reachable (:meth:`VerificationTrie.publish`), but only for exception
+safety: a walk that raises leaves no half-born edge behind.
 """
 
 from __future__ import annotations
@@ -55,9 +54,7 @@ from repro.distance.costs import CostModel
 from repro.distance.wed import wed_row_init
 
 __all__ = [
-    "DirectionRows",
     "DirectionState",
-    "QueryRows",
     "TrieCache",
     "TrieCacheEntry",
     "VerificationTrie",
@@ -76,9 +73,8 @@ _INITIAL_ROWS = 32
 # in here: ``nbytes`` reads them exactly via ``sys.getsizeof`` at
 # accounting time, which is O(1) per container and tracks hash-table
 # growth for free.
-_EDGE_OBJECT_BYTES = (
-    sys.getsizeof((1 << 20, 1 << 20)) + 3 * sys.getsizeof(1 << 20)
-)
+_INT_OBJECT_BYTES = sys.getsizeof(1 << 20)
+_EDGE_OBJECT_BYTES = sys.getsizeof((1 << 20, 1 << 20)) + 3 * _INT_OBJECT_BYTES
 _FLOAT_OBJECT_BYTES = sys.getsizeof(0.5)
 
 
@@ -99,7 +95,6 @@ class VerificationTrie:
         "lasts_list",
         "edges",
         "used",
-        "allocations",
         "__weakref__",
     )
 
@@ -112,10 +107,6 @@ class VerificationTrie:
         #: (parent_slot, symbol) -> child_slot; slot 0 is the root.
         self.edges: Dict[Tuple[int, int], int] = {}
         self.used = 1
-        #: ndarray (re)allocations so far — the materialization cost of
-        #: every column this trie stores (feeds the benchmark's
-        #: allocation-reduction metric).
-        self.allocations = 1
 
     def reserve(self, count: int) -> int:
         """Reserve ``count`` contiguous rows; returns the first slot.
@@ -130,7 +121,6 @@ class VerificationTrie:
             grown = np.empty((capacity, self.width), dtype=np.float64)
             grown[:start] = matrix[:start]
             self.matrix = grown
-            self.allocations += 1
         self.used = needed
         return start
 
@@ -177,150 +167,85 @@ class VerificationTrie:
         )
 
 
-class QueryRows:
-    """The query's full substitution rows: ``row(b)[i] == sub(b,
-    query[i])``, each computed once, on first touch, through the model's
-    vectorized :meth:`~repro.distance.costs.CostModel.sub_row_array`.
-
-    The arena walker reads a candidate's anchor cost off its symbol's row, and
-    every :class:`DirectionRows` table copies its slices from here.  Rows
-    depend only on the query and the model, never on the dataset, the
-    threshold or the time window, so they stay valid for as long as the
-    entry lives.
-    """
-
-    __slots__ = ("costs", "query", "rows")
-
-    def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
-        self.costs = costs
-        self.query = tuple(query)
-        self.rows: Dict[int, np.ndarray] = {}
-
-    def row(self, symbol: int) -> np.ndarray:
-        """``[sub(symbol, q) for q in query]`` as a float64 array."""
-        row = self.rows.get(symbol)
-        if row is None:
-            row = self.rows[symbol] = self.costs.sub_row_array(symbol, self.query)
-        return row
-
-    @property
-    def nbytes(self) -> int:
-        """One float64 row of ``|Q|`` per touched symbol (counted
-        arithmetically: it is re-read after every verification)."""
-        return len(self.rows) * len(self.query) * 8
-
-
-class DirectionRows:
-    """One direction's substitution costs, stored *dense and slot-indexed*.
-
-    The arena walker's DP consumes, per visited data symbol, the symbol's
-    substitution row restricted to one *query part* (forward suffix or
-    reversed backward prefix of the query) plus its deletion cost.  Each
-    distinct symbol gets an integer *slot* on first touch; its row (a
-    contiguous copy of the possibly negative-stride full-row slice) lands
-    in row ``slot`` of one growable matrix, with the deletion cost in a
-    parallel vector.  Batch assembly then gathers a whole round of rows
-    with two ``np.take`` calls instead of one numpy ``__setitem__`` per
-    cache miss.
-    """
-
-    __slots__ = ("_source", "_slice", "index", "rows", "deletes")
-
-    def __init__(self, source: QueryRows, row_slice: slice, width: int) -> None:
-        self._source = source
-        self._slice = row_slice
-        #: symbol -> dense slot; the verifier's walker reads it inline
-        #: (one dict hit per cache miss) and calls :meth:`slot` only on
-        #: first touch of a symbol.
-        self.index: Dict[int, int] = {}
-        self.rows = np.empty((16, width), dtype=np.float64)
-        self.deletes = np.empty(16, dtype=np.float64)
-
-    def slot(self, symbol: int) -> int:
-        """The dense row slot for ``symbol`` (computed on first touch).
-
-        The row and delete are written before the symbol enters
-        ``index``, so a cost model raising mid-row leaves no slot
-        behind."""
-        i = self.index.get(symbol)
-        if i is None:
-            i = len(self.index)
-            if i == len(self.rows):
-                grown = np.empty((2 * i, self.rows.shape[1]), dtype=np.float64)
-                grown[:i] = self.rows
-                grown_d = np.empty(2 * i, dtype=np.float64)
-                grown_d[:i] = self.deletes
-                self.rows = grown
-                self.deletes = grown_d
-            source = self._source
-            self.rows[i] = source.row(symbol)[self._slice]
-            self.deletes[i] = source.costs.delete(symbol)
-            self.index[symbol] = i
-        return i
-
-    def get(self, symbol: int) -> Tuple[np.ndarray, float]:
-        """This direction's ``(substitution row, delete cost)`` views."""
-        i = self.slot(symbol)
-        return self.rows[i], float(self.deletes[i])
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the dense row and delete tables (their capacity)."""
-        return self.rows.nbytes + self.deletes.nbytes
-
-
-#: ndarrays a new :class:`DirectionState` allocates: the insertion
-#: prefix and the two :class:`DirectionRows` tables.
-_STATE_ARRAYS = 3
-
-
 class DirectionState:
-    """One ``(iq, direction)``'s warm state: the query ``part`` itself
-    (the per-cell walker's :func:`~repro.distance.wed.wed_step_min`
-    argument), its insertion prefix (the trie's root column, and the
-    ``P`` of the prefix-min DP convention — summed left to right by
-    :func:`~repro.distance.wed.wed_row_init`), the part's
-    :class:`DirectionRows` table (the arena walker's), and its
-    :class:`VerificationTrie` — ``None`` until a verifier with tries on
-    first walks this direction.
+    """One ``(iq, direction)``'s warm state: the query ``part`` itself,
+    its insertion prefix (the trie's root column, and the ``P`` of the
+    prefix-min DP convention — summed left to right by
+    :func:`~repro.distance.wed.wed_row_init`), the part's substitution
+    rows, and its :class:`VerificationTrie` — ``None`` until a verifier
+    with tries on first walks this direction.
 
     The part is ``query[iq+1:]`` forward and the reversed prefix
     ``query[iq-1::-1]`` backward: WED is invariant under simultaneous
     reversal because costs are position-independent.
+
+    The row cache maps a data symbol to ``costs.sub_row(symbol, part)``,
+    computed on the symbol's first cache miss in this direction and read
+    by every later one, so a model's row work is paid once per symbol
+    per direction, not once per DP column.  Rows depend only on the
+    query and the model, never on the dataset, the threshold or the time
+    window, so they stay valid for as long as the entry lives.
     """
 
-    __slots__ = ("part", "ins_prefix", "rows", "trie")
+    __slots__ = ("costs", "part", "ins_prefix", "sub_rows", "trie", "__weakref__")
 
-    def __init__(self, source: QueryRows, iq: int, direction: str) -> None:
+    def __init__(
+        self, costs: CostModel, query: Tuple[int, ...], iq: int, direction: str
+    ) -> None:
         if direction == "b":
-            row_slice = slice(iq - 1, None, -1) if iq > 0 else slice(0, 0)
+            part = query[iq - 1 :: -1] if iq > 0 else ()
         else:
-            row_slice = slice(iq + 1, None)
-        self.part = part = source.query[row_slice]
-        self.ins_prefix = np.array(wed_row_init(source.costs, part), dtype=np.float64)
-        self.rows = DirectionRows(source, row_slice, len(part))
+            part = query[iq + 1 :]
+        self.costs = costs
+        self.part = part
+        self.ins_prefix: List[float] = wed_row_init(costs, part)
+        #: symbol -> ``costs.sub_row(symbol, part)``.
+        self.sub_rows: Dict[int, List[float]] = {}
         self.trie: Optional[VerificationTrie] = None
+
+    def sub_row(self, symbol: int) -> List[float]:
+        """``[sub(symbol, q) for q in part]``, computed on first touch.
+
+        The row is stored only once computed, so a cost model raising
+        mid-row leaves nothing behind."""
+        row = self.sub_rows.get(symbol)
+        if row is None:
+            row = self.sub_rows[symbol] = self.costs.sub_row(symbol, self.part)
+        return row
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the row cache and the trie pin.  Rows are counted
+        arithmetically, each as a list of ``|part|`` boxed floats under a
+        boxed symbol key (an upper bound: models may share float
+        objects), since this is re-read after every verification."""
+        row_bytes = (
+            sys.getsizeof([0.0] * len(self.part))
+            + len(self.part) * _FLOAT_OBJECT_BYTES
+            + _INT_OBJECT_BYTES
+        )
+        total = sys.getsizeof(self.sub_rows) + len(self.sub_rows) * row_bytes
+        if self.trie is not None:
+            total += self.trie.nbytes
+        return total
 
 
 class TrieCacheEntry:
     """One query's whole warm state, built from ``(costs, query)``: the
     query's :class:`~repro.core.filtering.QueryNeighborhoods` (built on
-    first :meth:`neighborhoods` call), its :class:`QueryRows` and one
-    :class:`DirectionState` per ``(iq, direction)`` its verifications
-    have touched — the only place that key is held.  Nothing under an
-    entry refers back to it, so an evicted entry's arrays go the moment
-    the last verifier holding it drops it, with no wait for the cyclic
-    collector.
+    first :meth:`neighborhoods` call) and one :class:`DirectionState`
+    per ``(iq, direction)`` its verifications have touched — the only
+    place that key is held.  Nothing under an entry refers back to it,
+    so an evicted entry's arrays go the moment the last verifier holding
+    it drops it, with no wait for the cyclic collector.
 
     A verifier walks the entry only while it holds :attr:`lock` (see the
     module docstring); :attr:`nbytes` alone is read without it.
     """
 
     __slots__ = (
-        "rows",
+        "costs",
+        "query",
         "directions",
         "hoods",
         "lock",
@@ -329,7 +254,9 @@ class TrieCacheEntry:
     )
 
     def __init__(self, costs: CostModel, query: Sequence[int]) -> None:
-        self.rows = QueryRows(costs, query)
+        self.costs = costs
+        #: the query string this entry's rows and columns are computed against.
+        self.query: Tuple[int, ...] = tuple(query)
         self.directions: Dict[Tuple[int, str], DirectionState] = {}
         self.hoods: Optional[QueryNeighborhoods] = None
         #: held by the one verifier walking this entry, a group at a time.
@@ -339,51 +266,37 @@ class TrieCacheEntry:
         #: :attr:`nbytes` as of its last :meth:`TrieCache.reconcile`.
         self.counted_bytes: Optional[int] = None
 
-    @property
-    def query(self) -> Tuple[int, ...]:
-        """The query string this entry's rows are computed against."""
-        return self.rows.query
-
     def neighborhoods(self) -> QueryNeighborhoods:
         """The query's ``B(q)`` / ``c(q)``, computed on first call — by
         the engine's MinCand stage, or by a direct verifier's count
         bound.  Caller holds :attr:`lock`."""
         if self.hoods is None:
-            self.hoods = QueryNeighborhoods(self.rows.costs, self.rows.query)
+            self.hoods = QueryNeighborhoods(self.costs, self.query)
         return self.hoods
 
-    def direction(
-        self, iq: int, direction: str, with_trie: bool
-    ) -> Tuple[DirectionState, int]:
+    def direction(self, iq: int, direction: str, with_trie: bool) -> DirectionState:
         """The state for one ``(iq, direction)``, created on first touch —
-        and its trie too when ``with_trie`` — plus the number of ndarrays
-        *this call* allocated doing so (zero once warm), which the caller
-        charges to its own verification.  Caller holds :attr:`lock`."""
+        and its trie too when ``with_trie``.  Caller holds :attr:`lock`."""
         key = (iq, direction)
-        allocated = 0
         state = self.directions.get(key)
         if state is None:
-            state = self.directions[key] = DirectionState(self.rows, iq, direction)
-            allocated = _STATE_ARRAYS
+            state = self.directions[key] = DirectionState(
+                self.costs, self.query, iq, direction
+            )
         if with_trie and state.trie is None:
             state.trie = VerificationTrie(state.ins_prefix)
-            allocated += state.trie.allocations
-        return state, allocated
+        return state
 
     @property
     def nbytes(self) -> int:
-        """Bytes this entry pins: its neighborhoods and bound table, rows,
-        row tables and tries.  Read without :attr:`lock` (by
-        :meth:`TrieCache.reconcile`), so the states are copied out before
-        summing."""
-        total = self.rows.nbytes
+        """Bytes this entry pins: its neighborhoods and bound table, and
+        per direction its row cache and trie.  Read without :attr:`lock`
+        (by :meth:`TrieCache.reconcile`), so the states are copied out
+        before summing."""
         hoods = self.hoods
-        if hoods is not None:
-            total += hoods.nbytes
+        total = 0 if hoods is None else hoods.nbytes
         for state in list(self.directions.values()):
-            total += state.rows.nbytes
-            if state.trie is not None:
-                total += state.trie.nbytes
+            total += state.nbytes
         return total
 
 
@@ -410,7 +323,7 @@ class TrieCache:
     deployment share a single instance).
 
     Eviction is LRU, bounded two ways: ``capacity`` entries, and — since
-    arenas and row tables keep growing *after* insertion as later
+    arenas and row caches keep growing *after* insertion as later
     queries extend them — a ``max_bytes`` budget enforced by
     :meth:`reconcile`, which the engine calls after each verification to
     re-account the one entry that verification walked and shed LRU
@@ -487,7 +400,7 @@ class TrieCache:
 
         Returns the post-eviction byte total.  Called by the engine after
         each verification with the entry it walked, because arenas and
-        row tables grow while entries sit in the cache — insertion-time
+        row caches grow while entries sit in the cache — insertion-time
         accounting alone would undercount.  No other entry is measured.
         An entry no longer cached (evicted meanwhile, or handed out with
         the cache off) changes nothing.  An oversized *single* entry is

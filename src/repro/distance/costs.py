@@ -91,36 +91,14 @@ class CostModel(ABC):
         return 0.0
 
     def sub_row(self, p: int, seq: Sequence[int]) -> List[float]:
-        """``[sub(p, s) for s in seq]`` — override for vectorized models.
+        """``[sub(p, s) for s in seq]`` — override for faster models.
 
-        This is the hot path of the pure-Python DP (one call per column)."""
+        The verifier calls this once per distinct data symbol per query
+        direction (the row is cached on the query's warm-state entry,
+        :class:`repro.core.trie.DirectionState`) and passes it to every
+        DP column of that symbol."""
         s = self.sub
         return [s(p, q) for q in seq]
-
-    # -- array-native hooks (the arena walker's hot path) -------------------
-
-    def sub_row_array(self, p: int, seq: Sequence[int]) -> np.ndarray:
-        """:meth:`sub_row` as a float64 array — override for models whose
-        row can be computed without a per-element Python loop.
-
-        The array-native verifier calls this once per distinct symbol per
-        query (rows are cached in the query's warm-state entry,
-        :class:`repro.core.trie.QueryRows`), so even the default
-        loop-and-wrap implementation is off the per-column hot path."""
-        return np.asarray(self.sub_row(p, seq), dtype=np.float64)
-
-    def vectorized_rows(self) -> bool:
-        """True when this model computes substitution rows without a
-        per-element Python loop (it overrides :meth:`sub_row_array`).
-
-        The engine's walker rule reads this as a cost proxy: vectorizable
-        rows are cheap rows, and on cheap rows short queries cannot
-        amortize the numpy kernel-launch overhead, so the pure-Python DP
-        wins there.  Models without an override (the network-aware
-        family, ERP) pay real work per row, which the array-native
-        backend computes once per symbol per query instead of once per
-        DP column — numpy wins at every query length."""
-        return type(self).sub_row_array is not CostModel.sub_row_array
 
     # -- filtering hooks (§3.1) -------------------------------------------
 
@@ -158,9 +136,6 @@ class LevenshteinCost(CostModel):
     def sub_row(self, p: int, seq: Sequence[int]) -> List[float]:
         return [0.0 if p == q else 1.0 for q in seq]
 
-    def sub_row_array(self, p: int, seq: Sequence[int]) -> np.ndarray:
-        return (np.asarray(seq, dtype=np.int64) != p).astype(np.float64)
-
     def deletion_floor(self) -> float:
         return 1.0
 
@@ -180,7 +155,6 @@ class _CoordinateModel(CostModel):
         self.representation = "vertex"
         self._graph = graph
         self._coords = list(graph.coords)
-        self._coords_arr = np.asarray(self._coords, dtype=np.float64)
         self._tree = KDTree(self._coords)
 
     @property
@@ -189,10 +163,6 @@ class _CoordinateModel(CostModel):
 
     def _distance(self, a: int, b: int) -> float:
         return euclidean(self._coords[a], self._coords[b])
-
-    def _seq_coords(self, seq: Sequence[int]) -> np.ndarray:
-        """Coordinates of ``seq`` as an (n, 2) array."""
-        return self._coords_arr[np.asarray(seq, dtype=np.intp)]
 
 
 class EDRCost(_CoordinateModel):
@@ -212,9 +182,8 @@ class EDRCost(_CoordinateModel):
         self.epsilon = epsilon
 
     def sub(self, a: int, b: int) -> float:
-        # Same squared-distance comparison as the row forms below, so the
-        # anchor cost and the DP rows agree on boundary cases regardless of
-        # which backend computes which.
+        # Same squared-distance comparison as sub_row and neighbors, so
+        # the anchor cost, the DP rows and B(q) agree on boundary cases.
         (ax, ay), (bx, by) = self._coords[a], self._coords[b]
         dx = ax - bx
         dy = ay - by
@@ -234,14 +203,6 @@ class EDRCost(_CoordinateModel):
             dy = py - qy
             out.append(0.0 if dx * dx + dy * dy <= eps2 else 1.0)
         return out
-
-    def sub_row_array(self, p: int, seq: Sequence[int]) -> np.ndarray:
-        # Same squared-distance comparison as sub_row, so both DP backends
-        # see bit-identical rows.
-        qc = self._seq_coords(seq)
-        px, py = self._coords[p]
-        d2 = (qc[:, 0] - px) ** 2 + (qc[:, 1] - py) ** 2
-        return (d2 > self.epsilon * self.epsilon).astype(np.float64)
 
     def deletion_floor(self) -> float:
         return 1.0
@@ -292,7 +253,7 @@ class ERPCost(_CoordinateModel):
         self.eta = eta
         self._g: Point = reference if reference is not None else centroid(self._coords)
         gx, gy = self._g
-        coords = self._coords_arr
+        coords = np.asarray(self._coords, dtype=np.float64)
         # δ: the nearest vertex's distance to g, 0.0 when g sits on one.
         self._deletion_floor = (
             float(np.hypot(coords[:, 0] - gx, coords[:, 1] - gy).min())
@@ -318,11 +279,6 @@ class ERPCost(_CoordinateModel):
         px, py = self._coords[p]
         coords = self._coords
         return [math.hypot(px - coords[q][0], py - coords[q][1]) for q in seq]
-
-    # No vectorized sub_row_array override: np.hypot (libm) and
-    # math.hypot (correctly rounded) can differ by an ulp, which would
-    # break the bit-identical-backends invariant; the default wraps the
-    # math.hypot row, computed once per symbol per query anyway.
 
     def neighbors(self, q: int) -> List[int]:
         return self._tree.range_search(self._coords[q], self.eta)
@@ -472,7 +428,6 @@ class SURSCost(CostModel):
     def __init__(self, graph: RoadNetwork) -> None:
         self.representation = "edge"
         self._weights = [e.weight for e in graph.edges]
-        self._weights_arr = np.asarray(self._weights, dtype=np.float64)
 
     @property
     def alphabet_size(self) -> int:
@@ -491,12 +446,6 @@ class SURSCost(CostModel):
         w = self._weights
         wp = w[p]
         return [0.0 if p == q else wp + w[q] for q in seq]
-
-    def sub_row_array(self, p: int, seq: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(seq, dtype=np.intp)
-        row = self._weights_arr[idx] + self._weights[p]
-        row[idx == p] = 0.0
-        return row
 
     def filter_cost(self, q: int) -> float:
         return self._weights[q]

@@ -7,10 +7,9 @@ used by the whole-matching baselines.
 
 Floating-point convention
 -------------------------
-Every DP step in this repo — :func:`wed_step_min` (which the verifier's
-per-cell Python walker calls) and the vectorized ``step_dp_batch`` kernel
-— evaluates
-the insertion chain in the *prefix-min* form
+Every DP step in this repo goes through :func:`wed_step_min` (the
+verifier's walker, the Smith–Waterman oracle, the whole-matching
+baselines), which evaluates the insertion chain in the *prefix-min* form
 
     B[j] = min(C[j], P[j] + min over i < j of (C[i] - P[i]))
 
@@ -18,10 +17,9 @@ where ``C[j]`` is the substitution/deletion candidate and ``P`` is the
 cumulative insertion-cost prefix (``P[j] = P[j-1] + ins[j-1]``, summed left
 to right).  In real arithmetic this equals the textbook recurrence
 ``B[j] = min(C[j], B[j-1] + ins[j])`` exactly; fixing one evaluation order
-everywhere makes every backend and kernel produce *bit-identical* floats,
-so the strict ``< tau`` match semantics of Definition 2 can never disagree
-between deployments.  (The prefix-min form is the one ``minimum.accumulate``
-vectorizes in O(1) passes; the no-chain case stays exactly ``C[j]``.)
+everywhere makes the verifier and the oracles produce *bit-identical*
+floats, so the strict ``< tau`` match semantics of Definition 2 can never
+disagree between them.  (The no-chain case stays exactly ``C[j]``.)
 """
 
 from __future__ import annotations
@@ -64,7 +62,9 @@ def wed_step_min(
 
     ``sub_row`` / ``ins_row`` / ``ins_prefix`` may carry precomputed
     per-query costs (``ins_prefix`` is :func:`wed_row_init`'s row; passing
-    it saves rebuilding the prefix every step).
+    it saves rebuilding the prefix every step).  The verifier passes both:
+    its ``sub_row`` comes from a per-direction cache, computed once per
+    data symbol.
     """
     if sub_row is None:
         sub_row = costs.sub_row(symbol, query)

@@ -115,19 +115,10 @@ class ServiceObservability:
             "DP columns computed per engine-computed query.",
             buckets=_DP_COLUMN_BUCKETS,
         )
-        self._by_backend = reg.counter(
-            "repro_queries_by_dp_backend_total",
-            "Engine-computed queries by resolved DP backend.",
-            labelnames=("dp_backend",),
-        )
         self._stage_seconds = reg.counter(
             "repro_stage_seconds_total",
             "Engine time by stage (MinCand / lookup / verification).",
             labelnames=("stage",),
-        )
-        self._dp_rounds = reg.counter(
-            "repro_dp_rounds_total",
-            "Verification DP kernel launches (one per batched resolve round).",
         )
         self._sampled = reg.counter(
             "repro_traces_sampled_total", "Requests that recorded a trace."
@@ -253,8 +244,6 @@ class ServiceObservability:
                 self._topk_sweeps.inc()
         else:
             self._dp_columns.observe(result.verification.computed_columns)
-            self._by_backend.inc(dp_backend=result.dp_backend_used or "unknown")
-            self._dp_rounds.inc(result.dp_rounds)
 
     def finish_trace(
         self,
@@ -275,8 +264,8 @@ class ServiceObservability:
         they get a synthesized stage-breakdown trace, so the recorder's
         ``slowest`` view never misses one merely because sampling skipped
         it.  ``kind`` only picks which result fields are reported: a range
-        result's DP provenance, or a top-k result's tau rounds, ties and
-        sweep size.
+        result's trie-cache verdict and column counts, or a top-k
+        result's tau rounds, ties and sweep size.
         """
         slow = (
             self.slow_query_seconds is not None
@@ -313,8 +302,6 @@ class ServiceObservability:
                     verify = {"tau_rounds": result.tau_rounds, "swept": result.swept}
                 else:
                     verify = {
-                        "dp_backend": result.dp_backend_used,
-                        "dp_rounds": result.dp_rounds,
                         "trie_cache": result.trie_cache_status or "n/a",
                         "computed_columns": result.verification.computed_columns,
                         "bound_pruned": result.verification.bound_pruned,
@@ -342,7 +329,6 @@ class ServiceObservability:
                 error="" if error is None else type(error).__name__,
                 matches=0 if result is None else len(result.matches),
                 candidates=0 if result is None else result.num_candidates,
-                dp_backend="topk" if topk else getattr(result, "dp_backend_used", ""),
             )
             slow_query_logger.warning(json.dumps(payload, sort_keys=True))
         self.recorder.record(record)

@@ -219,22 +219,6 @@ def brute_all(data, query, costs, tau):
     ]
 
 
-def force_walker(monkeypatch, walker):
-    """Run every engine query from here on on one verification walker
-    (``"python"`` or ``"numpy"``; ``"auto"`` restores the rule) by
-    patching the one rule the engine consults.  In-process shards and
-    in-thread nodes see the patch, and so do worker processes forked
-    after the call."""
-    from repro.core import engine, verification
-
-    rule = verification.choose_dp_backend
-    monkeypatch.setattr(
-        engine,
-        "choose_dp_backend",
-        rule if walker == "auto" else lambda query_length, costs: walker,
-    )
-
-
 #: the two request kinds the service tier serves through one path; the
 #: request-path contract is pinned once, parametrized over these.
 KINDS = ("range", "topk")
@@ -362,10 +346,6 @@ class GatedEDRCost(EDRCost):
     def sub_row(self, p, seq):
         self._block()
         return super().sub_row(p, seq)
-
-    def sub_row_array(self, p, seq):
-        self._block()
-        return super().sub_row_array(p, seq)
 
 
 @contextmanager

@@ -1,5 +1,5 @@
-"""Verification trie data structures: the slot-native trie both walkers
-walk, the per-query warm state and the cross-query cache."""
+"""Verification trie data structures: the slot-native trie the verifier
+walks, the per-query warm state and the cross-query cache."""
 
 import sys
 import threading
@@ -33,22 +33,24 @@ class TestVerificationTrie:
         first = trie.reserve(2)
         assert first == 1  # root occupies slot 0
         trie.matrix[first] = [4.0, 5.0, 6.0]
-        before = trie.allocations
+        before = trie.matrix.shape[0]
         grown = trie.reserve(200)  # forces growth, slots stay dense
         assert grown == 3
         assert trie.used == 203
-        assert trie.allocations > before
+        assert trie.matrix.shape[0] > before
         assert trie.matrix[first].tolist() == [4.0, 5.0, 6.0]
         assert trie.row(0).tolist() == [1.0, 2.0, 3.0]
         assert trie.matrix.shape[0] >= trie.used
 
     def test_growth_is_geometric(self):
         trie = VerificationTrie(np.zeros(2))
+        shapes = set()
         for _ in range(300):
             trie.reserve(1)
-        # 300 rows, doubling from 32: 4 reallocations of the one matrix,
+            shapes.add(trie.matrix.shape[0])
+        # 301 rows, doubling from 32: 4 reallocations of the one matrix,
         # not ~300.
-        assert trie.allocations == 1 + 4
+        assert sorted(shapes) == [32, 64, 128, 256, 512]
 
     def test_edges_address_columns(self):
         trie = VerificationTrie(np.asarray([0.0, 1.0]))
@@ -74,17 +76,16 @@ class _CountingLev(LevenshteinCost):
 
     calls = 0
 
-    def sub_row_array(self, p, seq):
+    def sub_row(self, p, seq):
         self.calls += 1
-        return super().sub_row_array(p, seq)
+        return super().sub_row(p, seq)
 
 
 class TestTrieCacheEntry:
     def test_first_touch_converges_on_one_instance(self):
         """More threads than cores, switching as often as the interpreter
         allows, all touching the same fresh entry under its lock (as the
-        arena walker does): one state, one trie, one row per symbol, and
-        the creation charged once."""
+        verifier does): one state, one trie, one row per symbol."""
         costs = _CountingLev()
         entry = TrieCacheEntry(costs, (1, 2, 3, 4))
         barrier = threading.Barrier(8)
@@ -93,8 +94,9 @@ class TestTrieCacheEntry:
         def touch():
             barrier.wait()
             with entry.lock:
-                got.append(entry.direction(1, "f", True))
-                rows.append([entry.rows.row(s) for s in range(50)])
+                state = entry.direction(1, "f", True)
+                got.append(state)
+                rows.append([state.sub_row(s) for s in range(50)])
 
         threads = [threading.Thread(target=touch) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -107,30 +109,50 @@ class TestTrieCacheEntry:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len({id(state) for state, _ in got}) == 1
-        assert sorted(charged for _, charged in got) == [0] * 7 + [4]
+        assert len({id(state) for state in got}) == 1
         assert costs.calls == 50
         assert all(row is first for seen in rows for row, first in zip(seen, rows[0]))
-        a, _ = got[0]
-        assert entry.direction(1, "f", True) == (a, 0)
-        c, charged = entry.direction(1, "b", False)
-        assert c is not a and c.trie is None and charged == 3
+        a = got[0]
+        assert entry.direction(1, "f", True) is a
+        c = entry.direction(1, "b", False)
+        assert c is not a and c.trie is None
         assert list(entry.directions) == [(1, "f"), (1, "b")]
-        # Root columns are the parts' insertion prefixes.
-        assert a.ins_prefix.tolist() == [0.0, 1.0, 2.0]
-        assert c.ins_prefix.tolist() == [0.0, 1.0]
-        assert a.trie.row(0).tolist() == a.ins_prefix.tolist()
-        # Bytes: the 50 rows, the row tables and the one trie.
-        assert entry.nbytes == (
-            50 * 4 * 8 + a.rows.nbytes + c.rows.nbytes + a.trie.nbytes
-        )
+        # The parts, and root columns that are their insertion prefixes.
+        assert (a.part, c.part) == ((3, 4), (1,))
+        assert a.sub_row(3) == [0.0, 1.0]
+        assert a.ins_prefix == [0.0, 1.0, 2.0]
+        assert c.ins_prefix == [0.0, 1.0]
+        assert a.trie.row(0).tolist() == a.ins_prefix
+        # Bytes: both directions' row caches and the one trie.
+        assert entry.nbytes == a.nbytes + c.nbytes
+        assert a.nbytes > a.trie.nbytes
         assert a.trie.node_count() == 1  # the root
+
+    def test_row_cache_is_counted_and_shed(self):
+        """Each new row grows the entry's ``nbytes`` by at least its
+        floats, with no trie in play, and ``reconcile`` sheds the entry once its
+        rows pass the byte budget."""
+        cache = TrieCache(4, max_bytes=4000)
+        entry, _ = cache.lookup("k", lambda: TrieCacheEntry(lev, range(32)))
+        state = entry.direction(0, "f", False)
+        sizes = [entry.nbytes]
+        for symbol in range(3):
+            state.sub_row(symbol)
+            sizes.append(entry.nbytes)
+        # At least the row's float payload each, the dict table on top.
+        assert all(b - a >= 31 * 8 for a, b in zip(sizes, sizes[1:]))
+        assert cache.reconcile(entry) == entry.nbytes < 4000
+        while entry.nbytes <= 4000:
+            state.sub_row(len(state.sub_rows))
+        assert state.trie is None
+        assert cache.reconcile(entry) == 0
+        assert len(cache) == 0 and cache.stats()["evictions"] == 1
 
 
 class TestTrieCache:
     def _entry_with_bytes(self, cache, key, rows):
         entry, _ = cache.lookup(key, new_entry)
-        trie = entry.direction(0, "f", True)[0].trie
+        trie = entry.direction(0, "f", True).trie
         trie.reserve(rows)
         return entry
 

@@ -12,6 +12,18 @@ from tests.conftest import oracle_range
 lev = LevenshteinCost()
 
 
+class _CountingRows(LevenshteinCost):
+    """Levenshtein that records every ``sub_row(symbol, part)`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def sub_row(self, p, seq):
+        self.calls.append((p, tuple(seq)))
+        return super().sub_row(p, seq)
+
+
 def make_verifier(data_strings, query, tau, **kwargs):
     return Verifier(lambda tid: data_strings[tid], query, lev, tau, **kwargs)
 
@@ -94,37 +106,27 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("early", [True, False])
     def test_trie_off_same_results(self, workload, early):
-        """Tries off (python: detached nodes; numpy: a private per-call
-        arena) matches tries on, on both walkers — matches exactly, and
-        every counter except the recomputation the trie exists to save."""
+        """Tries off matches tries on — matches exactly, and every counter
+        except the recomputation the trie exists to save."""
         data, queries = workload
         for query in queries:
             cands = candidates_for(data, query)
             runs = {}
-            for backend in ("python", "numpy"):
-                for use_trie in (True, False):
-                    v = make_verifier(
-                        data,
-                        query,
-                        2.0,
-                        dp_backend=backend,
-                        use_trie=use_trie,
-                        early_termination=early,
-                    )
-                    ms = MatchSet()
-                    v.verify_all(cands, ms)
-                    runs[backend, use_trie] = (
-                        sorted((m.trajectory_id, m.start, m.end, m.distance) for m in ms),
-                        v.stats,
-                    )
-            reference = runs["python", True]
-            for backend in ("python", "numpy"):
-                on, off = runs[backend, True], runs[backend, False]
-                assert on == reference
-                assert off[0] == reference[0]
-                assert off[1] == runs["python", False][1]
-                assert off[1].visited_columns == on[1].visited_columns
-                assert off[1].computed_columns == off[1].visited_columns
+            for use_trie in (True, False):
+                v = make_verifier(
+                    data, query, 2.0, use_trie=use_trie, early_termination=early
+                )
+                ms = MatchSet()
+                v.verify_all(cands, ms)
+                runs[use_trie] = (
+                    sorted((m.trajectory_id, m.start, m.end, m.distance) for m in ms),
+                    v.stats,
+                )
+            on, off = runs[True], runs[False]
+            assert off[0] == on[0]
+            assert off[1].visited_columns == on[1].visited_columns
+            assert off[1].computed_columns == off[1].visited_columns
+            assert on[1].computed_columns <= on[1].visited_columns
 
     def test_early_termination_off_same_results(self, workload):
         data, queries = workload
@@ -181,18 +183,17 @@ class TestDedupeAndGrouping:
     """verify_all dedupes exact (id, j, iq) repeats and reorders by anchor
     position — neither may change results or the column counters."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_exact_duplicates_verified_once(self, backend):
+    def test_exact_duplicates_verified_once(self):
         data = [[9, 1, 2, 3, 9]]
         query = [1, 2, 3]
         cands = candidates_for(data, query)
-        v = make_verifier(data, query, 2.0, dp_backend=backend)
+        v = make_verifier(data, query, 2.0)
         ms = MatchSet()
         v.verify_all(cands + cands + [cands[0]], ms)
         assert v.stats.duplicate_candidates == len(cands) + 1
         assert v.stats.candidates + v.stats.bound_pruned == len(cands)
         # Results identical to the duplicate-free run.
-        clean = make_verifier(data, query, 2.0, dp_backend=backend)
+        clean = make_verifier(data, query, 2.0)
         ref = MatchSet()
         clean.verify_all(cands, ref)
         assert ms.keys() == ref.keys()
@@ -200,29 +201,38 @@ class TestDedupeAndGrouping:
         assert v.stats.visited_columns == clean.stats.visited_columns
         assert v.stats.computed_columns == clean.stats.computed_columns
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_order_independent(self, backend, rng):
+    def test_order_independent(self, rng):
         data = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 3, 2, 3, 2]]
         query = [2, 3, 4]
         cands = candidates_for(data, query)
         shuffled = list(cands)
         rng.shuffle(shuffled)
-        a = make_verifier(data, query, 2.5, dp_backend=backend)
-        b = make_verifier(data, query, 2.5, dp_backend=backend)
+        a = make_verifier(data, query, 2.5)
+        b = make_verifier(data, query, 2.5)
         ms_a, ms_b = MatchSet(), MatchSet()
         a.verify_all(cands, ms_a)
         b.verify_all(shuffled, ms_b)
         assert ms_a.keys() == ms_b.keys()
         assert a.stats == b.stats
 
-    def test_shared_anchor_row_cached_across_iq(self):
-        """Distinct iqs sharing (tid, j) reuse the cached substitution row
-        for the anchor symbol — one row materialization, not one per iq."""
+    def test_rows_computed_once_per_symbol_per_direction(self):
+        """Each direction computes a data symbol's substitution row on
+        its first miss and reads it on every later one; the anchor cost
+        is one ``sub`` call, no row.  A repeat over the same entry
+        computes no row at all."""
         data = [[7, 7, 7, 7]]
         query = [7, 8, 7]  # repeated query symbol: (tid, j) shared by iq 0 and 2
-        entry = TrieCacheEntry(lev, query)
-        v = make_verifier(data, query, 2.0, dp_backend="numpy", trie_entry=entry)
-        ms = MatchSet()
-        v.verify_all(candidates_for(data, query), ms)
-        # Only symbols 7 (anchor + data) ever need a row.
-        assert list(entry.rows.rows) == [7]
+        costs = _CountingRows()
+        entry = TrieCacheEntry(costs, query)
+        v = Verifier(lambda tid: data[tid], query, costs, 2.0, trie_entry=entry)
+        v.verify_all(candidates_for(data, query), MatchSet())
+        # Only symbol 7 is ever walked: one row per direction that walked
+        # it, against that direction's query part.
+        parts = {key: state.part for key, state in entry.directions.items()}
+        walked = [key for key, state in entry.directions.items() if state.sub_rows]
+        assert walked and all(list(entry.directions[k].sub_rows) == [7] for k in walked)
+        assert sorted(costs.calls) == sorted((7, parts[k]) for k in walked)
+        assert v.stats.computed_columns > len(walked)  # more columns than rows
+        repeat = Verifier(lambda tid: data[tid], query, costs, 2.0, trie_entry=entry)
+        repeat.verify_all(candidates_for(data, query), MatchSet())
+        assert len(costs.calls) == len(walked)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.trie import QueryRows, TrieCacheEntry
+from repro.core.trie import TrieCacheEntry
 from repro.distance.costs import (
     EDRCost,
     ERPCost,
@@ -256,68 +256,30 @@ class TestValidateCostModel:
             validate_cost_model(Broken(), [0, 1])
 
 
-class TestArrayNativeHooks:
-    """sub_row_array and the per-query rows built from it (the warm-state
-    entry's ``QueryRows`` and ``DirectionRows``) — the vectorized
-    interface consumed by the array-native verification backend."""
+class TestDirectionRows:
+    """The per-direction rows the verifier feeds its DP: a direction's
+    query part, its insertion prefix and its cached ``sub_row`` rows."""
 
-    @pytest.mark.parametrize(
-        "model_name", ["lev_cost", "edr_cost", "erp_cost", "netedr_cost"]
-    )
-    def test_sub_row_array_matches_sub_row(self, model_name, request):
-        import numpy as np
-
-        costs = request.getfixturevalue(model_name)
-        seq = [0, 3, 7, 3, 12]
-        for p in (0, 5, 9):
-            arr = costs.sub_row_array(p, seq)
-            assert arr.dtype == np.float64
-            assert arr.tolist() == pytest.approx(costs.sub_row(p, seq))
-
-    def test_surs_sub_row_array(self, surs_cost):
-        seq = [0, 2, 5, 2]
-        assert surs_cost.sub_row_array(2, seq).tolist() == pytest.approx(
-            surs_cost.sub_row(2, seq)
-        )
-
-    def test_ins_vector_matches_ins(self, erp_cost):
-        # The insertion costs reach the array walker as a direction's
-        # insertion prefix: ins summed left to right, as the DP expects.
+    def test_ins_prefix_sums_ins(self, erp_cost):
+        # The insertion costs reach the walker as a direction's insertion
+        # prefix: ins summed left to right, as the DP expects.
         seq = [1, 4, 9]
-        state, _ = TrieCacheEntry(erp_cost, [0] + seq).direction(0, "f", False)
+        state = TrieCacheEntry(erp_cost, [0] + seq).direction(0, "f", False)
         want = [0.0]
         for q in seq:
             want.append(want[-1] + erp_cost.ins(q))
-        assert state.ins_prefix.tolist() == want
+        assert state.ins_prefix == want
 
-    def test_substitution_matrix_rows(self, edr_cost):
+    def test_rows_are_the_parts_sub_rows(self, edr_cost):
         query = (0, 5, 9, 5)
-        rows = QueryRows(edr_cost, query)
-        assert rows.query == query
-        assert rows.rows == {}
-        row = rows.row(3)
-        assert row.tolist() == edr_cost.sub_row(3, query)
-        assert rows.row(3) is row  # cached
-        assert list(rows.rows) == [3]
-        table = TrieCacheEntry(edr_cost, query).direction(1, "f", False)[0].rows
-        assert table.get(3)[1] == edr_cost.delete(3)
+        entry = TrieCacheEntry(edr_cost, query)
+        forward = entry.direction(1, "f", False)
+        backward = entry.direction(2, "b", False)
+        assert (forward.part, backward.part) == ((9, 5), (5, 0))
+        assert forward.sub_rows == {}
+        row = forward.sub_row(3)
+        assert row == edr_cost.sub_row(3, (9, 5))
+        assert forward.sub_row(3) is row  # cached
+        assert list(forward.sub_rows) == [3]
+        assert backward.sub_row(3) == edr_cost.sub_row(3, (5, 0))
 
-    def test_substitution_matrix_dense_anchors(self, edr_cost):
-        # Anchor rows are filled on first touch, once per distinct symbol.
-        query = (0, 5, 9)
-        rows = QueryRows(edr_cost, query)
-        for b in (5, 9, 5):
-            assert rows.row(b).tolist() == edr_cost.sub_row(b, query)
-        assert sorted(rows.rows) == [5, 9]
-        # Any other symbol resolves the same way.
-        assert rows.row(1).tolist() == edr_cost.sub_row(1, query)
-        assert sorted(rows.rows) == [1, 5, 9]
-
-    def test_matrix_row_slices_are_views(self, lev_cost):
-        rows = QueryRows(lev_cost, (1, 2, 3, 2))
-        row = rows.row(2)
-        forward = row[2:]
-        backward = row[:2][::-1]
-        assert forward.base is not None and backward.base is not None
-        assert forward.tolist() == [1.0, 0.0]
-        assert backward.tolist() == [0.0, 1.0]

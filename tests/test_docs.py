@@ -160,11 +160,11 @@ def test_fan_out_backends_agree_across_readme_cli_and_engine():
 #: what the one warm-query cache replaced (the substitution LRU, its
 #: keyword and its flag), and the R-tree's box, which outlived the R-tree,
 #: the status accessors the one ``status()`` snapshot replaced, and the
-#: caller-set walker (its keyword and its flag; the ``dp_backend=numpy``
-#: span rendering and the ``{dp_backend="numpy"}`` metric label stay),
-#: and the per-query matrix the warm-state entry absorbed, with the
-#: network models' Dijkstra switch, and the in-process thread fan-out
-#: backend, which lost to ``serial`` on every measurement.
+#: caller-set walker (its keyword, its flag and its span attribute), and
+#: the per-query matrix the warm-state entry absorbed, with the network
+#: models' Dijkstra switch, and the in-process thread fan-out backend,
+#: which lost to ``serial`` on every measurement, and the second walker:
+#: the rule that picked it, its kernel, its row hook and its two metrics.
 _THREADS_BACKEND = r"--backend threads|backend=[\"']threads[\"']|`threads`"
 _GONE = re.compile(
     r"query_all|fan_out=|PartitionedSubtrajectorySearch\([^)]*max_workers"
@@ -173,7 +173,9 @@ _GONE = re.compile(
     r"|worker_states|restarts_total\(|retry_after\(\)|\.nodes\(\)|cache_stats\("
     r"|trie_cache_stats|index_stats|_aggregate_index|_shard_cache_parts"
     r"|_TRIE_FIELDS|_INDEX_FIELDS"
-    r"|--dp-backend|(?<!\{)dp_backend=[\"(.)]|DP_BACKENDS"
+    r"|--dp-backend|dp_backend=|DP_BACKENDS"
+    r"|choose_dp_backend|AUTO_PYTHON_MAX_QUERY|step_dp_batch|sub_row_array"
+    r"|repro_queries_by_dp_backend_total|repro_dp_rounds_total"
     r"|SubstitutionMatrix\b|sub_matrix\(|use_hub_labeling"
     r"|_absorb_published|publish-after-write"
     r"|TrieNode|trie_node_count|consults no entry"

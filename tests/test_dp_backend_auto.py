@@ -1,11 +1,10 @@
-"""The walker rule and cross-query reuse of a query's substitution rows.
+"""Cross-query reuse of a query's substitution rows, and the knobs and
+status fields around the one verification walker.
 
-``choose_dp_backend`` picks python vs numpy per query from query length
-and cost-model vectorizability — safe because the walkers are
-bit-identical — and it is the only way an engine picks one: no keyword,
-flag or status field sets or reports a configured walker.  The cached
-substitution rows (part of the query's TrieCache entry) must make
-repeated-query savings observable through the engine's surfaces.
+The engine has one walker, so no keyword, flag or status field sets or
+reports a configured one.  The cached substitution rows (part of the
+query's TrieCache entry) must make repeated-query savings observable
+through the engine's surfaces.
 """
 
 import json
@@ -17,15 +16,10 @@ from repro.cli import build_parser
 from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.trie import TrieCache, TrieCacheEntry
-from repro.core.verification import (
-    AUTO_PYTHON_MAX_QUERY,
-    Verifier,
-    choose_dp_backend,
-)
 from repro.distance.costs import CostModel
 from repro.exceptions import QueryError
 from repro.service import QueryService, ServiceServer
-from tests.conftest import force_walker, sample_query
+from tests.conftest import sample_query
 
 
 def long_query(dataset, rng, length):
@@ -37,13 +31,12 @@ def long_query(dataset, rng, length):
     return out[:length]
 
 
-class _SlowRowCost(CostModel):
-    """A model without a vectorized sub_row_array override (like the
-    network-aware family): rows cost real per-element work, so auto must
-    pick numpy at every query length."""
+class _CountingRowCost(CostModel):
+    """Unit costs that count the substitution rows the engine asks for."""
 
     representation = "vertex"
-    name = "slowrow"
+    name = "counting"
+    row_calls = 0
 
     def sub(self, a: int, b: int) -> float:
         return 0.0 if a == b else 1.0
@@ -51,89 +44,9 @@ class _SlowRowCost(CostModel):
     def ins(self, a: int) -> float:
         return 1.0
 
-
-class _CountingRowCost(_SlowRowCost):
-    """Counts the substitution rows the engine asks for."""
-
-    row_calls = 0
-
-    def sub_row_array(self, p, seq):
+    def sub_row(self, p, seq):
         self.row_calls += 1
-        return super().sub_row_array(p, seq)
-
-
-class TestChooseDpBackend:
-    def test_boundary_lengths_unit_cost(self, lev_cost):
-        assert lev_cost.vectorized_rows()
-        assert choose_dp_backend(AUTO_PYTHON_MAX_QUERY, lev_cost) == "python"
-        assert choose_dp_backend(AUTO_PYTHON_MAX_QUERY + 1, lev_cost) == "numpy"
-        assert choose_dp_backend(1, lev_cost) == "python"
-
-    def test_boundary_lengths_edr(self, edr_cost):
-        assert edr_cost.vectorized_rows()
-        assert choose_dp_backend(AUTO_PYTHON_MAX_QUERY, edr_cost) == "python"
-        assert choose_dp_backend(AUTO_PYTHON_MAX_QUERY + 1, edr_cost) == "numpy"
-
-    def test_expensive_rows_always_numpy(self, netedr_cost):
-        """NetEDR has no vectorized row override — rows are shortest-path
-        work the array-native path computes once per symbol, so numpy wins
-        at every length, boundary included."""
-        assert not netedr_cost.vectorized_rows()
-        for length in (1, AUTO_PYTHON_MAX_QUERY, AUTO_PYTHON_MAX_QUERY + 1, 100):
-            assert choose_dp_backend(length, netedr_cost) == "numpy"
-        assert not _SlowRowCost().vectorized_rows()
-        assert choose_dp_backend(2, _SlowRowCost()) == "numpy"
-
-    def test_erp_not_vectorized_routes_numpy(self, erp_cost):
-        # ERP deliberately keeps the scalar row (math.hypot bit-identity).
-        assert not erp_cost.vectorized_rows()
-        assert choose_dp_backend(2, erp_cost) == "numpy"
-
-
-class TestEngineAuto:
-    def test_short_query_runs_python(self, vertex_dataset, edr_cost, rng):
-        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
-        result = engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.3)
-        assert result.dp_backend_used == "python"
-
-    def test_long_query_runs_numpy(self, vertex_dataset, edr_cost, rng):
-        engine = SubtrajectorySearch(vertex_dataset, edr_cost)
-        query = long_query(vertex_dataset, rng, AUTO_PYTHON_MAX_QUERY + 1)
-        result = engine.query(query, tau_ratio=0.3)
-        assert result.dp_backend_used == "numpy"
-
-    def test_short_netedr_query_runs_numpy(self, vertex_dataset, netedr_cost, rng):
-        engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
-        result = engine.query(sample_query(vertex_dataset, rng, 6), tau_ratio=0.3)
-        assert result.dp_backend_used == "numpy"
-
-    def test_auto_matches_forced_backends(
-        self, vertex_dataset, edr_cost, rng, monkeypatch
-    ):
-        query = sample_query(vertex_dataset, rng, 6)
-        answers = []
-        for backend in ("auto", "python", "numpy"):
-            force_walker(monkeypatch, backend)
-            engine = SubtrajectorySearch(vertex_dataset, edr_cost)
-            result = engine.query(query, tau_ratio=0.3)
-            assert backend in ("auto", result.dp_backend_used)
-            answers.append(
-                [(m.trajectory_id, m.start, m.end, m.distance) for m in result.matches]
-            )
-        assert answers[0] == answers[1] == answers[2]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(QueryError):
-            Verifier(lambda t: [], [1], _SlowRowCost(), 1.0, dp_backend="cuda")
-
-    def test_verifier_resolves_auto(self, lev_cost):
-        short = Verifier(lambda t: [], [1, 2], lev_cost, 1.0, dp_backend="auto")
-        assert short.dp_backend == "python"
-        long_q = list(range(AUTO_PYTHON_MAX_QUERY + 1))
-        assert (
-            Verifier(lambda t: [], long_q, lev_cost, 1.0, dp_backend="auto").dp_backend
-            == "numpy"
-        )
+        return super().sub_row(p, seq)
 
 
 def _engine_key(engine):
@@ -158,14 +71,15 @@ class TestSubstitutionMatrixCache:
         built = {}
         for name in ("a", "b"):  # two misses
             built[name], _ = cache.lookup(name, factory)
-            built[name].rows.row(7)
+            built[name].direction(0, "f", False).sub_row(7)
         entry, status = cache.lookup("a", factory)  # refreshes recency
-        assert status == "hit" and entry is built["a"] and list(entry.rows.rows) == [7]
+        assert status == "hit" and entry is built["a"]
+        assert list(entry.directions[0, "f"].sub_rows) == [7]
         cache.lookup("c", factory)  # evicts b (LRU)
         assert cache.keys() == ["a", "c"]
         # b's rows went with its entry: the next lookup starts fresh.
         entry, status = cache.lookup("b", factory)
-        assert status == "miss" and entry is not built["b"] and entry.rows.rows == {}
+        assert status == "miss" and entry is not built["b"] and entry.directions == {}
         stats = cache.stats()
         assert stats["size"] == 2
         assert stats["hits"] == 1
@@ -184,13 +98,16 @@ class TestSubstitutionMatrixCache:
         assert (stats["hits"], stats["misses"]) == (0, 0)
 
     def test_engine_repeated_query_hits(self, vertex_dataset, netedr_cost, rng):
+        def row_count(entry):
+            return sum(len(state.sub_rows) for state in entry.directions.values())
+
         engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
         query = sample_query(vertex_dataset, rng, 8)
         first = engine.query(query, tau_ratio=0.3)
         assert engine.status().trie["misses"] == 1
         entry = engine._trie_cache.peek(_engine_key(engine))
         assert entry is not None and entry.query == tuple(query)
-        rows = len(entry.rows.rows)
+        rows = row_count(entry)
         assert rows > 0
         repeat = engine.query(query, tau_ratio=0.3)
         stats = engine.status().trie
@@ -199,7 +116,7 @@ class TestSubstitutionMatrixCache:
         # The hit served the same entry, and an exact repeat computed no
         # new substitution row.
         assert engine._trie_cache.peek(_engine_key(engine)) is entry
-        assert len(entry.rows.rows) == rows
+        assert row_count(entry) == rows
         # A hit must not change the answer (the rows are dataset-free).
         assert [(m.trajectory_id, m.start, m.end, m.distance) for m in first.matches] == [
             (m.trajectory_id, m.start, m.end, m.distance) for m in repeat.matches
@@ -215,11 +132,9 @@ class TestSubstitutionMatrixCache:
             engine.query(other, tau_ratio=0.3)
             assert engine.status().trie["misses"] == 2
 
-    def test_engine_cache_disabled(self, vertex_dataset, rng, monkeypatch):
+    def test_engine_cache_disabled(self, vertex_dataset, rng):
         """``trie_cache_size=0`` is no cross-query reuse of any kind: the
-        repeat pays for its substitution rows again (on the arena walker,
-        the one that reads rows through the cache entry)."""
-        force_walker(monkeypatch, "numpy")
+        repeat pays for its substitution rows again."""
         costs = _CountingRowCost()
         engine = SubtrajectorySearch(vertex_dataset, costs, trie_cache_size=0)
         query = sample_query(vertex_dataset, rng, 8)
@@ -238,15 +153,16 @@ class TestSubstitutionMatrixCache:
             TrieCache(-1)
 
     def test_direction_rows_concurrent_first_touch(self, lev_cost):
-        """The dense slot table is shared across server threads via the
+        """A direction's row cache is shared across server threads via the
         cached entry: concurrent first-touch fills, each holding the
-        entry's lock as the arena walker does, must neither fork slots
-        nor tear rows (regression for a slot-assignment race)."""
+        entry's lock as the verifier does, must neither compute a row
+        twice nor tear one."""
         import threading
 
         query = list(range(24))
-        entry = TrieCacheEntry(lev_cost, query)
-        rows = entry.direction(3, "f", False)[0].rows
+        costs = _CountingRowCost()
+        entry = TrieCacheEntry(costs, query)
+        state = entry.direction(3, "f", False)
         symbols = list(range(500))
         barrier = threading.Barrier(4)
 
@@ -254,26 +170,22 @@ class TestSubstitutionMatrixCache:
             barrier.wait()
             for s in symbols[offset:] + symbols[:offset]:
                 with entry.lock:
-                    rows.slot(s)
+                    state.sub_row(s)
 
         threads = [threading.Thread(target=fill, args=(i * 125,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert len(rows) == len(symbols)
-        slots = [rows.slot(s) for s in symbols]
-        assert sorted(slots) == list(range(len(symbols)))  # no forked slots
+        assert sorted(state.sub_rows) == symbols
+        assert costs.row_calls == len(symbols)  # no row computed twice
         for s in symbols:
-            row, delete = rows.get(s)
-            expected = lev_cost.sub_row_array(s, query)[4:]
-            assert row.tolist() == expected.tolist()  # no torn rows
-            assert delete == lev_cost.delete(s)
+            assert state.sub_row(s) == lev_cost.sub_row(s, query[4:])  # no torn rows
 
 
 class TestKnobRoundTrip:
-    """--trie-cache-size: CLI -> engine -> workers -> healthz; the walker
-    is the rule's, with no knob anywhere on the way."""
+    """--trie-cache-size: CLI -> engine -> workers -> healthz; there is
+    one walker, with no knob anywhere on the way."""
 
     def test_cli_defaults(self, capsys):
         args = build_parser().parse_args(["serve", "--self-test"])
@@ -296,9 +208,9 @@ class TestKnobRoundTrip:
             num_shards=2,
             trie_cache_size=8,
         )
-        query = long_query(vertex_dataset, rng, AUTO_PYTHON_MAX_QUERY + 1)
+        query = long_query(vertex_dataset, rng, 16)
         result = engine.query(query, tau_ratio=0.3)
-        assert result.dp_backend_used == "numpy"
+        assert result.dp_backend_used == "python"
         agg = engine.status().trie
         assert agg["shards"] == agg["shards_reporting"] == 2
         # In-process shards share the one cache: capacity is not summed,
@@ -325,13 +237,12 @@ class TestKnobRoundTrip:
             assert [(m.trajectory_id, m.start, m.end) for m in result.matches] == [
                 (m.trajectory_id, m.start, m.end) for m in expected.matches
             ]
-            # The rule ran inside the worker processes; its verdict came back.
+            # The verifier ran inside the worker processes.
             assert result.dp_backend_used == expected.dp_backend_used == "python"
             engine.query(query, tau_ratio=0.3)
             agg = engine.status().trie
             assert agg["shards_reporting"] == 2  # idle workers all answer
-            # One cache per worker, which short EDR queries on the python
-            # backend consult too: a miss per worker, then a hit.
+            # One cache per worker: a miss per worker, then a hit.
             assert agg["capacity"] == 16
             assert agg["hits"] == agg["misses"] == 2
         finally:
@@ -376,7 +287,7 @@ class TestKnobRoundTrip:
             service.query(query, tau_ratio=0.3)
             with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
                 health = json.loads(resp.read().decode("utf-8"))
-            assert "dp_backend" not in health  # the walker is per query
+            assert "dp_backend" not in health  # there is one walker
             assert health["trie_cache"]["hits"] >= 1
             assert health["trie_cache"]["misses"] >= 1
             assert "substitution_cache" not in health  # reported once

@@ -7,12 +7,9 @@ oracles (``oracle_range`` / ``oracle_topk``) over the history so far.
 The engines keep their ``TrieCache``, and queries are drawn from a
 bundle so a later step can repeat an earlier query and walk the warm
 tries that the earlier step built, across inserts and respawns.  Two
-cost models give the two walkers their histories: NetEDR, whose rows
-the walker rule always sends to the arena walker, on every deployment,
-and EDR, whose queries here are all short enough (|Q| <= 14) for the
-rule to send to the per-cell walker, on ``dict`` and ``serial``.  Both
-walkers walk the ``TrieCache``'s tries, so an EDR repeat after an
-insert walks warm per-cell tries too.
+cost models give the histories: NetEDR (shortest-path distances) on
+every deployment, and EDR (coordinate distances) on ``dict`` and
+``serial``.
 
 Tier-1 runs a short history per deployment.  The ``history`` profile
 (``tests/conftest.py``) runs the same machine deeper:
@@ -35,7 +32,6 @@ from hypothesis.stateful import (
 from repro.core.engine import SubtrajectorySearch
 from repro.core.filtering import tau_from_ratio
 from repro.core.frozen import FrozenInvertedIndex
-from repro.core.verification import choose_dp_backend
 from repro.trajectory.dataset import TrajectoryDataset
 from tests.conftest import kill_worker, open_engine, oracle_range, oracle_topk
 
@@ -50,9 +46,8 @@ MAX_QUERY = 14
 
 DEPLOYMENTS = ("dict", "frozen", "serial", "processes")
 
-#: (deployment, cost-model fixture): NetEDR everywhere, and the EDR deck
-#: that reaches the per-cell walker on one single and one sharded
-#: deployment.
+#: (deployment, cost-model fixture): NetEDR everywhere, and an EDR deck
+#: on one single and one sharded deployment.
 CASES = [pytest.param(kind, "netedr_cost", id=kind) for kind in DEPLOYMENTS] + [
     pytest.param(kind, "edr_cost", id=f"{kind}-edr") for kind in ("dict", "serial")
 ]
@@ -156,8 +151,6 @@ class HistoryMachine(RuleBasedStateMachine):
 @pytest.mark.parametrize("kind, model", CASES)
 def test_history_matches_the_oracle(kind, model, small_graph, trips, request, tmp_path):
     costs = request.getfixturevalue(model)
-    if model == "edr_cost":
-        assert choose_dp_backend(MAX_QUERY, costs) == "python"
     index_path = None
     if kind == "frozen":
         base = TrajectoryDataset(small_graph, "vertex")

@@ -122,7 +122,7 @@ class TestRegistryRendering:
 
 @pytest.fixture()
 def served(vertex_dataset, netedr_cost):
-    engine = SubtrajectorySearch(vertex_dataset, netedr_cost)  # NetEDR: numpy walker
+    engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
     service = QueryService(engine, trace_sample_rate=1.0)
     server = ServiceServer(service).start()
     yield server, service
@@ -148,7 +148,8 @@ class TestMetricsEndpoint:
         assert_valid_exposition(text)
         assert 'repro_queries_total{outcome="computed"} 1' in text
         assert 'repro_queries_total{outcome="cached"} 1' in text
-        assert 'repro_queries_by_dp_backend_total{dp_backend="numpy"} 1' in text
+        assert "repro_queries_by_dp_backend_total" not in text
+        assert "repro_dp_rounds_total" not in text
         assert 'repro_query_latency_seconds_bucket' in text
         assert "repro_query_candidates_count 1" in text
         assert "repro_traces_sampled_total 2" in text

@@ -226,9 +226,9 @@ def _table_costs(unit: float):
     return build()
 
 
-def _verify_both_backends(costs, data, query, tau):
-    """Run the full candidate set through both DP backends; returns
-    ``{backend: ({match key: distance}, VerificationStats)}``."""
+def _verify(costs, data, query, tau):
+    """Run the full candidate set through the verifier; returns
+    ``{match key: distance}``."""
     datasets = [list(data)]
     candidates = [
         (0, j, iq)
@@ -236,30 +236,23 @@ def _verify_both_backends(costs, data, query, tau):
         for iq, q in enumerate(query)
         if costs.sub(q, sym) <= costs._eta
     ]
-    out = {}
-    for backend in ("python", "numpy"):
-        verifier = Verifier(
-            lambda tid: datasets[tid], query, costs, tau, dp_backend=backend
-        )
-        ms = MatchSet()
-        verifier.verify_all(candidates, ms)
-        out[backend] = (
-            {(m.trajectory_id, m.start, m.end): m.distance for m in ms},
-            verifier.stats,
-        )
-    return out
+    verifier = Verifier(lambda tid: datasets[tid], query, costs, tau)
+    ms = MatchSet()
+    verifier.verify_all(candidates, ms)
+    return {(m.trajectory_id, m.start, m.end): m.distance for m in ms}
 
 
 class TestBackendBitParity:
-    """The two AllPrefixWED walkers (per-cell Python, array-native arena)
-    are interchangeable: identical match sets with *bit-identical*
-    distances and identical UPR/CMR counters on random cost models,
-    queries, and taus.
+    """Every verifier configuration is one computation: identical match
+    sets with *bit-identical* distances and identical UPR/CMR counters on
+    random cost models, queries, and taus — and on exact costs, the
+    Smith–Waterman oracle's.
 
     This is stronger than approximate equality: Definition 3 compares
-    ``wed < tau`` strictly, so a one-ulp kernel divergence at the boundary
-    would change answers (the prefix-min form of ``step_dp_batch`` exists
-    precisely to rule that out).
+    ``wed < tau`` strictly, so a one-ulp divergence at the boundary would
+    change answers (the prefix-min form of
+    :func:`~repro.distance.wed.wed_step_min` fixes one evaluation order
+    everywhere precisely to rule that out).
     """
 
     @given(
@@ -269,33 +262,14 @@ class TestBackendBitParity:
         tau_steps=st.integers(min_value=1, max_value=20),
     )
     @settings(max_examples=120, deadline=None)
-    def test_backends_bit_identical_nonrepresentable_costs(
-        self, costs, data, query, tau_steps
-    ):
-        tau = tau_steps * 0.3
-        results = _verify_both_backends(costs, data, query, tau)
-        # Same keys, same float distances (==, not approx), same counters.
-        assert results["python"][0] == results["numpy"][0]
-        assert results["python"][1] == results["numpy"][1]
-
-    @given(
-        costs=_table_costs(0.3),
-        data=strings,
-        query=strings,
-        tau_steps=st.integers(min_value=1, max_value=20),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_walkers_agree_in_every_configuration(
-        self, costs, data, query, tau_steps
-    ):
-        """{python, numpy} x {trie, local} x {early termination on, off}
-        x {verify_all, verify_candidate}: every match key and every
-        distance *bit for bit* (0.3-multiples are not exactly
-        representable, so any reassociation would show) is the same in
-        all sixteen runs, and within one (trie, early termination)
-        setting every VerificationStats counter is too — a group of one,
-        a group of many, a shared arena, a private tries-off arena, and
-        the per-node Python graph are one computation."""
+    def test_configurations_agree_bit_for_bit(self, costs, data, query, tau_steps):
+        """{trie, local} x {early termination on, off} x {verify_all,
+        verify_candidate}: every match key and every distance *bit for
+        bit* (0.3-multiples are not exactly representable, so any
+        reassociation would show) is the same in all eight runs, and
+        within one (trie, early termination) setting every
+        VerificationStats counter is too — a group of one and a group of
+        many are one computation."""
         tau = tau_steps * 0.3
         datasets = [list(data)]
         candidates = [
@@ -305,13 +279,12 @@ class TestBackendBitParity:
             if costs.sub(q, sym) <= costs._eta
         ]
 
-        def run(backend, use_trie, early, batched):
+        def run(use_trie, early, batched):
             verifier = Verifier(
                 lambda tid: datasets[tid],
                 query,
                 costs,
                 tau,
-                dp_backend=backend,
                 use_trie=use_trie,
                 early_termination=early,
             )
@@ -328,25 +301,22 @@ class TestBackendBitParity:
                 verifier.stats,
             )
 
-        reference_matches, _ = run("python", True, True, True)
+        reference_matches, _ = run(True, True, True)
         visited = {}
         for use_trie in (True, False):
             for early in (True, False):
-                _, reference = run("python", use_trie, early, True)
+                matches, reference = run(use_trie, early, True)
+                assert matches == reference_matches
                 visited[use_trie, early] = reference.visited_columns
                 if not use_trie:
                     assert reference.computed_columns == reference.visited_columns
-                for backend in ("python", "numpy"):
-                    matches, stats = run(backend, use_trie, early, True)
-                    assert matches == reference_matches
-                    assert stats == reference
-                    matches, stats = run(backend, use_trie, early, False)
-                    assert matches == reference_matches
-                    assert stats.candidates == reference.candidates
-                    assert stats.sw_columns == reference.sw_columns
-                    assert stats.visited_columns == reference.visited_columns
-                    assert stats.computed_columns == reference.computed_columns
-                    assert stats.emitted == reference.emitted
+                matches, stats = run(use_trie, early, False)
+                assert matches == reference_matches
+                assert stats.candidates == reference.candidates
+                assert stats.sw_columns == reference.sw_columns
+                assert stats.visited_columns == reference.visited_columns
+                assert stats.computed_columns == reference.computed_columns
+                assert stats.emitted == reference.emitted
         # The trie changes what is recomputed, never what is visited;
         # early termination only ever prunes visits.
         for early in (True, False):
@@ -360,18 +330,14 @@ class TestBackendBitParity:
         tau_steps=st.integers(min_value=1, max_value=24),
     )
     @settings(max_examples=120, deadline=None)
-    def test_backends_equal_sw_oracle_exact_costs(
-        self, costs, data, query, tau_steps
-    ):
+    def test_backends_equal_sw_oracle_exact_costs(self, costs, data, query, tau_steps):
         tau = tau_steps * 0.25
         # The Lemma 1 contract: candidates must come from a valid
         # tau-subsequence; all positions qualify iff c(Q) >= tau.
         assume(sum(costs.filter_cost(q) for q in query) >= tau)
-        results = _verify_both_backends(costs, data, query, tau)
         oracle = {
             (0, s, t): d for s, t, d in all_matches(data, query, costs, tau)
         }
-        # Dyadic costs make every sum exact, so both backends must equal
+        # Dyadic costs make every sum exact, so the verifier must equal
         # the oracle's keys AND distances with plain float equality.
-        assert results["python"][0] == oracle
-        assert results["numpy"][0] == oracle
+        assert _verify(costs, data, query, tau) == oracle

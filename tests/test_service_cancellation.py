@@ -25,7 +25,7 @@ from repro.core.workers import default_start_method
 from repro.exceptions import DeadlineExceededError, QueryCancelledError
 from repro.service import Executor, QueryService
 from repro.service.batching import Batcher
-from tests.conftest import KINDS, ask, force_walker, sample_query
+from tests.conftest import KINDS, ask, sample_query
 
 
 class CountdownToken:
@@ -72,8 +72,7 @@ class TestVerifierObservesToken:
         assert len(candidates) >= 2, "fixture must yield several candidates"
 
         # Token trips on the poll before the second candidate: exactly one
-        # candidate may be walked, then the loop must raise.  (python
-        # backend — its verification loop is per candidate.)  The whole
+        # candidate may be walked, then the loop must raise.  The whole
         # first group is set up, bounded and counted before any walk, so
         # the proof is in the columns: the first group's
         # backward walk stops after its first candidate, and walking that
@@ -84,26 +83,25 @@ class TestVerifierObservesToken:
                 query,
                 edr_cost,
                 tau,
-                dp_backend="python",
                 cancel=cancel,
             )
 
         tripped = verifier(CountdownToken(1))
         walks = []
-        walk = tripped._cell_all_prefix_wed
+        walk = tripped._all_prefix_wed
 
-        def recording(views, budgets, ctx):
-            walks.append((views, budgets, ctx))
-            return walk(views, budgets, ctx)
+        def recording(views, budgets, state):
+            walks.append((views, budgets, state))
+            return walk(views, budgets, state)
 
-        tripped._cell_all_prefix_wed = recording
+        tripped._all_prefix_wed = recording
         with pytest.raises(QueryCancelledError):
             tripped.verify_all(candidates, MatchSet())
-        ((views, budgets, ctx),) = walks
+        ((views, budgets, state),) = walks
         assert len(views) >= 2
         visited = tripped.stats.visited_columns
         assert visited > 0
-        walk(views[:1], budgets[:1], ctx)  # one candidate: no poll
+        walk(views[:1], budgets[:1], state)  # one candidate: no poll
         assert tripped.stats.visited_columns == 2 * visited
         full = verifier()
         full.verify_all(candidates, MatchSet())
@@ -112,9 +110,9 @@ class TestVerifierObservesToken:
     def test_batched_backend_stops_within_one_group(
         self, vertex_dataset, edr_cost, rng
     ):
-        """The numpy backend verifies candidates in anchor groups; a token
-        tripping after one poll stops before the first group's trie walk —
-        at most that group's candidates are started, none are extended."""
+        """The verifier sets candidates up one anchor group at a time; a
+        token tripping after the first group's poll stops inside that
+        group — every candidate of it set up, none of a later group."""
         engine = SubtrajectorySearch(vertex_dataset, edr_cost)
         query = sample_query(vertex_dataset, rng, 6)
         tau = tau_from_ratio(query, edr_cost, 0.3)
@@ -122,23 +120,14 @@ class TestVerifierObservesToken:
         assert len(candidates) >= 2, "fixture must yield several candidates"
 
         verifier = Verifier(
-            vertex_dataset.symbols,
-            query,
-            edr_cost,
-            tau,
-            dp_backend="numpy",
-            cancel=CountdownToken(1),
+            vertex_dataset.symbols, query, edr_cost, tau, cancel=CountdownToken(1)
         )
         with pytest.raises(QueryCancelledError):
             verifier.verify_all(candidates, MatchSet())
-        first_group = {c[2] for c in candidates}
+        first_iq = min(c[2] for c in candidates)
+        first_group = {c for c in candidates if c[2] == first_iq}
         started = verifier.stats.candidates + verifier.stats.bound_pruned
-        assert started < len(set(candidates)) or len(first_group) == 1
-        # The first group kept candidates past the count bound: the trip
-        # landed inside a walk, not in a group the bound emptied.
-        assert verifier.stats.candidates > 0
-        # The trip fired before any DP column was computed for group two.
-        assert verifier.stats.visited_columns == 0
+        assert started == len(first_group)
 
     def test_already_cancelled_token_verifies_nothing(
         self, vertex_dataset, edr_cost, rng
@@ -170,12 +159,8 @@ def _slow_verifier(monkeypatch, counter, delay=0.02):
     """Make every candidate verification take ``delay`` seconds, counting
     candidates actually verified — the slow-verifier fixture of ISSUE 2.
 
-    The seam is ``_combine``, which the Python walker reaches once per
-    candidate, so engines under this fixture run the Python walker (the
-    rule, patched; the arena walker combines a whole anchor group after
-    its walk and polls the token per round instead — deadline plumbing
-    is identical either way)."""
-    force_walker(monkeypatch, "python")
+    The seam is ``_combine``, which the verifier reaches once per
+    candidate."""
     original = Verifier._combine
 
     def slow(self, *args):

@@ -2,7 +2,7 @@
 for bit.
 
 The engine-level :class:`~repro.core.trie.TrieCache` persists a query's
-warm state — its substitution rows, row tables and verification tries,
+warm state — its per-direction substitution rows and verification tries,
 one :class:`~repro.core.trie.TrieCacheEntry` — across queries sharing
 the query-and-cost-model signature prefix, so repeated queries skip row
 computation and walk warm columns instead of recomputing them.  Warmth is
@@ -10,24 +10,22 @@ a pure scheduling change — a cached column holds the exact floats its
 recomputation would produce — so this suite pins, via hypothesis over
 synthetic workloads and non-representable (0.3-multiple) costs:
 
-- results (match keys AND distances) bit-identical warm vs cold, across
-  python/numpy/auto backends and tau variations sharing one cache entry;
+- results (match keys AND distances) bit-identical warm vs cold, and
+  tau variations sharing one cache entry;
 - every VerificationStats counter identical warm vs cold except
   ``computed_columns``, which may only *drop* on a warm walk (and drops
-  to exactly 0 on an exact repeat — the whole frontier is cached);
-- one layout: an entry either walker warmed is walked by the other with
-  no column computed, on every cost model;
+  to exactly 0 on an exact repeat — the whole frontier is cached), on
+  every cost model;
 - the cache being merely *enabled* changes nothing: a first (cold-start)
-  query through the cache matches the cache-disabled run in results,
-  stats, and ``dp_array_allocations`` exactly;
+  query through the cache matches the cache-disabled run in results and
+  stats exactly;
 - concurrency: one verifier walks an entry at a time — a second one
   waits for the first one's anchor group and finds its columns as hits,
-  concurrent verifiers at distinct thresholds, on either walker or both,
-  answer exactly and compute each column once, and shard engines sharing
-  one TrieCache under simultaneous queries and an online insert answer
-  exactly;
-- tries off: the private per-call arena dies with its walk, and the
-  engine's cache entry keeps the rows and no tries;
+  concurrent verifiers at distinct thresholds answer exactly and compute
+  each column once, and shard engines sharing one TrieCache under
+  simultaneous queries and an online insert answer exactly;
+- tries off: local verification builds no trie, and the engine's cache
+  entry keeps the rows and no tries;
 - eviction: LRU order under the byte budget (row bytes included), the
   evicted entry released by reference counting alone, size-0 disable,
   and stats summing across shards (processes backend included);
@@ -57,7 +55,6 @@ from repro.core.engine import (
 )
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.results import MatchSet
-from repro.core import verification
 from repro.core.filtering import tau_from_ratio
 from repro.core.temporal import TimeInterval, filter_candidates
 from repro.core.trie import TrieCache, TrieCacheEntry
@@ -79,10 +76,7 @@ from tests.conftest import oracle_range
 
 
 class WeightedCost(CostModel):
-    """Non-representable 0.3-multiple costs: bit-identity stress.
-
-    No ``sub_row_array`` override, so ``vectorized_rows()`` is False and
-    the engine's walker rule routes every query length to numpy."""
+    """Non-representable 0.3-multiple costs: bit-identity stress."""
 
     name = "w03"
 
@@ -103,22 +97,16 @@ class RowLedgerCost(CostModel):
     def __init__(self, ledger) -> None:
         self.ledger = str(ledger)
 
-    def vectorized_rows(self) -> bool:
-        # A row costs a file append: not a cheap row, so the walker rule
-        # sends every query to the arena walker — the one that reads
-        # rows through the cache entry — in worker processes too.
-        return False
-
     def sub(self, a: int, b: int) -> float:
         return 0.0 if a == b else 1.0
 
     def ins(self, a: int) -> float:
         return 1.0
 
-    def sub_row_array(self, p, seq):
+    def sub_row(self, p, seq):
         with open(self.ledger, "ab") as out:
             out.write(b".")
-        return super().sub_row_array(p, seq)
+        return super().sub_row(p, seq)
 
     def rows_computed(self) -> int:
         return os.path.getsize(self.ledger) if os.path.exists(self.ledger) else 0
@@ -151,13 +139,13 @@ def candidates_for(data_strings, query):
     return out
 
 
-def run_verifier(data, query, costs, tau, backend, entry):
+def run_verifier(data, query, costs, tau, entry, use_trie=True):
     v = Verifier(
         lambda tid: data[tid],
         query,
         costs,
         tau,
-        dp_backend=backend,
+        use_trie=use_trie,
         trie_entry=entry,
     )
     ms = MatchSet()
@@ -165,7 +153,7 @@ def run_verifier(data, query, costs, tau, backend, entry):
     matches = sorted(
         (m.trajectory_id, m.start, m.end, m.distance) for m in ms.to_list()
     )
-    return matches, v.stats, v.dp_array_allocations
+    return matches, v.stats
 
 
 symbols = st.integers(min_value=0, max_value=5)
@@ -190,8 +178,8 @@ class TestWarmColdBitIdentity:
         computed_columns only ever drops."""
         entry = TrieCacheEntry(costs, query)
         for tau in taus:
-            warm = run_verifier(data, query, costs, tau, "numpy", entry)
-            cold = run_verifier(data, query, costs, tau, "numpy", None)
+            warm = run_verifier(data, query, costs, tau, entry)
+            cold = run_verifier(data, query, costs, tau, None)
             assert warm[0] == cold[0]  # keys AND distances, exact ==
             ws, cs = warm[1], cold[1]
             assert ws.candidates == cs.candidates
@@ -202,8 +190,8 @@ class TestWarmColdBitIdentity:
             # Warmth can only save recomputation, never add it.
             assert ws.computed_columns <= cs.computed_columns
         # An exact repeat finds its whole frontier cached: the walk is
-        # nothing but cached-column visits, zero kernel launches.
-        repeat = run_verifier(data, query, costs, taus[-1], "numpy", entry)
+        # nothing but cached-column visits.
+        repeat = run_verifier(data, query, costs, taus[-1], entry)
         assert repeat[0] == warm[0]
         assert repeat[1].computed_columns == 0
         assert repeat[1].visited_columns == warm[1].visited_columns
@@ -216,27 +204,21 @@ class TestWarmColdBitIdentity:
     @settings(max_examples=60, deadline=None)
     @pytest.mark.parametrize("costs", [lev, w03], ids=["lev", "w03"])
     def test_warm_walk_matches_python_backend(self, costs, data, query, tau):
-        """The strongest cross-backend pin: a *warm* numpy walk equals a
-        cold pure-Python per-cell walk bit for bit — results and every
-        counter except computed_columns, which the warm walk reuses."""
+        """A *warm* trie walk equals a cold local verification (no trie,
+        every column recomputed one DP cell at a time) bit for bit —
+        results and every counter except computed_columns, which the warm
+        walk reuses.  Local verification over the warmed entry reads its
+        rows and computes every column again."""
         entry = TrieCacheEntry(costs, query)
-        run_verifier(data, query, costs, tau, "numpy", entry)  # warm up
-        warm = run_verifier(data, query, costs, tau, "numpy", entry)
-        python = run_verifier(data, query, costs, tau, "python", None)
-        assert warm[0] == python[0]
-        assert warm[1].visited_columns == python[1].visited_columns
-        assert warm[1].emitted == python[1].emitted
+        run_verifier(data, query, costs, tau, entry)  # warm up
+        warm = run_verifier(data, query, costs, tau, entry)
+        local = run_verifier(data, query, costs, tau, None, use_trie=False)
+        assert warm[0] == local[0]
+        assert warm[1].visited_columns == local[1].visited_columns
+        assert warm[1].emitted == local[1].emitted
         assert warm[1].computed_columns == 0
-        # And the python backend walks the same entry warm: handed the
-        # numpy-built one, it computes no column and allocates no ndarray
-        # (auto short queries on vectorizable models resolve to python —
-        # the cache serves them too).
-        with_entry = run_verifier(data, query, costs, tau, "python", entry)
-        assert with_entry[0] == python[0]
-        assert with_entry[1].computed_columns == 0
-        assert with_entry[1].visited_columns == python[1].visited_columns
-        assert with_entry[1].emitted == python[1].emitted
-        assert with_entry[2] == 0
+        with_entry = run_verifier(data, query, costs, tau, entry, use_trie=False)
+        assert with_entry == local
 
     @given(
         data=st.lists(strings, min_size=1, max_size=3),
@@ -246,21 +228,16 @@ class TestWarmColdBitIdentity:
     @settings(max_examples=60, deadline=None)
     def test_cache_enabled_cold_start_is_invisible(self, data, query, tau):
         """Routing a first-touch query through a (cold) cache entry is a
-        no-op: results, the full VerificationStats, and even
-        dp_array_allocations match the cache-disabled run exactly."""
-        through_cache = run_verifier(
-            data, query, w03, tau, "numpy", TrieCacheEntry(w03, query)
-        )
-        no_cache = run_verifier(data, query, w03, tau, "numpy", None)
-        assert through_cache[0] == no_cache[0]
-        assert through_cache[1] == no_cache[1]
-        assert through_cache[2] == no_cache[2]
+        no-op: results and the full VerificationStats match the
+        cache-disabled run exactly."""
+        through_cache = run_verifier(data, query, w03, tau, TrieCacheEntry(w03, query))
+        no_cache = run_verifier(data, query, w03, tau, None)
+        assert through_cache == no_cache
 
 
-class TestOneLayout:
-    """Both walkers walk one trie layout: an entry either walker warmed
-    is walked by the other with no column computed, on every cost
-    model."""
+class TestEveryModel:
+    """On every cost model, a warmed entry is walked again with no
+    column computed and the same answer bit for bit."""
 
     @given(
         data=st.lists(strings, min_size=1, max_size=3),
@@ -269,19 +246,17 @@ class TestOneLayout:
     )
     @settings(max_examples=25, deadline=None)
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_either_walker_walks_the_others_entry(self, name, data, query, tau_ratio):
+    def test_warm_entry_walks_without_computing(self, name, data, query, tau_ratio):
         costs = MODELS[name]
         tau = tau_from_ratio(query, costs, tau_ratio)
-        for first, second in (("python", "numpy"), ("numpy", "python")):
-            entry = TrieCacheEntry(costs, query)
-            built = run_verifier(data, query, costs, tau, first, entry)
-            # Cold, the walkers agree on every counter.
-            cold = run_verifier(data, query, costs, tau, second, None)
-            assert cold[0] == built[0] and cold[1] == built[1]
-            walked = run_verifier(data, query, costs, tau, second, entry)
-            assert walked[0] == built[0]  # keys AND distances, exact ==
-            assert walked[1].computed_columns == 0
-            assert walked[1].visited_columns == built[1].visited_columns
+        entry = TrieCacheEntry(costs, query)
+        built = run_verifier(data, query, costs, tau, entry)
+        cold = run_verifier(data, query, costs, tau, None)
+        assert cold == built
+        walked = run_verifier(data, query, costs, tau, entry)
+        assert walked[0] == built[0]  # keys AND distances, exact ==
+        assert walked[1].computed_columns == 0
+        assert walked[1].visited_columns == built[1].visited_columns
 
 
 def _result_key(result):
@@ -291,13 +266,9 @@ def _result_key(result):
 class TestEngineWarmPath:
     """Engine-level integration: cache key sharing, backends, inserts."""
 
-    @pytest.mark.parametrize("dp_backend", ["auto", "numpy", "python"])
-    def test_warm_engine_matches_cold_engine(
-        self, vertex_dataset, netedr_cost, rng, dp_backend, monkeypatch
-    ):
-        from tests.conftest import force_walker, sample_query
+    def test_warm_engine_matches_cold_engine(self, vertex_dataset, netedr_cost, rng):
+        from tests.conftest import sample_query
 
-        force_walker(monkeypatch, dp_backend)
         warm_engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=8)
         cold_engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         query = sample_query(vertex_dataset, rng, 8)
@@ -313,8 +284,7 @@ class TestEngineWarmPath:
                 assert warm.verification.computed_columns == 0
             seen.add(tau_ratio)
         stats = warm_engine.status().trie
-        # All four tau variations share ONE entry, on either walker: a
-        # single miss.
+        # All four tau variations share ONE entry: a single miss.
         assert stats["misses"] == 1
         assert stats["hits"] == 3
         assert stats["size"] == 1
@@ -438,7 +408,7 @@ class TestSharedCacheConcurrency:
 
 class TestOneVerifierPerEntry:
     """The rule: a :class:`TrieCacheEntry` is walked by one verifier at a
-    time — the arena walker holds the entry's lock for each anchor group,
+    time — the verifier holds the entry's lock for each anchor group,
     so a second verifier of the same query waits for the group and then
     walks its columns as cache hits."""
 
@@ -457,7 +427,6 @@ class TestOneVerifierPerEntry:
             self.QUERY,
             w03,
             self.TAU,
-            dp_backend="numpy",
             trie_entry=entry,
         )
 
@@ -484,7 +453,7 @@ class TestOneVerifierPerEntry:
                 errors.append(exc)
 
         thread = threading.Thread(target=run_b)
-        walk = a._walk_cached
+        walk = a._all_prefix_wed
 
         def hooked_walk(*args):
             if thread.ident is None:
@@ -495,7 +464,7 @@ class TestOneVerifierPerEntry:
                 assert thread.is_alive(), "B walked the entry while A held it"
             return walk(*args)
 
-        a._walk_cached = hooked_walk
+        a._all_prefix_wed = hooked_walk
         got_a = self._run(a, candidates)
         thread.join(30.0)
         assert not errors, errors
@@ -524,9 +493,7 @@ STRESS = settings(
 
 class TestConcurrentVerifiersStress:
     """2-6 threads, switching as often as the interpreter allows, verify
-    one query at distinct thresholds over one fresh shared entry — all on
-    the arena walker, all on the per-cell walker, or alternating per
-    thread."""
+    one query at distinct thresholds over one fresh shared entry."""
 
     @given(
         data=st.lists(strings, min_size=1, max_size=4),
@@ -536,10 +503,7 @@ class TestConcurrentVerifiersStress:
         ),
     )
     @STRESS
-    @pytest.mark.parametrize("walkers", ["numpy", "python", "mixed"])
-    def test_every_answer_exact_and_every_column_computed_once(
-        self, walkers, data, query, taus
-    ):
+    def test_every_answer_exact_and_every_column_computed_once(self, data, query, taus):
         entry = TrieCacheEntry(lev, query)
         # Every (id, j, iq) is a candidate, so verification is complete:
         # on unit costs the answers must equal the oracle's exactly.
@@ -552,20 +516,9 @@ class TestConcurrentVerifiersStress:
         barrier = threading.Barrier(len(taus))
         answers, computed, errors = {}, [], []
 
-        def verify(n, tau):
-            if walkers == "mixed":
-                walker = ("numpy", "python")[n % 2]
-            else:
-                walker = walkers
+        def verify(tau):
             try:
-                v = Verifier(
-                    lambda tid: data[tid],
-                    query,
-                    lev,
-                    tau,
-                    dp_backend=walker,
-                    trie_entry=entry,
-                )
+                v = Verifier(lambda tid: data[tid], query, lev, tau, trie_entry=entry)
                 ms = MatchSet()
                 barrier.wait()
                 v.verify_all(candidates, ms)
@@ -574,9 +527,7 @@ class TestConcurrentVerifiersStress:
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=verify, args=(n, tau)) for n, tau in enumerate(taus)
-        ]
+        threads = [threading.Thread(target=verify, args=(tau,)) for tau in taus]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -595,39 +546,18 @@ class TestConcurrentVerifiersStress:
 
 
 class TestTriesOff:
-    """``use_trie=False`` on the arena walker: nothing pinned, nothing
-    shared."""
+    """``use_trie=False``: no trie built, nothing shared but rows."""
 
-    def test_private_arena_dies_with_each_walk(self, monkeypatch):
+    def test_local_walk_builds_no_trie(self):
         data = TestOneVerifierPerEntry.DATA
         query = TestOneVerifierPerEntry.QUERY
-        arenas = []
-        build = verification.VerificationTrie
-
-        def recording(root_column):
-            trie = build(root_column)
-            arenas.append(weakref.ref(trie))
-            return trie
-
-        monkeypatch.setattr(verification, "VerificationTrie", recording)
-        v = Verifier(
-            lambda tid: data[tid], query, w03, 4.0, dp_backend="numpy", use_trie=False
-        )
-        walks = []
-        walk = v._arena_all_prefix_wed
-
-        def checked(views, budgets, ctx):
-            outs = walk(views, budgets, ctx)
-            walks.append([ref() is None for ref in arenas])
-            return outs
-
-        v._arena_all_prefix_wed = checked
+        entry = TrieCacheEntry(w03, query)
+        v = Verifier(lambda tid: data[tid], query, w03, 4.0, use_trie=False, trie_entry=entry)
         v.verify_all(candidates_for(data, query), MatchSet())
         assert v.stats.computed_columns == v.stats.visited_columns > 0
-        # One private arena per (group, direction) walk, dead on return.
-        assert len(walks) == len(arenas) > 2
-        assert all(all(dead) for dead in walks)
-        assert all(ctx.state.trie is None for ctx in v._contexts.values())
+        assert len(entry.directions) > 2
+        assert all(state.trie is None for state in entry.directions.values())
+        assert any(state.sub_rows for state in entry.directions.values())
 
     def test_local_verification_reuses_the_matrix_and_builds_no_tries(
         self, vertex_dataset, netedr_cost
@@ -652,11 +582,11 @@ class TestTriesOff:
         assert len(cache) == 2
         for key in cache.keys():
             entry = cache.peek(key)
-            assert entry.rows.rows and entry.directions
+            assert any(state.sub_rows for state in entry.directions.values())
             assert all(state.trie is None for state in entry.directions.values())
         stats = engine.status().trie
         assert (stats["hits"], stats["misses"]) == (1, 2)
-        # The budget sees what the entries pin: their rows and row tables.
+        # The budget sees what the entries pin: their rows.
         assert stats["bytes"] == sum(
             cache.peek(key).nbytes for key in cache.keys()
         ) > 0
@@ -675,8 +605,7 @@ class TestEvictionAndDisable:
         states = list(entry.directions.values())
         tries = [weakref.ref(s.trie) for s in states if s.trie is not None]
         assert tries, "verification should have built at least one trie"
-        tables = [weakref.ref(s.rows.rows) for s in states]
-        tables += [weakref.ref(row) for row in entry.rows.rows.values()]
+        tables = [weakref.ref(s) for s in states]
         refs = [weakref.ref(entry)] + tries + tables
         del entry, states
         # Reference counting alone must free an evicted entry: nothing
@@ -700,7 +629,7 @@ class TestEvictionAndDisable:
             pinned = [i for i, ref in enumerate(refs) if ref() is not None]
         finally:
             gc.enable()
-        assert not pinned, "evicted entry, row tables or tries still pinned"
+        assert not pinned, "evicted entry, direction states or tries still pinned"
 
     def test_byte_budget_evicts_after_verification(self, vertex_dataset, netedr_cost):
         engine = SubtrajectorySearch(
@@ -720,23 +649,10 @@ class TestEvictionAndDisable:
         assert engine.status().trie["evictions"] == 2
 
     def test_matrix_alone_over_budget_is_shed(self, vertex_dataset, netedr_cost):
-        """The budget counts everything an entry pins: an entry whose
-        substitution rows *alone* exceed it — no direction state, no trie
-        at all — is shed by ``reconcile(entry)``."""
-        cache = TrieCache(4, max_bytes=1000)
-        entry, _ = cache.lookup("k", lambda: TrieCacheEntry(lev, range(64)))
-        for symbol in range(10):
-            entry.rows.row(symbol)
-        assert entry.nbytes == 10 * 64 * 8 > cache.max_bytes
-        assert entry.directions == {}
-        assert cache.reconcile(entry) == 0
-        assert len(cache) == 0 and cache.stats()["evictions"] == 1
-        # Direction tables count too (ndarray.nbytes), beside the rows.
-        rows = entry.direction(3, "f", False)[0].rows
-        rows.slot(77)  # one more full row, copied into the table
-        assert entry.nbytes == 11 * 64 * 8 + rows.rows.nbytes + rows.deletes.nbytes
-        # End to end: local verification builds no tries, so whatever is
-        # shed was shed for its rows.
+        """The budget counts everything an entry pins: local verification
+        builds no tries, so an entry it sheds was shed for its
+        substitution rows alone (the unit case is
+        ``test_core_trie.py::TestTrieCacheEntry::test_row_cache_is_counted_and_shed``)."""
         engine = SubtrajectorySearch(
             vertex_dataset,
             netedr_cost,
@@ -867,21 +783,13 @@ class TestLookupStatusAndMeasuredBytes:
         # Disabled caches count nothing — "off" is not a miss.
         assert off.stats()["hits"] == 0 and off.stats()["misses"] == 0
 
-    def test_query_result_carries_trie_cache_status(
-        self, vertex_dataset, netedr_cost, monkeypatch
-    ):
-        from tests.conftest import force_walker
-
+    def test_query_result_carries_trie_cache_status(self, vertex_dataset, netedr_cost):
         engine = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=8)
         query = list(vertex_dataset.symbols(0))[:8]
         assert engine.query(query, tau_ratio=0.3).trie_cache_status == "miss"
         assert engine.query(query, tau_ratio=0.3).trie_cache_status == "hit"
         disabled = SubtrajectorySearch(vertex_dataset, netedr_cost, trie_cache_size=0)
         assert disabled.query(query, tau_ratio=0.3).trie_cache_status == "off"
-        # The python backend looks the entry up too.
-        force_walker(monkeypatch, "python")
-        python_engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
-        assert python_engine.query(query, tau_ratio=0.3).trie_cache_status == "miss"
 
     def test_merged_shard_statuses_join_distinct_values(
         self, vertex_dataset, netedr_cost
@@ -916,19 +824,16 @@ class TestLookupStatusAndMeasuredBytes:
 
 
 class _SlowRowCost(WeightedCost):
-    """Counts :meth:`sub_row_array` calls and makes each slow enough that
-    a second verifier is sure to want a row while the first computes it."""
+    """Counts :meth:`sub_row` calls and makes each slow enough that a
+    second verifier is sure to want a row while the first computes it."""
 
     def __init__(self) -> None:
         self.calls = 0
 
-    def vectorized_rows(self) -> bool:
-        return False  # w03 rows stay on the arena walker at every length
-
-    def sub_row_array(self, p, seq):
+    def sub_row(self, p, seq):
         self.calls += 1
         time.sleep(0.002)
-        return super().sub_row_array(p, seq)
+        return super().sub_row(p, seq)
 
 
 class _RowSymbolsCost(NetEDRCost):
@@ -938,12 +843,9 @@ class _RowSymbolsCost(NetEDRCost):
         super().__init__(graph)
         self.symbols = set()
 
-    def vectorized_rows(self) -> bool:
-        return False  # like NetEDR itself: the arena walker reads the rows
-
-    def sub_row_array(self, p, seq):
+    def sub_row(self, p, seq):
         self.symbols.add(p)
-        return super().sub_row_array(p, seq)
+        return super().sub_row(p, seq)
 
 
 class TestOneWarmQueryCache:
