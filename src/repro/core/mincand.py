@@ -58,9 +58,10 @@ def mincand_greedy(elements: Sequence[QueryElement], tau: float) -> List[QueryEl
     w = {e.position: 0.0 for e in remaining}
     chosen: List[QueryElement] = []
     c_sum = 0.0
-    # Running out of elements ends the loop too: then every element with
-    # a cost is chosen, and _check_feasible summed them to tau already
-    # (in position order — this sum's order may round it an ulp short).
+    # c(Q') is summed in position order: the order an alignment path adds
+    # its costs in (Theorem 1 in floats, see repro.core.verification), and
+    # the order _check_feasible summed c(Q) in, so choosing every element
+    # with a cost reaches tau.
     while c_sum < tau and remaining:
         slack = tau - c_sum
         best = None
@@ -78,8 +79,9 @@ def mincand_greedy(elements: Sequence[QueryElement], tau: float) -> List[QueryEl
             w[e.position] += min(e.cost, slack) * best_v
         remaining.remove(best)
         chosen.append(best)
-        c_sum += best.cost
-    return sorted(chosen, key=lambda e: e.position)
+        chosen.sort(key=lambda e: e.position)
+        c_sum = sum(e.cost for e in chosen)
+    return chosen
 
 
 def mincand_exact(

@@ -169,8 +169,8 @@ class VerificationTrie:
 
 class DirectionState:
     """One ``(iq, direction)``'s warm state: the query ``part`` itself,
-    its insertion prefix (the trie's root column, and the ``P`` of the
-    prefix-min DP convention — summed left to right by
+    its insertion costs (``ins_row``, passed to every DP step) and
+    insertion prefix (the trie's root column, summed left to right by
     :func:`~repro.distance.wed.wed_row_init`), the part's substitution
     rows, and its :class:`VerificationTrie` — ``None`` until a verifier
     with tries on first walks this direction.
@@ -187,7 +187,7 @@ class DirectionState:
     window, so they stay valid for as long as the entry lives.
     """
 
-    __slots__ = ("costs", "part", "ins_prefix", "sub_rows", "trie", "__weakref__")
+    __slots__ = ("costs", "part", "ins_row", "ins_prefix", "sub_rows", "trie", "__weakref__")
 
     def __init__(
         self, costs: CostModel, query: Tuple[int, ...], iq: int, direction: str
@@ -198,6 +198,7 @@ class DirectionState:
             part = query[iq + 1 :]
         self.costs = costs
         self.part = part
+        self.ins_row: List[float] = [costs.ins(q) for q in part]
         self.ins_prefix: List[float] = wed_row_init(costs, part)
         #: symbol -> ``costs.sub_row(symbol, part)``.
         self.sub_rows: Dict[int, List[float]] = {}

@@ -20,6 +20,26 @@ candidate set the reported distances are sound upper bounds.  The engine
 never verifies outside this contract — when no tau-subsequence exists it
 falls back to an exact scan.
 
+Theorem 1 in floats.  Every DP runs the one recurrence of
+:mod:`repro.distance.wed`, and ``x -> fl(x + c)`` is monotone, so a DP
+value is the minimum, over alignment paths, of the path's costs added
+left to right in floats.  Float addition is monotone in each operand, so
+a path that substitutes no ``q`` of ``Q'`` by a symbol of ``B(q)`` sums
+to at least the left-to-right float sum of ``c(q)`` over ``Q'`` in query
+order: each such ``q`` is inserted (``ins(q) >= c(q)``) or substituted
+outside ``B(q)`` (``>= c(q)`` as floats; ERP's is pinned in
+tests/test_count_bound.py), and every other cost is ``>= 0``.  MinCand
+tests exactly that sum against ``tau``, so in floats too every match has
+a candidate on the oracle's optimal path.  The verifier adds that path's
+costs as ``anchor + eb + ef``, with ``eb`` summed from the anchor
+outward, and emits a pair when this sum — the distance it reports — is
+``< tau``; the oracle adds them left to right.  The two sums differ by
+rounding alone, a few ulps, so engine and oracle agree on every match
+that does not cost ``tau`` give or take a few ulps.  Such a match can
+fall on either side (one is pinned in tests/test_count_bound.py), and
+early termination, which compares column minima with ``tau - anchor``,
+has the same few-ulp slack.
+
 Four optimizations, individually switchable for ablation:
 
 - *local verification*: DP runs outward from ``j`` only while the running
@@ -72,7 +92,7 @@ plain int lists.
 The walker takes the candidates one at a time.  Each follows the
 direction trie's cached edges to its first miss; past it every column
 is new, computed one pure-Python loop iteration per DP cell
-(:func:`~repro.distance.wed.wed_step_min`, in the prefix-min convention
+(:func:`~repro.distance.wed.wed_step_min`, in the one evaluation order
 of :mod:`repro.distance.wed`) from the symbol's cached substitution row,
 and published as one block of arena rows before the next candidate
 walks.  A row is computed once per symbol per direction and a column
@@ -349,8 +369,8 @@ class Verifier:
         entry = self._entry
         ebs = self._all_prefix_wed(backs, budgets, entry.direction(iq, "b", use_trie))
         efs = self._all_prefix_wed(fwds, budgets, entry.direction(iq, "f", use_trie))
-        for (tid, j, anchor_cost, budget, _), eb, ef in zip(items, ebs, efs):
-            self._combine(tid, j, anchor_cost, budget, eb, ef, matches)
+        for (tid, j, anchor_cost, _, _), eb, ef in zip(items, ebs, efs):
+            self._combine(tid, j, anchor_cost, eb, ef, matches)
 
     def _count_bound(
         self, iq: int, items: List[Tuple[int, int, float, float, np.ndarray]]
@@ -416,23 +436,24 @@ class Verifier:
         tid: int,
         j: int,
         anchor_cost: float,
-        budget: float,
         eb: List[float],
         ef: List[float],
         matches: MatchSet,
     ) -> None:
-        """Combine: match P[j-kb .. j+kf] for every pair under budget."""
+        """Combine: match P[j-kb .. j+kf] for every pair whose distance
+        ``anchor + eb + ef`` — the one reported — is under ``tau``."""
+        tau = self._tau
         emitted = 0
         add = matches.add
         for kb, cost_b in enumerate(eb):
-            remaining = budget - cost_b
-            if remaining <= 0:
-                continue
             base = anchor_cost + cost_b
+            if base >= tau:
+                continue
             start = j - kb
             for kf, cost_f in enumerate(ef):
-                if cost_f < remaining:
-                    add(tid, start, j + kf, base + cost_f)
+                distance = base + cost_f
+                if distance < tau:
+                    add(tid, start, j + kf, distance)
                     emitted += 1
         self.stats.emitted += emitted
 
@@ -466,6 +487,7 @@ class Verifier:
         trie = state.trie if self._use_trie else None
         costs = self._costs
         part = state.part
+        ins_row = state.ins_row
         ins_prefix = state.ins_prefix
         root_min = min(ins_prefix)
         rows_get = state.sub_rows.get
@@ -506,7 +528,7 @@ class Verifier:
                     if row is None:
                         row = sub_row(symbol)
                     column, column_min = wed_step_min(
-                        costs, part, symbol, column, sub_row=row, ins_prefix=ins_prefix
+                        costs, part, symbol, column, sub_row=row, ins_row=ins_row
                     )
                     out.append(column[-1])
                     columns.append(column)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Literal, Optional, Sequence, Tuple
 
 from repro.distance.costs import CostModel
+from repro.distance.wed import wed_row_init, wed_step_min
 
 __all__ = ["AlignmentOp", "align", "script_cost"]
 
@@ -38,26 +39,16 @@ def align(
     """The optimal edit script converting ``query`` into ``data``.
 
     Ties are broken substitution-first, then deletion, then insertion, so
-    the output is deterministic.  Returns ``(ops, total_cost)`` with
-    ``total_cost == wed(data, query)``.
+    the output is deterministic.  Returns ``(ops, total_cost)``; the
+    matrix rows are :func:`~repro.distance.wed.wed_step_min`'s, so
+    ``total_cost == wed(data, query)`` bit for bit.
     """
     m, n = len(data), len(query)
-    # Full matrix: D[i][j] = wed(data[:i], query[:j]).
-    dmat = [[0.0] * (n + 1) for _ in range(m + 1)]
-    for j in range(1, n + 1):
-        dmat[0][j] = dmat[0][j - 1] + costs.ins(query[j - 1])
-    for i in range(1, m + 1):
-        dmat[i][0] = dmat[i - 1][0] + costs.delete(data[i - 1])
-        row = dmat[i]
-        prev = dmat[i - 1]
-        sub_row = costs.sub_row(data[i - 1], query)
-        dele = costs.delete(data[i - 1])
-        for j in range(1, n + 1):
-            row[j] = min(
-                prev[j - 1] + sub_row[j - 1],
-                prev[j] + dele,
-                row[j - 1] + costs.ins(query[j - 1]),
-            )
+    # Full matrix: D[i][j] = wed(data[:i], query[:j]), one DP step per row.
+    ins_row = [costs.ins(q) for q in query]
+    dmat = [wed_row_init(costs, query)]
+    for p in data:
+        dmat.append(wed_step_min(costs, query, p, dmat[-1], ins_row=ins_row)[0])
     ops: List[AlignmentOp] = []
     i, j = m, n
     while i > 0 or j > 0:

@@ -30,18 +30,14 @@ def best_match(data: Sequence[int], query: Sequence[int], costs: CostModel) -> M
     """The substring of ``data`` with minimum WED to ``query``.
 
     Returns ``(s, t, value)``; when the optimum aligns the whole query to
-    insertions the match is empty and ``s == t + 1``.  The insert chain is
-    evaluated in the repo-wide prefix-min convention (see
-    :mod:`repro.distance.wed`), with the chain's origin carrying its match
-    start through the scan.
+    insertions the match is empty and ``s == t + 1``.  Each cell is
+    computed as in :func:`~repro.distance.wed.wed_step_min`, in its order,
+    and carries the match start of the operation that set it.
     """
     nq = len(query)
-    # Column for the empty data prefix: D[i] = wed(eps, Q_{1:i}), start = 0
-    # — this is also the insertion prefix P of the evaluation convention.
-    prefix = [0.0]
-    for q in query:
-        prefix.append(prefix[-1] + costs.ins(q))
-    col = list(prefix)
+    ins_row = [costs.ins(q) for q in query]
+    # Column for the empty data prefix: D[i] = wed(eps, Q_{1:i}), start = 0.
+    col = wed_row_init(costs, query)
     starts = [0] * (nq + 1)
     best_val = col[nq]
     best_s, best_t = 0, -1
@@ -51,10 +47,6 @@ def best_match(data: Sequence[int], query: Sequence[int], costs: CostModel) -> M
         new_col = [0.0] * (nq + 1)
         new_starts = [0] * (nq + 1)
         new_starts[0] = j + 1  # empty match starting after position j
-        # Insert-chain state: m = min over settled cells of (C[i] - P[i]),
-        # m_start = the match start of the cell achieving it.
-        m = 0.0  # new_col[0] - prefix[0]
-        m_start = j + 1
         for i in range(1, nq + 1):
             a = col[i - 1] + sub_row[i - 1]  # substitute
             b = col[i] + dele  # delete data symbol
@@ -62,17 +54,11 @@ def best_match(data: Sequence[int], query: Sequence[int], costs: CostModel) -> M
                 c_val, c_start = a, starts[i - 1]
             else:
                 c_val, c_start = b, starts[i]
-            chain = prefix[i] + m  # insert query symbols from the origin
-            if c_val <= chain:
-                new_col[i] = c_val
-                new_starts[i] = c_start
-            else:
-                new_col[i] = chain
-                new_starts[i] = m_start
-            d = c_val - prefix[i]
-            if d < m:
-                m = d
-                m_start = c_start
+            via_ins = new_col[i - 1] + ins_row[i - 1]  # insert query symbol
+            if via_ins < c_val:
+                c_val, c_start = via_ins, new_starts[i - 1]
+            new_col[i] = c_val
+            new_starts[i] = c_start
         col, starts = new_col, new_starts
         if col[nq] < best_val:
             best_val = col[nq]
@@ -102,12 +88,11 @@ def all_matches(
     init = wed_row_init(costs, query)
     if min(init) >= tau:
         return []
+    ins_row = [costs.ins(q) for q in query]
     for s in range(n):
         row = init
         for t in range(s, n):
-            row, row_min = wed_step_min(
-                costs, query, data[t], row, ins_prefix=init
-            )
+            row, row_min = wed_step_min(costs, query, data[t], row, ins_row=ins_row)
             if row[-1] < tau:
                 out.append((s, t, row[-1]))
             if row_min >= tau:

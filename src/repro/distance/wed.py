@@ -9,17 +9,22 @@ Floating-point convention
 -------------------------
 Every DP step in this repo goes through :func:`wed_step_min` (the
 verifier's walker, the Smith–Waterman oracle, the whole-matching
-baselines), which evaluates the insertion chain in the *prefix-min* form
+baselines, the alignment backtrace; Algorithm 7's ``best_match`` computes
+its cells the same way while carrying match starts), which evaluates the
+textbook recurrence in one fixed order:
 
-    B[j] = min(C[j], P[j] + min over i < j of (C[i] - P[i]))
+    C[j] = min(B'[j-1] + sub[j], B'[j] + del)
+    B[j] = min(C[j], B[j-1] + ins[j])
 
-where ``C[j]`` is the substitution/deletion candidate and ``P`` is the
-cumulative insertion-cost prefix (``P[j] = P[j-1] + ins[j-1]``, summed left
-to right).  In real arithmetic this equals the textbook recurrence
-``B[j] = min(C[j], B[j-1] + ins[j])`` exactly; fixing one evaluation order
-everywhere makes the verifier and the oracles produce *bit-identical*
-floats, so the strict ``< tau`` match semantics of Definition 2 can never
-disagree between them.  (The no-chain case stays exactly ``C[j]``.)
+where ``B'`` is the previous row, ``sub`` / ``ins`` are the query's
+substitution and insertion costs and ``del`` the data symbol's deletion
+cost.  Each cell adds one operation's cost to one earlier cell, so a DP
+value is the smallest, over alignment paths, of a path's costs added
+left to right in floats (an insertion adds exactly ``ins(q)``).  One
+evaluation order everywhere gives a DP column the same floats whichever
+caller computes it, so trie and local verification, warm and cold
+caches, and the oracles' DPs agree bit for bit; how the verifier then
+adds its two directions is in :mod:`repro.core.verification`.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ from typing import List, Sequence, Tuple
 
 from repro.distance.costs import CostModel
 
-__all__ = ["wed", "wed_row_init", "wed_step", "wed_step_min", "wed_within"]
+__all__ = ["wed", "wed_row_init", "wed_step_min", "wed_within"]
 
 
 def wed_row_init(costs: CostModel, query: Sequence[int]) -> List[float]:
     """The DP row for the empty data string: ``wed(eps, Q_{1:j})`` —
-    cumulative insertion costs of the query prefix (this is also the
-    insertion prefix ``P`` of the module's evaluation convention)."""
+    the query prefix's insertion costs, summed left to right."""
     row = [0.0]
     for q in query:
         row.append(row[-1] + costs.ins(q))
@@ -50,85 +54,48 @@ def wed_step_min(
     *,
     sub_row: Sequence[float] | None = None,
     ins_row: Sequence[float] | None = None,
-    ins_prefix: Sequence[float] | None = None,
 ) -> Tuple[List[float], float]:
     """One DP step plus the running row minimum, in a single pass.
 
-    Returns ``(row, min(row))``.  The minimum is the Eq. 11 lower bound the
-    thresholded callers (:func:`wed_within`, the Smith–Waterman oracle, the
-    engine's scan fallback) test after every step; tracking it inside the
-    DP loop replaces their separate ``min(row)`` scan — an O(|Q|) pass per
-    step — with one comparison per cell.
+    ``prev_row[j] = wed(P_{1:k}, Q_{1:j})`` in, the same for ``k+1`` out,
+    as ``(row, min(row))``.  The minimum is the Eq. 11 lower bound the
+    thresholded callers (:func:`wed_within`, the Smith–Waterman oracle,
+    the verifier) test after every step; tracking it inside the DP loop
+    replaces a separate O(|Q|) ``min(row)`` scan per step with one
+    comparison per cell.
 
-    ``sub_row`` / ``ins_row`` / ``ins_prefix`` may carry precomputed
-    per-query costs (``ins_prefix`` is :func:`wed_row_init`'s row; passing
-    it saves rebuilding the prefix every step).  The verifier passes both:
-    its ``sub_row`` comes from a per-direction cache, computed once per
-    data symbol.
+    ``sub_row`` / ``ins_row`` may carry precomputed costs: the
+    symbol's substitution row and ``[ins(q) for q in query]``.  Every
+    caller in the repo passes ``ins_row``, computed once per query; the
+    verifier's ``sub_row`` comes from a per-direction cache.
     """
     if sub_row is None:
         sub_row = costs.sub_row(symbol, query)
+    if ins_row is None:
+        ins_row = [costs.ins(q) for q in query]
     dele = costs.delete(symbol)
-    if ins_prefix is None:
-        if ins_row is None:
-            ins_row = [costs.ins(q) for q in query]
-        prefix = [0.0]
-        for c in ins_row:
-            prefix.append(prefix[-1] + c)
-        ins_prefix = prefix
-    first = prev_row[0] + dele
-    row = [first]
-    row_min = first
-    m = first - ins_prefix[0]
+    best = prev_row[0] + dele
+    row = [best]
+    row_min = best
     for j in range(len(query)):
         c = prev_row[j] + sub_row[j]
         via_del = prev_row[j + 1] + dele
         if via_del < c:
             c = via_del
-        chain = ins_prefix[j + 1] + m
-        best = c if c <= chain else chain
+        via_ins = best + ins_row[j]
+        best = via_ins if via_ins < c else c
         row.append(best)
         if best < row_min:
             row_min = best
-        d = c - ins_prefix[j + 1]
-        if d < m:
-            m = d
     return row, row_min
-
-
-def wed_step(
-    costs: CostModel,
-    query: Sequence[int],
-    symbol: int,
-    prev_row: Sequence[float],
-    *,
-    sub_row: Sequence[float] | None = None,
-    ins_row: Sequence[float] | None = None,
-    ins_prefix: Sequence[float] | None = None,
-) -> List[float]:
-    """One DP step: extend the data string by ``symbol``.
-
-    ``prev_row[j] = wed(P_{1:k}, Q_{1:j})`` in, the same for ``k+1`` out.
-    ``sub_row``/``ins_row``/``ins_prefix`` may carry precomputed per-query
-    costs (hot path of verification — Algorithm 6 ``StepDP``).
-    """
-    return wed_step_min(
-        costs,
-        query,
-        symbol,
-        prev_row,
-        sub_row=sub_row,
-        ins_row=ins_row,
-        ins_prefix=ins_prefix,
-    )[0]
 
 
 def wed(data: Sequence[int], query: Sequence[int], costs: CostModel) -> float:
     """``wed(P, Q)`` for whole strings (either may be empty)."""
-    init = wed_row_init(costs, query)
-    row: List[float] = init
+    ins_row = [costs.ins(q) for q in query]
+    row = wed_row_init(costs, query)
     for p in data:
-        row = wed_step(costs, query, p, row, ins_prefix=init)
+        row = wed_step_min(costs, query, p, row, ins_row=ins_row)[0]
     return row[-1]
 
 
@@ -144,13 +111,13 @@ def wed_within(
     minimum is a monotone lower bound on any extension (Eq. 11 applied to
     whole matching) and comes out of :func:`wed_step_min` for free.
     """
-    init = wed_row_init(costs, query)
-    row: List[float] = init
-    if min(init) >= tau:
+    row = wed_row_init(costs, query)
+    if min(row) >= tau:
         # Even the empty prefix cannot recover (row[-1] >= min(row) >= tau).
         return math.inf
+    ins_row = [costs.ins(q) for q in query]
     for p in data:
-        row, row_min = wed_step_min(costs, query, p, row, ins_prefix=init)
+        row, row_min = wed_step_min(costs, query, p, row, ins_row=ins_row)
         if row_min >= tau:
             return math.inf
     return row[-1] if row[-1] < tau else math.inf

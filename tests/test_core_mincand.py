@@ -83,6 +83,15 @@ class TestGreedy:
         with pytest.raises(QueryError):
             select(elements, 2.0 + 1e-13)
 
+    def test_c_q_prime_reaches_tau_in_position_order(self):
+        """An alignment path adds its costs in query order, so c(Q') must
+        reach tau summed in that order: 2.3 + 0.4 + 0.7 is
+        3.3999999999999995, though the order greedy picks them in sums
+        them to 3.4."""
+        elements = make_elements([2.3, 0.4, 0.7, 5.0], [2, 8, 1, 1000])
+        chosen = mincand_greedy(elements, 3.4)
+        assert coverage(chosen) >= 3.4
+
     def test_zero_cost_elements_never_chosen(self):
         elements = make_elements([0.0, 1.0, 0.0, 1.0], [0, 5, 0, 5])
         chosen = mincand_greedy(elements, 2.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import SubtrajectorySearch
 from repro.core.results import MatchSet
 from repro.core.trie import TrieCacheEntry
 from repro.core.verification import Verifier
@@ -236,3 +237,12 @@ class TestDedupeAndGrouping:
         repeat = Verifier(lambda tid: data[tid], query, costs, 2.0, trie_entry=entry)
         repeat.verify_all(candidates_for(data, query), MatchSet())
         assert len(costs.calls) == len(walked)
+
+
+class TestEngineBackendEquivalence:
+    def test_unknown_backend_rejected(self, vertex_dataset, edr_cost):
+        # Neither the engine nor the verifier takes a walker.
+        with pytest.raises(TypeError, match="dp_backend"):
+            SubtrajectorySearch(vertex_dataset, edr_cost, dp_backend="numpy")
+        with pytest.raises(TypeError, match="dp_backend"):
+            Verifier(lambda tid: [], [1], edr_cost, 1.0, dp_backend="numpy")

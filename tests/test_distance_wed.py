@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distance.costs import LevenshteinCost
-from repro.distance.wed import wed, wed_row_init, wed_step, wed_within
+from repro.distance.wed import wed, wed_row_init, wed_step_min, wed_within
 
 lev = LevenshteinCost()
 
@@ -99,14 +99,14 @@ class TestStepHelpers:
     def test_step_extends_correctly(self):
         query = [1, 2]
         row = wed_row_init(lev, query)
-        row = wed_step(lev, query, 1, row)
+        row = wed_step_min(lev, query, 1, row)[0]
         assert row == [1.0, 0.0, 1.0]  # wed("1", ""), wed("1","1"), wed("1","12")
 
     def test_precomputed_rows_match(self):
         query = [1, 2, 3]
         row = wed_row_init(lev, query)
-        default = wed_step(lev, query, 2, row)
-        explicit = wed_step(
+        default = wed_step_min(lev, query, 2, row)
+        explicit = wed_step_min(
             lev,
             query,
             2,
@@ -139,16 +139,7 @@ class TestWedStepMin:
     @given(strings, strings)
     @settings(max_examples=100, deadline=None)
     def test_min_matches_scan(self, data, query):
-        from repro.distance.wed import wed_step_min
-
         row = wed_row_init(lev, query)
         for p in data:
             row, row_min = wed_step_min(lev, query, p, row)
             assert row_min == min(row)
-
-    def test_wed_step_delegates(self):
-        from repro.distance.wed import wed_step_min
-
-        query = [1, 2, 3]
-        row = wed_row_init(lev, query)
-        assert wed_step(lev, query, 2, row) == wed_step_min(lev, query, 2, row)[0]

@@ -179,6 +179,7 @@ _GONE = re.compile(
     r"|SubstitutionMatrix\b|sub_matrix\(|use_hub_labeling"
     r"|_absorb_published|publish-after-write"
     r"|TrieNode|trie_node_count|consults no entry"
+    r"|prefix-min|ins_prefix=|wed_step\("
     r"|" + _THREADS_BACKEND
 )
 

@@ -17,7 +17,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.engine import SubtrajectorySearch
+from repro.cli import build_parser
+from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
+from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.supervision import EngineStatus, WorkerState
 from repro.distance.costs import LevenshteinCost
 from repro.exceptions import ShardUnavailableError
@@ -325,3 +327,130 @@ def test_status_survives_inserts_that_add_symbols():
     final = engine.status().index
     assert final["num_symbols"] > symbols_before
     assert final["num_postings"] == dataset.total_symbols()
+
+
+def long_query(dataset, rng, length):
+    """A query longer than the fixture trajectories: concatenated samples
+    (queries are arbitrary symbol strings, not necessarily walks)."""
+    out = []
+    while len(out) < length:
+        out.extend(sample_query(dataset, rng, 8))
+    return out[:length]
+
+
+class TestKnobRoundTrip:
+    """--trie-cache-size: CLI -> engine -> workers -> healthz; there is
+    one walker, with no knob anywhere on the way."""
+
+    def test_cli_defaults(self, capsys):
+        args = build_parser().parse_args(["serve", "--self-test"])
+        assert args.trie_cache_size == DEFAULT_TRIE_CACHE
+        query = ["query", "--network", "n", "--trips", "t", "--query", "1"]
+        args = build_parser().parse_args(query + ["--trie-cache-size", "0"])
+        assert args.trie_cache_size == 0
+        # The second cache's flag went with it, and so did the walker's,
+        # on both subcommands.
+        for argv in (query, ["serve", "--self-test"]):
+            for gone in (["--substitution-cache-size", "0"], ["--dp-backend", "numpy"]):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args(argv + gone)
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_partitioned_forwards_and_aggregates(self, vertex_dataset, edr_cost, rng):
+        engine = PartitionedSubtrajectorySearch(
+            vertex_dataset,
+            edr_cost,
+            num_shards=2,
+            trie_cache_size=8,
+        )
+        query = long_query(vertex_dataset, rng, 16)
+        result = engine.query(query, tau_ratio=0.3)
+        assert result.dp_backend_used == "python"
+        agg = engine.status().trie
+        assert agg["shards"] == agg["shards_reporting"] == 2
+        # In-process shards share the one cache: capacity is not summed,
+        # and shard 0's miss is shard 1's hit.
+        assert agg["capacity"] == 8
+        assert (agg["misses"], agg["hits"]) == (1, 1)
+        engine.query(query, tau_ratio=0.3)
+        assert engine.status().trie["hits"] == 3
+        engine.close()
+
+    def test_workers_round_trip(self, vertex_dataset, edr_cost, rng):
+        engine = PartitionedSubtrajectorySearch(
+            vertex_dataset,
+            edr_cost,
+            num_shards=2,
+            backend="processes",
+            trie_cache_size=8,
+        )
+        try:
+            query = sample_query(vertex_dataset, rng, 6)
+            reference = SubtrajectorySearch(vertex_dataset, edr_cost)
+            result = engine.query(query, tau_ratio=0.3)
+            expected = reference.query(query, tau_ratio=0.3)
+            assert [(m.trajectory_id, m.start, m.end) for m in result.matches] == [
+                (m.trajectory_id, m.start, m.end) for m in expected.matches
+            ]
+            # The verifier ran inside the worker processes.
+            assert result.dp_backend_used == expected.dp_backend_used == "python"
+            engine.query(query, tau_ratio=0.3)
+            agg = engine.status().trie
+            assert agg["shards_reporting"] == 2  # idle workers all answer
+            # One cache per worker: a miss per worker, then a hit.
+            assert agg["capacity"] == 16
+            assert agg["hits"] == agg["misses"] == 2
+        finally:
+            engine.close()
+
+    def test_healthz_survives_unpollable_engine(self, vertex_dataset, edr_cost):
+        """A stats poll that raises (dead worker, closed engine) must
+        degrade the cache fields, not drop the probe connection —
+        /healthz answers liveness, not shard health."""
+        engine = PartitionedSubtrajectorySearch(vertex_dataset, edr_cost, num_shards=2)
+        service = QueryService(engine)
+        with ServiceServer(service) as server:
+            server.start()
+            engine.close()  # status() now raises QueryError
+            with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
+                health = json.loads(resp.read().decode("utf-8"))
+            assert health["status"] == "ok"
+            assert "error" in health["trie_cache"]
+            assert "substitution_cache" not in health
+
+    def test_healthz_exposes_backend_and_cache(
+        self, small_graph, netedr_cost, rng, trips
+    ):
+        from repro.trajectory.dataset import TrajectoryDataset
+
+        # A private dataset: the single-node engine mutates its dataset
+        # in place on add_trajectory, and the session-scoped fixture
+        # must stay at its seeded length for every later test.
+        vertex_dataset = TrajectoryDataset(small_graph, "vertex")
+        vertex_dataset.extend(trips)
+        engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
+        service = QueryService(engine)
+        with ServiceServer(service) as server:
+            server.start()
+            query = sample_query(vertex_dataset, rng, 8)
+            service.query(query, tau_ratio=0.3)
+            # An online insert invalidates the *result* cache, but the
+            # query's warm state depends only on query + cost model: the
+            # repeat recomputes the answer yet reuses matrix and tries —
+            # exactly the saving the /healthz counters must make visible.
+            service.add_trajectory(trips[0])
+            service.query(query, tau_ratio=0.3)
+            with urllib.request.urlopen(server.url + "/healthz", timeout=10) as resp:
+                health = json.loads(resp.read().decode("utf-8"))
+            assert "dp_backend" not in health  # there is one walker
+            assert health["trie_cache"]["hits"] >= 1
+            assert health["trie_cache"]["misses"] >= 1
+            assert "substitution_cache" not in health  # reported once
+            stats = service.stats()
+            assert "dp_backend" not in stats
+            # /stats alone keeps the retired name, as a projection.
+            assert stats["substitution_cache"] == {
+                key: stats["trie_cache"][key]
+                for key in ("capacity", "size", "hits", "misses")
+            }
+            assert stats["coalesced_retries"] == 0

@@ -122,12 +122,12 @@ class TestEquation11:
     @given(data=strings, query=strings)
     @settings(max_examples=100, deadline=None)
     def test_row_minimum_monotone(self, data, query):
-        from repro.distance.wed import wed_row_init, wed_step
+        from repro.distance.wed import wed_row_init, wed_step_min
 
         row = wed_row_init(lev, query)
         prev_min = min(row)
         for p in data:
-            row = wed_step(lev, query, p, row)
+            row = wed_step_min(lev, query, p, row)[0]
             cur_min = min(row)
             assert cur_min >= prev_min - 1e-12
             prev_min = cur_min
@@ -135,11 +135,11 @@ class TestEquation11:
     @given(data=strings, query=strings)
     @settings(max_examples=100, deadline=None)
     def test_row_minimum_bounds_extensions(self, data, query):
-        from repro.distance.wed import wed_row_init, wed_step
+        from repro.distance.wed import wed_row_init, wed_step_min
 
         row = wed_row_init(lev, query)
         for k, p in enumerate(data):
-            row = wed_step(lev, query, p, row)
+            row = wed_step_min(lev, query, p, row)[0]
             lb = min(row)
             # Any longer prefix has WED >= lb.
             for t in range(k + 1, len(data)):
@@ -250,9 +250,9 @@ class TestBackendBitParity:
 
     This is stronger than approximate equality: Definition 3 compares
     ``wed < tau`` strictly, so a one-ulp divergence at the boundary would
-    change answers (the prefix-min form of
-    :func:`~repro.distance.wed.wed_step_min` fixes one evaluation order
-    everywhere precisely to rule that out).
+    change answers (every DP step is
+    :func:`~repro.distance.wed.wed_step_min`, one evaluation order
+    everywhere, precisely to rule that out).
     """
 
     @given(

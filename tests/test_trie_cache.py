@@ -68,11 +68,12 @@ from repro.distance.costs import (
     NetERPCost,
     SURSCost,
 )
+from repro.exceptions import QueryError
 from repro.network.generators import grid_city
 from repro.service import QueryService
 from repro.service.http import ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import oracle_range
+from tests.conftest import oracle_range, sample_query
 
 
 class WeightedCost(CostModel):
@@ -944,3 +945,155 @@ class TestOneWarmQueryCache:
         result = engine.query(query, tau_ratio=0.3, time_interval=window)
         assert result.trie_cache_status == "miss" and result.matches
         assert costs.symbols and costs.symbols <= reachable
+
+
+class _CountingRowCost(CostModel):
+    """Unit costs that count the substitution rows the engine asks for."""
+
+    representation = "vertex"
+    name = "counting"
+    row_calls = 0
+
+    def sub(self, a: int, b: int) -> float:
+        return 0.0 if a == b else 1.0
+
+    def ins(self, a: int) -> float:
+        return 1.0
+
+    def sub_row(self, p, seq):
+        self.row_calls += 1
+        return super().sub_row(p, seq)
+
+
+def _engine_key(engine):
+    (key,) = engine._trie_cache.keys()
+    return key
+
+
+class TestSubstitutionMatrixCache:
+    """Cross-query reuse of a query's substitution rows.  The rows are
+    part of the query's TrieCache entry and the separate substitution
+    LRU is gone; these are its LRU-order, zero-capacity,
+    negative-capacity and first-touch cases ported onto the one cache
+    (the class and test names are the seed's, so the ids stay
+    comparable)."""
+
+    def test_lru_eviction_and_counters(self, lev_cost):
+        cache = TrieCache(2)
+
+        def factory():
+            return TrieCacheEntry(lev_cost, [1, 2, 3])
+
+        built = {}
+        for name in ("a", "b"):  # two misses
+            built[name], _ = cache.lookup(name, factory)
+            built[name].direction(0, "f", False).sub_row(7)
+        entry, status = cache.lookup("a", factory)  # refreshes recency
+        assert status == "hit" and entry is built["a"]
+        assert list(entry.directions[0, "f"].sub_rows) == [7]
+        cache.lookup("c", factory)  # evicts b (LRU)
+        assert cache.keys() == ["a", "c"]
+        # b's rows went with its entry: the next lookup starts fresh.
+        entry, status = cache.lookup("b", factory)
+        assert status == "miss" and entry is not built["b"] and entry.directions == {}
+        stats = cache.stats()
+        assert stats["size"] == 2
+        assert stats["hits"] == 1
+        assert stats["misses"] == 4
+        assert stats["evictions"] == 2
+
+    def test_zero_capacity_disables(self, lev_cost):
+        cache = TrieCache(0)
+        seen = []
+        for _ in range(2):
+            entry, status = cache.lookup("a", lambda: TrieCacheEntry(lev_cost, [1]))
+            assert status == "off" and all(entry is not e for e in seen)
+            seen.append(entry)
+        stats = cache.stats()
+        assert (stats["capacity"], stats["size"]) == (0, 0)
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+
+    def test_engine_repeated_query_hits(self, vertex_dataset, netedr_cost, rng):
+        def row_count(entry):
+            return sum(len(state.sub_rows) for state in entry.directions.values())
+
+        engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
+        query = sample_query(vertex_dataset, rng, 8)
+        first = engine.query(query, tau_ratio=0.3)
+        assert engine.status().trie["misses"] == 1
+        entry = engine._trie_cache.peek(_engine_key(engine))
+        assert entry is not None and entry.query == tuple(query)
+        rows = row_count(entry)
+        assert rows > 0
+        repeat = engine.query(query, tau_ratio=0.3)
+        stats = engine.status().trie
+        assert stats["hits"] == 1
+        assert stats["size"] == 1
+        # The hit served the same entry, and an exact repeat computed no
+        # new substitution row.
+        assert engine._trie_cache.peek(_engine_key(engine)) is entry
+        assert row_count(entry) == rows
+        # A hit must not change the answer (the rows are dataset-free).
+        assert [(m.trajectory_id, m.start, m.end, m.distance) for m in first.matches] == [
+            (m.trajectory_id, m.start, m.end, m.distance) for m in repeat.matches
+        ]
+        # The rows are threshold-independent: varying tau still hits.
+        engine.query(query, tau_ratio=0.25)
+        stats = engine.status().trie
+        assert stats["misses"] == 1
+        assert stats["hits"] == 2
+        # A different query is a genuine miss.
+        other = sample_query(vertex_dataset, rng, 9)
+        if other != query:
+            engine.query(other, tau_ratio=0.3)
+            assert engine.status().trie["misses"] == 2
+
+    def test_engine_cache_disabled(self, vertex_dataset, rng):
+        """``trie_cache_size=0`` is no cross-query reuse of any kind: the
+        repeat pays for its substitution rows again."""
+        costs = _CountingRowCost()
+        engine = SubtrajectorySearch(vertex_dataset, costs, trie_cache_size=0)
+        query = sample_query(vertex_dataset, rng, 8)
+        engine.query(query, tau_ratio=0.3)
+        first = costs.row_calls
+        engine.query(query, tau_ratio=0.3)
+        assert costs.row_calls == 2 * first > 0
+        stats = engine.status().trie
+        assert (stats["capacity"], stats["size"]) == (0, 0)
+        assert (stats["hits"], stats["misses"]) == (0, 0)
+
+    def test_negative_capacity_rejected(self, vertex_dataset, edr_cost):
+        with pytest.raises(QueryError):
+            SubtrajectorySearch(vertex_dataset, edr_cost, trie_cache_size=-1)
+        with pytest.raises(ValueError):
+            TrieCache(-1)
+
+    def test_direction_rows_concurrent_first_touch(self, lev_cost):
+        """A direction's row cache is shared across server threads via the
+        cached entry: concurrent first-touch fills, each holding the
+        entry's lock as the verifier does, must neither compute a row
+        twice nor tear one."""
+        import threading
+
+        query = list(range(24))
+        costs = _CountingRowCost()
+        entry = TrieCacheEntry(costs, query)
+        state = entry.direction(3, "f", False)
+        symbols = list(range(500))
+        barrier = threading.Barrier(4)
+
+        def fill(offset):
+            barrier.wait()
+            for s in symbols[offset:] + symbols[:offset]:
+                with entry.lock:
+                    state.sub_row(s)
+
+        threads = [threading.Thread(target=fill, args=(i * 125,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(state.sub_rows) == symbols
+        assert costs.row_calls == len(symbols)  # no row computed twice
+        for s in symbols:
+            assert state.sub_row(s) == lev_cost.sub_row(s, query[4:])  # no torn rows
