@@ -28,9 +28,12 @@ assertions are the CI regression gate:
 
 - warm answers must equal cold answers bit for bit (keys and
   distances): a cached column holds the floats its recomputation would;
-- on the network-aware cells warm verification must be >=
-  ``WARM_SPEEDUP_FLOOR``x faster than cold, even on the CI smoke
-  workload (``REPRO_BENCH_SCALE=0.25``), guarding the warm-repeat walk.
+- every timed warm repeat computes no DP column and no substitution
+  row: the warm-repeat walk is cached-column visits and the combine.
+
+The warm-over-cold ratio (``warm_speedup``) is recorded, not gated: it
+divides by the cold cost, which the native DP kernel cuts, so a faster
+cold path reads as a smaller ratio with the warm walk unchanged.
 """
 
 import gc
@@ -43,7 +46,7 @@ from repro.bench.harness import SeriesTable, format_seconds
 from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
 
 #: (profile, similarity function, query length); the first entry is the
-#: headline (floor-gated) workload.
+#: headline workload.
 WORKLOADS = [
     ("singapore", "NetEDR", 50),
     ("singapore", "EDR", 50),
@@ -56,10 +59,6 @@ TAU_RATIO = 0.4
 REPEATS = 3
 #: serving regime -> the engine's trie_cache_size.
 CONFIGS = {"cold": 0, "warm": DEFAULT_TRIE_CACHE}
-#: CI gate: warm-repeat verification must beat cold verification by at
-#: least this factor on the network-aware cells (repeated queries should
-#: cost little more than the frontier walk).
-WARM_SPEEDUP_FLOOR = 2.0
 
 
 def _gc_totals():
@@ -86,6 +85,14 @@ def _measure(engine, queries):
     """
     answers = []
     visited = computed = candidates = 0
+    costs = engine.costs
+    cost_row = costs.sub_row
+    rows = []
+
+    def counting_row(p, seq):
+        rows.append(p)
+        return cost_row(p, seq)
+
     # The warm-up pass collects the answers for the exactness gate (and
     # warms the cost model's distance caches, so both regimes measure
     # steady serving state).
@@ -99,15 +106,23 @@ def _measure(engine, queries):
         candidates += result.verification.candidates
     best_verify = [float("inf")] * len(queries)
     best_query = [float("inf")] * len(queries)
+    timed_computed = []
+    # Counts the substitution rows the timed runs compute (an instance
+    # attribute shadows the method for the timed loop only).
+    costs.sub_row = counting_row
     gc_before = _gc_totals()
-    for _ in range(REPEATS):
-        for i, q in enumerate(queries):
-            t0 = time.perf_counter()
-            result = engine.query(q, tau_ratio=TAU_RATIO)
-            elapsed = time.perf_counter() - t0
-            best_verify[i] = min(best_verify[i], result.verify_seconds)
-            best_query[i] = min(best_query[i], elapsed)
-    gc_after = _gc_totals()
+    try:
+        for _ in range(REPEATS):
+            for i, q in enumerate(queries):
+                t0 = time.perf_counter()
+                result = engine.query(q, tau_ratio=TAU_RATIO)
+                elapsed = time.perf_counter() - t0
+                best_verify[i] = min(best_verify[i], result.verify_seconds)
+                best_query[i] = min(best_query[i], elapsed)
+                timed_computed.append(result.verification.computed_columns)
+    finally:
+        gc_after = _gc_totals()
+        del costs.sub_row
     timed_runs = REPEATS * len(queries)
     tracemalloc.start()
     engine.query(queries[0], tau_ratio=TAU_RATIO)
@@ -124,6 +139,8 @@ def _measure(engine, queries):
         ),
         "candidates_per_query": candidates / n,
         "computed_columns_per_query": computed / n,
+        "timed_computed_columns_max": max(timed_computed),
+        "timed_rows_per_query": len(rows) / timed_runs,
         "gc_collections_per_query": (gc_after[0] - gc_before[0]) / timed_runs,
         "gc_collected_per_query": (gc_after[1] - gc_before[1]) / timed_runs,
         "tracemalloc_peak_mb": peak_bytes / 1e6,
@@ -165,8 +182,9 @@ def test_verification_hotpath(recorder, bench_scale):
                     **measured,
                 }
             )
-    gated = [c for c in cells if c["function"] == WORKLOADS[0][1]]
-    headline = max(gated, key=lambda c: c["scale"])
+    headline = max(
+        (c for c in cells if c["function"] == WORKLOADS[0][1]), key=lambda c: c["scale"]
+    )
 
     table = SeriesTable(
         "series",
@@ -212,25 +230,27 @@ def test_verification_hotpath(recorder, bench_scale):
             "headline_scale": headline["scale"],
             "headline_cold_verify_seconds": headline["cold"]["verify_seconds_per_query"],
             "headline_warm_speedup": headline["warm_speedup"],
-            "warm_speedup_floor": WARM_SPEEDUP_FLOOR,
             "tau_ratio": TAU_RATIO,
             "num_queries": NUM_QUERIES,
             "repeats": REPEATS,
             "bench_scale": bench_scale,
         },
         expectation=(
-            f"warm-repeat serving (the cross-query TrieCache) >= "
-            f"{WARM_SPEEDUP_FLOOR}x faster at verification than cold on every "
-            "NetEDR cell (CI smoke included); warm answers bit-identical to "
-            "cold everywhere.  Cold cells (trie_cache_size=0) compute the "
-            "substitution rows as well as the tries on every run"
+            "every timed warm repeat (the cross-query TrieCache) computes no "
+            "DP column and no substitution row, on every cell (CI smoke "
+            "included); warm answers bit-identical to cold everywhere.  Cold "
+            "cells (trie_cache_size=0) compute the substitution rows as well "
+            "as the tries on every run; warm_speedup is recorded, not gated"
         ),
     )
 
     # The CI gate: breaking the warm-repeat walk fails the build.
-    for cell in gated:
-        assert cell["warm_speedup"] >= WARM_SPEEDUP_FLOOR, (
-            f"warm trie cache only {cell['warm_speedup']:.2f}x faster than "
-            f"cold verification on {cell['profile']}/{cell['function']} "
-            f"scale {cell['scale']:g} (floor {WARM_SPEEDUP_FLOOR}x)"
+    for cell in cells:
+        warm = cell["warm"]
+        where = f"{cell['profile']}/{cell['function']} scale {cell['scale']:g}"
+        assert warm["timed_computed_columns_max"] == 0, (
+            f"a warm repeat computed DP columns on {where}"
+        )
+        assert warm["timed_rows_per_query"] == 0, (
+            f"a warm repeat computed substitution rows on {where}"
         )

@@ -18,7 +18,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed"]},
+    # The verifier's C kernel is compiled on first use, from the source.
+    package_data={"repro": ["py.typed", "core/_wedkernel.c"]},
     python_requires=">=3.10",  # dataclass(slots=True) in core/results & engine
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -1,0 +1,84 @@
+/* The verifier's native DP kernel: one candidate's uncached suffix.
+ *
+ * AllPrefixWED (repro.core.verification) follows a direction trie's cached
+ * edges to the first miss; every column past it is new.  This function
+ * computes those columns, one DP step per data symbol, with exactly the
+ * recurrence and evaluation order of repro.distance.wed.wed_step_min:
+ *
+ *     C[j] = min(B'[j-1] + sub[j], B'[j] + del)
+ *     B[j] = min(C[j], B[j-1] + ins[j])
+ *
+ * so each column holds the floats the Python kernel computes, bit for bit.
+ * Build without -ffast-math and with -ffp-contract=off.
+ *
+ * Substitution costs come from the query's one row matrix: the row of the
+ * symbol in `slots[k]`, read from `offset` with `step` (+1 forward, -1
+ * backward: the part is Q[iq+1:] or Q[iq-1::-1]).  The function resumes
+ * at column `done` and returns
+ *   0  after the first column whose minimum is >= limit,
+ *   1  before a symbol whose slot is -1 (no row yet: the caller computes
+ *      the row, fills in the slot and calls again),
+ *   2  when all `count` symbols are done.
+ * The layout of wed_job is mirrored by repro.core.wedkernel._Job.
+ */
+#include <stdint.h>
+
+typedef struct {
+    const double *rows;    /* one row of |Q| substitution costs per slot */
+    const double *dels;    /* one deletion cost per slot */
+    int64_t stride;        /* |Q| */
+    const double *ins;     /* the part's insertion costs, n of them */
+    int64_t offset;        /* the part's first element in a row */
+    int64_t step;          /* +1 forward, -1 backward */
+    int64_t n;             /* |part|: a column holds n + 1 values */
+    const double *parent;  /* the column the suffix hangs off */
+    const int64_t *slots;  /* the suffix's row slots, -1 = no row yet */
+    int64_t count;         /* symbols to process */
+    double limit;          /* early-termination bound */
+    int64_t done;          /* columns written so far */
+    double *columns;       /* out: done x (n + 1) */
+    double *mins;          /* out: each column's minimum */
+    double *lasts;         /* out: each column's last value */
+} wed_job;
+
+int wed_suffix(wed_job *job)
+{
+    const int64_t n = job->n, width = n + 1, step = job->step;
+    const double *ins = job->ins;
+    int64_t k = job->done;
+    const double *prev = k ? job->columns + (k - 1) * width : job->parent;
+    for (; k < job->count; k++) {
+        const int64_t slot = job->slots[k];
+        if (slot < 0) {
+            job->done = k;
+            return 1;
+        }
+        const double *row = job->rows + slot * job->stride;
+        const int64_t offset = job->offset;
+        const double dele = job->dels[slot];
+        double *col = job->columns + k * width;
+        double best = prev[0] + dele;
+        double low = best;
+        col[0] = best;
+        for (int64_t j = 0; j < n; j++) {
+            double c = prev[j] + row[offset + j * step];
+            const double via_del = prev[j + 1] + dele;
+            if (via_del < c)
+                c = via_del;
+            const double via_ins = best + ins[j];
+            best = via_ins < c ? via_ins : c;
+            col[j + 1] = best;
+            if (best < low)
+                low = best;
+        }
+        job->mins[k] = low;
+        job->lasts[k] = best;
+        prev = col;
+        if (low >= job->limit) {
+            job->done = k + 1;
+            return 0;
+        }
+    }
+    job->done = k;
+    return 2;
+}

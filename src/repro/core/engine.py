@@ -71,7 +71,7 @@ INDEX_BACKENDS = ("dict", "frozen")
 #: default capacity (entries) of the engine-level TrieCache — a repeated
 #: query's substitution rows and DP columns, warm.  Sized for the serving
 #: layer's zipf repeat traffic (the hot head of the query distribution);
-#: row caches and trie arenas keep growing while cached, so the binding
+#: row stores and trie arenas keep growing while cached, so the binding
 #: limit under heavy traffic is usually DEFAULT_TRIE_CACHE_BYTES, not
 #: the entry count.
 DEFAULT_TRIE_CACHE = 32
@@ -102,7 +102,9 @@ class QueryResult:
     verify_seconds: float
     verification: VerificationStats
     used_fallback: bool = False
-    #: "python" whenever the verifier ran, else "" (read by perf/layers.py's verify.python_share).
+    #: the DP kernel the verifier ran, ``"native"`` or ``"python"``
+    #: (:mod:`repro.core.wedkernel`), else "" (read by perf/layers.py's
+    #: verify.python_share).  Merged shard results keep the first shard's.
     dp_backend_used: str = ""
     #: what the cross-query TrieCache did for this query: ``"hit"`` (warm
     #: rows and columns reused), ``"miss"`` (verified cold, warmed the
@@ -110,7 +112,8 @@ class QueryResult:
     #: not consulted at all (sw mode, scan fallback).
     #: Merged shard results join the distinct per-shard statuses with ``+``.
     trie_cache_status: str = ""
-    #: always 0: the verifier launches no DP kernel (read by perf/layers.py's verify.dp_rounds).
+    #: DP kernel calls the verifier made, summed over shards (read by
+    #: perf/layers.py's verify.dp_rounds).
     dp_rounds: int = 0
     #: False when this is a *partial* answer: one or more shards were
     #: unavailable and the caller opted into graceful degradation
@@ -549,10 +552,10 @@ class SubtrajectorySearch:
             matches = MatchSet()
             stats = VerificationStats()
             backend_used = ""
+            dp_rounds = 0
             if trie_entry is None:
                 stats = self._verify_sw(candidates, query, tau, matches, cancel)
             else:
-                backend_used = "python"
                 verifier = Verifier(
                     self._dataset.symbols_array,
                     query,
@@ -564,6 +567,8 @@ class SubtrajectorySearch:
                     cancel=cancel,
                 )
                 verifier.verify_all(candidates, matches)
+                backend_used = verifier.dp_backend
+                dp_rounds = verifier.dp_rounds
                 stats = verifier.stats
         finally:
             # The entry gained neighborhoods, rows and arenas
@@ -624,6 +629,7 @@ class SubtrajectorySearch:
             verification=stats,
             dp_backend_used=backend_used,
             trie_cache_status=trie_status,
+            dp_rounds=dp_rounds,
         )
 
     def topk(
@@ -681,7 +687,7 @@ class SubtrajectorySearch:
         query profile and the verifier's count bound, so a query that
         ends in the scan fallback (no tau-subsequence) keeps one too: its
         repeat's MinCand reads them warm.  On a ``"hit"`` the
-        neighborhoods, the per-direction substitution rows and the tries
+        neighborhoods, the substitution rows and the tries
         are all reused — the row-computation stage of verification
         disappears for repeated queries and the walk starts warm.  Rows
         are computed on a symbol's first cache miss only, so a query

@@ -573,6 +573,7 @@ class PartitionedSubtrajectorySearch:
         candidates = 0
         mincand = lookup = verify = 0.0
         backend_used = ""
+        dp_rounds = 0
         trie_statuses: List[str] = []
         for result, id_map in zip(results, self._global_ids):
             if result is None:
@@ -583,6 +584,7 @@ class PartitionedSubtrajectorySearch:
             lookup += result.lookup_seconds
             verify += result.verify_seconds
             backend_used = backend_used or result.dp_backend_used
+            dp_rounds += result.dp_rounds
             status = result.trie_cache_status
             if status and status not in trie_statuses:
                 trie_statuses.append(status)
@@ -604,6 +606,7 @@ class PartitionedSubtrajectorySearch:
             ),
             dp_backend_used=backend_used,
             trie_cache_status="+".join(sorted(trie_statuses)),
+            dp_rounds=dp_rounds,
             complete=not degraded,
             degraded_shards=degraded,
         )

@@ -24,15 +24,19 @@ warm with no per-node object graph to rebuild or traverse.
 
 A :class:`TrieCacheEntry` is one query's whole warm state: the query's
 neighborhoods ``B(q)`` / ``c(q)`` and the count bound's table
-(:class:`~repro.core.filtering.QueryNeighborhoods`) and, per
-``(iq, direction)``, one :class:`DirectionState` — the query part, its
-insertion prefix, its substitution-row cache and the
-:class:`VerificationTrie`.  The engine's :class:`TrieCache` keeps entries
-across queries.
+(:class:`~repro.core.filtering.QueryNeighborhoods`), its one
+substitution-row matrix — one row per walked data symbol,
+``costs.sub_row(symbol, query)``, with the symbol's deletion cost beside
+it, in contiguous float64 arrays the native DP kernel
+(:mod:`repro.core.wedkernel`) indexes by slot — and, per
+``(iq, direction)``, one :class:`DirectionState`: the query part, where
+it sits in a row (an offset and a step), its insertion costs and prefix,
+and the :class:`VerificationTrie`.  The engine's :class:`TrieCache`
+keeps entries across queries.
 
 One rule covers concurrency: **an entry is walked by one verifier at a
 time.**  The verifier holds :attr:`TrieCacheEntry.lock` for a whole
-anchor group, so nothing under an entry — states, row caches, tries —
+anchor group, so nothing under an entry — states, the row store, tries —
 has a lock of its own.  A concurrent verifier of the same query waits
 for at most one group, then walks the first one's columns as cache hits.
 Writers still write a column (or a row) before the key that makes it
@@ -62,6 +66,8 @@ __all__ = [
 
 #: rows a fresh arena starts with; growth doubles.
 _INITIAL_ROWS = 32
+#: substitution rows a fresh entry's row store starts with; growth doubles.
+_INITIAL_SYMBOL_ROWS = 16
 
 # Per-column python-object bytes beyond the column matrix, *measured* on
 # this interpreter (a fixed guess drifts on wide alphabets, where the
@@ -169,76 +175,76 @@ class VerificationTrie:
 
 class DirectionState:
     """One ``(iq, direction)``'s warm state: the query ``part`` itself,
-    its insertion costs (``ins_row``, passed to every DP step) and
-    insertion prefix (the trie's root column, summed left to right by
-    :func:`~repro.distance.wed.wed_row_init`), the part's substitution
-    rows, and its :class:`VerificationTrie` — ``None`` until a verifier
-    with tries on first walks this direction.
+    where it sits in a row of the entry's substitution-row matrix
+    (``offset`` / ``step``), its insertion costs (``ins_row``, a list for
+    the Python kernel and ``ins_array`` for the native one) and insertion
+    prefix (the trie's root column, summed left to right by
+    :func:`~repro.distance.wed.wed_row_init`; ``root`` holds it as a
+    one-row matrix for local verification), and its
+    :class:`VerificationTrie` — ``None`` until a verifier with tries on
+    first walks this direction.
 
     The part is ``query[iq+1:]`` forward and the reversed prefix
     ``query[iq-1::-1]`` backward: WED is invariant under simultaneous
-    reversal because costs are position-independent.
-
-    The row cache maps a data symbol to ``costs.sub_row(symbol, part)``,
-    computed on the symbol's first cache miss in this direction and read
-    by every later one, so a model's row work is paid once per symbol
-    per direction, not once per DP column.  Rows depend only on the
-    query and the model, never on the dataset, the threshold or the time
-    window, so they stay valid for as long as the entry lives.
+    reversal because costs are position-independent.  A row of the
+    entry's matrix is ``costs.sub_row(symbol, query)``, so the part's
+    costs are the row read from ``offset`` with ``step``: ``iq + 1`` and
+    ``+1`` forward, ``iq - 1`` and ``-1`` backward.
     """
 
-    __slots__ = ("costs", "part", "ins_row", "ins_prefix", "sub_rows", "trie", "__weakref__")
+    __slots__ = (
+        "part",
+        "offset",
+        "step",
+        "ins_row",
+        "ins_array",
+        "ins_prefix",
+        "root",
+        "trie",
+        "__weakref__",
+    )
 
     def __init__(
         self, costs: CostModel, query: Tuple[int, ...], iq: int, direction: str
     ) -> None:
         if direction == "b":
             part = query[iq - 1 :: -1] if iq > 0 else ()
+            self.offset, self.step = iq - 1, -1
         else:
             part = query[iq + 1 :]
-        self.costs = costs
+            self.offset, self.step = iq + 1, 1
         self.part = part
         self.ins_row: List[float] = [costs.ins(q) for q in part]
+        self.ins_array = np.array(self.ins_row, dtype=np.float64)
         self.ins_prefix: List[float] = wed_row_init(costs, part)
-        #: symbol -> ``costs.sub_row(symbol, part)``.
-        self.sub_rows: Dict[int, List[float]] = {}
+        self.root = np.array([self.ins_prefix], dtype=np.float64)
         self.trie: Optional[VerificationTrie] = None
-
-    def sub_row(self, symbol: int) -> List[float]:
-        """``[sub(symbol, q) for q in part]``, computed on first touch.
-
-        The row is stored only once computed, so a cost model raising
-        mid-row leaves nothing behind."""
-        row = self.sub_rows.get(symbol)
-        if row is None:
-            row = self.sub_rows[symbol] = self.costs.sub_row(symbol, self.part)
-        return row
 
     @property
     def nbytes(self) -> int:
-        """Bytes the row cache and the trie pin.  Rows are counted
-        arithmetically, each as a list of ``|part|`` boxed floats under a
-        boxed symbol key (an upper bound: models may share float
-        objects), since this is re-read after every verification."""
-        row_bytes = (
-            sys.getsizeof([0.0] * len(self.part))
-            + len(self.part) * _FLOAT_OBJECT_BYTES
-            + _INT_OBJECT_BYTES
-        )
-        total = sys.getsizeof(self.sub_rows) + len(self.sub_rows) * row_bytes
-        if self.trie is not None:
-            total += self.trie.nbytes
-        return total
+        """Bytes the trie pins (the part's own costs are not counted)."""
+        return 0 if self.trie is None else self.trie.nbytes
 
 
 class TrieCacheEntry:
     """One query's whole warm state, built from ``(costs, query)``: the
     query's :class:`~repro.core.filtering.QueryNeighborhoods` (built on
-    first :meth:`neighborhoods` call) and one :class:`DirectionState`
-    per ``(iq, direction)`` its verifications have touched — the only
-    place that key is held.  Nothing under an entry refers back to it,
-    so an evicted entry's arrays go the moment the last verifier holding
-    it drops it, with no wait for the cyclic collector.
+    first :meth:`neighborhoods` call), its substitution rows (one store,
+    below) and one :class:`DirectionState` per ``(iq, direction)`` its
+    verifications have touched — the only place that key is held.
+    Nothing under an entry refers back to it, so an evicted entry's
+    arrays go the moment the last verifier holding it drops it, with no
+    wait for the cyclic collector.
+
+    The row store holds one row per data symbol walked by the query's
+    verifications, in any direction: ``slots`` maps the symbol to its
+    slot, row ``slot`` of the ``(capacity, |Q|)`` float64 matrix ``rows``
+    is ``costs.sub_row(symbol, query)`` and ``dels[slot]`` is
+    ``costs.delete(symbol)``.  :meth:`row_slot` fills a slot on the
+    symbol's first touch; the arrays are allocated with the first row
+    and their capacity doubles as rows are added.  Rows depend only on
+    the query and the model, never on the dataset, the threshold or the
+    time window, so they stay valid for as long as the entry lives.
 
     A verifier walks the entry only while it holds :attr:`lock` (see the
     module docstring); :attr:`nbytes` alone is read without it.
@@ -249,6 +255,9 @@ class TrieCacheEntry:
         "query",
         "directions",
         "hoods",
+        "slots",
+        "rows",
+        "dels",
         "lock",
         "counted_bytes",
         "__weakref__",
@@ -260,6 +269,10 @@ class TrieCacheEntry:
         self.query: Tuple[int, ...] = tuple(query)
         self.directions: Dict[Tuple[int, str], DirectionState] = {}
         self.hoods: Optional[QueryNeighborhoods] = None
+        #: symbol -> its row of :attr:`rows` and its entry of :attr:`dels`.
+        self.slots: Dict[int, int] = {}
+        self.rows = np.empty((0, len(self.query)), dtype=np.float64)
+        self.dels = np.empty(0, dtype=np.float64)
         #: held by the one verifier walking this entry, a group at a time.
         self.lock = threading.Lock()
         #: the bytes a :class:`TrieCache` counts for this entry: ``None``
@@ -274,6 +287,29 @@ class TrieCacheEntry:
         if self.hoods is None:
             self.hoods = QueryNeighborhoods(self.costs, self.query)
         return self.hoods
+
+    def row_slot(self, symbol: int) -> int:
+        """The slot of ``symbol``'s row, computed on first touch.  The
+        slot is published only once its row and deletion cost are
+        written, so a cost model raising mid-row leaves nothing behind.
+        Growth replaces :attr:`rows` and :attr:`dels` with larger copies.
+        Caller holds :attr:`lock`."""
+        slot = self.slots.get(symbol)
+        if slot is None:
+            row = self.costs.sub_row(symbol, self.query)
+            dele = self.costs.delete(symbol)
+            slot = len(self.slots)
+            if slot == len(self.dels):
+                capacity = max(2 * slot, _INITIAL_SYMBOL_ROWS)
+                rows = np.empty((capacity, len(self.query)), dtype=np.float64)
+                rows[:slot] = self.rows
+                dels = np.empty(capacity, dtype=np.float64)
+                dels[:slot] = self.dels
+                self.rows, self.dels = rows, dels
+            self.rows[slot] = row
+            self.dels[slot] = dele
+            self.slots[symbol] = slot
+        return slot
 
     def direction(self, iq: int, direction: str, with_trie: bool) -> DirectionState:
         """The state for one ``(iq, direction)``, created on first touch —
@@ -290,12 +326,21 @@ class TrieCacheEntry:
 
     @property
     def nbytes(self) -> int:
-        """Bytes this entry pins: its neighborhoods and bound table, and
-        per direction its row cache and trie.  Read without :attr:`lock`
-        (by :meth:`TrieCache.reconcile`), so the states are copied out
-        before summing."""
+        """Bytes this entry pins: its neighborhoods and bound table, its
+        row store (the two arrays exactly, the ``slots`` dict's table by
+        ``sys.getsizeof`` and a boxed key and slot per row), and its
+        tries.  Read without :attr:`lock` (by :meth:`TrieCache.reconcile`),
+        so the states are copied out before summing."""
         hoods = self.hoods
         total = 0 if hoods is None else hoods.nbytes
+        slots = self.slots
+        if slots:
+            total += (
+                self.rows.nbytes
+                + self.dels.nbytes
+                + sys.getsizeof(slots)
+                + len(slots) * 2 * _INT_OBJECT_BYTES
+            )
         for state in list(self.directions.values()):
             total += state.nbytes
         return total
@@ -324,7 +369,7 @@ class TrieCache:
     deployment share a single instance).
 
     Eviction is LRU, bounded two ways: ``capacity`` entries, and — since
-    arenas and row caches keep growing *after* insertion as later
+    arenas and row stores keep growing *after* insertion as later
     queries extend them — a ``max_bytes`` budget enforced by
     :meth:`reconcile`, which the engine calls after each verification to
     re-account the one entry that verification walked and shed LRU
@@ -401,7 +446,7 @@ class TrieCache:
 
         Returns the post-eviction byte total.  Called by the engine after
         each verification with the entry it walked, because arenas and
-        row caches grow while entries sit in the cache — insertion-time
+        row stores grow while entries sit in the cache — insertion-time
         accounting alone would undercount.  No other entry is measured.
         An entry no longer cached (evicted meanwhile, or handed out with
         the cache off) changes nothing.  An oversized *single* entry is

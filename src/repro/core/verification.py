@@ -80,10 +80,12 @@ over one trie layout: per direction, the *slot-native*
 :class:`~repro.core.trie.TrieCacheEntry` (columns as rows of one
 growable matrix, structure in one ``(parent_slot, symbol) ->
 child_slot`` dict, the per-column min / last as plain floats).  The
-entry holds everything warm — per ``(iq, direction)`` the query part,
-its insertion prefix, its substitution-row cache and the trie — and the
-engine keeps it across queries (or builds it fresh per query with the
-cache off); the verifier itself keeps no warm state.
+entry holds everything warm — the query's one substitution-row matrix
+(one row per walked data symbol, against the whole query) and per
+``(iq, direction)`` the query part, its offset and step into a row, its
+insertion costs and prefix and the trie — and the engine keeps it
+across queries (or builds it fresh per query with the cache off); the
+verifier itself keeps no warm state.
 Candidates are deduped and grouped by anchor position ``iq``, and each
 group shares one setup: per candidate the trajectory's int array, the
 anchor cost and budget, and both direction views materialized once as
@@ -91,15 +93,20 @@ plain int lists.
 
 The walker takes the candidates one at a time.  Each follows the
 direction trie's cached edges to its first miss; past it every column
-is new, computed one pure-Python loop iteration per DP cell
-(:func:`~repro.distance.wed.wed_step_min`, in the one evaluation order
-of :mod:`repro.distance.wed`) from the symbol's cached substitution row,
-and published as one block of arena rows before the next candidate
-walks.  A row is computed once per symbol per direction and a column
-once per trie path, so a warm entry (served across queries by the
-engine's :class:`~repro.core.trie.TrieCache`) costs a repeated query
-neither.  ``use_trie=False`` (local verification) finds and publishes
-nothing: every visit computes its column, from the same cached rows.
+is new, computed by one kernel call (:mod:`repro.core.wedkernel`) from
+the symbols' rows in the entry's matrix, and published as one block of
+arena rows before the next candidate walks.  The kernel is a C function
+loaded with :class:`ctypes.PyDLL`, which keeps the GIL through calls
+that last microseconds; it evaluates the recurrence of
+:mod:`repro.distance.wed` in its one order, so its columns are
+:func:`~repro.distance.wed.wed_step_min`'s bit for bit, and where it
+cannot be built the Python kernel, ``wed_step_min`` per column, runs
+over the same matrix.  A row is computed once per symbol per query and
+a column once per trie path, so a warm entry (served across queries by
+the engine's :class:`~repro.core.trie.TrieCache`) costs a repeated
+query neither.  ``use_trie=False`` (local verification) finds and
+publishes nothing: every visit computes its column, from the same
+rows.
 
 Grouping and cross-query trie warmth preserve the sequential semantics
 exactly: which columns get computed *by this query*, every column's
@@ -134,8 +141,8 @@ import numpy as np
 from repro.core.cancellation import raise_if_cancelled
 from repro.core.results import MatchSet
 from repro.core.trie import DirectionState, TrieCacheEntry
+from repro.core.wedkernel import new_kernel
 from repro.distance.costs import CostModel
-from repro.distance.wed import wed_step_min
 from repro.exceptions import QueryError
 
 __all__ = [
@@ -226,7 +233,7 @@ class Verifier:
         before any column.  Disabling scans to the trajectory ends.
     trie_entry:
         The :class:`~repro.core.trie.TrieCacheEntry` for this exact query
-        — its per-direction substitution rows and tries.  The engine
+        — its substitution rows and tries.  The engine
         passes the one its TrieCache holds, so repeated queries (tau and
         time-window variations included) compute no row again and start
         verification with warm columns; ``None`` builds a fresh, private
@@ -265,11 +272,23 @@ class Verifier:
         elif trie_entry.query != self._query:
             raise QueryError("cache entry was built for a different query")
         self._entry = trie_entry
+        self._kernel = new_kernel(costs, trie_entry)
         # floor(budget * _reach_scale) deletions fit in a budget; with
         # δ = 0 nothing limits them (inf: the whole side).
         delta = costs.deletion_floor()
         self._reach_scale = (1.0 + _BOUND_MARGIN) / delta if delta > 0 else np.inf
         self.stats = VerificationStats()
+
+    @property
+    def dp_backend(self) -> str:
+        """The kernel computing this verifier's columns: ``"native"`` or
+        ``"python"`` (:mod:`repro.core.wedkernel`)."""
+        return self._kernel.name
+
+    @property
+    def dp_rounds(self) -> int:
+        """Kernel calls made so far."""
+        return self._kernel.calls
 
     # -- Algorithm 3: drive all candidates ---------------------------------
 
@@ -465,33 +484,28 @@ class Verifier:
         budgets: List[float],
         state: DirectionState,
     ) -> List[List[float]]:
-        """AllPrefixWED for many candidates, one at a time and one
-        pure-Python loop iteration per DP cell:
+        """AllPrefixWED for many candidates, one at a time:
         ``E[k] = wed(view[:k], query part)`` for growing ``k``, per view.
 
         Each candidate follows the direction trie's cached edges to its
         first miss.  Past it every column is new — a fresh slot has no
-        children — so the walker computes that uncached suffix with
-        :func:`~repro.distance.wed.wed_step_min`, seeded from the miss's
-        parent row and fed each symbol's cached substitution row
-        (:meth:`~repro.core.trie.DirectionState.sub_row`), and publishes
-        it as one block of arena rows before the next candidate walks:
-        later candidates and later queries find it cached.  Without the
-        trie (local verification) nothing is found or published, and
-        every visit computes its column.  A candidate stops once its
-        column minimum reaches its budget (the stopped column's E value
-        could only be >= budget, so nothing is lost); ``E[0]`` is the
-        cost of inserting the whole query part.  The cancellation token
-        is polled between candidates.
+        children — so the walker hands that uncached suffix to the kernel
+        (:mod:`repro.core.wedkernel`), seeded from the miss's parent row,
+        and publishes the kernel's columns as one block of arena rows
+        before the next candidate walks: later candidates and later
+        queries find them cached.  Without the trie (local verification)
+        nothing is found or published, and every visit computes its
+        column, from the root.  A candidate stops once its column minimum
+        reaches its budget (the stopped column's E value could only be >=
+        budget, so nothing is lost); ``E[0]`` is the cost of inserting
+        the whole query part.  The cancellation token is polled between
+        candidates.
         """
         trie = state.trie if self._use_trie else None
-        costs = self._costs
-        part = state.part
-        ins_row = state.ins_row
+        kernel = self._kernel
+        kernel.direction(state)
         ins_prefix = state.ins_prefix
         root_min = min(ins_prefix)
-        rows_get = state.sub_rows.get
-        sub_row = state.sub_row
         if trie is not None:
             edges_get = trie.edges.get
             mins_list = trie.mins_list
@@ -506,46 +520,42 @@ class Verifier:
                 out = [ins_prefix[-1]]
                 outs.append(out)
                 limit = budget if early else inf
-                if root_min >= limit:
+                if root_min >= limit or not view:
                     continue
                 slot = 0
-                # The previous column's floats, once past the first miss.
-                column = None if trie is not None else ins_prefix
-                columns: List[List[float]] = []
-                mins: List[float] = []
-                syms: List[int] = []
-                for symbol in view:
-                    if column is None:
+                if trie is not None:
+                    for symbol in view:
                         child = edges_get((slot, symbol))
-                        if child is not None:
-                            slot = child
-                            out.append(lasts_list[child])
-                            if mins_list[child] >= limit:
-                                break
-                            continue
-                        column = trie.row(slot).tolist()
-                    row = rows_get(symbol)
-                    if row is None:
-                        row = sub_row(symbol)
-                    column, column_min = wed_step_min(
-                        costs, part, symbol, column, sub_row=row, ins_row=ins_row
-                    )
-                    out.append(column[-1])
-                    columns.append(column)
-                    mins.append(column_min)
-                    syms.append(symbol)
-                    if column_min >= limit:
-                        break
-                count = len(columns)
+                        if child is None:
+                            break
+                        slot = child
+                        out.append(lasts_list[child])
+                        if mins_list[child] >= limit:
+                            break
+                    first = len(out) - 1
+                    if first == len(view) or mins_list[slot] >= limit:
+                        continue
+                    parents = trie.matrix
+                else:
+                    first = 0
+                    parents = state.root
+                count = kernel.suffix(parents, slot, view, first, limit)
                 self.stats.computed_columns += count
-                if count and trie is not None:
+                lasts = kernel.lasts(count)
+                out.extend(lasts)
+                if trie is not None:
                     # The suffix is a chain: its first column hangs off
                     # the miss's parent, every later one off the row
                     # before it.
                     start = trie.reserve(count)
-                    trie.matrix[start : start + count] = columns
-                    parents = [slot, *range(start, start + count - 1)]
-                    trie.publish(start, mins, out[-count:], zip(parents, syms))
+                    trie.matrix[start : start + count] = kernel.columns(count)
+                    parents_slots = [slot, *range(start, start + count - 1)]
+                    trie.publish(
+                        start,
+                        kernel.mins(count),
+                        lasts,
+                        zip(parents_slots, view[first : first + count]),
+                    )
         finally:
             # Every visit appends exactly one E value to its candidate's
             # out list, so the visit count is the total out-list growth.

@@ -93,10 +93,11 @@ class CostModel(ABC):
     def sub_row(self, p: int, seq: Sequence[int]) -> List[float]:
         """``[sub(p, s) for s in seq]`` — override for faster models.
 
-        The verifier calls this once per distinct data symbol per query
-        direction (the row is cached on the query's warm-state entry,
-        :class:`repro.core.trie.DirectionState`) and passes it to every
-        DP column of that symbol."""
+        The verifier calls this once per walked data symbol per query,
+        with ``seq`` the whole query (the row is cached on the query's
+        warm-state entry, :class:`repro.core.trie.TrieCacheEntry`, and
+        each direction reads its part of it), so an override must cost
+        each element of ``seq`` on its own."""
         s = self.sub
         return [s(p, q) for q in seq]
 

@@ -8,10 +8,12 @@ used by the whole-matching baselines.
 Floating-point convention
 -------------------------
 Every DP step in this repo goes through :func:`wed_step_min` (the
-verifier's walker, the Smith–Waterman oracle, the whole-matching
-baselines, the alignment backtrace; Algorithm 7's ``best_match`` computes
-its cells the same way while carrying match starts), which evaluates the
-textbook recurrence in one fixed order:
+Smith–Waterman oracle, the whole-matching baselines, the alignment
+backtrace and the verifier's Python kernel; Algorithm 7's
+``best_match`` computes its cells the same way while carrying match
+starts, and the verifier's C kernel, ``repro/core/_wedkernel.c``, does
+too, checked against this function before first use), which evaluates
+the textbook recurrence in one fixed order:
 
     C[j] = min(B'[j-1] + sub[j], B'[j] + del)
     B[j] = min(C[j], B[j-1] + ins[j])
@@ -67,7 +69,8 @@ def wed_step_min(
     ``sub_row`` / ``ins_row`` may carry precomputed costs: the
     symbol's substitution row and ``[ins(q) for q in query]``.  Every
     caller in the repo passes ``ins_row``, computed once per query; the
-    verifier's ``sub_row`` comes from a per-direction cache.
+    verifier's ``sub_row`` is its direction's part of the query's cached
+    row.
     """
     if sub_row is None:
         sub_row = costs.sub_row(symbol, query)

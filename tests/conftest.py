@@ -23,6 +23,7 @@ from repro.distance.costs import (
     NetERPCost,
     SURSCost,
 )
+from repro.core import wedkernel
 from repro.distance.smith_waterman import all_matches, best_match
 from repro.distance.wed import wed
 from repro.network.generators import grid_city
@@ -362,3 +363,17 @@ def gate_events():
         yield gate, entered
     finally:
         del GATES[GatedEDRCost.gate_name]
+
+
+@contextmanager
+def python_kernel():
+    """Verifiers created inside the block run the Python DP kernel, as
+    they do where the native one cannot be built (forked shard workers
+    started inside the block too)."""
+    saved = wedkernel._native
+    wedkernel._native = False
+    try:
+        assert wedkernel.native_function() is None
+        yield
+    finally:
+        wedkernel._native = saved

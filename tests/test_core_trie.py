@@ -85,7 +85,8 @@ class TestTrieCacheEntry:
     def test_first_touch_converges_on_one_instance(self):
         """More threads than cores, switching as often as the interpreter
         allows, all touching the same fresh entry under its lock (as the
-        verifier does): one state, one trie, one row per symbol."""
+        verifier does): one state, one trie, one row per symbol in the
+        entry's one row matrix."""
         costs = _CountingLev()
         entry = TrieCacheEntry(costs, (1, 2, 3, 4))
         barrier = threading.Barrier(8)
@@ -96,7 +97,7 @@ class TestTrieCacheEntry:
             with entry.lock:
                 state = entry.direction(1, "f", True)
                 got.append(state)
-                rows.append([state.sub_row(s) for s in range(50)])
+                rows.append([entry.row_slot(s) for s in range(50)])
 
         threads = [threading.Thread(target=touch) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -111,7 +112,8 @@ class TestTrieCacheEntry:
         assert not any(t.is_alive() for t in threads)
         assert len({id(state) for state in got}) == 1
         assert costs.calls == 50
-        assert all(row is first for seen in rows for row, first in zip(seen, rows[0]))
+        assert all(seen == list(range(50)) for seen in rows)
+        assert len(entry.slots) == 50
         a = got[0]
         assert entry.direction(1, "f", True) is a
         c = entry.direction(1, "b", False)
@@ -119,32 +121,40 @@ class TestTrieCacheEntry:
         assert list(entry.directions) == [(1, "f"), (1, "b")]
         # The parts, and root columns that are their insertion prefixes.
         assert (a.part, c.part) == ((3, 4), (1,))
-        assert a.sub_row(3) == [0.0, 1.0]
+        # Each part reads the query's row from its offset with its step.
+        row = entry.rows[entry.row_slot(3)].tolist()
+        assert row == [1.0, 1.0, 0.0, 1.0]
+        assert row[a.offset :: a.step] == [0.0, 1.0]
+        assert row[c.offset :: c.step] == [1.0]
         assert a.ins_prefix == [0.0, 1.0, 2.0]
         assert c.ins_prefix == [0.0, 1.0]
         assert a.trie.row(0).tolist() == a.ins_prefix
-        # Bytes: both directions' row caches and the one trie.
-        assert entry.nbytes == a.nbytes + c.nbytes
-        assert a.nbytes > a.trie.nbytes
+        # Bytes: the one row store and the one trie.
+        store = entry.rows.nbytes + entry.dels.nbytes
+        assert entry.nbytes > a.trie.nbytes + store
+        assert (a.nbytes, c.nbytes) == (a.trie.nbytes, 0)
         assert a.trie.node_count() == 1  # the root
 
     def test_row_cache_is_counted_and_shed(self):
         """Each new row grows the entry's ``nbytes`` by at least its
-        floats, with no trie in play, and ``reconcile`` sheds the entry once its
-        rows pass the byte budget."""
-        cache = TrieCache(4, max_bytes=4000)
+        floats once the store has grown past it, with no trie in play,
+        and ``reconcile`` sheds the entry once its rows pass the byte
+        budget."""
+        cache = TrieCache(4, max_bytes=8000)
         entry, _ = cache.lookup("k", lambda: TrieCacheEntry(lev, range(32)))
-        state = entry.direction(0, "f", False)
+        assert entry.nbytes == 0
         sizes = [entry.nbytes]
         for symbol in range(3):
-            state.sub_row(symbol)
+            entry.row_slot(symbol)
             sizes.append(entry.nbytes)
-        # At least the row's float payload each, the dict table on top.
-        assert all(b - a >= 31 * 8 for a, b in zip(sizes, sizes[1:]))
-        assert cache.reconcile(entry) == entry.nbytes < 4000
-        while entry.nbytes <= 4000:
-            state.sub_row(len(state.sub_rows))
-        assert state.trie is None
+        # The first row allocates the store; later ones fill it and add a
+        # key each.
+        assert sizes[1] >= entry.rows.nbytes > 16 * 31 * 8
+        assert all(b > a for a, b in zip(sizes, sizes[1:]))
+        assert cache.reconcile(entry) == entry.nbytes < 8000
+        while entry.nbytes <= 8000:
+            entry.row_slot(len(entry.slots))
+        assert all(state.trie is None for state in entry.directions.values())
         assert cache.reconcile(entry) == 0
         assert len(cache) == 0 and cache.stats()["evictions"] == 1
 

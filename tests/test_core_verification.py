@@ -14,7 +14,7 @@ lev = LevenshteinCost()
 
 
 class _CountingRows(LevenshteinCost):
-    """Levenshtein that records every ``sub_row(symbol, part)`` call."""
+    """Levenshtein that records every ``sub_row(symbol, seq)`` call."""
 
     def __init__(self):
         super().__init__()
@@ -216,27 +216,31 @@ class TestDedupeAndGrouping:
         assert ms_a.keys() == ms_b.keys()
         assert a.stats == b.stats
 
-    def test_rows_computed_once_per_symbol_per_direction(self):
-        """Each direction computes a data symbol's substitution row on
-        its first miss and reads it on every later one; the anchor cost
-        is one ``sub`` call, no row.  A repeat over the same entry
-        computes no row at all."""
+    def test_rows_computed_once_per_symbol_per_query(self):
+        """A data symbol's substitution row is computed once per query,
+        against the whole query, on its first miss in any direction, and
+        every direction reads its part of it; the anchor cost is one
+        ``sub`` call, no row.  A repeat over the same entry computes no
+        row at all."""
         data = [[7, 7, 7, 7]]
         query = [7, 8, 7]  # repeated query symbol: (tid, j) shared by iq 0 and 2
         costs = _CountingRows()
         entry = TrieCacheEntry(costs, query)
         v = Verifier(lambda tid: data[tid], query, costs, 2.0, trie_entry=entry)
         v.verify_all(candidates_for(data, query), MatchSet())
-        # Only symbol 7 is ever walked: one row per direction that walked
-        # it, against that direction's query part.
-        parts = {key: state.part for key, state in entry.directions.items()}
-        walked = [key for key, state in entry.directions.items() if state.sub_rows]
-        assert walked and all(list(entry.directions[k].sub_rows) == [7] for k in walked)
-        assert sorted(costs.calls) == sorted((7, parts[k]) for k in walked)
+        # Only symbol 7 is ever walked: one row, against the whole query,
+        # though several directions walked it.
+        walked = [
+            key for key, state in entry.directions.items()
+            if state.trie is not None and state.trie.node_count() > 1
+        ]
+        assert len(walked) > 1
+        assert costs.calls == [(7, tuple(query))]
+        assert entry.slots == {7: 0}
         assert v.stats.computed_columns > len(walked)  # more columns than rows
         repeat = Verifier(lambda tid: data[tid], query, costs, 2.0, trie_entry=entry)
         repeat.verify_all(candidates_for(data, query), MatchSet())
-        assert len(costs.calls) == len(walked)
+        assert len(costs.calls) == 1
 
 
 class TestEngineBackendEquivalence:

@@ -37,7 +37,7 @@ from repro.obs.tracing import Trace
 from repro.service import QueryService, ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.model import Trajectory
-from tests.conftest import oracle_range
+from tests.conftest import oracle_range, python_kernel
 
 MODELS = ("lev", "edr", "erp", "netedr", "neterp", "surs")
 
@@ -186,6 +186,29 @@ def test_skipped_candidates_emit_nothing(setups, name, start, length, ratio, mod
     tau = tau_from_ratio(query, costs, ratio)
     assume(tau > 0 and sum(costs.ins(q) for q in query) >= tau)
     _check(costs, dataset, query, tau, mode)
+
+
+@pytest.mark.parametrize("name", MODELS)
+@given(
+    start=st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)
+    ),
+    length=st.integers(2, 9),
+    ratio=st.floats(0.05, 0.6),
+    mode=st.sampled_from(("trie", "local")),
+)
+@settings(max_examples=10, deadline=None)
+def test_skipped_candidates_emit_nothing_python_kernel(
+    setups, name, start, length, ratio, mode
+):
+    """The same claims, the engine against the oracle included, with the
+    Python DP kernel forced."""
+    costs, dataset = setups[name]
+    query = _query(dataset, start, length)
+    tau = tau_from_ratio(query, costs, ratio)
+    assume(tau > 0 and sum(costs.ins(q) for q in query) >= tau)
+    with python_kernel():
+        _check(costs, dataset, query, tau, mode)
 
 
 #: tier-1's example count for the float-contract properties below; CI

@@ -257,8 +257,9 @@ class TestValidateCostModel:
 
 
 class TestDirectionRows:
-    """The per-direction rows the verifier feeds its DP: a direction's
-    query part, its insertion prefix and its cached ``sub_row`` rows."""
+    """The rows the verifier feeds its DP: a direction's query part, its
+    insertion prefix, and its part of the query's cached ``sub_row``
+    rows."""
 
     def test_ins_prefix_sums_ins(self, erp_cost):
         # The insertion costs reach the walker as a direction's insertion
@@ -276,10 +277,13 @@ class TestDirectionRows:
         forward = entry.direction(1, "f", False)
         backward = entry.direction(2, "b", False)
         assert (forward.part, backward.part) == ((9, 5), (5, 0))
-        assert forward.sub_rows == {}
-        row = forward.sub_row(3)
-        assert row == edr_cost.sub_row(3, (9, 5))
-        assert forward.sub_row(3) is row  # cached
-        assert list(forward.sub_rows) == [3]
-        assert backward.sub_row(3) == edr_cost.sub_row(3, (5, 0))
+        assert entry.slots == {}
+        slot = entry.row_slot(3)
+        row = entry.rows[slot].tolist()
+        assert row == edr_cost.sub_row(3, query)
+        assert entry.dels[slot] == edr_cost.delete(3)
+        assert entry.row_slot(3) == slot  # cached
+        assert list(entry.slots) == [3]
+        assert row[forward.offset :: forward.step] == edr_cost.sub_row(3, (9, 5))
+        assert row[backward.offset :: backward.step] == edr_cost.sub_row(3, (5, 0))
 

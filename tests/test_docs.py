@@ -180,6 +180,7 @@ _GONE = re.compile(
     r"|_absorb_published|publish-after-write"
     r"|TrieNode|trie_node_count|consults no entry"
     r"|prefix-min|ins_prefix=|wed_step\("
+    r"|sub_rows|DirectionState\.sub_row\b"
     r"|" + _THREADS_BACKEND
 )
 

@@ -21,6 +21,7 @@ from repro.cli import build_parser
 from repro.core.engine import DEFAULT_TRIE_CACHE, SubtrajectorySearch
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.supervision import EngineStatus, WorkerState
+from repro.core.wedkernel import native_function
 from repro.distance.costs import LevenshteinCost
 from repro.exceptions import ShardUnavailableError
 from repro.network.generators import grid_city
@@ -39,6 +40,11 @@ pytestmark = pytest.mark.timeout(300)
 
 #: deployment -> shard count (``single`` is a bare SubtrajectorySearch).
 DEPLOYMENTS = {"single": 1, "serial": 2, "processes": 2, "remote": 2}
+
+
+def _kernel_name():
+    """The DP kernel this process verifies with."""
+    return "native" if native_function() else "python"
 
 
 @contextmanager
@@ -365,7 +371,7 @@ class TestKnobRoundTrip:
         )
         query = long_query(vertex_dataset, rng, 16)
         result = engine.query(query, tau_ratio=0.3)
-        assert result.dp_backend_used == "python"
+        assert result.dp_backend_used == _kernel_name()
         agg = engine.status().trie
         assert agg["shards"] == agg["shards_reporting"] == 2
         # In-process shards share the one cache: capacity is not summed,
@@ -393,7 +399,8 @@ class TestKnobRoundTrip:
                 (m.trajectory_id, m.start, m.end) for m in expected.matches
             ]
             # The verifier ran inside the worker processes.
-            assert result.dp_backend_used == expected.dp_backend_used == "python"
+            assert result.dp_backend_used == expected.dp_backend_used == _kernel_name()
+            assert result.dp_rounds > 0
             engine.query(query, tau_ratio=0.3)
             agg = engine.status().trie
             assert agg["shards_reporting"] == 2  # idle workers all answer

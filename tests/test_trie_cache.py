@@ -2,7 +2,7 @@
 for bit.
 
 The engine-level :class:`~repro.core.trie.TrieCache` persists a query's
-warm state — its per-direction substitution rows and verification tries,
+warm state — its substitution rows and per-direction verification tries,
 one :class:`~repro.core.trie.TrieCacheEntry` — across queries sharing
 the query-and-cost-model signature prefix, so repeated queries skip row
 computation and walk warm columns instead of recomputing them.  Warmth is
@@ -73,7 +73,7 @@ from repro.network.generators import grid_city
 from repro.service import QueryService
 from repro.service.http import ServiceServer
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import oracle_range, sample_query
+from tests.conftest import oracle_range, python_kernel, sample_query
 
 
 class WeightedCost(CostModel):
@@ -258,6 +258,41 @@ class TestEveryModel:
         assert walked[0] == built[0]  # keys AND distances, exact ==
         assert walked[1].computed_columns == 0
         assert walked[1].visited_columns == built[1].visited_columns
+
+
+class TestPythonKernel:
+    """The Python DP kernel forced, on every cost model: the same
+    answers, counters and trie columns as the native kernel, bit for
+    bit, cold, warm and without tries."""
+
+    @given(
+        data=st.lists(strings, min_size=1, max_size=3),
+        query=st.lists(symbols, min_size=1, max_size=5),
+        tau_ratio=st.floats(min_value=0.1, max_value=0.7),
+    )
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_python_kernel_walks_the_same_columns(self, name, data, query, tau_ratio):
+        costs = MODELS[name]
+        tau = tau_from_ratio(query, costs, tau_ratio)
+        native_entry = TrieCacheEntry(costs, query)
+        native = run_verifier(data, query, costs, tau, native_entry)
+        native_local = run_verifier(data, query, costs, tau, None, use_trie=False)
+        entry = TrieCacheEntry(costs, query)
+        with python_kernel():
+            cold = run_verifier(data, query, costs, tau, entry)
+            warm = run_verifier(data, query, costs, tau, entry)
+            local = run_verifier(data, query, costs, tau, None, use_trie=False)
+        assert cold == native  # keys AND distances, every counter
+        assert local == native_local
+        assert warm[0] == native[0] and warm[1].computed_columns == 0
+        assert entry.slots == native_entry.slots
+        assert entry.directions.keys() == native_entry.directions.keys()
+        for key, state in entry.directions.items():
+            trie, other = state.trie, native_entry.directions[key].trie
+            assert trie.edges == other.edges
+            assert trie.matrix[: trie.used].tobytes() == other.matrix[: other.used].tobytes()
+            assert (trie.mins_list, trie.lasts_list) == (other.mins_list, other.lasts_list)
 
 
 def _result_key(result):
@@ -558,7 +593,10 @@ class TestTriesOff:
         assert v.stats.computed_columns == v.stats.visited_columns > 0
         assert len(entry.directions) > 2
         assert all(state.trie is None for state in entry.directions.values())
-        assert any(state.sub_rows for state in entry.directions.values())
+        # One row per distinct walked symbol, in the entry's one store.
+        walked = {s for tid, j, iq in candidates_for(data, query) for s in data[tid]}
+        assert entry.slots and set(entry.slots) <= walked
+        assert sorted(entry.slots.values()) == list(range(len(entry.slots)))
 
     def test_local_verification_reuses_the_matrix_and_builds_no_tries(
         self, vertex_dataset, netedr_cost
@@ -583,7 +621,7 @@ class TestTriesOff:
         assert len(cache) == 2
         for key in cache.keys():
             entry = cache.peek(key)
-            assert any(state.sub_rows for state in entry.directions.values())
+            assert entry.slots and len(entry.rows) >= len(entry.slots)
             assert all(state.trie is None for state in entry.directions.values())
         stats = engine.status().trie
         assert (stats["hits"], stats["misses"]) == (1, 2)
@@ -843,9 +881,11 @@ class _RowSymbolsCost(NetEDRCost):
     def __init__(self, graph) -> None:
         super().__init__(graph)
         self.symbols = set()
+        self.calls = []
 
     def sub_row(self, p, seq):
         self.symbols.add(p)
+        self.calls.append((p, tuple(seq)))
         return super().sub_row(p, seq)
 
 
@@ -987,15 +1027,15 @@ class TestSubstitutionMatrixCache:
         built = {}
         for name in ("a", "b"):  # two misses
             built[name], _ = cache.lookup(name, factory)
-            built[name].direction(0, "f", False).sub_row(7)
+            built[name].row_slot(7)
         entry, status = cache.lookup("a", factory)  # refreshes recency
         assert status == "hit" and entry is built["a"]
-        assert list(entry.directions[0, "f"].sub_rows) == [7]
+        assert list(entry.slots) == [7]
         cache.lookup("c", factory)  # evicts b (LRU)
         assert cache.keys() == ["a", "c"]
         # b's rows went with its entry: the next lookup starts fresh.
         entry, status = cache.lookup("b", factory)
-        assert status == "miss" and entry is not built["b"] and entry.directions == {}
+        assert status == "miss" and entry is not built["b"] and entry.slots == {}
         stats = cache.stats()
         assert stats["size"] == 2
         assert stats["hits"] == 1
@@ -1013,10 +1053,11 @@ class TestSubstitutionMatrixCache:
         assert (stats["capacity"], stats["size"]) == (0, 0)
         assert (stats["hits"], stats["misses"]) == (0, 0)
 
-    def test_engine_repeated_query_hits(self, vertex_dataset, netedr_cost, rng):
+    def test_engine_repeated_query_hits(self, small_graph, vertex_dataset, rng):
         def row_count(entry):
-            return sum(len(state.sub_rows) for state in entry.directions.values())
+            return len(entry.slots)
 
+        netedr_cost = _RowSymbolsCost(small_graph)
         engine = SubtrajectorySearch(vertex_dataset, netedr_cost)
         query = sample_query(vertex_dataset, rng, 8)
         first = engine.query(query, tau_ratio=0.3)
@@ -1025,6 +1066,8 @@ class TestSubstitutionMatrixCache:
         assert entry is not None and entry.query == tuple(query)
         rows = row_count(entry)
         assert rows > 0
+        # One row per distinct walked symbol, each against the whole query.
+        assert netedr_cost.calls == [(p, tuple(query)) for p in entry.slots]
         repeat = engine.query(query, tau_ratio=0.3)
         stats = engine.status().trie
         assert stats["hits"] == 1
@@ -1032,7 +1075,7 @@ class TestSubstitutionMatrixCache:
         # The hit served the same entry, and an exact repeat computed no
         # new substitution row.
         assert engine._trie_cache.peek(_engine_key(engine)) is entry
-        assert row_count(entry) == rows
+        assert row_count(entry) == rows == len(netedr_cost.calls)
         # A hit must not change the answer (the rows are dataset-free).
         assert [(m.trajectory_id, m.start, m.end, m.distance) for m in first.matches] == [
             (m.trajectory_id, m.start, m.end, m.distance) for m in repeat.matches
@@ -1069,7 +1112,7 @@ class TestSubstitutionMatrixCache:
             TrieCache(-1)
 
     def test_direction_rows_concurrent_first_touch(self, lev_cost):
-        """A direction's row cache is shared across server threads via the
+        """The query's row store is shared across server threads via the
         cached entry: concurrent first-touch fills, each holding the
         entry's lock as the verifier does, must neither compute a row
         twice nor tear one."""
@@ -1078,7 +1121,6 @@ class TestSubstitutionMatrixCache:
         query = list(range(24))
         costs = _CountingRowCost()
         entry = TrieCacheEntry(costs, query)
-        state = entry.direction(3, "f", False)
         symbols = list(range(500))
         barrier = threading.Barrier(4)
 
@@ -1086,14 +1128,16 @@ class TestSubstitutionMatrixCache:
             barrier.wait()
             for s in symbols[offset:] + symbols[:offset]:
                 with entry.lock:
-                    state.sub_row(s)
+                    entry.row_slot(s)
 
         threads = [threading.Thread(target=fill, args=(i * 125,)) for i in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert sorted(state.sub_rows) == symbols
+        assert sorted(entry.slots) == symbols
+        assert sorted(entry.slots.values()) == symbols  # one slot each
         assert costs.row_calls == len(symbols)  # no row computed twice
         for s in symbols:
-            assert state.sub_row(s) == lev_cost.sub_row(s, query[4:])  # no torn rows
+            row = entry.rows[entry.row_slot(s)].tolist()
+            assert row == lev_cost.sub_row(s, query)  # no torn rows
