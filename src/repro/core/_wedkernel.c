@@ -13,12 +13,10 @@
  *
  * Substitution costs come from the query's one row matrix: the row of the
  * symbol in `slots[k]`, read from `offset` with `step` (+1 forward, -1
- * backward: the part is Q[iq+1:] or Q[iq-1::-1]).  The function resumes
- * at column `done` and returns
- *   0  after the first column whose minimum is >= limit,
- *   1  before a symbol whose slot is -1 (no row yet: the caller computes
- *      the row, fills in the slot and calls again),
- *   2  when all `count` symbols are done.
+ * backward: the part is Q[iq+1:] or Q[iq-1::-1]).  The caller resolves
+ * every slot before the call.  The function writes the columns of the
+ * `count` symbols up to and including the first whose minimum is
+ * >= limit, and returns how many it wrote.
  * The layout of wed_job is mirrored by repro.core.wedkernel._Job.
  */
 #include <stdint.h>
@@ -32,29 +30,23 @@ typedef struct {
     int64_t step;          /* +1 forward, -1 backward */
     int64_t n;             /* |part|: a column holds n + 1 values */
     const double *parent;  /* the column the suffix hangs off */
-    const int64_t *slots;  /* the suffix's row slots, -1 = no row yet */
-    int64_t count;         /* symbols to process */
+    const int64_t *slots;  /* the suffix's row slots */
+    int64_t count;         /* symbols in the suffix */
     double limit;          /* early-termination bound */
-    int64_t done;          /* columns written so far */
-    double *columns;       /* out: done x (n + 1) */
+    double *columns;       /* out: count x (n + 1) at most */
     double *mins;          /* out: each column's minimum */
     double *lasts;         /* out: each column's last value */
 } wed_job;
 
-int wed_suffix(wed_job *job)
+int64_t wed_suffix(const wed_job *job)
 {
     const int64_t n = job->n, width = n + 1, step = job->step;
+    const int64_t offset = job->offset;
     const double *ins = job->ins;
-    int64_t k = job->done;
-    const double *prev = k ? job->columns + (k - 1) * width : job->parent;
-    for (; k < job->count; k++) {
+    const double *prev = job->parent;
+    for (int64_t k = 0; k < job->count; k++) {
         const int64_t slot = job->slots[k];
-        if (slot < 0) {
-            job->done = k;
-            return 1;
-        }
         const double *row = job->rows + slot * job->stride;
-        const int64_t offset = job->offset;
         const double dele = job->dels[slot];
         double *col = job->columns + k * width;
         double best = prev[0] + dele;
@@ -74,11 +66,8 @@ int wed_suffix(wed_job *job)
         job->mins[k] = low;
         job->lasts[k] = best;
         prev = col;
-        if (low >= job->limit) {
-            job->done = k + 1;
-            return 0;
-        }
+        if (low >= job->limit)
+            return k + 1;
     }
-    job->done = k;
-    return 2;
+    return job->count;
 }

@@ -104,7 +104,8 @@ class QueryResult:
     used_fallback: bool = False
     #: the DP kernel the verifier ran, ``"native"`` or ``"python"``
     #: (:mod:`repro.core.wedkernel`), else "" (read by perf/layers.py's
-    #: verify.python_share).  Merged shard results keep the first shard's.
+    #: verify.python_share).  Merged shard results join the distinct
+    #: per-shard kernels with ``+``.
     dp_backend_used: str = ""
     #: what the cross-query TrieCache did for this query: ``"hit"`` (warm
     #: rows and columns reused), ``"miss"`` (verified cold, warmed the
@@ -112,8 +113,9 @@ class QueryResult:
     #: not consulted at all (sw mode, scan fallback).
     #: Merged shard results join the distinct per-shard statuses with ``+``.
     trie_cache_status: str = ""
-    #: DP kernel calls the verifier made, summed over shards (read by
-    #: perf/layers.py's verify.dp_rounds).
+    #: uncached suffixes the verifier computed, one DP kernel call each
+    #: under either kernel, summed over shards (read by perf/layers.py's
+    #: verify.dp_rounds).
     dp_rounds: int = 0
     #: False when this is a *partial* answer: one or more shards were
     #: unavailable and the caller opted into graceful degradation

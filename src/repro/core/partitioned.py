@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.cancellation import raise_if_cancelled
 from repro.core.engine import QueryResult, SubtrajectorySearch, check_index_options
@@ -572,9 +572,9 @@ class PartitionedSubtrajectorySearch:
         tau_used = 0.0
         candidates = 0
         mincand = lookup = verify = 0.0
-        backend_used = ""
         dp_rounds = 0
-        trie_statuses: List[str] = []
+        backends: Set[str] = set()
+        trie_statuses: Set[str] = set()
         for result, id_map in zip(results, self._global_ids):
             if result is None:
                 continue
@@ -583,11 +583,9 @@ class PartitionedSubtrajectorySearch:
             mincand += result.mincand_seconds
             lookup += result.lookup_seconds
             verify += result.verify_seconds
-            backend_used = backend_used or result.dp_backend_used
             dp_rounds += result.dp_rounds
-            status = result.trie_cache_status
-            if status and status not in trie_statuses:
-                trie_statuses.append(status)
+            backends.add(result.dp_backend_used)
+            trie_statuses.add(result.trie_cache_status)
             matches.extend(
                 Match(id_map[m.trajectory_id], m.start, m.end, m.distance)
                 for m in result.matches
@@ -604,8 +602,8 @@ class PartitionedSubtrajectorySearch:
             verification=VerificationStats.sum(
                 result.verification for result in results if result is not None
             ),
-            dp_backend_used=backend_used,
-            trie_cache_status="+".join(sorted(trie_statuses)),
+            dp_backend_used="+".join(sorted(backends - {""})),
+            trie_cache_status="+".join(sorted(trie_statuses - {""})),
             dp_rounds=dp_rounds,
             complete=not degraded,
             degraded_shards=degraded,

@@ -25,10 +25,10 @@ warm with no per-node object graph to rebuild or traverse.
 A :class:`TrieCacheEntry` is one query's whole warm state: the query's
 neighborhoods ``B(q)`` / ``c(q)`` and the count bound's table
 (:class:`~repro.core.filtering.QueryNeighborhoods`), its one
-substitution-row matrix — one row per walked data symbol,
-``costs.sub_row(symbol, query)``, with the symbol's deletion cost beside
-it, in contiguous float64 arrays the native DP kernel
-(:mod:`repro.core.wedkernel`) indexes by slot — and, per
+substitution-row matrix — one row per data symbol of an uncached
+suffix's view, ``costs.sub_row(symbol, query)``, with the symbol's
+deletion cost beside it, in contiguous float64 arrays the native DP
+kernel (:mod:`repro.core.wedkernel`) indexes by slot — and, per
 ``(iq, direction)``, one :class:`DirectionState`: the query part, where
 it sits in a row (an offset and a step), its insertion costs and prefix,
 and the :class:`VerificationTrie`.  The engine's :class:`TrieCache`
@@ -236,15 +236,17 @@ class TrieCacheEntry:
     arrays go the moment the last verifier holding it drops it, with no
     wait for the cyclic collector.
 
-    The row store holds one row per data symbol walked by the query's
-    verifications, in any direction: ``slots`` maps the symbol to its
-    slot, row ``slot`` of the ``(capacity, |Q|)`` float64 matrix ``rows``
-    is ``costs.sub_row(symbol, query)`` and ``dels[slot]`` is
-    ``costs.delete(symbol)``.  :meth:`row_slot` fills a slot on the
-    symbol's first touch; the arrays are allocated with the first row
-    and their capacity doubles as rows are added.  Rows depend only on
-    the query and the model, never on the dataset, the threshold or the
-    time window, so they stay valid for as long as the entry lives.
+    The row store holds one row per data symbol of an uncached suffix's
+    view in the query's verifications, in any direction: the walker
+    resolves every such symbol before its kernel call.  ``slots`` maps
+    the symbol to its slot, row ``slot`` of the ``(capacity, |Q|)``
+    float64 matrix ``rows`` is ``costs.sub_row(symbol, query)`` and
+    ``dels[slot]`` is ``costs.delete(symbol)``.  :meth:`row_slot` fills
+    a slot on the symbol's first touch; the arrays are allocated with
+    the first row and their capacity doubles as rows are added.  Rows
+    depend only on the query and the model, never on the dataset, the
+    threshold or the time window, so they stay valid for as long as the
+    entry lives.
 
     A verifier walks the entry only while it holds :attr:`lock` (see the
     module docstring); :attr:`nbytes` alone is read without it.

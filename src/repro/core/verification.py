@@ -81,20 +81,28 @@ over one trie layout: per direction, the *slot-native*
 growable matrix, structure in one ``(parent_slot, symbol) ->
 child_slot`` dict, the per-column min / last as plain floats).  The
 entry holds everything warm — the query's one substitution-row matrix
-(one row per walked data symbol, against the whole query) and per
-``(iq, direction)`` the query part, its offset and step into a row, its
-insertion costs and prefix and the trie — and the engine keeps it
-across queries (or builds it fresh per query with the cache off); the
-verifier itself keeps no warm state.
+(one row per data symbol of an uncached suffix's view, against the
+whole query) and per ``(iq, direction)`` the query part, its offset and
+step into a row, its insertion costs and prefix and the trie — and the
+engine keeps it across queries (or builds it fresh per query with the
+cache off); the verifier itself keeps no warm state.
 Candidates are deduped and grouped by anchor position ``iq``, and each
 group shares one setup: per candidate the trajectory's int array, the
 anchor cost and budget, and both direction views materialized once as
-plain int lists.
+plain int lists.  A view is the count bound's reach plus one column:
+``P[j - iq - floor(b/δ) - 1 .. j-1]`` reversed and
+``P[j+1 .. j + |Q| - iq + floor(b/δ)]``.  That last column aligns
+``floor(b/δ) + 1`` more data symbols than the part has query symbols,
+so it deletes at least that many, and its minimum is
+``>= (floor(b/δ) + 1) δ > b``: early termination stops the walk there
+at the latest — the bound's own premise and margin.  With early
+termination off, or ``δ = 0``, a view is its whole side.
 
 The walker takes the candidates one at a time.  Each follows the
 direction trie's cached edges to its first miss; past it every column
-is new, computed by one kernel call (:mod:`repro.core.wedkernel`) from
-the symbols' rows in the entry's matrix, and published as one block of
+is new.  The walker computes the row of every symbol of that uncached
+suffix it lacks, then one kernel call (:mod:`repro.core.wedkernel`)
+computes the suffix's columns, which are published as one block of
 arena rows before the next candidate walks.  The kernel is a C function
 loaded with :class:`ctypes.PyDLL`, which keeps the GIL through calls
 that last microseconds; it evaluates the recurrence of
@@ -287,7 +295,7 @@ class Verifier:
 
     @property
     def dp_rounds(self) -> int:
-        """Kernel calls made so far."""
+        """Uncached suffixes computed so far: one kernel call each."""
         return self._kernel.calls
 
     # -- Algorithm 3: drive all candidates ---------------------------------
@@ -372,17 +380,26 @@ class Verifier:
             else:
                 stats.candidates += 1
                 stats.sw_columns += len(data)
-        if items and self._early_termination:
-            items = self._count_bound(iq, items)
         if not items:
             return
+        if self._early_termination:
+            items, extras = self._count_bound(iq, items)
+            if not items:
+                return
+        else:
+            extras = [len(item[4]) for item in items]
+        # Each view is its reach plus the one column past it: that
+        # column deletes at least extra + 1 symbols, each >= δ, so its
+        # minimum exceeds the budget and early termination stops there
+        # at the latest.
+        length = len(self._query)
         backs: List[List[int]] = []
         fwds: List[List[int]] = []
-        for _, j, _, _, data in items:
+        for (_, j, _, _, data), extra in zip(items, extras):
             stats.candidates += 1
             stats.sw_columns += len(data)
-            backs.append(data[:j][::-1].tolist())
-            fwds.append(data[j + 1 :].tolist())
+            backs.append(data[max(0, j - iq - extra - 1) : j][::-1].tolist())
+            fwds.append(data[j + 1 : j + length - iq + extra + 1].tolist())
         budgets = [item[3] for item in items]
         use_trie = self._use_trie
         entry = self._entry
@@ -393,9 +410,11 @@ class Verifier:
 
     def _count_bound(
         self, iq: int, items: List[Tuple[int, int, float, float, np.ndarray]]
-    ) -> List[Tuple[int, int, float, float, np.ndarray]]:
+    ) -> Tuple[List[Tuple[int, int, float, float, np.ndarray]], List[int]]:
         """The count bound: the ``items`` whose lower bound ``LB`` stays
-        below ``tau``; the rest are counted in ``stats.bound_pruned``.
+        below ``tau``, and each one's ``floor(b / δ)`` (clipped to the
+        trajectory's length), which bounds its walks too; the rest are
+        counted in ``stats.bound_pruned``.
 
         A candidate's backward reach is the ``|Q[:iq]| + floor(b / δ)``
         data symbols before ``j`` and its forward reach the
@@ -446,9 +465,9 @@ class Verifier:
             missed.view(np.uint8), axis=1, count=length, bitorder="little"
         )
         bounds = np.array(anchors) + bits @ hoods.filter_costs
-        keep = np.flatnonzero(bounds < self._tau * (1.0 + _BOUND_MARGIN)).tolist()
+        keep = np.flatnonzero(bounds < self._tau * (1.0 + _BOUND_MARGIN))
         self.stats.bound_pruned += len(items) - len(keep)
-        return [items[i] for i in keep]
+        return [items[i] for i in keep.tolist()], extra[keep].tolist()
 
     def _combine(
         self,
@@ -489,13 +508,14 @@ class Verifier:
 
         Each candidate follows the direction trie's cached edges to its
         first miss.  Past it every column is new — a fresh slot has no
-        children — so the walker hands that uncached suffix to the kernel
-        (:mod:`repro.core.wedkernel`), seeded from the miss's parent row,
-        and publishes the kernel's columns as one block of arena rows
-        before the next candidate walks: later candidates and later
-        queries find them cached.  Without the trie (local verification)
-        nothing is found or published, and every visit computes its
-        column, from the root.  A candidate stops once its column minimum
+        children — so the walker resolves the row slot of every symbol of
+        that uncached suffix, hands the suffix to the kernel
+        (:mod:`repro.core.wedkernel`) in one call, seeded from the miss's
+        parent row, and publishes the kernel's columns as one block of
+        arena rows before the next candidate walks: later candidates and
+        later queries find them cached.  Without the trie (local
+        verification) nothing is found or published, and every visit
+        computes its column, from the root.  A candidate stops once its column minimum
         reaches its budget (the stopped column's E value could only be >=
         budget, so nothing is lost); ``E[0]`` is the cost of inserting
         the whole query part.  The cancellation token is polled between
@@ -504,6 +524,7 @@ class Verifier:
         trie = state.trie if self._use_trie else None
         kernel = self._kernel
         kernel.direction(state)
+        row_slot = self._entry.row_slot
         ins_prefix = state.ins_prefix
         root_min = min(ins_prefix)
         if trie is not None:
@@ -539,7 +560,9 @@ class Verifier:
                 else:
                     first = 0
                     parents = state.root
-                count = kernel.suffix(parents, slot, view, first, limit)
+                suffix = view[first:]
+                slots = [row_slot(symbol) for symbol in suffix]
+                count = kernel.suffix(parents, slot, suffix, slots, limit)
                 self.stats.computed_columns += count
                 lasts = kernel.lasts(count)
                 out.extend(lasts)
@@ -554,7 +577,7 @@ class Verifier:
                         start,
                         kernel.mins(count),
                         lasts,
-                        zip(parents_slots, view[first : first + count]),
+                        zip(parents_slots, suffix[:count]),
                     )
         finally:
             # Every visit appends exactly one E value to its candidate's

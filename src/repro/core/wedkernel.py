@@ -2,21 +2,20 @@
 
 :class:`~repro.core.verification.Verifier` follows a direction trie's
 cached edges to a candidate's first miss and hands the uncached suffix to
-a kernel: ``kernel.suffix(matrix, slot, view, first, limit)`` computes the
-DP columns of ``view[first:]`` from the parent column ``matrix[slot]``,
+a kernel: ``kernel.suffix(matrix, slot, symbols, slots, limit)`` computes
+the DP columns of ``symbols`` from the parent column ``matrix[slot]``,
 stops after the first column whose minimum is ``>= limit``, and returns
 how many it computed; :meth:`columns`, :meth:`mins` and :meth:`lasts`
 read them.  Substitution costs come from the query's one row matrix
 (:class:`~repro.core.trie.TrieCacheEntry`), read per direction from an
-offset with a step.
+offset with a step; ``slots`` are the symbols' rows in it, every one
+computed by the walker before the call, so a kernel is a function of its
+arrays and one suffix is one call.
 
 Two kernels answer that call with the same floats:
 
 - :class:`NativeKernel` runs ``_wedkernel.c``'s one function,
-  ``wed_suffix``.  It stops before a symbol that has no row yet; the
-  kernel then computes the row through the cost model
-  (:meth:`~repro.core.trie.TrieCacheEntry.row_slot`) and calls again to
-  resume.  The call's inputs live in one ``_Job`` structure whose
+  ``wed_suffix``.  The call's inputs live in one ``_Job`` structure whose
   per-direction fields are set once and whose buffers are reallocated
   only to grow, so a call passes one pointer and allocates nothing.
 - :class:`PythonKernel` runs :func:`~repro.distance.wed.wed_step_min`,
@@ -73,9 +72,6 @@ _SOURCE = os.path.join(_HERE, "_wedkernel.c")
 #: the C compiler and its flags; the flags are part of the cache key.
 _COMPILER = "cc"
 _FLAGS = ("-shared", "-fPIC", "-O2", "-ffp-contract=off")
-#: symbols whose row slots are looked up before the first native call of
-#: a suffix; each refill doubles the symbols looked up so far.
-_FIRST_CHUNK = 8
 
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
@@ -96,7 +92,6 @@ class _Job(ctypes.Structure):
         ("slots", _P),
         ("count", _I),
         ("limit", ctypes.c_double),
-        ("done", _I),
         ("columns", _P),
         ("mins", _P),
         ("lasts", _P),
@@ -143,7 +138,7 @@ def _load():
     # The one argument is the job's address: a c_void_p argument takes a
     # Python int at a third of the cost of a checked POINTER(_Job).
     function.argtypes = [ctypes.c_void_p]
-    function.restype = ctypes.c_int
+    function.restype = ctypes.c_int64
     return function
 
 
@@ -205,7 +200,7 @@ class NativeKernel:
         self._capacity = 0
         self._slots = (ctypes.c_int64 * 0)()
         self._columns = self._mins = self._lasts = np.empty(0)
-        #: native calls made, resumptions included.
+        #: native calls made: one per suffix.
         self.calls = 0
 
     def direction(self, state: DirectionState) -> None:
@@ -241,24 +236,17 @@ class NativeKernel:
             self._columns = np.empty(self._capacity * self._width)
             job.columns = self._columns.ctypes.data
 
-    def _bind_rows(self) -> None:
-        """Point the job at the entry's current row store (the entry
-        replaces both arrays together when it grows)."""
-        entry = self._entry
-        self._rows = entry.rows
-        self._job.rows = entry.rows.ctypes.data
-        self._job.dels = entry.dels.ctypes.data
-
     def suffix(
         self,
         matrix: np.ndarray,
         slot: int,
-        view: Sequence[int],
-        first: int,
+        symbols: Sequence[int],
+        slots: Sequence[int],
         limit: float,
     ) -> int:
-        """The columns of ``view[first:]`` from the parent ``matrix[slot]``,
-        up to and including the first whose minimum is ``>= limit``."""
+        """The columns of ``symbols``, whose rows are ``slots``, from the
+        parent ``matrix[slot]``, up to and including the first whose
+        minimum is ``>= limit``."""
         job = self._job
         entry = self._entry
         if self._state is not self._bound:
@@ -277,41 +265,19 @@ class NativeKernel:
             self._parents_base = matrix.ctypes.data
             self._parents_stride = matrix.strides[0]
         if entry.rows is not self._rows:
-            self._bind_rows()
+            # The entry replaces both arrays together when it grows.
+            self._rows = entry.rows
+            job.rows = entry.rows.ctypes.data
+            job.dels = entry.dels.ctypes.data
         job.parent = self._parents_base + slot * self._parents_stride
-        total = len(view) - first
-        if total > self._capacity:
-            self._grow(total)
-        get = entry.slots.get
-        end = min(total, _FIRST_CHUNK)
-        slots = self._slots
-        slots[0:end] = [get(symbol, -1) for symbol in view[first : first + end]]
-        job.count = end
+        count = len(slots)
+        if count > self._capacity:
+            self._grow(count)
+        self._slots[:count] = slots
+        job.count = count
         job.limit = limit
-        job.done = 0
-        run = self._run
-        address = self._address
-        calls = 1
-        while True:
-            code = run(address)
-            if code == 0:
-                break
-            done = job.done
-            if code == 1:
-                slots[done] = entry.row_slot(view[first + done])
-                if entry.rows is not self._rows:
-                    self._bind_rows()
-            elif done == total:
-                break
-            else:
-                end = min(total, 2 * done)
-                slots[done:end] = [
-                    get(symbol, -1) for symbol in view[first + done : first + end]
-                ]
-                job.count = end
-            calls += 1
-        self.calls += calls
-        return job.done
+        self.calls += 1
+        return self._run(self._address)
 
     def columns(self, count: int) -> np.ndarray:
         """The last call's first ``count`` columns, one per row."""
@@ -346,12 +312,12 @@ class PythonKernel:
         self,
         matrix: np.ndarray,
         slot: int,
-        view: Sequence[int],
-        first: int,
+        symbols: Sequence[int],
+        slots: Sequence[int],
         limit: float,
     ) -> int:
         costs = self._costs
-        entry = self._entry
+        rows = self._entry.rows
         state = self._state
         part = state.part
         ins_row = state.ins_row
@@ -361,9 +327,8 @@ class PythonKernel:
         self._columns = columns = []
         self._mins = mins = []
         self._lasts = lasts = []
-        for symbol in view[first:]:
-            row_slot = entry.row_slot(symbol)
-            row = entry.rows[row_slot].tolist()[offset::step]
+        for symbol, row_slot in zip(symbols, slots):
+            row = rows[row_slot].tolist()[offset::step]
             column, column_min = wed_step_min(
                 costs, part, symbol, column, sub_row=row, ins_row=ins_row
             )
@@ -399,19 +364,19 @@ class _SelfTestCost(CostModel):
 
 def _self_test(function) -> None:
     """Raise unless ``function`` reproduces :class:`PythonKernel` bit for
-    bit: both directions, a limit that stops mid-suffix, and rows missing
-    mid-suffix (a repeated symbol included)."""
+    bit: both directions, repeated symbols, and a limit that stops
+    mid-suffix."""
     costs = _SelfTestCost()
     query = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5)
-    view = [2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5, 2, 3, 5, 3, 6, 0]
+    view = [7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5, 9, 0, 4, 5, 2, 3, 5, 3, 6, 0]
+    entry = TrieCacheEntry(costs, query)
+    slots = [entry.row_slot(symbol) for symbol in view]
     for iq, direction, limit in ((4, "f", math.inf), (6, "b", math.inf), (2, "f", 2.5)):
+        state = entry.direction(iq, direction, False)
         got = []
-        for make in (lambda e: NativeKernel(function, e), lambda e: PythonKernel(costs, e)):
-            entry = TrieCacheEntry(costs, query)
-            state = entry.direction(iq, direction, False)
-            kernel = make(entry)
+        for kernel in (NativeKernel(function, entry), PythonKernel(costs, entry)):
             kernel.direction(state)
-            count = kernel.suffix(state.root, 0, view, 1, limit)
+            count = kernel.suffix(state.root, 0, view, slots, limit)
             got.append(
                 (
                     count,

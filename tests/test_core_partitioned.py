@@ -10,9 +10,10 @@ from repro.core.frozen import round_robin_shards
 from repro.core.partitioned import PartitionedSubtrajectorySearch
 from repro.core.remote import WorkerNodeServer
 from repro.core.temporal import TimeInterval
+from repro.core.wedkernel import native_function
 from repro.exceptions import QueryError
 from repro.trajectory.dataset import TrajectoryDataset
-from tests.conftest import sample_query
+from tests.conftest import python_kernel, sample_query
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +152,27 @@ class TestParallelFanOut:
         assert len(calls) == sharded.num_shards
         merged = sharded.merge_shard_results([call() for call in calls])
         assert keys(merged) == keys(sharded.query(query, tau_ratio=0.25))
+
+    def test_merge_names_every_kernel_that_ran(self, vertex_dataset, edr_cost, rng):
+        """A shard whose DP kernel fell back to Python shows in the
+        merged ``dp_backend_used``: the distinct kernels, joined with
+        ``+`` as the trie-cache statuses are."""
+        if native_function() is None:
+            pytest.skip("the native kernel is unavailable here (see the WARNING)")
+        sharded = PartitionedSubtrajectorySearch(
+            vertex_dataset, edr_cost, num_shards=2
+        )
+        query = sample_query(vertex_dataset, rng, 6)
+        native_call, python_call = sharded.shard_query_callables(query, tau_ratio=0.25)
+        native = native_call()
+        with python_kernel():
+            python = python_call()
+        assert (native.dp_backend_used, python.dp_backend_used) == ("native", "python")
+        merged = sharded.merge_shard_results([native, python])
+        assert merged.dp_backend_used == "native+python"
+        assert merged.dp_rounds == native.dp_rounds + python.dp_rounds
+        both_native = sharded.merge_shard_results([native, native_call()])
+        assert both_native.dp_backend_used == "native"
 
     def test_merge_rejects_wrong_result_count(self, vertex_dataset, edr_cost, rng):
         sharded = PartitionedSubtrajectorySearch(

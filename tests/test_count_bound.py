@@ -75,7 +75,7 @@ class Recording(Verifier):
         self.skipped = []
 
     def _count_bound(self, iq, items):
-        kept = super()._count_bound(iq, items)
+        kept, extras = super()._count_bound(iq, items)
         survivors = {(tid, j) for tid, j, *_ in kept}
         threshold = self._tau * (1.0 + 1e-9)
         for tid, j, anchor_cost, budget, data in items:
@@ -89,7 +89,7 @@ class Recording(Verifier):
         self.skipped += [
             (tid, j, iq) for tid, j, *_ in items if (tid, j) not in survivors
         ]
-        return kept
+        return kept, extras
 
 
 def reference_bound(costs, query, iq, j, anchor_cost, budget, data):
@@ -109,10 +109,11 @@ def reference_bound(costs, query, iq, j, anchor_cost, budget, data):
 
 
 class Unbounded(Verifier):
-    """The same verifier with the count bound switched off."""
+    """The same verifier with the count bound switched off: every
+    candidate is walked, over its whole sides."""
 
     def _count_bound(self, iq, items):
-        return items
+        return items, [len(data) for *_, data in items]
 
 
 def _query(dataset, draw_start, length):
@@ -304,6 +305,98 @@ def test_erp_filter_cost_floors_every_substitution_outside_b_q(
             if b not in inside:
                 assert cq <= costs.sub(q, b), (q, b)
                 assert cq <= costs.sub_row(b, [q])[0], (q, b)
+
+
+class Walks(Verifier):
+    """A verifier that records every walk: its anchor position and
+    direction, the candidates the count bound kept, the views (cut to
+    each one's reach plus one column) and budgets, and the E lists."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.walks = []
+
+    def _count_bound(self, iq, items):
+        kept, extras = super()._count_bound(iq, items)
+        self._kept = (iq, kept)
+        return kept, extras
+
+    def _all_prefix_wed(self, views, budgets, state):
+        outs = super()._all_prefix_wed(views, budgets, state)
+        self.walks.append((*self._kept, state.step, views, budgets, outs))
+        return outs
+
+
+def _cut_walks_equal_whole_sides(costs, dataset, query, tau, mode):
+    """Every walk the verifier made over cut views, replayed on a fresh
+    entry over whole sides, gives the same E lists, and the two walks
+    visit and compute the same columns."""
+    use_trie = mode == "trie"
+    engine = SubtrajectorySearch(dataset, costs, verification=mode, trie_cache_size=0)
+    candidates = engine.candidates(query, tau=tau)
+    cut = Walks(dataset.symbols_array, query, costs, tau, use_trie=use_trie)
+    cut.verify_all(candidates, MatchSet())
+    whole = Verifier(dataset.symbols_array, query, costs, tau, use_trie=use_trie)
+    for iq, kept, step, views, budgets, outs in cut.walks:
+        sides = [
+            (data[:j][::-1] if step < 0 else data[j + 1 :]).tolist()
+            for _, j, _, _, data in kept
+        ]
+        assert all(side[: len(view)] == view for side, view in zip(sides, views))
+        state = whole._entry.direction(iq, "b" if step < 0 else "f", use_trie)
+        assert whole._all_prefix_wed(sides, budgets, state) == outs
+    assert (cut.stats.visited_columns, cut.stats.computed_columns) == (
+        whole.stats.visited_columns,
+        whole.stats.computed_columns,
+    )
+
+
+@pytest.mark.parametrize("name", (*MODELS, "erp_on_vertex"))
+@given(
+    start=st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)
+    ),
+    length=st.integers(2, 9),
+    ratio=st.floats(0.05, 0.6),
+    mode=st.sampled_from(("trie", "local")),
+)
+@settings(max_examples=15, deadline=None)
+def test_a_walk_never_reaches_past_its_cut(setups, name, start, length, ratio, mode):
+    """The cut's premise: a walk stops by the column after its count
+    bound's reach, whose minimum deletes ``floor(b/δ) + 1`` symbols —
+    on every model, ``δ = 0`` (``erp_on_vertex``, whole sides) included."""
+    costs, dataset = setups[name]
+    query = _query(dataset, start, length)
+    tau = tau_from_ratio(query, costs, ratio)
+    assume(tau > 0 and sum(costs.ins(q) for q in query) >= tau)
+    _cut_walks_equal_whole_sides(costs, dataset, query, tau, mode)
+
+
+@given(
+    start=st.tuples(
+        st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)
+    ),
+    length=st.integers(2, 8),
+    chosen=st.lists(st.booleans(), min_size=8, max_size=8),
+    nudge=st.sampled_from(
+        (-1e-8, -2e-9, -1e-9, -5e-10, -1e-15, 0.0, 1e-15, 5e-10, 1e-9, 2e-9, 1e-8)
+    ),
+    mode=st.sampled_from(("trie", "local")),
+    name=st.sampled_from(("erp", "erp_on_vertex", "neterp", "surs")),
+)
+@FLOAT_CONTRACT
+def test_a_walk_never_reaches_past_its_cut_near_a_sum_of_filter_costs(
+    setups, start, length, chosen, nudge, mode, name
+):
+    """The same premise at real-valued thresholds around a sum of
+    ``c(q)``, across the bound's 1e-9 margin, which the reach shares."""
+    costs, dataset = setups[name]
+    query = _query(dataset, start, length)
+    cq = [costs.filter_cost(q) for q in query]
+    tau = sum(c for c, pick in zip(cq, chosen) if pick) * (1.0 + nudge)
+    assume(tau > 0 and sum(costs.ins(q) for q in query) >= tau)
+    assume(sum(cq) >= tau)
+    _cut_walks_equal_whole_sides(costs, dataset, query, tau, mode)
 
 
 #: ERP on the 8x8 test grid: ``c(28)`` is ``ins(28)``, and the match

@@ -181,6 +181,7 @@ _GONE = re.compile(
     r"|TrieNode|trie_node_count|consults no entry"
     r"|prefix-min|ins_prefix=|wed_step\("
     r"|sub_rows|DirectionState\.sub_row\b"
+    r"|_FIRST_CHUNK|no row yet|resumptions"
     r"|" + _THREADS_BACKEND
 )
 

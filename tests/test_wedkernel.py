@@ -23,7 +23,7 @@ from repro.distance.costs import (
 )
 from repro.distance.wed import wed_step_min
 from repro.network.generators import grid_city
-from tests.conftest import sample_query
+from tests.conftest import python_kernel, sample_query
 
 _GRID = grid_city(8, 8, seed=42)
 MODELS = {
@@ -68,6 +68,14 @@ def _bits(values, width):
     return np.asarray(values, dtype=np.float64).reshape(-1, width).tobytes()
 
 
+#: tier-1's example count for the kernel parity below; CI runs it deep
+#: under ``--hypothesis-profile=history`` (tests/conftest.py).
+KERNEL_PARITY = settings(
+    deadline=None,
+    max_examples=1500 if settings.get_current_profile_name() == "history" else 150,
+)
+
+
 @given(
     name=st.sampled_from(sorted(MODELS)),
     query=st.lists(symbols, min_size=1, max_size=8),
@@ -79,21 +87,27 @@ def _bits(values, width):
     limit=st.sampled_from(("inf", "column", "root", "below-root")),
     pick=st.integers(0, 30),
 )
-@settings(max_examples=150, deadline=None)
+@KERNEL_PARITY
 def test_native_kernel_equals_a_wed_step_min_loop(
     name, query, view, prefix, known, at, backward, limit, pick
 ):
     """Columns, mins, lasts and the stop count, bit for bit, on every
     model, in both directions, from the root or from a later column,
-    with some rows already in the matrix and the others missing
-    mid-suffix, at an infinite limit, a limit equal to one column's min
-    and limits at or below the root column's min."""
+    with other rows in the matrix before the suffix's, at an infinite
+    limit, a limit equal to one column's min and limits at or below the
+    root column's min."""
     function = _native_or_skip()
     costs = MODELS[name]
     iq = at % len(query)
     entry = TrieCacheEntry(costs, query)
     for symbol in known:
         entry.row_slot(symbol)
+    slots = [entry.row_slot(symbol) for symbol in view]
+    # Every symbol handed to the kernel has exactly one row.
+    assert set(entry.slots) == set(known) | set(view)
+    assert sorted(entry.slots.values()) == list(range(len(entry.slots)))
+    assert slots == [entry.slots[symbol] for symbol in view]
+    rows = dict(entry.slots)
     state = entry.direction(iq, "b" if backward else "f", False)
     part = state.part
     width = len(part) + 1
@@ -111,21 +125,21 @@ def test_native_kernel_equals_a_wed_step_min_loop(
     want = _reference(costs, part, parent, view, bound)
     kernel = NativeKernel(function, entry)
     kernel.direction(state)
-    first = len(prefix)
     matrix = np.array([parent], dtype=np.float64)
-    count = kernel.suffix(matrix, 0, prefix + view, first, bound)
+    count = kernel.suffix(matrix, 0, view, slots, bound)
     assert count == len(want[0])
     assert _bits(kernel.columns(count), width) == _bits(want[0], width)
     assert _bits(kernel.mins(count), 1) == _bits(want[1], 1)
     assert _bits(kernel.lasts(count), 1) == _bits(want[2], 1)
-    # Every symbol walked got one row, and no other did.
-    assert set(entry.slots) == set(known) | set(view[:count])
     # The Python kernel over the same matrix agrees too.
     python = PythonKernel(costs, entry)
     python.direction(state)
-    assert python.suffix(matrix, 0, prefix + view, first, bound) == count
+    assert python.suffix(matrix, 0, view, slots, bound) == count
     assert _bits(python.columns(count), width) == _bits(want[0], width)
     assert python.mins(count) == kernel.mins(count)
+    # Neither kernel computes a row.
+    assert entry.slots == rows
+    assert (kernel.calls, python.calls) == (1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -143,7 +157,8 @@ def test_a_row_of_the_query_slices_into_every_part(name):
 
 def test_kernel_calls_and_backend_are_reported(vertex_dataset, edr_cost, rng):
     """``dp_backend_used`` names the kernel that ran and ``dp_rounds``
-    counts its calls; a warm repeat computes no column and makes none."""
+    counts the uncached suffixes it computed; a warm repeat computes no
+    column and no suffix."""
     expected = "native" if native_function() else "python"
     engine = SubtrajectorySearch(vertex_dataset, edr_cost)
     query = sample_query(vertex_dataset, rng, 8)
@@ -154,6 +169,31 @@ def test_kernel_calls_and_backend_are_reported(vertex_dataset, edr_cost, rng):
     warm = engine.query(query, tau_ratio=0.3)
     assert warm.verification.computed_columns == 0
     assert (warm.dp_backend_used, warm.dp_rounds) == (expected, 0)
+
+
+@pytest.mark.parametrize("mode", ("trie", "local"))
+def test_dp_rounds_count_suffixes_under_either_kernel(vertex_dataset, netedr_cost, rng, mode):
+    """One kernel call per uncached suffix, whichever kernel runs: one
+    deck, cold then warm, natively and with the Python kernel forced,
+    reads the same ``dp_rounds`` per query."""
+    _native_or_skip()
+    deck = [sample_query(vertex_dataset, rng, n) for n in (6, 8, 10, 12)]
+    deck += deck[:2]
+
+    def run():
+        engine = SubtrajectorySearch(vertex_dataset, netedr_cost, verification=mode)
+        return [engine.query(query, tau_ratio=0.3) for query in deck]
+
+    native = run()
+    with python_kernel():
+        python = run()
+    assert {r.dp_backend_used for r in native} == {"native"}
+    assert {r.dp_backend_used for r in python} == {"python"}
+    assert [r.dp_rounds for r in native] == [r.dp_rounds for r in python]
+    assert sum(r.dp_rounds for r in native) > 0
+    for got, want in zip(python, native):
+        assert _answer(got) == _answer(want)
+        assert got.verification == want.verification
 
 
 def _answer(result):
@@ -221,6 +261,7 @@ def test_native_kernel_refuses_a_parent_it_cannot_read():
     costs = MODELS["lev"]
     entry = TrieCacheEntry(costs, [1, 2, 3])
     state = entry.direction(0, "f", False)
+    slots = [entry.row_slot(1), entry.row_slot(2)]
     kernel = NativeKernel(function, entry)
     kernel.direction(state)
     for parent, slot in (
@@ -230,5 +271,5 @@ def test_native_kernel_refuses_a_parent_it_cannot_read():
         (state.root, 1),  # no such row
     ):
         with pytest.raises(ValueError):
-            kernel.suffix(parent, slot, [1, 2], 0, float("inf"))
-    assert kernel.suffix(state.root, 0, [1, 2], 0, float("inf")) == 2
+            kernel.suffix(parent, slot, [1, 2], slots, float("inf"))
+    assert kernel.suffix(state.root, 0, [1, 2], slots, float("inf")) == 2
